@@ -13,13 +13,17 @@ A :class:`ClientSession` models one client processing one query:
 Positions are *global*: they increase monotonically across cycle repetitions
 (the server transmits identical cycles back to back), while
 ``position % cycle.total_packets`` gives the offset within the cycle.
+
+A reception is charged per call, not per packet: its tuning time, final
+position and lost packets follow arithmetically from the requested offsets
+and one loss draw per packet (:meth:`PacketLossModel.lost`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.packet import Segment
@@ -36,11 +40,17 @@ class PacketLossModel:
         self.loss_rate = loss_rate
         self._rng = random.Random(seed)
 
-    def is_lost(self) -> bool:
-        """Whether the next received packet is lost."""
+    def lost(self, packets: Iterable[int]) -> List[int]:
+        """The subset of ``packets``, received in order, lost on the air.
+
+        Draws the generator exactly once per packet, in order; a lossless
+        channel draws nothing.
+        """
         if self.loss_rate == 0.0:
-            return False
-        return self._rng.random() < self.loss_rate
+            return []
+        rate = self.loss_rate
+        draw = self._rng.random
+        return [packet for packet in packets if draw() < rate]
 
 
 @dataclass
@@ -50,8 +60,9 @@ class SegmentReception:
     segment: Segment
     #: Global packet position where the receive started.
     start_position: int
-    #: Packet offsets *within the segment* that were requested.
-    requested_offsets: List[int] = field(default_factory=list)
+    #: Packet offsets *within the segment* that were requested, ascending
+    #: and unique (a ``range`` when the whole segment was received).
+    requested_offsets: Sequence[int] = field(default_factory=list)
     #: Subset of requested offsets that were lost on the air.
     lost_offsets: List[int] = field(default_factory=list)
 
@@ -100,7 +111,7 @@ class ClientSession:
         next index copy that every packet carries.
         """
         segment = self.cycle.segment_at(self.position)
-        self._charge(1)
+        self.tuning_packets += 1
         self.position += 1
         return segment
 
@@ -116,10 +127,14 @@ class ClientSession:
 
         The client sleeps until the segment's next broadcast, listens only
         during the requested offsets (sleeping through the others), and ends
-        positioned right after the last requested packet.
+        positioned right after the last requested packet.  Duplicate offsets
+        are received once.
         """
         segment = self.cycle.segment(name)
-        offsets = sorted(set(int(o) for o in packet_offsets))
+        if type(packet_offsets) is range and packet_offsets.step == 1:
+            offsets = packet_offsets
+        else:
+            offsets = sorted(set(int(o) for o in packet_offsets))
         if not offsets:
             raise ValueError("packet_offsets must be non-empty")
         if offsets[0] < 0 or offsets[-1] >= segment.num_packets:
@@ -127,15 +142,10 @@ class ClientSession:
                 f"packet offsets {offsets} outside segment of {segment.num_packets} packets"
             )
         segment_start = self.cycle.next_segment_named(name, self.position)
-        self.sleep_until(segment_start + offsets[0])
-        lost: List[int] = []
-        for offset in offsets:
-            self.sleep_until(segment_start + offset)
-            self._charge(1)
-            self.position = segment_start + offset + 1
-            if self.loss_model.is_lost():
-                lost.append(offset)
-                self.lost_packets += 1
+        self.tuning_packets += len(offsets)
+        self.position = segment_start + offsets[-1] + 1
+        lost = self.loss_model.lost(offsets)
+        self.lost_packets += len(lost)
         return SegmentReception(
             segment=segment,
             start_position=segment_start,
@@ -151,34 +161,27 @@ class ClientSession:
         to have tuned in.  Packets lost on the air are re-received in later
         cycle repetitions (charging tuning time again and extending the
         access latency), because a missing adjacency list would make the
-        local search incorrect (paper Section 6.2).
+        local search incorrect (paper Section 6.2).  Each retry pass listens
+        to the missing offsets in on-air order from the current position.
 
         Returns the total number of packets received, retries included.
         """
         total = self.cycle.total_packets
-        lost_offsets: List[int] = []
-        for _ in range(total):
-            self._charge(1)
-            if self.loss_model.is_lost():
-                lost_offsets.append(self.position % total)
-                self.lost_packets += 1
-            self.position += 1
-
-        retries = 0
+        first = self.position % total
+        lost = [(first + k) % total for k in self.loss_model.lost(range(total))]
+        self.position += total
+        self.lost_packets += len(lost)
         received = total
-        while lost_offsets and retries < max_retry_cycles:
-            retries += 1
-            still_lost: List[int] = []
-            for offset in sorted(lost_offsets, key=lambda o: (o - self.position) % total):
-                delta = (offset - self.position) % total
-                self.sleep_until(self.position + delta)
-                self._charge(1)
-                received += 1
-                self.position += 1
-                if self.loss_model.is_lost():
-                    still_lost.append(offset)
-                    self.lost_packets += 1
-            lost_offsets = still_lost
+        for _ in range(max_retry_cycles):
+            if not lost:
+                break
+            here = self.position
+            lost.sort(key=lambda offset: (offset - here) % total)
+            self.position = here + (lost[-1] - here) % total + 1
+            received += len(lost)
+            lost = self.loss_model.lost(lost)
+            self.lost_packets += len(lost)
+        self.tuning_packets += received
         return received
 
     # ------------------------------------------------------------------
@@ -188,9 +191,6 @@ class ClientSession:
     def elapsed_packets(self) -> int:
         """Access latency so far: packets elapsed since tune-in."""
         return self.position - self.start_position
-
-    def _charge(self, packets: int) -> None:
-        self.tuning_packets += packets
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

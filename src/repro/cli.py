@@ -1067,7 +1067,13 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A ``ValueError`` from a command (an invalid configuration value, say)
+    ends in a one-line ``repro: error: ...`` on stderr and exit code 2, as
+    argparse reports its own errors; ``ingest`` reports its located
+    diagnostics itself, with exit code 1.
+    """
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1084,7 +1090,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         "chaos": _command_chaos,
         "ingest": _command_ingest,
     }
-    return handlers[args.command](args, out)
+    try:
+        return handlers[args.command](args, out)
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

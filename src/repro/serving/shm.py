@@ -5,10 +5,19 @@ warm-start -- the network snapshot, the frozen CSR arrays, and one full
 :class:`~repro.serialize.artifacts.BuildArtifact` per scheme -- into a
 single :class:`multiprocessing.shared_memory.SharedMemory` block.  Workers
 attach the block and wire :meth:`CSRGraph.from_buffers` views plus
-``zero_copy`` artifact restores straight over the mapping, so the physical
-index exists **once** no matter how many workers serve it; only small
-per-process structures (id maps, decoded aggregates, Python wrappers) are
-private.
+``zero_copy`` artifact restores straight over the mapping.
+
+What is shared and what each process holds:
+
+* **Shared** (one physical copy, however many workers serve it): the six
+  flat CSR arrays and the scheme artifacts.
+* **Per process**: the id -> index map, the network restored from the
+  encoded state (a dict network), and the ``(neighbor_index, weight)``
+  tuple adjacency :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj` builds
+  on a worker's first search -- the same lazy adjacency every snapshot
+  uses, 1.24 MiB forward and 1.35 MiB more reverse at 4,907 nodes against
+  0.38 MiB of flat arrays.  The tuples hold plain values, not views into
+  the mapping, so they never keep a swapped-off segment mapped.
 
 Segment layout (all offsets 8-byte aligned)::
 

@@ -20,11 +20,11 @@ def make_cycle():
 class TestPacketLossModel:
     def test_zero_rate_never_loses(self):
         model = PacketLossModel(0.0)
-        assert not any(model.is_lost() for _ in range(1000))
+        assert model.lost(range(1000)) == []
 
     def test_rate_roughly_respected(self):
         model = PacketLossModel(0.3, seed=1)
-        losses = sum(model.is_lost() for _ in range(5000))
+        losses = len(model.lost(range(5000)))
         assert 0.25 * 5000 < losses < 0.35 * 5000
 
     def test_invalid_rate_rejected(self):

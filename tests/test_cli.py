@@ -97,6 +97,15 @@ class TestQueryCommand:
         assert "loss=0.05" in output
 
 
+class TestConfigErrors:
+    def test_invalid_value_is_a_one_line_error_with_exit_2(self, capsys):
+        code, output = run_cli(["fleet", "--network", "milan", "--scale", "-1", "--devices", "5"])
+        assert code == 2
+        assert output == ""
+        err = capsys.readouterr().err
+        assert err == "repro: error: scale must be positive, got -1.0\n"
+
+
 class TestCompareCommand:
     def test_compares_methods_with_zero_mismatches(self):
         code, output = run_cli(

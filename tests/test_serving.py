@@ -171,9 +171,18 @@ class TestSharedArtifactSegment:
         assert list(shared.fwd_targets) == list(original.fwd_targets)
         assert list(shared.fwd_weights) == list(original.fwd_weights)
         assert list(shared.rev_offsets) == list(original.rev_offsets)
-        # The views must be released before the mapping can unmap.
+        # The attached snapshot builds the same tuple adjacency as the owned
+        # one, element for element.
+        assert len(shared.fwd_adj) == len(original.fwd_adj)
+        assert all(a == b for a, b in zip(shared.fwd_adj, original.fwd_adj))
+        assert len(shared.rev_adj) == len(original.rev_adj)
+        assert all(a == b for a, b in zip(shared.rev_adj, original.rev_adj))
+        adjacency = (shared.fwd_adj, shared.rev_adj)
+        # The views must be released before the mapping can unmap; the
+        # materialized tuples hold plain values, not exports into it.
         del shared
         assert attached.close() is True
+        assert adjacency[0] == original.fwd_adj
 
     def test_restored_network_adopts_the_shared_snapshot(self, segment, direct_system):
         attached = SharedArtifactSegment.attach(segment.name)
@@ -270,6 +279,30 @@ class TestWorkerRuntime:
         ]
         assert response["distances"] == expected
         assert response["latency"]["count"] == len(query_pairs)
+
+    def test_shutdown_unmaps_after_answering_queries(self, direct_system, query_pairs):
+        scheme = direct_system.scheme("NR")
+        published = SharedArtifactSegment.publish(
+            direct_system.network, {"NR": scheme.artifact()}
+        )
+        runtime = WorkerRuntime(0, config=BASE_CONFIG.experiment_config())
+        try:
+            runtime.load_segment(published.name)
+            for source, target in query_pairs:
+                response = runtime.handle(
+                    {"op": "query", "method": "NR", "source": source, "target": target}
+                )
+                assert response["status"] == "ok"
+            snapshot = runtime.system.network.csr_snapshot()
+            assert snapshot.buffer_backed and snapshot._fwd_adj is not None
+            del snapshot
+            segment = runtime.segment
+            runtime.shutdown()
+            assert segment.close() is True
+        finally:
+            runtime.shutdown()
+            published.unlink()
+            published.close()
 
     def test_bad_requests_answer_errors_without_dying(self, runtime):
         unknown = runtime.handle({"op": "frobnicate"})
