@@ -318,7 +318,10 @@ class BorderPathPrecomputation:
         of small dicts -- and nested as one pre-encoded blob that
         :meth:`from_state` defers decoding until the first refresh.  That
         keeps a warm start independent of the per-source table size without
-        giving up bit-identical refreshes.
+        giving up bit-identical refreshes.  The blob's bulk columns (the
+        labels and the cross-border items, see :meth:`_sources_columnar`)
+        are typed arrays the codec writes without boxing an element, so
+        encoding it costs little more than copying the labels.
         """
         from repro.serialize.codec import encode_value
 
@@ -363,21 +366,30 @@ class BorderPathPrecomputation:
 
         The ``dist``/``pred`` labels are positional (every source carries
         exactly ``num_nodes`` entries), so they concatenate without offset
-        columns and hit the codec's homogeneous bulk paths; the remaining
-        per-record containers are concatenated with offsets.  Dict insertion
-        orders (encounter order for ``min_to``/``max_to``/``traversed``)
-        survive the concatenation; sets are stored sorted.
+        columns.  The three columns holding nearly all of the bytes are
+        typed arrays: ``dist_values`` (``array("d")``) and ``pred_values``
+        (``array("q")``) append the records' label arrays buffer to buffer,
+        and ``cross_items`` (``array("q")``) takes each sorted cross-border
+        set.  The codec writes each as its raw buffer, without boxing an
+        element, in exactly the bytes of the equal list (which is also what
+        they decode to).  The remaining, short per-record containers are
+        concatenated lists with offsets.  Dict insertion orders (encounter
+        order for ``min_to``/``max_to``/``traversed``) survive the
+        concatenation; sets are stored sorted.
         """
         sources = self._sources
+        dist_values = array("d")
+        pred_values = array("q")
+        cross_items = array("q")
         columns: Dict[str, Any] = {
             "num_nodes": len(sources[0].dist) if sources else 0,
             "node": [],
             "region": [],
             "finite_pairs": [],
-            "dist_values": [],
-            "pred_values": [],
+            "dist_values": dist_values,
+            "pred_values": pred_values,
             "cross_offsets": [0],
-            "cross_items": [],
+            "cross_items": cross_items,
             "min_offsets": [0],
             "min_keys": [],
             "min_values": [],
@@ -393,10 +405,10 @@ class BorderPathPrecomputation:
             columns["node"].append(record.node)
             columns["region"].append(record.region)
             columns["finite_pairs"].append(record.finite_pairs)
-            columns["dist_values"].extend(record.dist)
-            columns["pred_values"].extend(record.pred)
-            columns["cross_items"].extend(sorted(record.cross_nodes))
-            columns["cross_offsets"].append(len(columns["cross_items"]))
+            dist_values += record.dist
+            pred_values += record.pred
+            cross_items.extend(sorted(record.cross_nodes))
+            columns["cross_offsets"].append(len(cross_items))
             columns["min_keys"].extend(record.min_to.keys())
             columns["min_values"].extend(record.min_to.values())
             columns["min_offsets"].append(len(columns["min_keys"]))

@@ -1,7 +1,12 @@
 """Road-network substrate: graphs, generators, datasets, and algorithms."""
 
 from repro.network.csr import CSRGraph
-from repro.network.delta import EdgeUpdate, NetworkDelta, WeightChange
+from repro.network.delta import (
+    EdgeUpdate,
+    InvalidUpdateError,
+    NetworkDelta,
+    WeightChange,
+)
 from repro.network.graph import Edge, Node, RoadNetwork
 from repro.network.generators import (
     GeneratorConfig,
@@ -14,6 +19,7 @@ __all__ = [
     "CSRGraph",
     "Edge",
     "EdgeUpdate",
+    "InvalidUpdateError",
     "NetworkDelta",
     "Node",
     "RoadNetwork",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Set, Tuple
 
-__all__ = ["EdgeUpdate", "WeightChange", "NetworkDelta"]
+__all__ = ["EdgeUpdate", "InvalidUpdateError", "WeightChange", "NetworkDelta"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,17 @@ class EdgeUpdate:
     source: int
     target: int
     weight: float
+
+
+class InvalidUpdateError(ValueError):
+    """An update batch failed validation, so none of it was applied.
+
+    ``index`` is the position of the first invalid update in the batch.
+    """
+
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"update {index}: {reason}")
+        self.index = index
 
 
 @dataclass(frozen=True)

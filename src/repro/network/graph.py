@@ -10,11 +10,13 @@ broadcast schemes serialize on the air.
 from __future__ import annotations
 
 import hashlib
+import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
-from repro.network.delta import NetworkDelta, WeightChange
+from repro.network.delta import InvalidUpdateError, NetworkDelta, WeightChange
 
 __all__ = ["Node", "Edge", "RoadNetwork"]
 
@@ -188,16 +190,16 @@ class RoadNetwork:
         strictly positive: dynamic updates model travel costs (congestion,
         closures), and a non-positive cost would let a "closure" act as a
         free teleport.  Raises ``KeyError`` if the edge does not exist and
-        ``ValueError`` for a non-positive weight.
+        ``ValueError`` for a weight that is not positive and finite.
 
         The change is recorded in the network's pending delta (see
         :meth:`pending_delta`), coalesced per edge, so the engine's
         incremental refresh knows exactly which edges moved and by how much.
         """
         new_weight = float(weight)
-        if new_weight <= 0:
+        if not 0.0 < new_weight < math.inf:
             raise ValueError(
-                f"updated edge weight must be positive, got {weight}"
+                f"updated edge weight must be positive and finite, got {weight}"
             )
         if self._csr is not None and self._csr.buffer_backed:
             # Refuse *before* touching the adjacency lists: the cached
@@ -249,18 +251,41 @@ class RoadNetwork:
 
         Each update may be an :class:`~repro.network.delta.EdgeUpdate`, any
         object with ``source``/``target``/``weight`` attributes, or a plain
-        ``(source, target, weight)`` tuple.  Updates are applied in order
-        through :meth:`update_edge_weight`, so the same validation (and the
-        same pending-delta coalescing) applies to every item.
+        ``(source, target, weight)`` tuple.
+
+        The batch is all or nothing: every update is checked first -- three
+        fields, integer node ids, an existing edge, a positive finite weight
+        -- and the first that fails raises :class:`InvalidUpdateError` with
+        its index before anything is mutated.  The checked updates are then
+        applied in order through :meth:`update_edge_weight` (with its
+        pending-delta coalescing).
         """
-        changes: List[WeightChange] = []
-        for update in updates:
+        batch = [
+            self._checked_update(index, update)
+            for index, update in enumerate(updates)
+        ]
+        return [self.update_edge_weight(*update) for update in batch]
+
+    def _checked_update(self, index: int, update) -> Tuple[int, int, float]:
+        """One batch item as ``(source, target, weight)``, or a typed error."""
+        try:
             if hasattr(update, "source") and hasattr(update, "target"):
                 source, target, weight = update.source, update.target, update.weight
             else:
                 source, target, weight = update
-            changes.append(self.update_edge_weight(source, target, weight))
-        return changes
+            source, target = operator.index(source), operator.index(target)
+            weight = float(weight)
+        except (AttributeError, TypeError, ValueError):
+            raise InvalidUpdateError(
+                index, f"expected (source, target, weight), got {update!r}"
+            ) from None
+        if not self.has_edge(source, target):
+            raise InvalidUpdateError(index, f"no edge {source} -> {target}")
+        if not 0.0 < weight < math.inf:
+            raise InvalidUpdateError(
+                index, f"edge weight must be positive and finite, got {weight!r}"
+            )
+        return source, target, weight
 
     def pending_delta(self) -> NetworkDelta:
         """A snapshot of everything changed since :meth:`clear_delta`.

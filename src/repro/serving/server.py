@@ -41,6 +41,9 @@ Operational contract:
   keeps the daemon serving the *previous* cycle: the old segment stays
   mapped, data responses carry ``"stale": true`` until a later refresh
   succeeds, and the refresh call reports ``degraded`` instead of erroring.
+  A batch that fails validation (a missing edge, a non-positive or
+  non-finite weight, a malformed update) is not a failed refresh: nothing
+  is applied and the call answers ``error`` with the failing ``index``.
 * **Fault injection.**  Named injection points (frame drop/truncate/
   corrupt, latency, worker SIGKILL mid-request) are threaded through the
   hot path behind :mod:`repro.faults` -- single ``None`` checks unless a
@@ -68,6 +71,7 @@ from repro.engine.system import AirSystem
 from repro.experiments import ExperimentConfig
 from repro.faults import runtime as faults
 from repro.faults.plan import FaultPlan
+from repro.network.delta import InvalidUpdateError
 from repro.partitioning.base import Partitioning
 from repro.partitioning.kdtree import KDTreePartitioner
 from repro.serving import protocol
@@ -528,10 +532,9 @@ class AirServer:
         simply keep seeing the pre-update network until the swap.
         """
         assert self.system is not None and self._admin_lock is not None
-        updates = [
-            (int(source), int(target), float(weight))
-            for source, target, weight in request.get("updates", [])
-        ]
+        updates = request.get("updates", [])
+        if not isinstance(updates, list):
+            return {"status": "error", "error": "updates must be a list"}
         async with self._admin_lock:
             loop = asyncio.get_running_loop()
 
@@ -542,6 +545,10 @@ class AirServer:
 
             try:
                 report, new_segment = await loop.run_in_executor(None, _rebuild)
+            except InvalidUpdateError as exc:
+                # Rejected before any update was applied: the network, the
+                # published segment and the staleness flag are untouched.
+                return {"status": "error", "error": str(exc), "index": exc.index}
             except Exception as exc:
                 # Degrade, don't die: the old segment keeps serving (the
                 # engine left the network delta uncleared, so the *next*

@@ -20,7 +20,7 @@ from repro.dynamic import (
     simulate_update_stream,
 )
 from repro.engine import AirSystem
-from repro.network.delta import NetworkDelta, WeightChange
+from repro.network.delta import InvalidUpdateError, NetworkDelta, WeightChange
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork
 
@@ -74,6 +74,15 @@ class TestUpdateEdgeWeight:
         with pytest.raises(ValueError):
             diamond.update_edge_weight(0, 2, weight)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_raises_valueerror(self, diamond, weight):
+        before = diamond.fingerprint()
+        with pytest.raises(ValueError, match="finite"):
+            diamond.update_edge_weight(0, 2, weight)
+        assert diamond.edge_weight(0, 2) == 3.0
+        assert diamond.fingerprint() == before
+        assert not diamond.has_pending_delta
+
     def test_remove_edge_of_nonexistent_edge_raises_keyerror(self, diamond):
         with pytest.raises(KeyError):
             diamond.remove_edge(3, 0)
@@ -98,6 +107,52 @@ class TestPendingDelta:
         assert not delta.structural
         assert delta.dirty_nodes == frozenset({0, 2, 3})
         assert len(delta.changes) == 2
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ((3, 0, 1.0), "no edge 3 -> 0"),
+            ((99, 0, 1.0), "no edge 99 -> 0"),
+            ((0, 2, 0.0), "positive and finite"),
+            ((0, 2, -2.0), "positive and finite"),
+            ((0, 2, float("nan")), "positive and finite"),
+            ((0, 2, float("inf")), "positive and finite"),
+            ((0, 2), "expected (source, target, weight)"),
+            ((0, 2, 1.0, 4), "expected (source, target, weight)"),
+            ((0.0, 2, 1.0), "expected (source, target, weight)"),
+            ((0, 2, "heavy"), "expected (source, target, weight)"),
+            (None, "expected (source, target, weight)"),
+        ],
+    )
+    def test_invalid_update_rejects_the_whole_batch(self, diamond, bad, reason):
+        before = diamond.fingerprint()
+        with pytest.raises(InvalidUpdateError) as info:
+            diamond.apply_updates([(0, 2, 6.0), EdgeUpdate(2, 3, 2.5), bad, (1, 3, 4.0)])
+        assert info.value.index == 2
+        assert str(info.value).startswith("update 2: ")
+        assert reason in str(info.value)
+        # Nothing before the bad update was applied.
+        assert diamond.fingerprint() == before
+        assert diamond.edge_weight(0, 2) == 3.0
+        assert diamond.edge_weight(2, 3) == 1.0
+        assert not diamond.has_pending_delta
+        diamond.validate()
+
+    def test_invalid_update_error_is_a_valueerror(self, diamond):
+        with pytest.raises(ValueError):
+            diamond.apply_updates([(3, 0, 1.0)])
+
+    def test_batch_accepts_integer_like_ids(self, diamond):
+        class Id:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        (change,) = diamond.apply_updates([(Id(0), Id(2), 6)])
+        assert change == WeightChange(0, 2, 3.0, 6.0)
+        assert type(change.source) is int and type(change.new_weight) is float
 
     def test_changes_coalesce_per_edge(self, diamond):
         diamond.update_edge_weight(0, 2, 6.0)

@@ -715,6 +715,57 @@ class TestRefresh:
         finally:
             handle.stop()
 
+    def test_invalid_batch_is_rejected_whole_without_degrading(self, query_pairs):
+        config = ServeConfig(
+            network="milan", scale=0.01, seed=3, regions=8, methods=("NR",), workers=1
+        )
+        handle = ServerHandle.launch(config)
+        reference = AirSystem.from_config(config.experiment_config())
+        try:
+            edge = next(iter(reference.network.edges()))
+            good = [edge.source, edge.target, edge.weight * 1.7]
+            node = edge.source
+            bad_batches = [
+                [good, [node, node, 1.0]],  # no such edge
+                [good, [edge.source, edge.target, 0.0]],
+                [good, [edge.source, edge.target, -3.0]],
+                [good, [edge.source, edge.target, float("nan")]],
+                [good, [edge.source, edge.target, float("inf")]],
+                [good, [edge.source, edge.target]],  # two fields
+                [good, "not an update"],
+            ]
+            with ServingClient(handle.address) as client:
+                before = client.info()
+                for batch in bad_batches:
+                    write_frame(client._sock, {"op": "refresh", "updates": batch})
+                    reply = read_frame(client._sock)
+                    assert reply["status"] == "error", (batch, reply)
+                    assert reply["index"] == 1
+                    assert reply["error"].startswith("update 1: ")
+                    info = client.info()
+                    assert info["generation"] == before["generation"]
+                    assert info["fingerprint"] == before["fingerprint"]
+                    assert info["stale"] is False
+                    assert info["refresh_failures"] == 0
+                with pytest.raises(ServerError, match="update 1: no edge"):
+                    client.refresh([tuple(good), (node, node, 1.0)])
+                write_frame(client._sock, {"op": "refresh", "updates": {"a": 1}})
+                assert read_frame(client._sock)["status"] == "error"
+                source, target = query_pairs[0]
+                served = client.query("NR", source, target, tune_in_offset=0)
+                assert "stale" not in served
+                assert served["fingerprint"] == before["fingerprint"]
+
+                # The server's network never saw the good half of a rejected
+                # batch: a valid refresh carries exactly its own change.
+                outcome = client.refresh([tuple(good)])
+                assert "degraded" not in outcome
+                assert outcome["num_changes"] == 1
+                reference.apply_updates([tuple(good)])
+                assert outcome["fingerprint"] == reference.network.fingerprint()
+        finally:
+            handle.stop()
+
     def test_double_shutdown_is_a_noop(self):
         config = ServeConfig(
             network="milan", scale=0.01, seed=3, regions=8, methods=("NR",), workers=1

@@ -9,7 +9,10 @@ guesses.  For any registered scheme it profiles:
   plus cycle layout),
 * **query** -- a deterministic on-air workload through the scheme's client,
 * **refresh** -- weight-update batches routed through the engine's
-  incremental rebuild path.
+  incremental rebuild path,
+* **publish** -- what the serving daemon does per publication: the
+  scheme's ``artifact()`` encoding, the artifact's ``to_bytes()`` framing,
+  and a shared-memory ``SharedArtifactSegment.publish`` plus its unlink.
 
 Run from the repository root::
 
@@ -17,9 +20,10 @@ Run from the repository root::
     PYTHONPATH=src python tools/profile_hotpaths.py --scheme HiTi \
         --network milan --scale 0.02 --queries 32 --top 25 --sort tottime
 
-Pass ``--phases build,query`` to skip phases, and ``--no-accelerator`` to
-pin the kernel to its pure-Python loops (handy for isolating how much of a
-hot path is scipy-bound versus interpreter-bound).
+Pass ``--phases build,query`` to skip phases (``--phases publish`` profiles
+the publication path alone, after an unprofiled build), and
+``--no-accelerator`` to pin the kernel to its pure-Python loops (handy for
+isolating how much of a hot path is scipy-bound versus interpreter-bound).
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ import cProfile
 import pstats
 import random
 import sys
+
+#: Publications profiled by the publish phase.
+PUBLICATIONS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -49,8 +56,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--phases",
-        default="build,query,refresh",
-        help="comma-separated subset of build,query,refresh",
+        default="build,query,refresh,publish",
+        help="comma-separated subset of build,query,refresh,publish",
     )
     parser.add_argument(
         "--no-accelerator",
@@ -81,7 +88,7 @@ def main(argv=None) -> int:
     if args.no_accelerator:
         kernel.USE_ACCELERATOR = False
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
-    unknown = phases - {"build", "query", "refresh"}
+    unknown = phases - {"build", "query", "refresh", "publish"}
     if unknown:
         raise SystemExit(f"unknown phases: {', '.join(sorted(unknown))}")
 
@@ -136,6 +143,27 @@ def main(argv=None) -> int:
             f"refresh: {args.update_batches} weight-update batches "
             f"x {args.edges_per_batch} edges",
             run_refreshes,
+            args.sort,
+            args.top,
+        )
+
+    if "publish" in phases:
+        from repro.serving.shm import SharedArtifactSegment
+
+        scheme = system.scheme(scheme_name)
+
+        def run_publications() -> None:
+            for _ in range(PUBLICATIONS):
+                artifact = scheme.artifact()
+                artifact.to_bytes()
+                segment = SharedArtifactSegment.publish(network, {scheme_name: artifact})
+                segment.unlink()
+                segment.close()
+
+        profile_phase(
+            f"publish: {PUBLICATIONS} x artifact() + to_bytes() "
+            "+ shared segment publish/unlink",
+            run_publications,
             args.sort,
             args.top,
         )
