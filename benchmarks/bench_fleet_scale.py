@@ -12,8 +12,8 @@ along three axes:
   workers only serve probes) must not fall behind the sequential one;
 * **bulk kernel vs scalar replay** (10^4 devices) -- the vectorized
   :func:`~repro.broadcast.replay_bulk.replay_trace_bulk` against the
-  per-device :func:`~repro.broadcast.replay.replay_trace` loop on the same
-  trace and tune-in offsets, bit-identity checked on the way;
+  per-device replay loop of the test oracle ``tests/oracles/replay.py`` on
+  the same trace and tune-in offsets, bit-identity checked on the way;
 * **the scaling curve** (10^4 and 10^5 devices; 10^6 when
   ``REPRO_FLEET_SCALE_FULL=1``) -- end-to-end ``simulate_fleet``
   devices/second per tier, written into ``BENCH_fleet_scale.json``.
@@ -41,11 +41,13 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
+from oracles.replay import replay_plan, replay_trace
 from repro.broadcast.channel import ClientSession
-from repro.broadcast.replay import RecordingSession, replay_trace
-from repro.broadcast.replay_bulk import TraceTable, numpy_or_none, replay_trace_bulk
+from repro.broadcast.replay import RecordingSession
+from repro.broadcast.replay_bulk import TraceTable, replay_trace_bulk
 from repro.engine import AirSystem
 from repro.experiments import build_network, fleet_rush_hour, report
 from repro.fleet import simulate_fleet
@@ -185,9 +187,6 @@ def test_fleet_scale_replay_vs_naive(system, small_bench_config):
 
 def test_bulk_kernel_speedup_vs_scalar_replay(system):
     """The vectorized kernel vs the per-device replay loop, same inputs."""
-    if numpy_or_none() is None:
-        pytest.skip("bulk replay kernel requires numpy")
-    np = numpy_or_none()
     scheme = system.scheme(METHOD)
     cycle = scheme.cycle
     client = scheme.client()
@@ -203,7 +202,9 @@ def test_bulk_kernel_speedup_vs_scalar_replay(system):
     bulk_best = 0.0
     for _ in range(2):
         started = time.perf_counter()
-        scalar = [replay_trace(trace, cycle, offset) for offset in offsets]
+        # The plan is per trace, not per device: hoisted out of the loop.
+        plan = replay_plan(trace)
+        scalar = [replay_trace(trace, cycle, offset, plan) for offset in offsets]
         scalar_best = max(scalar_best, len(offsets) / (time.perf_counter() - started))
 
         started = time.perf_counter()

@@ -22,7 +22,8 @@ Before any number is trusted, tiers up to 100k nodes are verified
 bit-identical against the dict reference: the dict-free CSR arrays must
 equal ``from_network(table.to_network())`` element-for-element, and
 sampled point-to-point queries through the kernel arena must reproduce
-the dict Dijkstra's distances, predecessors, and settled counts exactly.
+the dict Dijkstra's (``tests/oracles/dijkstra.py``) distances,
+predecessors, and settled counts exactly.
 The env-gated 1M tier skips the dict reference (building it would defeat
 the memory story being measured) and sanity-checks query results instead.
 
@@ -45,8 +46,8 @@ import time
 
 import pytest
 
+from oracles.dijkstra import dijkstra_search
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import dijkstra_search
 from repro.network.csr import CSRGraph
 from repro.network.ingest import ColumnarNetwork, open_table
 
@@ -218,7 +219,6 @@ def _verify_against_dict(table, num_pairs: int) -> int:
     """CSR arrays and sampled p2p queries must match the dict path exactly."""
     csr = ColumnarNetwork.from_table(table).csr_snapshot()
     reference = table.to_network()
-    assert reference.csr_snapshot() is None  # dict path, not the kernel
     ref_csr = CSRGraph.from_network(reference)
     for field in (
         "ids",

@@ -1,5 +1,8 @@
 """Array SP kernel vs the dict Dijkstra -- the repo's core perf trajectory.
 
+The dict Dijkstra is the test oracle ``tests/oracles/dijkstra.py``: the
+plain heap-and-dicts loop the kernel reproduces bit for bit.
+
 Not a table or figure of the paper: this benchmark prices the engine room.
 Every layer -- air-index clients, EB/NR/HiTi/Landmark/ArcFlag
 pre-computation, fleet and dynamic ground truth -- bottoms out in a
@@ -15,7 +18,7 @@ query throughput alike.  Measured on the 1k-node network:
   until a consumer reads it (asserted >= 2x by default via
   ``REPRO_KERNEL_MIN_P2P_SPEEDUP``);
 * **border many-to-many** -- the batched sweep pattern of
-  ``BorderPathPrecomputation`` (with predecessors, chunked accelerator
+  ``BorderPathPrecomputation`` (with predecessors, chunked scipy
   calls; asserted >= 1.5x by default via
   ``REPRO_KERNEL_MIN_M2M_SPEEDUP``).
 
@@ -35,13 +38,9 @@ import time
 
 import pytest
 
+from oracles.dijkstra import dijkstra_distances, dijkstra_search, shortest_path
 from repro.experiments import report
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import (
-    dijkstra_distances,
-    dijkstra_search,
-    shortest_path,
-)
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
 
@@ -53,19 +52,11 @@ NUM_SSSP_SOURCES = 40
 NUM_QUERIES = 120
 NUM_BORDER_REGIONS = 16
 #: Acceptance floor on the SSSP speedup; CI relaxes it to 1.5 for noisy
-#: shared runners (and for environments without the scipy accelerator,
-#: where only the flat-buffer win remains).
+#: shared runners.
 MIN_SSSP_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "3.0"))
-_HAVE_ACCEL = kernel.numpy_or_none() is not None
-#: Floors on the point-to-point and many-to-many speedups.  Both ride on
-#: the scipy accelerator, so without it only the faithful loop's
-#: flat-buffer win remains and the defaults drop to 1.0.
-MIN_P2P_SPEEDUP = float(
-    os.environ.get("REPRO_KERNEL_MIN_P2P_SPEEDUP", "2.0" if _HAVE_ACCEL else "1.0")
-)
-MIN_M2M_SPEEDUP = float(
-    os.environ.get("REPRO_KERNEL_MIN_M2M_SPEEDUP", "1.5" if _HAVE_ACCEL else "1.0")
-)
+#: Floors on the point-to-point and many-to-many speedups.
+MIN_P2P_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_P2P_SPEEDUP", "2.0"))
+MIN_M2M_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_M2M_SPEEDUP", "1.5"))
 
 
 @pytest.fixture(scope="module")
@@ -75,19 +66,10 @@ def network():
     return net
 
 
-@pytest.fixture(scope="module")
-def reference(network):
-    """A snapshot-less copy: every search on it takes the dict path."""
-    ref = network.copy()
-    ref.clear_delta()
-    assert ref.csr_snapshot() is None
-    return ref
-
-
-def _verify_bit_identity(network, reference, sources, pairs) -> None:
+def _verify_bit_identity(network, sources, pairs) -> None:
     arena = kernel.arena_for(network.ensure_csr())
     for source in sources[:5]:
-        want = dijkstra_distances(reference, source)
+        want = dijkstra_distances(network, source)
         got = arena.sssp(source)
         assert got.distances_dict() == want.distances
         assert got.predecessors_dict() == want.predecessors
@@ -96,7 +78,7 @@ def _verify_bit_identity(network, reference, sources, pairs) -> None:
     # so this checks the full truncated replay -- tentative frontier labels,
     # tie-broken predecessors, discovery order -- not just the fast probe.
     for source, target in pairs[:5]:
-        want = dijkstra_search(reference, source, target=target)
+        want = dijkstra_search(network, source, target=target)
         got = arena.point_to_point(source, target)
         assert got.distance_to(target) == want.distance_to(target)
         assert got.distances_dict() == want.distances
@@ -104,7 +86,7 @@ def _verify_bit_identity(network, reference, sources, pairs) -> None:
         assert got.settled == want.settled
 
 
-def test_kernel_vs_dict_dijkstra(network, reference):
+def test_kernel_vs_dict_dijkstra(network):
     rng = random.Random(7)
     ids = network.node_ids()
     sources = rng.sample(ids, NUM_SSSP_SOURCES)
@@ -117,21 +99,21 @@ def test_kernel_vs_dict_dijkstra(network, reference):
     ]
 
     arena = kernel.arena_for(network.ensure_csr())
-    _verify_bit_identity(network, reference, sources, pairs)
+    _verify_bit_identity(network, sources, pairs)
 
-    # Warm-up: build the accelerator's lazy views (matrices, edge arrays)
+    # Warm-up: build the kernel's lazy numpy/scipy views (matrices, edge arrays)
     # and touch every code path once so the timings below compare steady
     # states, not first-call construction.
     arena.sssp(sources[0], need_predecessors=False)
     arena.sssp(sources[0], need_predecessors=True, reverse=True)
     arena.point_to_point(*pairs[0]).distance_to(pairs[0][1])
     arena.many_to_many(borders[:4], need_predecessors=True)
-    dijkstra_distances(reference, sources[0])
+    dijkstra_distances(network, sources[0])
 
     # -- SSSP: full sweeps, distance labels ----------------------------
     started = time.perf_counter()
     for source in sources:
-        dijkstra_distances(reference, source)
+        dijkstra_distances(network, source)
     dict_sssp = time.perf_counter() - started
     started = time.perf_counter()
     for source in sources:
@@ -149,7 +131,7 @@ def test_kernel_vs_dict_dijkstra(network, reference):
     #    and answers off the converged labels) -------------------------
     started = time.perf_counter()
     for source, target in pairs:
-        shortest_path(reference, source, target)
+        shortest_path(network, source, target)
     dict_p2p = time.perf_counter() - started
     started = time.perf_counter()
     for source, target in pairs:
@@ -159,7 +141,7 @@ def test_kernel_vs_dict_dijkstra(network, reference):
     # -- border many-to-many (with predecessors, as EB/NR need) --------
     started = time.perf_counter()
     for source in borders:
-        dijkstra_distances(reference, source)
+        dijkstra_distances(network, source)
     dict_many = time.perf_counter() - started
     started = time.perf_counter()
     arena.many_to_many(borders, need_predecessors=True)
@@ -201,8 +183,7 @@ def test_kernel_vs_dict_dijkstra(network, reference):
         rows,
         title=(
             f"Array SP kernel vs dict Dijkstra -- {network.name} "
-            f"({network.num_nodes} nodes, {network.num_edges} edges, "
-            f"accelerator={'on' if kernel.numpy_or_none() is not None else 'off'})"
+            f"({network.num_nodes} nodes, {network.num_edges} edges)"
         ),
     )
     write_report("sp_kernel", table)
@@ -214,7 +195,6 @@ def test_kernel_vs_dict_dijkstra(network, reference):
                 "edges": network.num_edges,
                 "fingerprint": network.fingerprint(),
             },
-            "accelerator": kernel.numpy_or_none() is not None,
             "min_sssp_speedup_floor": MIN_SSSP_SPEEDUP,
             "sssp": {
                 "runs": NUM_SSSP_SOURCES,

@@ -31,6 +31,10 @@ REPORT_DIR = pathlib.Path(__file__).parent / "reports"
 ROOT_DIR = pathlib.Path(__file__).parent.parent
 _json_dir = ROOT_DIR
 
+# The test oracles (``tests/oracles``) double as the benchmarks' plain
+# baselines.  Appended, not prepended, so ``conftest`` keeps resolving here.
+sys.path.append(str(ROOT_DIR / "tests"))
+
 
 def pytest_addoption(parser) -> None:
     parser.addoption(

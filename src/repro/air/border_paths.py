@@ -27,7 +27,7 @@ aggregates are a pure, order-free fold over those records.
 
 * :meth:`affected_sources` decides -- exactly, from the cached labels and
   the old/new weights -- which sources a change batch can touch, vectorized
-  over a cached ``sources x nodes`` distance matrix when numpy is available;
+  over a cached ``sources x nodes`` distance matrix;
 * each affected source is brought up to date by :meth:`_repair_source`, a
   batch Ramalingam-Reps-style repair that seeds a priority queue from the
   endpoints of the changed edges and settles only the nodes whose distance
@@ -50,6 +50,8 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.network.algorithms import kernel
 from repro.network.algorithms.paths import INFINITY
@@ -555,9 +557,9 @@ class BorderPathPrecomputation:
         feasible potential and the old shortest path tree contains no changed
         edge, so Dijkstra's relaxations (and tie-breaks) replay unchanged.
 
-        With numpy available the test runs vectorized over the kernel-style
-        label matrix (one ``sources``-length column test per change) instead
-        of the O(sources x changes) Python scan.
+        The test runs vectorized over the cached label matrix, one
+        ``sources``-length column test per change (the per-source Python
+        scan it replaces is the test oracle ``tests/oracles/border_paths.py``).
         """
         relevant = [change for change in changes if not change.is_noop]
         if not relevant:
@@ -566,47 +568,29 @@ class BorderPathPrecomputation:
         if not sources:
             return []
         index_of = self.network.ensure_csr().index_of
-        np_mod = kernel.numpy_or_none()
-        if np_mod is not None:
-            matrix = self._ensure_dist_matrix(np_mod)
-            hit = np_mod.zeros(len(sources), dtype=bool)
-            for change in relevant:
-                u = index_of.get(change.source)
-                v = index_of.get(change.target)
-                if u is None or v is None:
-                    continue
-                du = matrix[:, u]
-                weight = min(change.old_weight, change.new_weight)
-                # ``inf + w <= inf`` is true in IEEE arithmetic, but an
-                # unreached tail can never carry a path -- mask it out.
-                hit |= np_mod.isfinite(du) & (du + weight <= matrix[:, v])
-            return np_mod.flatnonzero(hit).tolist()
+        matrix = self._ensure_dist_matrix()
+        hit = np.zeros(len(sources), dtype=bool)
+        for change in relevant:
+            u = index_of.get(change.source)
+            v = index_of.get(change.target)
+            if u is None or v is None:
+                continue
+            du = matrix[:, u]
+            weight = min(change.old_weight, change.new_weight)
+            # ``inf + w <= inf`` is true in IEEE arithmetic, but an
+            # unreached tail can never carry a path -- mask it out.
+            hit |= np.isfinite(du) & (du + weight <= matrix[:, v])
+        return np.flatnonzero(hit).tolist()
 
-        affected: List[int] = []
-        for index, record in enumerate(sources):
-            dist = record.dist
-            for change in relevant:
-                u = index_of.get(change.source)
-                v = index_of.get(change.target)
-                if u is None or v is None:
-                    continue
-                du = dist[u]
-                if du == INFINITY:
-                    continue
-                if du + min(change.old_weight, change.new_weight) <= dist[v]:
-                    affected.append(index)
-                    break
-        return affected
-
-    def _ensure_dist_matrix(self, np_mod):
+    def _ensure_dist_matrix(self):
         """The cached ``sources x nodes`` float64 label matrix."""
         sources = self._sources
         num_nodes = len(sources[0].dist) if sources else 0
         matrix = self._dist_matrix
         if matrix is None or matrix.shape != (len(sources), num_nodes):
-            matrix = np_mod.empty((len(sources), num_nodes), dtype=np_mod.float64)
+            matrix = np.empty((len(sources), num_nodes), dtype=np.float64)
             for row, record in enumerate(sources):
-                matrix[row] = np_mod.frombuffer(record.dist)
+                matrix[row] = np.frombuffer(record.dist)
             self._dist_matrix = matrix
         return matrix
 
@@ -642,7 +626,6 @@ class BorderPathPrecomputation:
                 for change in relevant
                 if change.source in index_of and change.target in index_of
             ]
-        np_mod = kernel.numpy_or_none()
         replaced = 0
         derived_changed = False
         for index in affected:
@@ -657,8 +640,8 @@ class BorderPathPrecomputation:
             replaced += 1
             if new_record.min_to is not record.min_to:
                 derived_changed = True
-            if self._dist_matrix is not None and np_mod is not None:
-                self._dist_matrix[index] = np_mod.frombuffer(new_record.dist)
+            if self._dist_matrix is not None:
+                self._dist_matrix[index] = np.frombuffer(new_record.dist)
         if derived_changed:
             # Repairs that only moved interior labels share the old record's
             # derived fields by reference; the fold inputs are then unchanged

@@ -47,7 +47,6 @@ from repro.broadcast.device import DeviceProfile
 from repro.broadcast.interleave import optimal_m
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind, packets_for_bytes
-from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.kernel import masked_shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import KDTreePartitioner, build_kdtree_partitioning
@@ -393,15 +392,10 @@ class EllipticBoundaryClient(AirClient):
                 # Masked kernel search over the network's CSR snapshot
                 # restricted to the received nodes: same answers (and settled
                 # count) as Dijkstra on the induced subgraph, without
-                # materializing a RoadNetwork per query.  The subgraph path
-                # remains as the reference fallback for snapshot-less
-                # networks (e.g. structurally mutated since the build).
+                # materializing a RoadNetwork per query.
                 local = masked_shortest_path(
                     scheme.network, source, target, received_nodes
                 )
-                if local is None:
-                    subgraph = scheme.network.subgraph(received_nodes)
-                    local = shortest_path(subgraph, source, target)
                 distance, path, settled = local.distance, local.path, local.settled
             memory.allocate(_working_set_bytes(scheme, len(received_nodes)))
 

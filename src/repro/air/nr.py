@@ -42,7 +42,6 @@ from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.device import DeviceProfile
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind, packets_for_bytes
-from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.kernel import masked_shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import build_kdtree_partitioning
@@ -401,16 +400,12 @@ class NextRegionClient(AirClient):
                 distance, path, settled = shortest_path_on_overlay(overlay, source, target)
         else:
             with cpu:
-                # Masked kernel search over the existing CSR snapshot
+                # Masked kernel search over the network's CSR snapshot
                 # restricted to the received nodes (bit-identical to Dijkstra
-                # on the induced subgraph); the subgraph rebuild remains as
-                # the snapshot-less reference fallback.
+                # on the induced subgraph).
                 local = masked_shortest_path(
                     scheme.network, source, target, received_nodes
                 )
-                if local is None:
-                    subgraph = scheme.network.subgraph(received_nodes)
-                    local = shortest_path(subgraph, source, target)
                 distance, path, settled = local.distance, local.path, local.settled
             per_node = 3 * scheme.layout.distance_bytes + scheme.layout.node_id_bytes
             memory.allocate(len(received_nodes) * per_node)

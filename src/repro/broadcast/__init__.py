@@ -12,12 +12,7 @@ from repro.broadcast.device import (
 )
 from repro.broadcast.channel import BroadcastChannel, ClientSession, PacketLossModel
 from repro.broadcast.metrics import ClientMetrics, MemoryTracker, ServerMetrics
-from repro.broadcast.replay import (
-    RecordingSession,
-    ReplayOutcome,
-    SessionTrace,
-    replay_trace,
-)
+from repro.broadcast.replay import RecordingSession, SessionTrace
 from repro.broadcast.replay_bulk import (
     BulkReplayOutcome,
     CycleLayout,
@@ -43,10 +38,8 @@ __all__ = [
     "MemoryTracker",
     "PacketLossModel",
     "RecordingSession",
-    "ReplayOutcome",
     "Segment",
     "SessionTrace",
-    "replay_trace",
     "SegmentKind",
     "ServerMetrics",
     "interleave_one_m",

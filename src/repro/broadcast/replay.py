@@ -8,7 +8,9 @@ behind), never by the wall clock.  The fleet simulator exploits that: it runs
 one real *probe* session per distinct query, materializes the probe's packet
 stream as a :class:`SessionTrace`, and then *replays* the trace for every
 further device with pure packet arithmetic -- no per-packet loops, no loss
-draws, no local shortest path computation.
+draws, no local shortest path computation.  The replay itself runs for a
+whole group of devices at once in :mod:`repro.broadcast.replay_bulk`; the
+one-device-at-a-time form is the test oracle (``tests/oracles/replay.py``).
 
 Replay semantics (documented contract, asserted by the tests):
 
@@ -23,7 +25,7 @@ Replay semantics (documented contract, asserted by the tests):
   concrete index copy is replayed instead of the copy nearest to the device.
 * Replay is only valid for **lossless** sessions; lossy devices must be
   simulated natively (their per-packet Bernoulli draws are part of the
-  result).  :func:`replay_trace` refuses traces recorded under loss.
+  result).  The replay refuses traces recorded under loss.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ __all__ = [
     "TraceOp",
     "SessionTrace",
     "RecordingSession",
-    "ReplayOutcome",
-    "replay_trace",
 ]
 
 
@@ -103,24 +103,6 @@ class SessionTrace:
         """
         return sum(op.packets for op in self.ops)
 
-    @cached_property
-    def replay_plan(self) -> Tuple[int, Tuple[TraceOp, ...], Tuple[Tuple[int, TraceOp], ...]]:
-        """``(head_len, body, segment_ops)`` -- the replay's fixed structure.
-
-        The position-anchored head length, the rotatable body, and the
-        body's ``SEGMENT`` ops with their body indices are properties of the
-        trace alone, so :func:`replay_trace` hoists this scan out of the
-        per-device hot path when the trace is reused across a fleet.
-        """
-        head = 0
-        while head < len(self.ops) and self.ops[head].kind is not OpKind.SEGMENT:
-            head += 1
-        body = self.ops[head:]
-        segment_ops = tuple(
-            (index, op) for index, op in enumerate(body) if op.kind is OpKind.SEGMENT
-        )
-        return head, body, segment_ops
-
 
 class RecordingSession(ClientSession):
     """A :class:`ClientSession` that also materializes its packet stream.
@@ -176,81 +158,3 @@ class RecordingSession(ClientSession):
             cycle_packets=self.cycle.total_packets,
             loss_rate=self.loss_model.loss_rate,
         )
-
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """Channel-level metrics of one replayed session."""
-
-    tuning_packets: int
-    access_latency_packets: int
-
-
-def replay_trace(
-    trace: SessionTrace, cycle: BroadcastCycle, start_position: int
-) -> ReplayOutcome:
-    """Replay a recorded packet stream for a device tuning in elsewhere.
-
-    The stream's position-anchored head (the ``ONE_PACKET`` reads a client
-    performs right after tuning in) executes first; the remaining receptions
-    are rotated so the replay starts with the reception that is next on the
-    air after the device's position, then proceeds in recorded (on-air)
-    order.  Every operation is O(1) packet arithmetic -- this is what makes
-    per-device cost independent of cycle length and of the client's local
-    computation.
-    """
-    if trace.loss_rate != 0.0:
-        raise ValueError(
-            f"cannot replay a trace recorded under loss rate {trace.loss_rate}; "
-            "lossy sessions must be simulated natively"
-        )
-    if trace.cycle_packets != cycle.total_packets:
-        raise ValueError(
-            f"trace was recorded against a {trace.cycle_packets}-packet cycle, "
-            f"got one of {cycle.total_packets} packets"
-        )
-    total = cycle.total_packets
-    position = start_position
-    tuning = 0
-
-    def apply(op: TraceOp) -> None:
-        nonlocal position, tuning
-        if op.kind is OpKind.ONE_PACKET:
-            tuning += 1
-            position += 1
-        elif op.kind is OpKind.FULL_CYCLE:
-            # Lossless by construction (lossy traces are rejected above), so
-            # the recorded count is exactly one cycle with no retries.
-            tuning += op.packet_count
-            position += total
-        else:
-            assert op.name is not None
-            start = cycle.next_segment_named(op.name, position)
-            tuning += op.packet_count
-            position = start + op.last_offset + 1
-
-    # Position-anchored head: reads of "whatever is on the air right now".
-    # The head/body/segment-op structure is a property of the trace alone,
-    # computed once per trace (not per device) via the cached replay plan.
-    head_len, body, segment_ops = trace.replay_plan
-    for op in trace.ops[:head_len]:
-        apply(op)
-
-    if segment_ops:
-        # Rotate to the reception next on the air after the current position.
-        rotation = min(
-            range(len(segment_ops)),
-            key=lambda i: ((segment_ops[i][1].anchor - position) % total, i),
-        )
-        start_at = segment_ops[rotation][0]
-        for op in body[start_at:]:
-            apply(op)
-        for op in body[:start_at]:
-            apply(op)
-    else:
-        for op in body:
-            apply(op)
-
-    return ReplayOutcome(
-        tuning_packets=tuning, access_latency_packets=position - start_position
-    )

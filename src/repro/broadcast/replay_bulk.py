@@ -1,9 +1,10 @@
 """Vectorized fleet replay: columnar trace tables + bulk numpy passes.
 
-:func:`repro.broadcast.replay.replay_trace` serves one device with O(ops)
-packet arithmetic, but a fleet of N devices still pays a Python function
-call (and a per-op rotation scan) per device.  This module turns the whole
-fleet into a handful of array passes:
+Replaying a recorded :class:`~repro.broadcast.replay.SessionTrace` for one
+device is O(ops) packet arithmetic, but a fleet of N devices served one at a
+time would still pay a Python function call (and a per-op rotation scan)
+per device.  This module turns the whole fleet into a handful of array
+passes:
 
 * a :class:`SessionTrace` compiles once into a :class:`TraceTable` -- the
   per-op kind / packet-count / last-offset / anchor fields as flat ``int64``
@@ -16,14 +17,13 @@ fleet into a handful of array passes:
   in O(ops) vectorized passes, independent of N's Python-level cost.
 
 **Bit-identity contract.**  For every device position, the bulk kernel
-produces exactly the tuning time and access latency :func:`replay_trace`
-would: the position-anchored head executes first, the body rotates to the
-reception next on the air after the device's position (ties broken by
-recorded op order, exactly as the scalar ``min`` does), and every segment
-reception lands on the same global packet.  The property suite
-(``tests/test_properties_replay_bulk.py``) asserts this across all seven
-schemes; the scalar :func:`replay_trace` stays as the reference
-implementation and as the fallback when numpy is absent.
+produces exactly the tuning time and access latency of the per-device
+scalar replay (the test oracle ``tests/oracles/replay.py``): the
+position-anchored head executes first, the body rotates to the reception
+next on the air after the device's position (ties broken by recorded op
+order), and every segment reception lands on the same global packet.  The
+property suite (``tests/test_properties_replay_bulk.py``) asserts this
+across all seven schemes.
 
 How the per-device rotation stays vectorized: the rotated op sequence is a
 cyclic shift of the trace body, so the kernel walks ``2 * len(body)``
@@ -36,7 +36,9 @@ regardless of how many distinct rotations the fleet spans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
+
+import numpy as np
 
 from repro.broadcast.replay import OpKind, SessionTrace
 
@@ -44,28 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.broadcast.cycle import BroadcastCycle
 
 __all__ = [
-    "HAVE_NUMPY",
-    "USE_BULK_REPLAY",
     "BulkReplayOutcome",
     "CycleLayout",
     "TraceTable",
-    "numpy_or_none",
     "replay_trace_bulk",
 ]
-
-try:  # pragma: no cover - exercised implicitly by whichever env runs the suite
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_NUMPY = False
-
-#: Module-level switch (primarily for tests and A/B benchmarks): set to
-#: ``False`` to force the fleet simulator onto the scalar per-device
-#: :func:`~repro.broadcast.replay.replay_trace` loop even when numpy is
-#: installed.  Mirrors ``repro.network.algorithms.kernel.USE_ACCELERATOR``.
-USE_BULK_REPLAY = True
 
 #: Integer op codes of the :class:`TraceTable` ``kinds`` column.
 KIND_ONE_PACKET = 0
@@ -77,20 +62,6 @@ _KIND_CODES = {
     OpKind.FULL_CYCLE: KIND_FULL_CYCLE,
     OpKind.SEGMENT: KIND_SEGMENT,
 }
-
-
-def numpy_or_none():
-    """The ``numpy`` module when the bulk path is importable *and* enabled."""
-    return _np if (HAVE_NUMPY and USE_BULK_REPLAY) else None
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - numpy is present in CI and dev envs
-        raise RuntimeError(
-            "the vectorized replay kernel requires numpy; use "
-            "repro.broadcast.replay.replay_trace (the scalar reference) instead"
-        )
-    return _np
 
 
 class CycleLayout:
@@ -112,13 +83,12 @@ class CycleLayout:
     __slots__ = ("total_packets", "names", "index_of", "anchors", "segment_packets")
 
     def __init__(self, cycle: "BroadcastCycle") -> None:
-        np = _require_numpy()
         self.total_packets: int = cycle.total_packets
         self.names: Tuple[str, ...] = tuple(seg.name for seg in cycle.segments)
         self.index_of: Dict[str, int] = {
             name: position for position, name in enumerate(self.names)
         }
-        self.anchors: Tuple["_np.ndarray", ...] = tuple(
+        self.anchors: Tuple["np.ndarray", ...] = tuple(
             np.asarray([cycle.segment_start(name)], dtype=np.int64)
             for name in self.names
         )
@@ -138,7 +108,6 @@ class CycleLayout:
         each position's cycle offset, wrapping into the next repetition when
         the segment already passed.
         """
-        np = _np
         anchors = self.anchors[segment_index]
         offsets = positions % self.total_packets
         ranks = np.searchsorted(anchors, offsets, side="left")
@@ -182,7 +151,6 @@ class TraceTable:
     )
 
     def __init__(self, trace: SessionTrace, layout: CycleLayout) -> None:
-        np = _require_numpy()
         if trace.cycle_packets != layout.total_packets:
             raise ValueError(
                 f"trace was recorded against a {trace.cycle_packets}-packet cycle, "
@@ -259,7 +227,7 @@ class BulkReplayOutcome:
     """
 
     tuning_packets: int
-    access_latency_packets: "_np.ndarray"
+    access_latency_packets: "np.ndarray"
 
 
 def replay_trace_bulk(
@@ -267,12 +235,12 @@ def replay_trace_bulk(
 ) -> BulkReplayOutcome:
     """Replay one recorded packet stream for N devices in bulk array passes.
 
-    Semantically ``[replay_trace(trace, cycle, p) for p in start_positions]``
-    (bit-identical, asserted by the property suite and the fleet benchmark),
+    Semantically one scalar replay per start position (bit-identical to the
+    per-device oracle, asserted by the property suite and the fleet
+    benchmark),
     but the cost is O(ops) vectorized passes over the position array rather
     than O(ops) Python work per device.
     """
-    np = _require_numpy()
     if table.loss_rate != 0.0:
         raise ValueError(
             f"cannot replay a trace recorded under loss rate {table.loss_rate}; "

@@ -941,11 +941,10 @@ class AirSystem:
         over an already-built scheme pays for session replay only -- no
         rebuilds.  Lossless devices share probe sessions via the
         :mod:`repro.broadcast.replay` fast path, executed in bulk through
-        the vectorized :mod:`repro.broadcast.replay_bulk` kernel when numpy
-        is available (scalar per-device replay otherwise); lossy devices
-        are simulated natively.  Like :meth:`query_batch`, the result is
-        bit-identical for every ``concurrency`` value -- and for either
-        replay backend (wall-clock fields excepted).
+        the vectorized :mod:`repro.broadcast.replay_bulk` kernel; lossy
+        devices are simulated natively.  Like :meth:`query_batch`, the
+        result is bit-identical for every ``concurrency`` value (wall-clock
+        fields excepted).
 
         ``devices`` typically comes from a scenario generator such as
         :func:`repro.experiments.workloads.fleet_rush_hour`.

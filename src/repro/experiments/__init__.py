@@ -4,14 +4,9 @@ The benchmarks under ``benchmarks/`` are thin wrappers around this package:
 each table/figure has a function here that builds the (scaled) network,
 generates the query workload, runs the competing methods through the engine
 layer (:class:`~repro.engine.system.AirSystem`), and returns the rows/series
-the paper reports.
-
-``build_scheme``/``compare_methods`` and the ``COMPARISON_METHODS``/
-``ALL_METHODS`` constants are deprecated shims kept for older callers; the
-scheme registry (``repro.air``) and the engine facade are the supported API.
+the paper reports.  Schemes come from the registry (``repro.air``) and
+comparisons from the engine facade.
 """
-
-from typing import List
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig, scale_from_env
 from repro.experiments.workloads import (
@@ -25,8 +20,6 @@ from repro.experiments.workloads import (
 from repro.experiments.runner import (
     MethodRun,
     build_network,
-    build_scheme,
-    compare_methods,
     run_workload,
 )
 from repro.experiments.applicability import (
@@ -38,9 +31,7 @@ from repro.experiments.finetune import FinetunePoint, finetune_sweep
 from repro.experiments import report
 
 __all__ = [
-    "ALL_METHODS",
     "ApplicabilityResult",
-    "COMPARISON_METHODS",
     "DEFAULT_CONFIG",
     "ExperimentConfig",
     "FLEET_SCENARIOS",
@@ -52,8 +43,6 @@ __all__ = [
     "Query",
     "QueryWorkload",
     "build_network",
-    "build_scheme",
-    "compare_methods",
     "finetune_sweep",
     "method_applicability",
     "report",
@@ -62,11 +51,3 @@ __all__ = [
     "scaled_device",
 ]
 
-
-def __getattr__(name: str) -> List[str]:
-    """Deprecated method-list constants, forwarded to the runner's shims."""
-    if name in ("COMPARISON_METHODS", "ALL_METHODS"):
-        from repro.experiments import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,59 +5,33 @@ heavy lifting now lives in the engine layer: schemes are constructed through
 the :mod:`repro.air.registry` and workloads execute via
 :func:`repro.engine.system.execute_workload`, which is the same code path
 :meth:`repro.engine.system.AirSystem.query_batch` uses -- so the harness and
-the facade produce identical numbers by construction.
-
-``build_scheme`` and ``compare_methods`` remain as thin deprecation shims for
-code written against the pre-registry API; new code should use
-``air.create(...)`` and :class:`~repro.engine.system.AirSystem` directly.
+the facade produce identical numbers by construction.  Schemes are built
+with ``air.create(...)`` and compared with
+:meth:`~repro.engine.system.AirSystem.compare`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional
 
-from repro.air import registry
 from repro.air.base import AirIndexScheme, ClientOptions
 from repro.engine.results import MethodRun
-from repro.engine.system import AirSystem, execute_workload
+from repro.engine.system import execute_workload
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.workloads import Query, QueryWorkload
+from repro.experiments.workloads import Query
 from repro.network import datasets
 from repro.network.graph import RoadNetwork
 
 __all__ = [
     "MethodRun",
     "build_network",
-    "build_scheme",
     "run_workload",
-    "compare_methods",
 ]
 
 
 def build_network(config: ExperimentConfig, name: Optional[str] = None) -> RoadNetwork:
     """Instantiate the configured (scaled) evaluation network."""
     return datasets.load(name or config.network, scale=config.scale, seed=config.seed)
-
-
-def build_scheme(
-    method: str, network: RoadNetwork, config: ExperimentConfig
-) -> AirIndexScheme:
-    """Construct the scheme for the paper's method abbreviation.
-
-    .. deprecated::
-        Use ``air.create(method, network, **params)`` or
-        ``AirSystem.scheme(method)``; this shim resolves the configured
-        parameters through the registry's ``config_map`` and raises the same
-        ``ValueError`` for unknown methods.
-    """
-    warnings.warn(
-        "build_scheme is deprecated; use air.create(...) or AirSystem.scheme(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    name = registry.canonical_name(method)
-    return registry.create(name, network, **registry.params_from_config(name, config))
 
 
 def run_workload(
@@ -81,49 +55,3 @@ def run_workload(
     )
     return execute_workload(scheme, queries, options)
 
-
-def compare_methods(
-    methods: Sequence[str],
-    network: RoadNetwork,
-    workload: QueryWorkload,
-    config: ExperimentConfig,
-    loss_rate: float = 0.0,
-) -> Dict[str, MethodRun]:
-    """Build each method once and run the same workload through all of them.
-
-    .. deprecated::
-        Use ``AirSystem(network, config).compare(methods, workload, ...)``.
-    """
-    warnings.warn(
-        "compare_methods is deprecated; use AirSystem.compare(...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    system = AirSystem(network, config=config)
-    runs = system.compare(methods, workload, loss_rate=loss_rate)
-    # The old function keyed the result by the method strings as given
-    # (``runs["nr"]`` worked); AirSystem.compare keys by canonical name.
-    return {method: runs[registry.canonical_name(method)] for method in methods}
-
-
-_DEPRECATED_CONSTANTS = {
-    # Methods included in the paper's device experiments (Figures 10-14).
-    "COMPARISON_METHODS": registry.comparison_schemes,
-    # All methods, including the two that only appear in Table 1.
-    "ALL_METHODS": registry.available_schemes,
-}
-
-
-def __getattr__(name: str) -> List[str]:
-    """Deprecated method-list constants, now answered by the registry."""
-    try:
-        supplier = _DEPRECATED_CONSTANTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    warnings.warn(
-        f"{name} is deprecated; query the registry via "
-        "air.comparison_schemes() / air.available_schemes()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return supplier()

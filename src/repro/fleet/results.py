@@ -2,8 +2,7 @@
 
 A million-device fleet cannot afford one :class:`DeviceOutcome` object per
 device on the hot path, so :class:`FleetRun` keeps its per-device results as
-flat index-addressed columns (numpy arrays when available, plain lists
-otherwise): the simulator scatters whole replay groups into the columns with
+flat index-addressed numpy columns: the simulator scatters whole replay groups into the columns with
 vectorized writes, and the aggregate views -- nearest-rank percentiles,
 means, per-fleet energy -- run as bulk array passes over the columns.  The
 object-level API is preserved: :attr:`FleetRun.outcomes` materializes the
@@ -17,9 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.broadcast.device import CHANNEL_2MBPS, ChannelRate, DeviceProfile, J2ME_CLAMSHELL
 from repro.broadcast.metrics import ClientMetrics
-from repro.broadcast.replay_bulk import numpy_or_none
 
 from repro.fleet.devices import DeviceSpec
 from repro.stats import percentile
@@ -70,10 +70,8 @@ _METRIC_COLUMNS = {
 class _OutcomeColumns:
     """Index-addressed flat storage of per-device outcome fields.
 
-    One slot per device, in device order.  With numpy the columns are typed
-    arrays and group writes are fancy-index scatters; without it they are
-    plain lists and the (already slow) scalar paths fill them one row at a
-    time.  ``extra_id`` indexes into the run's shared table of
+    One slot per device, in device order: typed arrays, so group writes are
+    fancy-index scatters.  ``extra_id`` indexes into the run's shared table of
     ``metrics.extra`` source dicts, so a replay group of 100k devices stores
     one dict, not 100k copies.
     """
@@ -95,31 +93,17 @@ class _OutcomeColumns:
 
     def __init__(self, count: int) -> None:
         self.count = count
-        np = numpy_or_none()
-        if np is not None:
-            self.offsets = np.zeros(count, dtype=np.int64)
-            self.tuning = np.zeros(count, dtype=np.int64)
-            self.latency = np.zeros(count, dtype=np.int64)
-            self.peak_memory = np.zeros(count, dtype=np.int64)
-            self.cpu = np.zeros(count, dtype=np.float64)
-            self.lost = np.zeros(count, dtype=np.int64)
-            self.distance = np.zeros(count, dtype=np.float64)
-            self.found = np.zeros(count, dtype=bool)
-            self.mismatch = np.zeros(count, dtype=bool)
-            self.replay = np.zeros(count, dtype=bool)
-            self.extra_id = np.full(count, -1, dtype=np.int64)
-        else:
-            self.offsets = [0] * count
-            self.tuning = [0] * count
-            self.latency = [0] * count
-            self.peak_memory = [0] * count
-            self.cpu = [0.0] * count
-            self.lost = [0] * count
-            self.distance = [0.0] * count
-            self.found = [False] * count
-            self.mismatch = [False] * count
-            self.replay = [False] * count
-            self.extra_id = [-1] * count
+        self.offsets = np.zeros(count, dtype=np.int64)
+        self.tuning = np.zeros(count, dtype=np.int64)
+        self.latency = np.zeros(count, dtype=np.int64)
+        self.peak_memory = np.zeros(count, dtype=np.int64)
+        self.cpu = np.zeros(count, dtype=np.float64)
+        self.lost = np.zeros(count, dtype=np.int64)
+        self.distance = np.zeros(count, dtype=np.float64)
+        self.found = np.zeros(count, dtype=bool)
+        self.mismatch = np.zeros(count, dtype=bool)
+        self.replay = np.zeros(count, dtype=bool)
+        self.extra_id = np.full(count, -1, dtype=np.int64)
 
 
 class FleetRun:
@@ -215,7 +199,7 @@ class FleetRun:
         mismatch: bool,
         extra_id: int,
     ) -> None:
-        """Record one device's outcome (native and scalar-fallback paths)."""
+        """Record one device's outcome (the native path)."""
         columns = self._columns
         assert columns is not None, "allocate() must run before recording"
         self._outcomes = None
@@ -250,17 +234,17 @@ class FleetRun:
                 return self._outcomes
             rows = zip(
                 self._specs,
-                _as_list(columns.offsets),
-                _as_list(columns.tuning),
-                _as_list(columns.latency),
-                _as_list(columns.peak_memory),
-                _as_list(columns.cpu),
-                _as_list(columns.lost),
-                _as_list(columns.distance),
-                _as_list(columns.found),
-                _as_list(columns.mismatch),
-                _as_list(columns.replay),
-                _as_list(columns.extra_id),
+                columns.offsets.tolist(),
+                columns.tuning.tolist(),
+                columns.latency.tolist(),
+                columns.peak_memory.tolist(),
+                columns.cpu.tolist(),
+                columns.lost.tolist(),
+                columns.distance.tolist(),
+                columns.found.tolist(),
+                columns.mismatch.tolist(),
+                columns.replay.tolist(),
+                columns.extra_id.tolist(),
             )
             self._outcomes = [
                 DeviceOutcome(
@@ -308,7 +292,7 @@ class FleetRun:
         """Devices whose on-air answer disagreed with the ground truth."""
         if self._columns is None:
             return 0
-        return int(sum(self._columns.mismatch))
+        return int(np.count_nonzero(self._columns.mismatch))
 
     @property
     def devices_per_second(self) -> float:
@@ -329,23 +313,16 @@ class FleetRun:
                 f"(one of {sorted(_METRIC_COLUMNS)})"
             ) from None
         if self._columns is None:
-            return []
+            return np.zeros(0, dtype=np.int64)
         return getattr(self._columns, name)
-
-    def _values(self, metric: str) -> List[float]:
-        return [float(value) for value in self._column(metric)]
 
     def percentile(self, metric: str, q: float) -> float:
         """Nearest-rank percentile of a :class:`ClientMetrics` field.
 
-        Same definition as :func:`repro.stats.percentile` (which remains the
-        scalar reference), computed as one vectorized sort when numpy backs
-        the columns.
+        Same definition as :func:`repro.stats.percentile`, computed as one
+        vectorized sort over the column.
         """
         column = self._column(metric)
-        np = numpy_or_none()
-        if np is None or isinstance(column, list):
-            return percentile(self._values(metric), q)
         size = len(column)
         if size == 0:
             return 0.0
@@ -366,9 +343,6 @@ class FleetRun:
         size = len(column)
         if size == 0:
             return 0.0
-        np = numpy_or_none()
-        if np is None or isinstance(column, list):
-            return float(sum(float(value) for value in column)) / size
         return float(column.astype(np.float64).sum() / size)
 
     def mean_energy_joules(
@@ -378,18 +352,13 @@ class FleetRun:
     ) -> float:
         """Average per-query energy across the fleet.
 
-        Vectorized over the flat tuning/latency/CPU columns when numpy is
-        available; the scalar fallback sums
-        :meth:`ClientMetrics.energy_joules` per device, same formula.
+        Vectorized over the flat tuning/latency/CPU columns, with the
+        formula of :meth:`ClientMetrics.energy_joules`.
         """
         columns = self._columns
         if columns is None or columns.count == 0:
             return 0.0
         device = device or J2ME_CLAMSHELL
-        np = numpy_or_none()
-        if np is None or isinstance(columns.tuning, list):
-            total = sum(o.metrics.energy_joules(device, rate) for o in self.outcomes)
-            return total / columns.count
         packets_per_second = rate.packets_per_second
         receive_seconds = columns.tuning / packets_per_second
         sleep_seconds = np.maximum(
@@ -425,13 +394,13 @@ class FleetRun:
             )
             for spec, distance, found, tuning, latency, peak, lost, mismatch in zip(
                 self._specs,
-                _as_list(columns.distance),
-                _as_list(columns.found),
-                _as_list(columns.tuning),
-                _as_list(columns.latency),
-                _as_list(columns.peak_memory),
-                _as_list(columns.lost),
-                _as_list(columns.mismatch),
+                columns.distance.tolist(),
+                columns.found.tolist(),
+                columns.tuning.tolist(),
+                columns.latency.tolist(),
+                columns.peak_memory.tolist(),
+                columns.lost.tolist(),
+                columns.mismatch.tolist(),
             )
         )
 
@@ -442,9 +411,3 @@ class FleetRun:
             f"mismatches={self.mismatches})"
         )
 
-
-def _as_list(column: Any) -> List:
-    """A column as a plain Python list (numpy ``tolist`` unboxes scalars)."""
-    if isinstance(column, list):
-        return column
-    return column.tolist()

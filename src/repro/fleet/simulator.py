@@ -5,17 +5,16 @@ One broadcast cycle, N devices.  The simulator partitions the fleet into
 * **lossless** devices, served by the shared-session fast path: one real
   *probe* session per distinct ``(source, target, memory_bound)`` key
   materializes the packet stream (:mod:`repro.broadcast.replay`), and every
-  device with that key replays it at its own tune-in offset.  With numpy the
-  replay runs through the vectorized kernel
+  device with that key replays it at its own tune-in offset.  The replay
+  runs through the vectorized kernel
   (:func:`repro.broadcast.replay_bulk.replay_trace_bulk`): the trace compiles
   once into a columnar :class:`~repro.broadcast.replay_bulk.TraceTable` and
   the whole group's tuning/latency comes out of O(ops) array passes, so
-  per-device Python cost vanishes; without numpy every device falls back to
-  the scalar :func:`~repro.broadcast.replay.replay_trace` loop; and
+  per-device Python cost vanishes; and
 * **lossy** devices, simulated natively packet by packet (their Bernoulli
   loss draws are part of the result and cannot be shared).
 
-Replay -- bulk or scalar -- is pure array/packet arithmetic and runs inline
+Replay is pure array arithmetic and runs inline
 on the calling thread; the worker pool is reserved for the phases that do
 real simulation work (probe sessions and native lossy devices), where
 threads actually pay off.
@@ -25,8 +24,7 @@ keyed by the device's position in the fleet, the probe for each key is the
 first device with that key in device order (fixed before any probe runs, so
 probes may fan out over the pool too), and every phase writes into
 index-addressed column slots -- so the outcome is bit-identical regardless
-of ``concurrency`` and of whether the bulk kernel is active (wall-clock
-fields excepted).
+of ``concurrency`` (wall-clock fields excepted).
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ from __future__ import annotations
 import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.air.base import (
     MISMATCH_RTOL,
@@ -44,9 +44,8 @@ from repro.air.base import (
     is_mismatch as _is_mismatch,
 )
 from repro.broadcast.channel import ClientSession, PacketLossModel
-from repro.broadcast.metrics import ClientMetrics
-from repro.broadcast.replay import RecordingSession, SessionTrace, replay_trace
-from repro.broadcast.replay_bulk import TraceTable, numpy_or_none, replay_trace_bulk
+from repro.broadcast.replay import RecordingSession, SessionTrace
+from repro.broadcast.replay_bulk import TraceTable, replay_trace_bulk
 from repro.concurrency import run_indexed
 
 from repro.fleet.devices import DeviceSpec
@@ -206,8 +205,7 @@ def simulate_fleet(
     # Replay phase: bulk array passes per group (inline -- the kernel is
     # pure numpy arithmetic, a worker pool would only add handoff cost).
     # ------------------------------------------------------------------
-    np = numpy_or_none()
-    if np is not None and groups:
+    if groups:
         layout = cycle.compiled_layout()
         offsets_arr = np.asarray(offsets, dtype=np.int64)
         for key, indices in groups.items():
@@ -241,34 +239,6 @@ def simulate_fleet(
                 cpu_seconds=probe_result.metrics.cpu_seconds,
                 extra_id=run.register_extra(probe_result.metrics.extra, copy=True),
             )
-    elif groups:
-        # Scalar fallback (no numpy, or the bulk kernel switched off):
-        # per-device replay_trace, still inline -- O(ops) arithmetic per
-        # device gains nothing from thread handoff under the GIL.
-        for key, indices in groups.items():
-            trace, probe_result = traces[key]
-            extra_id = run.register_extra(probe_result.metrics.extra, copy=True)
-            for index in indices:
-                offset = offsets[index]
-                replayed = replay_trace(trace, cycle, offset)
-                run.record_device(
-                    index=index,
-                    offset=offset,
-                    distance=probe_result.distance,
-                    found=probe_result.found,
-                    replay=True,
-                    metrics=ClientMetrics(
-                        tuning_time_packets=replayed.tuning_packets,
-                        access_latency_packets=replayed.access_latency_packets,
-                        peak_memory_bytes=probe_result.metrics.peak_memory_bytes,
-                        cpu_seconds=probe_result.metrics.cpu_seconds,
-                        lost_packets=0,
-                    ),
-                    mismatch=_is_mismatch(
-                        probe_result.distance, specs[index].true_distance
-                    ),
-                    extra_id=extra_id,
-                )
     run.replays = sum(len(indices) for indices in groups.values())
 
     # ------------------------------------------------------------------

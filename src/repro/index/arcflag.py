@@ -11,17 +11,21 @@ border node ``b`` of a region ``r``, a reverse Dijkstra from ``b`` marks every
 tree edge with bit ``r``; additionally, every edge whose head lies inside
 ``r`` gets bit ``r`` so that paths ending deep inside the region remain
 coverable.  This is the conservative (correct, possibly non-minimal)
-construction used by practical ArcFlag implementations.
+construction used by practical ArcFlag implementations.  The build runs
+the reverse sweeps batched through the kernel and the tree test vectorized
+over all edges; the per-border dict form is the test oracle
+(``tests/oracles/arcflag.py``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
+
+import numpy as np
 
 from repro.network.algorithms import kernel
 from repro.network.algorithms.astar import astar_search
-from repro.network.algorithms.dijkstra import dijkstra_distances
 from repro.network.algorithms.paths import PathResult
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
@@ -45,24 +49,16 @@ class ArcFlagIndex:
     # Construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        started = time.perf_counter()
-        numpy = kernel.numpy_or_none()
-        if numpy is not None:
-            self._build_vectorized(numpy)
-        else:
-            self._build_reference()
-        self.precomputation_seconds = time.perf_counter() - started
-
-    def _build_vectorized(self, np) -> None:
         """Batched kernel sweeps plus one vectorized tree test per border.
 
-        The per-edge test is the reference implementation's, evaluated with
-        the same IEEE-754 operations over edge arrays: unreached endpoints
-        carry ``inf``, for which the tolerance comparison is always false
-        (matching the reference's explicit skip), so the resulting flags are
-        bit-identical.  Flag bitmasks accumulate as Python ints, keeping
-        arbitrary region counts exact.
+        For each border ``b`` of region ``r``, edge ``(u, v)`` lies on the
+        backward shortest path tree when ``|d(v) + w(u, v) - d(u)| <= 1e-9 *
+        max(1, d(u))`` over ``b``'s reverse labels ``d``; the test runs over
+        all edges at once, and edges with an unreached endpoint (``inf``
+        labels) are never flagged.  Flag bitmasks accumulate as Python ints,
+        keeping arbitrary region counts exact.
         """
+        started = time.perf_counter()
         network = self.network
         region_of = self.partitioning.region_of
         pairs = list(dict.fromkeys((e.source, e.target) for e in network.edges()))
@@ -87,13 +83,8 @@ class ArcFlagIndex:
                     borders, need_predecessors=False, reverse=True
                 )
                 for sweep in sweeps:
-                    labels = (
-                        sweep.dist_np
-                        if sweep.dist_np is not None
-                        else np.asarray(sweep.dist)
-                    )
-                    source_dist = labels[src_idx]
-                    target_dist = labels[tgt_idx]
+                    source_dist = sweep.dist_np[src_idx]
+                    target_dist = sweep.dist_np[tgt_idx]
                     with np.errstate(invalid="ignore"):
                         on_tree = np.abs(
                             target_dist + min_w - source_dist
@@ -104,35 +95,7 @@ class ArcFlagIndex:
                 for position in np.flatnonzero(flagged).tolist():
                     masks[position] |= bit
         self.flags = dict(zip(pairs, masks))
-
-    def _build_reference(self) -> None:
-        """The dict-based construction (fallback without the accelerator)."""
-        flags: Dict[Tuple[int, int], int] = {
-            (edge.source, edge.target): 0 for edge in self.network.edges()
-        }
-        region_of = self.partitioning.region_of
-
-        # Intra-region coverage: an edge whose head is in region r may be
-        # needed by a path that terminates inside r.
-        for (source, target) in flags:
-            flags[(source, target)] |= 1 << region_of(target)
-
-        # Inter-region coverage via backward shortest path trees rooted at
-        # border nodes.
-        for region in range(self.num_regions):
-            bit = 1 << region
-            for border in self.partitioning.border_nodes(region):
-                result = dijkstra_distances(self.network, border, reverse=True)
-                distances = result.distances
-                for (source, target), _ in flags.items():
-                    source_dist = distances.get(source)
-                    target_dist = distances.get(target)
-                    if source_dist is None or target_dist is None:
-                        continue
-                    weight = self.network.edge_weight(source, target)
-                    if abs(target_dist + weight - source_dist) <= 1e-9 * max(1.0, source_dist):
-                        flags[(source, target)] |= bit
-        self.flags = flags
+        self.precomputation_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state

@@ -11,18 +11,17 @@ Three entry points cover the needs of the broadcast schemes:
   given set of targets is settled, used when pre-computing border-to-border
   shortest paths for EB/NR/HiTi.
 
-Dispatch: when the network carries a fresh CSR snapshot
-(:meth:`~repro.network.graph.RoadNetwork.csr_snapshot`), every entry point
-routes through the array kernel (:mod:`repro.network.algorithms.kernel`),
-whose results are bit-identical to the dict implementation below --
-distances, predecessors, settled counts, and even the ``distances`` dict's
-insertion order.  The dict implementation remains the reference fallback
-(and the ground truth the kernel's property suite compares against).
+Every entry point runs on the network's CSR snapshot
+(:meth:`~repro.network.graph.RoadNetwork.ensure_csr`, compiled on first use
+and cached per fingerprint) through the array kernel
+(:mod:`repro.network.algorithms.kernel`), whose results are bit-identical to
+the textbook dict Dijkstra -- distances, predecessors, settled counts, and
+even the ``distances`` dict's insertion order.  That dict loop is the test
+oracle (``tests/oracles/dijkstra.py``).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set
 
@@ -80,66 +79,15 @@ def dijkstra_search(
     """
     if source not in network:
         raise KeyError(f"unknown source node {source}")
-    snapshot = network.csr_snapshot()
-    if snapshot is not None:
-        return _kernel_search(snapshot, source, target, targets, reverse)
-    adjacency = network.reverse_adjacency() if reverse else network.adjacency()
-
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, Optional[int]] = {source: None}
-    settled: Set[int] = set()
-    remaining = set(targets) if targets is not None else None
-    heap = [(0.0, source)]
-    settled_count = 0
-
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        settled_count += 1
-        if target is not None and node == target:
-            break
-        if remaining is not None:
-            remaining.discard(node)
-            if not remaining:
-                break
-        for neighbor, weight in adjacency[node]:
-            candidate = dist + weight
-            if candidate < distances.get(neighbor, INFINITY):
-                distances[neighbor] = candidate
-                predecessors[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-
-    return DijkstraResult(
-        source=source,
-        distances=distances,
-        predecessors=predecessors,
-        settled=settled_count,
+    # arena.search honors target and targets together (and treats an unknown
+    # target as never settling), exactly like the dict loop.
+    result = kernel.arena_for(network.ensure_csr()).search(
+        source, target=target, targets=targets, reverse=reverse
     )
-
-
-def _kernel_search(
-    snapshot,
-    source: int,
-    target: Optional[int],
-    targets: Optional[Set[int]],
-    reverse: bool,
-) -> DijkstraResult:
-    """Run the equivalent array-kernel search and materialize the result.
-
-    The kernel tracks the discovery order, so the materialized ``distances``
-    and ``predecessors`` dicts reproduce the dict implementation's key
-    insertion order as well as its values -- consumers sensitive to dict
-    iteration order (e.g. SPQ's majority-color vote) see no difference.
-    """
-    arena = kernel.arena_for(snapshot)
-    if target is None and targets is None:
-        result = arena.sssp(source, need_predecessors=True, reverse=reverse)
-    else:
-        # arena.search honors target and targets together (and treats an
-        # unknown target as never settling), exactly like the loop below.
-        result = arena.search(source, target=target, targets=targets, reverse=reverse)
+    # The kernel tracks the discovery order, so the materialized dicts
+    # reproduce the dict loop's key insertion order as well as its values --
+    # consumers sensitive to dict iteration order (e.g. SPQ's majority-color
+    # vote) see no difference.
     return DijkstraResult(
         source=source,
         distances=result.distances_dict(),

@@ -1,33 +1,34 @@
 """Array-based shortest path kernel over :class:`~repro.network.csr.CSRGraph`.
 
-The dict Dijkstra in :mod:`repro.network.algorithms.dijkstra` pays a hash
-lookup per distance read, a hash store per relaxation and a set probe per
-pop.  This kernel runs the same algorithm over flat int-indexed buffers --
-one list index per operation -- and, when ``numpy``/``scipy`` are installed,
-routes *full* single-source sweeps through ``scipy.sparse.csgraph.dijkstra``
-(a compiled CSR Dijkstra) with an exact pure-Python/numpy reconstruction of
-everything the dict implementation reports.
+Every shortest path search in the package runs here, over flat int-indexed
+buffers -- one list index per operation -- with *full* single-source sweeps
+routed through ``scipy.sparse.csgraph.dijkstra`` (a compiled CSR Dijkstra)
+and an exact numpy reconstruction of everything the textbook dict Dijkstra
+reports.
 
 **Bit-identity contract.**  Every search result is bit-identical to the
-dict implementation's: identical IEEE-754 distance values, identical
-predecessor choices on equal-distance ties, identical settled counts, and
-an identical node discovery order (the dict implementation's ``distances``
-insertion order).  Two mechanisms deliver this:
+dict implementation's (kept as the test oracle ``tests/oracles/dijkstra.py``):
+identical IEEE-754 distance values, identical predecessor choices on
+equal-distance ties, identical settled counts, and an identical node
+discovery order (the dict implementation's ``distances`` insertion order).
+Two mechanisms deliver this:
 
-* Early-terminated and masked searches (:meth:`KernelArena.point_to_point`,
-  :meth:`KernelArena.multi_target`) run a **faithful simulation** of the
-  dict loop over the CSR arrays -- same heap entries (index order is id
-  order), same relaxation order, same termination tests -- so even the
-  *tentative* frontier labels left behind by an early stop match.
-* Full sweeps (:meth:`KernelArena.sssp`) may use scipy for the distance
-  labels (relaxation order cannot change the converged float values) and
-  then reconstruct predecessors and discovery order from the settle order,
-  which under strictly positive weights provably equals sorting reachable
-  nodes by ``(distance, node id)``.  Graphs with a non-positive edge weight
-  fall back to the faithful loop (see
+* Masked and multi-target searches (:meth:`KernelArena.point_to_point`
+  with ``allowed``, :meth:`KernelArena.multi_target`) run a **faithful
+  simulation** of the dict loop over the CSR arrays -- same heap entries
+  (index order is id order), same relaxation order, same termination tests
+  -- so even the *tentative* frontier labels left behind by an early stop
+  match.
+* Full sweeps (:meth:`KernelArena.sssp`) and unmasked point-to-point
+  searches take the distance labels from scipy (relaxation order cannot
+  change the converged float values) and then reconstruct predecessors and
+  discovery order from the settle order, which under strictly positive
+  weights provably equals sorting reachable nodes by ``(distance, node
+  id)``.  Snapshots with a non-positive edge weight keep the faithful loop
+  for every search that reports a tree (see
   :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
 
-A :class:`KernelArena` binds the reusable parts -- the accelerator views of
+A :class:`KernelArena` binds the reusable parts -- the numpy/scipy views of
 the CSR arrays, scratch key buffers -- to one snapshot; arenas are cached
 per thread (:func:`arena_for`) so the hundreds of border-source sweeps of a
 pre-computation, or the per-query masked searches of concurrent clients,
@@ -42,10 +43,13 @@ import weakref
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as _np
+from scipy.sparse import csr_matrix as _csr_matrix
+from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
+
 from repro.network.csr import CSRGraph
 
 __all__ = [
-    "HAVE_ACCELERATOR",
     "KernelArena",
     "KernelResult",
     "arena_for",
@@ -55,36 +59,11 @@ __all__ = [
     "sssp",
 ]
 
-try:  # pragma: no cover - exercised implicitly by whichever env runs the suite
-    import numpy as _np
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
-
-    HAVE_ACCELERATOR = True
-except ImportError:  # pragma: no cover
-    _np = None
-    HAVE_ACCELERATOR = False
-
-#: Module-level switch (primarily for tests and A/B benchmarks): set to
-#: ``False`` to force every search onto the faithful pure-Python loop even
-#: when scipy is installed.
-USE_ACCELERATOR = True
-
 _INF = float("inf")
 
 #: Batched scipy sweeps are chunked so the dense ``sources x nodes``
 #: distance matrix stays bounded (~8 MB of float64 per chunk at 1M nodes).
 _BATCH_CHUNK = 64
-
-
-def numpy_or_none():
-    """The ``numpy`` module when the accelerator is importable *and* enabled.
-
-    Call sites with a vectorized fast path (e.g. ArcFlag's flag
-    construction) use this so their gating stays consistent with the
-    kernel's own -- flipping :data:`USE_ACCELERATOR` affects both.
-    """
-    return _np if (HAVE_ACCELERATOR and USE_ACCELERATOR) else None
 
 
 class KernelResult:
@@ -96,7 +75,7 @@ class KernelResult:
     distance-only sweeps (where no consumer observes ordering).  The
     buffers are owned by the result -- arenas never reclaim them.
 
-    Accelerated point-to-point results are *deferred*: the compiled sweep
+    Compiled point-to-point results are *deferred*: the compiled sweep
     answers the query (distance, settled count) immediately, and the
     truncated replay reconstructing labels/predecessors/discovery order
     runs once, on the first read of ``dist``/``pred``/``order``.  Callers
@@ -158,9 +137,9 @@ class KernelResult:
     # -- reads ---------------------------------------------------------
     @property
     def dist_np(self):
-        """The labels as a float64 vector when the sweep came off the
-        accelerator (``None`` on the faithful loop) -- vectorized
-        consumers index it without re-boxing the list."""
+        """The labels as a float64 vector when the sweep came off scipy
+        (``None`` on the faithful loop) -- vectorized consumers index it
+        without re-boxing the list."""
         if self._dist_np is None and self._finish is not None:
             self._materialize()
         return self._dist_np
@@ -181,7 +160,7 @@ class KernelResult:
     def dist(self) -> List[float]:
         """The labels as a plain list, boxed lazily from ``dist_np``.
 
-        Accelerated sweeps carry their labels as a float64 vector;
+        Compiled sweeps carry their labels as a float64 vector;
         vectorized consumers (ArcFlag's flag construction) never pay for
         the list, while list consumers box it once on first access.
         """
@@ -399,11 +378,9 @@ class KernelArena:
         return csr
 
     # ------------------------------------------------------------------
-    # Accelerator plumbing
+    # numpy/scipy views, built once per snapshot
     # ------------------------------------------------------------------
-    def _accel(self) -> Optional[_Accel]:
-        if not (HAVE_ACCELERATOR and USE_ACCELERATOR):
-            return None
+    def _accel(self) -> _Accel:
         accel = self.csr._accel
         if accel is None:
             accel = self.csr._accel = _Accel(self.csr)
@@ -422,11 +399,9 @@ class KernelArena:
         read distance labels.
         """
         source_index = self._source_index(source)
+        if need_predecessors and self.csr.has_nonpositive_weight:
+            return self._faithful(source_index, source, reverse=reverse)
         accel = self._accel()
-        if accel is None or (need_predecessors and self.csr.has_nonpositive_weight):
-            if need_predecessors:
-                return self._faithful(source_index, source, reverse=reverse)
-            return self._faithful_distances(source_index, source, reverse=reverse)
         matrix = accel.rev_matrix if reverse else accel.fwd_matrix
         dist_np = _scipy_dijkstra(matrix, directed=True, indices=source_index)
         return self._from_accel(dist_np, source, source_index, need_predecessors, reverse)
@@ -445,7 +420,7 @@ class KernelArena:
         replaces) materializing the induced subgraph first, as the EB/NR
         clients used to.  Both endpoints must belong to the subset.
 
-        Unmasked searches on positive-weight snapshots run the accelerated
+        Unmasked searches on positive-weight snapshots run the compiled
         truncated-replay path (:meth:`_p2p_accel`); masked or
         non-positive-weight searches keep the faithful loop.
         """
@@ -463,11 +438,7 @@ class KernelArena:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
-        if (
-            mask is None
-            and not self.csr.has_nonpositive_weight
-            and self._accel() is not None
-        ):
+        if mask is None and not self.csr.has_nonpositive_weight:
             return self._p2p_accel(source, source_index, target_index, reverse)
         return self._faithful(
             source_index, source, target_index=target_index, mask=mask, reverse=reverse
@@ -500,14 +471,12 @@ class KernelArena:
         target_index = self.csr.index_of.get(target) if target is not None else None
         remaining = set(targets) if targets is not None else None
         if target_index is None and remaining is None:
-            # No live termination condition: a full sweep, eligible for the
-            # accelerated path.
+            # No live termination condition: a full sweep.
             return self.sssp(source, reverse=reverse)
         if (
             remaining is None
             and target_index is not None
             and not self.csr.has_nonpositive_weight
-            and self._accel() is not None
         ):
             return self._p2p_accel(source, source_index, target_index, reverse)
         return self._faithful(
@@ -526,16 +495,16 @@ class KernelArena:
     ) -> List[KernelResult]:
         """Batched full sweeps, one per source, in source order.
 
-        With the accelerator available the distance labels of up to
-        ``_BATCH_CHUNK`` sources are computed by a single scipy call.
+        The distance labels of up to ``_BATCH_CHUNK`` sources are computed
+        by a single scipy call.
         """
         sources = list(sources)
-        accel = self._accel()
-        if accel is None or (need_predecessors and self.csr.has_nonpositive_weight):
+        if need_predecessors and self.csr.has_nonpositive_weight:
             return [
-                self.sssp(source, need_predecessors=need_predecessors, reverse=reverse)
+                self.sssp(source, need_predecessors=True, reverse=reverse)
                 for source in sources
             ]
+        accel = self._accel()
         index_of = self.csr.index_of
         matrix = accel.rev_matrix if reverse else accel.fwd_matrix
         results: List[KernelResult] = []
@@ -594,7 +563,7 @@ class KernelArena:
         computed vectorized over the edge arrays.
         """
         n = self.num_nodes
-        accel = self.csr._accel
+        accel = self._accel()
         e_src, e_dst, e_w, e_adjpos = accel.edges(self.csr, reverse)
         perm, starts, counts = accel.transpose(self.csr, reverse)
         reachable = _np.flatnonzero(finite)
@@ -651,7 +620,7 @@ class KernelArena:
         reconstruction they do not read.
         """
         csr = self.csr
-        accel = csr._accel
+        accel = self._accel()
         matrix = accel.rev_matrix if reverse else accel.fwd_matrix
         dist_full = _scipy_dijkstra(matrix, directed=True, indices=source_index)
         target_dist = dist_full[target_index]
@@ -728,36 +697,6 @@ class KernelArena:
         if index is None:
             raise KeyError(f"unknown source node {source}")
         return index
-
-    def _faithful_distances(
-        self, source_index: int, source: int, reverse: bool = False
-    ) -> KernelResult:
-        """Distance-only full sweep: the faithful loop minus tree tracking.
-
-        Settled counts still match the dict implementation's; predecessor
-        and discovery-order buffers are simply not produced (the result
-        raises if they are read), which is what the distance-only consumers
-        -- landmark vectors, ArcFlag trees, fleet ground truth -- want.
-        """
-        csr = self.csr
-        adjacency = csr.rev_adj if reverse else csr.fwd_adj
-        dist = [_INF] * self.num_nodes
-        dist[source_index] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source_index)]
-        pop = heapq.heappop
-        push = heapq.heappush
-        settled = 0
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue
-            settled += 1
-            for v, w in adjacency[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    push(heap, (nd, v))
-        return KernelResult(csr, source, dist, None, None, settled)
 
     def _faithful(
         self,
@@ -842,11 +781,6 @@ def arena_for(csr: CSRGraph) -> KernelArena:
 # ----------------------------------------------------------------------
 # Network-level conveniences
 # ----------------------------------------------------------------------
-def _network_arena(network) -> Optional[KernelArena]:
-    csr = network.csr_snapshot()
-    return None if csr is None else arena_for(csr)
-
-
 def sssp(network, source: int, need_predecessors: bool = True, reverse: bool = False):
     """Full single-source sweep over ``network``'s snapshot (built if absent)."""
     return arena_for(network.ensure_csr()).sssp(
@@ -871,18 +805,16 @@ def many_to_many(
 def masked_shortest_path(network, source: int, target: int, allowed: Iterable[int]):
     """Point-to-point search restricted to ``allowed``, as a ``PathResult``.
 
-    Returns ``None`` when the network has no fresh snapshot (the caller
-    falls back to the reference subgraph search); otherwise the result --
-    distance, path, settled count -- is bit-identical to running
+    Runs over the network's snapshot (compiled if absent or stale); the
+    result -- distance, path, settled count -- is bit-identical to running
     :func:`~repro.network.algorithms.dijkstra.shortest_path` on
     ``network.subgraph(allowed)``.
     """
     from repro.network.algorithms.paths import PathResult
 
-    arena = _network_arena(network)
-    if arena is None:
-        return None
-    result = arena.point_to_point(source, target, allowed=allowed)
+    result = arena_for(network.ensure_csr()).point_to_point(
+        source, target, allowed=allowed
+    )
     distance = result.distance_to(target)
     path = result.path_to(target) if distance != _INF else []
     return PathResult(

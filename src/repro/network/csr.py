@@ -37,6 +37,8 @@ from array import array
 from collections.abc import Mapping as _MappingABC
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["CSRGraph", "ImmutableSnapshotError"]
 
 
@@ -104,14 +106,10 @@ def _index_map(ids: Sequence[int]):
 
 
 def _has_nonpositive(weights) -> bool:
-    """Whether any edge weight is ``<= 0`` (numpy-assisted when available)."""
+    """Whether any edge weight is ``<= 0``."""
     if not len(weights):
         return False
-    try:
-        import numpy
-    except ImportError:
-        return min(weights) <= 0.0
-    return bool(numpy.frombuffer(weights, dtype=numpy.float64).min() <= 0.0)
+    return bool(np.frombuffer(weights, dtype=np.float64).min() <= 0.0)
 
 
 class CSRGraph:
@@ -158,7 +156,7 @@ class CSRGraph:
         #: faithful simulation loop.  Weight patches are validated positive,
         #: so the flag can only stay or clear at the next full build.
         self.has_nonpositive_weight = _has_nonpositive(fwd_weights)
-        #: Accelerator cache slot (numpy/scipy views built lazily by the
+        #: Kernel cache slot (numpy/scipy views built lazily by the
         #: kernel; ``None`` until first use, shared by reference so in-place
         #: weight patches propagate without rebuilding).
         self._accel = None
@@ -335,8 +333,6 @@ class CSRGraph:
         importers define as input-file order -- the same order a dict
         network built row-by-row would hold in its adjacency lists.
         """
-        import numpy as np
-
         id_chunks = [np.asarray(ids, dtype=np.int64) for ids, _, _ in table.iter_node_chunks()]
         ids_np = (
             np.sort(np.concatenate(id_chunks)) if id_chunks else np.empty(0, dtype=np.int64)
@@ -501,7 +497,7 @@ class CSRGraph:
         self.rev_adj[v] = self._rezip(self.rev_offsets, self.rev_targets, self.rev_weights, v)
         if new_weight <= 0.0:  # update_edge_weight validates > 0; stay safe
             self.has_nonpositive_weight = True
-        # The accelerator's numpy views share the arrays' buffers, so the
+        # The kernel's numpy views share the arrays' buffers, so the
         # weight change is already visible there; nothing to rebuild.
 
     @staticmethod

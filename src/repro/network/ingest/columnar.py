@@ -33,6 +33,8 @@ import os
 import pathlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.network.graph import _FINGERPRINT_MOD, _element_hash
 
 __all__ = [
@@ -51,17 +53,6 @@ DEFAULT_CHUNK_ROWS = 250_000
 _MANIFEST = "manifest.json"
 
 
-def _numpy():
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy ships in CI
-        raise RuntimeError(
-            "columnar edge tables require numpy; install numpy or use the "
-            "plain-text loader (repro.network.io.load_network) instead"
-        ) from exc
-    return numpy
-
-
 def parquet_available() -> bool:
     """Whether the optional Parquet chunk codec can be used on this host."""
     try:
@@ -72,7 +63,6 @@ def parquet_available() -> bool:
 
 
 def _write_chunk(path: pathlib.Path, columns: Dict[str, Any], use_parquet: bool) -> None:
-    np = _numpy()
     if use_parquet:
         import pyarrow
         import pyarrow.parquet
@@ -87,7 +77,6 @@ def _write_chunk(path: pathlib.Path, columns: Dict[str, Any], use_parquet: bool)
 
 
 def _read_chunk(path: pathlib.Path, names: Tuple[str, ...]):
-    np = _numpy()
     if path.suffix == ".parquet":
         import pyarrow.parquet
 
@@ -156,7 +145,6 @@ class ColumnarWriter:
     # ------------------------------------------------------------------
     def append_nodes(self, ids, xs, ys) -> None:
         """Append one batch of node rows (arrival order is preserved)."""
-        np = _numpy()
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         xs = np.ascontiguousarray(xs, dtype=np.float64)
         ys = np.ascontiguousarray(ys, dtype=np.float64)
@@ -173,7 +161,6 @@ class ColumnarWriter:
 
     def append_edges(self, src, dst, weights) -> None:
         """Append one batch of edge rows (arrival order is adjacency order)."""
-        np = _numpy()
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -207,7 +194,6 @@ class ColumnarWriter:
     # Flushing
     # ------------------------------------------------------------------
     def _concat(self, buffer):
-        np = _numpy()
         if len(buffer) == 1:
             return buffer[0]
         return tuple(np.concatenate(parts) for parts in zip(*buffer))

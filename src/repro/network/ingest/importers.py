@@ -31,6 +31,8 @@ import os
 import pathlib
 from typing import Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.network.ingest.columnar import (
     DEFAULT_CHUNK_ROWS,
     ColumnarEdgeTable,
@@ -50,12 +52,6 @@ class IngestError(ValueError):
         super().__init__(f"{location}: {message}")
         self.path = str(path)
         self.line = line
-
-
-def _numpy():
-    from repro.network.ingest.columnar import _numpy as _np
-
-    return _np()
 
 
 def _check_weight(path: PathLike, line: int, weight: float) -> float:
@@ -79,7 +75,6 @@ def _check_coordinate(path: PathLike, line: int, value: float, axis: str) -> flo
 # ----------------------------------------------------------------------
 def _parse_co(path: PathLike, num_nodes: int):
     """Parse a ``.co`` coordinate file into dense ``x``/``y`` arrays."""
-    np = _numpy()
     xs = np.zeros(num_nodes, dtype=np.float64)
     ys = np.zeros(num_nodes, dtype=np.float64)
     seen = np.zeros(num_nodes + 1, dtype=bool)
@@ -137,7 +132,6 @@ def import_dimacs(
     partitioners degrade, shortest paths are unaffected).  Arcs keep file
     order, which becomes the CSR adjacency order.
     """
-    np = _numpy()
     gr_path = pathlib.Path(gr_path)
     table_name = name or gr_path.stem
     num_nodes: Optional[int] = None
@@ -302,7 +296,6 @@ def _parse_nodes_csv(
     path: PathLike, delimiter: str, has_header: Optional[bool], chunk_rows: int
 ):
     """Parse an ``id,x,y`` CSV into (sorted_ids, x_sorted, y_sorted) arrays."""
-    np = _numpy()
     ids: List[int] = []
     xs: List[float] = []
     ys: List[float] = []
@@ -379,7 +372,6 @@ def import_csv(
     ``has_header=None`` sniffs: a first row with any non-numeric field is
     treated as a header.  Edge file order becomes CSR adjacency order.
     """
-    np = _numpy()
     edges_path = pathlib.Path(edges_path)
     table_name = name or edges_path.stem
     writer = ColumnarWriter(

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from oracles import border_paths as oracle
 from repro.air.border_paths import BorderPathPrecomputation
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
+from repro.network.delta import WeightChange
+from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import build_kdtree_partitioning
 
 
@@ -91,3 +94,84 @@ class TestNeededRegions:
         for (i, j), regions in precomputation.traversed_regions.items():
             assert i in regions
             assert j in regions
+
+
+def integer_weight_network(seed: int, num_nodes: int = 36) -> RoadNetwork:
+    """Random directed network with small integer weights, so distance ties
+    are exact, plus one node with out-edges only -- a tail no other source
+    reaches -- and one node only it reaches."""
+    rng = random.Random(seed)
+    weights = {}
+    for node in range(1, num_nodes - 1):
+        weights[(node - 1, node)] = weights[(node, node - 1)] = rng.randint(1, 9)
+    for _ in range(2 * num_nodes):
+        a, b = rng.randrange(num_nodes - 1), rng.randrange(num_nodes - 1)
+        if a != b:
+            weights[(a, b)] = rng.randint(1, 9)
+    lonely, hidden = num_nodes - 1, num_nodes
+    weights[(lonely, 0)] = 3
+    weights[(lonely, num_nodes // 2)] = 4
+    weights[(lonely, hidden)] = 2
+    network = RoadNetwork(name=f"integer-{seed}")
+    for node in range(num_nodes + 1):
+        network.add_node(node, rng.uniform(0, 100), rng.uniform(0, 100))
+    for (a, b), weight in weights.items():
+        network.add_edge(a, b, float(weight))
+    network.clear_delta()
+    return network
+
+
+def random_change_batch(precomputation, rng: random.Random, size: int = 4):
+    """Increases, decreases, exact decrease-ties, no-ops and unreached tails."""
+    network = precomputation.network
+    index_of = network.ensure_csr().index_of
+    lonely = max(network.node_ids()) - 1
+    pairs = sorted({(edge.source, edge.target) for edge in network.edges()})
+    inner = [pair for pair in pairs if pair[0] != lonely]
+    tails = [pair for pair in pairs if pair[0] == lonely]
+    batch = []
+    for u, v in rng.sample(inner, size - 1) + [rng.choice(tails)]:
+        old = network.edge_weight(u, v)
+        kind = rng.choice(["up", "down", "tie", "noop"])
+        new = old
+        if kind == "up":
+            new = old + rng.randint(1, 5)
+        elif kind == "down":
+            new = max(1.0, old - rng.randint(1, 5))
+        elif kind == "tie":
+            # Lower the edge onto some source's d(v) - d(u): a decrease that
+            # exactly ties the current label of v.
+            record = rng.choice(precomputation._sources)
+            gap = record.dist[index_of[v]] - record.dist[index_of[u]]
+            if 0 < gap < old:
+                new = gap
+        batch.append(WeightChange(u, v, old, float(new)))
+    return batch
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_affected_sources_equals_oracle_scan(seed):
+    """The vectorized affected-source test equals the per-source scan over
+    random batches, before and after refreshes rewrite the label matrix."""
+    network = integer_weight_network(seed)
+    partitioning = build_kdtree_partitioning(network, 4)
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    rng = random.Random(seed + 40)
+    sources = len(precomputation._sources)
+    partial_hits = 0
+    for _ in range(12):
+        batch = random_change_batch(precomputation, rng)
+        got = precomputation.affected_sources(batch)
+        assert got == oracle.affected_sources(precomputation, batch)
+        partial_hits += 0 < len(got) < sources
+        changes = network.apply_updates(
+            [(c.source, c.target, c.new_weight) for c in batch if not c.is_noop]
+        )
+        precomputation.refresh(changes)
+        network.clear_delta()
+    assert partial_hits, "no batch separated affected from unaffected sources"
+    want = oracle.aggregates(network, partitioning)
+    assert precomputation.min_distance == want["min_distance"]
+    assert precomputation.max_distance == want["max_distance"]
+    assert precomputation.cross_border_nodes == want["cross_border_nodes"]
+    assert precomputation.traversed_regions == want["traversed_regions"]

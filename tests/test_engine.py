@@ -1,6 +1,5 @@
 """Tests for the engine layer: AirSystem facade, cycle cache, batching."""
 
-import warnings
 
 import pytest
 
@@ -299,98 +298,6 @@ class TestSystemSurface:
     def test_memory_bound_rejected_for_full_cycle_schemes(self, system):
         with pytest.raises(ValueError, match="memory-bound"):
             system.client("DJ", ClientOptions(memory_bound=True))
-
-
-class TestDeprecationShims:
-    def test_build_scheme_still_works_but_warns(self, medium_network, config):
-        from repro.experiments import build_scheme
-
-        with pytest.warns(DeprecationWarning, match="build_scheme is deprecated"):
-            scheme = build_scheme("NR", medium_network, config)
-        assert scheme.short_name == "NR"
-        assert scheme.num_regions == config.eb_nr_regions
-
-    def test_build_scheme_unknown_method_still_valueerrors(self, medium_network, config):
-        from repro.experiments import build_scheme
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                build_scheme("XYZ", medium_network, config)
-
-    def test_compare_methods_still_works_but_warns(self, medium_network, config, workload50):
-        from repro.experiments import compare_methods
-
-        with pytest.warns(DeprecationWarning, match="compare_methods is deprecated"):
-            runs = compare_methods(["DJ"], medium_network, list(workload50)[:2], config)
-        assert set(runs) == {"DJ"}
-        assert runs["DJ"].mismatches == 0
-
-    def test_compare_methods_keys_by_caller_spelling(self, medium_network, config, workload50):
-        """The old function keyed results by the method strings as given."""
-        from repro.experiments import compare_methods
-
-        with pytest.warns(DeprecationWarning):
-            runs = compare_methods(["nr"], medium_network, list(workload50)[:2], config)
-        assert set(runs) == {"nr"}
-        assert runs["nr"].method == "NR"
-
-    def test_build_scheme_result_identical_to_registry_path(
-        self, medium_network, config, workload50
-    ):
-        """The shim must not just work -- it must match the registry path bit
-        for bit (same cycle, same per-query metrics)."""
-        from repro import air
-        from repro.air import registry
-        from repro.engine import execute_workload
-        from repro.experiments import build_scheme
-
-        with pytest.warns(DeprecationWarning):
-            shimmed = build_scheme("NR", medium_network, config)
-        registry_scheme = air.create(
-            "NR", medium_network, **registry.params_from_config("NR", config)
-        )
-        ours, theirs = shimmed.server_metrics(), registry_scheme.server_metrics()
-        # precomputation_seconds is wall clock; everything else must match.
-        assert (ours.scheme, ours.cycle_packets, ours.cycle_bytes,
-                ours.index_packets, ours.data_packets) == (
-            theirs.scheme, theirs.cycle_packets, theirs.cycle_bytes,
-            theirs.index_packets, theirs.data_packets)
-        queries = list(workload50)[:5]
-        shim_run = execute_workload(shimmed, queries)
-        registry_run = execute_workload(registry_scheme, queries)
-        assert shim_run.mismatches == registry_run.mismatches == 0
-        for ours, theirs in zip(shim_run.per_query, registry_run.per_query):
-            assert _deterministic_fields(ours) == _deterministic_fields(theirs)
-
-    def test_compare_methods_result_identical_to_airsystem_compare(
-        self, medium_network, config, workload50
-    ):
-        from repro.experiments import compare_methods
-
-        queries = list(workload50)[:4]
-        with pytest.warns(DeprecationWarning):
-            shimmed = compare_methods(["NR", "DJ"], medium_network, queries, config)
-        system = AirSystem(medium_network, config=config)
-        direct = system.compare(["NR", "DJ"], queries)
-        assert set(shimmed) == set(direct)
-        for method in shimmed:
-            assert shimmed[method].mismatches == direct[method].mismatches == 0
-            assert [
-                _deterministic_fields(m) for m in shimmed[method].per_query
-            ] == [_deterministic_fields(m) for m in direct[method].per_query]
-
-    def test_method_constants_resolve_through_registry(self):
-        with pytest.warns(DeprecationWarning, match="COMPARISON_METHODS"):
-            from repro.experiments import COMPARISON_METHODS  # noqa: F401 - shim
-
-            assert set(COMPARISON_METHODS) == {"DJ", "NR", "EB", "LD", "AF"}
-        with pytest.warns(DeprecationWarning, match="ALL_METHODS"):
-            from repro.experiments import runner
-
-            assert set(runner.ALL_METHODS) == {
-                "DJ", "NR", "EB", "LD", "AF", "SPQ", "HiTi",
-            }
 
 
 class TestConfigValidation:

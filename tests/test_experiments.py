@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro import air
+from repro.engine import AirSystem
 from repro.experiments import (
     ExperimentConfig,
     QueryWorkload,
-    build_scheme,
-    compare_methods,
     method_applicability,
     report,
     run_workload,
@@ -62,6 +62,15 @@ class TestWorkload:
         assert workload.network_diameter_estimate(samples=2) > 0
 
 
+def build_scheme(method, network, config):
+    """A scheme built with the experiment configuration's parameters."""
+    return air.create(method, network, **air.params_from_config(method, config))
+
+
+def compare_methods(methods, network, workload, config):
+    return AirSystem(network, config=config).compare(methods, workload)
+
+
 class TestRunner:
     def test_build_scheme_for_every_method(self, medium_network, config):
         for method in ["DJ", "NR", "EB", "LD", "AF"]:
@@ -70,7 +79,7 @@ class TestRunner:
 
     def test_unknown_method_rejected(self, medium_network, config):
         with pytest.raises(ValueError):
-            build_scheme("XYZ", medium_network, config)
+            air.create("XYZ", medium_network)
 
     def test_run_workload_has_no_mismatches(self, nr_scheme, workload, config):
         run = run_workload(nr_scheme, list(workload)[:5], config)

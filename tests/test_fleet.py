@@ -6,7 +6,8 @@ import statistics
 import pytest
 
 from repro.broadcast.channel import ClientSession
-from repro.broadcast.replay import RecordingSession, replay_trace
+from repro.broadcast.replay import RecordingSession
+from repro.broadcast.replay_bulk import TraceTable, replay_trace_bulk
 from repro.engine import AirSystem
 from repro.experiments import (
     ExperimentConfig,
@@ -16,6 +17,13 @@ from repro.experiments import (
 )
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.network.algorithms.dijkstra import shortest_path
+
+
+def replay_one(trace, cycle, offset):
+    """One device's replay through the bulk kernel, as plain ints."""
+    layout = cycle.compiled_layout()
+    outcome = replay_trace_bulk(TraceTable.compile(trace, layout), layout, [offset])
+    return outcome.tuning_packets, int(outcome.access_latency_packets[0])
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +50,9 @@ class TestReplayFidelity:
                 native = client.query(
                     source, target, session=ClientSession(cycle, offset)
                 )
-                replayed = replay_trace(trace, cycle, offset)
-                assert replayed.tuning_packets == native.metrics.tuning_time_packets
-                assert (
-                    replayed.access_latency_packets
-                    == native.metrics.access_latency_packets
-                )
+                tuning, latency = replay_one(trace, cycle, offset)
+                assert tuning == native.metrics.tuning_time_packets
+                assert latency == native.metrics.access_latency_packets
                 assert probe.distance == native.distance
 
     def test_replay_tuning_and_answers_exact_for_selective_schemes(
@@ -67,10 +72,10 @@ class TestReplayFidelity:
                     native = client.query(
                         source, target, session=ClientSession(cycle, offset)
                     )
-                    replayed = replay_trace(trace, cycle, offset)
-                    assert replayed.tuning_packets == native.metrics.tuning_time_packets
+                    tuning, latency = replay_one(trace, cycle, offset)
+                    assert tuning == native.metrics.tuning_time_packets
                     assert math.isclose(probe.distance, native.distance, rel_tol=1e-9)
-                    assert replayed.access_latency_packets >= replayed.tuning_packets
+                    assert latency >= tuning
 
     def test_replay_at_probe_offset_reproduces_probe(self, nr_scheme, query_pairs):
         cycle = nr_scheme.cycle
@@ -78,9 +83,10 @@ class TestReplayFidelity:
         source, target = query_pairs[1]
         recording = RecordingSession(cycle, 5)
         probe = client.query(source, target, session=recording)
-        replayed = replay_trace(recording.trace(), cycle, 5)
-        assert replayed.tuning_packets == probe.metrics.tuning_time_packets
-        assert replayed.access_latency_packets == probe.metrics.access_latency_packets
+        assert replay_one(recording.trace(), cycle, 5) == (
+            probe.metrics.tuning_time_packets,
+            probe.metrics.access_latency_packets,
+        )
 
     def test_trace_tuning_packets_matches_session(self, dj_scheme, query_pairs):
         recording = RecordingSession(dj_scheme.cycle, 3)
@@ -100,9 +106,7 @@ class TestReplayFidelity:
             trace = recording.trace()
             assert trace.tuning_packets == recording.tuning_packets == total
             for replay_offset in (0, total // 2):
-                replayed = replay_trace(trace, cycle, replay_offset)
-                assert replayed.tuning_packets == total
-                assert replayed.access_latency_packets == total
+                assert replay_one(trace, cycle, replay_offset) == (total, total)
 
     def test_lossy_traces_refuse_replay(self, nr_scheme, query_pairs):
         channel = nr_scheme.channel(loss_rate=0.2, seed=1)
@@ -113,13 +117,13 @@ class TestReplayFidelity:
         # Even a lossy trace accounts its packets faithfully (retries included).
         assert recording.trace().tuning_packets == recording.tuning_packets
         with pytest.raises(ValueError, match="lossy"):
-            replay_trace(recording.trace(), nr_scheme.cycle, 10)
+            replay_one(recording.trace(), nr_scheme.cycle, 10)
 
     def test_stale_cycle_refused(self, nr_scheme, dj_scheme, query_pairs):
         recording = RecordingSession(nr_scheme.cycle, 0)
         nr_scheme.client().query(*query_pairs[0], session=recording)
         with pytest.raises(ValueError, match="cycle"):
-            replay_trace(recording.trace(), dj_scheme.cycle, 0)
+            replay_one(recording.trace(), dj_scheme.cycle, 0)
 
 
 class TestSimulateFleet:

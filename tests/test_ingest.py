@@ -16,10 +16,10 @@ import random
 
 import pytest
 
+from oracles.dijkstra import dijkstra_distances, dijkstra_search
 from repro.cli import main as cli_main
 from repro.engine.system import AirSystem
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import dijkstra_distances, dijkstra_search
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.ingest import (

@@ -8,7 +8,8 @@ the qualitative relationships the paper reports.
 
 import pytest
 
-from repro.experiments import ExperimentConfig, QueryWorkload, compare_methods
+from repro.engine import AirSystem
+from repro.experiments import ExperimentConfig, QueryWorkload
 from repro.network import datasets
 
 
@@ -36,8 +37,13 @@ def workload(network, config):
 
 
 @pytest.fixture(scope="module")
-def runs(network, workload, config):
-    return compare_methods(["DJ", "NR", "EB", "LD", "AF"], network, workload, config)
+def system(network, config):
+    return AirSystem(network, config=config)
+
+
+@pytest.fixture(scope="module")
+def runs(system, workload):
+    return system.compare(["DJ", "NR", "EB", "LD", "AF"], workload)
 
 
 class TestCorrectnessAcrossMethods:
@@ -84,15 +90,13 @@ class TestPaperShapeClaims:
 
 
 class TestLossyChannelIntegration:
-    def test_all_methods_stay_correct_at_five_percent_loss(self, network, workload, config):
-        lossy_runs = compare_methods(
-            ["DJ", "NR", "EB"], network, workload, config, loss_rate=0.05
-        )
+    def test_all_methods_stay_correct_at_five_percent_loss(self, system, workload):
+        lossy_runs = system.compare(["DJ", "NR", "EB"], workload, loss_rate=0.05)
         for method, run in lossy_runs.items():
             assert run.mismatches == 0
 
-    def test_loss_increases_mean_tuning(self, network, workload, config, runs):
-        lossy_runs = compare_methods(["DJ"], network, workload, config, loss_rate=0.10)
+    def test_loss_increases_mean_tuning(self, system, workload, runs):
+        lossy_runs = system.compare(["DJ"], workload, loss_rate=0.10)
         assert (
             lossy_runs["DJ"].mean.tuning_time_packets
             > runs["DJ"].mean.tuning_time_packets

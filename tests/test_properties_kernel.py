@@ -1,19 +1,23 @@
 """Property suite for the CSR snapshot layer and the array SP kernel.
 
-The contract under test (see ``docs/api.md``): with a fresh snapshot, every
-kernel search -- and therefore every dispatched ``dijkstra_*`` call -- is
-**bit-identical** to the dict reference implementation: same IEEE-754
-distance values, same predecessor choices on equal-distance ties, same
-settled counts, and the same ``distances``/``predecessors`` dict insertion
-order.  That must hold on static networks, after random weight-update
-streams (in-place snapshot patching), through the pure-Python fallback, and
-for the masked search that replaced the EB/NR clients' per-query subgraphs.
+The contract under test (see ``docs/api.md``): every kernel search -- and
+therefore every ``dijkstra_*`` call -- is **bit-identical** to the dict
+Dijkstra oracle (``tests/oracles/dijkstra.py``): same IEEE-754 distance
+values, same predecessor choices on equal-distance ties, same settled
+counts, and the same ``distances``/``predecessors`` dict insertion order.
+That must hold on static networks, after random weight-update streams
+(in-place snapshot patching), on both kernel paths -- the scipy sweep with
+its exact reconstruction and the faithful loop -- and for the masked search
+that replaced the EB/NR clients' per-query subgraphs.
 """
 
 import random
 
 import pytest
 
+from oracles import arcflag as arcflag_oracle
+from oracles import border_paths as border_oracle
+from oracles import dijkstra as oracle
 from repro.engine import AirSystem
 from repro.index.arcflag import ArcFlagIndex
 from repro.network.algorithms import kernel
@@ -32,13 +36,27 @@ from repro.partitioning.kdtree import build_kdtree_partitioning
 SEEDS = [3, 11, 29]
 
 
-@pytest.fixture(params=[True, False], ids=["accel", "pure"])
-def accel_mode(request, monkeypatch):
-    """Run each property in both kernel modes (scipy path and faithful loop)."""
-    if request.param and not kernel.HAVE_ACCELERATOR:
-        pytest.skip("accelerator not installed")
-    monkeypatch.setattr(kernel, "USE_ACCELERATOR", request.param)
-    return request.param
+@pytest.fixture(params=["accel", "pure"])
+def kernel_path(request):
+    """Which kernel path a property drives, chosen through its input.
+
+    ``accel`` leaves the network as built: with strictly positive weights,
+    full sweeps and point-to-point searches take the scipy sweep and its
+    reconstruction.  ``pure`` adds one zero-weight edge (last node to first
+    node), so ``has_nonpositive_weight`` sends every search that reports a
+    tree -- predecessor sweeps and point-to-point searches -- through the
+    faithful loop.  The fixture returns the function that prepares a
+    network accordingly.
+    """
+
+    def prepare(network: RoadNetwork) -> RoadNetwork:
+        if request.param == "pure":
+            ids = network.node_ids()
+            network.add_edge(ids[-1], ids[0], 0.0)
+            network.clear_delta()
+        return network
+
+    return prepare
 
 
 def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNetwork:
@@ -47,13 +65,6 @@ def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNe
     )
     network.clear_delta()
     return network
-
-
-def reference_copy(network: RoadNetwork) -> RoadNetwork:
-    """A snapshot-less copy: searches on it take the dict reference path."""
-    copy = network.copy()
-    assert copy.csr_snapshot() is None
-    return copy
 
 
 def assert_same_result(kernel_result, reference_result):
@@ -69,24 +80,22 @@ def assert_same_result(kernel_result, reference_result):
 # Dispatch bit-identity on static networks
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sssp_bit_identical_forward_and_reverse(seed, accel_mode):
-    network = make_network(seed)
-    reference = reference_copy(network)
+def test_sssp_bit_identical_forward_and_reverse(seed, kernel_path):
+    network = kernel_path(make_network(seed))
     network.ensure_csr()
     rng = random.Random(seed)
     for source in rng.sample(network.node_ids(), 12):
         for reverse in (False, True):
             assert_same_result(
                 dijkstra_distances(network, source, reverse=reverse),
-                dijkstra_distances(reference, source, reverse=reverse),
+                oracle.dijkstra_distances(network, source, reverse=reverse),
             )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
+def test_point_to_point_bit_identical_including_frontier(seed, kernel_path):
     """Early termination leaves tentative frontier labels; they must match too."""
-    network = make_network(seed)
-    reference = reference_copy(network)
+    network = kernel_path(make_network(seed))
     network.ensure_csr()
     rng = random.Random(seed + 1)
     ids = network.node_ids()
@@ -94,10 +103,10 @@ def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
         source, target = rng.choice(ids), rng.choice(ids)
         assert_same_result(
             dijkstra_search(network, source, target=target),
-            dijkstra_search(reference, source, target=target),
+            oracle.dijkstra_search(network, source, target=target),
         )
         got = shortest_path(network, source, target)
-        want = shortest_path(reference, source, target)
+        want = oracle.shortest_path(network, source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
             want.path,
@@ -106,9 +115,8 @@ def test_point_to_point_bit_identical_including_frontier(seed, accel_mode):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_multi_target_bit_identical(seed, accel_mode):
-    network = make_network(seed)
-    reference = reference_copy(network)
+def test_multi_target_bit_identical(seed, kernel_path):
+    network = kernel_path(make_network(seed))
     network.ensure_csr()
     rng = random.Random(seed + 2)
     ids = network.node_ids()
@@ -117,15 +125,14 @@ def test_multi_target_bit_identical(seed, accel_mode):
         targets = rng.sample(ids, size)
         assert_same_result(
             dijkstra_multi_target(network, source, targets),
-            dijkstra_multi_target(reference, source, targets),
+            oracle.dijkstra_multi_target(network, source, targets),
         )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_combined_target_and_targets_bit_identical(seed, accel_mode):
+def test_combined_target_and_targets_bit_identical(seed, kernel_path):
     """`target` and `targets` together terminate exactly like the dict loop."""
-    network = make_network(seed, num_nodes=60, num_edges=150)
-    reference = reference_copy(network)
+    network = kernel_path(make_network(seed, num_nodes=60, num_edges=150))
     network.ensure_csr()
     rng = random.Random(seed + 7)
     ids = network.node_ids()
@@ -134,28 +141,27 @@ def test_combined_target_and_targets_bit_identical(seed, accel_mode):
         targets = set(rng.sample(ids, rng.randint(1, 5)))
         assert_same_result(
             dijkstra_search(network, source, target=target, targets=targets),
-            dijkstra_search(reference, source, target=target, targets=targets),
+            oracle.dijkstra_search(network, source, target=target, targets=targets),
         )
     # Unknown target alongside live targets: only the targets terminate.
     source = ids[0]
     assert_same_result(
         dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
-        dijkstra_search(reference, source, target=10**9, targets={ids[-1]}),
+        oracle.dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
     )
 
 
-def test_unknown_target_degenerates_to_full_sweep(accel_mode):
-    network = make_network(7)
-    reference = reference_copy(network)
+def test_unknown_target_degenerates_to_full_sweep(kernel_path):
+    network = kernel_path(make_network(7))
     network.ensure_csr()
     source = network.node_ids()[0]
     assert_same_result(
         dijkstra_search(network, source, target=10**9),
-        dijkstra_search(reference, source, target=10**9),
+        oracle.dijkstra_search(network, source, target=10**9),
     )
 
 
-def test_zero_weight_edges_stay_exact(accel_mode):
+def test_zero_weight_edges_stay_exact(kernel_path):
     """A zero-weight edge routes predecessor sweeps onto the faithful loop."""
     network = build_network(
         nodes=[(i, float(i), 0.0) for i in range(6)],
@@ -169,17 +175,17 @@ def test_zero_weight_edges_stay_exact(accel_mode):
             (4, 5, 1.0),
         ],
     )
-    reference = reference_copy(network)
+    kernel_path(network)
     snapshot = network.ensure_csr()
     assert snapshot.has_nonpositive_weight
     for source in network.node_ids():
         assert_same_result(
             dijkstra_distances(network, source),
-            dijkstra_distances(reference, source),
+            oracle.dijkstra_distances(network, source),
         )
 
 
-def test_parallel_edges_stay_exact(accel_mode):
+def test_parallel_edges_stay_exact(kernel_path):
     network = build_network(
         nodes=[(i, float(i), 0.0) for i in range(4)],
         edges=[
@@ -191,12 +197,12 @@ def test_parallel_edges_stay_exact(accel_mode):
             (2, 3, 1.0),
         ],
     )
-    reference = reference_copy(network)
+    kernel_path(network)
     network.ensure_csr()
     for source in network.node_ids():
         assert_same_result(
             dijkstra_distances(network, source),
-            dijkstra_distances(reference, source),
+            oracle.dijkstra_distances(network, source),
         )
 
 
@@ -204,8 +210,8 @@ def test_parallel_edges_stay_exact(accel_mode):
 # Masked search (the EB/NR client path)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_masked_search_equals_subgraph_search(seed, accel_mode):
-    network = make_network(seed, num_nodes=70, num_edges=180)
+def test_masked_search_equals_subgraph_search(seed, kernel_path):
+    network = kernel_path(make_network(seed, num_nodes=70, num_edges=180))
     network.ensure_csr()
     rng = random.Random(seed + 3)
     ids = network.node_ids()
@@ -214,7 +220,7 @@ def test_masked_search_equals_subgraph_search(seed, accel_mode):
         inside = sorted(allowed)
         source, target = rng.choice(inside), rng.choice(inside)
         got = kernel.masked_shortest_path(network, source, target, allowed)
-        want = shortest_path(network.subgraph(allowed), source, target)
+        want = oracle.shortest_path(network.subgraph(allowed), source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
             want.path,
@@ -234,18 +240,42 @@ def test_masked_search_requires_endpoints_inside_the_mask():
         arena.point_to_point(ids[0], outside, allowed=allowed)
 
 
-def test_masked_search_returns_none_without_snapshot():
-    network = make_network(6, num_nodes=20, num_edges=50)
+def test_searches_after_structural_mutation_compile_one_snapshot():
+    """A structurally mutated network has no fresh snapshot: the masked
+    search compiles exactly one (no subgraph fallback) and, like
+    ``shortest_path`` after it, answers as the oracle does."""
+    network = make_network(6, num_nodes=40, num_edges=100)
+    network.ensure_csr()
+    ids = network.node_ids()
+    network.add_edge(ids[0], ids[-1], 0.75)
     assert network.csr_snapshot() is None
-    assert kernel.masked_shortest_path(network, 0, 1, {0, 1}) is None
+    builds = network.csr_stats()["builds"]
+    rng = random.Random(6)
+    allowed = set(rng.sample(ids, 25)) | {ids[0], ids[-1]}
+    for source, target in ((ids[0], ids[-1]), (ids[-1], ids[0])):
+        got = kernel.masked_shortest_path(network, source, target, allowed)
+        want = oracle.shortest_path(network.subgraph(allowed), source, target)
+        assert (got.distance, got.path, got.settled) == (
+            want.distance,
+            want.path,
+            want.settled,
+        )
+        got = shortest_path(network, source, target)
+        want = oracle.shortest_path(network, source, target)
+        assert (got.distance, got.path, got.settled) == (
+            want.distance,
+            want.path,
+            want.settled,
+        )
+    assert network.csr_stats()["builds"] == builds + 1
 
 
 # ----------------------------------------------------------------------
 # Dynamic updates: in-place snapshot patching
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_patched_snapshot_bit_identical_after_update_stream(seed, accel_mode):
-    network = make_network(seed)
+def test_patched_snapshot_bit_identical_after_update_stream(seed, kernel_path):
+    network = kernel_path(make_network(seed))
     network.ensure_csr()
     rng = random.Random(seed + 4)
     edges = list(network.edges())
@@ -261,15 +291,14 @@ def test_patched_snapshot_bit_identical_after_update_stream(seed, accel_mode):
                 continue
         stats = network.csr_stats()
         assert stats["builds"] == 1 and stats["fresh"] == 1
-        reference = reference_copy(network)
         for source in rng.sample(network.node_ids(), 6):
             assert_same_result(
                 dijkstra_distances(network, source),
-                dijkstra_distances(reference, source),
+                oracle.dijkstra_distances(network, source),
             )
             assert_same_result(
                 dijkstra_distances(network, source, reverse=True),
-                dijkstra_distances(reference, source, reverse=True),
+                oracle.dijkstra_distances(network, source, reverse=True),
             )
     assert network.csr_stats()["patches"] > 0
 
@@ -283,9 +312,8 @@ def test_structural_mutation_invalidates_and_rebuild_recovers():
     second = network.ensure_csr()
     assert second is not first
     assert second.num_edges == first.num_edges + 1
-    reference = reference_copy(network)
     assert_same_result(
-        dijkstra_distances(network, ids[0]), dijkstra_distances(reference, ids[0])
+        dijkstra_distances(network, ids[0]), oracle.dijkstra_distances(network, ids[0])
     )
     assert network.csr_stats()["builds"] == 2
 
@@ -349,25 +377,23 @@ def test_kernel_result_api_edges():
         arena.sssp(10**9)
 
 
-@pytest.mark.skipif(not kernel.HAVE_ACCELERATOR, reason="accelerator not installed")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_p2p_reconstruction_is_deferred_and_probe_is_exact(seed):
-    """The accelerated p2p result is lazy, and its settled-probe is exact.
+    """The compiled p2p result is lazy, and its settled-probe is exact.
 
     ``point_to_point`` answers ``distance_to(target)`` straight off the
     sweep's label array (the target is always settled at termination);
     the O(settled log settled) tree replay must not run until a consumer
-    reads the dicts -- and once it does, every label must equal the dict
-    reference's, tentative frontier values included.
+    reads the dicts -- and once it does, every label must equal the
+    oracle's, tentative frontier values included.
     """
     network = make_network(seed)
-    reference = reference_copy(network)
     arena = kernel.arena_for(network.ensure_csr())
     rng = random.Random(seed + 5)
     ids = network.node_ids()
     for _ in range(10):
         source, target = rng.choice(ids), rng.choice(ids)
-        want = dijkstra_search(reference, source, target=target)
+        want = oracle.dijkstra_search(network, source, target=target)
         got = arena.point_to_point(source, target)
         if got._finish is None:
             continue  # tiny searches may construct eagerly; nothing to defer
@@ -384,19 +410,19 @@ def test_p2p_reconstruction_is_deferred_and_probe_is_exact(seed):
             assert got.distance_to(probe_node) == want.distance_to(probe_node)
 
 
-@pytest.mark.skipif(not kernel.HAVE_ACCELERATOR, reason="accelerator not installed")
-def test_p2p_probe_matches_reference_labels_without_materialization(accel_mode):
-    """Fresh (unmaterialized) results answer probes with faithful labels."""
-    if not accel_mode:
-        pytest.skip("probe exists only on the accelerated path")
-    network = make_network(17, num_nodes=70, num_edges=180)
-    reference = reference_copy(network)
+def test_p2p_probe_matches_reference_labels_without_materialization(kernel_path):
+    """Fresh (unmaterialized) results answer probes with faithful labels.
+
+    On the ``pure`` input the faithful loop answers directly (there is no
+    probe); its labels must land on the oracle's all the same.
+    """
+    network = kernel_path(make_network(17, num_nodes=70, num_edges=180))
     arena = kernel.arena_for(network.ensure_csr())
     rng = random.Random(99)
     ids = network.node_ids()
     for _ in range(8):
         source, target = rng.choice(ids), rng.choice(ids)
-        want = dijkstra_search(reference, source, target=target)
+        want = oracle.dijkstra_search(network, source, target=target)
         for probe_node in rng.sample(ids, 4) + [target]:
             # A fresh result per probe: settled nodes answer off the probe
             # tuple, frontier/unreached nodes fall back to the replay --
@@ -411,45 +437,48 @@ def test_arena_is_cached_per_thread_and_snapshot():
     assert kernel.arena_for(snapshot) is kernel.arena_for(snapshot)
 
 
-def test_distance_only_sweep_matches_reference(accel_mode):
-    """The lean distance-only loop: same labels and settled count, no tree."""
-    network = make_network(15, num_nodes=50, num_edges=130)
-    reference = reference_copy(network)
+def test_distance_only_sweep_matches_reference(kernel_path):
+    """Distance-only sweeps take scipy on both inputs (a zero-weight edge
+    included): same labels and settled count, no tree."""
+    network = kernel_path(make_network(15, num_nodes=50, num_edges=130))
     arena = kernel.arena_for(network.ensure_csr())
     for source in network.node_ids()[:6]:
         for reverse in (False, True):
             sweep = arena.sssp(source, need_predecessors=False, reverse=reverse)
-            want = dijkstra_distances(reference, source, reverse=reverse)
+            want = oracle.dijkstra_distances(network, source, reverse=reverse)
             assert sweep.distances_dict() == want.distances
             assert sweep.settled == want.settled
             assert sweep.pred is None and sweep.order is None
 
 
-def test_network_level_convenience_functions(accel_mode):
-    network = make_network(16, num_nodes=40, num_edges=100)
-    reference = reference_copy(network)
+def test_network_level_convenience_functions(kernel_path):
+    network = kernel_path(make_network(16, num_nodes=40, num_edges=100))
     source, target = network.node_ids()[0], network.node_ids()[-1]
     assert (
         kernel.sssp(network, source).distances_dict()
-        == dijkstra_distances(reference, source).distances
+        == oracle.dijkstra_distances(network, source).distances
     )
     assert kernel.point_to_point(network, source, target).distance_to(
         target
-    ) == shortest_path(reference, source, target).distance
+    ) == oracle.shortest_path(network, source, target).distance
     single = kernel.many_to_many(network, [source], need_predecessors=True)
     assert len(single) == 1
-    assert single[0].predecessors_dict() == dijkstra_distances(
-        reference, source
-    ).predecessors
+    assert (
+        single[0].predecessors_dict()
+        == oracle.dijkstra_distances(network, source).predecessors
+    )
     with pytest.raises(KeyError):
         kernel.arena_for(network.ensure_csr()).point_to_point(source, 10**9)
 
 
-def test_kernel_handles_edgeless_network(accel_mode):
+def test_kernel_handles_edgeless_network(kernel_path):
+    """No edges out of the source: on ``pure`` the only edge is the
+    zero-weight one into it, which no search from node 0 can use."""
     network = RoadNetwork()
     for node_id in range(3):
         network.add_node(node_id, float(node_id), 0.0)
     network.clear_delta()
+    kernel_path(network)
     sweep = kernel.sssp(network, 0)
     assert sweep.distances_dict() == {0: 0.0}
     assert sweep.settled == 1
@@ -466,43 +495,45 @@ def test_path_to_guards_against_broken_chains():
 
 
 # ----------------------------------------------------------------------
-# Rewired precomputations agree across kernel modes
+# Precomputations built on the kernel equal their oracles
 # ----------------------------------------------------------------------
+def precomputation_inputs(seed):
+    """One positive-weight network and the same network plus a zero-weight
+    edge (which sends tree-reporting sweeps through the faithful loop),
+    each with its partitioning."""
+    for zero_edge in (False, True):
+        network = make_network(seed, num_nodes=60, num_edges=150)
+        if zero_edge:
+            ids = network.node_ids()
+            network.add_edge(ids[-1], ids[0], 0.0)
+            network.clear_delta()
+        yield network, build_kdtree_partitioning(network, 4)
+
+
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_arcflag_vectorized_equals_reference_flags(seed):
-    if not kernel.HAVE_ACCELERATOR:
-        pytest.skip("accelerator not installed")
-    network = make_network(seed, num_nodes=60, num_edges=150)
-    partitioning = build_kdtree_partitioning(network, 4)
-    vectorized = ArcFlagIndex(network, partitioning)
-    reference = ArcFlagIndex.__new__(ArcFlagIndex)
-    reference.network = network
-    reference.partitioning = partitioning
-    reference.num_regions = partitioning.num_regions
-    reference._build_reference()
-    assert vectorized.flags == reference.flags
-    assert list(vectorized.flags) == list(reference.flags)
+    """Flags, values and key order equal ``oracles.arcflag``."""
+    for network, partitioning in precomputation_inputs(seed):
+        flags = ArcFlagIndex(network, partitioning).flags
+        want = arcflag_oracle.build_flags(network, partitioning)
+        assert flags == want
+        assert list(flags) == list(want)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_border_precomputation_identical_across_kernel_modes(seed):
-    if not kernel.HAVE_ACCELERATOR:
-        pytest.skip("accelerator not installed")
+    """On both kernel paths the published aggregates equal the ones derived
+    from one oracle Dijkstra per border source."""
     from repro.air.border_paths import BorderPathPrecomputation
 
-    network = make_network(seed, num_nodes=60, num_edges=150)
-    partitioning = build_kdtree_partitioning(network, 4)
-    accel = BorderPathPrecomputation(network, partitioning)
-    kernel.USE_ACCELERATOR = False
-    try:
-        pure = BorderPathPrecomputation(network, partitioning)
-    finally:
-        kernel.USE_ACCELERATOR = True
-    assert accel.min_distance == pure.min_distance
-    assert accel.max_distance == pure.max_distance
-    assert accel.cross_border_nodes == pure.cross_border_nodes
-    assert accel.traversed_regions == pure.traversed_regions
-    assert accel.num_border_pairs == pure.num_border_pairs
+    for network, partitioning in precomputation_inputs(seed):
+        built = BorderPathPrecomputation(network, partitioning)
+        want = border_oracle.aggregates(network, partitioning)
+        assert built.min_distance == want["min_distance"]
+        assert built.max_distance == want["max_distance"]
+        assert built.cross_border_nodes == want["cross_border_nodes"]
+        assert built.traversed_regions == want["traversed_regions"]
+        assert built.num_border_pairs == want["num_border_pairs"]
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +560,7 @@ def test_cache_info_reports_snapshot_stats():
 # Per-thread arena lifetime across snapshot patches and supersession
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
+def test_stale_arena_cannot_resurrect_superseded_snapshot(kernel_path, seed):
     """A patched-then-superseded snapshot never serves through a stale arena.
 
     Sequence: build a snapshot, search through its per-thread arena, patch
@@ -539,7 +570,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
     *current* structure/weights; the old arena keyed to the dead snapshot
     must be unreachable through them.
     """
-    network = make_network(seed, num_nodes=60, num_edges=150)
+    network = kernel_path(make_network(seed, num_nodes=60, num_edges=150))
     source = network.node_ids()[0]
 
     csr_before = network.ensure_csr()
@@ -552,7 +583,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
     assert kernel.arena_for(network.ensure_csr()) is arena_before
     assert_same_result(
         dijkstra_distances(network, source),
-        dijkstra_distances(reference_copy(network), source),
+        oracle.dijkstra_distances(network, source),
     )
 
     # Structural mutation supersedes the snapshot: the network entry points
@@ -565,7 +596,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(accel_mode, seed):
     assert arena_after is not arena_before
     assert_same_result(
         dijkstra_distances(network, source),
-        dijkstra_distances(reference_copy(network), source),
+        oracle.dijkstra_distances(network, source),
     )
 
     # The stale arena still answers for the dead snapshot it is pinned to

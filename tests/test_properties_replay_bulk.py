@@ -2,7 +2,7 @@
 
 :func:`repro.broadcast.replay_bulk.replay_trace_bulk` promises to produce,
 for every device position, exactly the tuning time and access latency the
-scalar reference :func:`repro.broadcast.replay.replay_trace` would.  These
+per-device oracle :func:`oracles.replay.replay_trace` would.  These
 properties check that promise where it matters:
 
 * real traces from all seven registered schemes over random networks,
@@ -12,11 +12,12 @@ properties check that promise where it matters:
 * synthetic corner traces -- no segment ops at all (a pure head), a single
   segment op, and segment anchors shared between ops (the rotation
   tie-break);
-* whole-fleet equivalence: :func:`repro.fleet.simulate_fleet` with the bulk
-  kernel on vs. forced off yields identical signatures, aggregates, and
-  materialized outcomes;
+* whole-fleet equivalence: every replayed device of a
+  :func:`repro.fleet.simulate_fleet` run equals the oracle replay of its
+  group's probe trace, and the vectorized aggregates equal their scalar
+  definitions over the materialized outcomes;
 * error parity: the bulk kernel rejects lossy traces and stale cycles with
-  the same messages as the scalar path.
+  the same messages as the oracle.
 """
 
 from __future__ import annotations
@@ -24,20 +25,16 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+from oracles.replay import replay_trace
 from repro import air
-from repro.broadcast import replay_bulk
+from repro.air import ClientOptions
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.device import CHANNEL_2MBPS, J2ME_CLAMSHELL
 from repro.broadcast.packet import Segment, SegmentKind
-from repro.broadcast.replay import (
-    OpKind,
-    RecordingSession,
-    SessionTrace,
-    TraceOp,
-    replay_trace,
-)
+from repro.broadcast.replay import OpKind, RecordingSession, SessionTrace, TraceOp
 from repro.broadcast.replay_bulk import (
     CycleLayout,
     TraceTable,
@@ -45,10 +42,9 @@ from repro.broadcast.replay_bulk import (
 )
 from repro.experiments import fleet_uniform_trickle
 from repro.fleet import simulate_fleet
+from repro.stats import percentile
 
 from test_properties_fleet import SMALL_PARAMS, random_network
-
-np = pytest.importorskip("numpy")
 
 SEEDS = [5, 23]
 
@@ -253,11 +249,18 @@ def test_cycle_layout_vectorizes_next_segment_named():
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SMALL_PARAMS))
-def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name, monkeypatch):
-    """Whole-fleet equivalence: signatures, aggregates and outcomes match."""
+def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name):
+    """Whole-fleet equivalence between the bulk kernel and per-device replay.
+
+    "On" is :func:`simulate_fleet`; "off" is the oracle: each lossless
+    device's key is probed once (at its first device, in device order, as
+    the simulator does) and every device of the key is replayed one at a
+    time through :func:`oracles.replay.replay_trace`.
+    """
     seed = SEEDS[0]
     network = random_network(seed)
     scheme = air.create(scheme_name, network, **SMALL_PARAMS[scheme_name])
+    cycle = scheme.cycle
     # A couple of lossy devices keep the native path in the mix too.
     devices = fleet_uniform_trickle(network, 14, seed=seed + 2, with_ground_truth=True)
     lossy = fleet_uniform_trickle(network, 2, seed=seed + 3, loss_rate=0.05)
@@ -265,44 +268,47 @@ def test_fleet_run_identical_with_bulk_kernel_on_and_off(scheme_name, monkeypatc
     for index, spec in enumerate(lossy):
         devices.append(dataclasses.replace(spec, device_id=base_id + index))
 
-    bulk_run = simulate_fleet(scheme, devices, seed=seed)
-    monkeypatch.setattr(replay_bulk, "USE_BULK_REPLAY", False)
-    scalar_run = simulate_fleet(scheme, devices, seed=seed)
+    run = simulate_fleet(scheme, devices, seed=seed)
 
-    assert bulk_run.signature() == scalar_run.signature()
-    assert bulk_run.probes == scalar_run.probes
-    assert bulk_run.replays == scalar_run.replays
-    assert bulk_run.natives == scalar_run.natives
-    assert bulk_run.mismatches == scalar_run.mismatches
-    for quantile in (0, 25, 50, 90, 99, 100):
-        assert bulk_run.percentile("access_latency_packets", quantile) == (
-            scalar_run.percentile("access_latency_packets", quantile)
-        )
-        assert bulk_run.percentile("tuning_time_packets", quantile) == (
-            scalar_run.percentile("tuning_time_packets", quantile)
-        )
-    assert bulk_run.mean("peak_memory_bytes") == scalar_run.mean("peak_memory_bytes")
-    assert bulk_run.mean("access_latency_packets") == (
-        scalar_run.mean("access_latency_packets")
+    probes = {}
+    replayed_devices = 0
+    for outcome in run.outcomes:
+        spec = outcome.spec
+        if spec.loss_rate:
+            assert outcome.mode == "native"
+            continue
+        assert outcome.mode == "replay"
+        key = (spec.source, spec.target, spec.memory_bound)
+        if key not in probes:
+            session = RecordingSession(cycle, outcome.tune_in_offset)
+            client = scheme.client(options=ClientOptions(memory_bound=spec.memory_bound))
+            result = client.query(spec.source, spec.target, session=session)
+            probes[key] = (session.trace(), result)
+        trace, probe = probes[key]
+        want = replay_trace(trace, cycle, outcome.tune_in_offset)
+        replayed_devices += 1
+        assert outcome.metrics.tuning_time_packets == want.tuning_packets
+        assert outcome.metrics.access_latency_packets == want.access_latency_packets
+        assert outcome.metrics.peak_memory_bytes == probe.metrics.peak_memory_bytes
+        assert outcome.metrics.lost_packets == 0
+        assert outcome.metrics.extra == probe.metrics.extra
+        assert outcome.distance == probe.distance
+        assert outcome.found == probe.found
+    assert run.probes == len(probes)
+    assert run.replays == replayed_devices
+    assert run.natives == len(lossy)
+    assert run.mismatches == sum(o.mismatch for o in run.outcomes)
+
+    # The vectorized aggregates equal their scalar definitions.
+    for metric in ("access_latency_packets", "tuning_time_packets", "peak_memory_bytes"):
+        values = [float(getattr(o.metrics, metric)) for o in run.outcomes]
+        for quantile in (0, 25, 50, 90, 99, 100):
+            assert run.percentile(metric, quantile) == percentile(values, quantile)
+        assert run.mean(metric) == pytest.approx(sum(values) / len(values))
+    assert run.mean_energy_joules() == pytest.approx(
+        sum(o.metrics.energy_joules(J2ME_CLAMSHELL, CHANNEL_2MBPS) for o in run.outcomes)
+        / run.num_devices
     )
-    # cpu_seconds (and hence energy) is wall-clock measured at the probe, so
-    # it is not comparable across runs; the vectorized aggregates are checked
-    # against the per-outcome scalar computation within each run instead.
-    for run in (bulk_run, scalar_run):
-        assert run.mean_energy_joules() == pytest.approx(
-            sum(
-                o.metrics.energy_joules(J2ME_CLAMSHELL, CHANNEL_2MBPS)
-                for o in run.outcomes
-            )
-            / run.num_devices
-        )
-        assert run.mean("cpu_seconds") == pytest.approx(
-            sum(o.metrics.cpu_seconds for o in run.outcomes) / run.num_devices
-        )
-    for ours, theirs in zip(bulk_run.outcomes, scalar_run.outcomes):
-        assert ours.deterministic_fields() == theirs.deterministic_fields()
-        assert ours.mode == theirs.mode
-        assert ours.metrics.extra == theirs.metrics.extra
 
 
 def test_cycle_layout_exposes_segment_anchors():
@@ -351,14 +357,10 @@ class TestColumnarFleetRun:
             run.percentile("access_latency_packets", -1)
 
     def test_vectorized_percentile_selects_nearest_rank_element(self):
-        from repro.stats import percentile as scalar_percentile
-
         run = self.run_with_devices()
         values = [float(o.metrics.access_latency_packets) for o in run.outcomes]
         for q in (0, 1, 10, 33, 50, 66.6, 90, 99, 100):
-            assert run.percentile("access_latency_packets", q) == (
-                scalar_percentile(values, q)
-            )
+            assert run.percentile("access_latency_packets", q) == percentile(values, q)
 
     def test_unrecorded_slot_materializes_empty_extra(self):
         from repro.fleet.results import FleetRun

@@ -21,9 +21,7 @@ Run from the repository root::
         --network milan --scale 0.02 --queries 32 --top 25 --sort tottime
 
 Pass ``--phases build,query`` to skip phases (``--phases publish`` profiles
-the publication path alone, after an unprofiled build), and
-``--no-accelerator`` to pin the kernel to its pure-Python loops (handy for
-isolating how much of a hot path is scipy-bound versus interpreter-bound).
+the publication path alone, after an unprofiled build).
 """
 
 from __future__ import annotations
@@ -59,11 +57,6 @@ def parse_args(argv=None) -> argparse.Namespace:
         default="build,query,refresh,publish",
         help="comma-separated subset of build,query,refresh,publish",
     )
-    parser.add_argument(
-        "--no-accelerator",
-        action="store_true",
-        help="disable the scipy accelerator (kernel runs its pure-Python loops)",
-    )
     return parser.parse_args(argv)
 
 
@@ -83,10 +76,7 @@ def main(argv=None) -> int:
     from repro.engine import AirSystem
     from repro.experiments import ExperimentConfig, QueryWorkload
     from repro.network import datasets
-    from repro.network.algorithms import kernel
 
-    if args.no_accelerator:
-        kernel.USE_ACCELERATOR = False
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
     unknown = phases - {"build", "query", "refresh", "publish"}
     if unknown:
@@ -97,8 +87,7 @@ def main(argv=None) -> int:
     network = datasets.load(args.network, scale=args.scale, seed=args.seed)
     print(
         f"profiling {scheme_name} on {network.name} "
-        f"({network.num_nodes} nodes, {network.num_edges} edges, "
-        f"accelerator={'off' if args.no_accelerator else 'auto'})"
+        f"({network.num_nodes} nodes, {network.num_edges} edges)"
     )
 
     system = AirSystem(network, config=config)
