@@ -14,7 +14,8 @@ passes:
   so the per-op ``next_segment_named`` lookup becomes one
   ``np.searchsorted`` over all devices at once;
 * :func:`replay_trace_bulk` then replays the trace for N tune-in positions
-  in O(ops) vectorized passes, independent of N's Python-level cost.
+  in O(ops) vectorized passes over the *distinct* cycle offsets among them,
+  with no Python-level cost per device.
 
 **Bit-identity contract.**  For every device position, the bulk kernel
 produces exactly the tuning time and access latency of the per-device
@@ -31,6 +32,13 @@ steps; at step ``j`` it applies body op ``j % len(body)`` to exactly the
 devices whose rotation start ``s`` satisfies ``s <= j < s + len(body)``.
 Each step is one masked array pass, so the total work is O(ops) passes
 regardless of how many distinct rotations the fleet spans.
+
+Why each distinct offset is walked once: the replay is equivariant under
+whole-cycle shifts -- head ops add constants and every segment lookup reads
+``position % total`` -- so a device's access latency depends only on its
+start's cycle offset.  The passes therefore run over the distinct offsets
+(at most one cycle's worth, however large the fleet) and the latencies are
+scattered back to the devices, making a pass O(distinct offsets), not O(N).
 """
 
 from __future__ import annotations
@@ -237,9 +245,9 @@ def replay_trace_bulk(
 
     Semantically one scalar replay per start position (bit-identical to the
     per-device oracle, asserted by the property suite and the fleet
-    benchmark),
-    but the cost is O(ops) vectorized passes over the position array rather
-    than O(ops) Python work per device.
+    benchmark), but the cost is O(ops) vectorized passes over the distinct
+    cycle offsets of the positions rather than O(ops) Python work per
+    device.  Latencies come back aligned with ``start_positions``.
     """
     if table.loss_rate != 0.0:
         raise ValueError(
@@ -252,8 +260,12 @@ def replay_trace_bulk(
             f"got one of {layout.total_packets} packets"
         )
     total = table.cycle_packets
-    starts = np.asarray(start_positions, dtype=np.int64)
-    positions = starts.copy()
+    # Latency depends only on a start's cycle offset: walk each distinct
+    # offset once and scatter the results back to every start.
+    distinct, inverse = np.unique(
+        np.asarray(start_positions, dtype=np.int64) % total, return_inverse=True
+    )
+    positions = distinct.copy()
 
     kinds = table.kinds
     last_offsets = table.last_offsets
@@ -293,5 +305,5 @@ def replay_trace_bulk(
 
     return BulkReplayOutcome(
         tuning_packets=table.tuning_packets,
-        access_latency_packets=positions - starts,
+        access_latency_packets=(positions - distinct)[inverse],
     )

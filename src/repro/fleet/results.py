@@ -18,6 +18,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.air.base import MISMATCH_RTOL
 from repro.broadcast.device import CHANNEL_2MBPS, ChannelRate, DeviceProfile, J2ME_CLAMSHELL
 from repro.broadcast.metrics import ClientMetrics
 
@@ -111,7 +112,8 @@ class FleetRun:
 
     Constructed empty by the simulator, sized with :meth:`allocate`, then
     filled through the columnar recorders (:meth:`record_replay_group` for
-    whole bulk-replayed groups, :meth:`record_device` for one device).  All
+    whole bulk-replayed groups, :meth:`record_device` for one device, and
+    :meth:`record_mismatches` for the whole fleet at once).  All
     aggregate methods read the flat columns directly; per-device
     :class:`DeviceOutcome` objects exist only once :attr:`outcomes` is
     touched.
@@ -162,7 +164,6 @@ class FleetRun:
         latencies: Any,
         distance: float,
         found: bool,
-        mismatches: Any,
         peak_memory_bytes: int,
         cpu_seconds: float,
         extra_id: int,
@@ -171,8 +172,7 @@ class FleetRun:
 
         ``indices``/``offsets``/``latencies`` are aligned arrays (device
         index, tune-in offset, access latency); the remaining fields are the
-        probe's, shared by the whole group.  ``mismatches`` may be a scalar
-        (the common case: one ground truth per query) or a per-device array.
+        probe's, shared by the whole group.
         """
         columns = self._columns
         assert columns is not None, "allocate() must run before recording"
@@ -184,7 +184,6 @@ class FleetRun:
         columns.cpu[indices] = cpu_seconds
         columns.distance[indices] = distance
         columns.found[indices] = found
-        columns.mismatch[indices] = mismatches
         columns.replay[indices] = True
         columns.extra_id[indices] = extra_id
 
@@ -196,7 +195,6 @@ class FleetRun:
         found: bool,
         replay: bool,
         metrics: ClientMetrics,
-        mismatch: bool,
         extra_id: int,
     ) -> None:
         """Record one device's outcome (the native path)."""
@@ -211,9 +209,24 @@ class FleetRun:
         columns.lost[index] = metrics.lost_packets
         columns.distance[index] = distance
         columns.found[index] = found
-        columns.mismatch[index] = mismatch
         columns.replay[index] = replay
         columns.extra_id[index] = extra_id
+
+    def record_mismatches(self, truths: Any) -> None:
+        """Flag every device whose recorded answer disagrees with its truth.
+
+        ``truths`` is a per-device ``float64`` column, NaN where a device has
+        no ground truth.  The rule is :func:`repro.air.base.is_mismatch` as
+        one array pass: NaN compares false, so such devices never count.
+        Runs after every answer is recorded.
+        """
+        columns = self._columns
+        assert columns is not None, "allocate() must run before recording"
+        self._outcomes = None
+        with np.errstate(invalid="ignore"):
+            columns.mismatch[:] = np.abs(
+                columns.distance - truths
+            ) > MISMATCH_RTOL * np.maximum(1.0, truths)
 
     # ------------------------------------------------------------------
     # Object-level view (lazy)

@@ -18,6 +18,8 @@ from repro.experiments import (
 from repro.fleet import DeviceSpec, simulate_fleet
 from repro.network.algorithms.dijkstra import shortest_path
 
+from oracles.fleet import partition_fleet as oracle_partition
+
 
 def replay_one(trace, cycle, offset):
     """One device's replay through the bulk kernel, as plain ints."""
@@ -184,10 +186,30 @@ class TestSimulateFleet:
         with pytest.raises(ValueError, match="concurrency"):
             simulate_fleet(nr_scheme, [], concurrency=0)
 
-    def test_unknown_nodes_rejected(self, nr_scheme):
+    def test_unknown_nodes_rejected(self, nr_scheme, medium_network):
         bad = [DeviceSpec(device_id=0, source=-1, target=-2)]
         with pytest.raises(ValueError, match="outside network"):
             simulate_fleet(nr_scheme, bad)
+
+        # The offending device follows valid ones, its valid source already
+        # appeared in an earlier pair, and a later device repeats the bad
+        # node: the message still names the first offender in device order,
+        # exactly as the per-device reference loop does.
+        source, target = sorted(medium_network.node_ids())[:2]
+        fleet = [
+            DeviceSpec(device_id=10, source=source, target=target),
+            DeviceSpec(device_id=11, source=source, target=target, loss_rate=0.1),
+            DeviceSpec(device_id=12, source=source, target=-7),
+            DeviceSpec(device_id=13, source=-7, target=target),
+            DeviceSpec(device_id=14, source=-1, target=-2),
+        ]
+        total = nr_scheme.cycle.total_packets
+        with pytest.raises(ValueError) as expected:
+            oracle_partition(fleet, medium_network, total, 0)
+        with pytest.raises(ValueError) as raised:
+            simulate_fleet(nr_scheme, fleet)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith(f"device 12: query {source}->-7 ")
 
     def test_empty_fleet_never_spins_up_a_pool(self, nr_scheme, monkeypatch):
         import repro.concurrency

@@ -16,6 +16,9 @@ properties check that promise where it matters:
   :func:`repro.fleet.simulate_fleet` run equals the oracle replay of its
   group's probe trace, and the vectorized aggregates equal their scalar
   definitions over the materialized outcomes;
+* offset dedup: unsorted, repeated and whole-cycle-shifted starts in one
+  call each get their own oracle latency, and no starts give an empty
+  ``int64`` array;
 * error parity: the bulk kernel rejects lossy traces and stale cycles with
   the same messages as the oracle.
 """
@@ -203,6 +206,55 @@ def test_bulk_replay_accepts_positions_beyond_one_cycle():
     )
     positions = [0, 1, total - 1, total, total + 5, 7 * total + 3]
     assert_bulk_matches_scalar(trace, cycle, positions)
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SMALL_PARAMS))
+def test_bulk_replay_dedups_offsets_without_reordering(scheme_name):
+    """Unsorted, repeated and whole-cycle-shifted starts in one call.
+
+    The kernel walks each distinct cycle offset once and scatters the
+    result back, so every start -- duplicates and starts whole cycles
+    apart included -- must still get its own oracle latency, in input order.
+    """
+    rng = random.Random(41)
+    network = random_network(SEEDS[1])
+    scheme = air.create(scheme_name, network, **SMALL_PARAMS[scheme_name])
+    cycle = scheme.cycle
+    total = cycle.total_packets
+    node_ids = sorted(network.node_ids())
+    session = RecordingSession(cycle, rng.randrange(total))
+    scheme.client().query(rng.choice(node_ids), rng.choice(node_ids), session=session)
+    trace = session.trace()
+    base = [rng.randrange(total) for _ in range(40)]
+    positions = base + [rng.choice(base) for _ in range(40)]
+    positions += [p + rng.randrange(1, 6) * total for p in base[:20]]
+    rng.shuffle(positions)
+    assert len(set(p % total for p in positions)) < len(positions)
+    assert_bulk_matches_scalar(trace, cycle, positions)
+
+
+def test_bulk_replay_of_no_positions_is_empty_int64():
+    cycle = synthetic_cycle()
+    trace = SessionTrace(
+        ops=(
+            TraceOp(OpKind.ONE_PACKET, anchor=0),
+            TraceOp(
+                OpKind.SEGMENT,
+                name="data-a",
+                packet_count=1,
+                last_offset=0,
+                anchor=cycle.segment_start("data-a"),
+            ),
+        ),
+        cycle_packets=cycle.total_packets,
+    )
+    layout = cycle.compiled_layout()
+    table = TraceTable.compile(trace, layout)
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        bulk = replay_trace_bulk(table, layout, empty)
+        assert bulk.tuning_packets == trace.tuning_packets
+        assert bulk.access_latency_packets.dtype == np.int64
+        assert bulk.access_latency_packets.shape == (0,)
 
 
 def test_bulk_replay_rejects_lossy_traces_like_scalar():

@@ -12,7 +12,10 @@ guesses.  For any registered scheme it profiles:
   incremental rebuild path,
 * **publish** -- what the serving daemon does per publication: the
   scheme's ``artifact()`` encoding, the artifact's ``to_bytes()`` framing,
-  and a shared-memory ``SharedArtifactSegment.publish`` plus its unlink.
+  and a shared-memory ``SharedArtifactSegment.publish`` plus its unlink;
+* **fleet** -- ``simulate_fleet`` over a ``fleet_rush_hour`` fleet of
+  ``--devices`` devices (fleet generation is not profiled): the columnar
+  partition, the probe sessions and the bulk trace replay.
 
 Run from the repository root::
 
@@ -21,7 +24,8 @@ Run from the repository root::
         --network milan --scale 0.02 --queries 32 --top 25 --sort tottime
 
 Pass ``--phases build,query`` to skip phases (``--phases publish`` profiles
-the publication path alone, after an unprofiled build).
+the publication path alone, after an unprofiled build; ``--phases fleet``
+likewise profiles the fleet simulator alone).
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--queries", type=int, default=16, help="queries in the profiled workload")
     parser.add_argument("--update-batches", type=int, default=4, help="weight-update batches to refresh through")
     parser.add_argument("--edges-per-batch", type=int, default=3, help="edges mutated per update batch")
+    parser.add_argument("--devices", type=int, default=100_000, help="devices in the profiled rush-hour fleet")
     parser.add_argument("--top", type=int, default=20, help="rows of the profile table to print")
     parser.add_argument(
         "--sort",
@@ -54,8 +59,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--phases",
-        default="build,query,refresh,publish",
-        help="comma-separated subset of build,query,refresh,publish",
+        default="build,query,refresh,publish,fleet",
+        help="comma-separated subset of build,query,refresh,publish,fleet",
     )
     return parser.parse_args(argv)
 
@@ -78,7 +83,7 @@ def main(argv=None) -> int:
     from repro.network import datasets
 
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
-    unknown = phases - {"build", "query", "refresh", "publish"}
+    unknown = phases - {"build", "query", "refresh", "publish", "fleet"}
     if unknown:
         raise SystemExit(f"unknown phases: {', '.join(sorted(unknown))}")
 
@@ -153,6 +158,19 @@ def main(argv=None) -> int:
             f"publish: {PUBLICATIONS} x artifact() + to_bytes() "
             "+ shared segment publish/unlink",
             run_publications,
+            args.sort,
+            args.top,
+        )
+
+    if "fleet" in phases:
+        from repro.experiments import fleet_rush_hour
+        from repro.fleet import simulate_fleet
+
+        scheme = system.scheme(scheme_name)
+        devices = fleet_rush_hour(network, args.devices, seed=args.seed)
+        profile_phase(
+            f"fleet: simulate_fleet over {len(devices)} rush-hour devices",
+            lambda: simulate_fleet(scheme, devices, seed=args.seed),
             args.sort,
             args.top,
         )
