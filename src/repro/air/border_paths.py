@@ -19,37 +19,42 @@ The paper defines the pre-computed set ``S`` over border-node pairs from
 remain covered; this only grows the index conservatively (documented
 deviation, see DESIGN.md).
 
-Dynamic networks: the computation is organized as one independent record per
-border *source* (its full distance/predecessor labels over the CSR snapshot,
-plus everything derived from its shortest path tree), and the published
-aggregates are a pure, order-free fold over those records.
-:meth:`BorderPathPrecomputation.refresh` exploits that three ways:
+Everything per source lives in one columnar block (:class:`_Block`), one row
+per border source in roster order: the full distance/predecessor labels over
+the CSR snapshot, and the columns derived from each source's shortest path
+tree -- the cross-border nodes, the finite border-pair count, the min/max
+distance to every target region and the regions its paths there traverse.
+One function, :meth:`BorderPathPrecomputation._fold`, derives those columns
+for any set of rows, blocks of sources at a time, by pointer doubling over
+the predecessor arrays.  The published aggregates are grouped reductions
+over the block (:meth:`~BorderPathPrecomputation._aggregate`).
 
-* :meth:`affected_sources` decides -- exactly, from the cached labels and
-  the old/new weights -- which sources a change batch can touch, vectorized
-  over a cached ``sources x nodes`` distance matrix;
-* each affected source is brought up to date by :meth:`_repair_source`, a
-  batch Ramalingam-Reps-style repair that seeds a priority queue from the
-  endpoints of the changed edges and settles only the nodes whose distance
-  (or tie-broken predecessor) actually moves, instead of re-running the
-  source's Dijkstra from scratch; and
-* the per-source contributions are re-derived by a memoized predecessor-
-  chain walk whose cost is proportional to the tree paths actually touched,
-  after which the aggregates re-fold.
+:meth:`BorderPathPrecomputation.refresh` keeps this exact after a weight
+change batch:
 
-Unaffected sources provably have bit-identical labels, and the repair
+* :meth:`~BorderPathPrecomputation.affected_sources` decides -- exactly,
+  from the cached labels and the old/new weights -- which rows a batch can
+  touch, vectorized over the block's distance matrix;
+* each affected row's labels are repaired by a batch Ramalingam-Reps-style
+  repair that seeds a priority queue from the endpoints of the changed
+  edges and settles only the nodes whose distance (or tie-broken
+  predecessor) actually moves; and
+* only the rows whose repaired tree moved a border target re-fold, after
+  which the aggregates re-reduce.
+
+Unaffected rows provably have bit-identical labels, and the repair
 reconverges to the same unique float fixed point with the same canonical
-tie-breaks as the kernel (see :meth:`_repair_source`), so the refreshed
-state equals a from-scratch rebuild bit for bit.
+tie-breaks as the kernel, so the refreshed state equals a from-scratch
+rebuild bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import time
 from array import array
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -61,50 +66,91 @@ from repro.partitioning.base import Partitioning
 
 __all__ = ["BorderPathPrecomputation"]
 
-
-def _regions_from_mask(mask: int) -> Set[int]:
-    """Decode a traversed-regions bitmask back into a region-id set."""
-    regions: Set[int] = set()
-    region = 0
-    while mask:
-        if mask & 1:
-            regions.add(region)
-        mask >>= 1
-        region += 1
-    return regions
+#: Sources :meth:`BorderPathPrecomputation._fold` derives per pass; its
+#: pointer-doubling arrays hold this many rows of every node at once.
+_FOLD_BLOCK = 32
 
 
-@dataclass
-class _BorderSource:
-    """Everything pre-computed from one border source node.
+def _region_words(regions: int) -> int:
+    """uint64 words of one region bitmask."""
+    return max(1, -(-regions // 64))
 
-    The published aggregates (min/max region distances, cross-border node
-    set, traversed-region sets) are folds over these records, which is what
-    lets :meth:`BorderPathPrecomputation.refresh` re-run only the affected
-    sources after a weight update.
 
-    ``dist``/``pred`` are the full kernel labels indexed by CSR node index
-    (``inf`` / ``-1`` for unreached nodes).  Records are treated as
-    immutable once built: a refresh *replaces* the record of an affected
-    source, so a shadow copy (:meth:`BorderPathPrecomputation.shadow`) can
-    share the unchanged ones.
+def _region_bits(masks: np.ndarray, regions: int) -> np.ndarray:
+    """Unpack ``(..., words)`` uint64 region masks into ``(..., regions)`` 0/1s."""
+    octets = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, bitorder="little")[..., :regions]
+
+
+def _typed(values, typecode: str) -> array:
+    """A numpy column as the typed array the codec writes unboxed."""
+    dtype = np.float64 if typecode == "d" else np.int64
+    column = array(typecode)
+    column.frombytes(np.ascontiguousarray(values, dtype=dtype).view(np.uint8))
+    return column
+
+
+def _offsets(counts: np.ndarray) -> array:
+    """``[0, c0, c0 + c1, ...]`` as an ``array("q")`` offsets column."""
+    return _typed(np.concatenate(([0], np.cumsum(counts))), "q")
+
+
+class _Roster(NamedTuple):
+    """Per-snapshot arrays every fold, reduction and codec pass shares."""
+
+    #: CSR index of each roster node -- the source of each block row.
+    index: np.ndarray
+    #: The regions owning border nodes, ascending, and the first roster
+    #: position (equally, block row) of each.
+    regions: np.ndarray
+    starts: np.ndarray
+    #: ``(nodes, words)`` uint64: each node's own region bit.
+    words: np.ndarray
+    #: CSR node ids in index order (ascending).
+    ids: np.ndarray
+
+
+@dataclasses.dataclass
+class _Block:
+    """Per-source columns, one row per border source in roster order.
+
+    ``dist``/``pred`` are the kernel labels indexed by CSR node index
+    (``inf`` / ``-1`` where unreached); the rest is derived from them by
+    :meth:`BorderPathPrecomputation._fold`.  Per target region ``j``,
+    ``reach[s, j]`` says whether source ``s`` reaches any border node of
+    ``j`` other than itself, and only then are ``min_to``/``max_to`` finite
+    and ``traversed[s, j]`` (a region bitmask in ``words`` uint64s) set.
     """
 
-    node: int
-    region: int
-    #: Dijkstra distance labels, indexed by CSR node index.
-    dist: array
-    #: Shortest path tree predecessors (CSR indexes; ``-1`` = none).
-    pred: array
-    #: Nodes on at least one pre-computed path from this source.
-    cross_nodes: Set[int] = field(default_factory=set)
-    #: Finite border-pair count contributed by this source.
-    finite_pairs: int = 0
-    #: Target region -> min / max shortest distance from this source.
-    min_to: Dict[int, float] = field(default_factory=dict)
-    max_to: Dict[int, float] = field(default_factory=dict)
-    #: Target region -> regions traversed by the pre-computed paths there.
-    traversed: Dict[int, Set[int]] = field(default_factory=dict)
+    dist: np.ndarray
+    pred: np.ndarray
+    #: Nodes on at least one pre-computed path from the source (by index).
+    cross: np.ndarray
+    finite_pairs: np.ndarray
+    min_to: np.ndarray
+    max_to: np.ndarray
+    reach: np.ndarray
+    traversed: np.ndarray
+
+    @classmethod
+    def empty(cls, sources: int, nodes: int, regions: int) -> "_Block":
+        return cls(
+            dist=np.full((sources, nodes), INFINITY),
+            pred=np.full((sources, nodes), -1, dtype=np.int64),
+            cross=np.zeros((sources, nodes), dtype=bool),
+            finite_pairs=np.zeros(sources, dtype=np.int64),
+            min_to=np.full((sources, regions), INFINITY),
+            max_to=np.full((sources, regions), -INFINITY),
+            reach=np.zeros((sources, regions), dtype=bool),
+            traversed=np.zeros(
+                (sources, regions, _region_words(regions)), dtype=np.uint64
+            ),
+        )
+
+    def copy(self) -> "_Block":
+        return _Block(
+            **{f.name: getattr(self, f.name).copy() for f in dataclasses.fields(self)}
+        )
 
 
 class BorderPathPrecomputation:
@@ -127,185 +173,156 @@ class BorderPathPrecomputation:
         self.traversed_regions: Dict[Tuple[int, int], Set[int]] = {}
         self.num_border_pairs = 0
         self.precomputation_seconds = 0.0
-        #: Backing storage of the ``_sources`` property; a restore keeps the
-        #: records encoded in ``_sources_blob`` until a refresh needs them.
-        self._source_records: List[_BorderSource] = []
+        #: Backing storage of the :attr:`block` property; a restore keeps
+        #: the block encoded in ``_sources_blob`` until a refresh needs it.
+        self._block: Optional[_Block] = None
         self._sources_blob = None
-        #: Cached ``sources x nodes`` float64 distance matrix backing the
-        #: vectorized affected-source test (built lazily, rows updated in
-        #: place by :meth:`refresh`).
-        self._dist_matrix = None
+        self._roster_arrays: Optional[_Roster] = None
 
         self._compute()
 
     def _compute(self) -> None:
         started = time.perf_counter()
         partitioning = self.partitioning
-
-        border_by_region: List[List[int]] = [
-            partitioning.border_nodes(region) for region in range(self.num_regions)
-        ]
-        #: ``(node, region)`` for every border node, in region-then-list order.
+        #: ``(node, region)`` for every border node, in region-then-list order;
+        #: border source ``s`` is row ``s`` of the block.
         self._all_border: List[Tuple[int, int]] = [
             (node, region)
             for region in range(self.num_regions)
-            for node in border_by_region[region]
+            for node in partitioning.border_nodes(region)
         ]
-        self._border_set = {node for node, _ in self._all_border}
 
-        # One batched kernel sweep covers every border source: the arena's
-        # many-to-many path computes the distance labels of whole source
-        # chunks per accelerated call, and each source's shortest path tree
-        # arrives as flat index arrays the derivation below walks.
+        # One batched kernel sweep covers every border source, then one fold
+        # derives every row's columns from the labels.
         csr = self.network.ensure_csr()
-        arena = kernel.arena_for(csr)
-        sweeps = arena.many_to_many(
+        sweeps = kernel.arena_for(csr).many_to_many(
             [source for source, _ in self._all_border], need_predecessors=True
         )
-        ctx = self._derive_context(csr)
-        self._source_records = [
-            self._record_from_labels(
-                array("d", sweep.dist), array("q", sweep.pred), source, region, ctx
-            )
-            for sweep, (source, region) in zip(sweeps, self._all_border)
-        ]
-        self._dist_matrix = None
+        block = _Block.empty(len(sweeps), csr.num_nodes, self.num_regions)
+        for row, sweep in enumerate(sweeps):
+            block.dist[row] = sweep.dist if sweep.dist_np is None else sweep.dist_np
+            block.pred[row] = sweep.pred
+        del sweeps  # the per-sweep label lists, before the fold's arrays
+        self._block = block
+        self._fold(np.arange(len(block.dist)))
         self._aggregate()
         self.precomputation_seconds = time.perf_counter() - started
 
-    def _derive_context(self, csr) -> Tuple:
-        """Per-snapshot arrays shared by every per-source derivation.
+    def _roster(self) -> _Roster:
+        """The roster's arrays over the current snapshot, built once."""
+        if self._roster_arrays is None:
+            csr = self.network.ensure_csr()
+            region_of = self.partitioning.region_of
+            roster_regions = np.array(
+                [region for _, region in self._all_border], dtype=np.int64
+            )
+            regions, starts = np.unique(roster_regions, return_index=True)
+            node_region = np.array([region_of(node) for node in csr.ids], dtype=np.int64)
+            width = _region_words(self.num_regions)
+            words = np.zeros((len(node_region), width), dtype=np.uint64)
+            words[np.arange(len(node_region)), node_region // 64] = np.left_shift(
+                np.uint64(1), (node_region % 64).astype(np.uint64)
+            )
+            index_of = csr.index_of
+            index = np.array(
+                [index_of[node] for node, _ in self._all_border], dtype=np.int64
+            )
+            self._roster_arrays = _Roster(
+                index, regions, starts, words, np.asarray(csr.ids, dtype=np.int64)
+            )
+        return self._roster_arrays
 
-        ``region_bit[i]`` is the region bitmask bit of CSR index ``i`` and
-        ``border`` the roster as ``(node, index, region)`` triples -- built
-        once per build/refresh instead of per source.
+    def _fold(self, rows: np.ndarray) -> None:
+        """Derive every column of ``rows`` from their ``dist``/``pred`` labels.
+
+        Per block of :data:`_FOLD_BLOCK` sources, pointer doubling over the
+        flattened predecessor arrays (``up = pred + row * nodes``, roots
+        pointing at themselves) gives, in ``ceil(log2 depth)`` passes, every
+        node's source-path region mask (``mask |= mask[up]``) and the
+        ancestor union of the finite border targets (``on_path[up[on_path]]
+        = True``) -- the row's cross-border nodes.  ``reduceat`` over the
+        region-ordered roster then yields ``min_to``, ``max_to``, ``reach``
+        and ``traversed`` per target region.  Scratch builds, repairs and
+        the zero-weight fallback all derive through here.
         """
-        region_of = self.partitioning.region_of
-        ids = csr.ids
-        index_of = csr.index_of
-        region_bit = [1 << region_of(node_id) for node_id in ids]
-        border = [(node, index_of[node], region) for node, region in self._all_border]
-        border_indexes = {index for _node, index, _region in border}
-        return ids, index_of, region_bit, border, border_indexes
-
-    def _compute_source(
-        self, source: int, source_region: int, ctx: Optional[Tuple] = None
-    ) -> _BorderSource:
-        """Run one border source's Dijkstra and derive its contributions."""
-        csr = self.network.ensure_csr()
-        arena = kernel.arena_for(csr)
-        sweep = arena.sssp(source, need_predecessors=True)
-        if ctx is None:
-            ctx = self._derive_context(csr)
-        return self._record_from_labels(
-            array("d", sweep.dist), array("q", sweep.pred), source, source_region, ctx
-        )
-
-    def _record_from_labels(
-        self,
-        dist: array,
-        pred: array,
-        source: int,
-        source_region: int,
-        ctx: Tuple,
-    ) -> _BorderSource:
-        """Fold one source's labels into its published contributions.
-
-        A single pass over the border roster walks each finite target's
-        predecessor chain *once*: every visited node memoizes the bitmask of
-        regions on its source path, so a chain walk stops at the first node
-        already carrying a mask (whose ancestors were necessarily walked
-        before).  The cross-border set and the per-region traversed sets
-        fall out of the same walk; the fold's cost is proportional to the
-        number of distinct tree-path nodes, not paths times path length.
-        Order-free over the tree, so it serves scratch builds and repairs
-        alike.
-        """
-        ids, index_of, region_bit, border, _border_indexes = ctx
-        source_index = index_of[source]
-        mask: List[int] = [0] * len(dist)
-        mask[source_index] = region_bit[source_index]
-        cross_nodes: Set[int] = {source}
-        cross_add = cross_nodes.add
-        min_to: Dict[int, float] = {}
-        max_to: Dict[int, float] = {}
-        trav_mask: Dict[int, int] = {}
-        finite_pairs = 0
-
-        for target, target_index, target_region in border:
-            if target == source:
-                continue
-            distance = dist[target_index]
-            if distance == INFINITY:
-                continue
-            finite_pairs += 1
-            if distance < min_to.get(target_region, INFINITY):
-                min_to[target_region] = distance
-            if distance > max_to.get(target_region, -1.0):
-                max_to[target_region] = distance
-
-            m = mask[target_index]
-            if not m:
-                stack: List[int] = []
-                node = target_index
-                while not mask[node]:
-                    stack.append(node)
-                    node = pred[node]
-                m = mask[node]
-                while stack:
-                    node = stack.pop()
-                    m |= region_bit[node]
-                    mask[node] = m
-                    cross_add(ids[node])
-            trav_mask[target_region] = trav_mask.get(target_region, 0) | m
-
-        return _BorderSource(
-            node=source,
-            region=source_region,
-            dist=dist,
-            pred=pred,
-            cross_nodes=cross_nodes,
-            finite_pairs=finite_pairs,
-            min_to=min_to,
-            max_to=max_to,
-            traversed={
-                region: _regions_from_mask(m) for region, m in trav_mask.items()
-            },
-        )
+        block = self._block
+        index, regions, starts, words, _ids = self._roster()
+        if not len(rows):
+            return
+        nodes = block.dist.shape[1]
+        width = words.shape[1]
+        for first in range(0, len(rows), _FOLD_BLOCK):
+            chunk = np.asarray(rows[first : first + _FOLD_BLOCK])
+            size = len(chunk)
+            flat = np.arange(size * nodes).reshape(size, nodes)
+            pred = block.pred[chunk]
+            up = np.where(pred >= 0, pred + flat[:, :1], flat).ravel()
+            # Border targets with a finite label, the source's own entry
+            # (roster position == row) excluded.
+            target_dist = block.dist[chunk][:, index]
+            valid = np.isfinite(target_dist)
+            valid[np.arange(size), chunk] = False
+            mask = np.tile(words, (size, 1))
+            on_path = np.zeros(size * nodes, dtype=bool)
+            on_path[flat[:, index][valid]] = True
+            while True:
+                mask |= mask[up]
+                on_path[up[on_path]] = True
+                jumped = up[up]
+                if np.array_equal(jumped, up):
+                    break
+                up = jumped
+            cross = on_path.reshape(size, nodes)
+            cross[np.arange(size), index[chunk]] = True
+            block.cross[chunk] = cross
+            block.finite_pairs[chunk] = valid.sum(axis=1)
+            at = (chunk[:, None], regions)
+            block.min_to[at] = np.minimum.reduceat(
+                np.where(valid, target_dist, INFINITY), starts, axis=1
+            )
+            block.max_to[at] = np.maximum.reduceat(
+                np.where(valid, target_dist, -INFINITY), starts, axis=1
+            )
+            block.reach[at] = np.logical_or.reduceat(valid, starts, axis=1)
+            path_masks = mask.reshape(size, nodes, width)[:, index]
+            path_masks[~valid] = 0
+            block.traversed[at] = np.bitwise_or.reduceat(path_masks, starts, axis=1)
 
     def _aggregate(self) -> None:
-        """Fold the per-source records into the published aggregates.
+        """Reduce the block into the published aggregates.
 
-        Pure and order-free (mins, maxes, unions, sums), so re-folding after
-        an incremental refresh yields exactly what a from-scratch build would.
+        Rows are grouped by source region (the roster is region-ordered), so
+        every aggregate is one ``reduceat`` over the rows: pure and
+        order-free, which is why re-reducing after an incremental refresh
+        yields exactly what a from-scratch build would.
+        ``traversed_regions`` keeps the insertion order of a row-by-row
+        fold: by source region, then by first row reaching each target.
         """
         n = self.num_regions
-        self.min_distance = [[INFINITY] * n for _ in range(n)]
-        self.max_distance = [[INFINITY] * n for _ in range(n)]
-        self.cross_border_nodes = set()
+        block = self.block
+        _index, regions, starts, _words, ids = self._roster()
+        min_distance = np.full((n, n), INFINITY)
+        max_distance = np.full((n, n), -INFINITY)
         self.traversed_regions = {}
-        self.num_border_pairs = 0
-        max_seen: List[List[float]] = [[-1.0] * n for _ in range(n)]
-
-        for record in self._sources:
-            i = record.region
-            self.cross_border_nodes |= record.cross_nodes
-            self.num_border_pairs += record.finite_pairs
-            row_min = self.min_distance[i]
-            row_max = max_seen[i]
-            for j, value in record.min_to.items():
-                if value < row_min[j]:
-                    row_min[j] = value
-            for j, value in record.max_to.items():
-                if value > row_max[j]:
-                    row_max[j] = value
-            for j, regions in record.traversed.items():
-                self.traversed_regions.setdefault((i, j), set()).update(regions)
-
-        for i in range(n):
-            for j in range(n):
-                if max_seen[i][j] >= 0.0:
-                    self.max_distance[i][j] = max_seen[i][j]
+        if len(starts):
+            min_distance[regions] = np.minimum.reduceat(block.min_to, starts, axis=0)
+            max_distance[regions] = np.maximum.reduceat(block.max_to, starts, axis=0)
+            reach_rows, targets = np.nonzero(block.reach)
+            group = np.searchsorted(starts, reach_rows, side="right") - 1
+            keys, first = np.unique(group * n + targets, return_index=True)
+            keys = keys[np.argsort(first, kind="stable")]
+            group, targets = np.divmod(keys, n)
+            traversed = np.bitwise_or.reduceat(block.traversed, starts, axis=0)
+            pair, members = np.nonzero(_region_bits(traversed[group, targets], n))
+            bounds = np.searchsorted(pair, np.arange(len(keys) + 1)).tolist()
+            members = members.tolist()
+            for k, key in enumerate(zip(regions[group].tolist(), targets.tolist())):
+                self.traversed_regions[key] = set(members[bounds[k] : bounds[k + 1]])
+        max_distance[max_distance == -INFINITY] = INFINITY
+        self.min_distance = min_distance.tolist()
+        self.max_distance = max_distance.tolist()
+        self.cross_border_nodes = set(ids[block.cross.any(axis=0)].tolist())
+        self.num_border_pairs = int(block.finite_pairs.sum())
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state
@@ -315,20 +332,16 @@ class BorderPathPrecomputation:
 
         Two parts with different service lives: the published *aggregates*
         (what query processing reads) are stored eagerly, while the heavy
-        per-source records (only :meth:`refresh` needs them) are packed
-        columnar -- a handful of flat int/float arrays instead of thousands
-        of small dicts -- and nested as one pre-encoded blob that
-        :meth:`from_state` defers decoding until the first refresh.  That
-        keeps a warm start independent of the per-source table size without
-        giving up bit-identical refreshes.  The blob's bulk columns (the
-        labels and the cross-border items, see :meth:`_sources_columnar`)
-        are typed arrays the codec writes without boxing an element, so
-        encoding it costs little more than copying the labels.
+        per-source block (only :meth:`refresh` needs it) is written as flat
+        columns (:meth:`_sources_columnar`) and nested as one pre-encoded
+        blob that :meth:`from_state` defers decoding until the first
+        refresh.  That keeps a warm start independent of the block's size
+        without giving up bit-identical refreshes.
         """
         from repro.serialize.codec import encode_value
 
-        if self._source_records is None:
-            # Restored and never refreshed: the records are still encoded;
+        if self._block is None:
+            # Restored and never refreshed: the block is still encoded;
             # re-publish the blob as-is instead of a decode/encode round.
             sources_blob = self._sources_blob
         else:
@@ -364,105 +377,80 @@ class BorderPathPrecomputation:
         }
 
     def _sources_columnar(self) -> Dict[str, Any]:
-        """The per-source records as flat columns (orders preserved).
+        """The block as flat per-source columns, every one a typed array.
 
-        The ``dist``/``pred`` labels are positional (every source carries
-        exactly ``num_nodes`` entries), so they concatenate without offset
-        columns.  The three columns holding nearly all of the bytes are
-        typed arrays: ``dist_values`` (``array("d")``) and ``pred_values``
-        (``array("q")``) append the records' label arrays buffer to buffer,
-        and ``cross_items`` (``array("q")``) takes each sorted cross-border
-        set.  The codec writes each as its raw buffer, without boxing an
-        element, in exactly the bytes of the equal list (which is also what
-        they decode to).  The remaining, short per-record containers are
-        concatenated lists with offsets.  Dict insertion orders (encounter
-        order for ``min_to``/``max_to``/``traversed``) survive the
-        concatenation; sets are stored sorted.
+        The wire layout is one record per row: the ``dist``/``pred`` labels
+        are positional (every row carries ``num_nodes`` entries), the
+        cross-border node ids (ascending) and the per-target-region entries
+        (ascending region, ``reach`` rows only) are concatenated with offset
+        columns, and each traversed set is its ascending region list.  The
+        codec writes an ``array("q")``/``array("d")`` as exactly the bytes
+        of the equal list, so this is the record-by-record encoding without
+        boxing an element.
         """
-        sources = self._sources
-        dist_values = array("d")
-        pred_values = array("q")
-        cross_items = array("q")
-        columns: Dict[str, Any] = {
-            "num_nodes": len(sources[0].dist) if sources else 0,
-            "node": [],
-            "region": [],
-            "finite_pairs": [],
-            "dist_values": dist_values,
-            "pred_values": pred_values,
-            "cross_offsets": [0],
-            "cross_items": cross_items,
-            "min_offsets": [0],
-            "min_keys": [],
-            "min_values": [],
-            "max_offsets": [0],
-            "max_keys": [],
-            "max_values": [],
-            "trav_offsets": [0],
-            "trav_keys": [],
-            "trav_set_offsets": [0],
-            "trav_set_items": [],
+        block = self.block
+        ids = self._roster().ids
+        sources, nodes = block.dist.shape
+        cross_cols = np.flatnonzero(block.cross) % nodes
+        reach_rows, targets = np.nonzero(block.reach)
+        bits = _region_bits(block.traversed[reach_rows, targets], self.num_regions)
+        _pairs, trav_items = np.nonzero(bits)
+        key_offsets = _offsets(block.reach.sum(axis=1))
+        keys = _typed(targets, "q")
+        return {
+            "num_nodes": nodes if sources else 0,
+            "node": _typed([node for node, _ in self._all_border], "q"),
+            "region": _typed([region for _, region in self._all_border], "q"),
+            "finite_pairs": _typed(block.finite_pairs, "q"),
+            "dist_values": _typed(block.dist, "d"),
+            "pred_values": _typed(block.pred, "q"),
+            "cross_offsets": _offsets(block.cross.sum(axis=1)),
+            "cross_items": _typed(ids[cross_cols], "q"),
+            "min_offsets": key_offsets,
+            "min_keys": keys,
+            "min_values": _typed(block.min_to[reach_rows, targets], "d"),
+            "max_offsets": key_offsets,
+            "max_keys": keys,
+            "max_values": _typed(block.max_to[reach_rows, targets], "d"),
+            "trav_offsets": key_offsets,
+            "trav_keys": keys,
+            "trav_set_offsets": _offsets(bits.sum(axis=1)),
+            "trav_set_items": _typed(trav_items, "q"),
         }
-        for record in sources:
-            columns["node"].append(record.node)
-            columns["region"].append(record.region)
-            columns["finite_pairs"].append(record.finite_pairs)
-            dist_values += record.dist
-            pred_values += record.pred
-            cross_items.extend(sorted(record.cross_nodes))
-            columns["cross_offsets"].append(len(cross_items))
-            columns["min_keys"].extend(record.min_to.keys())
-            columns["min_values"].extend(record.min_to.values())
-            columns["min_offsets"].append(len(columns["min_keys"]))
-            columns["max_keys"].extend(record.max_to.keys())
-            columns["max_values"].extend(record.max_to.values())
-            columns["max_offsets"].append(len(columns["max_keys"]))
-            for region, regions in record.traversed.items():
-                columns["trav_keys"].append(region)
-                columns["trav_set_items"].extend(sorted(regions))
-                columns["trav_set_offsets"].append(len(columns["trav_set_items"]))
-            columns["trav_offsets"].append(len(columns["trav_keys"]))
-        return columns
 
-    @staticmethod
-    def _sources_from_columnar(columns: Dict[str, Any]) -> List[_BorderSource]:
+    def _sources_from_columnar(self, columns: Dict[str, Any]) -> _Block:
         """Inverse of :meth:`_sources_columnar`."""
-        records: List[_BorderSource] = []
-        num_nodes = columns["num_nodes"]
-        dist_values = columns["dist_values"]
-        pred_values = columns["pred_values"]
-        for index, (node, region, finite) in enumerate(
-            zip(columns["node"], columns["region"], columns["finite_pairs"])
-        ):
-            c0, c1 = columns["cross_offsets"][index : index + 2]
-            m0, m1 = columns["min_offsets"][index : index + 2]
-            x0, x1 = columns["max_offsets"][index : index + 2]
-            t0, t1 = columns["trav_offsets"][index : index + 2]
-            traversed: Dict[int, Set[int]] = {}
-            for position in range(t0, t1):
-                s0, s1 = columns["trav_set_offsets"][position : position + 2]
-                traversed[columns["trav_keys"][position]] = set(
-                    columns["trav_set_items"][s0:s1]
-                )
-            base = index * num_nodes
-            records.append(
-                _BorderSource(
-                    node=node,
-                    region=region,
-                    dist=array("d", dist_values[base : base + num_nodes]),
-                    pred=array("q", pred_values[base : base + num_nodes]),
-                    cross_nodes=set(columns["cross_items"][c0:c1]),
-                    finite_pairs=finite,
-                    min_to=dict(
-                        zip(columns["min_keys"][m0:m1], columns["min_values"][m0:m1])
-                    ),
-                    max_to=dict(
-                        zip(columns["max_keys"][x0:x1], columns["max_values"][x0:x1])
-                    ),
-                    traversed=traversed,
-                )
-            )
-        return records
+        ids = self._roster().ids
+        sources = len(columns["node"])
+        block = _Block.empty(sources, len(ids), self.num_regions)
+        if not sources:
+            return block
+        block.dist[:] = np.asarray(columns["dist_values"]).reshape(sources, -1)
+        block.pred[:] = np.asarray(columns["pred_values"]).reshape(sources, -1)
+        block.finite_pairs[:] = columns["finite_pairs"]
+
+        def rows(offsets) -> np.ndarray:
+            """The owner of each item of an offsets-delimited column."""
+            return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+        def keys(name: str) -> np.ndarray:
+            return np.asarray(columns[name], dtype=np.int64)
+
+        block.cross[
+            rows(columns["cross_offsets"]), np.searchsorted(ids, columns["cross_items"])
+        ] = True
+        at = (rows(columns["min_offsets"]), keys("min_keys"))
+        block.min_to[at] = columns["min_values"]
+        block.reach[at] = True
+        block.max_to[rows(columns["max_offsets"]), keys("max_keys")] = columns["max_values"]
+        pair = rows(columns["trav_set_offsets"])
+        items = keys("trav_set_items")
+        np.bitwise_or.at(
+            block.traversed,
+            (rows(columns["trav_offsets"])[pair], keys("trav_keys")[pair], items // 64),
+            np.left_shift(np.uint64(1), (items % 64).astype(np.uint64)),
+        )
+        return block
 
     @classmethod
     def from_state(
@@ -472,7 +460,7 @@ class BorderPathPrecomputation:
 
         The published aggregates install directly; the per-source blob stays
         encoded until the first :meth:`refresh`/:meth:`affected_sources`
-        call touches :attr:`_sources` (serving queries never does).
+        call touches :attr:`block` (serving queries never does).
         """
         self = object.__new__(cls)
         self.network = network
@@ -481,7 +469,6 @@ class BorderPathPrecomputation:
         self.num_regions = n
         roster = state["all_border"]
         self._all_border = list(zip(roster["nodes"], roster["regions"]))
-        self._border_set = set(roster["nodes"])
         aggregates = state["aggregates"]
         flat_min = aggregates["min_distance"]
         flat_max = aggregates["max_distance"]
@@ -498,47 +485,43 @@ class BorderPathPrecomputation:
             )
         }
         self.num_border_pairs = aggregates["num_border_pairs"]
-        self._source_records = None
+        self._block = None
         self._sources_blob = state["sources_blob"]
-        self._dist_matrix = None
+        self._roster_arrays = None
         self.precomputation_seconds = state["seconds"]
         return self
 
     def shadow(self) -> "BorderPathPrecomputation":
-        """A structurally shared copy safe to :meth:`refresh` independently.
+        """A copy safe to :meth:`refresh` independently.
 
-        Records are immutable once built and a refresh replaces -- never
-        mutates -- the affected ones, so the shadow shares every record with
-        its parent through a shallow list copy; ``_aggregate`` likewise
-        assigns fresh aggregate containers instead of mutating the shared
-        ones.  This is what makes the engine's double-buffered
-        ``refresh_async`` cheap: the serving instance keeps answering from
-        its pre-delta state while the shadow repairs.
+        The shadow owns a copy of the block (a refresh writes rows in
+        place) and shares everything immutable: the roster arrays, a
+        still-encoded blob, and the aggregates, which ``_aggregate``
+        replaces rather than mutates.  This is what makes the engine's
+        double-buffered ``refresh_async`` cheap: the serving instance keeps
+        answering from its pre-delta state while the shadow repairs.
         """
         clone = object.__new__(BorderPathPrecomputation)
         clone.__dict__.update(self.__dict__)
-        if self._source_records is not None:
-            clone._source_records = list(self._source_records)
-        clone._dist_matrix = None
+        if self._block is not None:
+            clone._block = self._block.copy()
         return clone
 
     @property
-    def _sources(self) -> List[_BorderSource]:
-        """The per-source records, decoding the deferred blob on first use."""
-        if self._source_records is None:
+    def block(self) -> _Block:
+        """The per-source block, decoding the deferred blob on first use."""
+        if self._block is None:
             from repro.serialize.codec import decode_value
 
-            self._source_records = self._sources_from_columnar(
-                decode_value(self._sources_blob)
-            )
+            self._block = self._sources_from_columnar(decode_value(self._sources_blob))
             self._sources_blob = None
-        return self._source_records
+        return self._block
 
     # ------------------------------------------------------------------
     # Incremental refresh
     # ------------------------------------------------------------------
     def affected_sources(self, changes: Sequence[WeightChange]) -> List[int]:
-        """Indexes of border sources whose results a change batch can touch.
+        """Rows of the border sources whose results a change batch can touch.
 
         For a source with cached distances ``d``, a weight change on edge
         ``(u, v)`` is relevant iff ``d(u) + min(old, new) <= d(v)`` (with
@@ -557,19 +540,18 @@ class BorderPathPrecomputation:
         feasible potential and the old shortest path tree contains no changed
         edge, so Dijkstra's relaxations (and tie-breaks) replay unchanged.
 
-        The test runs vectorized over the cached label matrix, one
+        The test runs vectorized over the block's label matrix, one
         ``sources``-length column test per change (the per-source Python
         scan it replaces is the test oracle ``tests/oracles/border_paths.py``).
         """
         relevant = [change for change in changes if not change.is_noop]
         if not relevant:
             return []
-        sources = self._sources
-        if not sources:
+        matrix = self.block.dist
+        if not len(matrix):
             return []
         index_of = self.network.ensure_csr().index_of
-        matrix = self._ensure_dist_matrix()
-        hit = np.zeros(len(sources), dtype=bool)
+        hit = np.zeros(len(matrix), dtype=bool)
         for change in relevant:
             u = index_of.get(change.source)
             v = index_of.get(change.target)
@@ -582,40 +564,36 @@ class BorderPathPrecomputation:
             hit |= np.isfinite(du) & (du + weight <= matrix[:, v])
         return np.flatnonzero(hit).tolist()
 
-    def _ensure_dist_matrix(self):
-        """The cached ``sources x nodes`` float64 label matrix."""
-        sources = self._sources
-        num_nodes = len(sources[0].dist) if sources else 0
-        matrix = self._dist_matrix
-        if matrix is None or matrix.shape != (len(sources), num_nodes):
-            matrix = np.empty((len(sources), num_nodes), dtype=np.float64)
-            for row, record in enumerate(sources):
-                matrix[row] = np.frombuffer(record.dist)
-            self._dist_matrix = matrix
-        return matrix
-
     def refresh(self, changes: Sequence[WeightChange]) -> int:
         """Repair the affected border sources after a weight-change batch.
 
         Only valid for weight changes (the caller handles structural changes
-        with a full rebuild: they can move borders).  Each affected source is
-        repaired in place of its record -- never from scratch -- unless the
+        with a full rebuild: they can move borders).  Each affected row's
+        labels are repaired in place -- never from scratch -- unless the
         snapshot carries non-positive weights, where the settle-order
         arguments behind the repair's tie-breaking do not hold and the
-        per-source Dijkstra re-run remains the fallback.  Returns the number
-        of affected sources; the published aggregates afterwards equal a
-        from-scratch :class:`BorderPathPrecomputation` over the mutated
-        network, bit for bit.
+        affected rows are swept again in one batched kernel call instead.
+        Either way the rows whose border targets moved re-fold together.
+        Returns the number of affected sources; the published aggregates
+        afterwards equal a from-scratch :class:`BorderPathPrecomputation`
+        over the mutated network, bit for bit.
         """
         relevant = [change for change in changes if not change.is_noop]
         affected = self.affected_sources(relevant)
         if not affected:
             return 0
+        block = self.block
         csr = self.network.ensure_csr()
-        ctx = self._derive_context(csr)
-        index_of = csr.index_of
-        repair_changes: Optional[List[Tuple[int, int, float, float]]] = None
-        if not csr.has_nonpositive_weight:
+        if csr.has_nonpositive_weight:
+            sweeps = kernel.arena_for(csr).many_to_many(
+                [self._all_border[row][0] for row in affected], need_predecessors=True
+            )
+            for row, sweep in zip(affected, sweeps):
+                block.dist[row] = sweep.dist if sweep.dist_np is None else sweep.dist_np
+                block.pred[row] = sweep.pred
+            refold = affected
+        else:
+            index_of = csr.index_of
             repair_changes = [
                 (
                     index_of[change.source],
@@ -626,37 +604,28 @@ class BorderPathPrecomputation:
                 for change in relevant
                 if change.source in index_of and change.target in index_of
             ]
-        replaced = 0
-        derived_changed = False
-        for index in affected:
-            record = self._sources[index]
-            if repair_changes is None:
-                new_record = self._compute_source(record.node, record.region, ctx)
-            else:
-                new_record = self._repair_source(record, repair_changes, csr, ctx)
-            if new_record is record:
-                continue  # affected but provably unmoved: keep the record
-            self._sources[index] = new_record
-            replaced += 1
-            if new_record.min_to is not record.min_to:
-                derived_changed = True
-            if self._dist_matrix is not None:
-                self._dist_matrix[index] = np.frombuffer(new_record.dist)
-        if derived_changed:
-            # Repairs that only moved interior labels share the old record's
-            # derived fields by reference; the fold inputs are then unchanged
-            # and the published aggregates already equal a scratch build's.
+            border_indexes = set(self._roster().index.tolist())
+            refold = [
+                row
+                for row in affected
+                if self._repair_row(row, repair_changes, csr, border_indexes)
+            ]
+        if refold:
+            # Rows whose repair moved no border target keep their derived
+            # columns: the fold inputs are unchanged, and so are the
+            # published aggregates.
+            self._fold(np.array(refold, dtype=np.int64))
             self._aggregate()
         return len(affected)
 
-    def _repair_source(
+    def _repair_row(
         self,
-        record: _BorderSource,
+        row: int,
         changes: List[Tuple[int, int, float, float]],
         csr,
-        ctx: Tuple,
-    ) -> _BorderSource:
-        """Batch dynamic SSSP repair of one source's labels (Ramalingam-Reps).
+        border_indexes: Set[int],
+    ) -> bool:
+        """Batch dynamic SSSP repair of one row's labels (Ramalingam-Reps).
 
         Phase A invalidates the subtree hanging off every *tree* edge whose
         weight increased (its nodes are the only ones whose distance can
@@ -673,15 +642,15 @@ class BorderPathPrecomputation:
         float expression a scratch Dijkstra evaluates, and under strictly
         positive weights the converged labels are the unique fixed point of
         those expressions, so the repaired labels (and the tie-broken tree)
-        equal a scratch sweep's exactly.  If neither a distance nor a
-        predecessor moved, the original record is returned unchanged.
+        equal a scratch sweep's exactly.  Writes moved labels back into the
+        block and returns whether the row's derived columns must re-fold.
         """
         fwd_adj = csr.fwd_adj
         rev_adj = csr.rev_adj
-        _, index_of, _, _, border_indexes = ctx
-        source_index = index_of[record.node]
-        dist = array("d", record.dist)
-        pred = array("q", record.pred)
+        block = self.block
+        source_index = csr.index_of[self._all_border[row][0]]
+        dist = array("d", block.dist[row].tobytes())
+        pred = array("q", block.pred[row].tobytes())
 
         # Phase A: collect the subtrees hanging off broken tree edges.  The
         # supporting-weight test uses the *pre-batch* weight (the delta's
@@ -786,46 +755,30 @@ class BorderPathPrecomputation:
                 pred_flipped.append(x)
 
         if not moved and not pred_flipped:
-            # Neither a label nor the tie-broken tree moved: the record's
-            # derived contributions are identical by construction.
-            return record
+            # Neither a label nor the tie-broken tree moved.
+            return False
+        block.dist[row] = np.frombuffer(dist)
+        block.pred[row] = np.frombuffer(pred, dtype=np.int64)
 
         # Derive-skip: a border target's distance can only move if the
         # border is itself in ``moved``, and its predecessor chain can only
         # change if the chain passes a flipped attachment -- which makes the
         # border a new-tree descendant of a changed node.  So when the
         # closure of changed nodes under new-tree children reaches no border
-        # target, every published contribution of this record (cross-border
-        # nodes, traversed masks, min/max folds, finite-pair count) is
-        # bit-identical, and only the raw labels need replacing.
+        # target, every derived column of this row (cross-border nodes,
+        # traversed masks, min/max, finite-pair count) is bit-identical.
         closure: Set[int] = set(moved)
         closure.update(pred_flipped)
         stack = list(closure)
-        touches_border = False
         while stack:
             x = stack.pop()
             if x in border_indexes:
-                touches_border = True
-                break
+                return True
             for child, _w in fwd_adj[x]:
                 if pred[child] == x and child not in closure:
                     closure.add(child)
                     stack.append(child)
-        if not touches_border:
-            return _BorderSource(
-                node=record.node,
-                region=record.region,
-                dist=dist,
-                pred=pred,
-                cross_nodes=record.cross_nodes,
-                finite_pairs=record.finite_pairs,
-                min_to=record.min_to,
-                max_to=record.max_to,
-                traversed=record.traversed,
-            )
-        return self._record_from_labels(
-            dist, pred, record.node, record.region, ctx
-        )
+        return False
 
     # ------------------------------------------------------------------
     # Derived views

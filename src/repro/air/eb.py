@@ -185,9 +185,9 @@ class EllipticBoundaryScheme(AirIndexScheme):
     def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["EllipticBoundaryScheme"]:
         """Refresh into a structurally shared shadow instead of in place.
 
-        Same sharing strategy as NR's override: the clone shares the kd
-        partitioning and all untouched border-source records with the
-        serving instance via :meth:`BorderPathPrecomputation.shadow`, so the
+        Same strategy as NR's override: the clone shares the kd
+        partitioning with the serving instance and repairs its own copy of
+        the border-path block (:meth:`BorderPathPrecomputation.shadow`), so the
         serving instance's index array ``A`` and region splits stay frozen
         at their pre-delta values until the engine swaps the shadow in.
         """

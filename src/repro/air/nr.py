@@ -241,10 +241,10 @@ class NextRegionScheme(AirIndexScheme):
     def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["NextRegionScheme"]:
         """Refresh into a structurally shared shadow instead of in place.
 
-        The clone shares the partitioning and every untouched border-source
-        record with the serving instance (both immutable by contract) through
-        :meth:`BorderPathPrecomputation.shadow`, so the only per-swap cost on
-        top of the in-place path is one shallow list copy.  The serving
+        The clone shares the partitioning with the serving instance
+        (immutable by contract) and repairs its own copy of the border-path
+        block (:meth:`BorderPathPrecomputation.shadow`), so the only per-swap
+        cost on top of the in-place path is one array copy.  The serving
         instance keeps answering from its pre-delta aggregates until the
         engine swaps the shadow in.
         """

@@ -23,6 +23,7 @@ clock).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 import time
@@ -39,7 +40,7 @@ from repro.fleet.devices import DeviceSpec
 from repro.fleet.results import FleetRun
 from repro.fleet.simulator import simulate_fleet as _simulate_fleet
 from repro.network.graph import RoadNetwork
-from repro.serialize.artifacts import ArtifactError
+from repro.serialize.artifacts import ArtifactError, BuildArtifact
 from repro.store import ArtifactStore
 
 __all__ = [
@@ -279,6 +280,10 @@ class AirSystem:
         #: Serializes cache-dict mutations between the serving thread and a
         #: ``refresh_async()`` worker's atomic swap.
         self._swap_lock = threading.Lock()
+        #: Artifacts shared by the consumers inside :meth:`publication`:
+        #: cache key -> ``(scheme, artifact)``.
+        self._artifacts: Dict[Tuple, Tuple[AirIndexScheme, BuildArtifact]] = {}
+        self._publications = 0
         # The network's own delta tracking is the source of truth for
         # refresh(); constructors (generators, datasets, copy()) hand over
         # networks with a clean baseline, and the system deliberately never
@@ -396,7 +401,7 @@ class AirSystem:
         if scheme is None:
             scheme = registry.create(name, self.network, **resolved)
             scheme.cycle  # build (and thereby cache) the broadcast cycle now
-            self._publish_to_store(scheme)
+            self._publish_to_store(scheme, key)
         else:
             self._disk_restores += 1
         with self._swap_lock:
@@ -432,7 +437,7 @@ class AirSystem:
         except (ArtifactError, KeyError, IndexError, TypeError, ValueError, AttributeError):
             return None
 
-    def _publish_to_store(self, scheme: AirIndexScheme) -> bool:
+    def _publish_to_store(self, scheme: AirIndexScheme, key: Tuple) -> bool:
         """Best-effort artifact publication; never breaks the serving path.
 
         A full disk or a read-only store directory must not fail a
@@ -442,10 +447,63 @@ class AirSystem:
         if self.store is None:
             return False
         try:
-            self.store.put(scheme.artifact())
+            self.store.put(self._artifact_of(key, scheme))
         except OSError:
             return False
         return True
+
+    def artifact(self, name: str, **params: Any) -> BuildArtifact:
+        """The scheme's :class:`~repro.serialize.BuildArtifact`.
+
+        Inside :meth:`publication` each cache entry's artifact is encoded
+        once and handed to every consumer -- the store write of its build
+        or refresh, and the caller here; outside one, every call encodes
+        afresh.
+        """
+        name = registry.canonical_name(name)
+        scheme = self.scheme(name, **params)
+        return self._artifact_of(
+            self._cache_key(name, self._resolve_params(name, params)), scheme
+        )
+
+    @contextlib.contextmanager
+    def publication(self):
+        """Share one encoded artifact per scheme across everything inside.
+
+        A publication -- a build or refresh whose artifacts go to the store
+        and then to a serving segment -- encodes each scheme once.  The
+        artifacts are released when the outermost publication ends, so a
+        long-lived system does not hold an encoded copy of every scheme, and
+        a refresh drops those of the fingerprints it supersedes, so an
+        artifact is never one encoded before the refresh.
+        """
+        with self._swap_lock:
+            self._publications += 1
+        try:
+            yield self
+        finally:
+            with self._swap_lock:
+                self._publications -= 1
+                if not self._publications:
+                    self._artifacts.clear()
+
+    def _artifact_of(self, key: Tuple, scheme: AirIndexScheme) -> BuildArtifact:
+        """``scheme``'s artifact: the shared one when ``key`` holds it."""
+        with self._swap_lock:
+            cached = self._artifacts.get(key)
+        if cached is not None and cached[0] is scheme:
+            return cached[1]
+        artifact = scheme.artifact()
+        with self._swap_lock:
+            if self._publications:
+                self._artifacts[key] = (scheme, artifact)
+        return artifact
+
+    def _drop_artifacts(self, current: str) -> None:
+        """Forget every artifact encoded for a fingerprint other than
+        ``current`` (callers hold ``_swap_lock``)."""
+        for key in [key for key in self._artifacts if key[2] != current]:
+            del self._artifacts[key]
 
     def warm_start(self, names: Optional[Sequence[str]] = None) -> WarmStartReport:
         """Populate the memory cache from the disk tier without building.
@@ -509,6 +567,7 @@ class AirSystem:
         """Drop every cached scheme, cycle and channel."""
         self._schemes.clear()
         self._channels.clear()
+        self._artifacts.clear()
         self._hits = 0
         self._misses = 0
         self._disk_restores = 0
@@ -626,6 +685,8 @@ class AirSystem:
         # changes means the tracking was cleared externally -- fall back to
         # full rebuilds rather than re-keying stale state as fresh.
         trust_delta = not delta.structural and bool(delta.changes)
+        with self._swap_lock:
+            self._drop_artifacts(current)
         for key in [key for key in self._schemes if key[2] == parent and parent != current]:
             name, params_items, _ = key
             scheme = self._schemes.pop(key)
@@ -647,7 +708,7 @@ class AirSystem:
             # The refreshed state belongs to the new fingerprint; the old
             # fingerprint's stored artifact is now superseded (see
             # prune_cache) and must never be served for this network.
-            if self._publish_to_store(scheme):
+            if self._publish_to_store(scheme, new_key):
                 artifacts_stored += 1
         for key in [key for key in self._channels if key[2] != current]:
             del self._channels[key]
@@ -777,6 +838,7 @@ class AirSystem:
                         self._full_rebuilds += 1
                 for key in [key for key in self._channels if key[2] != current]:
                     del self._channels[key]
+                self._drop_artifacts(current)
                 if current != parent:
                     self._lineage[current] = parent
                 self._clean_fingerprint = current
@@ -787,7 +849,7 @@ class AirSystem:
             artifacts_stored = 0
             for _, new_key, replacement, _ in replacements:
                 if self._schemes.get(new_key) is replacement:
-                    if self._publish_to_store(replacement):
+                    if self._publish_to_store(replacement, new_key):
                         artifacts_stored += 1
 
             return RefreshReport(

@@ -250,11 +250,15 @@ class AirServer:
         return self.address
 
     def _publish_segment(self) -> SharedArtifactSegment:
-        """Build every configured scheme and publish one segment."""
+        """Build every configured scheme and publish one segment.
+
+        Inside the engine's publication, a scheme whose build or refresh
+        already wrote its artifact to the store hands the segment that same
+        artifact instead of encoding it again.
+        """
         assert self.system is not None
-        artifacts = {
-            name: self.system.scheme(name).artifact() for name in self.config.methods
-        }
+        with self.system.publication():
+            artifacts = {name: self.system.artifact(name) for name in self.config.methods}
         self.generation += 1
         return SharedArtifactSegment.publish(self.system.network, artifacts)
 
@@ -539,9 +543,10 @@ class AirServer:
             loop = asyncio.get_running_loop()
 
             def _rebuild():
-                self.system.network.apply_updates(updates)
-                report = self.system.refresh_async().wait()
-                return report, self._publish_segment()
+                with self.system.publication():
+                    self.system.network.apply_updates(updates)
+                    report = self.system.refresh_async().wait()
+                    return report, self._publish_segment()
 
             try:
                 report, new_segment = await loop.run_in_executor(None, _rebuild)

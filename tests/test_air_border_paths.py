@@ -141,8 +141,8 @@ def random_change_batch(precomputation, rng: random.Random, size: int = 4):
         elif kind == "tie":
             # Lower the edge onto some source's d(v) - d(u): a decrease that
             # exactly ties the current label of v.
-            record = rng.choice(precomputation._sources)
-            gap = record.dist[index_of[v]] - record.dist[index_of[u]]
+            dist = rng.choice(precomputation.block.dist.tolist())
+            gap = dist[index_of[v]] - dist[index_of[u]]
             if 0 < gap < old:
                 new = gap
         batch.append(WeightChange(u, v, old, float(new)))
@@ -157,7 +157,7 @@ def test_affected_sources_equals_oracle_scan(seed):
     partitioning = build_kdtree_partitioning(network, 4)
     precomputation = BorderPathPrecomputation(network, partitioning)
     rng = random.Random(seed + 40)
-    sources = len(precomputation._sources)
+    sources = len(precomputation.block.dist)
     partial_hits = 0
     for _ in range(12):
         batch = random_change_batch(precomputation, rng)

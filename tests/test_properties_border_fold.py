@@ -1,0 +1,187 @@
+"""The border-path block's batched fold against the record-at-a-time oracle.
+
+``BorderPathPrecomputation._fold`` derives every row's cross-border nodes,
+finite-pair count, per-region min/max and traversed-region masks by pointer
+doubling over whole blocks of sources; ``_aggregate`` reduces the rows by
+source region.  Here both are checked against
+``tests/oracles/border_paths.py``, which folds the same ``dist``/``pred``
+labels one source and one predecessor chain at a time, over hypothesis-drawn
+integer-weight networks with exact ties, zero-weight edges, unreachable
+nodes and region counts on both sides of the 64-bit mask word boundary.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import border_paths as oracle
+from repro import air
+from repro.air.border_paths import BorderPathPrecomputation
+from repro.network.generators import GeneratorConfig, generate_road_network
+from repro.network.graph import RoadNetwork
+from repro.partitioning.base import Partitioning
+from repro.serialize.codec import decode_value
+
+#: Every per-source column of the block.
+BLOCK_COLUMNS = (
+    "dist", "pred", "cross", "finite_pairs", "min_to", "max_to", "reach", "traversed"
+)
+
+
+class _Assigned:
+    """A locator placing node ``i`` (drawn at ``x = i``) in ``regions[i]``."""
+
+    def __init__(self, num_regions: int, regions) -> None:
+        self._num_regions = num_regions
+        self._regions = regions
+
+    @property
+    def num_regions(self) -> int:
+        return self._num_regions
+
+    def locate(self, x: float, y: float) -> int:
+        return self._regions[int(x)]
+
+
+def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
+    """Random directed network with integer weights in ``[0, 4]`` -- exact
+    ties everywhere, zero-weight edges at ``zero_share`` -- plus a node with
+    out-edges only and an isolated node, neither reached by anyone."""
+    rng = random.Random(seed)
+
+    def weight() -> float:
+        return 0.0 if rng.random() < zero_share else float(rng.randint(1, 4))
+
+    network = RoadNetwork(name=f"ties-{seed}")
+    for node in range(num_nodes):
+        network.add_node(node, float(node), 0.0)
+    inner = num_nodes - 2
+    edges = {}
+    for node in range(1, inner):
+        edges[(node - 1, node)] = weight()
+        edges[(node, node - 1)] = weight()
+    for _ in range(inner):
+        a, b = rng.randrange(inner), rng.randrange(inner)
+        if a != b:
+            edges[(a, b)] = weight()
+    edges[(inner, 0)] = weight()  # ``inner`` has out-edges only
+    for (a, b), w in edges.items():
+        network.add_edge(a, b, w)
+    network.clear_delta()
+    return network
+
+
+def tie_partitioning(network: RoadNetwork, num_regions: int, seed: int) -> Partitioning:
+    """Random regions, with the highest region and (past one word) region
+    63 always populated, so masks use the top bit of each word."""
+    rng = random.Random(seed)
+    regions = [rng.randrange(num_regions) for _ in range(network.num_nodes)]
+    regions[0] = num_regions - 1
+    if num_regions > 64:
+        regions[1] = 63
+    return Partitioning(network, _Assigned(num_regions, regions))
+
+
+def assert_matches_oracle(precomputation: BorderPathPrecomputation) -> None:
+    """Blob columns and aggregates equal the record-at-a-time fold's."""
+    assert decode_value(precomputation.state()["sources_blob"]) == (
+        oracle.sources_columnar(precomputation)
+    )
+    want = oracle.aggregates_from_records(
+        oracle.records(precomputation), precomputation.num_regions
+    )
+    assert precomputation.min_distance == want["min_distance"]
+    assert precomputation.max_distance == want["max_distance"]
+    assert precomputation.cross_border_nodes == want["cross_border_nodes"]
+    assert precomputation.num_border_pairs == want["num_border_pairs"]
+    # Insertion order too: the aggregates' wire layout follows it.
+    assert list(precomputation.traversed_regions.items()) == list(
+        want["traversed_regions"].items()
+    )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 10_000),
+    num_regions=st.sampled_from([4, 64, 65, 128]),
+    num_nodes=st.integers(8, 72),
+    zero_share=st.sampled_from([0.0, 0.15, 0.5]),
+)
+def test_fold_equals_the_record_oracle(seed, num_regions, num_nodes, zero_share):
+    network = tie_network(seed, num_nodes, zero_share)
+    partitioning = tie_partitioning(network, num_regions, seed)
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    assert_matches_oracle(precomputation)
+
+    # Re-folding any subset of rows (across fold-block boundaries) from
+    # scrambled derived columns lands on the same block.  Target regions
+    # without border nodes are never reached, so only the others fold.
+    block = precomputation.block
+    expected = {column: getattr(block, column).copy() for column in BLOCK_COLUMNS}
+    rows = np.flatnonzero(np.random.default_rng(seed).random(len(block.dist)) < 0.6)
+    at = (rows[:, None], precomputation._roster().regions)
+    block.cross[rows] = True
+    block.finite_pairs[rows] = -1
+    block.min_to[at] = 0.0
+    block.max_to[at] = 0.0
+    block.reach[at] = True
+    block.traversed[at] = np.uint64(0xFFFF)
+    precomputation._fold(rows)
+    for column in BLOCK_COLUMNS:
+        assert np.array_equal(getattr(block, column), expected[column]), column
+
+
+def test_nr_build_at_128_regions_matches_oracle_aggregates():
+    network = generate_road_network(
+        GeneratorConfig(num_nodes=300, num_edges=700, seed=5), name="regions-128"
+    )
+    network.clear_delta()
+    scheme = air.create("NR", network, num_regions=128)
+    precomputation = scheme.precomputation
+    want = oracle.aggregates(network, scheme.partitioning)
+    assert precomputation.min_distance == want["min_distance"]
+    assert precomputation.max_distance == want["max_distance"]
+    assert precomputation.cross_border_nodes == want["cross_border_nodes"]
+    assert precomputation.traversed_regions == want["traversed_regions"]
+    assert precomputation.num_border_pairs == want["num_border_pairs"]
+    assert any(max(regions) >= 64 for regions in want["traversed_regions"].values())
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_zero_weight_refresh_equals_scratch_build(seed):
+    """A snapshot with a zero-weight edge refreshes by re-sweeping the
+    affected rows in one batched kernel call; the result equals a scratch
+    build column for column."""
+    network = tie_network(seed, 40, zero_share=0.15)
+    assert network.ensure_csr().has_nonpositive_weight
+    partitioning = tie_partitioning(network, 8, seed)
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    rng = random.Random(seed)
+    edges = sorted((e.source, e.target) for e in network.edges() if e.weight > 0)
+    touched = 0
+    for _ in range(4):
+        changes = network.apply_updates(
+            [(u, v, float(rng.randint(1, 6))) for u, v in rng.sample(edges, 3)]
+        )
+        touched += precomputation.refresh(changes)
+        network.clear_delta()
+        scratch = BorderPathPrecomputation(network, partitioning)
+        for column in BLOCK_COLUMNS:
+            assert np.array_equal(
+                getattr(precomputation.block, column), getattr(scratch.block, column)
+            ), column
+        assert precomputation.state()["sources_blob"] == scratch.state()["sources_blob"]
+        assert precomputation.traversed_regions == scratch.traversed_regions
+        assert precomputation.min_distance == scratch.min_distance
+        assert precomputation.max_distance == scratch.max_distance
+        assert precomputation.cross_border_nodes == scratch.cross_border_nodes
+    assert touched, "no batch reached a border source"

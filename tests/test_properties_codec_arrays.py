@@ -11,7 +11,9 @@ does not move:
   zeros, infinities and arbitrary NaN bit patterns;
 * the NR and EB ``sources_blob`` equals the list-column oracle's
   (``tests/oracles/border_paths.py``) after a build, after a refresh batch
-  and after restore-then-refresh.
+  and after restore-then-refresh;
+* artifacts written by the record-at-a-time writer that the columnar
+  border-path block replaced still restore and refresh bit-identically.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 import struct
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -150,3 +153,28 @@ def test_sources_blob_matches_the_list_oracle(name, seed):
         assert refreshed == oracle.sources_blob(scheme.precomputation)
         assert _blob(restored) == refreshed
         assert oracle.sources_blob(restored.precomputation) == refreshed
+
+
+#: NR/EB artifacts (48-node generated network, 4 regions) encoded by the
+#: record-at-a-time border-path writer, before the columnar block.
+RECORD_WRITER_ARTIFACTS = Path(__file__).parent / "fixtures" / "record_writer_artifacts"
+
+
+@pytest.mark.parametrize("name", ["NR", "EB"])
+def test_record_writer_artifacts_restore_and_refresh(name):
+    network = generate_road_network(
+        GeneratorConfig(num_nodes=48, num_edges=110, seed=21), name="record-writer"
+    )
+    network.clear_delta()
+    data = (RECORD_WRITER_ARTIFACTS / f"{name.lower()}.artifact").read_bytes()
+    restored = AirIndexScheme.from_artifact(network, BuildArtifact.from_bytes(data))
+    scratch = air.create(name, network, num_regions=4)
+    assert bytes(_blob(restored)) == _blob(scratch)
+    for step in range(3):
+        _refresh(restored, network, random.Random(step))
+        scratch = air.create(name, network, num_regions=4)
+        assert _blob(restored) == _blob(scratch)
+        assert restored.cycle.signature() == scratch.cycle.signature()
+        assert restored.precomputation.traversed_regions == (
+            scratch.precomputation.traversed_regions
+        )

@@ -23,6 +23,7 @@ import math
 import random
 from typing import List, Tuple
 
+import numpy as np
 import pytest
 
 from repro import air
@@ -34,6 +35,10 @@ from repro.network.graph import RoadNetwork
 from test_properties_fleet import SMALL_PARAMS, random_network
 
 SEEDS = [3, 17]
+#: Every per-source column of the NR/EB border-path block.
+BLOCK_COLUMNS = (
+    "dist", "pred", "cross", "finite_pairs", "min_to", "max_to", "reach", "traversed"
+)
 #: Schemes whose incremental_rebuild applies real weight deltas in place.
 INCREMENTAL_SCHEMES = {"DJ", "NR", "EB", "HiTi"}
 
@@ -177,8 +182,8 @@ def directed_update_batch(network, rng, kind, cached=None, size=3):
             u, v = index_of[source], index_of[target]
             weight = network.edge_weight(source, target)
             if all(
-                record.dist[u] == INFINITY or record.dist[u] + weight > record.dist[v]
-                for record in cached
+                dist[u] == INFINITY or dist[u] + weight > dist[v]
+                for dist in cached
             ):
                 chosen.append((source, target, weight * rng.uniform(1.05, 2.0)))
                 if len(chosen) == size:
@@ -217,7 +222,7 @@ def test_repair_labels_bit_identical_to_scratch(scheme_name, kind, seed):
     for round_ in range(3):
         precomputation = system.scheme(scheme_name, **params).precomputation
         batch = directed_update_batch(
-            network, rng, kind, cached=precomputation._sources
+            network, rng, kind, cached=precomputation.block.dist.tolist()
         )
         if not batch:
             pytest.skip("no qualifying edges on this network")
@@ -234,16 +239,15 @@ def test_repair_labels_bit_identical_to_scratch(scheme_name, kind, seed):
         refreshed = system.scheme(scheme_name, **params)
         scratch = air.create(scheme_name, network, **params)
         assert refreshed.cycle.signature() == scratch.cycle.signature()
-        for record, scratch_record in zip(
-            refreshed.precomputation._sources, scratch.precomputation._sources
-        ):
-            assert record.node == scratch_record.node
-            assert record.dist == scratch_record.dist
-            assert record.pred == scratch_record.pred
-            assert record.cross_nodes == scratch_record.cross_nodes
-            assert record.min_to == scratch_record.min_to
-            assert record.max_to == scratch_record.max_to
-            assert record.traversed == scratch_record.traversed
+        assert (
+            refreshed.precomputation._all_border == scratch.precomputation._all_border
+        )
+        block = refreshed.precomputation.block
+        scratch_block = scratch.precomputation.block
+        for column in BLOCK_COLUMNS:
+            assert np.array_equal(
+                getattr(block, column), getattr(scratch_block, column)
+            ), column
 
 
 @pytest.mark.parametrize("seed", SEEDS)
