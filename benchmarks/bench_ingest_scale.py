@@ -3,15 +3,16 @@
 Not a table or figure of the paper: this benchmark prices the front door.
 Every continental experiment starts by pulling a DIMACS ``.gr``/``.co``
 pair (or an edge-list CSV) through the streaming importers into a columnar
-on-disk edge table and compiling it straight to CSR -- no dict
-:class:`RoadNetwork` in between.  The benchmark walks a synthetic
+on-disk edge table and compiling it straight to CSR -- no per-node
+objects in between.  The benchmark walks a synthetic
 ring+chords road network up a scaling curve (10k -> 100k nodes by default,
 1M when ``REPRO_INGEST_LARGE_TIER`` is set) and, per tier, measures in a
 fresh subprocess each:
 
 * **import** -- ``.gr`` text to columnar chunks; the rate floors at
   ``REPRO_INGEST_MIN_NODES_PER_SEC`` (default 20k nodes/s) at every tier;
-* **build** -- columnar chunks to a servable :class:`ColumnarNetwork`;
+* **build** -- columnar chunks to a servable, read-only
+  :meth:`RoadNetwork.from_table` network;
 * **peak RSS** -- both phases' ``ru_maxrss`` growth over an
   imports-loaded baseline must stay under
   ``REPRO_INGEST_MAX_RSS_MULTIPLE`` (default 2.0) times the columnar
@@ -19,8 +20,9 @@ fresh subprocess each:
   dominated by fixed allocator slack and are recorded, not asserted).
 
 Before any number is trusted, tiers up to 100k nodes are verified
-bit-identical against the dict reference: the dict-free CSR arrays must
-equal ``from_network(table.to_network())`` element-for-element, and
+bit-identical against the dict reference: the CSR arrays must equal the
+dict oracle's compile (``tests/oracles/dict_network.py``) of the table's
+rows element-for-element, and
 sampled point-to-point queries through the kernel arena must reproduce
 the dict Dijkstra's (``tests/oracles/dijkstra.py``) distances,
 predecessors, and settled counts exactly.
@@ -46,10 +48,11 @@ import time
 
 import pytest
 
+from oracles.dict_network import build_dict_network, compile_csr
 from oracles.dijkstra import dijkstra_search
 from repro.network.algorithms import kernel
-from repro.network.csr import CSRGraph
-from repro.network.ingest import ColumnarNetwork, open_table
+from repro.network.graph import RoadNetwork
+from repro.network.ingest import open_table
 
 from conftest import write_json_report, write_report
 
@@ -174,15 +177,16 @@ print(json.dumps({
 
 _BUILD_PHASE = _RSS_SNIPPET + """
 import json, time
-from repro.network.ingest import ColumnarNetwork, open_table
+from repro.network.graph import RoadNetwork
+from repro.network.ingest import open_table
 
 table = open_table(sys.argv[1])
 rss_base, hwm_base = _rss_probe()
 start = time.perf_counter()
-network = ColumnarNetwork.from_table(table)
+network = RoadNetwork.from_table(table)
 elapsed = time.perf_counter() - start
 _, hwm_end = _rss_probe()
-csr = network.csr_snapshot()
+csr = network.ensure_csr()
 print(json.dumps({
     "elapsed": elapsed,
     "rss_delta_bytes": hwm_end - rss_base,
@@ -217,9 +221,21 @@ def _run_phase(script: str, *args: str) -> dict:
 
 def _verify_against_dict(table, num_pairs: int) -> int:
     """CSR arrays and sampled p2p queries must match the dict path exactly."""
-    csr = ColumnarNetwork.from_table(table).csr_snapshot()
-    reference = table.to_network()
-    ref_csr = CSRGraph.from_network(reference)
+    csr = RoadNetwork.from_table(table).ensure_csr()
+    reference = build_dict_network(
+        (
+            row
+            for ids, xs, ys in table.iter_node_chunks()
+            for row in zip(ids.tolist(), xs.tolist(), ys.tolist())
+        ),
+        (
+            row
+            for src, dst, weights in table.iter_edge_chunks()
+            for row in zip(src.tolist(), dst.tolist(), weights.tolist())
+        ),
+        name=table.name,
+    )
+    ref_csr = compile_csr(reference)
     for field in (
         "ids",
         "fwd_offsets",
@@ -251,7 +267,7 @@ def _verify_against_dict(table, num_pairs: int) -> int:
 
 def _sanity_queries(table, num_pairs: int) -> int:
     """Large-tier fallback: finite, positive distances through the arena."""
-    csr = ColumnarNetwork.from_table(table).csr_snapshot()
+    csr = RoadNetwork.from_table(table).ensure_csr()
     arena = kernel.arena_for(csr)
     rng = random.Random(97)
     ids = csr.ids

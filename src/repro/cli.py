@@ -50,7 +50,7 @@ repro`` works identically)::
 * ``ingest``  -- stream a DIMACS ``.gr``/``.co`` pair or an edge-list CSV
   into a columnar on-disk edge table (O(chunk) memory, ``file:line``
   validation errors); ``--build`` additionally compiles the CSR snapshot
-  straight from the table -- no dict network -- and answers a sanity
+  straight from the table -- no per-node objects -- and answers a sanity
   query over it.
 
 Every command constructs its schemes through an
@@ -1041,17 +1041,17 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
     ]
     if args.build:
         from repro.network.algorithms import kernel
-        from repro.network.ingest import ColumnarNetwork
+        from repro.network.graph import RoadNetwork
 
         started = time.perf_counter()
-        network = ColumnarNetwork.from_table(open_table(args.out))
+        network = RoadNetwork.from_table(open_table(args.out))
         build_seconds = time.perf_counter() - started
-        rows.append(["CSR build seconds (dict-free)", round(build_seconds, 3)])
+        rows.append(["CSR build seconds", round(build_seconds, 3)])
         ids = network.node_ids()
         if ids:
             rng = random.Random(args.seed)
             source, target = rng.choice(ids), rng.choice(ids)
-            arena = kernel.arena_for(network.csr_snapshot())
+            arena = kernel.arena_for(network.ensure_csr())
             distance = arena.point_to_point(source, target).distance_to(target)
             shown = round(distance, 3) if distance != float("inf") else "unreachable"
             rows.append([f"sanity query {source}->{target}", shown])

@@ -131,9 +131,6 @@ class CacheInfo:
     #: In-place CSR weight patches applied by dynamic updates -- each one
     #: avoided a full snapshot recompile.
     snapshot_patches: int = 0
-    #: Whether a fresh snapshot currently backs the array kernel (``False``
-    #: after structural mutations until the next scheme build or search).
-    snapshot_fresh: bool = False
     #: Memory-cache misses of *this system* served by restoring a stored
     #: artifact instead of building from scratch (``warm_start`` loads are
     #: not misses and are not counted here).
@@ -316,17 +313,16 @@ class AirSystem:
     ) -> "AirSystem":
         """Serve an imported columnar edge table (see ``repro ingest``).
 
-        The CSR snapshot is compiled straight from the on-disk chunks and a
-        lazy :class:`~repro.network.ingest.facade.ColumnarNetwork` facade
-        backs the dict API -- the dict ``RoadNetwork`` never materializes,
-        so a continental import serves in the arrays' footprint.  The
-        table's manifest fingerprint doubles as the network fingerprint,
-        which keeps store keys identical to a dict-built network of the
-        same nodes and edges.
+        The CSR snapshot is compiled straight from the on-disk chunks and
+        :meth:`~repro.network.graph.RoadNetwork.from_table` serves the
+        network API off it, so a continental import serves in the arrays'
+        footprint.  The table's manifest fingerprint doubles as the network
+        fingerprint, which keeps store keys identical to a network built
+        edge by edge from the same nodes and edges.
         """
-        from repro.network.ingest import ColumnarNetwork, open_table
+        from repro.network.ingest import open_table
 
-        network = ColumnarNetwork.from_table(open_table(table_dir), name=name)
+        network = RoadNetwork.from_table(open_table(table_dir), name=name)
         return cls(network, config=config, store=store)
 
     # ------------------------------------------------------------------
@@ -552,7 +548,6 @@ class AirSystem:
             full_rebuilds=self._full_rebuilds,
             snapshot_builds=snapshot["builds"],
             snapshot_patches=snapshot["patches"],
-            snapshot_fresh=bool(snapshot["fresh"]),
             disk_restores=self._disk_restores,
             disk_hits=disk.get("hits", 0),
             disk_misses=disk.get("misses", 0),

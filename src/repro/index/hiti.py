@@ -105,7 +105,7 @@ class HiTiIndex:
         keep = set(nodes)
         subgraph = HiTiSubgraph(level=0, regions=(region,))
         subgraph.border_nodes = self.partitioning.border_nodes(region)
-        # The induced adjacency, filtered straight off the network's lists
+        # The induced adjacency, filtered straight off the network's spans
         # (same per-node edge order as materializing a subgraph, without
         # building one).
         neighbors = self.network.adjacency()
@@ -321,9 +321,9 @@ class HiTiIndex:
             for (u, v), w in self.levels[0][region].super_edges.items():
                 add(u, v, w)
         # Crossing (border) edges between regions.
-        for edge in self.network.edges():
-            if region_of(edge.source) != region_of(edge.target):
-                add(edge.source, edge.target, edge.weight)
+        for edge_source, edge_target, weight in self.network.edge_tuples():
+            if region_of(edge_source) != region_of(edge_target):
+                add(edge_source, edge_target, weight)
 
         distances, predecessors, settled = _dijkstra_with_predecessors(
             adjacency, source, target

@@ -9,7 +9,6 @@ from repro.network.algorithms.dijkstra import (
     shortest_path_distance,
 )
 from repro.network.algorithms.astar import astar_search
-from repro.network.algorithms.bidirectional import bidirectional_dijkstra
 from repro.network.algorithms.kernel import (
     KernelArena,
     KernelResult,
@@ -30,7 +29,6 @@ __all__ = [
     "PathResult",
     "arena_for",
     "astar_search",
-    "bidirectional_dijkstra",
     "dijkstra_distances",
     "masked_shortest_path",
     "dijkstra_multi_target",

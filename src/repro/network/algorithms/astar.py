@@ -43,12 +43,18 @@ def astar_search(
     if target not in network:
         raise KeyError(f"unknown target node {target}")
     heuristic = lower_bound if lower_bound is not None else (lambda _v, _t: 0.0)
-    adjacency = network.adjacency()
+    # Walk the snapshot by node index: index order is id order, so the
+    # ``(f, index)`` heap breaks ties exactly as an ``(f, node_id)`` heap.
+    csr = network.ensure_csr()
+    ids = csr.ids
+    adjacency = csr.fwd_adj
+    start = csr.index_of[source]
+    goal = csr.index_of[target]
 
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, Optional[int]] = {source: None}
+    distances: Dict[int, float] = {start: 0.0}
+    predecessors: Dict[int, Optional[int]] = {start: None}
     settled: Set[int] = set()
-    heap = [(heuristic(source, target), source)]
+    heap = [(heuristic(source, target), start)]
     settled_count = 0
 
     while heap:
@@ -57,20 +63,27 @@ def astar_search(
             continue
         settled.add(node)
         settled_count += 1
-        if node == target:
+        if node == goal:
             break
         node_distance = distances[node]
+        node_id = ids[node]
         for neighbor, weight in adjacency[node]:
-            if edge_filter is not None and not edge_filter(node, neighbor):
+            if edge_filter is not None and not edge_filter(node_id, ids[neighbor]):
                 continue
             candidate = node_distance + weight
             if candidate < distances.get(neighbor, INFINITY):
                 distances[neighbor] = candidate
                 predecessors[neighbor] = node
-                heapq.heappush(heap, (candidate + heuristic(neighbor, target), neighbor))
+                heapq.heappush(
+                    heap, (candidate + heuristic(ids[neighbor], target), neighbor)
+                )
 
-    distance = distances.get(target, INFINITY)
-    path = reconstruct_path(predecessors, source, target) if distance != INFINITY else []
+    distance = distances.get(goal, INFINITY)
+    path = (
+        [ids[i] for i in reconstruct_path(predecessors, start, goal)]
+        if distance != INFINITY
+        else []
+    )
     return PathResult(
         source=source,
         target=target,

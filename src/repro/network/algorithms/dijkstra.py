@@ -12,8 +12,8 @@ Three entry points cover the needs of the broadcast schemes:
   shortest paths for EB/NR/HiTi.
 
 Every entry point runs on the network's CSR snapshot
-(:meth:`~repro.network.graph.RoadNetwork.ensure_csr`, compiled on first use
-and cached per fingerprint) through the array kernel
+(:meth:`~repro.network.graph.RoadNetwork.ensure_csr`, the network's one
+stored form) through the array kernel
 (:mod:`repro.network.algorithms.kernel`), whose results are bit-identical to
 the textbook dict Dijkstra -- distances, predecessors, settled counts, and
 even the ``distances`` dict's insertion order.  That dict loop is the test

@@ -369,6 +369,7 @@ class KernelArena:
         # dereference never dangles mid-use.
         self._csr_ref = weakref.ref(csr)
         self.num_nodes = csr.num_nodes
+        self._ids = None  # the snapshot's sorted ids as int64, on first mask
 
     @property
     def csr(self) -> CSRGraph:
@@ -430,10 +431,7 @@ class KernelArena:
             raise KeyError(f"unknown target node {target}")
         mask = None
         if allowed is not None:
-            mask = bytearray(self.num_nodes)
-            index_of = self.csr.index_of
-            for node_id in allowed:
-                mask[index_of[node_id]] = 1
+            mask = self._allowed_mask(allowed)
             if not mask[source_index]:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
@@ -443,6 +441,25 @@ class KernelArena:
         return self._faithful(
             source_index, source, target_index=target_index, mask=mask, reverse=reverse
         )
+
+    def _allowed_mask(self, allowed: Iterable[int]) -> bytearray:
+        """A 0/1 byte per node index, set for the ``allowed`` ids.
+
+        Ids are sorted in index order, so one ``searchsorted`` maps the
+        whole set -- a per-id ``index_of`` lookup costs a Python call each
+        when ``index_of`` is the arithmetic range map.
+        """
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = _np.asarray(self.csr.ids, dtype=_np.int64)
+        wanted = _np.fromiter(allowed, dtype=_np.int64)
+        positions = ids.searchsorted(wanted)
+        found = ids.take(positions, mode="clip")
+        if not _np.array_equal(found, wanted):
+            raise KeyError(int(wanted[found != wanted][0]))
+        mask = _np.zeros(self.num_nodes, dtype=_np.uint8)
+        mask[positions] = 1
+        return bytearray(mask)
 
     def multi_target(
         self, source: int, targets: Iterable[int], reverse: bool = False

@@ -1,33 +1,32 @@
 """Frozen CSR (compressed sparse row) snapshots of a road network.
 
-:class:`CSRGraph` compiles the dict-of-lists adjacency of a
-:class:`~repro.network.graph.RoadNetwork` (or any raw adjacency mapping)
-into contiguous int-indexed arrays: ``array('l')`` offsets/targets and
-``array('d')`` weights, forward *and* reverse, plus id <-> index maps.  The
-array kernel (:mod:`repro.network.algorithms.kernel`) runs its shortest
-path searches over this layout instead of chasing per-node dict entries.
+:class:`CSRGraph` is the one stored form of a
+:class:`~repro.network.graph.RoadNetwork`: contiguous int-indexed arrays --
+``array('l')`` offsets/targets and ``array('d')`` weights, forward *and*
+reverse -- plus id <-> index maps.  The array kernel
+(:mod:`repro.network.algorithms.kernel`) runs its shortest path searches
+over this layout.
 
-Two invariants make kernel results bit-identical to the dict Dijkstra:
+Two invariants make kernel results bit-identical to a textbook Dijkstra
+over the network's adjacency:
 
 * **Index order is node-id order.**  Node index ``i`` is the rank of its id
   among all sorted ids, so a heap ordered by ``(distance, index)`` pops in
-  exactly the same sequence as the dict implementation's
-  ``(distance, node_id)`` heap -- equal-distance ties settle identically.
-* **Edge order is adjacency order.**  Each node's CSR span lists its edges
-  in the same order as the network's adjacency list, so relaxations (and
-  therefore predecessor assignment on ties) replay in the same sequence.
+  exactly the same sequence as a ``(distance, node_id)`` heap --
+  equal-distance ties settle identically.
+* **Edge order is insertion order.**  Each node's span lists its edges in
+  the order they were added, so relaxations (and therefore predecessor
+  assignment on ties) replay in the same sequence.
 
-The flat arrays are the snapshot's one stored form; a serving worker maps
-them from a shared segment (:meth:`CSRGraph.from_buffers`) instead of
-owning them.  Every snapshot, owned or mapped, derives the same lazy
-per-process tuple adjacency (:attr:`CSRGraph.fwd_adj`) for the kernel's
-faithful loop.
+A serving worker maps the flat arrays from a shared segment
+(:meth:`CSRGraph.from_buffers`) instead of owning them.  Every snapshot,
+owned or mapped, derives the same lazy per-process tuple adjacency
+(:attr:`CSRGraph.fwd_adj`) for the kernel's faithful loop.
 
-Snapshots are frozen: the owning network caches one per
-:meth:`~repro.network.graph.RoadNetwork.fingerprint` and keeps it fresh by
-**patching weights in place** on dynamic weight updates
-(:meth:`patch_weight`) while invalidating it on any structural mutation
-(adding/removing nodes or edges changes the index maps and spans).
+Snapshots have a frozen topology: the owning network **patches weights in
+place** on dynamic weight updates (:meth:`patch_weight`) and compiles a new
+snapshot after structural edits (adding nodes or adding/removing edges
+changes the index maps and spans).
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ class ImmutableSnapshotError(TypeError):
     """Mutation attempted on a read-only (shared or columnar) snapshot.
 
     Raised instead of mutating arrays that other processes map
-    (:meth:`CSRGraph.from_buffers` serving segments) or that back a
-    read-only facade (:class:`~repro.network.ingest.facade.ColumnarNetwork`).
+    (:meth:`CSRGraph.from_buffers` serving segments) or a network opened
+    read-only (:meth:`~repro.network.graph.RoadNetwork.from_table`).
     Subclasses ``TypeError`` so callers that treated the old bare
     ``TypeError`` as "this snapshot cannot be patched" keep working.
     """
@@ -115,8 +114,10 @@ def _has_nonpositive(weights) -> bool:
 class CSRGraph:
     """An immutable-topology CSR view of a directed weighted graph.
 
-    Build through :meth:`from_network` or :meth:`from_adjacency`; the
-    constructor itself only wires pre-compiled arrays together.
+    A :class:`~repro.network.graph.RoadNetwork` compiles its own
+    (:meth:`~repro.network.graph.RoadNetwork.ensure_csr`); overlays use
+    :meth:`from_adjacency`.  The constructor itself only wires pre-compiled
+    arrays together.
     """
 
     def __init__(
@@ -151,7 +152,7 @@ class CSRGraph:
         self._rev_adj: Optional[List[Tuple[Tuple[int, float], ...]]] = None
         #: ``True`` when some edge weight is ``<= 0``.  The kernel's
         #: accelerated SSSP path reconstructs predecessors from the settle
-        #: order, which is only provably identical to the dict heap's under
+        #: order, which is only provably identical to a heap Dijkstra's under
         #: strictly positive weights; this flag routes such graphs onto the
         #: faithful simulation loop.  Weight patches are validated positive,
         #: so the flag can only stay or clear at the next full build.
@@ -226,22 +227,6 @@ class CSRGraph:
         return offsets, targets, weights
 
     @classmethod
-    def from_network(cls, network) -> "CSRGraph":
-        """Compile a :class:`~repro.network.graph.RoadNetwork` snapshot.
-
-        Per-node edge order follows the network's adjacency lists exactly
-        (forward lists for the forward arrays, the incrementally maintained
-        reverse lists for the reverse arrays), preserving relaxation order.
-        """
-        ids = sorted(network.node_ids())
-        index_of = {nid: i for i, nid in enumerate(ids)}
-        adjacency = network.adjacency()
-        reverse = network.reverse_adjacency()
-        fwd = cls._compile(ids, index_of, (adjacency[nid] for nid in ids))
-        rev = cls._compile(ids, index_of, (reverse[nid] for nid in ids))
-        return cls(ids, *fwd, *rev, name=f"{network.name}-csr")
-
-    @classmethod
     def from_adjacency(
         cls,
         adjacency: Mapping[int, Sequence[Tuple[int, float]]],
@@ -287,33 +272,32 @@ class CSRGraph:
         offsets/targets and float64 weights -- in practice ``memoryview``
         casts over one :class:`multiprocessing.shared_memory.SharedMemory`
         segment, so N worker processes share a single physical copy of the
-        flat arrays.  Nothing is copied here; the id list and the
-        id -> index map are per-process, and so are the tuple adjacencies
+        flat arrays.  Only the id column is copied, into a per-process list:
+        the kernel's results and A* map every reached index back to its id,
+        and indexing a list costs half what indexing a mapped int64 view
+        does.  The id -> index map is the arithmetic :class:`_RangeIndex`
+        whenever the ids are contiguous, and the tuple adjacencies
         :attr:`fwd_adj`/:attr:`rev_adj` build on first use, exactly as for
-        an owned snapshot.  The resulting snapshot is read-only
-        (:attr:`buffer_backed`); :meth:`patch_weight` refuses to touch it
-        because a write would leak into every mapping process.
+        an owned snapshot.  The resulting snapshot is
+        read-only (:attr:`buffer_backed`); :meth:`patch_weight` refuses to
+        touch it because a write would leak into every mapping process.
 
         Bit-identity with a locally compiled snapshot holds because both the
         faithful kernel loop and the accelerated path read the same values
         in the same order -- index order, adjacency order and weight bytes
         are exactly those the build process serialized.
         """
-        graph = cls.__new__(cls)
-        graph.name = name
-        graph.ids = list(ids)
-        graph.index_of = {nid: i for i, nid in enumerate(graph.ids)}
-        graph.fwd_offsets = fwd_offsets
-        graph.fwd_targets = fwd_targets
-        graph.fwd_weights = fwd_weights
-        graph.rev_offsets = rev_offsets
-        graph.rev_targets = rev_targets
-        graph.rev_weights = rev_weights
+        graph = cls(
+            list(ids),
+            fwd_offsets,
+            fwd_targets,
+            fwd_weights,
+            rev_offsets,
+            rev_targets,
+            rev_weights,
+            name=name,
+        )
         graph.buffer_backed = True
-        graph._fwd_adj = None
-        graph._rev_adj = None
-        graph.has_nonpositive_weight = _has_nonpositive(fwd_weights)
-        graph._accel = None
         return graph
 
     @classmethod
@@ -327,11 +311,11 @@ class CSRGraph:
         themselves: the scatter writes through numpy views directly into
         the final ``array`` storage.
 
-        Bit-identity with ``from_network(table.to_network())`` holds by
+        Bit-identity with the snapshot of ``table.to_network()`` holds by
         construction: node index order is ascending id order (``np.sort``),
         and each node's span lists its edges in table order, which the
-        importers define as input-file order -- the same order a dict
-        network built row-by-row would hold in its adjacency lists.
+        importers define as input-file order -- the same order a network
+        built row-by-row would hold in its spans.
         """
         id_chunks = [np.asarray(ids, dtype=np.int64) for ids, _, _ in table.iter_node_chunks()]
         ids_np = (

@@ -210,7 +210,6 @@ def generate_road_network(config: GeneratorConfig, name: str = "synthetic") -> R
 
     connected = network.largest_component()
     connected.name = name
-    connected.validate()
     return connected
 
 

@@ -3,8 +3,18 @@
 The paper (Section 2.1) models a road network as a directed weighted graph
 ``G = (V, E)`` where every node carries an identifier and Euclidean
 coordinates ``<id, x, y>`` and every edge is a triplet ``<id_i, id_j, w_ij>``.
-:class:`RoadNetwork` is that model, with the adjacency-list layout the
-broadcast schemes serialize on the air.
+:class:`RoadNetwork` is that model.
+
+The network's one stored form is a compiled :class:`CSRGraph` (forward and
+reverse spans, index order = ascending id order) plus ``x``/``y`` coordinate
+arrays in index order, and -- only when ids were not added in ascending
+order -- the node insertion order.  Every read is served from those arrays.
+Structural edits (``add_node``/``add_edge``/``remove_edge``) are staged in a
+small builder that holds the touched nodes' spans as lists, and the next
+edge read folds them in with one compile; reads that only need nodes
+(``has_node``, ``coordinates``, ``node_ids``, ...) never compile, so
+builders that interleave them with ``add_edge`` stay linear.  Weight
+updates patch the arrays in place.
 """
 
 from __future__ import annotations
@@ -12,8 +22,12 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.delta import InvalidUpdateError, NetworkDelta, WeightChange
@@ -55,12 +69,61 @@ class Edge:
         return Edge(self.target, self.source, self.weight)
 
 
-class RoadNetwork:
-    """A directed weighted graph with node coordinates.
+class _AdjacencyView(Mapping):
+    """``{node_id: [(neighbor_id, weight), ...]}`` over one direction's spans."""
 
-    The class keeps both forward and reverse adjacency lists so that
-    forward and backward Dijkstra searches (needed by the pre-computation
-    indexes) are equally cheap.
+    __slots__ = ("_network", "_reverse")
+
+    def __init__(self, network: "RoadNetwork", reverse: bool) -> None:
+        self._network = network
+        self._reverse = reverse
+
+    def __getitem__(self, node_id: int) -> List[Tuple[int, float]]:
+        if self._reverse:
+            return self._network.in_neighbors(node_id)
+        return self._network.neighbors(node_id)
+
+    def __iter__(self):
+        return iter(self._network.node_ids())
+
+    def __len__(self) -> int:
+        return self._network.num_nodes
+
+
+class _Staged:
+    """Structural edits not yet folded into the CSR arrays.
+
+    ``nodes`` holds the coordinates of ids new since the last compile, in
+    insertion order; ``out``/``inc`` hold the complete forward and reverse
+    span, as ``(neighbor_id, weight)`` lists, of every node an edit touched.
+    """
+
+    __slots__ = ("nodes", "out", "inc")
+
+    def __init__(self) -> None:
+        self.nodes: Dict[int, Tuple[float, float]] = {}
+        self.out: Dict[int, List[Tuple[int, float]]] = {}
+        self.inc: Dict[int, List[Tuple[int, float]]] = {}
+
+
+def _span(csr: CSRGraph, node_id: int, reverse: bool) -> List[Tuple[int, float]]:
+    """``node_id``'s forward (or reverse) span as ``(neighbor_id, weight)``."""
+    if reverse:
+        offsets, targets, weights = csr.rev_offsets, csr.rev_targets, csr.rev_weights
+    else:
+        offsets, targets, weights = csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
+    index = csr.index_of[node_id]
+    ids = csr.ids
+    return [
+        (ids[targets[p]], weights[p]) for p in range(offsets[index], offsets[index + 1])
+    ]
+
+
+class RoadNetwork:
+    """A directed weighted graph with node coordinates, stored as CSR arrays.
+
+    Forward and reverse spans are both kept, so forward and backward
+    searches (needed by the pre-computation indexes) are equally cheap.
 
     Parameters
     ----------
@@ -71,10 +134,17 @@ class RoadNetwork:
 
     def __init__(self, name: str = "road-network") -> None:
         self.name = name
-        self._nodes: Dict[int, Node] = {}
-        self._adjacency: Dict[int, List[Tuple[int, float]]] = {}
-        self._reverse_adjacency: Dict[int, List[Tuple[int, float]]] = {}
+        self._csr = CSRGraph.from_adjacency({}, name=f"{name}-csr")
+        #: Coordinates in snapshot index order: flat float64 buffers
+        #: (``array('d')``, or views mapped from a shared segment).
+        self._x = array("d")
+        self._y = array("d")
+        #: Node insertion order, or ``None`` while it is ascending id order.
+        self._order: Optional[List[int]] = None
+        self._staged: Optional[_Staged] = None
         self._num_edges = 0
+        #: Networks opened over a table or a shared segment refuse mutation.
+        self._read_only = False
         self._fingerprint_cache: Optional[str] = None
         #: 128-bit multiset sum behind ``fingerprint()``; ``None`` until the
         #: first full computation, then maintained in O(1) per mutation.
@@ -85,74 +155,174 @@ class RoadNetwork:
         self._pending_changes: Dict[Tuple[int, int], WeightChange] = {}
         self._dirty_nodes: set = set()
         self._structurally_dirty = False
-        # CSR snapshot cache (see csr_snapshot()): one compiled CSRGraph per
-        # fingerprint, patched in place on weight updates and invalidated by
-        # structural mutations, which change index maps and adjacency spans.
-        self._csr: Optional[CSRGraph] = None
-        self._csr_fingerprint: Optional[str] = None
-        self._csr_builds = 0
-        self._csr_patches = 0
+        self._builds = 0
+        self._patches = 0
+
+    @classmethod
+    def from_arrays(
+        cls,
+        csr: CSRGraph,
+        x,
+        y,
+        name: str,
+        order: Optional[Sequence[int]] = None,
+        fingerprint: Optional[str] = None,
+    ) -> "RoadNetwork":
+        """A read-only network over an existing snapshot and coordinates.
+
+        ``x``/``y`` are flat float64 buffers (``array('d')`` or ``memoryview``
+        casts) in ``csr`` index order and ``order`` the node insertion order
+        when it is not ascending.  Nothing is copied: a serving worker wires
+        this over the arrays it maps from a shared segment.  The
+        fingerprint, when not given, is re-hashed from the arrays on first
+        use.  Mutations raise
+        :class:`~repro.network.csr.ImmutableSnapshotError`; refresh by
+        re-publishing, or mutate a :meth:`copy`.
+        """
+        if len(x) != csr.num_nodes or len(y) != csr.num_nodes:
+            raise ValueError(
+                f"coordinate arrays ({len(x)}, {len(y)}) do not match "
+                f"snapshot node count {csr.num_nodes}"
+            )
+        network = cls(name=name)
+        network._csr = csr
+        network._x = x
+        network._y = y
+        network._order = order
+        network._num_edges = csr.num_edges
+        network._read_only = True
+        network._builds = 1
+        if fingerprint is not None:
+            network._fingerprint_cache = fingerprint
+            network._fingerprint_sum = int(fingerprint, 16)
+        return network
+
+    @classmethod
+    def from_table(cls, table, name: Optional[str] = None) -> "RoadNetwork":
+        """Open a columnar edge table as a read-only network.
+
+        The snapshot comes straight from :meth:`CSRGraph.from_columnar`, no
+        per-node objects are built, and the manifest fingerprint keys the
+        network (and every engine/store cache downstream) without an
+        O(V + E) re-hash.
+        """
+        csr = CSRGraph.from_columnar(table)
+        sorted_ids = np.asarray(csr.ids, dtype=np.int64)
+        x = array("d", [0.0]) * csr.num_nodes
+        y = array("d", [0.0]) * csr.num_nodes
+        x_view = np.frombuffer(x, dtype=np.float64)
+        y_view = np.frombuffer(y, dtype=np.float64)
+        for ids, xs, ys in table.iter_node_chunks():
+            # Chunks arrive in arbitrary id order; scatter into index order.
+            positions = np.searchsorted(sorted_ids, ids)
+            x_view[positions] = xs
+            y_view[positions] = ys
+        return cls.from_arrays(
+            csr, x, y, name=name or table.name, fingerprint=table.fingerprint
+        )
 
     # ------------------------------------------------------------------
     # Fingerprint maintenance
     # ------------------------------------------------------------------
     @staticmethod
-    def _node_element(node: Node) -> str:
-        return f"n{node.node_id}:{node.x!r}:{node.y!r};"
+    def _node_element(node_id: int, x: float, y: float) -> str:
+        return f"n{node_id}:{x!r}:{y!r};"
 
     @staticmethod
     def _edge_element(source: int, target: int, weight: float) -> str:
         return f"e{source}>{target}:{weight!r};"
 
-    def _fingerprint_add(self, part: str) -> None:
+    def _fingerprint_shift(self, part: str, sign: int = 1) -> None:
         self._fingerprint_cache = None
         if self._fingerprint_sum is not None:
             self._fingerprint_sum = (
-                self._fingerprint_sum + _element_hash(part)
-            ) % _FINGERPRINT_MOD
-
-    def _fingerprint_remove(self, part: str) -> None:
-        self._fingerprint_cache = None
-        if self._fingerprint_sum is not None:
-            self._fingerprint_sum = (
-                self._fingerprint_sum - _element_hash(part)
+                self._fingerprint_sum + sign * _element_hash(part)
             ) % _FINGERPRINT_MOD
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _check_mutable(self) -> None:
+        if self._read_only:
+            raise ImmutableSnapshotError(
+                "serving snapshots are immutable; refresh via re-publish "
+                f"(network {self.name!r} was opened over a read-only "
+                "snapshot; mutate a copy() instead)"
+            )
+
+    def _stage(self) -> _Staged:
+        if self._staged is None:
+            self._staged = _Staged()
+        return self._staged
+
+    def _staged_span(self, node_id: int, reverse: bool) -> List[Tuple[int, float]]:
+        """The mutable staged span of ``node_id``, seeded from the arrays."""
+        staged = self._stage()
+        spans = staged.inc if reverse else staged.out
+        span = spans.get(node_id)
+        if span is None:
+            span = spans[node_id] = self._current_span(node_id, reverse)
+        return span
+
+    def _current_span(self, node_id: int, reverse: bool) -> List[Tuple[int, float]]:
+        """``node_id``'s span as of the last edit, without compiling."""
+        staged = self._staged
+        if staged is not None:
+            span = (staged.inc if reverse else staged.out).get(node_id)
+            if span is not None:
+                return span
+        if node_id not in self._csr.index_of:
+            return []
+        return _span(self._csr, node_id, reverse)
+
     def add_node(self, node_id: int, x: float, y: float) -> Node:
         """Add (or replace) a node and return it."""
+        self._check_mutable()
         node = Node(node_id, float(x), float(y))
-        previous = self._nodes.get(node_id)
-        if previous is None:
-            self._adjacency[node_id] = []
-            self._reverse_adjacency[node_id] = []
+        if self.has_node(node_id):
+            previous = self.coordinates(node_id)
+            self._fingerprint_shift(self._node_element(node_id, *previous), -1)
+            index = self._csr.index_of.get(node_id)
+            if index is None:
+                self._staged.nodes[node_id] = (node.x, node.y)
+            else:
+                self._x[index] = node.x
+                self._y[index] = node.y
         else:
-            self._fingerprint_remove(self._node_element(previous))
-        self._nodes[node_id] = node
-        self._fingerprint_add(self._node_element(node))
+            if self._order is None and self.num_nodes and node_id < self._last_id():
+                self._order = self.node_ids()
+            if self._order is not None:
+                self._order.append(node_id)
+            self._stage().nodes[node_id] = (node.x, node.y)
+        self._fingerprint_shift(self._node_element(node_id, node.x, node.y))
         self._structurally_dirty = True
-        self._csr = None
         self._dirty_nodes.add(node_id)
         return node
 
+    def _last_id(self) -> int:
+        """The most recently added id (the largest while order is ascending)."""
+        staged = self._staged
+        if staged is not None and staged.nodes:
+            return next(reversed(staged.nodes))
+        return self._csr.ids[-1]
+
     def add_edge(self, source: int, target: int, weight: float) -> Edge:
         """Add a directed edge; both endpoints must already exist."""
-        if source not in self._nodes:
+        self._check_mutable()
+        if not self.has_node(source):
             raise KeyError(f"unknown source node {source}")
-        if target not in self._nodes:
+        if not self.has_node(target):
             raise KeyError(f"unknown target node {target}")
         if weight < 0:
             raise ValueError(f"edge weight must be non-negative, got {weight}")
-        self._adjacency[source].append((target, float(weight)))
-        self._reverse_adjacency[target].append((source, float(weight)))
+        weight = float(weight)
+        self._staged_span(source, False).append((target, weight))
+        self._staged_span(target, True).append((source, weight))
         self._num_edges += 1
-        self._fingerprint_add(self._edge_element(source, target, float(weight)))
+        self._fingerprint_shift(self._edge_element(source, target, weight))
         self._structurally_dirty = True
-        self._csr = None
         self._dirty_nodes.update((source, target))
-        return Edge(source, target, float(weight))
+        return Edge(source, target, weight)
 
     def add_bidirectional_edge(self, a: int, b: int, weight: float) -> None:
         """Add the pair of directed edges ``a -> b`` and ``b -> a``."""
@@ -163,18 +333,20 @@ class RoadNetwork:
         """Remove one directed edge ``source -> target`` and return it.
 
         With parallel edges, the minimum-weight one (the one shortest paths
-        use) is removed.  Raises ``KeyError`` if no such edge exists.
+        use) is removed: its first occurrence in the source's forward span
+        and in the target's reverse span.  Raises ``KeyError`` if no such
+        edge exists.
         """
-        weights = [w for t, w in self._adjacency.get(source, ()) if t == target]
+        self._check_mutable()
+        weights = [w for t, w in self._current_span(source, False) if t == target]
         if not weights:
             raise KeyError(f"no edge {source} -> {target}")
         weight = min(weights)
-        self._adjacency[source].remove((target, weight))
-        self._reverse_adjacency[target].remove((source, weight))
+        self._staged_span(source, False).remove((target, weight))
+        self._staged_span(target, True).remove((source, weight))
         self._num_edges -= 1
-        self._fingerprint_remove(self._edge_element(source, target, weight))
+        self._fingerprint_shift(self._edge_element(source, target, weight), -1)
         self._structurally_dirty = True
-        self._csr = None
         self._dirty_nodes.update((source, target))
         return Edge(source, target, weight)
 
@@ -192,46 +364,25 @@ class RoadNetwork:
         free teleport.  Raises ``KeyError`` if the edge does not exist and
         ``ValueError`` for a weight that is not positive and finite.
 
-        The change is recorded in the network's pending delta (see
-        :meth:`pending_delta`), coalesced per edge, so the engine's
-        incremental refresh knows exactly which edges moved and by how much.
+        The CSR entry is patched in place (no recompile), and the change is
+        recorded in the network's pending delta (see :meth:`pending_delta`),
+        coalesced per edge, so the engine's incremental refresh knows exactly
+        which edges moved and by how much.
         """
         new_weight = float(weight)
         if not 0.0 < new_weight < math.inf:
             raise ValueError(
                 f"updated edge weight must be positive and finite, got {weight}"
             )
-        if self._csr is not None and self._csr.buffer_backed:
-            # Refuse *before* touching the adjacency lists: the cached
-            # snapshot maps a shared read-only segment, so the patch below
-            # would fail after the dict state had already moved, leaving
-            # network and snapshot permanently disagreeing.
-            raise ImmutableSnapshotError(
-                "serving snapshots are immutable; refresh via re-publish "
-                f"(network {self.name!r} serves a shared-memory snapshot, "
-                "so in-place weight updates cannot apply)"
-            )
-        neighbors = self._adjacency.get(source)
-        if neighbors is None:
-            raise KeyError(f"no edge {source} -> {target}")
-        candidates = [(w, i) for i, (t, w) in enumerate(neighbors) if t == target]
-        if not candidates:
-            raise KeyError(f"no edge {source} -> {target}")
-        old_weight, index = min(candidates)
+        self._check_mutable()
+        old_weight = self.edge_weight(source, target)
         change = WeightChange(source, target, old_weight, new_weight)
         if new_weight == old_weight:
             return change
-        neighbors[index] = (target, new_weight)
-        reverse = self._reverse_adjacency[target]
-        reverse[reverse.index((source, old_weight))] = (source, new_weight)
-        self._fingerprint_remove(self._edge_element(source, target, old_weight))
-        self._fingerprint_add(self._edge_element(source, target, new_weight))
-        if self._csr is not None:
-            # Weight-only delta: keep the snapshot fresh by patching the one
-            # CSR entry in place instead of recompiling the arrays.
-            self._csr.patch_weight(source, target, old_weight, new_weight)
-            self._csr_patches += 1
-            self._csr_fingerprint = self.fingerprint()
+        self._csr.patch_weight(source, target, old_weight, new_weight)
+        self._patches += 1
+        self._fingerprint_shift(self._edge_element(source, target, old_weight), -1)
+        self._fingerprint_shift(self._edge_element(source, target, new_weight))
         self._dirty_nodes.update((source, target))
         key = (source, target)
         pending = self._pending_changes.get(key)
@@ -314,12 +465,13 @@ class RoadNetwork:
         )
 
     # ------------------------------------------------------------------
-    # Inspection
+    # Node reads (never compile)
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         """Number of nodes in the network."""
-        return len(self._nodes)
+        staged = len(self._staged.nodes) if self._staged is not None else 0
+        return self._csr.num_nodes + staged
 
     @property
     def num_edges(self) -> int:
@@ -327,22 +479,99 @@ class RoadNetwork:
         return self._num_edges
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return self.has_node(node_id)
 
     def __len__(self) -> int:
-        return len(self._nodes)
-
-    def node(self, node_id: int) -> Node:
-        """Return the :class:`Node` for ``node_id``."""
-        return self._nodes[node_id]
+        return self.num_nodes
 
     def has_node(self, node_id: int) -> bool:
         """Return ``True`` if ``node_id`` is a node of the network."""
-        return node_id in self._nodes
+        if node_id in self._csr.index_of:
+            return True
+        return self._staged is not None and node_id in self._staged.nodes
+
+    def coordinates(self, node_id: int) -> Tuple[float, float]:
+        """Return the ``(x, y)`` coordinates of ``node_id``."""
+        index = self._csr.index_of.get(node_id)
+        if index is None:
+            if self._staged is None or node_id not in self._staged.nodes:
+                raise KeyError(node_id)
+            return self._staged.nodes[node_id]
+        return (self._x[index], self._y[index])
+
+    def node(self, node_id: int) -> Node:
+        """Return the :class:`Node` for ``node_id``."""
+        return Node(node_id, *self.coordinates(node_id))
+
+    def node_ids(self) -> List[int]:
+        """Return all node identifiers (insertion order)."""
+        if self._order is not None:
+            return list(self._order)
+        ids = list(self._csr.ids)
+        if self._staged is not None:
+            ids.extend(self._staged.nodes)
+        return ids
+
+    def nodes(self) -> Iterator[Node]:
+        """Iterate over all :class:`Node` objects (insertion order)."""
+        for node_id in self.node_ids():
+            yield self.node(node_id)
+
+    def euclidean_distance(self, a: int, b: int) -> float:
+        """Euclidean distance between the coordinates of nodes ``a`` and ``b``."""
+        ax, ay = self.coordinates(a)
+        bx, by = self.coordinates(b)
+        return ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
+
+    # ------------------------------------------------------------------
+    # Edge reads (fold staged edits in first)
+    # ------------------------------------------------------------------
+    def ensure_csr(self) -> CSRGraph:
+        """The network's CSR snapshot, folding staged edits in first.
+
+        This is the one accessor every search runs on.  Weight updates patch
+        the returned snapshot in place; a structural edit makes the next
+        call compile a new one.
+        """
+        if self._staged is not None:
+            self._compile()
+        return self._csr
+
+    def _compile(self) -> None:
+        ids = sorted(self.node_ids())
+        index_of = {node_id: index for index, node_id in enumerate(ids)}
+        coordinates = [self.coordinates(node_id) for node_id in ids]
+        arrays = []
+        for reverse in (False, True):
+            offsets, targets, weights = array("l", [0]), array("l"), array("d")
+            for node_id in ids:
+                for neighbor, weight in self._current_span(node_id, reverse):
+                    targets.append(index_of[neighbor])
+                    weights.append(weight)
+                offsets.append(len(targets))
+            arrays += [offsets, targets, weights]
+        self._csr = CSRGraph(ids, *arrays, name=f"{self.name}-csr")
+        self._x = array("d", [x for x, _ in coordinates])
+        self._y = array("d", [y for _, y in coordinates])
+        self._staged = None
+        self._builds += 1
+
+    def _parallel_weights(self, source: int, target: int) -> List[float]:
+        csr = self.ensure_csr()
+        u = csr.index_of.get(source)
+        v = csr.index_of.get(target)
+        if u is None or v is None:
+            return []
+        targets, weights = csr.fwd_targets, csr.fwd_weights
+        return [
+            weights[p]
+            for p in range(csr.fwd_offsets[u], csr.fwd_offsets[u + 1])
+            if targets[p] == v
+        ]
 
     def has_edge(self, source: int, target: int) -> bool:
         """Return ``True`` if the directed edge ``source -> target`` exists."""
-        return any(t == target for t, _ in self._adjacency.get(source, ()))
+        return bool(self._parallel_weights(source, target))
 
     def edge_weight(self, source: int, target: int) -> float:
         """Return the weight of ``source -> target``.
@@ -350,71 +579,90 @@ class RoadNetwork:
         If parallel edges exist, the minimum weight is returned (the one any
         shortest path would use).
         """
-        weights = [w for t, w in self._adjacency.get(source, ()) if t == target]
+        weights = self._parallel_weights(source, target)
         if not weights:
             raise KeyError(f"no edge {source} -> {target}")
         return min(weights)
 
-    def node_ids(self) -> List[int]:
-        """Return all node identifiers (insertion order)."""
-        return list(self._nodes)
+    def edge_tuples(self) -> Iterator[Tuple[int, int, float]]:
+        """``(source, target, weight)`` of every edge, in :meth:`edges` order.
 
-    def nodes(self) -> Iterator[Node]:
-        """Iterate over all :class:`Node` objects."""
-        return iter(self._nodes.values())
+        The cheap form of :meth:`edges` for loops that read every edge: no
+        :class:`Edge` object per edge.
+        """
+        csr = self.ensure_csr()
+        ids = np.asarray(csr.ids, dtype=np.int64)
+        offsets = np.frombuffer(csr.fwd_offsets, dtype=np.int64)
+        rows = (
+            np.arange(len(ids))
+            if self._order is None
+            else np.searchsorted(ids, np.asarray(self._order, dtype=np.int64))
+        )
+        # Edge positions row by row: each row's span, rows in insertion order.
+        degree = np.diff(offsets)[rows]
+        shift = np.repeat(offsets[rows] - (np.cumsum(degree) - degree), degree)
+        positions = shift + np.arange(len(shift), dtype=np.int64)
+        return zip(
+            np.repeat(ids[rows], degree).tolist(),
+            ids[np.frombuffer(csr.fwd_targets, dtype=np.int64)[positions]].tolist(),
+            np.frombuffer(csr.fwd_weights, dtype=np.float64)[positions].tolist(),
+        )
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over all directed :class:`Edge` objects."""
-        for source, neighbors in self._adjacency.items():
-            for target, weight in neighbors:
-                yield Edge(source, target, weight)
+        """Iterate over all directed :class:`Edge` objects.
+
+        Sources come in node insertion order, and each source's edges in
+        the order they were added.
+        """
+        for source, target, weight in self.edge_tuples():
+            yield Edge(source, target, weight)
 
     def neighbors(self, node_id: int) -> List[Tuple[int, float]]:
         """Return the out-neighbors of ``node_id`` as ``(target, weight)``."""
-        return list(self._adjacency[node_id])
+        return _span(self.ensure_csr(), node_id, False)
 
     def in_neighbors(self, node_id: int) -> List[Tuple[int, float]]:
         """Return the in-neighbors of ``node_id`` as ``(source, weight)``."""
-        return list(self._reverse_adjacency[node_id])
+        return _span(self.ensure_csr(), node_id, True)
 
     def out_degree(self, node_id: int) -> int:
         """Number of outgoing edges of ``node_id``."""
-        return len(self._adjacency[node_id])
+        csr = self.ensure_csr()
+        index = csr.index_of[node_id]
+        return csr.fwd_offsets[index + 1] - csr.fwd_offsets[index]
 
     def in_degree(self, node_id: int) -> int:
         """Number of incoming edges of ``node_id``."""
-        return len(self._reverse_adjacency[node_id])
+        csr = self.ensure_csr()
+        index = csr.index_of[node_id]
+        return csr.rev_offsets[index + 1] - csr.rev_offsets[index]
 
-    def adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Return the forward adjacency mapping (shared, do not mutate)."""
-        return self._adjacency
+    def adjacency(self) -> Mapping:
+        """Read-only ``{node: [(target, weight), ...]}`` view of the spans."""
+        return _AdjacencyView(self, reverse=False)
 
-    def reverse_adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Return the reverse adjacency mapping (shared, do not mutate)."""
-        return self._reverse_adjacency
+    def reverse_adjacency(self) -> Mapping:
+        """Read-only ``{node: [(source, weight), ...]}`` view of the spans."""
+        return _AdjacencyView(self, reverse=True)
 
-    def coordinates(self, node_id: int) -> Tuple[float, float]:
-        """Return the ``(x, y)`` coordinates of ``node_id``."""
-        node = self._nodes[node_id]
-        return (node.x, node.y)
+    def node_arrays(self) -> Tuple[Sequence[float], Sequence[float], Optional[Sequence[int]]]:
+        """``(x, y, order)``: coordinates in snapshot index order, and the
+        node insertion order (``None`` when it is ascending id order)."""
+        self.ensure_csr()
+        return self._x, self._y, self._order
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)`` over all nodes."""
-        if not self._nodes:
+        self.ensure_csr()
+        if not len(self._x):
             raise ValueError("bounding box of an empty network is undefined")
-        xs = [node.x for node in self._nodes.values()]
-        ys = [node.y for node in self._nodes.values()]
-        return (min(xs), min(ys), max(xs), max(ys))
-
-    def euclidean_distance(self, a: int, b: int) -> float:
-        """Euclidean distance between the coordinates of nodes ``a`` and ``b``."""
-        node_a = self._nodes[a]
-        node_b = self._nodes[b]
-        return ((node_a.x - node_b.x) ** 2 + (node_a.y - node_b.y) ** 2) ** 0.5
+        x = np.frombuffer(self._x, dtype=np.float64)
+        y = np.frombuffer(self._y, dtype=np.float64)
+        return (float(x.min()), float(y.min()), float(x.max()), float(y.max()))
 
     def total_weight(self) -> float:
         """Sum of all edge weights (used for sanity statistics)."""
-        return sum(w for neighbors in self._adjacency.values() for _, w in neighbors)
+        return sum(weight for _, _, weight in self.edge_tuples())
 
     # ------------------------------------------------------------------
     # Derived networks
@@ -429,10 +677,9 @@ class RoadNetwork:
         keep = set(node_ids)
         sub = RoadNetwork(name=name or f"{self.name}-subgraph")
         for node_id in keep:
-            node = self._nodes[node_id]
-            sub.add_node(node.node_id, node.x, node.y)
+            sub.add_node(node_id, *self.coordinates(node_id))
         for node_id in keep:
-            for target, weight in self._adjacency[node_id]:
+            for target, weight in self.neighbors(node_id):
                 if target in keep:
                     sub.add_edge(node_id, target, weight)
         sub.clear_delta()  # a finished artifact, not a pile of pending updates
@@ -441,22 +688,20 @@ class RoadNetwork:
     def reversed(self) -> "RoadNetwork":
         """Return a copy of the network with every edge direction flipped."""
         rev = RoadNetwork(name=f"{self.name}-reversed")
-        for node in self._nodes.values():
+        for node in self.nodes():
             rev.add_node(node.node_id, node.x, node.y)
-        for source, neighbors in self._adjacency.items():
-            for target, weight in neighbors:
-                rev.add_edge(target, source, weight)
+        for edge in self.edges():
+            rev.add_edge(edge.target, edge.source, edge.weight)
         rev.clear_delta()
         return rev
 
     def copy(self) -> "RoadNetwork":
-        """Return a deep copy of the network."""
+        """Return a mutable deep copy of the network."""
         dup = RoadNetwork(name=self.name)
-        for node in self._nodes.values():
+        for node in self.nodes():
             dup.add_node(node.node_id, node.x, node.y)
-        for source, neighbors in self._adjacency.items():
-            for target, weight in neighbors:
-                dup.add_edge(source, target, weight)
+        for edge in self.edges():
+            dup.add_edge(edge.source, edge.target, edge.weight)
         dup.clear_delta()
         return dup
 
@@ -465,24 +710,20 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     def weakly_connected_components(self) -> List[List[int]]:
         """Return the weakly connected components (lists of node ids)."""
-        seen: Dict[int, bool] = {}
+        seen = set()
         components: List[List[int]] = []
-        for start in self._nodes:
+        for start in self.node_ids():
             if start in seen:
                 continue
             stack = [start]
-            seen[start] = True
+            seen.add(start)
             component = []
             while stack:
                 current = stack.pop()
                 component.append(current)
-                for neighbor, _ in self._adjacency[current]:
+                for neighbor, _ in self.neighbors(current) + self.in_neighbors(current):
                     if neighbor not in seen:
-                        seen[neighbor] = True
-                        stack.append(neighbor)
-                for neighbor, _ in self._reverse_adjacency[current]:
-                    if neighbor not in seen:
-                        seen[neighbor] = True
+                        seen.add(neighbor)
                         stack.append(neighbor)
             components.append(component)
         return components
@@ -497,7 +738,7 @@ class RoadNetwork:
 
     def is_weakly_connected(self) -> bool:
         """Return ``True`` if the network forms a single weak component."""
-        if not self._nodes:
+        if not self.num_nodes:
             return True
         return len(self.weakly_connected_components()) == 1
 
@@ -516,79 +757,27 @@ class RoadNetwork:
         ``update_edge_weight``) adjusts the sum in O(1) instead of forcing an
         O(V + E) re-hash, so the engine can re-key its cycle cache after each
         weight-update batch at constant cost.  The full sum is computed
-        lazily on first use; repeated calls on an unchanged network cost a
-        dictionary read.
+        lazily on first use; repeated calls on an unchanged network cost an
+        attribute read.
         """
         if self._fingerprint_cache is not None:
             return self._fingerprint_cache
         if self._fingerprint_sum is None:
-            total = 0
-            for node in self._nodes.values():
-                total += _element_hash(self._node_element(node))
-                for target, weight in self._adjacency[node.node_id]:
-                    total += _element_hash(self._edge_element(node.node_id, target, weight))
+            csr = self.ensure_csr()
+            total = sum(
+                _element_hash(self._node_element(*row))
+                for row in zip(csr.ids, self._x, self._y)
+            )
+            total += sum(
+                _element_hash(self._edge_element(*row)) for row in self.edge_tuples()
+            )
             self._fingerprint_sum = total % _FINGERPRINT_MOD
         self._fingerprint_cache = f"{self._fingerprint_sum:032x}"
         return self._fingerprint_cache
 
-    # ------------------------------------------------------------------
-    # CSR snapshots (the array kernel's input)
-    # ------------------------------------------------------------------
-    def csr_snapshot(self) -> Optional[CSRGraph]:
-        """The cached CSR snapshot, or ``None`` when absent or stale.
-
-        The cache is keyed by :meth:`fingerprint`: structural mutations drop
-        the snapshot outright (index maps and spans change), while
-        :meth:`update_edge_weight` patches it in place and re-keys it, so a
-        weight-only update stream never pays a recompile.  The shortest path
-        entry points in :mod:`repro.network.algorithms.dijkstra` dispatch to
-        the array kernel exactly when this returns a snapshot.
-        """
-        if self._csr is not None and self._csr_fingerprint == self.fingerprint():
-            return self._csr
-        return None
-
-    def ensure_csr(self) -> CSRGraph:
-        """The fresh CSR snapshot, compiling one if absent or stale."""
-        snapshot = self.csr_snapshot()
-        if snapshot is None:
-            snapshot = CSRGraph.from_network(self)
-            self._csr = snapshot
-            self._csr_fingerprint = self.fingerprint()
-            self._csr_builds += 1
-        return snapshot
-
-    def adopt_csr(self, snapshot: CSRGraph) -> CSRGraph:
-        """Install an externally compiled CSR snapshot for the current state.
-
-        Serving workers map one shared-memory snapshot per published cycle
-        (:meth:`CSRGraph.from_buffers`) instead of each compiling their own;
-        adopting it keys the cache to the network's current fingerprint so
-        :meth:`csr_snapshot` serves the shared arrays to every shortest path
-        run.  Only shape is sanity-checked here -- the caller vouches that
-        the snapshot was compiled from a network with this fingerprint (the
-        serving layer pins both to the same artifact publication).
-        """
-        if (
-            snapshot.num_nodes != self.num_nodes
-            or snapshot.num_edges != self.num_edges
-        ):
-            raise ValueError(
-                f"snapshot shape ({snapshot.num_nodes} nodes, "
-                f"{snapshot.num_edges} edges) does not match network "
-                f"({self.num_nodes} nodes, {self.num_edges} edges)"
-            )
-        self._csr = snapshot
-        self._csr_fingerprint = self.fingerprint()
-        return snapshot
-
     def csr_stats(self) -> Dict[str, int]:
-        """Snapshot cache counters (surfaced by ``AirSystem.cache_info``)."""
-        return {
-            "builds": self._csr_builds,
-            "patches": self._csr_patches,
-            "fresh": int(self.csr_snapshot() is not None),
-        }
+        """Snapshot compiles and in-place patches (see ``AirSystem.cache_info``)."""
+        return {"builds": self._builds, "patches": self._patches}
 
     # ------------------------------------------------------------------
     # Representation
@@ -602,25 +791,24 @@ class RoadNetwork:
     def validate(self) -> None:
         """Raise ``ValueError`` if internal invariants are violated.
 
-        Checked invariants: adjacency endpoints exist, weights are
-        non-negative, and the forward/reverse adjacency lists agree.
+        Checked invariants: both directions hold the network's edge count
+        in spans that cover their arrays, targets are valid node indexes,
+        and weights are non-negative.
         """
-        forward_count = 0
-        for source, neighbors in self._adjacency.items():
-            if source not in self._nodes:
-                raise ValueError(f"adjacency references unknown node {source}")
-            for target, weight in neighbors:
-                forward_count += 1
-                if target not in self._nodes:
-                    raise ValueError(f"edge {source}->{target} targets unknown node")
-                if weight < 0:
-                    raise ValueError(f"edge {source}->{target} has negative weight")
-        reverse_count = sum(len(v) for v in self._reverse_adjacency.values())
-        if forward_count != reverse_count or forward_count != self._num_edges:
-            raise ValueError(
-                "forward/reverse adjacency disagree: "
-                f"{forward_count} vs {reverse_count} vs {self._num_edges}"
-            )
+        csr = self.ensure_csr()
+        for offsets, targets, weights in (
+            (csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights),
+            (csr.rev_offsets, csr.rev_targets, csr.rev_weights),
+        ):
+            if not len(targets) == offsets[-1] == self._num_edges:
+                raise ValueError(
+                    f"spans end at {offsets[-1]} over {len(targets)} edges, "
+                    f"network counts {self._num_edges}"
+                )
+            if any(not 0 <= t < csr.num_nodes for t in targets):
+                raise ValueError("an edge targets an unknown node")
+            if any(w < 0 for w in weights):
+                raise ValueError("an edge has negative weight")
 
 
 def build_network(

@@ -3,9 +3,9 @@
 Importers stream DIMACS ``.gr``/``.co`` and edge-list CSV files into
 columnar on-disk edge tables (:mod:`~repro.network.ingest.columnar`);
 :meth:`CSRGraph.from_columnar` compiles a frozen snapshot straight from a
-table, and :class:`~repro.network.ingest.facade.ColumnarNetwork` serves
-the dict ``RoadNetwork`` API off those arrays -- the dict graph never
-materializes on the big-network path.  Requires numpy; Parquet chunks are
+table, and :meth:`~repro.network.graph.RoadNetwork.from_table` opens it as
+a read-only network over those arrays -- no per-node objects on the
+big-network path.  Requires numpy; Parquet chunks are
 available when pyarrow is installed.
 """
 
@@ -15,12 +15,10 @@ from repro.network.ingest.columnar import (
     open_table,
     parquet_available,
 )
-from repro.network.ingest.facade import ColumnarNetwork
 from repro.network.ingest.importers import IngestError, import_csv, import_dimacs
 
 __all__ = [
     "ColumnarEdgeTable",
-    "ColumnarNetwork",
     "ColumnarWriter",
     "IngestError",
     "import_csv",

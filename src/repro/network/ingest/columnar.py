@@ -341,12 +341,11 @@ class ColumnarEdgeTable:
     # Materialization (small tables / reference comparisons)
     # ------------------------------------------------------------------
     def to_network(self, name: Optional[str] = None):
-        """Materialize a dict :class:`RoadNetwork` -- O(V + E) memory.
+        """Build a mutable :class:`RoadNetwork` row by row -- O(V + E) objects.
 
         Intended for tests and sampled-subgraph comparisons; continental
-        tables should go through :meth:`CSRGraph.from_columnar` or the
-        :class:`~repro.network.ingest.facade.ColumnarNetwork` facade
-        instead.
+        tables should go through
+        :meth:`~repro.network.graph.RoadNetwork.from_table` instead.
         """
         from repro.network.graph import RoadNetwork
 

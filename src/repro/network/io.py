@@ -42,7 +42,8 @@ def load_network(path: Union[str, os.PathLike], name: str = "") -> RoadNetwork:
     with ``{path}:{line}``: unrecognized lines, duplicate node ids (which
     ``RoadNetwork.add_node`` would otherwise silently overwrite), edges
     referencing undeclared nodes (otherwise a bare ``KeyError`` from deep
-    inside the graph), and NaN or infinite coordinates or weights.
+    inside the graph), NaN or infinite coordinates or weights, and negative
+    weights.
     """
     network = RoadNetwork(name=name or os.path.basename(str(path)))
     with open(path, "r", encoding="utf-8") as handle:
@@ -82,6 +83,11 @@ def load_network(path: Union[str, os.PathLike], name: str = "") -> RoadNetwork:
                 if not math.isfinite(weight):
                     raise ValueError(
                         f"{path}:{line_number}: non-finite weight {fields[3]} "
+                        f"on edge {source} -> {target}"
+                    )
+                if weight < 0:
+                    raise ValueError(
+                        f"{path}:{line_number}: negative weight {fields[3]} "
                         f"on edge {source} -> {target}"
                     )
                 for endpoint in (source, target):

@@ -12,7 +12,9 @@ HiTi description, reused by EB/NR in Section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Protocol, Set, Tuple
+from typing import Dict, List, Protocol, Set
+
+import numpy as np
 
 from repro.network.graph import RoadNetwork
 
@@ -51,14 +53,14 @@ class Partitioning:
         self.num_regions = locator.num_regions
         self._region_of: Dict[int, int] = {}
         self._regions: List[List[int]] = [[] for _ in range(self.num_regions)]
-        for node in network.nodes():
-            region = locator.locate(node.x, node.y)
+        for node_id in network.node_ids():
+            region = locator.locate(*network.coordinates(node_id))
             if not 0 <= region < self.num_regions:
                 raise ValueError(
                     f"locator produced region {region} outside [0, {self.num_regions})"
                 )
-            self._region_of[node.node_id] = region
-            self._regions[region].append(node.node_id)
+            self._region_of[node_id] = region
+            self._regions[region].append(node_id)
         self._border_nodes: List[List[int]] = self._compute_border_nodes()
 
     # ------------------------------------------------------------------
@@ -118,15 +120,23 @@ class Partitioning:
     # Internal helpers
     # ------------------------------------------------------------------
     def _compute_border_nodes(self) -> List[List[int]]:
+        # One pass over each direction's edge arrays marks every node with
+        # an edge (either way) into another region.
+        csr = self.network.ensure_csr()
+        region = np.array([self._region_of[node_id] for node_id in csr.ids], dtype=np.int64)
+        crosses = np.zeros(csr.num_nodes, dtype=bool)
+        for offsets, targets in (
+            (csr.fwd_offsets, csr.fwd_targets),
+            (csr.rev_offsets, csr.rev_targets),
+        ):
+            degree = np.diff(np.frombuffer(offsets, dtype=np.int64))
+            owner = np.repeat(np.arange(csr.num_nodes), degree)
+            other = region[np.frombuffer(targets, dtype=np.int64)]
+            crosses[owner[region[owner] != other]] = True
         border: List[List[int]] = [[] for _ in range(self.num_regions)]
-        for node_id, region in self._region_of.items():
-            neighbors: Iterable[Tuple[int, float]] = (
-                self.network.neighbors(node_id) + self.network.in_neighbors(node_id)
-            )
-            for neighbor, _ in neighbors:
-                if self._region_of[neighbor] != region:
-                    border[region].append(node_id)
-                    break
+        for node_id, node_region in self._region_of.items():
+            if crosses[csr.index_of[node_id]]:
+                border[node_region].append(node_id)
         return border
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -1,32 +1,38 @@
 """Zero-copy publication of built indexes through shared memory.
 
 A :class:`SharedArtifactSegment` packs everything N serving workers need to
-warm-start -- the network snapshot, the frozen CSR arrays, and one full
+warm-start -- the network's arrays (CSR snapshot, coordinates and, when it
+is not ascending, the node insertion order) and one full
 :class:`~repro.serialize.artifacts.BuildArtifact` per scheme -- into a
 single :class:`multiprocessing.shared_memory.SharedMemory` block.  Workers
-attach the block and wire :meth:`CSRGraph.from_buffers` views plus
+attach the block and wire a read-only
+:meth:`~repro.network.graph.RoadNetwork.from_arrays` network plus
 ``zero_copy`` artifact restores straight over the mapping.
 
 What is shared and what each process holds:
 
 * **Shared** (one physical copy, however many workers serve it): the six
-  flat CSR arrays and the scheme artifacts.
-* **Per process**: the id -> index map, the network restored from the
-  encoded state (a dict network), and the ``(neighbor_index, weight)``
-  tuple adjacency :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj` builds
-  on a worker's first search -- the same lazy adjacency every snapshot
-  uses, 1.24 MiB forward and 1.35 MiB more reverse at 4,907 nodes against
-  0.38 MiB of flat arrays.  The tuples hold plain values, not views into
-  the mapping, so they never keep a swapped-off segment mapped.
+  flat CSR arrays, the coordinates, the insertion order and the scheme
+  artifacts.
+* **Per process**: the id list and the id -> index map (arithmetic for
+  contiguous ids), the network's fingerprint, re-hashed from the mapped
+  content, and the
+  ``(neighbor_index, weight)`` tuple adjacency
+  :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj` builds on a worker's
+  first search -- the same lazy adjacency every snapshot uses, 1.24 MiB
+  forward and 1.35 MiB more reverse at 4,907 nodes against 0.38 MiB of
+  flat arrays.  The tuples hold plain values, not views into the mapping,
+  so they never keep a swapped-off segment mapped.
 
 Segment layout (all offsets 8-byte aligned)::
 
     magic "AIRS" | u32 directory length | directory | sections ...
 
 where the directory is a codec-encoded dict naming each section's offset
-and length: the encoded network state, the six CSR arrays plus the id
-list, and one framed artifact per scheme.  The directory is tiny and the
-sections are raw array/artifact bytes, so attach cost is microseconds.
+and length: the id list, the six CSR arrays, the ``x``/``y`` coordinates,
+the optional insertion order, and one framed artifact per scheme.  The
+directory is tiny and the sections are raw array/artifact bytes, so attach
+cost is microseconds.
 
 Lifecycle: the server process *publishes* (creates) a segment per cycle
 generation and *unlinks* it once every worker has swapped off it; workers
@@ -49,7 +55,6 @@ from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
 from repro.serialize.artifacts import BuildArtifact
 from repro.serialize.codec import decode_value, encode_value
-from repro.serialize.graphs import encode_network, restore_network
 
 __all__ = [
     "SegmentIntegrityError",
@@ -109,8 +114,8 @@ class SharedArtifactSegment:
 
         ``artifacts`` maps scheme name to its :class:`BuildArtifact`; every
         artifact must have been built over ``network``'s current
-        fingerprint (the workers' restore re-validates this).  The network's
-        CSR snapshot is compiled here if not already fresh.
+        fingerprint (the workers' restore re-validates this).  Staged
+        structural edits are folded into the network's arrays first.
         """
         csr = network.ensure_csr()
         fingerprint = network.fingerprint()
@@ -121,26 +126,31 @@ class SharedArtifactSegment:
                     f"{artifact.network_fingerprint}, not the network's "
                     f"current fingerprint {fingerprint}"
                 )
-        sections: List[Tuple[bytes, Any]] = []  # (raw bytes, directory slot)
-
         directory: Dict[str, Any] = {
             "fingerprint": fingerprint,
+            "network_name": network.name,
             "csr_name": csr.name,
             "csr": {},
             "artifacts": {},
             "payload_sha256": "",
             "payload_bytes": 0,
         }
-        network_raw = encode_network(network)
-        sections.append((network_raw, ("network",)))
-        ids_raw = array("q", csr.ids).tobytes()
-        sections.append((ids_raw, ("ids",)))
-        for section_name, _typecode in _CSR_SECTIONS:
-            raw = getattr(csr, section_name).tobytes()
-            sections.append((raw, ("csr", section_name)))
+        # (raw bytes, (directory table, key)) for every section, in order.
+        x, y, order = network.node_arrays()
+        sections: List[Tuple[bytes, Tuple[Dict[str, Any], str]]] = [
+            (array("q", csr.ids).tobytes(), (directory, "ids")),
+            *(
+                (getattr(csr, section_name).tobytes(), (directory["csr"], section_name))
+                for section_name, _typecode in _CSR_SECTIONS
+            ),
+            (x.tobytes(), (directory, "x")),
+            (y.tobytes(), (directory, "y")),
+        ]
+        if order is not None:
+            sections.append((array("q", order).tobytes(), (directory, "order")))
         for scheme_name in sorted(artifacts):
             raw = artifacts[scheme_name].to_bytes()
-            sections.append((raw, ("artifacts", scheme_name)))
+            sections.append((raw, (directory["artifacts"], scheme_name)))
 
         # Lay out the payload area; the directory is encoded afterwards with
         # the final absolute offsets, so its own length must be fixed first.
@@ -153,15 +163,8 @@ class SharedArtifactSegment:
             slots.append((slot, offset, len(raw)))
             offset += len(raw)
         payload_bytes = offset
-        for slot, start, length in slots:
-            if slot[0] == "network":
-                directory["network"] = [start, length]
-            elif slot[0] == "ids":
-                directory["ids"] = [start, length]
-            elif slot[0] == "csr":
-                directory["csr"][slot[1]] = [start, length]
-            else:
-                directory["artifacts"][slot[1]] = [start, length]
+        for (table, key), start, length in slots:
+            table[key] = [start, length]
         # Checksum the payload area exactly as it will land in the segment
         # (sections in order, alignment gaps zero -- fresh shared memory is
         # zero-filled), so workers can verify integrity before serving.
@@ -273,29 +276,36 @@ class SharedArtifactSegment:
             )
         return True
 
+    def _section(self, name: str, typecode: str) -> memoryview:
+        start, length = self._directory[name]
+        return self._view(start, length).cast(typecode)
+
     def csr_graph(self) -> CSRGraph:
         """A :meth:`CSRGraph.from_buffers` snapshot over the mapping."""
-        ids_start, ids_length = self._directory["ids"]
-        ids = self._view(ids_start, ids_length).cast("q")
         views = []
         for section_name, typecode in _CSR_SECTIONS:
             start, length = self._directory["csr"][section_name]
             views.append(self._view(start, length).cast(typecode))
         return CSRGraph.from_buffers(
-            list(ids), *views, name=self._directory["csr_name"]
+            self._section("ids", "q"), *views, name=self._directory["csr_name"]
         )
 
     def restore_network(self) -> RoadNetwork:
-        """Rebuild the network and adopt the shared CSR snapshot.
+        """The published network, read-only over the mapped arrays.
 
-        The network's dict adjacency is per-process (it is small and every
-        scheme needs Python-level access to it); the heavy flat arrays come
-        from :meth:`csr_graph`, shared.
+        Nothing is decoded or copied: ids, spans, weights, coordinates and
+        insertion order are all views into the segment.  The fingerprint is
+        re-hashed from that content on first use, so an artifact restored
+        against this network is checked against what the segment holds.
         """
-        start, length = self._directory["network"]
-        network = restore_network(decode_value(self._view(start, length)))
-        network.adopt_csr(self.csr_graph())
-        return network
+        order = self._section("order", "q") if "order" in self._directory else None
+        return RoadNetwork.from_arrays(
+            self.csr_graph(),
+            self._section("x", "d"),
+            self._section("y", "d"),
+            name=self._directory["network_name"],
+            order=order,
+        )
 
     def artifact(self, scheme_name: str) -> BuildArtifact:
         """The named scheme's artifact, payload referenced in place."""

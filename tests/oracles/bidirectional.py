@@ -1,8 +1,7 @@
-"""Bidirectional Dijkstra.
+"""Bidirectional Dijkstra, a reference for the production searches.
 
 Not part of the paper's method set, but a useful ground-truth cross-check for
-the property-based tests (two independent implementations must agree) and a
-faster oracle when validating EB/NR answers on larger networks.
+the property-based tests: two independent implementations must agree.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from typing import Dict, Optional
 
 from repro.network.graph import RoadNetwork
 from repro.network.algorithms.paths import INFINITY, PathResult, reconstruct_path
-
-__all__ = ["bidirectional_dijkstra"]
-
 
 def bidirectional_dijkstra(network: RoadNetwork, source: int, target: int) -> PathResult:
     """Shortest path via simultaneous forward and backward Dijkstra."""

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.network.algorithms.bidirectional import bidirectional_dijkstra
+from oracles.bidirectional import bidirectional_dijkstra
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY, path_cost, validate_path
 

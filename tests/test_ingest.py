@@ -1,11 +1,12 @@
 """Tests for the ingestion pipeline (repro.network.ingest).
 
 Covers the streaming importers (DIMACS ``.gr``/``.co`` and edge-list CSV),
-the columnar on-disk edge table, the dict-free CSR build path, the lazy
-``ColumnarNetwork`` facade, the engine/CLI entry points, and -- the
-strongest check -- a golden-trace replay: the generator's 120-node golden
-network, round-tripped through CSV export -> columnar import -> facade,
-must reproduce the stored NR broadcast session byte for byte.
+the columnar on-disk edge table, the dict-free CSR build path, the
+read-only ``RoadNetwork.from_table`` network, the engine/CLI entry points,
+and -- the strongest check -- a golden-trace replay: the generator's
+120-node golden network, round-tripped through CSV export -> columnar
+import -> ``from_table``, must reproduce the stored NR broadcast session
+byte for byte.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ import random
 
 import pytest
 
+from oracles.dict_network import compile_csr
 from oracles.dijkstra import dijkstra_distances, dijkstra_search
 from repro.cli import main as cli_main
 from repro.engine.system import AirSystem
 from repro.network.algorithms import kernel
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.generators import GeneratorConfig, generate_road_network
+from repro.network.graph import RoadNetwork
 from repro.network.ingest import (
-    ColumnarNetwork,
     IngestError,
     import_csv,
     import_dimacs,
@@ -377,7 +379,7 @@ class TestCSRFromColumnar:
         gr, co = tiny_dimacs
         table = import_dimacs(gr, tmp_path / "table", co_path=co, chunk_rows=2)
         self._assert_identical(
-            CSRGraph.from_columnar(table), CSRGraph.from_network(table.to_network())
+            CSRGraph.from_columnar(table), compile_csr(table.to_network())
         )
 
     def test_bit_identical_to_dict_build_sparse_ids(self, tmp_path):
@@ -388,7 +390,7 @@ class TestCSRFromColumnar:
         )
         table = import_csv(edges, tmp_path / "table", chunk_rows=2)
         self._assert_identical(
-            CSRGraph.from_columnar(table), CSRGraph.from_network(table.to_network())
+            CSRGraph.from_columnar(table), compile_csr(table.to_network())
         )
 
     def test_edgeless_table_builds(self, tmp_path):
@@ -424,7 +426,7 @@ class TestCSRFromColumnar:
 
 
 # ----------------------------------------------------------------------
-# ColumnarNetwork facade
+# RoadNetwork.from_table: a read-only network over the table's arrays
 # ----------------------------------------------------------------------
 class TestColumnarNetworkFacade:
     @pytest.fixture()
@@ -435,7 +437,7 @@ class TestColumnarNetworkFacade:
         network.clear_delta()
         nodes, edges = _write_csv_pair(tmp_path, network)
         table = import_csv(edges, tmp_path / "table", nodes_path=nodes, chunk_rows=16)
-        return ColumnarNetwork.from_table(table), network
+        return RoadNetwork.from_table(table), network
 
     def test_read_api_matches_dict_network(self, pair):
         facade, network = pair
@@ -463,7 +465,7 @@ class TestColumnarNetworkFacade:
 
     def test_to_network_materializes_equal_dict_copy(self, pair):
         facade, network = pair
-        copy = facade.to_network()
+        copy = facade.copy()
         assert copy.fingerprint() == network.fingerprint()
         copy.update_edge_weight(*_first_edge(copy), 123.0)  # mutable again
 
@@ -471,7 +473,7 @@ class TestColumnarNetworkFacade:
         facade, network = pair
         rng = random.Random(5)
         ids = facade.node_ids()
-        arena = kernel.arena_for(facade.csr_snapshot())
+        arena = kernel.arena_for(facade.ensure_csr())
         for _ in range(8):
             source, target = rng.choice(ids), rng.choice(ids)
             want = dijkstra_search(network, source, target=target)
@@ -590,7 +592,7 @@ class TestGoldenReplay:
         network = golden_network()
         nodes, edges = _write_csv_pair(tmp_path, network)
         table = import_csv(edges, tmp_path / "table", nodes_path=nodes, chunk_rows=64)
-        facade = ColumnarNetwork.from_table(table)
+        facade = RoadNetwork.from_table(table)
         assert facade.fingerprint() == network.fingerprint()
 
         stored = json.loads(fixture_path("NR").read_text(encoding="utf-8"))

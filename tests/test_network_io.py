@@ -98,6 +98,14 @@ class TestValidation:
             "non-finite weight",
         )
 
+    def test_negative_weight(self, tmp_path):
+        self._load_expecting(
+            tmp_path,
+            "n 1 0.0 0.0\nn 2 1.0 0.0\ne 1 2 -3\n",
+            3,
+            "negative weight -3 on edge 1 -> 2",
+        )
+
     def test_malformed_node_and_edge_lines(self, tmp_path):
         self._load_expecting(tmp_path, "n 1 zero 0.0\n", 1, "malformed node line")
         self._load_expecting(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.air.packing import RowMajorCellPacking, SquareCellPacking
 from repro.broadcast.packet import PACKET_PAYLOAD_BYTES, Segment, SegmentKind, packets_for_bytes
 from repro.broadcast.cycle import BroadcastCycle
-from repro.network.algorithms.bidirectional import bidirectional_dijkstra
+from oracles.bidirectional import bidirectional_dijkstra
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import KDTreePartitioner

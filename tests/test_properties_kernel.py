@@ -241,15 +241,14 @@ def test_masked_search_requires_endpoints_inside_the_mask():
 
 
 def test_searches_after_structural_mutation_compile_one_snapshot():
-    """A structurally mutated network has no fresh snapshot: the masked
-    search compiles exactly one (no subgraph fallback) and, like
+    """A structural edit is staged until the next read: the masked search
+    compiles exactly one snapshot (no subgraph fallback) and, like
     ``shortest_path`` after it, answers as the oracle does."""
     network = make_network(6, num_nodes=40, num_edges=100)
     network.ensure_csr()
     ids = network.node_ids()
-    network.add_edge(ids[0], ids[-1], 0.75)
-    assert network.csr_snapshot() is None
     builds = network.csr_stats()["builds"]
+    network.add_edge(ids[0], ids[-1], 0.75)
     rng = random.Random(6)
     allowed = set(rng.sample(ids, 25)) | {ids[0], ids[-1]}
     for source, target in ((ids[0], ids[-1]), (ids[-1], ids[0])):
@@ -290,7 +289,7 @@ def test_patched_snapshot_bit_identical_after_update_stream(seed, kernel_path):
             except KeyError:
                 continue
         stats = network.csr_stats()
-        assert stats["builds"] == 1 and stats["fresh"] == 1
+        assert stats["builds"] == 1
         for source in rng.sample(network.node_ids(), 6):
             assert_same_result(
                 dijkstra_distances(network, source),
@@ -308,7 +307,7 @@ def test_structural_mutation_invalidates_and_rebuild_recovers():
     first = network.ensure_csr()
     ids = network.node_ids()
     network.add_edge(ids[0], ids[-1], 0.25)
-    assert network.csr_snapshot() is None
+    assert network.csr_stats()["builds"] == 1
     second = network.ensure_csr()
     assert second is not first
     assert second.num_edges == first.num_edges + 1
@@ -324,11 +323,10 @@ def test_noop_weight_update_does_not_patch():
     edge = next(network.edges())
     network.update_edge_weight(edge.source, edge.target, edge.weight)
     assert network.csr_stats()["patches"] == 0
-    assert network.csr_snapshot() is not None
 
 
 def test_patch_weight_rejects_unknown_entries():
-    snapshot = CSRGraph.from_network(make_network(11, num_nodes=12, num_edges=30))
+    snapshot = make_network(11, num_nodes=12, num_edges=30).ensure_csr()
     with pytest.raises(KeyError):
         snapshot.patch_weight(snapshot.ids[0], snapshot.ids[1], -123.0, 1.0)
 
@@ -545,15 +543,15 @@ def test_cache_info_reports_snapshot_stats():
     system.scheme("DJ")
     info = system.cache_info()
     assert info.snapshot_builds == 1
-    assert info.snapshot_fresh
     assert info.snapshot_patches == 0
     edge = next(network.edges())
     system.apply_updates([(edge.source, edge.target, edge.weight + 1.0)])
     info = system.cache_info()
     assert info.snapshot_patches == 1
-    assert info.snapshot_fresh
+    assert info.snapshot_builds == 1
     network.add_node(10**6, 0.0, 0.0)
-    assert not system.cache_info().snapshot_fresh
+    assert network.ensure_csr().num_nodes == network.num_nodes
+    assert system.cache_info().snapshot_builds == 2
 
 
 # ----------------------------------------------------------------------

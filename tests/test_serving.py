@@ -188,10 +188,54 @@ class TestSharedArtifactSegment:
         attached = SharedArtifactSegment.attach(segment.name)
         network = attached.restore_network()
         assert network.fingerprint() == direct_system.network.fingerprint()
-        assert network.csr_snapshot() is not None
-        assert network.csr_snapshot().buffer_backed
+        assert network.ensure_csr() is not None
+        assert network.ensure_csr().buffer_backed
         del network
         assert attached.close() is True
+
+    def test_contiguous_ids_map_through_a_range_index(self, segment, direct_system):
+        from repro.network.csr import _RangeIndex
+
+        attached = SharedArtifactSegment.attach(segment.name)
+        owned = direct_system.network.ensure_csr()
+        shared = attached.csr_graph()
+        assert isinstance(shared.index_of, _RangeIndex)
+        probes = list(owned.ids) + [-1, owned.ids[-1] + 1, "x"]
+        assert [shared.index_of.get(p) for p in probes] == [
+            owned.index_of.get(p) for p in probes
+        ]
+        assert all(shared.index_of[i] == owned.index_of[i] for i in owned.ids)
+        del shared
+        assert attached.close() is True
+
+    def test_restored_network_is_buffer_backed_and_reads_alike(self, direct_system):
+        from repro.network.graph import RoadNetwork
+
+        # Ids added out of ascending order: the segment carries the order.
+        original = RoadNetwork(name="shuffled")
+        for node in reversed(list(direct_system.network.nodes())):
+            original.add_node(node.node_id, node.x, node.y)
+        for edge in direct_system.network.edges():
+            original.add_edge(edge.source, edge.target, edge.weight)
+        published = SharedArtifactSegment.publish(original, {})
+        attached = SharedArtifactSegment.attach(published.name)
+        try:
+            network = attached.restore_network()
+            assert network.name == "shuffled"
+            csr = network.ensure_csr()
+            assert csr.buffer_backed and isinstance(csr.fwd_targets, memoryview)
+            x, y, order = network.node_arrays()
+            assert all(isinstance(a, memoryview) for a in (x, y, order))
+            del csr, x, y, order
+            assert network.node_ids() == original.node_ids()
+            assert list(network.edges()) == list(original.edges())
+            assert list(network.nodes()) == list(original.nodes())
+            assert network.fingerprint() == original.fingerprint()
+            del network
+            assert attached.close() is True
+        finally:
+            published.unlink()
+            published.close()
 
     def test_artifact_lookup_and_miss(self, segment):
         attached = SharedArtifactSegment.attach(segment.name)
@@ -293,7 +337,7 @@ class TestWorkerRuntime:
                     {"op": "query", "method": "NR", "source": source, "target": target}
                 )
                 assert response["status"] == "ok"
-            snapshot = runtime.system.network.csr_snapshot()
+            snapshot = runtime.system.network.ensure_csr()
             assert snapshot.buffer_backed and snapshot._fwd_adj is not None
             del snapshot
             segment = runtime.segment

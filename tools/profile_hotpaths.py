@@ -15,7 +15,11 @@ guesses.  For any registered scheme it profiles:
   and a shared-memory ``SharedArtifactSegment.publish`` plus its unlink;
 * **fleet** -- ``simulate_fleet`` over a ``fleet_rush_hour`` fleet of
   ``--devices`` devices (fleet generation is not profiled): the columnar
-  partition, the probe sessions and the bulk trace replay.
+  partition, the probe sessions and the bulk trace replay;
+* **swap** -- what a serving worker does per publication: one segment is
+  published (not profiled), then ``WorkerRuntime.load_segment`` attaches,
+  verifies and restores it ``SWAPS`` times (network over the mapped
+  arrays, fingerprint re-hash, zero-copy scheme restores).
 
 Run from the repository root::
 
@@ -25,7 +29,8 @@ Run from the repository root::
 
 Pass ``--phases build,query`` to skip phases (``--phases publish`` profiles
 the publication path alone, after an unprofiled build; ``--phases fleet``
-likewise profiles the fleet simulator alone).
+likewise profiles the fleet simulator alone, ``--phases swap`` the worker
+swap alone).
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import sys
 
 #: Publications profiled by the publish phase.
 PUBLICATIONS = 3
+#: Worker segment loads profiled by the swap phase.
+SWAPS = 3
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -59,8 +66,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--phases",
-        default="build,query,refresh,publish,fleet",
-        help="comma-separated subset of build,query,refresh,publish,fleet",
+        default="build,query,refresh,publish,fleet,swap",
+        help="comma-separated subset of build,query,refresh,publish,fleet,swap",
     )
     return parser.parse_args(argv)
 
@@ -83,7 +90,7 @@ def main(argv=None) -> int:
     from repro.network import datasets
 
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
-    unknown = phases - {"build", "query", "refresh", "publish", "fleet"}
+    unknown = phases - {"build", "query", "refresh", "publish", "fleet", "swap"}
     if unknown:
         raise SystemExit(f"unknown phases: {', '.join(sorted(unknown))}")
 
@@ -174,6 +181,30 @@ def main(argv=None) -> int:
             args.sort,
             args.top,
         )
+
+    if "swap" in phases:
+        from repro.serving.shm import SharedArtifactSegment
+        from repro.serving.worker import WorkerRuntime
+
+        artifact = system.scheme(scheme_name).artifact()
+        segment = SharedArtifactSegment.publish(network, {scheme_name: artifact})
+        runtime = WorkerRuntime(0, config=config)
+
+        def run_swaps() -> None:
+            for _ in range(SWAPS):
+                runtime.load_segment(segment.name)
+
+        try:
+            profile_phase(
+                f"swap: {SWAPS} x WorkerRuntime.load_segment of one published segment",
+                run_swaps,
+                args.sort,
+                args.top,
+            )
+        finally:
+            runtime.shutdown()
+            segment.unlink()
+            segment.close()
     return 0
 
 
