@@ -16,6 +16,7 @@ from repro.air.full_cycle import FullCycleScheme
 from repro.air.registry import register_scheme
 from repro.broadcast.packet import Segment, SegmentKind
 from repro.index.arcflag import ArcFlagIndex
+from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import PathResult
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import build_kdtree_partitioning
@@ -87,7 +88,5 @@ class ArcFlagBroadcastScheme(FullCycleScheme):
         if degraded:
             # Lost flag packets: assume all bits set, i.e. fall back to an
             # unpruned Dijkstra over the received network.
-            from repro.network.algorithms.dijkstra import shortest_path
-
             return shortest_path(self.network, source, target)
         return self.index.query(source, target)

@@ -47,7 +47,7 @@ from repro.broadcast.device import DeviceProfile
 from repro.broadcast.interleave import optimal_m
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind, packets_for_bytes
-from repro.network.algorithms.kernel import masked_shortest_path
+from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import KDTreePartitioner, build_kdtree_partitioning
 from repro.serialize.graphs import partitioning_state, restore_partitioning
@@ -393,8 +393,8 @@ class EllipticBoundaryClient(AirClient):
                 # restricted to the received nodes: same answers (and settled
                 # count) as Dijkstra on the induced subgraph, without
                 # materializing a RoadNetwork per query.
-                local = masked_shortest_path(
-                    scheme.network, source, target, received_nodes
+                local = shortest_path(
+                    scheme.network, source, target, allowed=received_nodes
                 )
                 distance, path, settled = local.distance, local.path, local.settled
             memory.allocate(_working_set_bytes(scheme, len(received_nodes)))

@@ -80,16 +80,11 @@ class HiTiBroadcastScheme(AirIndexScheme):
     def _index_segment(self) -> Segment:
         # Crossing (inter-region) edges are part of the index: the client
         # needs them to stitch super-edges of different regions together.
-        crossing_edges = sum(
-            1
-            for edge in self.network.edges()
-            if self.partitioning.region_of(edge.source)
-            != self.partitioning.region_of(edge.target)
-        )
         index_bytes = (
             self.layout.kd_split_bytes(self.num_regions)
             + self.index.num_super_edges() * self.layout.hiti_super_edge_bytes()
-            + crossing_edges * (2 * self.layout.node_id_bytes + self.layout.weight_bytes)
+            + self.index.num_crossing_edges()
+            * (2 * self.layout.node_id_bytes + self.layout.weight_bytes)
         )
         return Segment(
             name="hiti-index",

@@ -42,7 +42,7 @@ from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.device import DeviceProfile
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind, packets_for_bytes
-from repro.network.algorithms.kernel import masked_shortest_path
+from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import build_kdtree_partitioning
 from repro.serialize.graphs import partitioning_state, restore_partitioning
@@ -403,8 +403,8 @@ class NextRegionClient(AirClient):
                 # Masked kernel search over the network's CSR snapshot
                 # restricted to the received nodes (bit-identical to Dijkstra
                 # on the induced subgraph).
-                local = masked_shortest_path(
-                    scheme.network, source, target, received_nodes
+                local = shortest_path(
+                    scheme.network, source, target, allowed=received_nodes
                 )
                 distance, path, settled = local.distance, local.path, local.settled
             per_node = 3 * scheme.layout.distance_bytes + scheme.layout.node_id_bytes

@@ -15,17 +15,22 @@ construction used by practical ArcFlag implementations.  The build runs
 the reverse sweeps batched through the kernel and the tree test vectorized
 over all edges; the per-border dict form is the test oracle
 (``tests/oracles/arcflag.py``).
+
+The flags are stored per edge of the network's CSR snapshot, in its edge
+order.  A query for a target in region ``r`` searches the snapshot rows
+whose edges carry bit ``r`` (one ``flag & bit`` pass, compiled once per
+region) through the kernel's ``adjacency=`` rows.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Tuple
+from itertools import compress
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.network.algorithms import kernel
-from repro.network.algorithms.astar import astar_search
 from repro.network.algorithms.paths import PathResult
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
@@ -40,10 +45,29 @@ class ArcFlagIndex:
         self.network = network
         self.partitioning = partitioning
         self.num_regions = partitioning.num_regions
-        #: flag bitmask per directed edge (source, target) -> int bitmask
-        self.flags: Dict[Tuple[int, int], int] = {}
-        self.precomputation_seconds = 0.0
+        started = time.perf_counter()
+        self._bind()
         self._build()
+        self.precomputation_seconds = time.perf_counter() - started
+
+    def _bind(self) -> None:
+        """Pin the snapshot the flags are aligned with.
+
+        The rows are copied so that region rows compiled later read the
+        weights this index was built (or restored) over, even if the
+        network's snapshot is patched in place meanwhile.
+        """
+        self._csr = self.network.ensure_csr()
+        self._rows = list(self._csr.fwd_adj)
+        self._region_rows: Dict[int, List[Tuple[Tuple[int, float], ...]]] = {}
+
+    def _edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Tail and head index of every snapshot edge, in edge order."""
+        csr = self._csr
+        degree = np.diff(np.frombuffer(csr.fwd_offsets, dtype=np.int64))
+        tails = np.repeat(np.arange(csr.num_nodes, dtype=np.int64), degree)
+        heads = np.frombuffer(csr.fwd_targets, dtype=np.int64)
+        return tails, heads
 
     # ------------------------------------------------------------------
     # Construction
@@ -53,38 +77,39 @@ class ArcFlagIndex:
 
         For each border ``b`` of region ``r``, edge ``(u, v)`` lies on the
         backward shortest path tree when ``|d(v) + w(u, v) - d(u)| <= 1e-9 *
-        max(1, d(u))`` over ``b``'s reverse labels ``d``; the test runs over
-        all edges at once, and edges with an unreached endpoint (``inf``
-        labels) are never flagged.  Flag bitmasks accumulate as Python ints,
-        keeping arbitrary region counts exact.
+        max(1, d(u))`` over ``b``'s reverse labels ``d``, where ``w`` is the
+        minimum weight among the parallel ``u -> v`` edges (which therefore
+        share one flag); the test runs over all edges at once, and edges
+        with an unreached endpoint (``inf`` labels) are never flagged.  Flag
+        bitmasks accumulate as Python ints, keeping arbitrary region counts
+        exact.
         """
-        started = time.perf_counter()
-        network = self.network
+        csr = self._csr
         region_of = self.partitioning.region_of
-        pairs = list(dict.fromkeys((e.source, e.target) for e in network.edges()))
-        masks = [1 << region_of(target) for _, target in pairs]
-        if pairs:
-            csr = network.ensure_csr()
+        region = [region_of(node_id) for node_id in csr.ids]
+        tails, heads = self._edge_endpoints()
+        masks = [1 << region[head] for head in heads.tolist()]
+        if masks:
             arena = kernel.arena_for(csr)
-            index_of = csr.index_of
-            count = len(pairs)
-            src_idx = np.fromiter((index_of[s] for s, _ in pairs), np.int64, count)
-            tgt_idx = np.fromiter((index_of[t] for _, t in pairs), np.int64, count)
-            min_w = np.fromiter(
-                (network.edge_weight(s, t) for s, t in pairs), np.float64, count
+            weights = np.frombuffer(csr.fwd_weights, dtype=np.float64)
+            pairs, pair_of = np.unique(
+                tails * csr.num_nodes + heads, return_inverse=True
             )
-            for region in range(self.num_regions):
-                borders = self.partitioning.border_nodes(region)
+            pair_min = np.full(len(pairs), np.inf)
+            np.minimum.at(pair_min, pair_of, weights)
+            min_w = pair_min[pair_of]
+            for region_index in range(self.num_regions):
+                borders = self.partitioning.border_nodes(region_index)
                 if not borders:
                     continue
-                bit = 1 << region
-                flagged = np.zeros(count, dtype=bool)
+                bit = 1 << region_index
+                flagged = np.zeros(len(masks), dtype=bool)
                 sweeps = arena.many_to_many(
                     borders, need_predecessors=False, reverse=True
                 )
                 for sweep in sweeps:
-                    source_dist = sweep.dist_np[src_idx]
-                    target_dist = sweep.dist_np[tgt_idx]
+                    source_dist = sweep.dist_np[tails]
+                    target_dist = sweep.dist_np[heads]
                     with np.errstate(invalid="ignore"):
                         on_tree = np.abs(
                             target_dist + min_w - source_dist
@@ -94,12 +119,33 @@ class ArcFlagIndex:
                     )
                 for position in np.flatnonzero(flagged).tolist():
                     masks[position] |= bit
-        self.flags = dict(zip(pairs, masks))
-        self.precomputation_seconds = time.perf_counter() - started
+        #: Region bitmask of every snapshot edge, in the snapshot's edge order.
+        self.edge_flags: List[int] = masks
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state
     # ------------------------------------------------------------------
+    @property
+    def flags(self) -> Dict[Tuple[int, int], int]:
+        """``(source, target) -> bitmask``, keyed in ``network.edges()`` order.
+
+        Parallel edges share one entry.  This is the form :meth:`state`
+        emits (and artifacts carry); the index itself keeps
+        :attr:`edge_flags`.
+        """
+        ids = self._csr.ids
+        tails, heads = self._edge_endpoints()
+        by_pair = dict(
+            zip(
+                zip([ids[i] for i in tails.tolist()], [ids[i] for i in heads.tolist()]),
+                self.edge_flags,
+            )
+        )
+        return {
+            (source, target): by_pair[(source, target)]
+            for source, target, _ in self.network.edge_tuples()
+        }
+
     def state(self) -> Dict[str, Any]:
         """The flag table as plain values (edge order preserved)."""
         return {"flags": self.flags, "seconds": self.precomputation_seconds}
@@ -113,21 +159,46 @@ class ArcFlagIndex:
         self.network = network
         self.partitioning = partitioning
         self.num_regions = partitioning.num_regions
-        self.flags = {tuple(key): value for key, value in state["flags"].items()}
+        self._bind()
+        flags = {tuple(key): value for key, value in state["flags"].items()}
+        ids = self._csr.ids
+        tails, heads = self._edge_endpoints()
+        self.edge_flags = [
+            flags[(ids[tail], ids[head])]
+            for tail, head in zip(tails.tolist(), heads.tolist())
+        ]
         self.precomputation_seconds = state["seconds"]
         return self
 
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
+    def region_rows(self, region: int) -> List[Tuple[Tuple[int, float], ...]]:
+        """Snapshot rows keeping only the edges flagged for ``region``.
+
+        Compiled on first use and kept: a row whose edges are all flagged
+        is the snapshot's own row object.  Threads racing on a first use
+        may both compile; their lists are equal, so either may be kept.
+        """
+        rows = self._region_rows.get(region)
+        if rows is None:
+            bit = 1 << region
+            keep = [flag & bit for flag in self.edge_flags]
+            offsets = self._csr.fwd_offsets
+            rows = []
+            for node, row in enumerate(self._rows):
+                kept = tuple(compress(row, keep[offsets[node] : offsets[node + 1]]))
+                rows.append(row if len(kept) == len(row) else kept)
+            self._region_rows[region] = rows
+        return rows
+
     def query(self, source: int, target: int) -> PathResult:
         """Shortest path using only edges flagged for the target's region."""
-        target_bit = 1 << self.partitioning.region_of(target)
-
-        def allowed(u: int, v: int) -> bool:
-            return bool(self.flags.get((u, v), 0) & target_bit)
-
-        return astar_search(self.network, source, target, edge_filter=allowed)
+        rows = self.region_rows(self.partitioning.region_of(target))
+        result = kernel.arena_for(self._csr).point_to_point(
+            source, target, adjacency=rows
+        )
+        return result.path_result(target)
 
     # ------------------------------------------------------------------
     # Sizing (for broadcast cycle construction)
@@ -142,4 +213,9 @@ class ArcFlagIndex:
 
     def flag_of(self, source: int, target: int) -> int:
         """Raw bitmask of the flag of edge ``(source, target)``."""
-        return self.flags[(source, target)]
+        csr = self._csr
+        tail, head = csr.index_of[source], csr.index_of[target]
+        for position in range(csr.fwd_offsets[tail], csr.fwd_offsets[tail + 1]):
+            if csr.fwd_targets[position] == head:
+                return self.edge_flags[position]
+        raise KeyError((source, target))

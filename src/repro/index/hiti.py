@@ -15,20 +15,28 @@ children's super-edges plus the original edges crossing between the children
 
 For point-to-point queries this module uses the flat level-0 overlay (source
 and target regions in full detail, every other region replaced by its
-super-edges).  That is a documented simplification of HiTi's hierarchical
-search-graph selection: it returns the same distances and keeps the index
-contents (and hence its broadcast size, the quantity the paper evaluates)
-identical.
+super-edges, plus every edge crossing between regions).  That is a
+documented simplification of HiTi's hierarchical search-graph selection: it
+returns the same distances and keeps the index contents (and hence its
+broadcast size, the quantity the paper evaluates) identical.
+
+The overlay is query-independent except for which two regions are detailed,
+so it is compiled once per build, refresh and restore as two row lists in
+snapshot index order: *detail* rows (a node's interior edges, then its
+crossing edges) and *coarse* rows (the super-edges leaving a node of its
+region, then its crossing edges).  A query copies the coarse list, swaps in
+the detail rows of the source and target regions, and searches it through
+the kernel's ``adjacency=`` rows.  The same interior and crossing rows feed
+the leaf and block super-edge builds.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.network.algorithms.kernel import KernelArena
+from repro.network.algorithms.kernel import KernelArena, arena_for
 from repro.network.algorithms.paths import INFINITY, PathResult
 from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
@@ -79,6 +87,7 @@ class HiTiIndex:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         started = time.perf_counter()
+        self._compile_rows()
 
         # Level 0: one sub-graph per leaf region, super-edges computed on the
         # induced sub-network of the region.
@@ -97,20 +106,75 @@ class HiTiIndex:
                     for first in range(0, self.num_regions, block)
                 }
             )
+        self._compose_overlay()
         self.precomputation_seconds = time.perf_counter() - started
+
+    def _compile_rows(self) -> None:
+        """Split every snapshot row into its interior and crossing edges.
+
+        Rows hold ``(neighbor_index, weight)`` pairs in the snapshot's edge
+        order.  ``_foreign[v]`` is the bitmask of the other regions ``v``
+        has an edge to or from.
+        """
+        csr = self.network.ensure_csr()
+        region_of = self.partitioning.region_of
+        region = [region_of(node_id) for node_id in csr.ids]
+        interior: List[Tuple[Tuple[int, float], ...]] = []
+        crossing: List[Tuple[Tuple[int, float], ...]] = []
+        foreign = [0] * csr.num_nodes
+        for node, row in enumerate(csr.fwd_adj):
+            own = region[node]
+            inside = tuple(pair for pair in row if region[pair[0]] == own)
+            interior.append(inside)
+            if len(inside) == len(row):
+                crossing.append(())
+                continue
+            outside = tuple(pair for pair in row if region[pair[0]] != own)
+            crossing.append(outside)
+            for neighbor, _ in outside:
+                foreign[node] |= 1 << region[neighbor]
+                foreign[neighbor] |= 1 << own
+        self._csr = csr
+        self._region = region
+        self._interior = interior
+        self._crossing = crossing
+        self._foreign = foreign
+
+    def _compose_overlay(self) -> None:
+        """Assemble the detail and coarse rows from the current levels."""
+        index_of = self._csr.index_of
+        supers: List[List[Tuple[int, float]]] = [[] for _ in self._crossing]
+        for region in range(self.num_regions):
+            for (u, v), w in self.levels[0][region].super_edges.items():
+                supers[index_of[u]].append((index_of[v], w))
+        self._detail = [
+            inside + outside if outside else inside
+            for inside, outside in zip(self._interior, self._crossing)
+        ]
+        self._coarse = [
+            tuple(out) + outside if out else outside
+            for out, outside in zip(supers, self._crossing)
+        ]
+        self._region_nodes = [
+            [index_of[node] for node in self.partitioning.nodes_in_region(region)]
+            for region in range(self.num_regions)
+        ]
+
+    def num_crossing_edges(self) -> int:
+        """Edges whose endpoints lie in different regions."""
+        return sum(len(outside) for outside in self._crossing)
 
     def _build_leaf(self, region: int) -> HiTiSubgraph:
         """(Re)compute the level-0 sub-graph of one leaf region."""
-        nodes = self.partitioning.nodes_in_region(region)
-        keep = set(nodes)
         subgraph = HiTiSubgraph(level=0, regions=(region,))
         subgraph.border_nodes = self.partitioning.border_nodes(region)
-        # The induced adjacency, filtered straight off the network's spans
-        # (same per-node edge order as materializing a subgraph, without
-        # building one).
-        neighbors = self.network.adjacency()
+        # The induced adjacency is the region's interior rows (same per-node
+        # edge order as materializing a subgraph, without building one).
+        ids = self._csr.ids
+        index_of = self._csr.index_of
         adjacency = {
-            n: [(t, w) for t, w in neighbors[n] if t in keep] for n in nodes
+            node: [(ids[v], w) for v, w in self._interior[index_of[node]]]
+            for node in self.partitioning.nodes_in_region(region)
         }
         subgraph.super_edges = self._all_pairs_border_distances(
             adjacency=adjacency,
@@ -125,14 +189,16 @@ class HiTiIndex:
         right = previous[first + block // 2]
         covered = set(left.regions) | set(right.regions)
         merged = HiTiSubgraph(level=level_index, regions=tuple(sorted(covered)))
+        # A border of the block has an edge to or from a region it does not
+        # cover (a node's own region is always covered).
+        outside = ~sum(1 << region for region in covered)
+        index_of = self._csr.index_of
         merged.border_nodes = [
             node
             for node in left.border_nodes + right.border_nodes
-            if self._is_border_of(node, covered)
+            if self._foreign[index_of[node]] & outside
         ]
-        overlay = self._overlay_adjacency(
-            left, right, covered, self.partitioning.region_of
-        )
+        overlay = self._overlay_adjacency(left, right)
         merged.super_edges = self._all_pairs_border_distances(
             adjacency=overlay, border_nodes=merged.border_nodes
         )
@@ -189,6 +255,8 @@ class HiTiIndex:
             for level in state["levels"]
         ]
         self.precomputation_seconds = state["seconds"]
+        self._compile_rows()
+        self._compose_overlay()
         return self
 
     def refresh(self, dirty_regions: Set[int]) -> int:
@@ -203,6 +271,7 @@ class HiTiIndex:
         of sub-graphs recomputed.
         """
         recomputed = 0
+        self._compile_rows()
         for region in sorted(dirty_regions):
             self.levels[0][region] = self._build_leaf(region)
             recomputed += 1
@@ -218,22 +287,11 @@ class HiTiIndex:
                     level_index, first, block
                 )
                 recomputed += 1
+        self._compose_overlay()
         return recomputed
 
-    def _is_border_of(self, node: int, covered_regions: Set[int]) -> bool:
-        """Is ``node`` adjacent to any node outside ``covered_regions``?"""
-        region_of = self.partitioning.region_of
-        for neighbor, _ in self.network.neighbors(node) + self.network.in_neighbors(node):
-            if region_of(neighbor) not in covered_regions:
-                return True
-        return False
-
     def _overlay_adjacency(
-        self,
-        left: HiTiSubgraph,
-        right: HiTiSubgraph,
-        covered: Set[int],
-        region_of,
+        self, left: HiTiSubgraph, right: HiTiSubgraph
     ) -> Dict[int, List[Tuple[int, float]]]:
         """Overlay graph of the two children: super-edges + crossing edges."""
         adjacency: Dict[int, List[Tuple[int, float]]] = {}
@@ -246,12 +304,14 @@ class HiTiIndex:
             for (u, v), w in child.super_edges.items():
                 add(u, v, w)
         # Original edges between the two children's nodes (crossing edges).
-        child_regions = {"left": set(left.regions), "right": set(right.regions)}
-        for child, other in ((left, child_regions["right"]), (right, child_regions["left"])):
+        ids = self._csr.ids
+        index_of = self._csr.index_of
+        region = self._region
+        for child, other in ((left, set(right.regions)), (right, set(left.regions))):
             for border in child.border_nodes:
-                for neighbor, weight in self.network.neighbors(border):
-                    if region_of(neighbor) in other:
-                        add(border, neighbor, weight)
+                for neighbor, weight in self._crossing[index_of[border]]:
+                    if region[neighbor] in other:
+                        add(border, ids[neighbor], weight)
         return adjacency
 
     @staticmethod
@@ -296,49 +356,14 @@ class HiTiIndex:
         intermediate regions is collapsed into super-edges), mirroring what a
         HiTi client materializes before expanding super-edges.
         """
-        source_region = self.partitioning.region_of(source)
-        target_region = self.partitioning.region_of(target)
         region_of = self.partitioning.region_of
-
-        adjacency: Dict[int, List[Tuple[int, float]]] = {}
-
-        def add(u: int, v: int, w: float) -> None:
-            adjacency.setdefault(u, []).append((v, w))
-            adjacency.setdefault(v, [])
-
-        detailed = {source_region, target_region}
-        # Full detail inside the source and target regions.
-        for region in detailed:
-            for node in self.partitioning.nodes_in_region(region):
-                adjacency.setdefault(node, [])
-                for neighbor, weight in self.network.neighbors(node):
-                    if region_of(neighbor) == region:
-                        add(node, neighbor, weight)
-        # Super-edges for every other region.
-        for region in range(self.num_regions):
-            if region in detailed:
-                continue
-            for (u, v), w in self.levels[0][region].super_edges.items():
-                add(u, v, w)
-        # Crossing (border) edges between regions.
-        for edge_source, edge_target, weight in self.network.edge_tuples():
-            if region_of(edge_source) != region_of(edge_target):
-                add(edge_source, edge_target, weight)
-
-        distances, predecessors, settled = _dijkstra_with_predecessors(
-            adjacency, source, target
-        )
-        distance = distances.get(target, INFINITY)
-        path: List[int] = []
-        if distance != INFINITY:
-            node = target
-            while node is not None:
-                path.append(node)
-                node = predecessors.get(node)
-            path.reverse()
-        return PathResult(
-            source=source, target=target, distance=distance, path=path, settled=settled
-        )
+        rows = list(self._coarse)
+        detail = self._detail
+        for region in {region_of(source), region_of(target)}:
+            for node in self._region_nodes[region]:
+                rows[node] = detail[node]
+        result = arena_for(self._csr).point_to_point(source, target, adjacency=rows)
+        return result.path_result(target)
 
     # ------------------------------------------------------------------
     # Sizing
@@ -354,29 +379,3 @@ class HiTiIndex:
     def size_bytes(self) -> int:
         """Total bytes of pre-computed super-edge information."""
         return self.num_super_edges() * BYTES_PER_SUPER_EDGE
-
-
-def _dijkstra_with_predecessors(
-    adjacency: Dict[int, List[Tuple[int, float]]], source: int, target: int
-):
-    """Dijkstra over a raw adjacency dict returning predecessors as well."""
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, int] = {}
-    settled: Set[int] = set()
-    heap = [(0.0, source)]
-    settled_count = 0
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        settled_count += 1
-        if node == target:
-            break
-        for neighbor, weight in adjacency.get(node, ()):
-            candidate = dist + weight
-            if candidate < distances.get(neighbor, INFINITY):
-                distances[neighbor] = candidate
-                predecessors[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-    return distances, predecessors, settled_count

@@ -6,6 +6,11 @@ graph distances to and from each landmark are pre-computed and stored as a
 graph distance between any two nodes, which A* uses to guide the search:
 
 ``LB(v, t) = max over landmarks l of max(d(l, t) - d(l, v), d(v, l) - d(t, l))``
+
+The vectors are held as two ``landmarks x nodes`` matrices in snapshot
+index order (``inf`` where a landmark and a node are disconnected).  A query
+computes the bound of every node in one vectorized pass and hands it to the
+kernel as the A* ``potential``.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.network.algorithms import kernel
-from repro.network.algorithms.astar import astar_search
 from repro.network.algorithms.paths import INFINITY, PathResult
 from repro.network.graph import RoadNetwork
 
@@ -95,32 +101,50 @@ class LandmarkIndex:
         else:
             raise ValueError(f"unknown landmark selection strategy {selection!r}")
 
-        #: distance from landmark l to every node: ``forward[l][v]``
-        self.forward: Dict[int, Dict[int, float]] = {}
-        #: distance from every node to landmark l: ``backward[l][v]``
-        self.backward: Dict[int, Dict[int, float]] = {}
-        # Two batched distance-only kernel sweeps (forward and reverse); the
-        # vectors are materialized as dicts because ``lower_bound`` probes
-        # them per query with missing-key semantics for unreached nodes.
-        arena = kernel.arena_for(network.ensure_csr())
+        # Two batched distance-only kernel sweeps (forward and reverse).
+        self._csr = network.ensure_csr()
+        arena = kernel.arena_for(self._csr)
         forward_sweeps = arena.many_to_many(self.landmarks, need_predecessors=False)
         backward_sweeps = arena.many_to_many(
             self.landmarks, need_predecessors=False, reverse=True
         )
-        for landmark, fwd, bwd in zip(self.landmarks, forward_sweeps, backward_sweeps):
-            self.forward[landmark] = fwd.distances_dict()
-            self.backward[landmark] = bwd.distances_dict()
+        n = self._csr.num_nodes
+        #: ``forward[l, v]``: distance from landmark ``l`` to node index ``v``.
+        self.forward = np.array([s.dist_np for s in forward_sweeps]).reshape(-1, n)
+        #: ``backward[l, v]``: distance from node index ``v`` to landmark ``l``.
+        self.backward = np.array([s.dist_np for s in backward_sweeps]).reshape(-1, n)
         self.precomputation_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state
     # ------------------------------------------------------------------
+    def _vectors(self, matrix: np.ndarray) -> Dict[int, Dict[int, float]]:
+        """``{landmark: {node: distance}}`` over reached nodes, in id order."""
+        ids = np.asarray(self._csr.ids, dtype=np.int64)
+        vectors: Dict[int, Dict[int, float]] = {}
+        for landmark, row in zip(self.landmarks, matrix):
+            reached = np.isfinite(row)
+            vectors[landmark] = dict(zip(ids[reached].tolist(), row[reached].tolist()))
+        return vectors
+
+    def _matrix(self, vectors: Dict[int, Dict[int, float]]) -> np.ndarray:
+        """The inverse of :meth:`_vectors`: unreached nodes read ``inf``."""
+        ids = np.asarray(self._csr.ids, dtype=np.int64)
+        matrix = np.full((len(self.landmarks), len(ids)), np.inf)
+        for row, landmark in zip(matrix, self.landmarks):
+            vector = vectors[landmark]
+            nodes = np.fromiter(vector, dtype=np.int64, count=len(vector))
+            row[ids.searchsorted(nodes)] = np.fromiter(
+                vector.values(), dtype=np.float64, count=len(vector)
+            )
+        return matrix
+
     def state(self) -> Dict[str, Any]:
         """Landmarks and distance vectors as plain values."""
         return {
             "landmarks": list(self.landmarks),
-            "forward": self.forward,
-            "backward": self.backward,
+            "forward": self._vectors(self.forward),
+            "backward": self._vectors(self.backward),
             "seconds": self.precomputation_seconds,
         }
 
@@ -130,8 +154,9 @@ class LandmarkIndex:
         self = object.__new__(cls)
         self.network = network
         self.landmarks = list(state["landmarks"])
-        self.forward = state["forward"]
-        self.backward = state["backward"]
+        self._csr = network.ensure_csr()
+        self.forward = self._matrix(state["forward"])
+        self.backward = self._matrix(state["backward"])
         self.precomputation_seconds = state["seconds"]
         return self
 
@@ -143,33 +168,39 @@ class LandmarkIndex:
         """Number of landmarks in the index."""
         return len(self.landmarks)
 
+    def potentials(self, target: int) -> List[float]:
+        """ALT lower bound from every node index to ``target``.
+
+        Terms with an ``inf`` operand (a landmark disconnected from the
+        node or the target) are left out, and the bound is never below 0.
+        """
+        column = self._csr.index_of[target]
+        with np.errstate(invalid="ignore"):
+            terms = np.concatenate(
+                (
+                    self.forward[:, column, None] - self.forward,
+                    self.backward - self.backward[:, column, None],
+                )
+            )
+        terms[~np.isfinite(terms)] = 0.0
+        return terms.max(axis=0, initial=0.0).tolist()
+
     def lower_bound(self, node: int, target: int) -> float:
         """ALT lower bound on the graph distance from ``node`` to ``target``."""
-        best = 0.0
-        for landmark in self.landmarks:
-            from_landmark = self.forward[landmark]
-            to_landmark = self.backward[landmark]
-            d_l_t = from_landmark.get(target, INFINITY)
-            d_l_v = from_landmark.get(node, INFINITY)
-            d_v_l = to_landmark.get(node, INFINITY)
-            d_t_l = to_landmark.get(target, INFINITY)
-            if d_l_t != INFINITY and d_l_v != INFINITY:
-                best = max(best, d_l_t - d_l_v)
-            if d_v_l != INFINITY and d_t_l != INFINITY:
-                best = max(best, d_v_l - d_t_l)
-        return max(best, 0.0)
+        return self.potentials(target)[self._csr.index_of[node]]
 
     def query(self, source: int, target: int) -> PathResult:
         """Shortest path via A* guided by the landmark lower bound."""
-        return astar_search(self.network, source, target, lower_bound=self.lower_bound)
+        result = kernel.arena_for(self._csr).point_to_point(
+            source, target, potential=self.potentials(target)
+        )
+        return result.path_result(target)
 
     def distance_vector(self, node: int) -> List[float]:
         """The per-node vector transmitted on the air (2 values per landmark)."""
-        vector: List[float] = []
-        for landmark in self.landmarks:
-            vector.append(self.forward[landmark].get(node, INFINITY))
-            vector.append(self.backward[landmark].get(node, INFINITY))
-        return vector
+        column = self._csr.index_of[node]
+        pairs = np.stack((self.forward[:, column], self.backward[:, column]), axis=1)
+        return pairs.ravel().tolist()
 
     # ------------------------------------------------------------------
     # Sizing

@@ -18,13 +18,16 @@ Two mechanisms deliver this:
   simulation** of the dict loop over the CSR arrays -- same heap entries
   (index order is id order), same relaxation order, same termination tests
   -- so even the *tentative* frontier labels left behind by an early stop
-  match.
-* Full sweeps (:meth:`KernelArena.sssp`) and unmasked point-to-point
-  searches take the distance labels from scipy (relaxation order cannot
-  change the converged float values) and then reconstruct predecessors and
-  discovery order from the settle order, which under strictly positive
-  weights provably equals sorting reachable nodes by ``(distance, node
-  id)``.  Snapshots with a non-positive edge weight keep the faithful loop
+  match.  The client searches run the same loop: ``adjacency=`` swaps in
+  per-node rows (HiTi's overlay, ArcFlag's flagged rows) and ``potential=``
+  turns it into A* (Landmark's lower bounds), each bit-identical to its
+  dict reference in ``tests/oracles/``.
+* Full sweeps (:meth:`KernelArena.sssp`) and plain point-to-point
+  searches (no mask, rows or potential) take the distance labels from
+  scipy (relaxation order cannot change the converged float values) and
+  then reconstruct predecessors and discovery order from the settle order,
+  which under strictly positive weights provably equals sorting reachable
+  nodes by ``(distance, node id)``.  Snapshots with a non-positive edge weight keep the faithful loop
   for every search that reports a tree (see
   :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
 
@@ -47,13 +50,13 @@ import numpy as _np
 from scipy.sparse import csr_matrix as _csr_matrix
 from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 
+from repro.network.algorithms.paths import PathResult
 from repro.network.csr import CSRGraph
 
 __all__ = [
     "KernelArena",
     "KernelResult",
     "arena_for",
-    "masked_shortest_path",
     "many_to_many",
     "point_to_point",
     "sssp",
@@ -184,6 +187,18 @@ class KernelResult:
             # Frontier or unreached: the faithful loop leaves a *tentative*
             # label here, which only the reconstruction knows.
         return self.dist[index]
+
+    def path_result(self, target: int) -> PathResult:
+        """The point-to-point answer for ``target`` read off these labels:
+        distance, node-id path (empty when unreached) and settled count."""
+        distance = self.distance_to(target)
+        return PathResult(
+            source=self.source,
+            target=target,
+            distance=distance,
+            path=self.path_to(target) if distance != _INF else [],
+            settled=self.settled,
+        )
 
     def reached_indexes(self) -> List[int]:
         """Discovered node indexes (discovery order when tracked)."""
@@ -413,6 +428,8 @@ class KernelArena:
         target: int,
         allowed: Optional[Iterable[int]] = None,
         reverse: bool = False,
+        adjacency: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
+        potential: Optional[Sequence[float]] = None,
     ) -> KernelResult:
         """Early-terminating point-to-point search.
 
@@ -421,9 +438,16 @@ class KernelArena:
         replaces) materializing the induced subgraph first, as the EB/NR
         clients used to.  Both endpoints must belong to the subset.
 
-        Unmasked searches on positive-weight snapshots run the compiled
-        truncated-replay path (:meth:`_p2p_accel`); masked or
-        non-positive-weight searches keep the faithful loop.
+        ``adjacency`` replaces the snapshot's forward rows for this search:
+        one ``(neighbor_index, weight)`` row per node index (HiTi's overlay,
+        ArcFlag's flagged rows).  ``potential`` is a per-index lower bound
+        on the remaining distance to ``target`` (Landmark's ALT bound): the
+        heap key becomes ``distance + potential`` with ties broken by index,
+        i.e. A*.  A potential cannot be combined with ``allowed``.
+
+        Unmasked searches over the snapshot's own rows on positive-weight
+        snapshots run the compiled truncated-replay path
+        (:meth:`_p2p_accel`); every other search keeps the faithful loop.
         """
         source_index = self._source_index(source)
         target_index = self.csr.index_of.get(target)
@@ -431,15 +455,28 @@ class KernelArena:
             raise KeyError(f"unknown target node {target}")
         mask = None
         if allowed is not None:
+            if potential is not None:
+                raise ValueError("a potential cannot be combined with an allowed set")
             mask = self._allowed_mask(allowed)
             if not mask[source_index]:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
-        if mask is None and not self.csr.has_nonpositive_weight:
+        if (
+            mask is None
+            and adjacency is None
+            and potential is None
+            and not self.csr.has_nonpositive_weight
+        ):
             return self._p2p_accel(source, source_index, target_index, reverse)
         return self._faithful(
-            source_index, source, target_index=target_index, mask=mask, reverse=reverse
+            source_index,
+            source,
+            target_index=target_index,
+            mask=mask,
+            reverse=reverse,
+            adjacency=adjacency,
+            potential=potential,
         )
 
     def _allowed_mask(self, allowed: Iterable[int]) -> bytearray:
@@ -477,7 +514,7 @@ class KernelArena:
         targets: Optional[Iterable[int]] = None,
         reverse: bool = False,
     ) -> KernelResult:
-        """General search mirroring ``dijkstra_search``'s termination rules.
+        """General search mirroring the dict reference loop's termination rules.
 
         ``target`` and ``targets`` may be combined, exactly like the dict
         reference loop: the search stops at whichever condition fires first.
@@ -723,19 +760,47 @@ class KernelArena:
         remaining: Optional[set] = None,
         mask: Optional[bytearray] = None,
         reverse: bool = False,
+        adjacency: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
+        potential: Optional[Sequence[float]] = None,
     ) -> KernelResult:
         csr = self.csr
-        adjacency = csr.rev_adj if reverse else csr.fwd_adj
+        if adjacency is None:
+            adjacency = csr.rev_adj if reverse else csr.fwd_adj
         ids = csr.ids
         dist = [_INF] * self.num_nodes
         pred = [-1] * self.num_nodes
         order = [source_index]
         dist[source_index] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source_index)]
         pop = heapq.heappop
         push = heapq.heappush
         append = order.append
         settled = 0
+        if potential is not None:
+            # A*: keys are ``distance + potential``, so a stale entry can no
+            # longer be told by its key; a settled flag per node replaces
+            # the ``d > dist[u]`` test (an inconsistent bound may still
+            # lower a settled node's label, which is then never expanded).
+            done = bytearray(self.num_nodes)
+            heap: List[Tuple[float, int]] = [(potential[source_index], source_index)]
+            while heap:
+                u = pop(heap)[1]
+                if done[u]:
+                    continue
+                done[u] = 1
+                settled += 1
+                if u == target_index:
+                    break
+                d = dist[u]
+                for v, w in adjacency[u]:
+                    nd = d + w
+                    if nd < dist[v]:
+                        if dist[v] == _INF:
+                            append(v)
+                        dist[v] = nd
+                        pred[v] = u
+                        push(heap, (nd + potential[v], v))
+            return KernelResult(csr, source, dist, pred, order, settled)
+        heap = [(0.0, source_index)]
         while heap:
             d, u = pop(heap)
             if d > dist[u]:
@@ -816,28 +881,4 @@ def many_to_many(
     """Batched full sweeps over the network snapshot, in source order."""
     return arena_for(network.ensure_csr()).many_to_many(
         sources, need_predecessors=need_predecessors, reverse=reverse
-    )
-
-
-def masked_shortest_path(network, source: int, target: int, allowed: Iterable[int]):
-    """Point-to-point search restricted to ``allowed``, as a ``PathResult``.
-
-    Runs over the network's snapshot (compiled if absent or stale); the
-    result -- distance, path, settled count -- is bit-identical to running
-    :func:`~repro.network.algorithms.dijkstra.shortest_path` on
-    ``network.subgraph(allowed)``.
-    """
-    from repro.network.algorithms.paths import PathResult
-
-    result = arena_for(network.ensure_csr()).point_to_point(
-        source, target, allowed=allowed
-    )
-    distance = result.distance_to(target)
-    path = result.path_to(target) if distance != _INF else []
-    return PathResult(
-        source=source,
-        target=target,
-        distance=distance,
-        path=path,
-        settled=result.settled,
     )

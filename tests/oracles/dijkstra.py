@@ -1,9 +1,10 @@
-"""Dict-based reference Dijkstra for :mod:`repro.network.algorithms.dijkstra`.
+"""Dict-based reference Dijkstra for the array kernel.
 
-The production entry points run on the network's CSR snapshot through the
-array kernel.  This is the textbook loop they must reproduce bit for bit:
-a binary heap over ``(distance, node id)``, a settled set, and relaxation
-over the network's own adjacency lists.  It reads only
+The production searches (:mod:`repro.network.algorithms.kernel`, and
+:func:`repro.network.algorithms.dijkstra.shortest_path` over it) run on
+the network's CSR snapshot.  This is the textbook loop they must reproduce
+bit for bit: a binary heap over ``(distance, node id)``, a settled set, and
+relaxation over the network's own adjacency lists.  It reads only
 ``network.adjacency()`` / ``network.reverse_adjacency()``, never a
 snapshot, so it stays independent of the code under test.
 """
@@ -11,10 +12,28 @@ snapshot, so it stays independent of the code under test.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set
 
-from repro.network.algorithms.dijkstra import DijkstraResult
-from repro.network.algorithms.paths import INFINITY, PathResult
+from repro.network.algorithms.paths import INFINITY, PathResult, reconstruct_path
+
+
+@dataclass
+class DijkstraResult:
+    """Distances and predecessors produced by a single-source search."""
+
+    source: int
+    distances: Dict[int, float] = field(default_factory=dict)
+    predecessors: Dict[int, Optional[int]] = field(default_factory=dict)
+    settled: int = 0
+
+    def distance_to(self, target: int) -> float:
+        """Distance to ``target`` or ``inf`` when unreached."""
+        return self.distances.get(target, INFINITY)
+
+    def path_to(self, target: int) -> list:
+        """Shortest path node sequence to ``target`` (empty if unreached)."""
+        return reconstruct_path(self.predecessors, self.source, target)
 
 
 def dijkstra_search(

@@ -1,10 +1,15 @@
-"""Unit tests for A* search."""
+"""Unit tests for the reference A* (``tests/oracles/astar.py``).
+
+The Landmark and ArcFlag clients search through the kernel; this loop is
+the oracle their property tests compare against, so it is checked here on
+its own: against Dijkstra, with guiding bounds, and with edge filters.
+"""
 
 import random
 
 import pytest
 
-from repro.network.algorithms.astar import astar_search
+from oracles.astar import astar_search
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 

@@ -1,15 +1,16 @@
-"""Unit tests for Dijkstra's algorithm and path helpers."""
+"""Unit tests for Dijkstra's algorithm and path helpers.
+
+Point-to-point queries go through :func:`shortest_path`; single-source,
+reverse and multi-target searches through the kernel arena that every
+pre-computation calls.
+"""
 
 import random
 
 import pytest
 
-from repro.network.algorithms.dijkstra import (
-    dijkstra_distances,
-    dijkstra_multi_target,
-    shortest_path,
-    shortest_path_distance,
-)
+from repro.network.algorithms.dijkstra import shortest_path
+from repro.network.algorithms.kernel import arena_for
 from repro.network.algorithms.paths import (
     INFINITY,
     path_cost,
@@ -60,7 +61,9 @@ class TestPointToPoint:
 
     def test_distance_helper_matches_full_result(self):
         network = diamond_network()
-        assert shortest_path_distance(network, 1, 4) == shortest_path(network, 1, 4).distance
+        probe = arena_for(network.ensure_csr()).point_to_point(1, 4)
+        assert probe.distance_to(4) == shortest_path(network, 1, 4).distance
+        assert probe.path_result(4) == shortest_path(network, 1, 4)
 
     def test_path_is_valid_edge_sequence(self):
         network = diamond_network()
@@ -74,12 +77,16 @@ class TestPointToPoint:
         assert shortest_path(network, 4, 1).distance == INFINITY
 
 
+def arena(network):
+    return arena_for(network.ensure_csr())
+
+
 class TestSingleSource:
     def test_distances_match_point_queries(self, small_network):
         rng = random.Random(2)
         nodes = small_network.node_ids()
         source = nodes[0]
-        sssp = dijkstra_distances(small_network, source)
+        sssp = arena(small_network).sssp(source)
         for target in rng.sample(nodes, 10):
             assert sssp.distance_to(target) == pytest.approx(
                 shortest_path(small_network, source, target).distance
@@ -88,8 +95,9 @@ class TestSingleSource:
     def test_reverse_search_matches_forward_on_reversed_graph(self, small_network):
         nodes = small_network.node_ids()
         source = nodes[3]
-        reverse = dijkstra_distances(small_network, source, reverse=True)
-        forward_on_reversed = dijkstra_distances(small_network.reversed(), source)
+        reversed_network = small_network.reversed()
+        reverse = arena(small_network).search(source, reverse=True)
+        forward_on_reversed = arena(reversed_network).search(source)
         for node in nodes[:25]:
             assert reverse.distance_to(node) == pytest.approx(
                 forward_on_reversed.distance_to(node)
@@ -97,7 +105,7 @@ class TestSingleSource:
 
     def test_path_to_reconstructs_valid_paths(self, small_network):
         source = small_network.node_ids()[0]
-        result = dijkstra_distances(small_network, source)
+        result = arena(small_network).sssp(source)
         for target in small_network.node_ids()[:20]:
             path = result.path_to(target)
             if result.distance_to(target) != INFINITY and target != source:
@@ -107,8 +115,8 @@ class TestSingleSource:
     def test_multi_target_settles_all_targets(self, small_network):
         nodes = small_network.node_ids()
         source, targets = nodes[0], set(nodes[5:15])
-        result = dijkstra_multi_target(small_network, source, targets)
-        full = dijkstra_distances(small_network, source)
+        result = arena(small_network).multi_target(source, targets)
+        full = arena(small_network).sssp(source)
         for target in targets:
             assert result.distance_to(target) == pytest.approx(full.distance_to(target))
 
@@ -119,8 +127,8 @@ class TestSingleSource:
             (n for n in nodes if n != source),
             key=lambda n: small_network.euclidean_distance(source, n),
         )
-        limited = dijkstra_multi_target(small_network, source, {nearby_target})
-        full = dijkstra_distances(small_network, source)
+        limited = arena(small_network).search(source, targets={nearby_target})
+        full = arena(small_network).sssp(source)
         assert limited.settled < full.settled
 
 

@@ -1,0 +1,279 @@
+"""The client searches on the kernel against their dict references.
+
+ArcFlag searches its target region's flagged rows, Landmark runs A* with a
+vectorized potential, and HiTi searches a compiled flat overlay -- all
+through ``KernelArena.point_to_point`` (``adjacency=``/``potential=``).
+Each answer -- distance, path and settled count -- must equal the dict loop
+it replaced: ``tests/oracles/astar.py`` with an edge filter or a scalar
+lower bound, and the per-query dict overlay of ``tests/oracles/hiti.py``.
+Networks are hypothesis-drawn with integer weights (exact ties), zero-weight
+and parallel edges, a node with out-edges only and an isolated node;
+ArcFlag runs at region counts on both sides of the 64-bit word boundary.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import arcflag as arcflag_oracle
+from oracles import hiti as hiti_oracle
+from oracles.astar import astar_search, landmark_lower_bound, landmark_vectors
+from repro import air
+from repro.index.arcflag import ArcFlagIndex
+from repro.index.hiti import HiTiIndex
+from repro.index.landmark import LandmarkIndex
+from repro.network.algorithms.kernel import arena_for
+from repro.network.graph import RoadNetwork
+from repro.partitioning.base import Partitioning
+from repro.serialize.codec import decode_value, encode_value
+
+SETTINGS = settings(
+    max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class _Assigned:
+    """A locator placing node ``i`` (drawn at ``x = i``) in ``regions[i]``."""
+
+    def __init__(self, num_regions: int, regions) -> None:
+        self._num_regions = num_regions
+        self._regions = regions
+
+    @property
+    def num_regions(self) -> int:
+        return self._num_regions
+
+    def locate(self, x: float, y: float) -> int:
+        return self._regions[int(x)]
+
+
+def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
+    """Random directed network with integer weights in ``[0, 4]`` and some
+    parallel edges, plus a node with out-edges only and an isolated node
+    (the last two ids).
+    Nodes are added in shuffled order, so ``edges()`` order is not the
+    snapshot's edge order."""
+    rng = random.Random(seed)
+
+    def weight() -> float:
+        return 0.0 if rng.random() < zero_share else float(rng.randint(1, 4))
+
+    network = RoadNetwork(name=f"client-ties-{seed}")
+    for node in rng.sample(range(num_nodes), num_nodes):
+        network.add_node(node, float(node), rng.random())
+    inner = num_nodes - 2
+    edges = {}
+    for node in range(1, inner):
+        edges[(node - 1, node)] = weight()
+        edges[(node, node - 1)] = weight()
+    for _ in range(inner):
+        a, b = rng.randrange(inner), rng.randrange(inner)
+        if a != b:
+            edges[(a, b)] = weight()
+    edges[(inner, 0)] = weight()  # ``inner`` has out-edges only
+    for (a, b), w in edges.items():
+        network.add_edge(a, b, w)
+    for a, b in rng.sample(sorted(edges), max(1, len(edges) // 8)):
+        network.add_edge(a, b, weight())  # a parallel edge
+    network.clear_delta()
+    return network
+
+
+def tie_partitioning(network: RoadNetwork, num_regions: int, seed: int) -> Partitioning:
+    """Random regions, with the highest region and (past one word) region
+    63 always populated, so flags use the top bit of each word."""
+    rng = random.Random(seed)
+    regions = [rng.randrange(num_regions) for _ in range(network.num_nodes)]
+    regions[0] = num_regions - 1
+    if num_regions > 64:
+        regions[1] = 63
+    return Partitioning(network, _Assigned(num_regions, regions))
+
+
+def query_pairs(network: RoadNetwork, seed: int, count: int = 30):
+    """Random pairs plus every pair touching the top-region nodes and the
+    two nodes nothing reaches."""
+    rng = random.Random(seed)
+    ids = sorted(network.node_ids())
+    special = [0, 1, ids[-2], ids[-1]]
+    pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
+    pairs += [(a, b) for a in special for b in special]
+    pairs += [(rng.choice(ids), b) for b in special] + [(a, rng.choice(ids)) for a in special]
+    return pairs
+
+
+def answer(result):
+    return result.distance, result.path, result.settled
+
+
+def reweight(network: RoadNetwork, seed: int, count: int = 4):
+    """Apply ``count`` random positive integer weight changes."""
+    rng = random.Random(seed)
+    edges = sorted({(source, target) for source, target, _ in network.edge_tuples()})
+    network.apply_updates(
+        [(u, v, float(rng.randint(1, 6))) for u, v in rng.sample(edges, min(count, len(edges)))]
+    )
+
+
+# ----------------------------------------------------------------------
+# The kernel's potential loop against the reference A*
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(
+    seed=st.integers(0, 10_000),
+    num_nodes=st.integers(6, 30),
+    zero_share=st.sampled_from([0.0, 0.2]),
+)
+def test_potential_search_equals_astar_for_any_bound(seed, num_nodes, zero_share):
+    """Arbitrary non-negative potentials -- inconsistent ones too, which
+    can lower a settled node's label -- settle exactly like the settled-set
+    A* they replace."""
+    network = tie_network(seed, num_nodes, zero_share)
+    rng = random.Random(seed)
+    potential = [float(rng.randint(0, 6)) for _ in range(num_nodes)]
+    arena = arena_for(network.ensure_csr())
+    for source, target in query_pairs(network, seed):
+        want = astar_search(
+            network, source, target, lower_bound=lambda node, _: potential[node]
+        )
+        got = arena.point_to_point(source, target, potential=potential)
+        assert answer(got.path_result(target)) == answer(want)
+
+
+# ----------------------------------------------------------------------
+# ArcFlag: flagged rows against the edge-filtered reference
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(
+    seed=st.integers(0, 10_000),
+    num_regions=st.sampled_from([4, 64, 65, 128]),
+    num_nodes=st.integers(6, 30),
+    zero_share=st.sampled_from([0.0, 0.2]),
+)
+def test_arcflag_query_equals_filtered_astar(seed, num_regions, num_nodes, zero_share):
+    network = tie_network(seed, num_nodes, zero_share)
+    partitioning = tie_partitioning(network, num_regions, seed)
+    index = ArcFlagIndex(network, partitioning)
+    flags = arcflag_oracle.build_flags(network, partitioning)
+    assert list(index.flags.items()) == list(flags.items())
+    restored = ArcFlagIndex.from_state(
+        network, partitioning, decode_value(encode_value(index.state()))
+    )
+    assert restored.edge_flags == index.edge_flags
+    for source, target in query_pairs(network, seed):
+        bit = 1 << partitioning.region_of(target)
+        want = astar_search(
+            network, source, target, edge_filter=lambda u, v: bool(flags[(u, v)] & bit)
+        )
+        assert answer(index.query(source, target)) == answer(want)
+        assert answer(restored.query(source, target)) == answer(want)
+
+
+# ----------------------------------------------------------------------
+# Landmark: vectorized potentials against the scalar bound
+# ----------------------------------------------------------------------
+@SETTINGS
+@given(
+    seed=st.integers(0, 10_000),
+    num_nodes=st.integers(6, 30),
+    num_landmarks=st.integers(1, 4),
+    zero_share=st.sampled_from([0.0, 0.2]),
+)
+def test_landmark_query_equals_scalar_astar(seed, num_nodes, num_landmarks, zero_share):
+    network = tie_network(seed, num_nodes, zero_share)
+    ids = sorted(network.node_ids())  # snapshot index order
+    rng = random.Random(seed)
+    # The isolated node and the out-edges-only node leave ``inf`` entries
+    # in every other landmark's vectors; draw them as landmarks too.
+    landmarks = rng.sample(ids, num_landmarks - 1) + [rng.choice(ids[-2:])]
+    index = LandmarkIndex(network, landmarks=landmarks)
+    forward, backward = landmark_vectors(network, landmarks)
+    state = index.state()
+    assert state["forward"] == forward and state["backward"] == backward
+    assert np.isinf(index.forward).any() and np.isinf(index.backward).any()
+    lower_bound = landmark_lower_bound(landmarks, forward, backward)
+    for target in ids:
+        potentials = index.potentials(target)
+        assert potentials == [lower_bound(node, target) for node in ids]
+    restored = LandmarkIndex.from_state(network, decode_value(encode_value(state)))
+    assert np.array_equal(restored.forward, index.forward)
+    assert np.array_equal(restored.backward, index.backward)
+    for source, target in query_pairs(network, seed):
+        want = astar_search(network, source, target, lower_bound=lower_bound)
+        assert answer(index.query(source, target)) == answer(want)
+        assert answer(restored.query(source, target)) == answer(want)
+
+
+# ----------------------------------------------------------------------
+# HiTi: the compiled overlay against the per-query dict overlay
+# ----------------------------------------------------------------------
+def assert_hiti_matches(index: HiTiIndex, pairs) -> None:
+    for source, target in pairs:
+        assert answer(index.query(source, target)) == answer(
+            hiti_oracle.query(index, source, target)
+        )
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 10_000),
+    num_regions=st.sampled_from([2, 4, 8]),
+    num_nodes=st.integers(6, 30),
+    zero_share=st.sampled_from([0.0, 0.2]),
+)
+def test_hiti_query_equals_dict_overlay(seed, num_regions, num_nodes, zero_share):
+    network = tie_network(seed, num_nodes, zero_share)
+    partitioning = tie_partitioning(network, num_regions, seed)
+    pairs = query_pairs(network, seed)
+    index = HiTiIndex(network, partitioning)
+    assert_hiti_matches(index, pairs)
+    crossing = sum(
+        1
+        for source, target, _ in network.edge_tuples()
+        if partitioning.region_of(source) != partitioning.region_of(target)
+    )
+    assert index.num_crossing_edges() == crossing
+
+    restored = HiTiIndex.from_state(
+        network, partitioning, decode_value(encode_value(index.state()))
+    )
+    assert_hiti_matches(restored, pairs)
+
+    # A weight batch refreshed in place: the overlay follows the network.
+    reweight(network, seed)
+    index.refresh(network.pending_delta().dirty_regions(partitioning))
+    network.clear_delta()
+    assert_hiti_matches(index, pairs)
+    scratch = HiTiIndex(network, partitioning)
+    assert index.state()["levels"] == scratch.state()["levels"]
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10_000), num_nodes=st.integers(10, 40))
+def test_hiti_shadow_refresh_leaves_the_serving_overlay(seed, num_nodes):
+    """``shadow_rebuild`` refreshes a clone; the serving instance keeps its
+    rows and answers until it is refreshed in place itself."""
+    network = tie_network(seed, num_nodes, 0.0)
+    scheme = air.create("HiTi", network, num_regions=4)
+    pairs = query_pairs(network, seed)
+    serving = scheme.index
+    assert_hiti_matches(serving, pairs)
+    rows = (list(serving._detail), list(serving._coarse))
+    before = [answer(serving.query(source, target)) for source, target in pairs]
+
+    reweight(network, seed)
+    delta = network.pending_delta()
+    shadow = scheme.shadow_rebuild(network, delta)
+    assert shadow is not None and shadow.index is not serving
+    assert (serving._detail, serving._coarse) == rows
+    assert [answer(serving.query(source, target)) for source, target in pairs] == before
+    assert_hiti_matches(shadow.index, pairs)
+
+    assert scheme.incremental_rebuild(network, delta)
+    network.clear_delta()
+    assert_hiti_matches(scheme.index, pairs)
+    assert scheme.index.state()["levels"] == shadow.index.state()["levels"]

@@ -1,7 +1,7 @@
 """Property suite for the CSR snapshot layer and the array SP kernel.
 
 The contract under test (see ``docs/api.md``): every kernel search -- and
-therefore every ``dijkstra_*`` call -- is **bit-identical** to the dict
+therefore every ``shortest_path`` call -- is **bit-identical** to the dict
 Dijkstra oracle (``tests/oracles/dijkstra.py``): same IEEE-754 distance
 values, same predecessor choices on equal-distance ties, same settled
 counts, and the same ``distances``/``predecessors`` dict insertion order.
@@ -21,12 +21,7 @@ from oracles import dijkstra as oracle
 from repro.engine import AirSystem
 from repro.index.arcflag import ArcFlagIndex
 from repro.network.algorithms import kernel
-from repro.network.algorithms.dijkstra import (
-    dijkstra_distances,
-    dijkstra_multi_target,
-    dijkstra_search,
-    shortest_path,
-)
+from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.csr import CSRGraph
 from repro.network.generators import GeneratorConfig, generate_road_network
@@ -67,8 +62,18 @@ def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNe
     return network
 
 
+def arena(network):
+    return kernel.arena_for(network.ensure_csr())
+
+
 def assert_same_result(kernel_result, reference_result):
     """Full bit-identity: values, tie choices, counts, and dict key order."""
+    kernel_result = oracle.DijkstraResult(
+        source=kernel_result.source,
+        distances=kernel_result.distances_dict(),
+        predecessors=kernel_result.predecessors_dict(),
+        settled=kernel_result.settled,
+    )
     assert kernel_result.distances == reference_result.distances
     assert list(kernel_result.distances) == list(reference_result.distances)
     assert kernel_result.predecessors == reference_result.predecessors
@@ -87,7 +92,7 @@ def test_sssp_bit_identical_forward_and_reverse(seed, kernel_path):
     for source in rng.sample(network.node_ids(), 12):
         for reverse in (False, True):
             assert_same_result(
-                dijkstra_distances(network, source, reverse=reverse),
+                arena(network).sssp(source, reverse=reverse),
                 oracle.dijkstra_distances(network, source, reverse=reverse),
             )
 
@@ -102,7 +107,7 @@ def test_point_to_point_bit_identical_including_frontier(seed, kernel_path):
     for _ in range(15):
         source, target = rng.choice(ids), rng.choice(ids)
         assert_same_result(
-            dijkstra_search(network, source, target=target),
+            arena(network).search(source, target=target),
             oracle.dijkstra_search(network, source, target=target),
         )
         got = shortest_path(network, source, target)
@@ -124,7 +129,7 @@ def test_multi_target_bit_identical(seed, kernel_path):
         source = rng.choice(ids)
         targets = rng.sample(ids, size)
         assert_same_result(
-            dijkstra_multi_target(network, source, targets),
+            arena(network).multi_target(source, targets),
             oracle.dijkstra_multi_target(network, source, targets),
         )
 
@@ -140,13 +145,13 @@ def test_combined_target_and_targets_bit_identical(seed, kernel_path):
         source, target = rng.choice(ids), rng.choice(ids)
         targets = set(rng.sample(ids, rng.randint(1, 5)))
         assert_same_result(
-            dijkstra_search(network, source, target=target, targets=targets),
+            arena(network).search(source, target=target, targets=targets),
             oracle.dijkstra_search(network, source, target=target, targets=targets),
         )
     # Unknown target alongside live targets: only the targets terminate.
     source = ids[0]
     assert_same_result(
-        dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
+        arena(network).search(source, target=10**9, targets={ids[-1]}),
         oracle.dijkstra_search(network, source, target=10**9, targets={ids[-1]}),
     )
 
@@ -156,7 +161,7 @@ def test_unknown_target_degenerates_to_full_sweep(kernel_path):
     network.ensure_csr()
     source = network.node_ids()[0]
     assert_same_result(
-        dijkstra_search(network, source, target=10**9),
+        arena(network).search(source, target=10**9),
         oracle.dijkstra_search(network, source, target=10**9),
     )
 
@@ -180,7 +185,7 @@ def test_zero_weight_edges_stay_exact(kernel_path):
     assert snapshot.has_nonpositive_weight
     for source in network.node_ids():
         assert_same_result(
-            dijkstra_distances(network, source),
+            arena(network).sssp(source),
             oracle.dijkstra_distances(network, source),
         )
 
@@ -201,7 +206,7 @@ def test_parallel_edges_stay_exact(kernel_path):
     network.ensure_csr()
     for source in network.node_ids():
         assert_same_result(
-            dijkstra_distances(network, source),
+            arena(network).sssp(source),
             oracle.dijkstra_distances(network, source),
         )
 
@@ -219,7 +224,7 @@ def test_masked_search_equals_subgraph_search(seed, kernel_path):
         allowed = set(rng.sample(ids, rng.randint(2, len(ids))))
         inside = sorted(allowed)
         source, target = rng.choice(inside), rng.choice(inside)
-        got = kernel.masked_shortest_path(network, source, target, allowed)
+        got = shortest_path(network, source, target, allowed=allowed)
         want = oracle.shortest_path(network.subgraph(allowed), source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
@@ -252,7 +257,7 @@ def test_searches_after_structural_mutation_compile_one_snapshot():
     rng = random.Random(6)
     allowed = set(rng.sample(ids, 25)) | {ids[0], ids[-1]}
     for source, target in ((ids[0], ids[-1]), (ids[-1], ids[0])):
-        got = kernel.masked_shortest_path(network, source, target, allowed)
+        got = shortest_path(network, source, target, allowed=allowed)
         want = oracle.shortest_path(network.subgraph(allowed), source, target)
         assert (got.distance, got.path, got.settled) == (
             want.distance,
@@ -292,11 +297,11 @@ def test_patched_snapshot_bit_identical_after_update_stream(seed, kernel_path):
         assert stats["builds"] == 1
         for source in rng.sample(network.node_ids(), 6):
             assert_same_result(
-                dijkstra_distances(network, source),
+                arena(network).sssp(source),
                 oracle.dijkstra_distances(network, source),
             )
             assert_same_result(
-                dijkstra_distances(network, source, reverse=True),
+                arena(network).sssp(source, reverse=True),
                 oracle.dijkstra_distances(network, source, reverse=True),
             )
     assert network.csr_stats()["patches"] > 0
@@ -312,7 +317,7 @@ def test_structural_mutation_invalidates_and_rebuild_recovers():
     assert second is not first
     assert second.num_edges == first.num_edges + 1
     assert_same_result(
-        dijkstra_distances(network, ids[0]), oracle.dijkstra_distances(network, ids[0])
+        arena(network).sssp(ids[0]), oracle.dijkstra_distances(network, ids[0])
     )
     assert network.csr_stats()["builds"] == 2
 
@@ -580,7 +585,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(kernel_path, seed):
     assert network.ensure_csr() is csr_before
     assert kernel.arena_for(network.ensure_csr()) is arena_before
     assert_same_result(
-        dijkstra_distances(network, source),
+        arena(network).sssp(source),
         oracle.dijkstra_distances(network, source),
     )
 
@@ -593,7 +598,7 @@ def test_stale_arena_cannot_resurrect_superseded_snapshot(kernel_path, seed):
     arena_after = kernel.arena_for(csr_after)
     assert arena_after is not arena_before
     assert_same_result(
-        dijkstra_distances(network, source),
+        arena(network).sssp(source),
         oracle.dijkstra_distances(network, source),
     )
 
