@@ -18,7 +18,7 @@ slows the local search down.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from repro.air.base import AirClient, AirIndexScheme, ClientOptions, CpuTimer, QueryResult
 from repro.broadcast.channel import ClientSession
@@ -140,31 +140,24 @@ class FullCycleClient(AirClient):
             key=lambda seg: (cycle.segment_start(seg.name) - session.start_position)
             % cycle.total_packets,
         )
-        pending_retries: List[tuple] = []
+        lost_adjacency = []
         for segment in order:
             reception = session.receive_segment(segment.name)
             memory.allocate(segment.size_bytes)
             if reception.lost_offsets:
                 if segment.kind == SegmentKind.NETWORK_DATA:
-                    pending_retries.append((segment.name, list(reception.lost_offsets)))
+                    lost_adjacency.append((segment.name, reception.lost_offsets))
                 else:
                     degraded = True
 
         # Re-receive lost adjacency packets (possibly over several cycles).
-        attempts = 0
-        while pending_retries and attempts < 50:
-            attempts += 1
-            still_pending: List[tuple] = []
-            for name, offsets in pending_retries:
-                reception = session.receive_segment_packets(name, offsets)
-                if reception.lost_offsets:
-                    still_pending.append((name, list(reception.lost_offsets)))
-            pending_retries = still_pending
+        session.recover(lost_adjacency)
 
         with CpuTimer(self.device) as timer:
             local = self.scheme.local_query(source, target, degraded)
         # Working structures (heap, distance maps) on top of the stored cycle.
-        memory.allocate(_working_set_bytes(self.scheme))
+        scheme = self.scheme
+        memory.allocate(scheme.layout.search_working_set_bytes(scheme.network.num_nodes))
 
         result = QueryResult(
             source=source,
@@ -176,8 +169,3 @@ class FullCycleClient(AirClient):
         result.metrics.extra["settled_nodes"] = float(local.settled)
         return result
 
-
-def _working_set_bytes(scheme: FullCycleScheme) -> int:
-    """Rough size of the search's own structures (distance map + heap)."""
-    per_node = 3 * scheme.layout.distance_bytes + scheme.layout.node_id_bytes
-    return scheme.network.num_nodes * per_node

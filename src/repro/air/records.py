@@ -73,6 +73,11 @@ class RecordLayout:
         """Total bytes of all SPQ quad-tree blocks."""
         return total_blocks * self.quadtree_block_bytes
 
+    def search_working_set_bytes(self, num_nodes: int) -> int:
+        """A client search's own structures over ``num_nodes`` nodes: a
+        distance map, a predecessor map and a heap entry per node."""
+        return num_nodes * (3 * self.distance_bytes + self.node_id_bytes)
+
     def hiti_super_edge_bytes(self) -> int:
         """One HiTi super-edge: two endpoints plus a distance."""
         return 2 * self.node_id_bytes + self.distance_bytes

@@ -5,7 +5,9 @@ A :class:`ClientSession` models one client processing one query:
 * the client *tunes in* at an arbitrary packet position,
 * it may *receive* packets (each received packet counts toward tuning time
   and may be lost, per the channel's :class:`PacketLossModel`),
-* it may *sleep* until a later packet position (no tuning cost), and
+* it may *sleep* until a later packet position (no tuning cost),
+* it may *recover* packets lost on the air by re-receiving them at later
+  broadcasts of their segments (:meth:`ClientSession.recover`), and
 * at the end, its tuning time is the number of packets received and its
   access latency the number of packets elapsed since tune-in (paper
   Section 3.1).
@@ -23,12 +25,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.packet import Segment
 
 __all__ = ["PacketLossModel", "SegmentReception", "ClientSession", "BroadcastChannel"]
+
+#: Passes :meth:`ClientSession.recover` makes over still-missing packets.
+RECOVERY_PASSES = 50
 
 
 class PacketLossModel:
@@ -153,36 +158,27 @@ class ClientSession:
             lost_offsets=lost,
         )
 
-    def receive_full_cycle(self, max_retry_cycles: int = 50) -> int:
-        """Receive one entire broadcast cycle starting from the current packet.
+    def recover(self, pending: Iterable[Tuple[str, Sequence[int]]]) -> None:
+        """Re-receive lost packets until none is missing (Section 6.2).
 
-        This is what the full-cycle adaptations (Dijkstra, ArcFlag, Landmark)
-        do: listen to every packet of one cycle, wherever the client happens
-        to have tuned in.  Packets lost on the air are re-received in later
-        cycle repetitions (charging tuning time again and extending the
-        access latency), because a missing adjacency list would make the
-        local search incorrect (paper Section 6.2).  Each retry pass listens
-        to the missing offsets in on-air order from the current position.
-
-        Returns the total number of packets received, retries included.
+        ``pending`` lists ``(segment name, lost packet offsets)`` pairs;
+        entries with no offsets are skipped.  Each pass receives every
+        still-missing entry once, in list order, at the segment's next
+        broadcast, and keeps what was lost again for the next pass; at most
+        :data:`RECOVERY_PASSES` passes run.  A single entry is the immediate
+        "receive until complete" loop; a list gathered over a whole query
+        defers recovery so that a loss never stalls the protocol for a cycle.
         """
-        total = self.cycle.total_packets
-        first = self.position % total
-        lost = [(first + k) % total for k in self.loss_model.lost(range(total))]
-        self.position += total
-        self.lost_packets += len(lost)
-        received = total
-        for _ in range(max_retry_cycles):
-            if not lost:
-                break
-            here = self.position
-            lost.sort(key=lambda offset: (offset - here) % total)
-            self.position = here + (lost[-1] - here) % total + 1
-            received += len(lost)
-            lost = self.loss_model.lost(lost)
-            self.lost_packets += len(lost)
-        self.tuning_packets += received
-        return received
+        pending = [(name, offsets) for name, offsets in pending if offsets]
+        for _ in range(RECOVERY_PASSES):
+            if not pending:
+                return
+            still_pending = []
+            for name, offsets in pending:
+                lost = self.receive_segment_packets(name, offsets).lost_offsets
+                if lost:
+                    still_pending.append((name, lost))
+            pending = still_pending
 
     # ------------------------------------------------------------------
     # Metrics

@@ -54,8 +54,6 @@ class OpKind(Enum):
     ONE_PACKET = "one-packet"
     #: Receive selected packet offsets of a named segment.
     SEGMENT = "segment"
-    #: Listen to one entire cycle from the current position.
-    FULL_CYCLE = "full-cycle"
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,6 @@ class RecordingSession(ClientSession):
             )
         )
         return reception
-
-    def receive_full_cycle(self, max_retry_cycles: int = 50) -> int:
-        received = super().receive_full_cycle(max_retry_cycles)
-        self._ops.append(TraceOp(OpKind.FULL_CYCLE, packet_count=received))
-        return received
 
     def trace(self) -> SessionTrace:
         """The materialized packet stream recorded so far."""

@@ -62,12 +62,10 @@ __all__ = [
 
 #: Integer op codes of the :class:`TraceTable` ``kinds`` column.
 KIND_ONE_PACKET = 0
-KIND_FULL_CYCLE = 1
-KIND_SEGMENT = 2
+KIND_SEGMENT = 1
 
 _KIND_CODES = {
     OpKind.ONE_PACKET: KIND_ONE_PACKET,
-    OpKind.FULL_CYCLE: KIND_FULL_CYCLE,
     OpKind.SEGMENT: KIND_SEGMENT,
 }
 
@@ -129,7 +127,7 @@ class TraceTable:
     """One :class:`SessionTrace` as flat ``int64`` columns.
 
     Columns are per recorded op: ``kinds`` (the :data:`KIND_ONE_PACKET` /
-    :data:`KIND_FULL_CYCLE` / :data:`KIND_SEGMENT` codes), ``packets``
+    :data:`KIND_SEGMENT` codes), ``packets``
     (packets the radio listened to), ``last_offsets`` (final listened packet
     offset within the segment), ``anchors`` (cycle offset of the op's first
     listened packet) and ``segment_index`` (the op's segment resolved to its
@@ -271,10 +269,9 @@ def replay_trace_bulk(
     last_offsets = table.last_offsets
     segment_index = table.segment_index
 
-    # Position-anchored head: reads of "whatever is on the air right now".
-    # Head ops are never SEGMENT receptions, so each is a constant advance.
-    for op in range(table.head_len):
-        positions += 1 if kinds[op] == KIND_ONE_PACKET else total
+    # Position-anchored head: reads of "whatever is on the air right now",
+    # one packet each.
+    positions += table.head_len
 
     body_len = table.num_ops - table.head_len
     if body_len:
@@ -298,10 +295,8 @@ def replay_trace_bulk(
                 positions = np.where(
                     active, segment_starts + int(last_offsets[op]) + 1, positions
                 )
-            elif kind == KIND_ONE_PACKET:
-                positions = np.where(active, positions + 1, positions)
             else:
-                positions = np.where(active, positions + total, positions)
+                positions = np.where(active, positions + 1, positions)
 
     return BulkReplayOutcome(
         tuning_packets=table.tuning_packets,

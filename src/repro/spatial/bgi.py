@@ -172,11 +172,7 @@ class BroadcastGridIndexScheme(SpatialAirScheme):
         self, session: ClientSession, memory: MemoryTracker, cell: int
     ) -> List[PointObject]:
         name = f"bgi-cell-{cell}"
-        reception = session.receive_segment(name)
-        attempts = 0
-        while reception.lost_offsets and attempts < 50:
-            attempts += 1
-            reception = session.receive_segment_packets(name, reception.lost_offsets)
+        session.recover([(name, session.receive_segment(name).lost_offsets)])
         segment = session.cycle.segment(name)
         memory.allocate(segment.size_bytes)
         return segment.payload["points"]

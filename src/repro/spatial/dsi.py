@@ -192,22 +192,14 @@ class DistributedSpatialIndexScheme(SpatialAirScheme):
 
     def _receive_index(self, session: ClientSession, memory: MemoryTracker, index: int) -> None:
         name = f"dsi-index-{index}"
-        reception = session.receive_segment(name)
-        attempts = 0
-        while reception.lost_offsets and attempts < 50:
-            attempts += 1
-            reception = session.receive_segment_packets(name, reception.lost_offsets)
+        session.recover([(name, session.receive_segment(name).lost_offsets)])
         memory.allocate(session.cycle.segment(name).size_bytes)
 
     def _receive_frame(
         self, session: ClientSession, memory: MemoryTracker, index: int
     ) -> List[PointObject]:
         name = f"dsi-data-{index}"
-        reception = session.receive_segment(name)
-        attempts = 0
-        while reception.lost_offsets and attempts < 50:
-            attempts += 1
-            reception = session.receive_segment_packets(name, reception.lost_offsets)
+        session.recover([(name, session.receive_segment(name).lost_offsets)])
         segment = session.cycle.segment(name)
         memory.allocate(segment.size_bytes)
         return segment.payload["points"]

@@ -160,11 +160,7 @@ class HilbertCurveIndexScheme(SpatialAirScheme):
         self, session: ClientSession, memory: MemoryTracker, index: int
     ) -> List[PointObject]:
         name = f"hci-data-{index}"
-        reception = session.receive_segment(name)
-        attempts = 0
-        while reception.lost_offsets and attempts < 50:
-            attempts += 1
-            reception = session.receive_segment_packets(name, reception.lost_offsets)
+        session.recover([(name, session.receive_segment(name).lost_offsets)])
         segment = session.cycle.segment(name)
         memory.allocate(segment.size_bytes)
         return segment.payload["points"]

@@ -53,30 +53,3 @@ def receive_segment_packets(
         lost_offsets=lost,
     )
 
-
-def receive_full_cycle(session: ClientSession, max_retry_cycles: int = 50) -> int:
-    total = session.cycle.total_packets
-    lost_offsets: List[int] = []
-    for _ in range(total):
-        session.tuning_packets += 1
-        if is_lost(session.loss_model):
-            lost_offsets.append(session.position % total)
-            session.lost_packets += 1
-        session.position += 1
-
-    retries = 0
-    received = total
-    while lost_offsets and retries < max_retry_cycles:
-        retries += 1
-        still_lost: List[int] = []
-        for offset in sorted(lost_offsets, key=lambda o: (o - session.position) % total):
-            delta = (offset - session.position) % total
-            session.sleep_until(session.position + delta)
-            session.tuning_packets += 1
-            received += 1
-            session.position += 1
-            if is_lost(session.loss_model):
-                still_lost.append(offset)
-                session.lost_packets += 1
-        lost_offsets = still_lost
-    return received

@@ -68,11 +68,6 @@ def replay_trace(
         if op.kind is OpKind.ONE_PACKET:
             tuning += 1
             position += 1
-        elif op.kind is OpKind.FULL_CYCLE:
-            # Lossless by construction (lossy traces are rejected above), so
-            # the recorded count is exactly one cycle with no retries.
-            tuning += op.packet_count
-            position += total
         else:
             start = cycle.next_segment_named(op.name, position)
             tuning += op.packet_count

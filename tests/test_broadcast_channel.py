@@ -94,21 +94,6 @@ class TestClientSession:
         assert session.lost_packets == 2
         assert not reception.complete
 
-    def test_receive_full_cycle_without_loss(self):
-        session = ClientSession(make_cycle(), start_position=4)
-        received = session.receive_full_cycle()
-        assert received == 9
-        assert session.tuning_packets == 9
-        assert session.elapsed_packets == 9
-
-    def test_receive_full_cycle_retries_lost_packets(self):
-        session = ClientSession(
-            make_cycle(), start_position=0, loss_model=PacketLossModel(0.4, seed=5)
-        )
-        received = session.receive_full_cycle()
-        assert received > 9  # retries happened
-        assert session.tuning_packets == received
-
 
 class TestBroadcastChannel:
     def test_sessions_are_deterministic_per_channel_seed(self):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import pathlib
 import random
 from typing import Dict, List
@@ -34,6 +35,8 @@ from repro.spatial import (
     HilbertCurveIndexScheme,
     generate_points,
 )
+
+from oracles.dijkstra import shortest_path as oracle_shortest_path
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "client_outcomes.json"
 
@@ -196,3 +199,26 @@ def test_outcomes_match_the_fixture(key):
     assert len(got) == len(want)
     for index, (row, expected) in enumerate(zip(got, want)):
         assert row == expected, f"{key} row {index}"
+
+
+@pytest.mark.parametrize(
+    "key", [key for key in point_configs() if key.startswith(("NR/", "EB/"))]
+)
+def test_nr_and_eb_answers_equal_dijkstra(key):
+    """Every NR/EB answer, lossy and memory-bound included, is exact."""
+    for row in point_rows(key):
+        truth = oracle_shortest_path(network(), row["source"], row["target"]).distance
+        if math.isinf(truth):
+            assert math.isinf(row["distance"]), row
+        else:
+            assert row["distance"] == pytest.approx(truth, rel=1e-9), row
+
+
+def test_stored_nr_and_eb_rows_equal_dijkstra():
+    """The fixture's own NR/EB answers are ground-truth correct."""
+    for key in point_configs():
+        if not key.startswith(("NR/", "EB/")):
+            continue
+        for row in stored()[key]:
+            truth = oracle_shortest_path(network(), row["source"], row["target"]).distance
+            assert row["distance"] == pytest.approx(truth, rel=1e-9), (key, row)

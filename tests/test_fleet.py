@@ -95,21 +95,6 @@ class TestReplayFidelity:
         dj_scheme.client().query(*query_pairs[2], session=recording)
         assert recording.trace().tuning_packets == recording.tuning_packets
 
-    def test_full_cycle_receive_records_and_replays(self, dj_scheme):
-        """No shipped client calls receive_full_cycle, but the session API
-        offers it; a recording must replay it exactly (loss 0: one whole
-        cycle, no retries) rather than silently dropping it."""
-        cycle = dj_scheme.cycle
-        total = cycle.total_packets
-        for offset in (0, 3, total - 1):
-            recording = RecordingSession(cycle, offset)
-            received = recording.receive_full_cycle()
-            assert received == total
-            trace = recording.trace()
-            assert trace.tuning_packets == recording.tuning_packets == total
-            for replay_offset in (0, total // 2):
-                assert replay_one(trace, cycle, replay_offset) == (total, total)
-
     def test_lossy_traces_refuse_replay(self, nr_scheme, query_pairs):
         channel = nr_scheme.channel(loss_rate=0.2, seed=1)
         recording = RecordingSession(

@@ -1,8 +1,7 @@
 """Property suite: per-call reception equals the per-packet reference.
 
 :class:`~repro.broadcast.channel.ClientSession` charges ``receive_segment``,
-``receive_segment_packets`` and ``receive_full_cycle`` arithmetically, per
-call.  The oracle in :mod:`oracles.channel` walks the same receptions one
+and ``receive_segment_packets`` arithmetically, per call.  The oracle in :mod:`oracles.channel` walks the same receptions one
 packet at a time.  Random sequences of receptions on random cycles -- lossless
 and lossy channels, unsorted and duplicate offsets, tune-in positions on
 both sides of a cycle wrap -- must leave both sessions in the same state
@@ -65,7 +64,7 @@ def scenarios(draw):
     start = total + draw(st.integers(-total, total - 1))
     ops = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["segment", "packets", "range", "full"]))
+        kind = draw(st.sampled_from(["segment", "packets", "range"]))
         index = draw(st.integers(0, len(sizes) - 1))
         size = sizes[index]
         if kind == "packets":
@@ -76,8 +75,6 @@ def scenarios(draw):
             high = draw(st.integers(low + 1, size))
             step = draw(st.sampled_from([1, -1]))
             ops.append((kind, index, range(low, high) if step == 1 else range(high - 1, low - 1, -1)))
-        elif kind == "full":
-            ops.append((kind, index, draw(st.integers(0, 3))))
         else:
             ops.append((kind, index, None))
     return sizes, start, ops
@@ -99,12 +96,9 @@ def test_receptions_match_the_per_packet_oracle(scenario, loss_rate, seed):
         if kind == "segment":
             got = reception_fields(session.receive_segment(name))
             want = reception_fields(oracle.receive_segment(reference, name))
-        elif kind in ("packets", "range"):
+        else:
             got = reception_fields(session.receive_segment_packets(name, argument))
             want = reception_fields(oracle.receive_segment_packets(reference, name, argument))
-        else:
-            got = session.receive_full_cycle(max_retry_cycles=argument)
-            want = oracle.receive_full_cycle(reference, max_retry_cycles=argument)
         assert got == want
         assert state(session) == state(reference)
 
@@ -138,5 +132,4 @@ def test_lossless_reception_draws_nothing():
     before = session.loss_model._rng.getstate()
     session.receive_segment("seg-1")
     session.receive_segment_packets("seg-0", [2, 0, 2])
-    session.receive_full_cycle()
     assert session.loss_model._rng.getstate() == before

@@ -119,7 +119,7 @@ def test_bulk_replay_on_trace_without_segment_ops():
         ops=(
             TraceOp(OpKind.ONE_PACKET, anchor=3),
             TraceOp(OpKind.ONE_PACKET, anchor=4),
-            TraceOp(OpKind.FULL_CYCLE, packet_count=total),
+            TraceOp(OpKind.ONE_PACKET, anchor=5),
         ),
         cycle_packets=total,
     )
