@@ -9,7 +9,9 @@ query processor that tunes into the simulated channel selectively:
 * :class:`HiTiBroadcastScheme`, :class:`SPQBroadcastScheme` -- the
   pre-computation-heavy adaptations used to quantify oversized indexes,
 * :class:`EllipticBoundaryScheme` (EB, Section 4) and
-  :class:`NextRegionScheme` (NR, Section 5) -- the paper's novel methods.
+  :class:`NextRegionScheme` (NR, Section 5) -- the paper's novel methods,
+  which share their server state and region client
+  (:mod:`repro.air.region_scheme`).
 
 Schemes self-register in a pluggable registry (:mod:`repro.air.registry`);
 prefer constructing them by short name over hard-coding classes::

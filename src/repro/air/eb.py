@@ -33,7 +33,7 @@ from repro.air.base import AirClient, ClientOptions, QueryResult
 from repro.air.registry import register_scheme
 from repro.air.packing import CellPacking, RowMajorCellPacking, SquareCellPacking
 from repro.air.records import DEFAULT_LAYOUT, RecordLayout
-from repro.air.region_scheme import RegionReception, RegionScheme
+from repro.air.region_scheme import RegionQuery, RegionScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.interleave import optimal_m
@@ -191,12 +191,12 @@ class EllipticBoundaryClient(AirClient):
         session.receive_one_packet()
 
         # Step 2: receive the next index copy in full.
-        regions = RegionReception(self, source, target, session, memory)
-        self._receive_index(regions)
+        query = RegionQuery(self, source, target, session, memory)
+        self._receive_index(query)
         memory.allocate(scheme.index_bytes)
 
         # Step 3: decide which regions are needed (the "network ellipse").
-        needed = scheme.needed_regions(regions.source_region, regions.target_region)
+        needed = scheme.needed_regions(query.source_region, query.target_region)
 
         # Step 4: receive the needed regions in broadcast order; lost packets
         # are recovered once every region was received (Section 6.2).
@@ -205,19 +205,19 @@ class EllipticBoundaryClient(AirClient):
             key=lambda region: (cycle.segment_start(f"region-{region}-cross") - session.position)
             % cycle.total_packets,
         ):
-            regions.receive_region(region)
+            query.receive_region(region)
 
         # Step 5: compute the shortest path locally.
-        return regions.finish(needed)
+        return query.finish(needed)
 
-    def _receive_index(self, regions: RegionReception) -> None:
+    def _receive_index(self, query: RegionQuery) -> None:
         """Receive the next index copy, recovering needed packets if lost."""
-        session = regions.session
+        session = query.session
         cycle = session.cycle
         _, start = cycle.next_segment_of_kind(SegmentKind.INDEX, session.position)
         segment = cycle.segment_at(start)
         reception = session.receive_segment(segment.name)
-        needed = self.scheme.needed_index_packets(regions.source_region, regions.target_region)
+        needed = self.scheme.needed_index_packets(query.source_region, query.target_region)
         lost_needed = sorted(set(reception.lost_offsets) & needed)
         attempts = 0
         while lost_needed and attempts < 50:

@@ -29,7 +29,7 @@ from typing import List
 from repro.air.base import AirClient, ClientOptions, QueryResult
 from repro.air.registry import register_scheme
 from repro.air.records import DEFAULT_LAYOUT, RecordLayout
-from repro.air.region_scheme import RegionReception, RegionScheme
+from repro.air.region_scheme import RegionQuery, RegionScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.metrics import MemoryTracker
@@ -154,42 +154,42 @@ class NextRegionClient(AirClient):
 
         # Step 2: receive the next local index in full -- the client needs the
         # kd splits to map the query endpoints to regions, plus one cell.
-        regions = RegionReception(self, source, target, session, memory)
-        first_index_region = self._receive_first_index(regions)
+        query = RegionQuery(self, source, target, session, memory)
+        first_index_region = self._receive_first_index(query)
         memory.allocate(scheme.local_index_bytes)
 
         # Step 3: follow the chain of next-region pointers; lost region
         # packets are recovered after the chain finishes (Section 6.2), so a
         # loss never stalls the chain for a cycle.
-        next_region = self._next_region(regions, first_index_region)
+        next_region = self._next_region(query, first_index_region)
         iterations = 0
-        while next_region not in regions.received and iterations <= scheme.num_regions + 1:
+        while next_region not in query.regions and iterations <= scheme.num_regions + 1:
             iterations += 1
-            regions.receive_region(next_region)
+            query.receive_region(next_region)
             # Read the local index adjacent to the region just received to
             # learn the next needed region.
             next_region = self._read_next_pointer(
-                regions, (next_region + 1) % scheme.num_regions
+                query, (next_region + 1) % scheme.num_regions
             )
 
         # Step 4: compute the shortest path over the received data.
-        return regions.finish()
+        return query.finish()
 
     # ------------------------------------------------------------------
     # Index reception
     # ------------------------------------------------------------------
-    def _next_region(self, regions: RegionReception, index_region: int) -> int:
+    def _next_region(self, query: RegionQuery, index_region: int) -> int:
         return self.scheme.next_region_after(
-            index_region, regions.source_region, regions.target_region
+            index_region, query.source_region, query.target_region
         )
 
-    def _receive_first_index(self, regions: RegionReception) -> int:
+    def _receive_first_index(self, query: RegionQuery) -> int:
         """Receive the next local index fully; returns its region number."""
-        session = regions.session
+        session = query.session
         cycle = session.cycle
         scheme = self.scheme
         needed = set(scheme.header_packet_offsets())
-        needed.add(scheme.cell_packet_offset(regions.source_region, regions.target_region))
+        needed.add(scheme.cell_packet_offset(query.source_region, query.target_region))
         attempts = 0
         while True:
             segment, _ = cycle.next_segment_of_kind(SegmentKind.LOCAL_INDEX, session.position)
@@ -200,7 +200,7 @@ class NextRegionClient(AirClient):
             # local index (they are broadcast before every region).
             attempts += 1
 
-    def _read_next_pointer(self, regions: RegionReception, index_region: int) -> int:
+    def _read_next_pointer(self, query: RegionQuery, index_region: int) -> int:
         """Read cell (Rs, Rt) of local index ``A^index_region``.
 
         On packet loss the client cannot skip ahead (it cannot tell whether
@@ -208,17 +208,17 @@ class NextRegionClient(AirClient):
         and consults the following index -- exactly the Section 6.2 recovery.
         """
         scheme = self.scheme
-        cell_offset = scheme.cell_packet_offset(regions.source_region, regions.target_region)
+        cell_offset = scheme.cell_packet_offset(query.source_region, query.target_region)
         current_index_region = index_region
         attempts = 0
         while attempts <= scheme.num_regions:
             attempts += 1
             name = f"nr-index-{current_index_region}"
-            reception = regions.session.receive_segment_packets(name, [cell_offset])
+            reception = query.session.receive_segment_packets(name, [cell_offset])
             if not reception.lost_offsets:
-                return self._next_region(regions, current_index_region)
+                return self._next_region(query, current_index_region)
             # Lost: receive the adjacent region anyway and try the next index.
-            if current_index_region not in regions.received:
-                regions.receive_region(current_index_region)
+            if current_index_region not in query.regions:
+                query.receive_region(current_index_region)
             current_index_region = (current_index_region + 1) % scheme.num_regions
-        return self._next_region(regions, current_index_region)
+        return self._next_region(query, current_index_region)

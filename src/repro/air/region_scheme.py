@@ -12,7 +12,7 @@ ellipse pruning, NR's chain of local indexes -- which stays in ``eb.py`` and
   border-path pre-computation (build, artifact state, restore), the
   per-region cross-border/local data segments, the incremental refresh and
   the structurally shared shadow rebuild;
-* client side, :class:`RegionReception`: one query's received regions --
+* client side, :class:`RegionQuery`: one query's received regions --
   receiving a region's segments, the Section 6.1 compression of an
   intermediate region as soon as it is received, deferred recovery of lost
   region packets (Section 6.2), and the final search over either the
@@ -21,9 +21,10 @@ ellipse pruning, NR's chain of local indexes -- which stays in ``eb.py`` and
 
 from __future__ import annotations
 
+import abc
 import copy
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.air.base import AirClient, AirIndexScheme, CpuTimer, QueryResult
 from repro.air.border_paths import BorderPathPrecomputation
@@ -40,7 +41,7 @@ from repro.network.graph import RoadNetwork
 from repro.partitioning.kdtree import build_kdtree_partitioning
 from repro.serialize.graphs import partitioning_state, restore_partitioning
 
-__all__ = ["RegionScheme", "RegionReception"]
+__all__ = ["RegionScheme", "RegionQuery"]
 
 
 class RegionScheme(AirIndexScheme):
@@ -76,9 +77,9 @@ class RegionScheme(AirIndexScheme):
     # ------------------------------------------------------------------
     # Index semantics
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def _needed_regions(self, source_region: int, target_region: int) -> List[int]:
         """The scheme's needed-region rule (uncached)."""
-        raise NotImplementedError
 
     def needed_regions(self, source_region: int, target_region: int) -> List[int]:
         """Regions required for queries between the two regions (cached)."""
@@ -168,7 +169,7 @@ class RegionScheme(AirIndexScheme):
         return None
 
 
-class RegionReception:
+class RegionQuery:
     """One query's received regions on an EB or NR client.
 
     The scheme's index protocol decides which regions to receive and calls
@@ -199,7 +200,6 @@ class RegionReception:
         self.cpu = CpuTimer(client.device)
         #: Regions received so far, in reception order.
         self.regions: List[int] = []
-        self.received: Set[int] = set()
         self.nodes: Set[int] = set()
         self.region_nodes: Dict[int, Set[int]] = {}
         #: Region packets lost on the air, recovered in :meth:`finish`.
@@ -226,14 +226,20 @@ class RegionReception:
             nodes = segment.payload["nodes"]
             self.nodes.update(nodes)
             self.region_nodes.setdefault(region, set()).update(nodes)
-        self.received.add(region)
         self.regions.append(region)
         if self.memory_bound and region not in (self.source_region, self.target_region):
             # Compress the intermediate region right away and release it.
-            self._compress(region, terminals=(), keep_expansions=False)
+            self._compress(region)
             self.memory.release(sum(cycle.segment(name).size_bytes for name in names))
 
-    def _compress(self, region: int, terminals, keep_expansions: bool) -> None:
+    def _compress(self, region: int, terminals: Sequence[int] = ()) -> None:
+        """Compress a received region into the overlay.
+
+        ``terminals`` are the query endpoints inside the region: a source or
+        target region keeps the expansions of the super-edges incident to
+        them (the detailed prefix and suffix of the path), an intermediate
+        region keeps no expansion at all.
+        """
         scheme = self.scheme
         with self.cpu:
             before = self.overlay.size_bytes
@@ -244,8 +250,8 @@ class RegionReception:
                 scheme.partitioning.border_nodes(region),
                 extra_terminals=terminals,
                 layout=scheme.layout,
-                keep_expansions=keep_expansions,
-                expansion_terminals=terminals if keep_expansions else None,
+                keep_expansions=bool(terminals),
+                expansion_terminals=terminals or None,
             )
         self.memory.allocate(self.overlay.size_bytes - before)
 
@@ -266,7 +272,7 @@ class RegionReception:
                     for node, home in ((source, self.source_region), (target, self.target_region))
                     if home == region
                 ]
-                self._compress(region, terminals, keep_expansions=True)
+                self._compress(region, terminals)
                 # The raw region data are no longer needed once compressed.
                 self.memory.release(
                     sum(cycle.segment(name).size_bytes for name in self.segment_names(region))

@@ -91,23 +91,29 @@ class TestOverlaySearch:
         assert result.distance == pytest.approx(expected)
 
     def test_expansions_kept_for_terminal_regions(self, nr_scheme, medium_network):
-        """Inside the source region the returned path is fully detailed."""
+        """Inside the source region the returned path is fully detailed.
+
+        The super-edge from the source to the border node it leaves through
+        keeps its expansion, so the path's leading run of source-region
+        nodes is a real network path.  The fixed pair leaves its region
+        after seven nodes.
+        """
+        source, target = 8, 74
         partitioning = nr_scheme.partitioning
-        nodes = partitioning.nodes_in_region(1)
-        if len(nodes) < 2:
-            pytest.skip("region too small")
-        source, target = nodes[0], nodes[-1]
+        home = partitioning.region_of(source)
+        assert partitioning.region_of(target) != home
         result = nr_scheme.client(memory_bound=True).query(source, target)
-        same_region_prefix = [
-            node for node in result.path if partitioning.region_of(node) == 1
-        ]
-        # Consecutive same-region path nodes must be joined by real edges.
-        for a, b in zip(same_region_prefix, same_region_prefix[1:]):
-            if partitioning.region_of(a) == partitioning.region_of(b) == 1:
-                pass  # detailed check below on the full prefix
-        prefix = result.path[: len(same_region_prefix)]
-        if len(prefix) >= 2 and all(partitioning.region_of(n) == 1 for n in prefix):
-            assert validate_path(medium_network, prefix)
+        assert result.distance == pytest.approx(
+            shortest_path(medium_network, source, target).distance
+        )
+        prefix = []
+        for node in result.path:
+            if partitioning.region_of(node) != home:
+                break
+            prefix.append(node)
+        assert prefix[0] == source
+        assert len(prefix) == 7
+        assert validate_path(medium_network, prefix)
 
 
 class TestMemorySavings:

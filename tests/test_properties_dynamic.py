@@ -326,3 +326,48 @@ def test_refresh_async_swap_equals_blocking_refresh(seed):
     handle = system.refresh_async()
     assert handle.done
     assert handle.wait(0.0).num_changes == 0
+
+
+@pytest.mark.parametrize("scheme_name", ["NR", "EB"])
+def test_refresh_repacks_exactly_the_regions_whose_cross_border_set_moved(scheme_name):
+    """A batch that moves nodes between cross-border and local segments.
+
+    The random batches above never change a region's cross-border set on
+    their small networks.  Here twenty edges become 20x longer or 20x
+    shorter on a 120-node network, which moves the split of two regions:
+    both the in-place and the shadow refresh must lay out exactly the
+    scratch cycle, re-packing those regions and reusing every other
+    region's segments as they are.
+    """
+    from repro.network.generators import GeneratorConfig, generate_road_network
+
+    network = generate_road_network(
+        GeneratorConfig(num_nodes=120, num_edges=300, seed=0), name="split-moves"
+    )
+    network.clear_delta()
+    scheme = air.create(scheme_name, network, num_regions=8)
+    before = scheme.cycle
+    rng = random.Random(0)
+    pairs = sorted({(edge.source, edge.target) for edge in network.edges()})
+    network.apply_updates(
+        [
+            (source, target, network.edge_weight(source, target) * rng.choice([0.05, 20.0]))
+            for source, target in rng.sample(pairs, 20)
+        ]
+    )
+    delta = network.pending_delta()
+    shadow = scheme.shadow_rebuild(network, delta)
+    assert scheme.cycle is before
+    assert scheme.incremental_rebuild(network, delta)
+    scratch = air.create(scheme_name, network, num_regions=8)
+    for refreshed in (scheme, shadow):
+        assert refreshed.cycle.signature() == scratch.cycle.signature()
+        data = [seg for seg in refreshed.cycle.segments if seg.name.startswith("region-")]
+        moved = {
+            seg.name
+            for seg in data
+            if seg.payload["nodes"] != before.segment(seg.name).payload["nodes"]
+        }
+        assert len(moved) == 2
+        for segment in data:
+            assert (segment is before.segment(segment.name)) == (segment.name not in moved)
