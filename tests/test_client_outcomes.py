@@ -8,7 +8,7 @@ nodes), the client metrics (peak memory, tuning time, access latency, lost
 packets) and the regions received, for
 
 * NR and EB, with the memory-bound mode off and on, at loss 0, 0.05, 0.3;
-* DJ, LD and AF at loss 0.05;
+* DJ, LD, AF and HiTi at loss 0.05;
 * the spatial indexes DSI, HCI and BGI (range and kNN) at loss 0.05.
 
 Regenerating (only when a behaviour change is intended and understood)::
@@ -47,6 +47,7 @@ SCHEME_PARAMS: Dict[str, Dict[str, int]] = {
     "DJ": {},
     "LD": {"num_landmarks": 4},
     "AF": {"num_regions": 8},
+    "HiTi": {"num_regions": 16},
 }
 NUM_PAIRS = 60
 LOSS_RATES = (0.0, 0.05, 0.3)
@@ -62,7 +63,7 @@ def point_configs() -> List[str]:
         for memory_bound in (False, True):
             for loss in LOSS_RATES:
                 keys.append(f"{scheme}/mb={int(memory_bound)}/loss={loss}")
-    for scheme in ("DJ", "LD", "AF"):
+    for scheme in ("DJ", "LD", "AF", "HiTi"):
         keys.append(f"{scheme}/mb=0/loss={FULL_CYCLE_LOSS}")
     return keys
 
