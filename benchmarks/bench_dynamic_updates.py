@@ -9,8 +9,9 @@ scheme, the cycle-refresh throughput of
 * **full** -- what a static system does after any mutation: rebuild the
   scheme (pre-computation included) from scratch, and
 * **incremental** -- the engine's :meth:`AirSystem.refresh` routed through
-  :meth:`AirIndexScheme.incremental_rebuild`: reuse weight-independent
-  segments and re-run only the affected parts of the pre-computation.
+  :meth:`AirIndexScheme.shadow_rebuild`: build a replacement that shares
+  the weight-independent segments and unchanged state with the cached
+  scheme and re-runs only the affected parts of the pre-computation.
 
 Asserted invariants: the incrementally refreshed cycle is **bit-identical**
 to a from-scratch build after every stream (compared via
@@ -27,9 +28,9 @@ editing the benchmark.
 
 A second test measures the *query stall* an update causes: blocking
 :meth:`AirSystem.refresh` makes queries wait for the whole rebuild, while
-:meth:`AirSystem.refresh_async` rebuilds into a shadow set and atomically
-swaps, so queries keep being served from the superseded snapshot in the
-meantime.
+:meth:`AirSystem.refresh_async` runs the same refresh on a background
+thread, so queries keep being served from the superseded snapshot until
+the atomic swap.
 
 Run standalone like the other benchmarks::
 

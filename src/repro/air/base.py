@@ -138,7 +138,7 @@ class AirIndexScheme(abc.ABC):
         self.layout = layout
         self._cycle: Optional[BroadcastCycle] = None
         self.precomputation_seconds = 0.0
-        #: Incremental-refresh accounting (see :meth:`incremental_rebuild`).
+        #: Incremental-refresh accounting (see :meth:`shadow_rebuild`).
         self.refresh_count = 0
         self.refresh_seconds = 0.0
 
@@ -156,73 +156,35 @@ class AirIndexScheme(abc.ABC):
             self._cycle = self.build_cycle()
         return self._cycle
 
-    def incremental_rebuild(self, network: RoadNetwork, delta) -> bool:
-        """Refresh this scheme's state and cycle after in-place mutation.
+    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["AirIndexScheme"]:
+        """Build a refreshed *replacement* instance, leaving this one intact.
 
         ``network`` is the scheme's own (mutated) network and ``delta`` the
         :class:`~repro.network.delta.NetworkDelta` describing what changed
         since the scheme's state was last consistent.  A scheme that can
-        apply the delta re-computes only the touched parts of its
-        pre-computation and re-packs only the touched cycle segments, then
-        returns ``True``; the refreshed state must be **bit-identical** to a
-        from-scratch build over the mutated network (the property suite
-        asserts this).  Returning ``False`` -- the default, and what every
-        scheme does for structural deltas -- tells the caller (the engine's
-        :meth:`~repro.engine.system.AirSystem.refresh`) to construct a fresh
-        scheme instead.
+        apply the delta returns a new instance that shares this one's
+        unchanged state, re-computes only the touched parts of the
+        pre-computation and re-packs only the touched cycle segments; it must
+        be **bit-identical** to a from-scratch build over the mutated network
+        (the property suite asserts this).  This instance keeps its
+        pre-delta pre-computation and cycle, so clients and channels made
+        from it stay consistent while the engine's
+        :meth:`~repro.engine.system.AirSystem.refresh` swaps the replacement
+        in.  Returning ``None`` -- the default, and
+        what every scheme does for structural deltas -- tells the engine to
+        construct a fresh scheme instead.
 
-        Implementations should bill their work to :attr:`refresh_count` /
-        :attr:`refresh_seconds` via :meth:`_track_refresh`.
+        Implementations bill their work to the replacement's
+        :attr:`refresh_count` / :attr:`refresh_seconds` via
+        :meth:`_track_refresh`.
         """
-        return False
-
-    def _track_refresh(self, started: float) -> bool:
-        """Record one successful incremental refresh; returns ``True``."""
-        self.refresh_count += 1
-        self.refresh_seconds += time.perf_counter() - started
-        return True
-
-    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["AirIndexScheme"]:
-        """Build a refreshed *replacement* instance, leaving this one intact.
-
-        The double-buffered counterpart of :meth:`incremental_rebuild`: the
-        caller (the engine's ``refresh_async``) keeps serving queries from
-        this instance's pre-delta state while the returned shadow -- already
-        refreshed over the mutated network -- waits to be swapped in.  The
-        shadow must satisfy the same bit-identity contract as an in-place
-        incremental rebuild; returns ``None`` when the delta cannot be
-        applied incrementally (the caller then builds from scratch).
-
-        The default clones this scheme through an artifact-state round trip
-        (so the shadow shares no mutable pre-computation state with the
-        serving instance) and runs the ordinary :meth:`incremental_rebuild`
-        on the clone.  Schemes whose state is dominated by per-unit records
-        (NR/EB's border sources) override this with structural sharing.
-        """
-        clone = self._shadow_clone()
-        if clone.incremental_rebuild(network, delta):
-            return clone
         return None
 
-    def _shadow_clone(self) -> "AirIndexScheme":
-        """A deep, independent copy of this scheme via its artifact state.
-
-        The encode/decode round trip guarantees the clone holds no live
-        references into the serving instance's state; the built broadcast
-        cycle is shared as-is (immutable by contract -- every incremental
-        path constructs a *new* cycle object rather than mutating segments
-        in place), so the clone's ``incremental_rebuild`` can reuse
-        untouched segments exactly as the in-place path would.
-        """
-        clone = object.__new__(type(self))
-        AirIndexScheme.__init__(clone, self.network, self.layout)
-        clone._configure(**self._artifact_params())
-        clone._restore_state(decode_value(encode_value(self._artifact_state())))
-        clone.precomputation_seconds = self.precomputation_seconds
-        clone.refresh_count = self.refresh_count
-        clone.refresh_seconds = self.refresh_seconds
-        clone._cycle = self._cycle
-        return clone
+    def _track_refresh(self, started: float) -> "AirIndexScheme":
+        """Record one successful incremental refresh; returns ``self``."""
+        self.refresh_count += 1
+        self.refresh_seconds += time.perf_counter() - started
+        return self
 
     # ------------------------------------------------------------------
     # Build/serve split: versioned artifacts

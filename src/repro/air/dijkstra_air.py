@@ -8,7 +8,10 @@ latency, but maximal tuning time and memory.
 
 from __future__ import annotations
 
+import copy
+import time
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.air.full_cycle import FullCycleScheme
 from repro.air.registry import register_scheme
@@ -33,10 +36,19 @@ class DijkstraBroadcastScheme(FullCycleScheme):
 
     short_name = "DJ"
 
-    def _refresh_precomputation(self, delta) -> bool:
-        # No pre-computed state at all: a weight delta only requires the
-        # dirty data segments to be re-packed, which the base class does.
-        return True
+    def shadow_rebuild(self, network, delta) -> Optional["DijkstraBroadcastScheme"]:
+        """A replacement sharing this instance's cycle as it is.
+
+        DJ has no pre-computed state, and its data segments are
+        weight-independent -- the chunking follows node-id order and the
+        record sizes are degree-based -- so a weight-only delta changes
+        nothing on the air (trivially bit-identical to a from-scratch
+        build).  Structural deltas fall back to a full rebuild.
+        """
+        if network is not self.network or delta.structural:
+            return None
+        started = time.perf_counter()
+        return copy.copy(self)._track_refresh(started)
 
     def local_query(self, source: int, target: int, degraded: bool) -> PathResult:
         # Dijkstra has no pre-computed information, so there is nothing to

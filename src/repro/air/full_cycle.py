@@ -17,7 +17,6 @@ slows the local search down.
 
 from __future__ import annotations
 
-import time
 from typing import List
 
 from repro.air.base import AirClient, AirIndexScheme, ClientOptions, CpuTimer, QueryResult
@@ -26,8 +25,6 @@ from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind
 from repro.network.algorithms.paths import PathResult
-from repro.network.delta import NetworkDelta
-from repro.network.graph import RoadNetwork
 
 __all__ = ["FullCycleScheme", "FullCycleClient"]
 
@@ -64,49 +61,6 @@ class FullCycleScheme(AirIndexScheme):
     def build_cycle(self) -> BroadcastCycle:
         segments = self._network_data_segments() + self._precomputed_segments()
         return BroadcastCycle(segments, name=f"{self.short_name}-cycle")
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance (dynamic networks)
-    # ------------------------------------------------------------------
-    def _refresh_precomputation(self, delta: NetworkDelta) -> bool:
-        """Refresh weight-dependent pre-computed state for a weight delta.
-
-        Full-cycle schemes whose pre-computation depends on edge weights
-        (ArcFlag's flags, Landmark's distance vectors) keep the ``False``
-        default, which routes them to a full rebuild.  Schemes with no
-        weight-dependent state (Dijkstra) override this to return ``True``.
-        """
-        return False
-
-    def incremental_rebuild(self, network: RoadNetwork, delta: NetworkDelta) -> bool:
-        """Keep the data segments; re-emit only refreshed pre-computed ones.
-
-        Data segments are weight-independent on both axes -- the chunking
-        follows node-id order and the record sizes are degree-based -- so a
-        weight-only delta leaves them untouched and they are reused as-is
-        (trivially bit-identical to a from-scratch build).  Structural
-        deltas (and schemes whose pre-computation cannot be refreshed) fall
-        back to a full rebuild.
-        """
-        if network is not self.network or delta.structural:
-            return False
-        started = time.perf_counter()
-        if not self._refresh_precomputation(delta):
-            return False
-        if self._cycle is None:
-            self._cycle = self.build_cycle()
-        else:
-            precomputed = self._precomputed_segments()
-            if precomputed:
-                data = [
-                    segment
-                    for segment in self._cycle.segments
-                    if segment.kind is SegmentKind.NETWORK_DATA
-                ]
-                self._cycle = BroadcastCycle(
-                    data + precomputed, name=f"{self.short_name}-cycle"
-                )
-        return self._track_refresh(started)
 
     def _make_client(self, options: ClientOptions) -> "FullCycleClient":
         return FullCycleClient(self, options=options)

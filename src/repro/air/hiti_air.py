@@ -14,9 +14,10 @@ the super-edge overlay.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.air.base import AirClient, AirIndexScheme, ClientOptions, CpuTimer, QueryResult
 from repro.air.registry import register_scheme
@@ -111,7 +112,7 @@ class HiTiBroadcastScheme(AirIndexScheme):
     # ------------------------------------------------------------------
     # Incremental maintenance (dynamic networks)
     # ------------------------------------------------------------------
-    def incremental_rebuild(self, network: RoadNetwork, delta) -> bool:
+    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["HiTiBroadcastScheme"]:
         """Recompute super-edges only for the hierarchy blocks touching a
         dirty region, then re-pack only the index segment.
 
@@ -119,23 +120,28 @@ class HiTiBroadcastScheme(AirIndexScheme):
         is internal to exactly the sub-graphs covering its endpoints'
         regions, so one dirty leaf costs one leaf recompute plus its
         ``log2(num_regions)`` ancestors instead of the whole hierarchy.  The
-        per-region data segments depend only on structure (node lists and
-        degrees) and are reused as-is; structural deltas fall back to a full
-        rebuild because they can move borders.
+        replacement copies only the index's level dicts and shares every
+        block with this instance: :meth:`HiTiIndex.refresh` replaces dirty
+        blocks rather than mutating them.  The per-region data segments
+        depend only on structure (node lists and degrees) and are reused
+        as-is; structural deltas fall back to a full rebuild because they
+        can move borders.
         """
         if network is not self.network or delta.structural:
-            return False
+            return None
         started = time.perf_counter()
+        clone = copy.copy(self)
+        clone.index = copy.copy(self.index)
+        clone.index.levels = [dict(level) for level in self.index.levels]
         if delta.changes:
-            self.index.refresh(delta.dirty_regions(self.partitioning))
+            clone.index.refresh(delta.dirty_regions(self.partitioning))
         if self._cycle is not None:
-            # Region data segments depend only on structure and are reused;
-            # only the index segment's size can move with the super edges.
-            segments = [self._index_segment()] + [
+            # Only the index segment's size can move with the super edges.
+            segments = [clone._index_segment()] + [
                 segment for segment in self._cycle.segments if segment.name != "hiti-index"
             ]
-            self._cycle = BroadcastCycle(segments, name="HiTi-cycle")
-        return self._track_refresh(started)
+            clone._cycle = BroadcastCycle(segments, name="HiTi-cycle")
+        return clone._track_refresh(started)
 
     def _make_client(self, options: ClientOptions) -> "HiTiBroadcastClient":
         return HiTiBroadcastClient(self, options=options)
@@ -154,10 +160,7 @@ class HiTiBroadcastClient(AirClient):
         session.receive_one_packet()
 
         reception = session.receive_segment("hiti-index")
-        while reception.lost_offsets:
-            reception = session.receive_segment_packets(
-                "hiti-index", reception.lost_offsets
-            )
+        session.recover([("hiti-index", reception.lost_offsets)])
         memory.allocate(cycle.segment("hiti-index").size_bytes)
 
         partitioning = self.scheme.partitioning
@@ -167,11 +170,7 @@ class HiTiBroadcastClient(AirClient):
         received_regions = sorted({source_region, target_region})
         for region in received_regions:
             name = f"region-{region}"
-            region_reception = session.receive_segment(name)
-            while region_reception.lost_offsets:
-                region_reception = session.receive_segment_packets(
-                    name, region_reception.lost_offsets
-                )
+            session.recover([(name, session.receive_segment(name).lost_offsets)])
             memory.allocate(cycle.segment(name).size_bytes)
 
         with CpuTimer(self.device) as timer:

@@ -128,45 +128,30 @@ class RegionScheme(AirIndexScheme):
     # ------------------------------------------------------------------
     # Incremental maintenance (dynamic networks)
     # ------------------------------------------------------------------
-    def incremental_rebuild(self, network: RoadNetwork, delta) -> bool:
-        """Refresh the border-path pre-computation, then re-lay the cycle.
+    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["RegionScheme"]:
+        """Repair the border-path pre-computation, then re-lay the cycle.
 
         A weight-only delta cannot move the kd partitioning (it depends on
-        coordinates alone), so the partitioning is kept and the shared
-        pre-computation re-runs only the border sources whose shortest path
-        trees a change could touch.  The cycle is re-laid from the refreshed
-        state; a region's data segments are re-packed only when its
-        cross-border membership changed (:meth:`_region_segments`).
-        Structural deltas fall back to a full rebuild.
-        """
-        if network is not self.network or delta.structural:
-            return False
-        started = time.perf_counter()
-        if delta.changes:
-            self.precomputation.refresh(delta.changes)
-            self._needed_cache = {}
-        if self._cycle is not None:
-            self._cycle = self.build_cycle()
-        return self._track_refresh(started)
-
-    def shadow_rebuild(self, network: RoadNetwork, delta) -> Optional["RegionScheme"]:
-        """Refresh into a structurally shared shadow instead of in place.
-
-        The clone shares the partitioning with the serving instance
-        (immutable by contract) and repairs its own copy of the border-path
-        block (:meth:`BorderPathPrecomputation.shadow`), so the only per-swap
-        cost on top of the in-place path is one array copy.  The serving
-        instance keeps answering from its pre-delta state until the engine
-        swaps the shadow in.
+        coordinates alone), so the replacement shares the partitioning with
+        this instance and repairs its own copy of the border-path block
+        (:meth:`BorderPathPrecomputation.shadow`): the shared pre-computation
+        re-runs only the border sources whose shortest path trees a change
+        could touch.  The cycle is re-laid from the repaired state; a
+        region's data segments are re-packed only when its cross-border
+        membership changed (:meth:`_region_segments`).  Structural deltas
+        fall back to a full rebuild.
         """
         if network is not self.network or delta.structural:
             return None
+        started = time.perf_counter()
         clone = copy.copy(self)
-        clone.precomputation = self.precomputation.shadow()
         clone._needed_cache = {}
-        if clone.incremental_rebuild(network, delta):
-            return clone
-        return None
+        if delta.changes:
+            clone.precomputation = self.precomputation.shadow()
+            clone.precomputation.refresh(delta.changes)
+        if self._cycle is not None:
+            clone._cycle = clone.build_cycle()
+        return clone._track_refresh(started)
 
 
 class RegionQuery:

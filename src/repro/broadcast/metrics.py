@@ -115,9 +115,9 @@ class ServerMetrics:
     index_packets: int = 0
     data_packets: int = 0
     notes: Optional[str] = None
-    #: Incremental cycle refreshes applied to this scheme (dynamic networks)
-    #: and the total server time they cost; both stay zero for a scheme that
-    #: was never refreshed in place.
+    #: Incremental cycle refreshes that led to this scheme instance (dynamic
+    #: networks) and the total server time they cost; both stay zero for a
+    #: scheme built from scratch and never refreshed since.
     refreshes: int = 0
     refresh_seconds: float = 0.0
 

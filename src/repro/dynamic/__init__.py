@@ -13,7 +13,7 @@ needs:
   on the mutated network.
 
 The incremental rebuilds themselves live with their schemes
-(:meth:`repro.air.base.AirIndexScheme.incremental_rebuild`) and the
+(:meth:`repro.air.base.AirIndexScheme.shadow_rebuild`) and the
 versioned cycle cache with the engine
 (:meth:`repro.engine.system.AirSystem.refresh`).
 """

@@ -28,7 +28,7 @@ import dataclasses
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.air import registry
 from repro.air.base import AirIndexScheme, ClientOptions, QueryResult, is_mismatch
@@ -119,8 +119,9 @@ class CacheInfo:
     hits: int
     misses: int
     entries: int
-    #: Cache entries brought up to date in place by ``refresh()`` (dynamic
-    #: networks) versus reconstructed from scratch during a refresh.
+    #: Cache entries a refresh replaced with a scheme built from the delta
+    #: (``shadow_rebuild``, dynamic networks) versus reconstructed from
+    #: scratch during a refresh.
     incremental_rebuilds: int = 0
     full_rebuilds: int = 0
     #: CSR snapshot compilations of the system's network (see
@@ -154,8 +155,8 @@ class CacheInfo:
         Cold cache misses that actually built (misses served by a disk-tier
         restore are not constructions) plus the full rebuilds ``refresh()``
         performed for schemes that could not apply a delta incrementally;
-        in-place incremental refreshes are not constructions either and are
-        counted separately (:attr:`incremental_rebuilds`).
+        replacements built from a delta are not constructions either and
+        are counted separately (:attr:`incremental_rebuilds`).
         """
         return self.misses - self.disk_restores + self.full_rebuilds
 
@@ -521,14 +522,15 @@ class AirSystem:
             name = registry.canonical_name(name)
             resolved = self._resolve_params(name, {})
             key = self._cache_key(name, resolved)
-            if key in self._schemes:
-                loaded.append(name)
-                continue
-            scheme = self._restore_from_store(name, resolved)
-            if scheme is None:
-                missing.append(name)
-                continue
-            self._schemes[key] = scheme
+            with self._swap_lock:
+                cached = key in self._schemes
+            if not cached:
+                scheme = self._restore_from_store(name, resolved)
+                if scheme is None:
+                    missing.append(name)
+                    continue
+                with self._swap_lock:
+                    self._schemes.setdefault(key, scheme)
             loaded.append(name)
         return WarmStartReport(
             loaded=tuple(loaded),
@@ -559,10 +561,15 @@ class AirSystem:
         )
 
     def clear_cache(self) -> None:
-        """Drop every cached scheme, cycle and channel."""
-        self._schemes.clear()
-        self._channels.clear()
-        self._artifacts.clear()
+        """Drop every cached scheme, cycle and channel.
+
+        Raises ``RuntimeError`` while a :meth:`refresh_async` is in flight.
+        """
+        self._check_no_async_refresh()
+        with self._swap_lock:
+            self._schemes.clear()
+            self._channels.clear()
+            self._artifacts.clear()
         self._hits = 0
         self._misses = 0
         self._disk_restores = 0
@@ -580,15 +587,19 @@ class AirSystem:
         every *disk* entry built over a fingerprint this system superseded
         (the :meth:`lineage` chain; entries for unrelated networks sharing
         the store are deliberately left alone).  Returns the total number of
-        entries dropped across both tiers.
+        entries dropped across both tiers.  Raises ``RuntimeError`` while a
+        :meth:`refresh_async` is in flight: its superseded entries are
+        serving until the swap.
         """
+        self._check_no_async_refresh()
         current = self._fingerprint
-        stale_schemes = [key for key in self._schemes if key[2] != current]
-        for key in stale_schemes:
-            del self._schemes[key]
-        stale_channels = [key for key in self._channels if key[2] != current]
-        for key in stale_channels:
-            del self._channels[key]
+        with self._swap_lock:
+            stale_schemes = [key for key in self._schemes if key[2] != current]
+            for key in stale_schemes:
+                del self._schemes[key]
+            stale_channels = [key for key in self._channels if key[2] != current]
+            for key in stale_channels:
+                del self._channels[key]
         dropped = len(stale_schemes) + len(stale_channels)
         if self.store is not None:
             # Every fingerprint ever refreshed *from* is dead -- unless the
@@ -616,31 +627,44 @@ class AirSystem:
         return self.refresh()
 
     def _check_no_async_refresh(self) -> None:
-        """Refuse to mutate or refresh while an async refresh is in flight.
+        """Refuse to mutate, refresh or prune while an async refresh is in
+        flight.
 
         The worker owns the pending delta and the superseded cache entries
         for the duration of its run; letting a second refresh (or a new
-        mutation batch) in before the swap would splice two deltas together.
+        mutation batch) in before the swap would splice two deltas together,
+        and pruning would evict the entries that serve until the swap.
         Callers ``wait()`` on the handle first.
         """
         handle = self._async_refresh
         if handle is not None and not handle.done:
             raise RuntimeError(
                 "a refresh_async() is still in flight; wait() on its handle "
-                "before applying further updates or refreshing again"
+                "before applying further updates, refreshing again or "
+                "pruning the cache"
             )
 
     def refresh(self) -> RefreshReport:
         """Bring every cached cycle up to date with the mutated network.
 
         Reads the network's pending delta and, for each entry built for the
-        superseded structure, routes through the scheme's
-        :meth:`~repro.air.base.AirIndexScheme.incremental_rebuild` (weight
-        deltas on schemes that support it) or a full reconstruction, then
-        re-keys the entry under the new fingerprint and records the
-        fingerprint lineage (:meth:`lineage`).  Channels built for any
-        superseded fingerprint are dropped: after an in-place refresh their
-        cycle objects no longer match the scheme's.
+        superseded structure, builds a *replacement* scheme -- through the
+        scheme's :meth:`~repro.air.base.AirIndexScheme.shadow_rebuild`
+        (weight deltas on schemes that support it) or a full reconstruction
+        -- then swaps every replacement in under one lock acquisition,
+        re-keyed under the new fingerprint, and records the fingerprint
+        lineage (:meth:`lineage`).  Until the swap, lookups under the new
+        fingerprint keep serving the superseded entries (see
+        :meth:`_scheme_entry`); channels built for any superseded
+        fingerprint are dropped by the swap.  Replaced schemes are never
+        mutated, so a client or channel obtained before the refresh keeps
+        the pre-delta pre-computation and cycle it was made from.
+
+        The refresh is failure-atomic: one that fails before its swap (the
+        ``engine.refresh.fail`` fault point, a failed scratch build) leaves
+        the cache, the pending delta and the lineage exactly as they were,
+        and the next refresh rebuilds from the *cumulative* updates.  A
+        scheme whose ``shadow_rebuild`` raises is rebuilt from scratch.
 
         In-place mutations *without* a refresh stay safe -- the fingerprint
         miss forces a full rebuild on the next ``scheme()`` call -- but pay
@@ -656,96 +680,41 @@ class AirSystem:
         further updates is not detectable -- do not clear a delta an
         :class:`AirSystem` has not consumed.
         """
-        self._check_no_async_refresh()
-        started = time.perf_counter()
-        delta = self.network.pending_delta()
-        parent = self._clean_fingerprint
-        current = self.network.fingerprint()
-        if current == parent and delta.empty:
-            return RefreshReport(
-                parent_fingerprint=parent,
-                fingerprint=current,
-                structural=False,
-                num_changes=0,
-                num_dirty_nodes=0,
-                seconds=time.perf_counter() - started,
-            )
-
-        incremental: List[str] = []
-        rebuilt: List[str] = []
-        dropped: List[str] = []
-        artifacts_stored = 0
-        # The incremental path is only sound when the delta fully explains
-        # the fingerprint transition.  A moved fingerprint with *no* recorded
-        # changes means the tracking was cleared externally -- fall back to
-        # full rebuilds rather than re-keying stale state as fresh.
-        trust_delta = not delta.structural and bool(delta.changes)
-        with self._swap_lock:
-            self._drop_artifacts(current)
-        for key in [key for key in self._schemes if key[2] == parent and parent != current]:
-            name, params_items, _ = key
-            scheme = self._schemes.pop(key)
-            new_key = (name, params_items, current)
-            if new_key in self._schemes:
-                # Already rebuilt from scratch after the mutation (a query
-                # arrived before this refresh); keep that entry.
-                dropped.append(name)
-                continue
-            if trust_delta and scheme.incremental_rebuild(self.network, delta):
-                incremental.append(name)
-                self._incremental_rebuilds += 1
-            else:
-                scheme = registry.create(name, self.network, **dict(params_items))
-                scheme.cycle  # build the refreshed broadcast cycle now
-                rebuilt.append(name)
-                self._full_rebuilds += 1
-            self._schemes[new_key] = scheme
-            # The refreshed state belongs to the new fingerprint; the old
-            # fingerprint's stored artifact is now superseded (see
-            # prune_cache) and must never be served for this network.
-            if self._publish_to_store(scheme, new_key):
-                artifacts_stored += 1
-        for key in [key for key in self._channels if key[2] != current]:
-            del self._channels[key]
-
-        if current != parent:
-            self._lineage[current] = parent
-        self._clean_fingerprint = current
-        self.network.clear_delta()
-        return RefreshReport(
-            parent_fingerprint=parent,
-            fingerprint=current,
-            structural=delta.structural,
-            num_changes=len(delta.changes),
-            num_dirty_nodes=len(delta.dirty_nodes),
-            incremental=tuple(incremental),
-            rebuilt=tuple(rebuilt),
-            dropped=tuple(dropped),
-            seconds=time.perf_counter() - started,
-            artifacts_stored=artifacts_stored,
-        )
+        report, work = self._prepare_refresh()
+        return report if work is None else work()
 
     def refresh_async(self) -> AsyncRefresh:
-        """Double-buffered :meth:`refresh`: queries never wait on the rebuild.
+        """:meth:`refresh` on a background thread: queries never wait on it.
 
-        Snapshots the pending delta, then hands the refresh to a background
-        worker that builds *replacement* schemes into a shadow set -- via
-        :meth:`~repro.air.base.AirIndexScheme.shadow_rebuild` where the
-        scheme supports it, from scratch otherwise -- while the system keeps
+        The same refresh runs on the handle's thread while the system keeps
         answering queries from the superseded entries (a lookup under the
         new fingerprint transparently falls back to them for the duration;
-        see :meth:`_scheme_entry`).  When every replacement is ready the
-        worker swaps them in under one lock acquisition: queries observe
-        either the complete old state or the complete new state, never a
-        mixture, and never block for longer than the swap's dictionary
-        updates.
+        see :meth:`_scheme_entry`).  The swap is one lock acquisition:
+        queries observe either the complete old state or the complete new
+        state, never a mixture, and never block for longer than the swap's
+        dictionary updates.
 
         At most one refresh may be in flight: until :meth:`wait` returns,
         further :meth:`refresh`/:meth:`refresh_async`/:meth:`apply_updates`
-        calls raise ``RuntimeError`` (apply updates to the *network* only
-        through those methods, so the guard is airtight in practice).
-        Returns an :class:`AsyncRefresh` handle; the swap has happened
-        exactly when ``handle.done`` turns true.
+        calls (and :meth:`prune_cache`/:meth:`clear_cache`) raise
+        ``RuntimeError`` (apply updates to the *network* only through those
+        methods, so the guard is airtight in practice).  Returns an
+        :class:`AsyncRefresh` handle; the swap has happened exactly when
+        ``handle.done`` turns true.
+        """
+        report, work = self._prepare_refresh()
+        if work is None:
+            return AsyncRefresh.completed(report)
+        handle = AsyncRefresh()
+        self._async_refresh = handle
+        return handle._start(work)
+
+    def _prepare_refresh(self) -> Tuple[Optional[RefreshReport], Optional[Callable[[], RefreshReport]]]:
+        """Snapshot the pending delta: ``(report, None)`` when there is
+        nothing to refresh, else ``(None, work)`` with the refresh to run.
+
+        The stale-while-refreshing alias is installed here, before ``work``
+        runs on any thread, so no lookup can miss between the two.
         """
         self._check_no_async_refresh()
         started = time.perf_counter()
@@ -753,7 +722,7 @@ class AirSystem:
         parent = self._clean_fingerprint
         current = self.network.fingerprint()
         if current == parent and delta.empty:
-            return AsyncRefresh.completed(
+            return (
                 RefreshReport(
                     parent_fingerprint=parent,
                     fingerprint=current,
@@ -761,30 +730,26 @@ class AirSystem:
                     num_changes=0,
                     num_dirty_nodes=0,
                     seconds=time.perf_counter() - started,
-                )
+                ),
+                None,
             )
         if current != parent:
             self._refresh_alias[current] = parent
-        handle = AsyncRefresh()
-        self._async_refresh = handle
-        return handle._start(
-            lambda: self._refresh_shadow(parent, current, delta, started)
-        )
+        return None, lambda: self._refresh(parent, current, delta, started)
 
-    def _refresh_shadow(
+    def _refresh(
         self, parent: str, current: str, delta: Any, started: float
     ) -> RefreshReport:
-        """Worker body of :meth:`refresh_async`: build shadows, swap once."""
+        """The one refresh: build every replacement, swap them in once."""
         try:
             # Chaos hook: a plan targeting ``engine.refresh.fail`` aborts the
-            # rebuild here, before any shadow exists -- the exact failure the
-            # serving daemon's degraded mode must absorb.  On this (or any)
-            # failure the network delta stays uncleared, so the next refresh
-            # rebuilds from the *cumulative* updates.
+            # refresh here, before any replacement exists -- the exact
+            # failure the serving daemon's degraded mode must absorb.
             faults.fail_if("engine.refresh.fail")
-            incremental: List[str] = []
-            rebuilt: List[str] = []
-            dropped: List[str] = []
+            # The incremental path is only sound when the delta fully
+            # explains the fingerprint transition.  A moved fingerprint with
+            # *no* recorded changes means the tracking was cleared
+            # externally -- rebuild rather than re-key stale state as fresh.
             trust_delta = not delta.structural and bool(delta.changes)
             with self._swap_lock:
                 entries = [
@@ -801,19 +766,22 @@ class AirSystem:
                     try:
                         replacement = scheme.shadow_rebuild(self.network, delta)
                     except Exception:
-                        # A failed shadow refresh must not take serving down:
-                        # fall back to the from-scratch build below.
+                        # A failed incremental refresh must not take serving
+                        # down: fall back to the from-scratch build below.
                         replacement = None
                 was_incremental = replacement is not None
                 if replacement is None:
                     replacement = registry.create(
                         name, self.network, **dict(params_items)
                     )
-                    replacement.cycle  # build the refreshed cycle off-line
+                    replacement.cycle  # build the refreshed cycle now
                 replacements.append(
                     (key, (name, params_items, current), replacement, was_incremental)
                 )
 
+            incremental: List[str] = []
+            rebuilt: List[str] = []
+            dropped: List[str] = []
             with self._swap_lock:
                 for old_key, new_key, replacement, was_incremental in replacements:
                     self._schemes.pop(old_key, None)
@@ -840,7 +808,10 @@ class AirSystem:
                 self.network.clear_delta()
 
             # Store publication is slow I/O: do it after the swap, outside
-            # the lock, only for replacements that actually serve.
+            # the lock, only for replacements that actually serve.  The
+            # refreshed state belongs to the new fingerprint; the old
+            # fingerprint's stored artifact is now superseded (see
+            # prune_cache) and must never be served for this network.
             artifacts_stored = 0
             for _, new_key, replacement, _ in replacements:
                 if self._schemes.get(new_key) is replacement:

@@ -18,9 +18,9 @@ Operational contract:
   query by its source node's kd-tree region (the partitioning layer),
   sharding the network across workers, and spills to the least-loaded
   worker when the home shard is saturated.
-* **Refresh.**  ``refresh`` applies an edge-weight batch through
-  :meth:`AirSystem.apply_updates` (incremental rebuilds + store
-  re-publication), publishes a *new* segment, and sends each worker a
+* **Refresh.**  ``refresh`` applies an edge-weight batch to the network,
+  refreshes it through :meth:`AirSystem.refresh` (incremental rebuilds +
+  store re-publication), publishes a *new* segment, and sends each worker a
   swap message through its request pipe.  Pipes are FIFO, so every
   request enqueued before the swap is answered on the old cycle and
   everything after on the new one -- answers are old-or-new, never torn.
@@ -526,9 +526,9 @@ class AirServer:
     async def _refresh(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Apply weight updates, publish a new segment, swap every worker.
 
-        The expensive part -- repairing the schemes and packing the new
-        shared segment -- runs *off* the event loop, through the engine's
-        double-buffered :meth:`~repro.engine.system.AirSystem.refresh_async`:
+        The expensive part -- repairing the schemes through the engine's
+        :meth:`~repro.engine.system.AirSystem.refresh` and packing the new
+        shared segment -- runs *off* the event loop, in an executor thread:
         the asyncio front end keeps accepting and dispatching queries against
         the old segment for the whole rebuild, and only the final per-worker
         swap round-trip (microseconds of pipe traffic per worker) happens on
@@ -545,7 +545,7 @@ class AirServer:
             def _rebuild():
                 with self.system.publication():
                     self.system.network.apply_updates(updates)
-                    report = self.system.refresh_async().wait()
+                    report = self.system.refresh()
                     return report, self._publish_segment()
 
             try:

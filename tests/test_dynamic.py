@@ -269,7 +269,7 @@ class TestIncrementalRebuildContract:
             scheme.cycle
             dynamic_network.add_edge(nodes[0], nodes[-1], 11.0)
             delta = dynamic_network.pending_delta()
-            assert scheme.incremental_rebuild(dynamic_network, delta) is False
+            assert scheme.shadow_rebuild(dynamic_network, delta) is None
             dynamic_network.remove_edge(nodes[0], nodes[-1])
             dynamic_network.clear_delta()
 
@@ -278,7 +278,7 @@ class TestIncrementalRebuildContract:
         other = dynamic_network.copy()
         edge = next(iter(other.edges()))
         other.update_edge_weight(edge.source, edge.target, edge.weight + 1.0)
-        assert scheme.incremental_rebuild(other, other.pending_delta()) is False
+        assert scheme.shadow_rebuild(other, other.pending_delta()) is None
 
     def test_default_hook_declines(self, dynamic_network):
         for name, params in [("AF", {"num_regions": 8}), ("LD", {"num_landmarks": 2})]:
@@ -289,7 +289,7 @@ class TestIncrementalRebuildContract:
                 edge.source, edge.target, dynamic_network.edge_weight(edge.source, edge.target) * 1.5
             )
             delta = dynamic_network.pending_delta()
-            assert scheme.incremental_rebuild(dynamic_network, delta) is False
+            assert scheme.shadow_rebuild(dynamic_network, delta) is None
             dynamic_network.clear_delta()
 
     def test_refresh_accounting_reaches_server_metrics(self, dynamic_network):
@@ -299,11 +299,13 @@ class TestIncrementalRebuildContract:
         dynamic_network.update_edge_weight(
             edge.source, edge.target, dynamic_network.edge_weight(edge.source, edge.target) * 1.5
         )
-        assert scheme.incremental_rebuild(dynamic_network, dynamic_network.pending_delta())
+        replacement = scheme.shadow_rebuild(dynamic_network, dynamic_network.pending_delta())
+        assert replacement is not None and replacement is not scheme
         dynamic_network.clear_delta()
-        metrics = scheme.server_metrics()
+        metrics = replacement.server_metrics()
         assert metrics.refreshes == 1
         assert metrics.refresh_seconds >= 0.0
+        assert scheme.server_metrics().refreshes == 0
 
 
 class TestSimulateUpdateStream:

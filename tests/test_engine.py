@@ -350,17 +350,28 @@ class TestVersionedRefresh:
         assert report.parent_fingerprint == report.fingerprint
         assert fresh_system.cache_info().incremental_rebuilds == 0
 
-    def test_weight_update_refreshes_in_place(self, fresh_system):
+    def test_weight_update_installs_a_replacement(self, fresh_system):
         system = fresh_system
         before = system.scheme("NR")
-        self._bump_weight(system.network)
+        payload = before.artifact().payload
+        signature = before.cycle.signature()
+        # A much cheaper edge out of a border node moves that source's labels.
+        border = set(before.partitioning.border_nodes(0))
+        edge = next(e for e in system.network.edges() if e.source in border)
+        system.network.update_edge_weight(edge.source, edge.target, edge.weight * 0.01)
         report = system.refresh()
         assert report.incremental == ("NR",)
         assert report.rebuilt == ()
         assert not report.structural
         assert report.num_changes == 1
-        # In-place refresh: same scheme object, re-keyed to the new structure.
-        assert system.scheme("NR") is before
+        # A replacement is keyed to the new structure; the replaced scheme
+        # keeps its pre-delta border-path labels and cycle, while the
+        # replacement carries the repaired ones.
+        after = system.scheme("NR")
+        assert after is not before
+        assert before.artifact().payload == payload
+        assert before.cycle.signature() == signature
+        assert after.artifact().payload != payload
         info = system.cache_info()
         assert info.incremental_rebuilds == 1 and info.full_rebuilds == 0
         assert info.entries == 1

@@ -116,14 +116,17 @@ def _blob(scheme) -> bytes:
     return scheme.precomputation.state()["sources_blob"]
 
 
-def _refresh(scheme, network, rng: random.Random) -> None:
+def _refresh(scheme, network, rng: random.Random):
+    """Apply a random batch; returns ``scheme``'s refreshed replacement."""
     edges = [(e.source, e.target) for e in network.edges()]
     network.apply_updates(
         (s, t, round(rng.uniform(0.5, 3.0) * network.edge_weight(s, t), 6))
         for s, t in rng.sample(edges, 5)
     )
-    assert scheme.incremental_rebuild(network, network.pending_delta())
+    replacement = scheme.shadow_rebuild(network, network.pending_delta())
+    assert replacement is not None
     network.clear_delta()
+    return replacement
 
 
 @pytest.mark.parametrize("seed", [97, 12])
@@ -147,8 +150,8 @@ def test_sources_blob_matches_the_list_oracle(name, seed):
     assert bytes(_blob(restored)) == built
 
     for step in range(3):
-        _refresh(scheme, build_network, random.Random(seed * 10 + step))
-        _refresh(restored, serving_network, random.Random(seed * 10 + step))
+        scheme = _refresh(scheme, build_network, random.Random(seed * 10 + step))
+        restored = _refresh(restored, serving_network, random.Random(seed * 10 + step))
         refreshed = _blob(scheme)
         assert refreshed == oracle.sources_blob(scheme.precomputation)
         assert _blob(restored) == refreshed
@@ -171,7 +174,7 @@ def test_record_writer_artifacts_restore_and_refresh(name):
     scratch = air.create(name, network, num_regions=4)
     assert bytes(_blob(restored)) == _blob(scratch)
     for step in range(3):
-        _refresh(restored, network, random.Random(step))
+        restored = _refresh(restored, network, random.Random(step))
         scratch = air.create(name, network, num_regions=4)
         assert _blob(restored) == _blob(scratch)
         assert restored.cycle.signature() == scratch.cycle.signature()

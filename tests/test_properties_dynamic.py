@@ -39,7 +39,7 @@ SEEDS = [3, 17]
 BLOCK_COLUMNS = (
     "dist", "pred", "cross", "finite_pairs", "min_to", "max_to", "reach", "traversed"
 )
-#: Schemes whose incremental_rebuild applies real weight deltas in place.
+#: Schemes whose shadow_rebuild applies real weight deltas.
 INCREMENTAL_SCHEMES = {"DJ", "NR", "EB", "HiTi"}
 
 
@@ -335,9 +335,9 @@ def test_refresh_repacks_exactly_the_regions_whose_cross_border_set_moved(scheme
     The random batches above never change a region's cross-border set on
     their small networks.  Here twenty edges become 20x longer or 20x
     shorter on a 120-node network, which moves the split of two regions:
-    both the in-place and the shadow refresh must lay out exactly the
-    scratch cycle, re-packing those regions and reusing every other
-    region's segments as they are.
+    the refreshed replacement must lay out exactly the scratch cycle,
+    re-packing those regions and reusing every other region's segments as
+    they are, and the refreshed scheme keeps its own cycle.
     """
     from repro.network.generators import GeneratorConfig, generate_road_network
 
@@ -357,17 +357,16 @@ def test_refresh_repacks_exactly_the_regions_whose_cross_border_set_moved(scheme
     )
     delta = network.pending_delta()
     shadow = scheme.shadow_rebuild(network, delta)
+    assert shadow is not None
     assert scheme.cycle is before
-    assert scheme.incremental_rebuild(network, delta)
     scratch = air.create(scheme_name, network, num_regions=8)
-    for refreshed in (scheme, shadow):
-        assert refreshed.cycle.signature() == scratch.cycle.signature()
-        data = [seg for seg in refreshed.cycle.segments if seg.name.startswith("region-")]
-        moved = {
-            seg.name
-            for seg in data
-            if seg.payload["nodes"] != before.segment(seg.name).payload["nodes"]
-        }
-        assert len(moved) == 2
-        for segment in data:
-            assert (segment is before.segment(segment.name)) == (segment.name not in moved)
+    assert shadow.cycle.signature() == scratch.cycle.signature()
+    data = [seg for seg in shadow.cycle.segments if seg.name.startswith("region-")]
+    moved = {
+        seg.name
+        for seg in data
+        if seg.payload["nodes"] != before.segment(seg.name).payload["nodes"]
+    }
+    assert len(moved) == 2
+    for segment in data:
+        assert (segment is before.segment(segment.name)) == (segment.name not in moved)

@@ -2,8 +2,8 @@
 
 A daemon publishes each scheme twice over -- to the artifact store and into
 the shared-memory segment its workers map -- and both must carry the same
-artifact, encoded once.  An in-place refresh must never let an artifact
-encoded before it be handed out again.
+artifact, encoded once.  A refresh must never let an artifact encoded
+before it be handed out again.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def test_in_place_refresh_never_hands_out_a_pre_refresh_artifact():
         assert after.network_fingerprint == network.fingerprint() != base
         assert after.to_bytes() == system.scheme("NR").artifact().to_bytes()
 
-        # Reverting returns to the first fingerprint on the same scheme
-        # object, refreshed in place twice: still a fresh encode.
+        # Reverting returns to the first fingerprint, refreshed twice:
+        # still a fresh encode.
         system.apply_updates([(edge.source, edge.target, edge.weight)])
         reverted = system.artifact("NR")
         assert network.fingerprint() == base
