@@ -19,7 +19,12 @@ from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind
 from repro.spatial.base import POINT_RECORD_BYTES, SpatialAirScheme, Window
-from repro.spatial.hilbert import hilbert_order_for, point_to_hilbert
+from repro.spatial.hilbert import (
+    hilbert_gap,
+    hilbert_order_for,
+    point_to_hilbert,
+    window_hilbert_range,
+)
 from repro.spatial.points import PointObject
 
 __all__ = ["DistributedSpatialIndexScheme"]
@@ -96,7 +101,7 @@ class DistributedSpatialIndexScheme(SpatialAirScheme):
     def range_query_on_session(
         self, window: Window, session: ClientSession, memory: MemoryTracker
     ) -> List[int]:
-        low, high = self._window_hilbert_range(window)
+        low, high = window_hilbert_range(window, self.bounds, self.order)
         needed = [
             index
             for index, (frame_low, frame_high, _) in enumerate(self.frames)
@@ -115,7 +120,7 @@ class DistributedSpatialIndexScheme(SpatialAirScheme):
     ) -> List[int]:
         centre = point_to_hilbert(x, y, self.bounds, self.order)
         order_by_gap = sorted(
-            range(self.num_frames), key=lambda i: self._hilbert_gap(i, centre)
+            range(self.num_frames), key=lambda i: hilbert_gap(*self.frames[i][:2], centre)
         )
         candidate_frames: List[int] = []
         count = 0
@@ -130,7 +135,7 @@ class DistributedSpatialIndexScheme(SpatialAirScheme):
             return []
         radius = candidates[: k][-1].distance_to(x, y)
         window = (x - radius, y - radius, x + radius, y + radius)
-        low, high = self._window_hilbert_range(window)
+        low, high = window_hilbert_range(window, self.bounds, self.order)
         remaining = [
             index
             for index, (frame_low, frame_high, _) in enumerate(self.frames)
@@ -216,33 +221,3 @@ class DistributedSpatialIndexScheme(SpatialAirScheme):
     def _cyclic_reaches(self, current: int, target: int, needed: Set[int]) -> bool:
         """Does hopping to ``target`` stay at or before the nearest needed frame?"""
         return self._distance(current, target) <= self._nearest_needed_distance(current, needed)
-
-    def _hilbert_gap(self, frame_index: int, value: int) -> int:
-        low, high, _ = self.frames[frame_index]
-        if low <= value <= high:
-            return 0
-        return min(abs(value - low), abs(value - high))
-
-    def _window_hilbert_range(self, window: Window) -> Tuple[int, int]:
-        from repro.spatial.hilbert import hilbert_index
-
-        min_x, min_y, max_x, max_y = window
-        bounds_min_x, bounds_min_y, bounds_max_x, bounds_max_y = self.bounds
-        side = 1 << self.order
-        width = (bounds_max_x - bounds_min_x) or 1.0
-        height = (bounds_max_y - bounds_min_y) or 1.0
-
-        def cell_of(value: float, low: float, extent: float) -> int:
-            return min(side - 1, max(0, int((value - low) / extent * side)))
-
-        first_col = cell_of(min_x, bounds_min_x, width)
-        last_col = cell_of(max_x, bounds_min_x, width)
-        first_row = cell_of(min_y, bounds_min_y, height)
-        last_row = cell_of(max_y, bounds_min_y, height)
-        low = high = None
-        for col in range(first_col, last_col + 1):
-            for row in range(first_row, last_row + 1):
-                value = hilbert_index(self.order, col, row)
-                low = value if low is None else min(low, value)
-                high = value if high is None else max(high, value)
-        return (low or 0, high if high is not None else (side * side - 1))

@@ -22,7 +22,12 @@ from repro.broadcast.interleave import interleave_one_m, optimal_m
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind, packets_for_bytes
 from repro.spatial.base import POINT_RECORD_BYTES, SpatialAirScheme, Window
-from repro.spatial.hilbert import hilbert_order_for, point_to_hilbert
+from repro.spatial.hilbert import (
+    hilbert_gap,
+    hilbert_order_for,
+    point_to_hilbert,
+    window_hilbert_range,
+)
 from repro.spatial.points import PointObject
 
 __all__ = ["HilbertCurveIndexScheme"]
@@ -94,7 +99,7 @@ class HilbertCurveIndexScheme(SpatialAirScheme):
     ) -> List[int]:
         session.receive_one_packet()
         self._receive_directory(session, memory)
-        low, high = self._window_hilbert_range(window)
+        low, high = window_hilbert_range(window, self.bounds, self.order)
         ids: List[int] = []
         for index, (seg_low, seg_high, _) in enumerate(self.segments_content):
             if seg_high < low or seg_low > high:
@@ -120,7 +125,7 @@ class HilbertCurveIndexScheme(SpatialAirScheme):
         received: List[int] = []
         order_by_distance = sorted(
             range(len(self.segments_content)),
-            key=lambda i: self._hilbert_gap(i, centre),
+            key=lambda i: hilbert_gap(*self.segments_content[i][:2], centre),
         )
         for index in order_by_distance:
             if len(candidate_points) >= k:
@@ -134,7 +139,7 @@ class HilbertCurveIndexScheme(SpatialAirScheme):
 
         # Step 2: range query with the candidate radius around the location.
         window = (x - radius, y - radius, x + radius, y + radius)
-        low, high = self._window_hilbert_range(window)
+        low, high = window_hilbert_range(window, self.bounds, self.order)
         pool: Dict[int, PointObject] = {p.object_id: p for p in candidate_points}
         for index, (seg_low, seg_high, _) in enumerate(self.segments_content):
             if index in received or seg_high < low or seg_low > high:
@@ -164,35 +169,3 @@ class HilbertCurveIndexScheme(SpatialAirScheme):
         segment = session.cycle.segment(name)
         memory.allocate(segment.size_bytes)
         return segment.payload["points"]
-
-    def _hilbert_gap(self, segment_index: int, value: int) -> int:
-        low, high, _ = self.segments_content[segment_index]
-        if low <= value <= high:
-            return 0
-        return min(abs(value - low), abs(value - high))
-
-    def _window_hilbert_range(self, window: Window) -> Tuple[int, int]:
-        """Smallest and largest Hilbert value of cells intersecting the window."""
-        min_x, min_y, max_x, max_y = window
-        bounds_min_x, bounds_min_y, bounds_max_x, bounds_max_y = self.bounds
-        side = 1 << self.order
-        width = (bounds_max_x - bounds_min_x) or 1.0
-        height = (bounds_max_y - bounds_min_y) or 1.0
-
-        def cell_of(value: float, low: float, extent: float) -> int:
-            return min(side - 1, max(0, int((value - low) / extent * side)))
-
-        first_col = cell_of(min_x, bounds_min_x, width)
-        last_col = cell_of(max_x, bounds_min_x, width)
-        first_row = cell_of(min_y, bounds_min_y, height)
-        last_row = cell_of(max_y, bounds_min_y, height)
-
-        from repro.spatial.hilbert import hilbert_index
-
-        low = high = None
-        for col in range(first_col, last_col + 1):
-            for row in range(first_row, last_row + 1):
-                value = hilbert_index(self.order, col, row)
-                low = value if low is None else min(low, value)
-                high = value if high is None else max(high, value)
-        return (low or 0, high if high is not None else (side * side - 1))

@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from typing import Tuple
 
-__all__ = ["hilbert_index", "hilbert_point", "hilbert_order_for", "point_to_hilbert"]
+__all__ = [
+    "hilbert_gap",
+    "hilbert_index",
+    "hilbert_order_for",
+    "hilbert_point",
+    "point_to_hilbert",
+    "window_hilbert_range",
+]
 
 
 def hilbert_index(order: int, x: int, y: int) -> int:
@@ -79,3 +86,38 @@ def point_to_hilbert(
     cell_x = min(side - 1, max(0, int((x - min_x) / width * side)))
     cell_y = min(side - 1, max(0, int((y - min_y) / height * side)))
     return hilbert_index(order, cell_x, cell_y)
+
+
+def window_hilbert_range(
+    window: Tuple[float, float, float, float],
+    bounds: Tuple[float, float, float, float],
+    order: int,
+) -> Tuple[int, int]:
+    """Smallest and largest Hilbert value of the cells ``window`` intersects."""
+    min_x, min_y, max_x, max_y = window
+    bounds_min_x, bounds_min_y, bounds_max_x, bounds_max_y = bounds
+    side = 1 << order
+    width = (bounds_max_x - bounds_min_x) or 1.0
+    height = (bounds_max_y - bounds_min_y) or 1.0
+
+    def cell_of(value: float, low: float, extent: float) -> int:
+        return min(side - 1, max(0, int((value - low) / extent * side)))
+
+    first_col = cell_of(min_x, bounds_min_x, width)
+    last_col = cell_of(max_x, bounds_min_x, width)
+    first_row = cell_of(min_y, bounds_min_y, height)
+    last_row = cell_of(max_y, bounds_min_y, height)
+    low = high = None
+    for col in range(first_col, last_col + 1):
+        for row in range(first_row, last_row + 1):
+            value = hilbert_index(order, col, row)
+            low = value if low is None else min(low, value)
+            high = value if high is None else max(high, value)
+    return (low or 0, high if high is not None else (side * side - 1))
+
+
+def hilbert_gap(low: int, high: int, value: int) -> int:
+    """Distance along the curve from ``value`` to ``[low, high]``; 0 inside."""
+    if low <= value <= high:
+        return 0
+    return min(abs(value - low), abs(value - high))
