@@ -170,9 +170,9 @@ class AirIndexScheme(abc.ABC):
         pre-delta pre-computation and cycle, so clients and channels made
         from it stay consistent while the engine's
         :meth:`~repro.engine.system.AirSystem.refresh` swaps the replacement
-        in.  Returning ``None`` -- the default, and
-        what every scheme does for structural deltas -- tells the engine to
-        construct a fresh scheme instead.
+        in.  Returning ``None`` -- the default, and what every scheme does
+        for structural deltas -- tells the engine to construct a fresh
+        scheme instead.
 
         Implementations bill their work to the replacement's
         :attr:`refresh_count` / :attr:`refresh_seconds` via

@@ -498,8 +498,8 @@ class BorderPathPrecomputation:
         place) and shares everything immutable: the roster arrays, a
         still-encoded blob, and the aggregates, which ``_aggregate``
         replaces rather than mutates.  This is what makes the engine's
-        double-buffered ``refresh_async`` cheap: the serving instance keeps
-        answering from its pre-delta state while the shadow repairs.
+        refresh cheap: the serving instance keeps answering from its
+        pre-delta state while the shadow repairs.
         """
         clone = object.__new__(BorderPathPrecomputation)
         clone.__dict__.update(self.__dict__)

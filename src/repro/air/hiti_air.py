@@ -159,8 +159,7 @@ class HiTiBroadcastClient(AirClient):
         # Read the current packet to learn where the next index copy starts.
         session.receive_one_packet()
 
-        reception = session.receive_segment("hiti-index")
-        session.recover([("hiti-index", reception.lost_offsets)])
+        session.recover([("hiti-index", session.receive_segment("hiti-index").lost_offsets)])
         memory.allocate(cycle.segment("hiti-index").size_bytes)
 
         partitioning = self.scheme.partitioning

@@ -709,7 +709,9 @@ class AirSystem:
         self._async_refresh = handle
         return handle._start(work)
 
-    def _prepare_refresh(self) -> Tuple[Optional[RefreshReport], Optional[Callable[[], RefreshReport]]]:
+    def _prepare_refresh(
+        self,
+    ) -> Tuple[Optional[RefreshReport], Optional[Callable[[], RefreshReport]]]:
         """Snapshot the pending delta: ``(report, None)`` when there is
         nothing to refresh, else ``(None, work)`` with the refresh to run.
 
@@ -743,9 +745,14 @@ class AirSystem:
         """The one refresh: build every replacement, swap them in once."""
         try:
             # Chaos hook: a plan targeting ``engine.refresh.fail`` aborts the
-            # refresh here, before any replacement exists -- the exact
-            # failure the serving daemon's degraded mode must absorb.
+            # rebuild here, before any shadow exists -- the exact failure the
+            # serving daemon's degraded mode must absorb.  On this (or any)
+            # failure the network delta stays uncleared, so the next refresh
+            # rebuilds from the *cumulative* updates.
             faults.fail_if("engine.refresh.fail")
+            incremental: List[str] = []
+            rebuilt: List[str] = []
+            dropped: List[str] = []
             # The incremental path is only sound when the delta fully
             # explains the fingerprint transition.  A moved fingerprint with
             # *no* recorded changes means the tracking was cleared
@@ -766,22 +773,19 @@ class AirSystem:
                     try:
                         replacement = scheme.shadow_rebuild(self.network, delta)
                     except Exception:
-                        # A failed incremental refresh must not take serving
-                        # down: fall back to the from-scratch build below.
+                        # A failed shadow refresh must not take serving down:
+                        # fall back to the from-scratch build below.
                         replacement = None
                 was_incremental = replacement is not None
                 if replacement is None:
                     replacement = registry.create(
                         name, self.network, **dict(params_items)
                     )
-                    replacement.cycle  # build the refreshed cycle now
+                    replacement.cycle  # build the refreshed cycle off-line
                 replacements.append(
                     (key, (name, params_items, current), replacement, was_incremental)
                 )
 
-            incremental: List[str] = []
-            rebuilt: List[str] = []
-            dropped: List[str] = []
             with self._swap_lock:
                 for old_key, new_key, replacement, was_incremental in replacements:
                     self._schemes.pop(old_key, None)
