@@ -20,8 +20,8 @@ query throughput alike.  Measured on the 1k-node network:
   until a consumer reads it (asserted >= 2x by default via
   ``REPRO_KERNEL_MIN_P2P_SPEEDUP``);
 * **border many-to-many** -- the batched sweep pattern of
-  ``BorderPathPrecomputation`` (with predecessors, chunked scipy
-  calls; asserted >= 1.5x by default via
+  ``BorderPathPrecomputation`` (distance and predecessor rows, chunked
+  scipy calls; asserted >= 1.5x by default via
   ``REPRO_KERNEL_MIN_M2M_SPEEDUP``).
 
 Answers are verified bit-identical in-bench before any timing is trusted,
@@ -38,6 +38,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from oracles.dict_network import build_dict_network
@@ -119,7 +120,11 @@ def test_kernel_vs_dict_dijkstra(network):
     arena.sssp(sources[0], need_predecessors=False)
     arena.sssp(sources[0], need_predecessors=True, reverse=True)
     arena.point_to_point(*pairs[0]).distance_to(pairs[0][1])
-    arena.many_to_many(borders[:4], need_predecessors=True)
+    arena.many_to_many(
+        borders[:4],
+        np.empty((4, network.num_nodes)),
+        np.empty((4, network.num_nodes), dtype=np.int64),
+    )
     dijkstra_distances(reference, sources[0])
 
     # -- SSSP: full sweeps, distance labels ----------------------------
@@ -156,7 +161,8 @@ def test_kernel_vs_dict_dijkstra(network):
         dijkstra_distances(reference, source)
     dict_many = time.perf_counter() - started
     started = time.perf_counter()
-    arena.many_to_many(borders, need_predecessors=True)
+    shape = (len(borders), network.num_nodes)
+    arena.many_to_many(borders, np.empty(shape), np.empty(shape, dtype=np.int64))
     kernel_many = time.perf_counter() - started
 
     sssp_speedup = dict_sssp / kernel_sssp

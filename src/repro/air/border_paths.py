@@ -192,17 +192,12 @@ class BorderPathPrecomputation:
             for node in partitioning.border_nodes(region)
         ]
 
-        # One batched kernel sweep covers every border source, then one fold
-        # derives every row's columns from the labels.
+        # One batched kernel sweep writes every border source's labels
+        # straight into the block, then one fold derives every row's columns.
         csr = self.network.ensure_csr()
-        sweeps = kernel.arena_for(csr).many_to_many(
-            [source for source, _ in self._all_border], need_predecessors=True
-        )
-        block = _Block.empty(len(sweeps), csr.num_nodes, self.num_regions)
-        for row, sweep in enumerate(sweeps):
-            block.dist[row] = sweep.dist if sweep.dist_np is None else sweep.dist_np
-            block.pred[row] = sweep.pred
-        del sweeps  # the per-sweep label lists, before the fold's arrays
+        sources = [source for source, _ in self._all_border]
+        block = _Block.empty(len(sources), csr.num_nodes, self.num_regions)
+        kernel.arena_for(csr).many_to_many(sources, block.dist, block.pred)
         self._block = block
         self._fold(np.arange(len(block.dist)))
         self._aggregate()
@@ -242,7 +237,8 @@ class BorderPathPrecomputation:
         ancestor union of the finite border targets (``on_path[up[on_path]]
         = True``) -- the row's cross-border nodes.  ``reduceat`` over the
         region-ordered roster then yields ``min_to``, ``max_to``, ``reach``
-        and ``traversed`` per target region.  Scratch builds, repairs and
+        and ``traversed`` per target region.  Scratch builds (whose labels
+        the batched kernel sweep wrote straight into the block), repairs and
         the zero-weight fallback all derive through here.
         """
         block = self._block
@@ -585,12 +581,13 @@ class BorderPathPrecomputation:
         block = self.block
         csr = self.network.ensure_csr()
         if csr.has_nonpositive_weight:
-            sweeps = kernel.arena_for(csr).many_to_many(
-                [self._all_border[row][0] for row in affected], need_predecessors=True
+            dist = np.empty((len(affected), csr.num_nodes))
+            pred = np.empty(dist.shape, dtype=np.int64)
+            kernel.arena_for(csr).many_to_many(
+                [self._all_border[row][0] for row in affected], dist, pred
             )
-            for row, sweep in zip(affected, sweeps):
-                block.dist[row] = sweep.dist if sweep.dist_np is None else sweep.dist_np
-                block.pred[row] = sweep.pred
+            block.dist[affected] = dist
+            block.pred[affected] = pred
             refold = affected
         else:
             index_of = csr.index_of

@@ -33,7 +33,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.network.algorithms.paths import INFINITY
+from repro.network.algorithms.paths import INFINITY, reconstruct_path
 from repro.network.graph import RoadNetwork
 from repro.air.records import RecordLayout
 
@@ -152,7 +152,7 @@ def compress_region(
                 source in expansion_set or target in expansion_set
             )
             if expand:
-                path = _trace(predecessors, source, target)
+                path = reconstruct_path(predecessors, source, target)
                 overlay.add_super_edge(source, target, distance, path, layout)
             else:
                 overlay.add_edge(source, target, distance, layout)
@@ -194,7 +194,7 @@ def shortest_path_on_overlay(
     distance = distances.get(target, INFINITY)
     if distance == INFINITY:
         return (INFINITY, [], settled_count)
-    overlay_path = _trace(predecessors, source, target)
+    overlay_path = reconstruct_path(predecessors, source, target)
     return (distance, overlay.expand_path(overlay_path), settled_count)
 
 
@@ -222,17 +222,3 @@ def _dijkstra_local(
                 heapq.heappush(heap, (candidate, neighbor))
     return distances, predecessors
 
-
-def _trace(
-    predecessors: Dict[int, Optional[int]], source: int, target: int
-) -> List[int]:
-    """Trace a predecessor map from ``target`` back to ``source``."""
-    path = [target]
-    node = target
-    while node != source:
-        node = predecessors.get(node)
-        if node is None:
-            return []
-        path.append(node)
-    path.reverse()
-    return path

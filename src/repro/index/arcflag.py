@@ -104,12 +104,11 @@ class ArcFlagIndex:
                     continue
                 bit = 1 << region_index
                 flagged = np.zeros(len(masks), dtype=bool)
-                sweeps = arena.many_to_many(
-                    borders, need_predecessors=False, reverse=True
-                )
-                for sweep in sweeps:
-                    source_dist = sweep.dist_np[tails]
-                    target_dist = sweep.dist_np[heads]
+                dist = np.empty((len(borders), csr.num_nodes))
+                arena.many_to_many(borders, dist, None, reverse=True)
+                for row in dist:
+                    source_dist = row[tails]
+                    target_dist = row[heads]
                     with np.errstate(invalid="ignore"):
                         on_tree = np.abs(
                             target_dist + min_w - source_dist

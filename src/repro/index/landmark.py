@@ -104,15 +104,13 @@ class LandmarkIndex:
         # Two batched distance-only kernel sweeps (forward and reverse).
         self._csr = network.ensure_csr()
         arena = kernel.arena_for(self._csr)
-        forward_sweeps = arena.many_to_many(self.landmarks, need_predecessors=False)
-        backward_sweeps = arena.many_to_many(
-            self.landmarks, need_predecessors=False, reverse=True
-        )
-        n = self._csr.num_nodes
+        shape = (len(self.landmarks), self._csr.num_nodes)
         #: ``forward[l, v]``: distance from landmark ``l`` to node index ``v``.
-        self.forward = np.array([s.dist_np for s in forward_sweeps]).reshape(-1, n)
+        self.forward = np.empty(shape)
         #: ``backward[l, v]``: distance from node index ``v`` to landmark ``l``.
-        self.backward = np.array([s.dist_np for s in backward_sweeps]).reshape(-1, n)
+        self.backward = np.empty(shape)
+        arena.many_to_many(self.landmarks, self.forward, None)
+        arena.many_to_many(self.landmarks, self.backward, None, reverse=True)
         self.precomputation_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------

@@ -22,13 +22,16 @@ Two mechanisms deliver this:
   per-node rows (HiTi's overlay, ArcFlag's flagged rows) and ``potential=``
   turns it into A* (Landmark's lower bounds), each bit-identical to its
   dict reference in ``tests/oracles/``.
-* Full sweeps (:meth:`KernelArena.sssp`) and plain point-to-point
-  searches (no mask, rows or potential) take the distance labels from
-  scipy (relaxation order cannot change the converged float values) and
-  then reconstruct predecessors and discovery order from the settle order,
-  which under strictly positive weights provably equals sorting reachable
-  nodes by ``(distance, node id)``.  Snapshots with a non-positive edge weight keep the faithful loop
-  for every search that reports a tree (see
+* Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
+  and plain point-to-point searches (no mask, rows or potential) take the
+  distance labels from scipy (relaxation order cannot change the converged
+  float values) and then derive the tree with one replay,
+  :meth:`KernelArena._replay`: under strictly positive weights the settle
+  order provably equals sorting reachable nodes by ``(distance, node id)``,
+  so a full sweep is the replay with no stop and an early-terminating
+  search the replay stopped at its target's settle rank.  Snapshots with a
+  non-positive edge weight keep the faithful loop for every search that
+  reports a tree (see
   :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
 
 A :class:`KernelArena` binds the reusable parts -- the numpy/scipy views of
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import threading
+from functools import partial
 import weakref
 from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -53,14 +57,7 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.network.algorithms.paths import PathResult
 from repro.network.csr import CSRGraph
 
-__all__ = [
-    "KernelArena",
-    "KernelResult",
-    "arena_for",
-    "many_to_many",
-    "point_to_point",
-    "sssp",
-]
+__all__ = ["KernelArena", "KernelResult", "arena_for"]
 
 _INF = float("inf")
 
@@ -78,13 +75,14 @@ class KernelResult:
     distance-only sweeps (where no consumer observes ordering).  The
     buffers are owned by the result -- arenas never reclaim them.
 
-    Compiled point-to-point results are *deferred*: the compiled sweep
+    Compiled results that report a tree are *deferred*: the compiled sweep
     answers the query (distance, settled count) immediately, and the
-    truncated replay reconstructing labels/predecessors/discovery order
-    runs once, on the first read of ``dist``/``pred``/``order``.  Callers
-    that never walk the tree -- distance probes, existence checks -- skip
-    the reconstruction entirely; callers that do observe byte-for-byte the
-    same buffers as before.
+    replay (:meth:`KernelArena._replay`) deriving labels and predecessors
+    runs once, on the first read of ``pred`` -- or of ``dist``/``order``
+    when the replay owns them -- and the discovery order only on the first
+    read of ``order``.  Callers that never walk the tree -- distance
+    probes, existence checks -- skip the replay entirely; callers that do
+    observe byte-for-byte the same buffers as the dict loop.
     """
 
     __slots__ = (
@@ -98,6 +96,7 @@ class KernelResult:
         "settled",
         "_reached",
         "_finish",
+        "_discover",
         "_probe",
     )
 
@@ -122,20 +121,24 @@ class KernelResult:
         self._order = order
         self.settled = settled
         self._reached: Optional[List[int]] = None
-        #: Deferred reconstruction: a zero-argument callable returning
-        #: ``(dist_np, pred, order)``, run at most once.
+        #: Deferred replay: a zero-argument callable returning
+        #: ``(labels, pred, discover)`` (see :meth:`KernelArena._replay`),
+        #: run at most once.
         self._finish = finish
+        #: The replay's discovery-order callable, until ``order`` is read.
+        self._discover = None
         #: Fast distance probes for deferred point-to-point results:
         #: ``(dist_full, target_dist, target_index)`` from the converged
         #: sweep -- settled nodes (those the early-terminating loop locked
-        #: in) can be answered without running the reconstruction.
+        #: in) can be answered without running the replay.
         self._probe = probe
 
     def _materialize(self) -> None:
         finish = self._finish
         self._finish = None
         self._probe = None
-        self._dist_np, self._pred, self._order = finish()
+        self._dist_np, pred, self._discover = finish()
+        self._pred = pred.tolist()
 
     # -- reads ---------------------------------------------------------
     @property
@@ -155,8 +158,12 @@ class KernelResult:
 
     @property
     def order(self) -> Optional[List[int]]:
-        if self._order is None and self._finish is not None:
-            self._materialize()
+        if self._order is None:
+            if self._finish is not None:
+                self._materialize()
+            if self._discover is not None:
+                self._order = self._discover()
+                self._discover = None
         return self._order
 
     @property
@@ -410,17 +417,21 @@ class KernelArena:
     ) -> KernelResult:
         """Full single-source sweep (no early termination).
 
-        ``need_predecessors=False`` skips predecessor/discovery-order
-        reconstruction -- the fastest path for the many consumers that only
-        read distance labels.
+        ``need_predecessors=False`` leaves out the tree -- the fastest path
+        for the many consumers that only read distance labels.  With it, the
+        labels are ready at once and the tree replays on first read.
         """
         source_index = self._source_index(source)
         if need_predecessors and self.csr.has_nonpositive_weight:
             return self._faithful(source_index, source, reverse=reverse)
-        accel = self._accel()
-        matrix = accel.rev_matrix if reverse else accel.fwd_matrix
-        dist_np = _scipy_dijkstra(matrix, directed=True, indices=source_index)
-        return self._from_accel(dist_np, source, source_index, need_predecessors, reverse)
+        dist = self._sweep(source_index, reverse)
+        settled = int(_np.count_nonzero(_np.isfinite(dist)))
+        finish = None
+        if need_predecessors:
+            finish = partial(self._replay, dist, source_index, reverse)
+        return KernelResult(
+            self.csr, source, None, None, None, settled, dist_np=dist, finish=finish
+        )
 
     def point_to_point(
         self,
@@ -544,203 +555,149 @@ class KernelArena:
     def many_to_many(
         self,
         sources: Sequence[int],
-        need_predecessors: bool = False,
+        dist: _np.ndarray,
+        pred: Optional[_np.ndarray],
         reverse: bool = False,
-    ) -> List[KernelResult]:
-        """Batched full sweeps, one per source, in source order.
+    ) -> None:
+        """Batched full sweeps, written as rows the caller owns.
 
-        The distance labels of up to ``_BATCH_CHUNK`` sources are computed
-        by a single scipy call.
+        Row ``i`` of ``dist`` (float64, one row per source, one column per
+        node index) receives the labels of ``sources[i]``; ``pred`` (int64,
+        the same shape) receives its predecessors, ``-1`` at the source and
+        unreached nodes, or is ``None`` for distance-only callers.  The
+        labels of up to ``_BATCH_CHUNK`` sources come from one scipy call,
+        and each predecessor row from :meth:`_replay` (from the faithful
+        loop on a snapshot with a non-positive weight).
         """
-        sources = list(sources)
-        if need_predecessors and self.csr.has_nonpositive_weight:
-            return [
-                self.sssp(source, need_predecessors=True, reverse=reverse)
-                for source in sources
-            ]
+        indexes = [self._source_index(source) for source in sources]
+        if pred is not None and self.csr.has_nonpositive_weight:
+            for row, (source, index) in enumerate(zip(sources, indexes)):
+                tree = self._faithful(index, source, reverse=reverse)
+                dist[row] = tree.dist
+                pred[row] = tree.pred
+            return
+        for start in range(0, len(indexes), _BATCH_CHUNK):
+            chunk = indexes[start : start + _BATCH_CHUNK]
+            dist[start : start + len(chunk)] = self._sweep(chunk, reverse)
+            if pred is not None:
+                for row, index in enumerate(chunk, start):
+                    pred[row] = self._replay(dist[row], index, reverse)[1]
+
+    # ------------------------------------------------------------------
+    # Compiled sweeps: distances from scipy, the tree from one replay
+    # ------------------------------------------------------------------
+    def _sweep(self, indices, reverse: bool):
+        """scipy's converged labels from one source index (a vector) or a
+        list of them (one row each)."""
         accel = self._accel()
-        index_of = self.csr.index_of
         matrix = accel.rev_matrix if reverse else accel.fwd_matrix
-        results: List[KernelResult] = []
-        for start in range(0, len(sources), _BATCH_CHUNK):
-            chunk = sources[start : start + _BATCH_CHUNK]
-            chunk_indexes = [self._source_index(source) for source in chunk]
-            dist_block = _scipy_dijkstra(matrix, directed=True, indices=chunk_indexes)
-            if len(chunk) == 1:
-                dist_block = dist_block.reshape(1, -1)
-            for row, source in enumerate(chunk):
-                results.append(
-                    self._from_accel(
-                        dist_block[row],
-                        source,
-                        index_of[source],
-                        need_predecessors,
-                        reverse,
-                    )
-                )
-        return results
+        return _scipy_dijkstra(matrix, directed=True, indices=indices)
 
-    # ------------------------------------------------------------------
-    # Accelerated full sweep: distances from scipy, exact reconstruction
-    # ------------------------------------------------------------------
-    def _from_accel(
-        self,
-        dist_np,
-        source: int,
-        source_index: int,
-        need_predecessors: bool,
-        reverse: bool,
-    ) -> KernelResult:
-        finite = _np.isfinite(dist_np)
-        if not need_predecessors:
-            settled = int(_np.count_nonzero(finite))
-            return KernelResult(
-                self.csr, source, None, None, None, settled, dist_np=dist_np
-            )
-        pred, order = self._reconstruct(dist_np, finite, source_index, reverse)
-        return KernelResult(
-            self.csr, source, None, pred, order, len(order), dist_np=dist_np
-        )
-
-    def _reconstruct(
-        self, dist_np, finite, source_index: int, reverse: bool
-    ) -> Tuple[List[int], List[int]]:
-        """Predecessors and discovery order of the faithful heap replay.
+    def _replay(self, dist, source_index: int, reverse: bool, stop_rank=None):
+        """The dict loop's tree, replayed from scipy's converged labels.
 
         Under strictly positive weights the dict heap settles reachable
-        nodes exactly in ``(distance, id)`` order.  Replaying relaxations in
-        (settle order of the tail node, position within its adjacency list)
-        order therefore reproduces, for every node, both its first
-        discovery (first relaxation of any kind) and its final predecessor
-        (first relaxation achieving the converged distance).  Both replays
-        reduce to per-node minima of a combined ``rank * K + position`` key,
-        computed vectorized over the edge arrays.
+        nodes exactly in ``(distance, index)`` order, and a search stopped
+        at the node of settle rank ``stop_rank`` breaks *after popping it,
+        before relaxing its edges* -- so exactly the nodes ranked before it
+        act as relaxation tails (with no stop, every reachable node does).
+        Replaying those relaxations in (tail rank, adjacency position) order
+        gives, per node, as per-head minima over the edge list -- one
+        ``reduceat`` pass each:
+
+        * the label -- the minimum ``d(tail) + w``, the tentative value a
+          stopped search leaves behind; a full sweep's labels are ``dist``
+          itself;
+        * the predecessor -- the first relaxation achieving the label;
+        * the discovery -- the first relaxation of any kind.
+
+        Returns ``(labels, pred, discover)``: ``pred`` is an int64 vector
+        (``-1`` at the source and undiscovered nodes) and ``discover()``
+        the discovery order as an index list, source first, derived only
+        when called.  Bit-identical to :meth:`_faithful`, tentative
+        frontier labels included.
         """
         n = self.num_nodes
         accel = self._accel()
         e_src, e_dst, e_w, e_adjpos = accel.edges(self.csr, reverse)
         perm, starts, counts = accel.transpose(self.csr, reverse)
-        reachable = _np.flatnonzero(finite)
-        settle = reachable[_np.lexsort((reachable, dist_np[reachable]))]
+        reachable = _np.flatnonzero(_np.isfinite(dist))
+        settle = reachable[_np.lexsort((reachable, dist[reachable]))]
         rank = _np.full(n, n, dtype=_np.int64)
         rank[settle] = _np.arange(len(settle), dtype=_np.int64)
+        tail_rank = rank[e_src]
+        valid = tail_rank < (len(settle) if stop_rank is None else stop_rank)
+        relax = dist[e_src] + e_w
+        if stop_rank is None:
+            labels = dist
+        else:
+            labels = _segment_min(
+                _np.where(valid, relax, _INF)[perm], starts, counts, _INF
+            )
+            labels[source_index] = 0.0
 
         stride = len(e_src) + 1
         sentinel = (n + 1) * stride
-        ekey = rank[e_src] * stride + e_adjpos
-        valid = finite[e_src]
-
-        # Discovery: first relaxation into each node, of any kind.
-        discovery_key = _segment_min(
-            _np.where(valid, ekey, sentinel)[perm], starts, counts, sentinel
-        )
-        others = reachable[reachable != source_index]
-        order_tail = others[_np.argsort(discovery_key[others])]
-        order = [source_index] + order_tail.tolist()
-
-        # Predecessor: first relaxation achieving the converged distance.
-        achieves = valid & (dist_np[e_src] + e_w == dist_np[e_dst])
+        ekey = tail_rank * stride + e_adjpos
+        achieves = valid & (relax == labels[e_dst])
         best_key = _segment_min(
             _np.where(achieves, ekey, sentinel)[perm], starts, counts, sentinel
         )
         chosen = achieves & (ekey == best_key[e_dst])
-        pred_np = _np.full(n, -1, dtype=_np.int64)
-        pred_np[e_dst[chosen]] = e_src[chosen]
-        pred_np[source_index] = -1
-        return pred_np.tolist(), order
+        pred = _np.full(n, -1, dtype=_np.int64)
+        pred[e_dst[chosen]] = e_src[chosen]
+        pred[source_index] = -1
+
+        def discover() -> List[int]:
+            key = _segment_min(
+                _np.where(valid, ekey, sentinel)[perm], starts, counts, sentinel
+            )
+            key[source_index] = sentinel
+            found = _np.flatnonzero(key < sentinel)
+            return [source_index] + found[_np.argsort(key[found])].tolist()
+
+        return labels, pred, discover
 
     def _p2p_accel(
         self, source: int, source_index: int, target_index: int, reverse: bool
     ) -> KernelResult:
         """Accelerated exact point-to-point: full sweep + truncated replay.
 
-        One compiled scipy sweep yields the converged labels; everything the
-        early-terminating dict loop would have left behind is then derived
-        from the settle order.  Under strictly positive weights the loop
-        settles reachable nodes in ``(distance, index)`` order and stops
-        *after popping the target, before relaxing its edges* -- so exactly
-        the nodes ranked before the target act as relaxation tails.  Per
-        node, the minimum ``d(tail) + w`` over those tails' edges is the
-        tentative label at the break; the minimum ``(tail rank, adjacency
-        position)`` key is its discovery; the first such key achieving the
-        tentative label is its predecessor.  All three are per-head minima
-        over the edge list -- one ``reduceat`` pass each -- making this
-        bit-identical to :meth:`_faithful` including the tentative frontier
-        labels it leaves behind.
-
-        The replay itself is *deferred* (see :class:`KernelResult`): only
-        the compiled sweep and an O(n) rank count run per query, so
-        distance probes -- the dominant p2p consumer -- never pay for tree
-        reconstruction they do not read.
+        One compiled scipy sweep yields the converged labels and the
+        target's settle rank; the replay stopped at that rank
+        (:meth:`_replay`) is *deferred* (see :class:`KernelResult`), so
+        distance probes -- the dominant p2p consumer -- pay only the sweep
+        and an O(n) rank count, never the tree reconstruction they do not
+        read.
         """
-        csr = self.csr
-        accel = self._accel()
-        matrix = accel.rev_matrix if reverse else accel.fwd_matrix
-        dist_full = _scipy_dijkstra(matrix, directed=True, indices=source_index)
-        target_dist = dist_full[target_index]
+        dist = self._sweep(source_index, reverse)
+        target_dist = dist[target_index]
         if not _np.isfinite(target_dist):
             # The loop would exhaust the reachable set: a full sweep.
-            return self._from_accel(dist_full, source, source_index, True, reverse)
-
-        # The target's settle rank, without sorting: the heap settles
-        # reachable nodes in (distance, index) order, so the rank is the
-        # count of nodes strictly ahead in that order (unreached entries
-        # are ``inf`` and never compare ahead of a finite label).
-        target_rank = int(
-            _np.count_nonzero(dist_full < target_dist)
-            + _np.count_nonzero(dist_full[:target_index] == target_dist)
-        )
-        n = self.num_nodes
-
-        def finish():
-            finite = _np.isfinite(dist_full)
-            e_src, e_dst, e_w, e_adjpos = accel.edges(csr, reverse)
-            perm, starts, counts = accel.transpose(csr, reverse)
-            reachable = _np.flatnonzero(finite)
-            settle = reachable[_np.lexsort((reachable, dist_full[reachable]))]
-            rank = _np.full(n, n, dtype=_np.int64)
-            rank[settle] = _np.arange(len(settle), dtype=_np.int64)
-
-            valid = rank[e_src] < target_rank
-            relax = dist_full[e_src] + e_w
-
-            # Tentative labels: minimum relaxation into each node.
-            tentative = _segment_min(
-                _np.where(valid, relax, _INF)[perm], starts, counts, _INF
+            settled = int(_np.count_nonzero(_np.isfinite(dist)))
+            stop_rank = None
+            probe = None
+        else:
+            # The target's settle rank, without sorting: the heap settles
+            # reachable nodes in (distance, index) order, so the rank is the
+            # count of nodes strictly ahead in that order (unreached entries
+            # are ``inf`` and never compare ahead of a finite label).
+            stop_rank = int(
+                _np.count_nonzero(dist < target_dist)
+                + _np.count_nonzero(dist[:target_index] == target_dist)
             )
-            tentative[source_index] = 0.0
-
-            stride = len(e_src) + 1
-            sentinel = (n + 1) * stride
-            ekey = rank[e_src] * stride + e_adjpos
-            discovery_key = _segment_min(
-                _np.where(valid, ekey, sentinel)[perm], starts, counts, sentinel
-            )
-            discovery_key[source_index] = sentinel
-            discovered = _np.flatnonzero(discovery_key < sentinel)
-            order = [source_index] + discovered[
-                _np.argsort(discovery_key[discovered])
-            ].tolist()
-
-            achieves = valid & (relax == tentative[e_dst])
-            best_key = _segment_min(
-                _np.where(achieves, ekey, sentinel)[perm], starts, counts, sentinel
-            )
-            chosen = achieves & (ekey == best_key[e_dst])
-            pred_np = _np.full(n, -1, dtype=_np.int64)
-            pred_np[e_dst[chosen]] = e_src[chosen]
-            pred_np[source_index] = -1
-            return tentative, pred_np.tolist(), order
-
+            settled = stop_rank + 1
+            probe = (dist, target_dist, target_index)
         return KernelResult(
-            csr,
+            self.csr,
             source,
             None,
             None,
             None,
-            target_rank + 1,
-            finish=finish,
-            probe=(dist_full, target_dist, target_index),
+            settled,
+            dist_np=dist if stop_rank is None else None,
+            finish=partial(self._replay, dist, source_index, reverse, stop_rank),
+            probe=probe,
         )
 
     # ------------------------------------------------------------------
@@ -858,27 +815,3 @@ def arena_for(csr: CSRGraph) -> KernelArena:
     if arena is None:
         arena = registry[csr] = KernelArena(csr)
     return arena
-
-
-# ----------------------------------------------------------------------
-# Network-level conveniences
-# ----------------------------------------------------------------------
-def sssp(network, source: int, need_predecessors: bool = True, reverse: bool = False):
-    """Full single-source sweep over ``network``'s snapshot (built if absent)."""
-    return arena_for(network.ensure_csr()).sssp(
-        source, need_predecessors=need_predecessors, reverse=reverse
-    )
-
-
-def point_to_point(network, source: int, target: int):
-    """Early-terminating point-to-point search over the network snapshot."""
-    return arena_for(network.ensure_csr()).point_to_point(source, target)
-
-
-def many_to_many(
-    network, sources: Sequence[int], need_predecessors: bool = False, reverse: bool = False
-):
-    """Batched full sweeps over the network snapshot, in source order."""
-    return arena_for(network.ensure_csr()).many_to_many(
-        sources, need_predecessors=need_predecessors, reverse=reverse
-    )

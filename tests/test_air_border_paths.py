@@ -1,11 +1,14 @@
 """Unit tests for the shared EB/NR border-path pre-computation."""
 
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import border_paths as oracle
 from repro.air.border_paths import BorderPathPrecomputation
+from repro.network import datasets
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.delta import WeightChange
@@ -175,3 +178,25 @@ def test_affected_sources_equals_oracle_scan(seed):
     assert precomputation.max_distance == want["max_distance"]
     assert precomputation.cross_border_nodes == want["cross_border_nodes"]
     assert precomputation.traversed_regions == want["traversed_regions"]
+
+
+def test_build_peaks_within_twice_the_block():
+    """The batched sweep writes its labels straight into the block, so
+    building the border paths of the mixed-1k network (germany 0.035, seed
+    31, 16 regions) allocates at most twice the block's bytes at its peak."""
+    network = datasets.load("germany", scale=0.035, seed=31)
+    partitioning = build_kdtree_partitioning(network, 16)
+    network.ensure_csr()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        block = BorderPathPrecomputation(network, partitioning).block
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if started:
+            tracemalloc.stop()
+    nbytes = sum(getattr(block, f.name).nbytes for f in dataclasses.fields(block))
+    assert peak <= 2 * nbytes, f"peak {peak} B for a {nbytes} B block"

@@ -13,6 +13,7 @@ that replaced the EB/NR clients' per-query subgraphs.
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import arcflag as arcflag_oracle
@@ -27,6 +28,7 @@ from repro.network.csr import CSRGraph
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork, build_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
+from test_air_border_paths import integer_weight_network
 
 SEEDS = [3, 11, 29]
 
@@ -64,6 +66,16 @@ def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNe
 
 def arena(network):
     return kernel.arena_for(network.ensure_csr())
+
+
+def predecessors_of(network, source, dist_row, pred_row):
+    """``{node_id: predecessor_id}`` over one many-to-many row's reached
+    nodes, the source mapped to ``None`` -- the oracle's mapping."""
+    ids = network.ensure_csr().ids
+    return {
+        ids[i]: None if ids[i] == source else ids[pred_row[i]]
+        for i in np.flatnonzero(np.isfinite(dist_row)).tolist()
+    }
 
 
 def assert_same_result(kernel_result, reference_result):
@@ -458,20 +470,61 @@ def test_network_level_convenience_functions(kernel_path):
     network = kernel_path(make_network(16, num_nodes=40, num_edges=100))
     source, target = network.node_ids()[0], network.node_ids()[-1]
     assert (
-        kernel.sssp(network, source).distances_dict()
+        arena(network).sssp(source).distances_dict()
         == oracle.dijkstra_distances(network, source).distances
     )
-    assert kernel.point_to_point(network, source, target).distance_to(
+    assert arena(network).point_to_point(source, target).distance_to(
         target
     ) == oracle.shortest_path(network, source, target).distance
-    single = kernel.many_to_many(network, [source], need_predecessors=True)
-    assert len(single) == 1
+    dist = np.empty((1, network.num_nodes))
+    pred = np.empty(dist.shape, dtype=np.int64)
+    arena(network).many_to_many([source], dist, pred)
+    assert len(pred) == 1
     assert (
-        single[0].predecessors_dict()
+        predecessors_of(network, source, dist[0], pred[0])
         == oracle.dijkstra_distances(network, source).predecessors
     )
     with pytest.raises(KeyError):
         kernel.arena_for(network.ensure_csr()).point_to_point(source, 10**9)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:2])
+def test_many_to_many_rows_equal_the_oracle_source_by_source(seed, kernel_path):
+    """Every distance and predecessor row equals one oracle sweep from its
+    source, bit for bit.  Integer weights make equal-distance ties, so the
+    rows' tie-broken predecessors are checked; the batch crosses a
+    ``_BATCH_CHUNK`` boundary and includes nodes no other node reaches.  A
+    reverse distance-only batch is checked too."""
+    network = kernel_path(integer_weight_network(seed, num_nodes=80))
+    sources = network.node_ids()
+    assert len(sources) > kernel._BATCH_CHUNK
+    ids = network.ensure_csr().ids
+    index_of = {node: i for i, node in enumerate(ids)}
+    shape = (len(sources), len(ids))
+    dist = np.empty(shape)
+    pred = np.empty(shape, dtype=np.int64)
+    arena(network).many_to_many(sources, dist, pred)
+    backward = np.empty(shape)
+    arena(network).many_to_many(sources, backward, None, reverse=True)
+    ties = 0
+    for row, source in enumerate(sources):
+        want = oracle.dijkstra_distances(network, source)
+        labels = [want.distances.get(node, INFINITY) for node in ids]
+        assert dist[row].tobytes() == np.array(labels).tobytes()
+        parents = [want.predecessors.get(node) for node in ids]
+        assert pred[row].tolist() == [
+            -1 if parent is None else index_of[parent] for parent in parents
+        ]
+        back = oracle.dijkstra_distances(network, source, reverse=True)
+        labels = [back.distances.get(node, INFINITY) for node in ids]
+        assert backward[row].tobytes() == np.array(labels).tobytes()
+        achieving = [
+            v
+            for u, v, w in network.edge_tuples()
+            if u in want.distances and want.distances[u] + w == want.distances[v]
+        ]
+        ties += len(achieving) - len(set(achieving))
+    assert ties, "integer weights must make equal-distance ties"
 
 
 def test_kernel_handles_edgeless_network(kernel_path):
@@ -482,10 +535,10 @@ def test_kernel_handles_edgeless_network(kernel_path):
         network.add_node(node_id, float(node_id), 0.0)
     network.clear_delta()
     kernel_path(network)
-    sweep = kernel.sssp(network, 0)
+    sweep = arena(network).sssp(0)
     assert sweep.distances_dict() == {0: 0.0}
     assert sweep.settled == 1
-    assert kernel.point_to_point(network, 0, 2).distance_to(2) == INFINITY
+    assert arena(network).point_to_point(0, 2).distance_to(2) == INFINITY
 
 
 def test_path_to_guards_against_broken_chains():
