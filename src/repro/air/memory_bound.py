@@ -12,28 +12,28 @@ expanded back into their underlying node sequences.
 
 The peak memory saving the paper reports is around 35%.
 
-Why the two searches here are dict loops and not the CSR kernel: each one
-is tiny -- a region's terminals over that region's received nodes, or the
-query's super-edge overlay -- while a kernel search allocates label arrays
-over the whole snapshot.  A port onto the kernel (every terminal search a
-masked multi-target search, the overlay search through ``adjacency=``
-rows) gave identical distances, paths, settled counts and peak memory, but
-cost the client more CPU, which is the paper's client-computation factor:
-median client CPU per memory-bound query rose 1.17x (NR) and 1.33x (EB) on
-a 1,010-node network, 1.32x and 1.65x on 1,402 nodes and 1.79x and 1.88x
-on 4,907 nodes (16 regions, 100 random pairs, medians of six alternating
-in-process rounds on a 2-vCPU VM, Python 3.11).  The dict loops stay
-until there is a kernel search whose cost scales with the region rather
-than with the snapshot.
+Both searches run the kernel's dict-loop simulation,
+:func:`~repro.network.algorithms.kernel.row_search`, over rows the size of
+the graph searched rather than of the snapshot.  A received region becomes
+local rows once, sliced from the snapshot's ``(index, weight)`` rows with
+positions in ascending id order, and is searched once per terminal; the
+overlay becomes rows once per query (:func:`adjacency_rows`).  Ascending
+positions make heap ties break as the dict loops' ``(distance, id)`` heaps
+did, so super-edges, expansions, distances, paths and settled counts equal
+theirs (``tests/oracles/memory_bound.py``).  Against those dict loops, which
+rebuilt the region's adjacency from ``network.neighbors()``, median client
+CPU per memory-bound query fell from 5.04 to 3.88 ms (NR) and from 6.45 to
+5.14 ms (EB) on a 1,010-node network (16 regions, 150 random pairs, ten
+alternating in-process rounds on a 2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.network.algorithms.paths import INFINITY, reconstruct_path
+from repro.network.algorithms.kernel import adjacency_rows, row_search
+from repro.network.algorithms.paths import INFINITY
 from repro.network.graph import RoadNetwork
 from repro.air.records import RecordLayout
 
@@ -123,36 +123,44 @@ def compress_region(
 
     Returns the number of super-edges added.
     """
+    csr = network.ensure_csr()
+    index_of = csr.index_of
+    snapshot_ids = csr.ids
+    fwd_adj = csr.fwd_adj
     received = set(region_nodes)
     terminals = sorted((set(border_nodes) | set(extra_terminals)) & received)
 
-    # Adjacency restricted to the region's received nodes.
-    local_adjacency: Dict[int, List[Tuple[int, float]]] = {}
-    for node in received:
-        local_adjacency[node] = [
-            (neighbor, weight)
-            for neighbor, weight in network.neighbors(node)
-            if neighbor in received
-        ]
+    # The region's local rows: positions in ascending id order (snapshot
+    # index order is id order), so the search breaks ties as a dict
+    # Dijkstra over the received nodes would.
+    snapshot = sorted(index_of[node] for node in received)
+    local = {index: position for position, index in enumerate(snapshot)}
+    ids = [snapshot_ids[index] for index in snapshot]
+    rows = [
+        [(local[v], w) for v, w in fwd_adj[index] if v in local] for index in snapshot
+    ]
 
     added = 0
     terminal_set = set(terminals)
     expansion_set = (
         terminal_set if expansion_terminals is None else set(expansion_terminals)
     )
-    for source in terminals:
-        distances, predecessors = _dijkstra_local(local_adjacency, source, terminal_set)
-        for target in terminals:
+    positions = [local[index_of[node]] for node in terminals]
+    for source, source_position in zip(terminals, positions):
+        dist, pred, _, _ = row_search(
+            rows, ids, source_position, remaining=set(terminal_set)
+        )
+        for target, target_position in zip(terminals, positions):
             if target == source:
                 continue
-            distance = distances.get(target, INFINITY)
+            distance = dist[target_position]
             if distance == INFINITY:
                 continue
             expand = keep_expansions and (
                 source in expansion_set or target in expansion_set
             )
             if expand:
-                path = reconstruct_path(predecessors, source, target)
+                path = _trace(ids, pred, target_position)
                 overlay.add_super_edge(source, target, distance, path, layout)
             else:
                 overlay.add_edge(source, target, distance, layout)
@@ -160,9 +168,9 @@ def compress_region(
 
     # Border edges: original edges leaving the region from its border nodes.
     for node in terminals:
-        for neighbor, weight in network.neighbors(node):
-            if neighbor not in received:
-                overlay.add_edge(node, neighbor, weight, layout)
+        for v, w in fwd_adj[index_of[node]]:
+            if v not in local:
+                overlay.add_edge(node, snapshot_ids[v], w, layout)
     return added
 
 
@@ -172,53 +180,20 @@ def shortest_path_on_overlay(
     """Dijkstra on the overlay; returns (distance, expanded path, settled)."""
     if source not in overlay.adjacency:
         return (INFINITY, [], 0)
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, Optional[int]] = {source: None}
-    settled: Set[int] = set()
-    heap = [(0.0, source)]
-    settled_count = 0
-    while heap:
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        settled_count += 1
-        if node == target:
-            break
-        for neighbor, weight in overlay.adjacency.get(node, ()):
-            candidate = dist + weight
-            if candidate < distances.get(neighbor, INFINITY):
-                distances[neighbor] = candidate
-                predecessors[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-    distance = distances.get(target, INFINITY)
-    if distance == INFINITY:
-        return (INFINITY, [], settled_count)
-    overlay_path = reconstruct_path(predecessors, source, target)
-    return (distance, overlay.expand_path(overlay_path), settled_count)
+    ids, index_of, rows = adjacency_rows(overlay.adjacency)
+    target_index = index_of.get(target)
+    dist, pred, _, settled = row_search(
+        rows, ids, index_of[source], target_index=target_index
+    )
+    if target_index is None or dist[target_index] == INFINITY:
+        return (INFINITY, [], settled)
+    overlay_path = _trace(ids, pred, target_index)
+    return (dist[target_index], overlay.expand_path(overlay_path), settled)
 
 
-def _dijkstra_local(
-    adjacency: Dict[int, List[Tuple[int, float]]], source: int, targets: Set[int]
-) -> Tuple[Dict[int, float], Dict[int, Optional[int]]]:
-    """Dijkstra over a plain adjacency dict, stopping when targets settle."""
-    distances: Dict[int, float] = {source: 0.0}
-    predecessors: Dict[int, Optional[int]] = {source: None}
-    remaining = set(targets)
-    remaining.discard(source)
-    settled: Set[int] = set()
-    heap = [(0.0, source)]
-    while heap and remaining:
-        dist, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        remaining.discard(node)
-        for neighbor, weight in adjacency.get(node, ()):
-            candidate = dist + weight
-            if candidate < distances.get(neighbor, INFINITY):
-                distances[neighbor] = candidate
-                predecessors[neighbor] = node
-                heapq.heappush(heap, (candidate, neighbor))
-    return distances, predecessors
-
+def _trace(ids: List[int], pred: List[int], index: int) -> List[int]:
+    """Node-id path from the search's source to the reached ``index``."""
+    path = [index]
+    while pred[path[-1]] >= 0:
+        path.append(pred[path[-1]])
+    return [ids[position] for position in reversed(path)]

@@ -36,9 +36,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.network.algorithms.kernel import KernelArena, arena_for
+from repro.network.algorithms.kernel import adjacency_rows, arena_for, row_search
 from repro.network.algorithms.paths import INFINITY, PathResult
-from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
@@ -320,27 +319,23 @@ class HiTiIndex:
     ) -> Dict[Tuple[int, int], float]:
         """Shortest distances between all ordered border pairs on ``adjacency``.
 
-        The overlay is compiled to a small CSR once, then one arena runs an
-        early-terminating multi-target kernel search per border source over
-        it -- the index-addressed buffers replace per-edge dict hashing, and
-        distance labels of settled targets are tie-independent, so the
-        super-edges are bit-identical to the previous dict Dijkstra's.
+        The sub-graph becomes local rows once (:func:`adjacency_rows`, border
+        nodes included), then one kernel row search per border source runs
+        until every border node has settled.  Settled labels do not depend
+        on tie-breaking, so the super-edges equal a dict Dijkstra's.
         """
         if not border_nodes:
             return {}
-        csr = CSRGraph.from_adjacency(
-            adjacency, extra_nodes=border_nodes, name="hiti-overlay"
-        )
-        arena = KernelArena(csr)
+        ids, index_of, rows = adjacency_rows(adjacency, border_nodes)
         targets = set(border_nodes)
+        positions = [index_of[node] for node in border_nodes]
         super_edges: Dict[Tuple[int, int], float] = {}
-        for source in border_nodes:
-            result = arena.multi_target(source, targets)
-            distance_to = result.distance_to
-            for target in border_nodes:
+        for source, source_index in zip(border_nodes, positions):
+            dist = row_search(rows, ids, source_index, remaining=set(targets))[0]
+            for target, target_index in zip(border_nodes, positions):
                 if target == source:
                     continue
-                distance = distance_to(target)
+                distance = dist[target_index]
                 if distance != INFINITY:
                     super_edges[(source, target)] = distance
         return super_edges

@@ -15,13 +15,19 @@ Two mechanisms deliver this:
 
 * Masked and multi-target searches (:meth:`KernelArena.point_to_point`
   with ``allowed``, :meth:`KernelArena.multi_target`) run a **faithful
-  simulation** of the dict loop over the CSR arrays -- same heap entries
-  (index order is id order), same relaxation order, same termination tests
-  -- so even the *tentative* frontier labels left behind by an early stop
-  match.  The client searches run the same loop: ``adjacency=`` swaps in
-  per-node rows (HiTi's overlay, ArcFlag's flagged rows) and ``potential=``
-  turns it into A* (Landmark's lower bounds), each bit-identical to its
-  dict reference in ``tests/oracles/``.
+  simulation** of the dict loop, :func:`row_search`, over the snapshot's
+  ``(index, weight)`` rows -- same heap entries (index order is id order),
+  same relaxation order, same termination tests -- so even the *tentative*
+  frontier labels left behind by an early stop match.  The client searches
+  run the same loop: ``adjacency=`` swaps in per-node rows (HiTi's overlay,
+  ArcFlag's flagged rows) and ``potential=`` turns it into A* (Landmark's
+  lower bounds), each bit-identical to its dict reference in
+  ``tests/oracles/``.  Searches over a small graph that is not a snapshot
+  -- a memory-bound client's received region and its super-edge overlay,
+  a HiTi sub-graph -- call :func:`row_search` directly on local rows whose
+  positions follow ascending id (:func:`adjacency_rows` builds them from a
+  dict), so they too break ties as the dict loop does
+  (``tests/oracles/memory_bound.py``).
 * Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
   and plain point-to-point searches (no mask, rows or potential) take the
   distance labels from scipy (relaxation order cannot change the converged
@@ -48,7 +54,7 @@ import threading
 from functools import partial
 import weakref
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as _np
 from scipy.sparse import csr_matrix as _csr_matrix
@@ -57,7 +63,7 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.network.algorithms.paths import PathResult
 from repro.network.csr import CSRGraph
 
-__all__ = ["KernelArena", "KernelResult", "arena_for"]
+__all__ = ["KernelArena", "KernelResult", "adjacency_rows", "arena_for", "row_search"]
 
 _INF = float("inf")
 
@@ -723,76 +729,132 @@ class KernelArena:
         csr = self.csr
         if adjacency is None:
             adjacency = csr.rev_adj if reverse else csr.fwd_adj
-        ids = csr.ids
-        dist = [_INF] * self.num_nodes
-        pred = [-1] * self.num_nodes
-        order = [source_index]
-        dist[source_index] = 0.0
-        pop = heapq.heappop
-        push = heapq.heappush
-        append = order.append
-        settled = 0
-        if potential is not None:
-            # A*: keys are ``distance + potential``, so a stale entry can no
-            # longer be told by its key; a settled flag per node replaces
-            # the ``d > dist[u]`` test (an inconsistent bound may still
-            # lower a settled node's label, which is then never expanded).
-            done = bytearray(self.num_nodes)
-            heap: List[Tuple[float, int]] = [(potential[source_index], source_index)]
-            while heap:
-                u = pop(heap)[1]
-                if done[u]:
-                    continue
-                done[u] = 1
-                settled += 1
-                if u == target_index:
-                    break
-                d = dist[u]
-                for v, w in adjacency[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        if dist[v] == _INF:
-                            append(v)
-                        dist[v] = nd
-                        pred[v] = u
-                        push(heap, (nd + potential[v], v))
-            return KernelResult(csr, source, dist, pred, order, settled)
-        heap = [(0.0, source_index)]
+        return KernelResult(
+            csr,
+            source,
+            *row_search(
+                adjacency, csr.ids, source_index, target_index, remaining, mask, potential
+            ),
+        )
+
+
+# ----------------------------------------------------------------------
+# The dict Dijkstra's loop over (index, weight) rows
+# ----------------------------------------------------------------------
+def row_search(
+    rows: Sequence[Sequence[Tuple[int, float]]],
+    ids: Sequence[int],
+    source_index: int,
+    target_index: Optional[int] = None,
+    remaining: Optional[set] = None,
+    mask: Optional[bytearray] = None,
+    potential: Optional[Sequence[float]] = None,
+) -> Tuple[List[float], List[int], List[int], int]:
+    """The textbook dict Dijkstra, simulated over ``(index, weight)`` rows.
+
+    ``rows[u]`` lists node ``u``'s out-edges in adjacency order and
+    ``ids[u]`` is its id, ascending in ``u``, so a ``(distance, index)``
+    heap breaks ties exactly as the dict loop's ``(distance, id)`` heap:
+    same heap entries, same relaxation order, same termination tests.  The
+    search stops after settling ``target_index``, or once every id in
+    ``remaining`` (a set the search consumes) has settled; ``mask`` (a 0/1
+    byte per index) skips neighbors outside it, and ``potential`` (a
+    per-index lower bound on the remaining distance) turns it into A*.
+
+    The rows may be a snapshot's own (:class:`KernelArena`'s faithful
+    searches), a replacement set (HiTi's query overlay, ArcFlag's flagged
+    rows) or a small graph's local rows (a memory-bound region, a client's
+    super-edge overlay, a HiTi sub-graph).  Returns ``(dist, pred, order,
+    settled)``: labels and predecessors per index (``inf``/``-1`` where
+    unreached), discovery order and the settled count.
+    """
+    n = len(rows)
+    dist = [_INF] * n
+    pred = [-1] * n
+    order = [source_index]
+    dist[source_index] = 0.0
+    pop = heapq.heappop
+    push = heapq.heappush
+    append = order.append
+    settled = 0
+    if potential is not None:
+        # A*: keys are ``distance + potential``, so a stale entry can no
+        # longer be told by its key; a settled flag per node replaces
+        # the ``d > dist[u]`` test (an inconsistent bound may still
+        # lower a settled node's label, which is then never expanded).
+        done = bytearray(n)
+        heap: List[Tuple[float, int]] = [(potential[source_index], source_index)]
         while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                # A better entry for u already settled it (entries per node
-                # carry strictly decreasing labels, so this test is exactly
-                # the dict implementation's settled-set membership probe).
+            u = pop(heap)[1]
+            if done[u]:
                 continue
+            done[u] = 1
             settled += 1
             if u == target_index:
                 break
-            if remaining is not None:
-                remaining.discard(ids[u])
-                if not remaining:
-                    break
-            if mask is None:
-                for v, w in adjacency[u]:
-                    nd = d + w
-                    if nd < dist[v]:
-                        if dist[v] == _INF:
-                            append(v)
-                        dist[v] = nd
-                        pred[v] = u
-                        push(heap, (nd, v))
-            else:
-                for v, w in adjacency[u]:
-                    if not mask[v]:
-                        continue
-                    nd = d + w
-                    if nd < dist[v]:
-                        if dist[v] == _INF:
-                            append(v)
-                        dist[v] = nd
-                        pred[v] = u
-                        push(heap, (nd, v))
-        return KernelResult(csr, source, dist, pred, order, settled)
+            d = dist[u]
+            for v, w in rows[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    if dist[v] == _INF:
+                        append(v)
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd + potential[v], v))
+        return dist, pred, order, settled
+    heap = [(0.0, source_index)]
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            # A better entry for u already settled it (entries per node
+            # carry strictly decreasing labels, so this test is exactly
+            # the dict implementation's settled-set membership probe).
+            continue
+        settled += 1
+        if u == target_index:
+            break
+        if remaining is not None:
+            remaining.discard(ids[u])
+            if not remaining:
+                break
+        if mask is None:
+            for v, w in rows[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    if dist[v] == _INF:
+                        append(v)
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+        else:
+            for v, w in rows[u]:
+                if not mask[v]:
+                    continue
+                nd = d + w
+                if nd < dist[v]:
+                    if dist[v] == _INF:
+                        append(v)
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+    return dist, pred, order, settled
+
+
+def adjacency_rows(
+    adjacency: Mapping[int, Sequence[Tuple[int, float]]], extra_nodes: Iterable[int] = ()
+) -> Tuple[List[int], Dict[int, int], List[List[Tuple[int, float]]]]:
+    """``(ids, index_of, rows)`` of a small ``{id: [(id, weight), ...]}`` graph.
+
+    Positions follow ascending id, so :func:`row_search` over the rows
+    breaks ties as a dict Dijkstra over ``adjacency`` does, and each row
+    keeps its list's order.  Every edge target must be a key of
+    ``adjacency`` or one of ``extra_nodes``.
+    """
+    ids = sorted(set(adjacency).union(extra_nodes))
+    index_of = {node: index for index, node in enumerate(ids)}
+    get = adjacency.get
+    rows = [[(index_of[v], w) for v, w in get(node, ())] for node in ids]
+    return ids, index_of, rows
 
 
 # ----------------------------------------------------------------------

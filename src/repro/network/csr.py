@@ -34,7 +34,7 @@ from __future__ import annotations
 import operator as _operator
 from array import array
 from collections.abc import Mapping as _MappingABC
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,9 +115,10 @@ class CSRGraph:
     """An immutable-topology CSR view of a directed weighted graph.
 
     A :class:`~repro.network.graph.RoadNetwork` compiles its own
-    (:meth:`~repro.network.graph.RoadNetwork.ensure_csr`); overlays use
-    :meth:`from_adjacency`.  The constructor itself only wires pre-compiled
-    arrays together.
+    (:meth:`~repro.network.graph.RoadNetwork.ensure_csr`); a serving worker
+    maps one (:meth:`from_buffers`) and an ingest compiles one from a table
+    (:meth:`from_columnar`).  The constructor itself only wires
+    pre-compiled arrays together.
     """
 
     def __init__(
@@ -208,51 +209,6 @@ class CSRGraph:
             tuple(zip(targets[start:end], weights[start:end]))
             for start, end in zip(bounds, bounds[1:])
         ]
-
-    @classmethod
-    def _compile(
-        cls,
-        ids: List[int],
-        index_of: Dict[int, int],
-        neighbor_lists: Iterable[Sequence[Tuple[int, float]]],
-    ) -> Tuple[array, array, array]:
-        offsets = array("l", [0])
-        targets = array("l")
-        weights = array("d")
-        for neighbors in neighbor_lists:
-            for target, weight in neighbors:
-                targets.append(index_of[target])
-                weights.append(weight)
-            offsets.append(len(targets))
-        return offsets, targets, weights
-
-    @classmethod
-    def from_adjacency(
-        cls,
-        adjacency: Mapping[int, Sequence[Tuple[int, float]]],
-        extra_nodes: Iterable[int] = (),
-        name: str = "adjacency-csr",
-    ) -> "CSRGraph":
-        """Compile a raw ``{node: [(target, weight), ...]}`` mapping.
-
-        Used for overlay graphs (HiTi's super-edge blocks) that never
-        materialize a :class:`RoadNetwork`.  Nodes appearing only as edge
-        targets, plus any ``extra_nodes``, are included with empty spans so
-        a search may start from them.
-        """
-        node_set = set(adjacency)
-        node_set.update(extra_nodes)
-        for neighbors in adjacency.values():
-            node_set.update(target for target, _ in neighbors)
-        ids = sorted(node_set)
-        index_of = {nid: i for i, nid in enumerate(ids)}
-        fwd = cls._compile(ids, index_of, (adjacency.get(nid, ()) for nid in ids))
-        reverse: Dict[int, List[Tuple[int, float]]] = {nid: [] for nid in ids}
-        for nid in ids:
-            for target, weight in adjacency.get(nid, ()):
-                reverse[target].append((nid, weight))
-        rev = cls._compile(ids, index_of, (reverse[nid] for nid in ids))
-        return cls(ids, *fwd, *rev, name=name)
 
     @classmethod
     def from_buffers(
@@ -438,10 +394,6 @@ class CSRGraph:
                 self.rev_weights,
             )
         )
-
-    def adjacency_of(self, node_id: int) -> Tuple[Tuple[int, float], ...]:
-        """Forward ``(neighbor_index, weight)`` pairs of ``node_id``."""
-        return self.fwd_adj[self.index_of[node_id]]
 
     # ------------------------------------------------------------------
     # In-place weight patching (dynamic networks)

@@ -134,7 +134,10 @@ class RoadNetwork:
 
     def __init__(self, name: str = "road-network") -> None:
         self.name = name
-        self._csr = CSRGraph.from_adjacency({}, name=f"{name}-csr")
+        self._csr = CSRGraph(
+            [], array("l", [0]), array("l"), array("d"),
+            array("l", [0]), array("l"), array("d"), name=f"{name}-csr",
+        )
         #: Coordinates in snapshot index order: flat float64 buffers
         #: (``array('d')``, or views mapped from a shared segment).
         self._x = array("d")

@@ -24,7 +24,6 @@ from repro.index.arcflag import ArcFlagIndex
 from repro.network.algorithms import kernel
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
-from repro.network.csr import CSRGraph
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork, build_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
@@ -351,11 +350,12 @@ def test_patch_weight_rejects_unknown_entries():
 # ----------------------------------------------------------------------
 # CSR compilation details
 # ----------------------------------------------------------------------
-def test_from_adjacency_includes_targets_and_extra_nodes():
-    snapshot = CSRGraph.from_adjacency({1: [(2, 1.0)]}, extra_nodes=[7])
-    assert snapshot.ids == [1, 2, 7]
-    assert snapshot.num_edges == 1
-    arena = kernel.KernelArena(snapshot)
+def test_multi_target_from_an_isolated_source():
+    network = RoadNetwork()
+    for node_id in (1, 2, 7):
+        network.add_node(node_id, 0.0, 0.0)
+    network.add_edge(1, 2, 1.0)
+    arena = kernel.KernelArena(network.ensure_csr())
     isolated = arena.multi_target(7, {1, 2})
     assert isolated.distance_to(1) == INFINITY
     assert arena.multi_target(1, {2}).distance_to(2) == 1.0
@@ -369,7 +369,7 @@ def test_snapshot_index_order_is_id_order():
     snapshot = network.ensure_csr()
     assert snapshot.ids == [2, 17, 44]
     assert snapshot.size_bytes() > 0
-    assert snapshot.adjacency_of(44) == ((0, 1.0),)
+    assert snapshot.fwd_adj[snapshot.index_of[44]] == ((0, 1.0),)
 
 
 def test_kernel_result_api_edges():
@@ -542,7 +542,12 @@ def test_kernel_handles_edgeless_network(kernel_path):
 
 
 def test_path_to_guards_against_broken_chains():
-    snapshot = CSRGraph.from_adjacency({0: [(1, 1.0)], 1: [(2, 1.0)]})
+    network = RoadNetwork()
+    for node_id in range(3):
+        network.add_node(node_id, 0.0, 0.0)
+    network.add_edge(0, 1, 1.0)
+    network.add_edge(1, 2, 1.0)
+    snapshot = network.ensure_csr()
     broken = kernel.KernelResult(
         snapshot, 0, dist=[0.0, 1.0, 2.0], pred=[-1, -1, 1], order=[0, 1, 2], settled=3
     )
