@@ -327,11 +327,10 @@ class HiTiIndex:
         if not border_nodes:
             return {}
         ids, index_of, rows = adjacency_rows(adjacency, border_nodes)
-        targets = set(border_nodes)
         positions = [index_of[node] for node in border_nodes]
         super_edges: Dict[Tuple[int, int], float] = {}
         for source, source_index in zip(border_nodes, positions):
-            dist = row_search(rows, ids, source_index, remaining=set(targets))[0]
+            dist = row_search(rows, ids, source_index, remaining=set(border_nodes))[0]
             for target, target_index in zip(border_nodes, positions):
                 if target == source:
                     continue
