@@ -7,9 +7,14 @@ worker processes mapping a single shared-memory publication of the index.
 Because a served query's cost is dominated by emulated air time (the
 ``pace_packet_us`` channel pacing -- latency in this model is on-air
 packets, not CPU), adding workers must add throughput: this benchmark
-drives an identical query burst at pools of 1, 2 and 4 workers and
-requires **>= 2x** queries/second from 1 -> 4 workers (floor overridable
-through ``REPRO_SERVING_MIN_SCALING`` for noisy CI runners).
+keeps pools of 1, 2 and 4 workers up side by side, drives an identical
+query burst at each in turn for ``ROUNDS`` rounds, and requires the
+median 4-worker throughput to be **>= 2x** the median 1-worker throughput
+(floor overridable through ``REPRO_SERVING_MIN_SCALING`` for noisy CI
+runners).  A 4-worker burst lasts about 0.2 s, so one scheduling stall on
+a shared host could halve a single burst's rate; alternating the pools
+and comparing medians lets neither a stall nor a slow minute of the host
+decide the verdict.
 
 Two more claims are asserted in-bench rather than taken on faith:
 
@@ -54,8 +59,11 @@ POOLS: Tuple[int, ...] = (1, 2, 4)
 #: air time -- the regime the paper's model describes, and the reason
 #: worker count (not CPU count) governs throughput.
 PACE_PACKET_US = 15.0
-#: One identical burst per pool size.
+#: The identical burst every pool serves in every round.
 NUM_REQUESTS = 96
+#: Rounds of bursts, each visiting the pools in turn; throughput is the
+#: median over rounds.
+ROUNDS = 5
 CLIENT_CONNECTIONS = 8
 IDENTITY_SAMPLE = 12
 TUNE_IN_OFFSET = 0
@@ -99,9 +107,10 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
     runs: Dict[int, Dict] = {}
     sharing_rows: List[List] = []
     identity_checked = 0
-    for workers in POOLS:
-        handle = ServerHandle.launch(_serve_config(workers, store_dir))
-        try:
+    handles: Dict[int, ServerHandle] = {}
+    try:
+        for workers in POOLS:
+            handles[workers] = handle = ServerHandle.launch(_serve_config(workers, store_dir))
             with ServingClient(handle.address) as client:
                 info = client.info()
                 # Bit identity: a served answer equals the direct system's.
@@ -120,15 +129,25 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
                         == expected.metrics.access_latency_packets
                     )
                     identity_checked += 1
-            load = run_load(
-                handle.address,
-                pairs,
-                method=METHOD,
-                concurrency=CLIENT_CONNECTIONS,
-                tune_in_offset=TUNE_IN_OFFSET,
-            )
-            assert load.errors == 0
-            assert load.requests == NUM_REQUESTS
+            runs[workers] = {"segment_bytes": info["segment_bytes"], "loads": []}
+
+        # The pools take turns, so a slow stretch of the host falls on all.
+        for _ in range(ROUNDS):
+            for workers in POOLS:
+                load = run_load(
+                    handles[workers].address,
+                    pairs,
+                    method=METHOD,
+                    concurrency=CLIENT_CONNECTIONS,
+                    tune_in_offset=TUNE_IN_OFFSET,
+                )
+                assert load.errors == 0
+                assert load.requests == NUM_REQUESTS
+                runs[workers]["loads"].append(load)
+
+        for workers in POOLS:
+            with ServingClient(handles[workers].address) as client:
+                info = client.info()
             segment_kb = info["segment_bytes"] / 1024.0
             worker_stats = []
             for row in info["workers"]:
@@ -156,17 +175,23 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
                             mapping["private_dirty_kb"],
                         ]
                     )
-            runs[workers] = {
-                "qps": load.qps,
-                "duration_s": load.duration_s,
-                "requests": load.requests,
-                "busy_retries": load.busy_retries,
-                "latency_ms": load.latency_ms,
-                "per_worker_responses": load.workers,
-                "segment_bytes": info["segment_bytes"],
-                "workers": worker_stats,
-            }
-        finally:
+            loads = runs[workers].pop("loads")
+            # The median round (by throughput) reports wall time and latency.
+            median = sorted(loads, key=lambda load: load.qps)[len(loads) // 2]
+            runs[workers].update(
+                {
+                    "qps": median.qps,
+                    "qps_rounds": [load.qps for load in loads],
+                    "duration_s": median.duration_s,
+                    "requests": median.requests,
+                    "busy_retries": sum(load.busy_retries for load in loads),
+                    "latency_ms": median.latency_ms,
+                    "per_worker_responses": median.workers,
+                    "workers": worker_stats,
+                }
+            )
+    finally:
+        for handle in handles.values():
             handle.stop()
 
     scaling = runs[POOLS[-1]]["qps"] / runs[POOLS[0]]["qps"]
@@ -189,7 +214,7 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
             f"{direct.network.name} ({direct.network.num_nodes} nodes), "
             f"pace {PACE_PACKET_US:g} us/pkt -> "
             f"{POOLS[0]}->{POOLS[-1]} workers = {scaling:.2f}x "
-            f"(floor {MIN_SCALING:g}x)"
+            f"(floor {MIN_SCALING:g}x; medians of {ROUNDS} alternating rounds)"
         ),
     )
     text += "\n" + report.format_table(
@@ -209,6 +234,7 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
             "method": METHOD,
             "pace_packet_us": PACE_PACKET_US,
             "num_requests": NUM_REQUESTS,
+            "rounds": ROUNDS,
             "client_connections": CLIENT_CONNECTIONS,
             "identity_checked": identity_checked,
             "identity_ok": True,

@@ -19,6 +19,13 @@ query throughput alike.  Measured on the 1k-node network:
   O(n) rank count answers the query, with tree reconstruction deferred
   until a consumer reads it (asserted >= 2x by default via
   ``REPRO_KERNEL_MIN_P2P_SPEEDUP``);
+* **masked point-to-point** -- the NR client's search
+  (``point_to_point(s, t, allowed=...).path_result(t)``) over NR-shaped
+  node sets: the source and target regions whole plus the cross-border
+  nodes of the regions NR marks as needed between them.  One compiled
+  sweep with the outside edges weighted ``inf``, then a walk back over
+  in-edges for the path; timed against the oracle's masked dict loop and
+  asserted >= ``MIN_MASKED_P2P_SPEEDUP``;
 * **border many-to-many** -- the batched sweep pattern of
   ``BorderPathPrecomputation`` (distance and predecessor rows, chunked
   scipy calls; asserted >= 1.5x by default via
@@ -43,6 +50,7 @@ import pytest
 
 from oracles.dict_network import build_dict_network
 from oracles.dijkstra import dijkstra_distances, dijkstra_search, shortest_path
+from repro.air.border_paths import BorderPathPrecomputation
 from repro.experiments import report
 from repro.network.algorithms import kernel
 from repro.network.generators import GeneratorConfig, generate_road_network
@@ -61,6 +69,10 @@ MIN_SSSP_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_SPEEDUP", "3.0"))
 #: Floors on the point-to-point and many-to-many speedups.
 MIN_P2P_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_P2P_SPEEDUP", "2.0"))
 MIN_M2M_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_M2M_SPEEDUP", "1.5"))
+#: Floor on the masked point-to-point speedup: below the 1.7-3.2x measured
+#: over repeated runs on a 2-vCPU VM, where scipy's fixed per-call cost
+#: (~40 us) weighs on sets of a few hundred nodes.
+MIN_MASKED_P2P_SPEEDUP = 1.2
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +110,39 @@ def _verify_bit_identity(network, reference, sources, pairs) -> None:
         assert got.settled == want.settled
 
 
+def _nr_shaped_queries(network, partitioning, pairs):
+    """``(source, target, allowed)`` per pair, ``allowed`` being the nodes an
+    NR client receives: the source and target regions whole plus the
+    cross-border nodes of every region NR marks as needed."""
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    queries = []
+    for source, target in pairs:
+        source_region = partitioning.region_of(source)
+        target_region = partitioning.region_of(target)
+        allowed = set(partitioning.nodes_in_region(source_region))
+        allowed.update(partitioning.nodes_in_region(target_region))
+        for region in precomputation.needed_regions_nr(source_region, target_region):
+            allowed.update(precomputation.cross_border_in_region(region))
+        queries.append((source, target, allowed))
+    return queries
+
+
+def _verify_masked(network, reference, queries) -> None:
+    """Every masked answer (distance, path, settled) equals the oracle's;
+    the first five also in full labels, key order and predecessors."""
+    arena = kernel.arena_for(network.ensure_csr())
+    for count, (source, target, allowed) in enumerate(queries):
+        want = dijkstra_search(reference, source, target=target, allowed=allowed)
+        got = arena.point_to_point(source, target, allowed=allowed)
+        answer = got.path_result(target)
+        assert answer.distance == want.distance_to(target)
+        assert answer.path == want.path_to(target)
+        assert answer.settled == want.settled
+        if count < 5:
+            assert list(got.distances_dict().items()) == list(want.distances.items())
+            assert got.predecessors_dict() == want.predecessors
+
+
 def test_kernel_vs_dict_dijkstra(network):
     rng = random.Random(7)
     ids = network.node_ids()
@@ -110,9 +155,12 @@ def test_kernel_vs_dict_dijkstra(network):
         for node in partitioning.border_nodes(region)
     ]
 
+    masked_queries = _nr_shaped_queries(network, partitioning, pairs)
+
     arena = kernel.arena_for(network.ensure_csr())
     reference = _dict_copy(network)
     _verify_bit_identity(network, reference, sources, pairs)
+    _verify_masked(network, reference, masked_queries)
 
     # Warm-up: build the kernel's lazy numpy/scipy views (matrices, edge arrays)
     # and touch every code path once so the timings below compare steady
@@ -155,6 +203,18 @@ def test_kernel_vs_dict_dijkstra(network):
         arena.point_to_point(source, target).distance_to(target)
     kernel_p2p = time.perf_counter() - started
 
+    # -- masked point-to-point (the NR client's search and path read) --
+    started = time.perf_counter()
+    for source, target, allowed in masked_queries:
+        dijkstra_search(reference, source, target=target, allowed=allowed).path_to(target)
+    dict_masked = time.perf_counter() - started
+    started = time.perf_counter()
+    for source, target, allowed in masked_queries:
+        arena.point_to_point(source, target, allowed=allowed).path_result(target)
+    kernel_masked = time.perf_counter() - started
+    masked_nodes = sorted(len(allowed) for _, _, allowed in masked_queries)
+    median_masked_nodes = masked_nodes[len(masked_nodes) // 2]
+
     # -- border many-to-many (with predecessors, as EB/NR need) --------
     started = time.perf_counter()
     for source in borders:
@@ -187,6 +247,13 @@ def test_kernel_vs_dict_dijkstra(network):
             round(dict_p2p * 1000.0, 1),
             round(kernel_p2p * 1000.0, 1),
             f"{dict_p2p / kernel_p2p:.1f}x",
+        ],
+        [
+            f"masked point-to-point (median {median_masked_nodes} nodes)",
+            NUM_QUERIES,
+            round(dict_masked * 1000.0, 1),
+            round(kernel_masked * 1000.0, 1),
+            f"{dict_masked / kernel_masked:.1f}x",
         ],
         [
             f"border many-to-many ({len(borders)} sources)",
@@ -228,6 +295,14 @@ def test_kernel_vs_dict_dijkstra(network):
                 "speedup": dict_p2p / kernel_p2p,
                 "min_speedup_floor": MIN_P2P_SPEEDUP,
             },
+            "masked_point_to_point": {
+                "runs": NUM_QUERIES,
+                "median_allowed_nodes": median_masked_nodes,
+                "dict_seconds": dict_masked,
+                "kernel_seconds": kernel_masked,
+                "speedup": dict_masked / kernel_masked,
+                "min_speedup_floor": MIN_MASKED_P2P_SPEEDUP,
+            },
             "border_many_to_many": {
                 "sources": len(borders),
                 "dict_seconds": dict_many,
@@ -246,6 +321,11 @@ def test_kernel_vs_dict_dijkstra(network):
     assert p2p_speedup >= MIN_P2P_SPEEDUP, (
         f"kernel point-to-point is only {p2p_speedup:.2f}x the dict "
         f"Dijkstra (floor {MIN_P2P_SPEEDUP}x)"
+    )
+    masked_speedup = dict_masked / kernel_masked
+    assert masked_speedup >= MIN_MASKED_P2P_SPEEDUP, (
+        f"kernel masked point-to-point is only {masked_speedup:.2f}x the dict "
+        f"Dijkstra (floor {MIN_MASKED_P2P_SPEEDUP}x)"
     )
     m2m_speedup = dict_many / kernel_many
     assert m2m_speedup >= MIN_M2M_SPEEDUP, (

@@ -268,7 +268,10 @@ class RegionQuery:
             with self.cpu:
                 # Masked kernel search over the network's CSR snapshot
                 # restricted to the received nodes: same answers (and settled
-                # count) as Dijkstra on the induced subgraph.
+                # count) as Dijkstra on the induced subgraph.  One compiled
+                # sweep with the outside edges weighted inf; the path walks
+                # back over in-edges read from the snapshot's array buffers,
+                # so a worker never builds its own tuple rows.
                 local = shortest_path(self.scheme.network, source, target, allowed=self.nodes)
                 distance, path, settled = local.distance, local.path, local.settled
             self.memory.allocate(self.scheme.layout.search_working_set_bytes(len(self.nodes)))

@@ -20,9 +20,14 @@ Replay semantics (documented contract, asserted by the tests):
   whose reception order is the rotation of one fixed segment sequence): the
   replay rotates the recorded stream to start at the reception that is next
   on the air after the device's tune-in offset.  For selective-tuning schemes
-  (EB, NR, HiTi) the rotated replay can differ from a freshly simulated
-  session by up to the spacing between index copies, because the probe's
-  concrete index copy is replayed instead of the copy nearest to the device.
+  (EB, NR, HiTi) it is not exact, and the error is not bounded by the
+  spacing between index copies: the probe's concrete index copy, and the
+  reception order that copy fixes, are replayed instead of the ones a
+  session tuning in at the device's offset would see.  Measured against
+  native sessions on the mixed-1k network (20 pairs x 15 offsets), the
+  mean absolute error is 157 / 172 / 159 packets for NR / EB / HiTi, and
+  NR's maximum is 1,232 packets on a 629-packet cycle; ROADMAP item 1
+  records these figures and the plan to make the replay exact.
 * Replay is only valid for **lossless** sessions; lossy devices must be
   simulated natively (their per-packet Bernoulli draws are part of the
   result).  The replay refuses traces recorded under loss.

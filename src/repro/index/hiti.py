@@ -117,47 +117,65 @@ class HiTiIndex:
         """
         csr = self.network.ensure_csr()
         region_of = self.partitioning.region_of
-        region = [region_of(node_id) for node_id in csr.ids]
-        interior: List[Tuple[Tuple[int, float], ...]] = []
-        crossing: List[Tuple[Tuple[int, float], ...]] = []
+        self._csr = csr
+        self._region = region = [region_of(node_id) for node_id in csr.ids]
+        self._interior = [()] * csr.num_nodes
+        self._crossing = [()] * csr.num_nodes
+        self._split_rows(range(csr.num_nodes))
         foreign = [0] * csr.num_nodes
-        for node, row in enumerate(csr.fwd_adj):
+        for node, outside in enumerate(self._crossing):
             own = region[node]
-            inside = tuple(pair for pair in row if region[pair[0]] == own)
-            interior.append(inside)
-            if len(inside) == len(row):
-                crossing.append(())
-                continue
-            outside = tuple(pair for pair in row if region[pair[0]] != own)
-            crossing.append(outside)
             for neighbor, _ in outside:
                 foreign[node] |= 1 << region[neighbor]
                 foreign[neighbor] |= 1 << own
-        self._csr = csr
-        self._region = region
-        self._interior = interior
-        self._crossing = crossing
         self._foreign = foreign
-
-    def _compose_overlay(self) -> None:
-        """Assemble the detail and coarse rows from the current levels."""
-        index_of = self._csr.index_of
-        supers: List[List[Tuple[int, float]]] = [[] for _ in self._crossing]
-        for region in range(self.num_regions):
-            for (u, v), w in self.levels[0][region].super_edges.items():
-                supers[index_of[u]].append((index_of[v], w))
-        self._detail = [
-            inside + outside if outside else inside
-            for inside, outside in zip(self._interior, self._crossing)
-        ]
-        self._coarse = [
-            tuple(out) + outside if out else outside
-            for out, outside in zip(supers, self._crossing)
-        ]
+        index_of = csr.index_of
         self._region_nodes = [
             [index_of[node] for node in self.partitioning.nodes_in_region(region)]
             for region in range(self.num_regions)
         ]
+
+    def _split_rows(self, nodes) -> None:
+        """Recompile the interior and crossing rows of ``nodes`` (indexes)
+        from the snapshot's current rows."""
+        fwd_adj = self._csr.fwd_adj
+        region = self._region
+        interior = self._interior
+        crossing = self._crossing
+        for node in nodes:
+            row = fwd_adj[node]
+            own = region[node]
+            inside = tuple(pair for pair in row if region[pair[0]] == own)
+            interior[node] = inside
+            if len(inside) != len(row):
+                crossing[node] = tuple(pair for pair in row if region[pair[0]] != own)
+            else:
+                crossing[node] = ()
+
+    def _compose_overlay(self, regions=None) -> None:
+        """Assemble the detail and coarse rows from the current levels.
+
+        A node's rows depend only on its own region's level-0 super-edges
+        and its own interior and crossing rows, so ``regions`` limits the
+        work to the nodes of those regions (default: every region).
+        """
+        if regions is None:
+            regions = range(self.num_regions)
+            self._detail = [()] * self._csr.num_nodes
+            self._coarse = [()] * self._csr.num_nodes
+        index_of = self._csr.index_of
+        detail = self._detail
+        coarse = self._coarse
+        for region in regions:
+            supers: Dict[int, List[Tuple[int, float]]] = {}
+            for (u, v), w in self.levels[0][region].super_edges.items():
+                supers.setdefault(index_of[u], []).append((index_of[v], w))
+            for node in self._region_nodes[region]:
+                inside = self._interior[node]
+                outside = self._crossing[node]
+                detail[node] = inside + outside if outside else inside
+                out = supers.get(node)
+                coarse[node] = tuple(out) + outside if out else outside
 
     def num_crossing_edges(self) -> int:
         """Edges whose endpoints lie in different regions."""
@@ -268,10 +286,21 @@ class HiTiIndex:
         dirty region.  Untouched blocks see bit-identical inputs, so the
         refreshed hierarchy equals a from-scratch build.  Returns the number
         of sub-graphs recomputed.
+
+        Every changed edge leaves a node of a dirty region, so only those
+        nodes' rows are recompiled and recomposed (the region and foreign
+        maps depend on structure alone).  The row lists are copied first: a
+        shadow (:meth:`~repro.air.hiti_air.HiTiBroadcastScheme.shadow_rebuild`)
+        shares them with the instance still serving.
         """
         recomputed = 0
-        self._compile_rows()
-        for region in sorted(dirty_regions):
+        dirty = sorted(dirty_regions)
+        self._interior = list(self._interior)
+        self._crossing = list(self._crossing)
+        self._detail = list(self._detail)
+        self._coarse = list(self._coarse)
+        self._split_rows(node for region in dirty for node in self._region_nodes[region])
+        for region in dirty:
             self.levels[0][region] = self._build_leaf(region)
             recomputed += 1
         block = 1
@@ -286,7 +315,7 @@ class HiTiIndex:
                     level_index, first, block
                 )
                 recomputed += 1
-        self._compose_overlay()
+        self._compose_overlay(dirty)
         return recomputed
 
     def _overlay_adjacency(

@@ -13,7 +13,13 @@ Every search runs on the network's CSR snapshot
 stored form) through the array kernel
 (:mod:`repro.network.algorithms.kernel`), whose results are bit-identical to
 the textbook dict Dijkstra -- distances, predecessors and settled counts.
-That dict loop is the test oracle (``tests/oracles/dijkstra.py``).
+That dict loop is the test oracle (``tests/oracles/dijkstra.py``).  On a
+positive-weight snapshot, masked or not, the search is one compiled scipy
+sweep (edges into nodes outside ``allowed`` weighted ``inf``), and the path
+walks back over in-edges on the converged labels, reading the snapshot's
+flat array buffers (shared by serving workers through the mapped segment)
+rather than its tuple rows (built per process on first read); the full
+tree replay runs only if a caller reads the tree.
 """
 
 from __future__ import annotations

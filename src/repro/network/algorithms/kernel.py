@@ -13,32 +13,40 @@ equal-distance ties, identical settled counts, and an identical node
 discovery order (the dict implementation's ``distances`` insertion order).
 Two mechanisms deliver this:
 
-* Masked and multi-target searches (:meth:`KernelArena.point_to_point`
-  with ``allowed``, :meth:`KernelArena.multi_target`) run a **faithful
-  simulation** of the dict loop, :func:`row_search`, over the snapshot's
-  ``(index, weight)`` rows -- same heap entries (index order is id order),
-  same relaxation order, same termination tests -- so even the *tentative*
-  frontier labels left behind by an early stop match.  The client searches
-  run the same loop: ``adjacency=`` swaps in per-node rows (HiTi's overlay,
-  ArcFlag's flagged rows) and ``potential=`` turns it into A* (Landmark's
-  lower bounds), each bit-identical to its dict reference in
-  ``tests/oracles/``.  Searches over a small graph that is not a snapshot
-  -- a memory-bound client's received region and its super-edge overlay,
-  a HiTi sub-graph -- call :func:`row_search` directly on local rows whose
-  positions follow ascending id (:func:`adjacency_rows` builds them from a
-  dict), so they too break ties as the dict loop does
-  (``tests/oracles/memory_bound.py``).
 * Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
-  and plain point-to-point searches (no mask, rows or potential) take the
+  and point-to-point searches over the snapshot's own rows -- plain or
+  masked to an ``allowed`` node set (the EB/NR clients' search) -- take the
   distance labels from scipy (relaxation order cannot change the converged
   float values) and then derive the tree with one replay,
   :meth:`KernelArena._replay`: under strictly positive weights the settle
   order provably equals sorting reachable nodes by ``(distance, node id)``,
   so a full sweep is the replay with no stop and an early-terminating
-  search the replay stopped at its target's settle rank.  Snapshots with a
-  non-positive edge weight keep the faithful loop for every search that
-  reports a tree (see
-  :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
+  search the replay stopped at its target's settle rank, *tentative*
+  frontier labels included.  A mask weights every edge whose head lies
+  outside the set ``inf`` in the sweep and drops it from the replay.  The
+  replay is deferred until the tree is read, and a path to a settled node
+  does not need it: :meth:`KernelResult.path_to` walks back over in-edges
+  on the converged labels, reading the snapshot's flat array buffers
+  rather than its tuple rows: in a serving worker the arrays are one copy
+  in the segment every worker maps, while the tuple rows are built per
+  process on first use (2.6 MiB both ways at 4,907 nodes) and a worker
+  that never reads them never builds them.  Snapshots with a non-positive
+  edge weight keep the faithful loop for every search that reports a tree
+  (see :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
+* Multi-target searches (:meth:`KernelArena.multi_target`), and every
+  search on such a snapshot, run a **faithful simulation** of the dict
+  loop, :func:`row_search`, over the snapshot's ``(index, weight)`` rows --
+  same heap entries (index order is id order), same relaxation order, same
+  termination tests -- so even the tentative labels left behind by an
+  early stop match.  The client searches with replaced rows run the same
+  loop: ``adjacency=`` swaps in per-node rows (HiTi's overlay, ArcFlag's
+  flagged rows) and ``potential=`` turns it into A* (Landmark's lower
+  bounds), each bit-identical to its dict reference in ``tests/oracles/``.
+  Searches over a small graph that is not a snapshot -- a memory-bound
+  client's received region and its super-edge overlay, a HiTi sub-graph --
+  call :func:`row_search` directly on local rows whose positions follow
+  ascending id (:func:`adjacency_rows` builds them from a dict), so they
+  too break ties as the dict loop does (``tests/oracles/memory_bound.py``).
 
 A :class:`KernelArena` binds the reusable parts -- the numpy/scipy views of
 the CSR arrays, scratch key buffers -- to one snapshot; arenas are cached
@@ -86,8 +94,9 @@ class KernelResult:
     replay (:meth:`KernelArena._replay`) deriving labels and predecessors
     runs once, on the first read of ``pred`` -- or of ``dist``/``order``
     when the replay owns them -- and the discovery order only on the first
-    read of ``order``.  Callers that never walk the tree -- distance
-    probes, existence checks -- skip the replay entirely; callers that do
+    read of ``order``.  Callers that never read the tree -- distance
+    probes, existence checks, paths to settled nodes (:meth:`path_to`
+    walks back instead) -- skip the replay entirely; callers that do
     observe byte-for-byte the same buffers as the dict loop.
     """
 
@@ -133,10 +142,11 @@ class KernelResult:
         self._finish = finish
         #: The replay's discovery-order callable, until ``order`` is read.
         self._discover = None
-        #: Fast distance probes for deferred point-to-point results:
-        #: ``(dist_full, target_dist, target_index)`` from the converged
-        #: sweep -- settled nodes (those the early-terminating loop locked
-        #: in) can be answered without running the replay.
+        #: Fast reads for deferred point-to-point results:
+        #: ``(dist_full, target_dist, target_index, reverse)`` from the
+        #: converged sweep -- distances and paths of settled nodes (those
+        #: the early-terminating loop locked in) are answered without
+        #: running the replay.
         self._probe = probe
 
     def _materialize(self) -> None:
@@ -184,21 +194,32 @@ class KernelResult:
             self._dist = self.dist_np.tolist()
         return self._dist
 
+    def _settled_probe(self, index: int):
+        """The pending probe when node ``index`` settled, else ``None``.
+
+        Settled exactly when ``(d, index) <= (target_dist, target_index)``
+        in the heap's (distance, index) settle order; those labels are
+        converged, so the sweep's value is the faithful loop's value.
+        Frontier and unreached nodes carry *tentative* labels, which only
+        the replay knows.
+        """
+        probe = self._probe
+        if self._finish is None or probe is None:
+            return None
+        dist_full, target_dist, target_index, _ = probe
+        d = dist_full[index]
+        if d < target_dist or (d == target_dist and index <= target_index):
+            return probe
+        return None
+
     def distance_to(self, node_id: int) -> float:
         """Distance label of ``node_id`` (``inf`` when unreached/unknown)."""
         index = self.csr.index_of.get(node_id)
         if index is None:
             return _INF
-        if self._finish is not None and self._probe is not None:
-            dist_full, target_dist, target_index = self._probe
-            d = dist_full[index]
-            # Settled exactly when (d, index) <= (target_dist, target_index)
-            # in the heap's (distance, index) settle order; those labels are
-            # converged, so the sweep's value is the faithful loop's value.
-            if d < target_dist or (d == target_dist and index <= target_index):
-                return float(d)
-            # Frontier or unreached: the faithful loop leaves a *tentative*
-            # label here, which only the reconstruction knows.
+        probe = self._settled_probe(index)
+        if probe is not None:
+            return float(probe[0][index])
         return self.dist[index]
 
     def path_result(self, target: int) -> PathResult:
@@ -248,23 +269,70 @@ class KernelResult:
         }
 
     def path_to(self, node_id: int) -> List[int]:
-        """Node-id path from the source (empty when unreached)."""
-        if self.pred is None:
-            raise ValueError("predecessors were not requested for this search")
+        """Node-id path from the source (empty when unreached).
+
+        A settled node of a deferred point-to-point result walks back over
+        its in-edges (:meth:`_walk_back`) instead of running the replay.
+        """
         index = self.csr.index_of.get(node_id)
-        if index is None or self.dist[index] == _INF:
-            return []
-        pred = self.pred
-        path = [index]
-        current = index
-        source_index = self.source_index
-        while current != source_index:
-            current = pred[current]
-            if current < 0:
+        probe = None if index is None else self._settled_probe(index)
+        if probe is not None:
+            path = self._walk_back(index, probe[0], probe[3])
+        else:
+            if self.pred is None:
+                raise ValueError("predecessors were not requested for this search")
+            if index is None or self.dist[index] == _INF:
                 return []
-            path.append(current)
+            pred = self.pred
+            path = [index]
+            current = index
+            source_index = self.source_index
+            while current != source_index:
+                current = pred[current]
+                if current < 0:
+                    return []
+                path.append(current)
         ids = self.csr.ids
         return [ids[i] for i in reversed(path)]
+
+    def _walk_back(self, index: int, dist, reverse: bool) -> List[int]:
+        """The replay's tree path to settled node ``index``, target first,
+        read off the converged labels ``dist``.
+
+        A settled node's replay predecessor is its first-achieving
+        relaxation: among in-edges ``(u, w)`` with ``dist[u] + w ==
+        dist[v]`` (every such ``u`` settled earlier, weights being
+        positive), the one whose tail settled first -- the least
+        ``(dist[u], u)``.  Edges a mask dropped never achieve, as their
+        tails' labels are ``inf``.  The in-edges come from the snapshot's
+        flat array buffers, which serving workers share through the mapped
+        segment, not from :attr:`~repro.network.csr.CSRGraph.rev_adj`,
+        whose tuples each process would build for itself on first read.
+        """
+        csr = self.csr
+        if reverse:
+            offsets, tails, weights = csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
+        else:
+            offsets, tails, weights = csr.rev_offsets, csr.rev_targets, csr.rev_weights
+        labels = memoryview(dist)
+        source_index = self.source_index
+        path = [index]
+        v = index
+        while v != source_index:
+            dv = labels[v]
+            best = -1
+            best_d = _INF
+            for j in range(offsets[v], offsets[v + 1]):
+                u = tails[j]
+                du = labels[u]
+                if du + weights[j] == dv and (du < best_d or (du == best_d and u < best)):
+                    best = u
+                    best_d = du
+            if best < 0:  # pragma: no cover - converged labels always chain
+                return []
+            v = best
+            path.append(v)
+        return path
 
 
 class _Accel:
@@ -398,6 +466,9 @@ class KernelArena:
         self._csr_ref = weakref.ref(csr)
         self.num_nodes = csr.num_nodes
         self._ids = None  # the snapshot's sorted ids as int64, on first mask
+        # Per direction (indexed by ``reverse``): the matrix masked sweeps
+        # rewrite, built on first use (see ``_sweep``).
+        self._masked = [None, None]
 
     @property
     def csr(self) -> CSRGraph:
@@ -462,9 +533,10 @@ class KernelArena:
         heap key becomes ``distance + potential`` with ties broken by index,
         i.e. A*.  A potential cannot be combined with ``allowed``.
 
-        Unmasked searches over the snapshot's own rows on positive-weight
-        snapshots run the compiled truncated-replay path
-        (:meth:`_p2p_accel`); every other search keeps the faithful loop.
+        Searches over the snapshot's own rows (masked or not) on
+        positive-weight snapshots run the compiled truncated-replay path
+        (:meth:`_p2p_accel`); ``adjacency``/``potential`` searches and
+        snapshots with a non-positive weight keep the faithful loop.
         """
         source_index = self._source_index(source)
         target_index = self.csr.index_of.get(target)
@@ -479,25 +551,27 @@ class KernelArena:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
-        if (
-            mask is None
-            and adjacency is None
-            and potential is None
-            and not self.csr.has_nonpositive_weight
-        ):
-            return self._p2p_accel(source, source_index, target_index, reverse)
+        if adjacency is None and potential is None and not self.csr.has_nonpositive_weight:
+            keep = None
+            if mask is not None:
+                # An edge stays in the search when its head is allowed.
+                accel = self._accel()
+                matrix = accel.rev_matrix if reverse else accel.fwd_matrix
+                keep = mask.view(_np.bool_).take(matrix.indices)
+            return self._p2p_accel(source, source_index, target_index, reverse, keep)
         return self._faithful(
             source_index,
             source,
             target_index=target_index,
-            mask=mask,
+            mask=None if mask is None else bytearray(mask),
             reverse=reverse,
             adjacency=adjacency,
             potential=potential,
         )
 
-    def _allowed_mask(self, allowed: Iterable[int]) -> bytearray:
-        """A 0/1 byte per node index, set for the ``allowed`` ids.
+    def _allowed_mask(self, allowed: Iterable[int]):
+        """A 0/1 byte per node index (a uint8 vector), set for the
+        ``allowed`` ids.
 
         Ids are sorted in index order, so one ``searchsorted`` maps the
         whole set -- a per-id ``index_of`` lookup costs a Python call each
@@ -513,7 +587,7 @@ class KernelArena:
             raise KeyError(int(wanted[found != wanted][0]))
         mask = _np.zeros(self.num_nodes, dtype=_np.uint8)
         mask[positions] = 1
-        return bytearray(mask)
+        return mask
 
     def multi_target(
         self, source: int, targets: Iterable[int], reverse: bool = False
@@ -592,14 +666,31 @@ class KernelArena:
     # ------------------------------------------------------------------
     # Compiled sweeps: distances from scipy, the tree from one replay
     # ------------------------------------------------------------------
-    def _sweep(self, indices, reverse: bool):
+    def _sweep(self, indices, reverse: bool, keep=None):
         """scipy's converged labels from one source index (a vector) or a
-        list of them (one row each)."""
+        list of them (one row each).
+
+        ``keep`` (a bool per edge of the direction's matrix) restricts the
+        sweep to the kept edges: the others weigh ``inf`` in the arena's own
+        copy of the matrix, whose ``data`` is rewritten in place per call,
+        so no relaxation over them ever lowers a label.
+        """
         accel = self._accel()
         matrix = accel.rev_matrix if reverse else accel.fwd_matrix
+        if keep is not None:
+            masked = self._masked[reverse]
+            if masked is None:
+                masked = self._masked[reverse] = _csr_matrix(
+                    (_np.empty_like(matrix.data), matrix.indices, matrix.indptr),
+                    shape=matrix.shape,
+                )
+            data = masked.data
+            data.fill(_INF)
+            _np.copyto(data, matrix.data, where=keep)
+            matrix = masked
         return _scipy_dijkstra(matrix, directed=True, indices=indices)
 
-    def _replay(self, dist, source_index: int, reverse: bool, stop_rank=None):
+    def _replay(self, dist, source_index: int, reverse: bool, stop_rank=None, keep=None):
         """The dict loop's tree, replayed from scipy's converged labels.
 
         Under strictly positive weights the dict heap settles reachable
@@ -617,11 +708,12 @@ class KernelArena:
         * the predecessor -- the first relaxation achieving the label;
         * the discovery -- the first relaxation of any kind.
 
-        Returns ``(labels, pred, discover)``: ``pred`` is an int64 vector
-        (``-1`` at the source and undiscovered nodes) and ``discover()``
-        the discovery order as an index list, source first, derived only
-        when called.  Bit-identical to :meth:`_faithful`, tentative
-        frontier labels included.
+        ``keep`` drops the edges a masked search never relaxes (see
+        :meth:`_sweep`).  Returns ``(labels, pred, discover)``: ``pred`` is
+        an int64 vector (``-1`` at the source and undiscovered nodes) and
+        ``discover()`` the discovery order as an index list, source first,
+        derived only when called.  Bit-identical to :meth:`_faithful`,
+        tentative frontier labels included.
         """
         n = self.num_nodes
         accel = self._accel()
@@ -633,6 +725,8 @@ class KernelArena:
         rank[settle] = _np.arange(len(settle), dtype=_np.int64)
         tail_rank = rank[e_src]
         valid = tail_rank < (len(settle) if stop_rank is None else stop_rank)
+        if keep is not None:
+            valid &= keep
         relax = dist[e_src] + e_w
         if stop_rank is None:
             labels = dist
@@ -665,18 +759,18 @@ class KernelArena:
         return labels, pred, discover
 
     def _p2p_accel(
-        self, source: int, source_index: int, target_index: int, reverse: bool
+        self, source: int, source_index: int, target_index: int, reverse: bool, keep=None
     ) -> KernelResult:
         """Accelerated exact point-to-point: full sweep + truncated replay.
 
         One compiled scipy sweep yields the converged labels and the
         target's settle rank; the replay stopped at that rank
         (:meth:`_replay`) is *deferred* (see :class:`KernelResult`), so
-        distance probes -- the dominant p2p consumer -- pay only the sweep
-        and an O(n) rank count, never the tree reconstruction they do not
-        read.
+        distance probes and paths to settled nodes -- what the clients
+        read -- pay only the sweep and an O(n) rank count, never the tree
+        reconstruction.  ``keep`` masks edges in both (see :meth:`_sweep`).
         """
-        dist = self._sweep(source_index, reverse)
+        dist = self._sweep(source_index, reverse, keep)
         target_dist = dist[target_index]
         if not _np.isfinite(target_dist):
             # The loop would exhaust the reachable set: a full sweep.
@@ -693,7 +787,7 @@ class KernelArena:
                 + _np.count_nonzero(dist[:target_index] == target_dist)
             )
             settled = stop_rank + 1
-            probe = (dist, target_dist, target_index)
+            probe = (dist, target_dist, target_index, reverse)
         return KernelResult(
             self.csr,
             source,
@@ -702,7 +796,7 @@ class KernelArena:
             None,
             settled,
             dist_np=dist if stop_rank is None else None,
-            finish=partial(self._replay, dist, source_index, reverse, stop_rank),
+            finish=partial(self._replay, dist, source_index, reverse, stop_rank, keep),
             probe=probe,
         )
 

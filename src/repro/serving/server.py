@@ -56,6 +56,7 @@ Operational contract:
 from __future__ import annotations
 
 import asyncio
+import ctypes
 import dataclasses
 import itertools
 import multiprocessing
@@ -89,6 +90,27 @@ __all__ = ["ServeConfig", "AirServer", "ServerHandle"]
 #: Ops dispatched to workers; also the ops fault-injection and staleness
 #: stamping apply to (admin/control ops must stay reliable under chaos).
 _DATA_OPS = ("query", "query_batch", "fleet")
+
+
+def _trim_heap() -> None:
+    """Hand the allocator's free heap pages back to the OS before a fork.
+
+    glibc trims its heap only when the free space at the top passes a
+    threshold that grows with the largest block it has unmapped (up to
+    32 MB), so whether the build's freed temporaries stay resident depends
+    on where its last allocations happen to land.  Every forked worker
+    inherits those pages.  On the mixed-1k daemon (1,010 nodes, six
+    schemes) a layout shift from an unrelated code change left 9.6 MB of
+    them, 3.2 MB of ``Pss`` in each of the three processes.  A no-op off
+    glibc.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 @dataclass(frozen=True)
@@ -280,6 +302,7 @@ class AirServer:
         """Start one worker process and wait for its warm-start handshake."""
         assert self.segment is not None
         parent_conn, child_conn = self._mp.Pipe(duplex=True)
+        _trim_heap()
         process = self._mp.Process(
             target=worker_main,
             args=(

@@ -26,6 +26,7 @@ class DijkstraResult:
     distances: Dict[int, float] = field(default_factory=dict)
     predecessors: Dict[int, Optional[int]] = field(default_factory=dict)
     settled: int = 0
+    settled_nodes: Set[int] = field(default_factory=set)
 
     def distance_to(self, target: int) -> float:
         """Distance to ``target`` or ``inf`` when unreached."""
@@ -42,8 +43,13 @@ def dijkstra_search(
     target: Optional[int] = None,
     targets: Optional[Set[int]] = None,
     reverse: bool = False,
+    allowed: Optional[Set[int]] = None,
 ) -> DijkstraResult:
-    """Dijkstra from ``source``; stops at ``target`` or once ``targets`` settle."""
+    """Dijkstra from ``source``; stops at ``target`` or once ``targets`` settle.
+
+    ``allowed`` restricts the search to a node subset: relaxation skips any
+    neighbour outside it.
+    """
     if source not in network:
         raise KeyError(f"unknown source node {source}")
     adjacency = network.reverse_adjacency() if reverse else network.adjacency()
@@ -68,6 +74,8 @@ def dijkstra_search(
             if not remaining:
                 break
         for neighbor, weight in adjacency[node]:
+            if allowed is not None and neighbor not in allowed:
+                continue
             candidate = dist + weight
             if candidate < distances.get(neighbor, INFINITY):
                 distances[neighbor] = candidate
@@ -79,6 +87,7 @@ def dijkstra_search(
         distances=distances,
         predecessors=predecessors,
         settled=settled_count,
+        settled_nodes=settled,
     )
 
 

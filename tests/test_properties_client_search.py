@@ -276,3 +276,49 @@ def test_hiti_shadow_refresh_leaves_the_serving_overlay(seed, num_nodes):
     network.clear_delta()
     scratch = air.create("HiTi", network, num_regions=4)
     assert scratch.index.state()["levels"] == shadow.index.state()["levels"]
+
+
+def hiti_build_view(scheme):
+    """A HiTi scheme's levels, compiled rows and artifact payload, with the
+    build timings zeroed (a refresh and a scratch build differ only there)."""
+    index = scheme.index
+    payload = decode_value(scheme.artifact().payload)
+    payload["precomputation_seconds"] = 0.0
+    payload["state"]["index"]["seconds"] = 0.0
+    rows = (index._interior, index._crossing, index._detail, index._coarse)
+    return index.state()["levels"], rows, payload
+
+
+def test_hiti_single_region_refreshes_equal_scratch_builds():
+    """Ten one-region shadow refreshes in a row: each replacement equals a
+    scratch build (levels, rows, artifact payload), and the instance it
+    replaced keeps its rows."""
+    network = tie_network(7, 120, 0.0)
+    scheme = air.create("HiTi", network, num_regions=8)
+    region_of = scheme.partitioning.region_of
+    internal = sorted(
+        {
+            (source, target)
+            for source, target, _ in network.edge_tuples()
+            if region_of(source) == region_of(target)
+        }
+    )
+    rng = random.Random(7)
+    for _ in range(10):
+        source, target = rng.choice(internal)
+        current = {w for u, v, w in network.edge_tuples() if (u, v) == (source, target)}
+        weight = rng.choice([w for w in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0) if w not in current])
+        network.apply_updates([(source, target, weight)])
+        delta = network.pending_delta()
+        assert len(delta.dirty_regions(scheme.partitioning)) == 1
+        serving = scheme.index
+        before = hiti_build_view(scheme)[1]
+        rows = [list(row) for row in before]
+        shadow = scheme.shadow_rebuild(network, delta)
+        assert shadow is not None
+        assert list(hiti_build_view(scheme)[1]) == rows
+        network.clear_delta()
+        assert hiti_build_view(shadow) == hiti_build_view(
+            air.create("HiTi", network, num_regions=8)
+        )
+        scheme = shadow

@@ -256,6 +256,58 @@ def test_masked_search_requires_endpoints_inside_the_mask():
         arena.point_to_point(ids[0], outside, allowed=allowed)
 
 
+def tight_in_edges(network, distances, node, reverse, allowed):
+    """Tails ``u`` inside ``allowed`` whose edge achieves ``node``'s label."""
+    adjacency = network.adjacency() if reverse else network.reverse_adjacency()
+    return {
+        tail
+        for tail, weight in adjacency[node]
+        if tail in allowed and distances.get(tail, INFINITY) + weight == distances[node]
+    }
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
+    """Masked point-to-point equals the dict loop restricted to ``allowed``.
+
+    Labels (key order and tentative frontier values included),
+    predecessors and the settled count equal the oracle's.  ``path_to``
+    on every settled node equals the oracle's path twice: read first off
+    the converged labels (a settled node's walk-back, no replay) and then
+    again after the dict reads have run the replay.  Integer weights make
+    equal-distance ties, and the test asserts one was decided.
+    """
+    network = kernel_path(integer_weight_network(seed, num_nodes=60))
+    arena = kernel.arena_for(network.ensure_csr())
+    compiled = not network.ensure_csr().has_nonpositive_weight
+    rng = random.Random(seed * 7 + reverse)
+    ids = network.node_ids()
+    ties = 0
+    for _ in range(25):
+        allowed = set(rng.sample(ids, rng.randint(2, len(ids))))
+        source, target = rng.sample(sorted(allowed), 2)
+        want = oracle.dijkstra_search(
+            network, source, target=target, reverse=reverse, allowed=allowed
+        )
+        got = arena.point_to_point(source, target, allowed=allowed, reverse=reverse)
+        assert got.settled == want.settled
+        settled = sorted(want.settled_nodes)
+        for node in settled:
+            assert got.path_to(node) == want.path_to(node)
+            if node != source and len(
+                tight_in_edges(network, want.distances, node, reverse, allowed)
+            ) > 1:
+                ties += 1
+        if compiled and target in want.settled_nodes:
+            assert got._finish is not None, "a settled node's path must not replay"
+        assert list(got.distances_dict().items()) == list(want.distances.items())
+        assert list(got.predecessors_dict().items()) == list(want.predecessors.items())
+        for node in settled:
+            assert got.path_to(node) == want.path_to(node)
+    assert ties > 0
+
+
 def test_searches_after_structural_mutation_compile_one_snapshot():
     """A structural edit is staged until the next read: the masked search
     compiles exactly one snapshot (no subgraph fallback) and, like

@@ -338,7 +338,9 @@ class TestWorkerRuntime:
                 )
                 assert response["status"] == "ok"
             snapshot = runtime.system.network.ensure_csr()
-            assert snapshot.buffer_backed and snapshot._fwd_adj is not None
+            # The queries left numpy views of the mapped buffers behind (the
+            # kernel's scipy matrices); shutdown must still unmap.
+            assert snapshot.buffer_backed and snapshot._accel is not None
             del snapshot
             segment = runtime.segment
             runtime.shutdown()
