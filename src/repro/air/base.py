@@ -212,6 +212,14 @@ class AirIndexScheme(abc.ABC):
     def _restore_state(self, state: Dict[str, Any]) -> None:
         """Install previously built state (inverse of :meth:`_artifact_state`)."""
 
+    @classmethod
+    def _serving_state(cls, state: Dict[str, Any]) -> Dict[str, Any]:
+        """``state`` (an :meth:`_artifact_state`) without what only a refresh
+        reads; :meth:`_restore_state` must accept the result.  The default
+        keeps everything, and :meth:`serving_artifact` then skips the decode.
+        """
+        return state
+
     def _artifact_params(self) -> Dict[str, Any]:
         """The full parameter set, read back off the registered dataclass."""
         from repro.air import registry
@@ -228,9 +236,12 @@ class AirIndexScheme(abc.ABC):
         The artifact carries the scheme name, the full parameter set, the
         network fingerprint the state was computed over, the scheme state,
         and the broadcast cycle's on-air layout (used as an integrity check
-        on restore).  Together with the network, it is everything a serving
-        process needs: ``Scheme.from_artifact(network, artifact)`` answers
-        queries, refreshes, and replays bit-identically to this instance.
+        on restore).  Together with the network, it is everything a process
+        needs: ``Scheme.from_artifact(network, artifact)`` answers queries,
+        refreshes, and replays bit-identically to this instance.  This is
+        the form the artifact store keeps; :meth:`serving_artifact` derives
+        the form a serving segment carries, without the state only a
+        refresh reads.
         """
         payload = {
             "state": self._artifact_state(),
@@ -249,6 +260,42 @@ class AirIndexScheme(abc.ABC):
         )
 
     @classmethod
+    def _artifact_class(cls, artifact: BuildArtifact) -> type:
+        """The concrete scheme class ``artifact`` restores into.
+
+        On :class:`AirIndexScheme` itself the registry resolves the name; on
+        a concrete class the artifact must name that class.
+        """
+        from repro.air import registry
+
+        if cls is AirIndexScheme:
+            return registry.get_scheme(artifact.scheme).cls
+        if artifact.scheme != cls.short_name:
+            raise ArtifactMismatchError(
+                f"artifact is for scheme {artifact.scheme!r}, not {cls.short_name!r}"
+            )
+        return cls
+
+    @classmethod
+    def serving_artifact(cls, artifact: BuildArtifact) -> BuildArtifact:
+        """``artifact``'s serving form: the same artifact minus the state
+        only a refresh reads (:meth:`_serving_state`).
+
+        Scheme, parameters and fingerprint are unchanged, and a restore from
+        either form answers and replays bit-identically; only the full form
+        restores what a refresh reads.  Schemes without refresh-only state
+        get ``artifact`` itself back.  Otherwise the payload is decoded over
+        a memoryview, so its byte blobs are views, never copies, and only
+        what is kept is encoded again.
+        """
+        target = cls._artifact_class(artifact)
+        if target._serving_state.__func__ is AirIndexScheme._serving_state.__func__:
+            return artifact
+        payload = decode_value(memoryview(artifact.payload), bytes_views=True)
+        payload["state"] = target._serving_state(payload["state"])
+        return dataclasses.replace(artifact, payload=encode_value(payload))
+
+    @classmethod
     def from_artifact(
         cls,
         network: RoadNetwork,
@@ -261,7 +308,10 @@ class AirIndexScheme(abc.ABC):
 
         Callable on a concrete scheme class (the artifact must name it) or
         on :class:`AirIndexScheme` itself, which resolves the class through
-        the registry.  The artifact must have been built over a network with
+        the registry.  ``artifact`` is either form: a store artifact
+        (:meth:`artifact`), or its :meth:`serving_artifact`, whose restore
+        answers and replays alike but may lack what a refresh reads.  The
+        artifact must have been built over a network with
         the same fingerprint as ``network`` -- built state is only valid for
         the exact structure and weights it was computed from.  The record
         layout defaults to the one recorded in the artifact (it shapes every
@@ -274,21 +324,12 @@ class AirIndexScheme(abc.ABC):
         ``zero_copy=True`` decodes the payload with byte blobs as views into
         ``artifact.payload`` (see :func:`repro.serialize.codec.decode_value`);
         with a payload that is itself a memoryview over a shared segment,
-        deferred blobs -- the border-path source records, notably -- are then
-        referenced in place rather than copied per process.  The views stay
-        valid only while the payload's underlying buffer stays mapped.
+        deferred blobs -- a store artifact's border-path block, notably --
+        are then referenced in place rather than copied per process.  The
+        views stay valid only while the payload's underlying buffer stays
+        mapped.
         """
-        from repro.air import registry
-
-        if cls is AirIndexScheme:
-            target = registry.get_scheme(artifact.scheme).cls
-        else:
-            if artifact.scheme != cls.short_name:
-                raise ArtifactMismatchError(
-                    f"artifact is for scheme {artifact.scheme!r}, "
-                    f"not {cls.short_name!r}"
-                )
-            target = cls
+        target = cls._artifact_class(artifact)
         fingerprint = network.fingerprint()
         if artifact.network_fingerprint != fingerprint:
             raise ArtifactMismatchError(

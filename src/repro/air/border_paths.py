@@ -64,7 +64,7 @@ from repro.network.delta import WeightChange
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
-__all__ = ["BorderPathPrecomputation"]
+__all__ = ["BorderPathPrecomputation", "ServingRestoreError"]
 
 #: Sources :meth:`BorderPathPrecomputation._fold` derives per pass; its
 #: pointer-doubling arrays hold this many rows of every node at once.
@@ -153,6 +153,16 @@ class _Block:
         )
 
 
+class ServingRestoreError(RuntimeError):
+    """The pre-computation was restored for serving: it has no border-path block.
+
+    A serving form (:meth:`BorderPathPrecomputation.serving_state`) carries
+    only the aggregates queries read; the per-source block that
+    :meth:`~BorderPathPrecomputation.refresh` repairs stays in the full
+    state, which the artifact store keeps.
+    """
+
+
 class BorderPathPrecomputation:
     """All border-to-border shortest path information EB and NR need."""
 
@@ -174,7 +184,8 @@ class BorderPathPrecomputation:
         self.num_border_pairs = 0
         self.precomputation_seconds = 0.0
         #: Backing storage of the :attr:`block` property; a restore keeps
-        #: the block encoded in ``_sources_blob`` until a refresh needs it.
+        #: the block encoded in ``_sources_blob`` until a refresh needs it,
+        #: and a serving restore has neither.
         self._block: Optional[_Block] = None
         self._sources_blob = None
         self._roster_arrays: Optional[_Roster] = None
@@ -330,15 +341,18 @@ class BorderPathPrecomputation:
         (what query processing reads) are stored eagerly, while the heavy
         per-source block (only :meth:`refresh` needs it) is written as flat
         columns (:meth:`_sources_columnar`) and nested as one pre-encoded
-        blob that :meth:`from_state` defers decoding until the first
-        refresh.  That keeps a warm start independent of the block's size
-        without giving up bit-identical refreshes.
+        blob, ``sources_blob``, that :meth:`from_state` defers decoding
+        until the first refresh.  That keeps a warm start independent of the
+        block's size without giving up bit-identical refreshes.  A serving
+        restore (:meth:`serving_state`) has no block and writes
+        ``sources_blob`` as ``None``: its state is a serving form again.
         """
         from repro.serialize.codec import encode_value
 
         if self._block is None:
-            # Restored and never refreshed: the block is still encoded;
-            # re-publish the blob as-is instead of a decode/encode round.
+            # Restored and never refreshed: the block is still encoded (or,
+            # for a serving restore, absent); re-publish it as-is instead of
+            # a decode/encode round.
             sources_blob = self._sources_blob
         else:
             sources_blob = encode_value(self._sources_columnar())
@@ -456,7 +470,10 @@ class BorderPathPrecomputation:
 
         The published aggregates install directly; the per-source blob stays
         encoded until the first :meth:`refresh`/:meth:`affected_sources`
-        call touches :attr:`block` (serving queries never does).
+        call touches :attr:`block` (serving queries never does).  ``state``
+        may also be a :meth:`serving_state`: the restore then answers
+        queries exactly alike, and :attr:`block`, :meth:`affected_sources`
+        and :meth:`refresh` raise :class:`ServingRestoreError`.
         """
         self = object.__new__(cls)
         self.network = network
@@ -487,6 +504,22 @@ class BorderPathPrecomputation:
         self.precomputation_seconds = state["seconds"]
         return self
 
+    @staticmethod
+    def serving_state(state: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`state` output without the refresh-only border-path block.
+
+        Queries read only the aggregates, so a process that serves and never
+        refreshes restores from this as well as from the full state.
+        """
+        return {**state, "sources_blob": None}
+
+    def _require_block(self) -> None:
+        if self._block is None and self._sources_blob is None:
+            raise ServingRestoreError(
+                "border-path pre-computation was restored for serving and has "
+                "no border-path block; refresh from the full (store) artifact"
+            )
+
     def shadow(self) -> "BorderPathPrecomputation":
         """A copy safe to :meth:`refresh` independently.
 
@@ -506,6 +539,7 @@ class BorderPathPrecomputation:
     @property
     def block(self) -> _Block:
         """The per-source block, decoding the deferred blob on first use."""
+        self._require_block()
         if self._block is None:
             from repro.serialize.codec import decode_value
 
@@ -540,6 +574,7 @@ class BorderPathPrecomputation:
         ``sources``-length column test per change (the per-source Python
         scan it replaces is the test oracle ``tests/oracles/border_paths.py``).
         """
+        self._require_block()
         relevant = [change for change in changes if not change.is_noop]
         if not relevant:
             return []

@@ -67,6 +67,15 @@ class RegionScheme(AirIndexScheme):
             "border_paths": self.precomputation.state(),
         }
 
+    @classmethod
+    def _serving_state(cls, state: dict) -> dict:
+        # The border-path block is what a refresh repairs; queries read the
+        # aggregates alone (Sections 4-5: the clients see only those).
+        return {
+            **state,
+            "border_paths": BorderPathPrecomputation.serving_state(state["border_paths"]),
+        }
+
     def _restore_state(self, state: dict) -> None:
         self.partitioning = restore_partitioning(self.network, state["partitioning"])
         self.precomputation = BorderPathPrecomputation.from_state(

@@ -276,7 +276,8 @@ class AirServer:
 
         Inside the engine's publication, a scheme whose build or refresh
         already wrote its artifact to the store hands the segment that same
-        artifact instead of encoding it again.
+        artifact instead of encoding it again; the segment keeps its
+        serving form (see :mod:`repro.serving.shm`).
         """
         assert self.system is not None
         with self.system.publication():

@@ -2,18 +2,25 @@
 
 A :class:`SharedArtifactSegment` packs everything N serving workers need to
 warm-start -- the network's arrays (CSR snapshot, coordinates and, when it
-is not ascending, the node insertion order) and one full
-:class:`~repro.serialize.artifacts.BuildArtifact` per scheme -- into a
+is not ascending, the node insertion order) and each scheme's *serving
+form* (:meth:`~repro.air.base.AirIndexScheme.serving_artifact`) -- into a
 single :class:`multiprocessing.shared_memory.SharedMemory` block.  Workers
 attach the block and wire a read-only
 :meth:`~repro.network.graph.RoadNetwork.from_arrays` network plus
 ``zero_copy`` artifact restores straight over the mapping.
 
+A serving form is the store's :class:`~repro.serialize.artifacts.BuildArtifact`
+(same scheme, parameters and fingerprint) without the state only a refresh
+reads.  Workers never refresh -- the server refreshes its own system and
+publishes a new segment -- so for EB and NR the per-source border-path
+block, nearly all of their artifact bytes, stays with the server and the
+store, and a publication neither copies nor hashes it.
+
 What is shared and what each process holds:
 
 * **Shared** (one physical copy, however many workers serve it): the six
   flat CSR arrays, the coordinates, the insertion order and the scheme
-  artifacts.
+  artifacts' serving forms.
 * **Per process**: the id list and the id -> index map (arithmetic for
   contiguous ids), the network's fingerprint, re-hashed from the mapped
   content, and the
@@ -30,7 +37,7 @@ Segment layout (all offsets 8-byte aligned)::
 
 where the directory is a codec-encoded dict naming each section's offset
 and length: the id list, the six CSR arrays, the ``x``/``y`` coordinates,
-the optional insertion order, and one framed artifact per scheme.  The
+the optional insertion order, and one framed serving artifact per scheme.  The
 directory is tiny and the sections are raw array/artifact bytes, so attach
 cost is microseconds.
 
@@ -50,6 +57,7 @@ from array import array
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.air.base import AirIndexScheme
 from repro.faults import runtime as faults
 from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
@@ -110,12 +118,14 @@ class SharedArtifactSegment:
         artifacts: Mapping[str, BuildArtifact],
         name: Optional[str] = None,
     ) -> "SharedArtifactSegment":
-        """Create a segment holding ``network``'s index and the artifacts.
+        """Create a segment holding ``network``'s index and the artifacts'
+        serving forms.
 
         ``artifacts`` maps scheme name to its :class:`BuildArtifact`; every
         artifact must have been built over ``network``'s current
-        fingerprint (the workers' restore re-validates this).  Staged
-        structural edits are folded into the network's arrays first.
+        fingerprint (the workers' restore re-validates this).  The segment
+        holds each one's :meth:`~repro.air.base.AirIndexScheme.serving_artifact`.
+        Staged structural edits are folded into the network's arrays first.
         """
         csr = network.ensure_csr()
         fingerprint = network.fingerprint()
@@ -149,7 +159,7 @@ class SharedArtifactSegment:
         if order is not None:
             sections.append((array("q", order).tobytes(), (directory, "order")))
         for scheme_name in sorted(artifacts):
-            raw = artifacts[scheme_name].to_bytes()
+            raw = AirIndexScheme.serving_artifact(artifacts[scheme_name]).to_bytes()
             sections.append((raw, (directory["artifacts"], scheme_name)))
 
         # Lay out the payload area; the directory is encoded afterwards with
@@ -308,7 +318,7 @@ class SharedArtifactSegment:
         )
 
     def artifact(self, scheme_name: str) -> BuildArtifact:
-        """The named scheme's artifact, payload referenced in place."""
+        """The named scheme's serving artifact, payload referenced in place."""
         entry = self._directory["artifacts"].get(scheme_name)
         if entry is None:
             raise KeyError(

@@ -1,9 +1,10 @@
 """One artifact encode per publication.
 
 A daemon publishes each scheme twice over -- to the artifact store and into
-the shared-memory segment its workers map -- and both must carry the same
-artifact, encoded once.  A refresh must never let an artifact encoded
-before it be handed out again.
+the shared-memory segment its workers map -- from one encode: the store
+keeps the full artifact and the segment its serving form, the same artifact
+without the refresh-only border-path block.  A refresh must never let an
+artifact encoded before it be handed out again.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from repro.air.base import AirIndexScheme
 from repro.air.nr import NextRegionScheme
 from repro.engine.system import AirSystem
+from repro.serialize.codec import decode_value
 from repro.serving.server import AirServer, ServeConfig
 from repro.store import ArtifactStore
 
@@ -45,21 +47,34 @@ def encodes(monkeypatch):
     return calls
 
 
-def _assert_store_matches_segment(server: AirServer) -> None:
+def _assert_segment_serves_store_artifact(server: AirServer) -> None:
+    """The segment holds the store artifact's serving form: same scheme,
+    parameters and fingerprint, and a payload that differs from the store's
+    only by the dropped border-path block."""
     system = server.system
     for name in server.config.methods:
         stored = system.store.get(
             name, system._resolve_params(name, {}), system.network.fingerprint()
         )
         assert stored is not None
-        assert stored.to_bytes() == server.segment.artifact(name).to_bytes()
+        served = server.segment.artifact(name)
+        assert (served.scheme, served.params, served.network_fingerprint) == (
+            stored.scheme,
+            stored.params,
+            stored.network_fingerprint,
+        )
+        full = decode_value(stored.payload)
+        assert full["state"]["border_paths"]["sources_blob"]
+        full["state"]["border_paths"]["sources_blob"] = None
+        assert decode_value(served.payload) == full
+        del served
 
 
 def test_server_publications_encode_each_scheme_once(tmp_path, encodes):
     """The server's start-up publish and one refresh through its ``_refresh``
     handler -- driven as the end-to-end benchmark's local server drives
-    them -- encode each scheme exactly once, and the store and the segment
-    hold the same bytes."""
+    them -- encode each scheme exactly once, and the segment holds the
+    serving form of the store's artifact."""
     config = dataclasses.replace(CONFIG, store_dir=str(tmp_path))
     server = AirServer(config)
     server.system = AirSystem.from_config(
@@ -68,7 +83,7 @@ def test_server_publications_encode_each_scheme_once(tmp_path, encodes):
     server.segment = server._publish_segment()
     try:
         assert sorted(encodes) == ["EB", "NR"]
-        _assert_store_matches_segment(server)
+        _assert_segment_serves_store_artifact(server)
 
         encodes.clear()
         network = server.system.network
@@ -85,7 +100,7 @@ def test_server_publications_encode_each_scheme_once(tmp_path, encodes):
         assert reply["status"] == "ok" and not reply.get("degraded")
         assert sorted(reply["incremental"]) == ["EB", "NR"]
         assert sorted(encodes) == ["EB", "NR"]
-        _assert_store_matches_segment(server)
+        _assert_segment_serves_store_artifact(server)
         # The shared artifacts are released once the publication ends.
         assert server.system._artifacts == {}
     finally:
