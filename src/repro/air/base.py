@@ -301,8 +301,6 @@ class AirIndexScheme(abc.ABC):
         network: RoadNetwork,
         artifact: BuildArtifact,
         layout: Optional[RecordLayout] = None,
-        *,
-        zero_copy: bool = False,
     ) -> "AirIndexScheme":
         """Reconstruct a serving-ready scheme from a build artifact.
 
@@ -320,14 +318,6 @@ class AirIndexScheme(abc.ABC):
         cheap relative to pre-computation) and verified against the cycle
         layout recorded at build time, so silent drift between writer and
         reader code raises instead of serving a subtly different cycle.
-
-        ``zero_copy=True`` decodes the payload with byte blobs as views into
-        ``artifact.payload`` (see :func:`repro.serialize.codec.decode_value`);
-        with a payload that is itself a memoryview over a shared segment,
-        deferred blobs -- a store artifact's border-path block, notably --
-        are then referenced in place rather than copied per process.  The
-        views stay valid only while the payload's underlying buffer stays
-        mapped.
         """
         target = cls._artifact_class(artifact)
         fingerprint = network.fingerprint()
@@ -336,7 +326,7 @@ class AirIndexScheme(abc.ABC):
                 f"artifact was built over network {artifact.network_fingerprint}, "
                 f"but the given network fingerprints as {fingerprint}"
             )
-        payload = decode_value(artifact.payload, bytes_views=zero_copy)
+        payload = decode_value(artifact.payload)
         if layout is None:
             layout = RecordLayout(**payload["layout"])
         scheme = object.__new__(target)

@@ -26,8 +26,11 @@ tree -- the cross-border nodes, the finite border-pair count, the min/max
 distance to every target region and the regions its paths there traverse.
 One function, :meth:`BorderPathPrecomputation._fold`, derives those columns
 for any set of rows, blocks of sources at a time, by pointer doubling over
-the predecessor arrays.  The published aggregates are grouped reductions
-over the block (:meth:`~BorderPathPrecomputation._aggregate`).
+the predecessor arrays -- on a build, a repair, and a restore alike: the
+serialized state keeps only the two label matrices, and the first
+:attr:`~BorderPathPrecomputation.block` access of a restored instance folds
+every row again.  The published aggregates are grouped reductions over the
+block (:meth:`~BorderPathPrecomputation._aggregate`).
 
 :meth:`BorderPathPrecomputation.refresh` keeps this exact after a weight
 change batch:
@@ -82,21 +85,8 @@ def _region_bits(masks: np.ndarray, regions: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, bitorder="little")[..., :regions]
 
 
-def _typed(values, typecode: str) -> array:
-    """A numpy column as the typed array the codec writes unboxed."""
-    dtype = np.float64 if typecode == "d" else np.int64
-    column = array(typecode)
-    column.frombytes(np.ascontiguousarray(values, dtype=dtype).view(np.uint8))
-    return column
-
-
-def _offsets(counts: np.ndarray) -> array:
-    """``[0, c0, c0 + c1, ...]`` as an ``array("q")`` offsets column."""
-    return _typed(np.concatenate(([0], np.cumsum(counts))), "q")
-
-
 class _Roster(NamedTuple):
-    """Per-snapshot arrays every fold, reduction and codec pass shares."""
+    """Per-snapshot arrays every fold and reduction shares."""
 
     #: CSR index of each roster node -- the source of each block row.
     index: np.ndarray
@@ -133,10 +123,12 @@ class _Block:
     traversed: np.ndarray
 
     @classmethod
-    def empty(cls, sources: int, nodes: int, regions: int) -> "_Block":
+    def over(cls, dist: np.ndarray, pred: np.ndarray, regions: int) -> "_Block":
+        """A block over ``dist``/``pred`` labels, its derived columns unset."""
+        sources, nodes = dist.shape
         return cls(
-            dist=np.full((sources, nodes), INFINITY),
-            pred=np.full((sources, nodes), -1, dtype=np.int64),
+            dist=dist,
+            pred=pred,
             cross=np.zeros((sources, nodes), dtype=bool),
             finite_pairs=np.zeros(sources, dtype=np.int64),
             min_to=np.full((sources, regions), INFINITY),
@@ -184,10 +176,10 @@ class BorderPathPrecomputation:
         self.num_border_pairs = 0
         self.precomputation_seconds = 0.0
         #: Backing storage of the :attr:`block` property; a restore keeps
-        #: the block encoded in ``_sources_blob`` until a refresh needs it,
-        #: and a serving restore has neither.
+        #: the serialized label bytes (:meth:`state`'s ``labels``) until a
+        #: refresh needs the block, and a serving restore has neither.
         self._block: Optional[_Block] = None
-        self._sources_blob = None
+        self._labels: Optional[Dict[str, bytes]] = None
         self._roster_arrays: Optional[_Roster] = None
 
         self._compute()
@@ -207,7 +199,12 @@ class BorderPathPrecomputation:
         # straight into the block, then one fold derives every row's columns.
         csr = self.network.ensure_csr()
         sources = [source for source, _ in self._all_border]
-        block = _Block.empty(len(sources), csr.num_nodes, self.num_regions)
+        shape = (len(sources), csr.num_nodes)
+        block = _Block.over(
+            np.full(shape, INFINITY),
+            np.full(shape, -1, dtype=np.int64),
+            self.num_regions,
+        )
         kernel.arena_for(csr).many_to_many(sources, block.dist, block.pred)
         self._block = block
         self._fold(np.arange(len(block.dist)))
@@ -249,8 +246,10 @@ class BorderPathPrecomputation:
         = True``) -- the row's cross-border nodes.  ``reduceat`` over the
         region-ordered roster then yields ``min_to``, ``max_to``, ``reach``
         and ``traversed`` per target region.  Scratch builds (whose labels
-        the batched kernel sweep wrote straight into the block), repairs and
-        the zero-weight fallback all derive through here.
+        the batched kernel sweep wrote straight into the block), repairs,
+        the zero-weight fallback and restores (whose labels come from the
+        serialized bytes, see :attr:`block`) all derive through here: it is
+        the one producer of every derived column.
         """
         block = self._block
         index, regions, starts, words, _ids = self._roster()
@@ -338,24 +337,26 @@ class BorderPathPrecomputation:
         """The computed state as plain values (see :mod:`repro.serialize`).
 
         Two parts with different service lives: the published *aggregates*
-        (what query processing reads) are stored eagerly, while the heavy
-        per-source block (only :meth:`refresh` needs it) is written as flat
-        columns (:meth:`_sources_columnar`) and nested as one pre-encoded
-        blob, ``sources_blob``, that :meth:`from_state` defers decoding
-        until the first refresh.  That keeps a warm start independent of the
-        block's size without giving up bit-identical refreshes.  A serving
-        restore (:meth:`serving_state`) has no block and writes
-        ``sources_blob`` as ``None``: its state is a serving form again.
+        (what query processing reads) are stored eagerly, while of the
+        per-source block (only :meth:`refresh` needs it) just the two label
+        matrices are written, ``labels["dist"]`` as little-endian float64
+        bytes and ``labels["pred"]`` as little-endian int64 bytes, one row
+        per roster entry of ``all_border`` and one column per snapshot node.
+        Every other block column is derived from them by :meth:`_fold`,
+        which a restore runs on the first :attr:`block` access; until then
+        a warm start costs nothing per source.  A serving restore
+        (:meth:`serving_state`) has no labels and writes ``labels`` as
+        ``None``: its state is a serving form again.
         """
-        from repro.serialize.codec import encode_value
-
         if self._block is None:
-            # Restored and never refreshed: the block is still encoded (or,
-            # for a serving restore, absent); re-publish it as-is instead of
-            # a decode/encode round.
-            sources_blob = self._sources_blob
+            # Restored and never refreshed: the labels are still bytes (or,
+            # for a serving restore, absent); re-publish them as-is.
+            labels = self._labels
         else:
-            sources_blob = encode_value(self._sources_columnar())
+            labels = {
+                "dist": np.ascontiguousarray(self._block.dist, dtype="<f8").tobytes(),
+                "pred": np.ascontiguousarray(self._block.pred, dtype="<i8").tobytes(),
+            }
         flat_min = [value for row in self.min_distance for value in row]
         flat_max = [value for row in self.max_distance for value in row]
         trav_items: List[int] = []
@@ -382,85 +383,9 @@ class BorderPathPrecomputation:
                 "trav_items": trav_items,
                 "num_border_pairs": self.num_border_pairs,
             },
-            "sources_blob": sources_blob,
+            "labels": labels,
             "seconds": self.precomputation_seconds,
         }
-
-    def _sources_columnar(self) -> Dict[str, Any]:
-        """The block as flat per-source columns, every one a typed array.
-
-        The wire layout is one record per row: the ``dist``/``pred`` labels
-        are positional (every row carries ``num_nodes`` entries), the
-        cross-border node ids (ascending) and the per-target-region entries
-        (ascending region, ``reach`` rows only) are concatenated with offset
-        columns, and each traversed set is its ascending region list.  The
-        codec writes an ``array("q")``/``array("d")`` as exactly the bytes
-        of the equal list, so this is the record-by-record encoding without
-        boxing an element.
-        """
-        block = self.block
-        ids = self._roster().ids
-        sources, nodes = block.dist.shape
-        cross_cols = np.flatnonzero(block.cross) % nodes
-        reach_rows, targets = np.nonzero(block.reach)
-        bits = _region_bits(block.traversed[reach_rows, targets], self.num_regions)
-        _pairs, trav_items = np.nonzero(bits)
-        key_offsets = _offsets(block.reach.sum(axis=1))
-        keys = _typed(targets, "q")
-        return {
-            "num_nodes": nodes if sources else 0,
-            "node": _typed([node for node, _ in self._all_border], "q"),
-            "region": _typed([region for _, region in self._all_border], "q"),
-            "finite_pairs": _typed(block.finite_pairs, "q"),
-            "dist_values": _typed(block.dist, "d"),
-            "pred_values": _typed(block.pred, "q"),
-            "cross_offsets": _offsets(block.cross.sum(axis=1)),
-            "cross_items": _typed(ids[cross_cols], "q"),
-            "min_offsets": key_offsets,
-            "min_keys": keys,
-            "min_values": _typed(block.min_to[reach_rows, targets], "d"),
-            "max_offsets": key_offsets,
-            "max_keys": keys,
-            "max_values": _typed(block.max_to[reach_rows, targets], "d"),
-            "trav_offsets": key_offsets,
-            "trav_keys": keys,
-            "trav_set_offsets": _offsets(bits.sum(axis=1)),
-            "trav_set_items": _typed(trav_items, "q"),
-        }
-
-    def _sources_from_columnar(self, columns: Dict[str, Any]) -> _Block:
-        """Inverse of :meth:`_sources_columnar`."""
-        ids = self._roster().ids
-        sources = len(columns["node"])
-        block = _Block.empty(sources, len(ids), self.num_regions)
-        if not sources:
-            return block
-        block.dist[:] = np.asarray(columns["dist_values"]).reshape(sources, -1)
-        block.pred[:] = np.asarray(columns["pred_values"]).reshape(sources, -1)
-        block.finite_pairs[:] = columns["finite_pairs"]
-
-        def rows(offsets) -> np.ndarray:
-            """The owner of each item of an offsets-delimited column."""
-            return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
-
-        def keys(name: str) -> np.ndarray:
-            return np.asarray(columns[name], dtype=np.int64)
-
-        block.cross[
-            rows(columns["cross_offsets"]), np.searchsorted(ids, columns["cross_items"])
-        ] = True
-        at = (rows(columns["min_offsets"]), keys("min_keys"))
-        block.min_to[at] = columns["min_values"]
-        block.reach[at] = True
-        block.max_to[rows(columns["max_offsets"]), keys("max_keys")] = columns["max_values"]
-        pair = rows(columns["trav_set_offsets"])
-        items = keys("trav_set_items")
-        np.bitwise_or.at(
-            block.traversed,
-            (rows(columns["trav_offsets"])[pair], keys("trav_keys")[pair], items // 64),
-            np.left_shift(np.uint64(1), (items % 64).astype(np.uint64)),
-        )
-        return block
 
     @classmethod
     def from_state(
@@ -468,8 +393,8 @@ class BorderPathPrecomputation:
     ) -> "BorderPathPrecomputation":
         """Reconstruct from :meth:`state` output without re-running Dijkstra.
 
-        The published aggregates install directly; the per-source blob stays
-        encoded until the first :meth:`refresh`/:meth:`affected_sources`
+        The published aggregates install directly; the label bytes stay
+        undecoded until the first :meth:`refresh`/:meth:`affected_sources`
         call touches :attr:`block` (serving queries never does).  ``state``
         may also be a :meth:`serving_state`: the restore then answers
         queries exactly alike, and :attr:`block`, :meth:`affected_sources`
@@ -499,7 +424,7 @@ class BorderPathPrecomputation:
         }
         self.num_border_pairs = aggregates["num_border_pairs"]
         self._block = None
-        self._sources_blob = state["sources_blob"]
+        self._labels = state["labels"]
         self._roster_arrays = None
         self.precomputation_seconds = state["seconds"]
         return self
@@ -511,10 +436,10 @@ class BorderPathPrecomputation:
         Queries read only the aggregates, so a process that serves and never
         refreshes restores from this as well as from the full state.
         """
-        return {**state, "sources_blob": None}
+        return {**state, "labels": None}
 
     def _require_block(self) -> None:
-        if self._block is None and self._sources_blob is None:
+        if self._block is None and self._labels is None:
             raise ServingRestoreError(
                 "border-path pre-computation was restored for serving and has "
                 "no border-path block; refresh from the full (store) artifact"
@@ -524,8 +449,8 @@ class BorderPathPrecomputation:
         """A copy safe to :meth:`refresh` independently.
 
         The shadow owns a copy of the block (a refresh writes rows in
-        place) and shares everything immutable: the roster arrays, a
-        still-encoded blob, and the aggregates, which ``_aggregate``
+        place) and shares everything immutable: the roster arrays,
+        still-undecoded label bytes, and the aggregates, which ``_aggregate``
         replaces rather than mutates.  This is what makes the engine's
         refresh cheap: the serving instance keeps answering from its
         pre-delta state while the shadow repairs.
@@ -538,13 +463,17 @@ class BorderPathPrecomputation:
 
     @property
     def block(self) -> _Block:
-        """The per-source block, decoding the deferred blob on first use."""
+        """The per-source block; a restore decodes its label bytes on first
+        use and derives every other column with one :meth:`_fold` of every
+        row."""
         self._require_block()
         if self._block is None:
-            from repro.serialize.codec import decode_value
-
-            self._block = self._sources_from_columnar(decode_value(self._sources_blob))
-            self._sources_blob = None
+            shape = (len(self._all_border), self.network.ensure_csr().num_nodes)
+            dist = np.frombuffer(self._labels["dist"], dtype="<f8").reshape(shape)
+            pred = np.frombuffer(self._labels["pred"], dtype="<i8").reshape(shape)
+            self._block = _Block.over(dist.copy(), pred.copy(), self.num_regions)
+            self._labels = None
+            self._fold(np.arange(shape[0]))
         return self._block
 
     # ------------------------------------------------------------------

@@ -45,18 +45,6 @@ class DeviceOutcome:
     metrics: ClientMetrics
     mismatch: bool = False
 
-    def deterministic_fields(self) -> Tuple:
-        """Everything the determinism contract covers (no wall-clock)."""
-        return (
-            self.spec.device_id,
-            round(self.distance, 9) if self.found else float("inf"),
-            self.metrics.tuning_time_packets,
-            self.metrics.access_latency_packets,
-            self.metrics.peak_memory_bytes,
-            self.metrics.lost_packets,
-            self.mismatch,
-        )
-
 
 #: :class:`ClientMetrics` field -> column name, for the aggregate views.
 _METRIC_COLUMNS = {

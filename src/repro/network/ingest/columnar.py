@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.graph import _FINGERPRINT_MOD, _element_hash
+from repro.network.graph import _FINGERPRINT_MOD, RoadNetwork, _element_hash
 
 __all__ = [
     "ColumnarEdgeTable",
@@ -176,18 +176,20 @@ class ColumnarWriter:
             self._flush_edges()
 
     # ------------------------------------------------------------------
-    # Fingerprint folding (must mirror RoadNetwork's element encoding)
+    # Fingerprint folding (RoadNetwork's element encoding)
     # ------------------------------------------------------------------
     def _fold_nodes(self, ids, xs, ys) -> None:
+        element = RoadNetwork._node_element
         total = self._fingerprint_sum
-        for nid, x, y in zip(ids.tolist(), xs.tolist(), ys.tolist()):
-            total += _element_hash(f"n{nid}:{x!r}:{y!r};")
+        for row in zip(ids.tolist(), xs.tolist(), ys.tolist()):
+            total += _element_hash(element(*row))
         self._fingerprint_sum = total % _FINGERPRINT_MOD
 
     def _fold_edges(self, src, dst, weights) -> None:
+        element = RoadNetwork._edge_element
         total = self._fingerprint_sum
-        for s, t, w in zip(src.tolist(), dst.tolist(), weights.tolist()):
-            total += _element_hash(f"e{s}>{t}:{w!r};")
+        for row in zip(src.tolist(), dst.tolist(), weights.tolist()):
+            total += _element_hash(element(*row))
         self._fingerprint_sum = total % _FINGERPRINT_MOD
 
     # ------------------------------------------------------------------
@@ -347,8 +349,6 @@ class ColumnarEdgeTable:
         tables should go through
         :meth:`~repro.network.graph.RoadNetwork.from_table` instead.
         """
-        from repro.network.graph import RoadNetwork
-
         network = RoadNetwork(name=name or self.name)
         for ids, xs, ys in self.iter_node_chunks():
             for nid, x, y in zip(ids.tolist(), xs.tolist(), ys.tolist()):

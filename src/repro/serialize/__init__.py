@@ -14,10 +14,9 @@ paid for:
   container (magic, format version, payload checksum) produced by
   :meth:`~repro.air.base.AirIndexScheme.artifact` and consumed by
   :meth:`~repro.air.base.AirIndexScheme.from_artifact`.
-* :mod:`repro.serialize.graphs` -- codecs for the shared substrate objects:
-  :class:`~repro.network.graph.RoadNetwork`,
-  :class:`~repro.network.csr.CSRGraph`, kd/grid
-  :class:`~repro.partitioning.base.Partitioning`, and
+* :mod:`repro.serialize.graphs` -- plain-value forms of the substrate
+  objects artifacts embed: kd/grid
+  :class:`~repro.partitioning.base.Partitioning` locators and
   :class:`~repro.broadcast.cycle.BroadcastCycle` layouts.
 
 The hard contract throughout is **bit identity**: a scheme restored from an
@@ -38,17 +37,7 @@ from repro.serialize.artifacts import (
     params_fingerprint,
 )
 from repro.serialize.codec import decode_value, encode_value
-from repro.serialize.graphs import (
-    csr_state,
-    cycle_layout,
-    decode_network,
-    encode_network,
-    network_state,
-    partitioning_state,
-    restore_csr,
-    restore_network,
-    restore_partitioning,
-)
+from repro.serialize.graphs import cycle_layout, partitioning_state, restore_partitioning
 
 __all__ = [
     "ARTIFACT_MAGIC",
@@ -61,12 +50,6 @@ __all__ = [
     "params_fingerprint",
     "encode_value",
     "decode_value",
-    "network_state",
-    "restore_network",
-    "encode_network",
-    "decode_network",
-    "csr_state",
-    "restore_csr",
     "partitioning_state",
     "restore_partitioning",
     "cycle_layout",

@@ -3,8 +3,7 @@
 The value model covers exactly what the schemes' built state is made of:
 ``None``, ``bool``, ``int`` (arbitrary precision), ``float`` (IEEE-754
 doubles, encoded exactly), ``str``, ``bytes``, ``list``, ``tuple``, ``dict``,
-``set`` and ``frozenset``, plus ``array.array`` columns of typecode ``"q"``
-or ``"d"`` (see below).  Three properties matter for the bit-identity
+``set`` and ``frozenset``.  Three properties matter for the bit-identity
 contract of the build/serve split:
 
 * **Order preservation.**  Lists, tuples and dict insertion order round-trip
@@ -22,13 +21,8 @@ Large homogeneous containers -- the distance tables dominating a scheme's
 state -- take bulk fast paths: a list/tuple of ``int64``-range ints or of
 floats is packed through :class:`array.array` in one shot, and dicts encode
 as a key list plus a value list so both sides inherit the same fast paths.
-
-Columns that already live in typed arrays skip even that: an ``array("q")``
-or ``array("d")`` encodes as exactly the bytes of the list it holds (the
-int64 / float64 list tags, the count, then the array's raw buffer; an empty
-array as an empty list), without boxing an element.  The wire format has no
-array type, so such a value decodes as a list.  The border-path labels
-(:mod:`repro.air.border_paths`) are the columns that take this path.
+State that already lives in numpy arrays (the border-path labels of
+:mod:`repro.air.border_paths`) is handed over as its raw ``bytes`` instead.
 """
 
 from __future__ import annotations
@@ -195,9 +189,9 @@ def _encode(buf: bytearray, value: Any) -> None:
         _write_uvarint(buf, len(value))
         buf += value
     elif kind is memoryview:
-        # A zero-copy decode hands byte blobs back as memoryviews; encoding
-        # them as plain bytes keeps re-publication (e.g. a restored scheme's
-        # still-encoded sources blob) byte-identical to the original.
+        # A ``bytes_views`` decode hands byte blobs back as memoryviews;
+        # encoding them as plain bytes keeps a re-encoded payload (a serving
+        # form's, say) byte-identical to the original.
         raw = value.tobytes()
         buf.append(_T_BYTES)
         _write_uvarint(buf, len(raw))
@@ -231,33 +225,8 @@ def _encode(buf: bytearray, value: Any) -> None:
         except TypeError as exc:
             raise CodecError(f"set elements must be sortable: {exc}") from None
         _encode(buf, items)
-    elif kind is array:
-        _encode_array(buf, value)
     else:
         raise CodecError(f"cannot encode value of type {kind.__name__}")
-
-
-def _encode_array(buf: bytearray, value: array) -> None:
-    """Write a typed column as the bytes of the equal list, unboxed."""
-    typecode = value.typecode
-    if typecode == "q":
-        tag = _T_LIST_I64
-    elif typecode == "d":
-        tag = _T_LIST_F64
-    else:
-        raise CodecError(
-            f"cannot encode array of typecode {typecode!r} (only 'q' and 'd')"
-        )
-    if not value:
-        buf.append(_T_LIST)
-        _write_uvarint(buf, 0)
-        return
-    buf.append(tag)
-    _write_uvarint(buf, len(value))
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        value = array(typecode, value)
-        value.byteswap()
-    buf += value
 
 
 # ----------------------------------------------------------------------
@@ -335,10 +304,11 @@ def decode_value(data, *, bytes_views: bool = False) -> Any:
     ``data`` may be ``bytes`` or a contiguous ``memoryview`` (a shared-memory
     mapping, say).  With ``bytes_views=True`` *and* a memoryview input,
     ``bytes`` values decode to zero-copy sub-views of ``data`` instead of
-    copies -- the serving workers use this so an index blob inside a shared
-    segment is referenced, never duplicated, per process.  View outputs stay
-    valid only as long as the underlying buffer; everything else (ints,
-    floats, strings, containers) is a normal owned object either way.
+    copies -- :meth:`~repro.air.base.AirIndexScheme.serving_artifact` uses
+    this so the byte blobs it strips from a payload are never copied.  View
+    outputs stay valid only as long as the underlying buffer; everything
+    else (ints, floats, strings, containers) is a normal owned object
+    either way.
 
     Raises :class:`CodecError` on malformed or trailing bytes -- a value
     must occupy the buffer exactly.

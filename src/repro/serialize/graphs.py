@@ -1,134 +1,29 @@
-"""Codecs for the shared substrate objects of the air-index system.
+"""Plain-value forms of the substrate objects scheme artifacts embed.
 
-Everything here round-trips through the *plain value* model of
-:mod:`repro.serialize.codec`: each object gets a ``*_state`` function
-producing plain values and a ``restore_*`` function rebuilding the object,
-plus ``encode_*``/``decode_*`` convenience wrappers where a standalone byte
-form is useful.  The restore functions preserve the orders behaviour depends
-on -- node insertion order, adjacency order, CSR index order -- so restored
-objects are bit-identical substrates for the schemes built on top.
+Everything here goes through the *plain value* model of
+:mod:`repro.serialize.codec`: a partitioning's locator round-trips through
+:func:`partitioning_state` / :func:`restore_partitioning`, and a broadcast
+cycle's on-air layout is recorded by :func:`cycle_layout` so a restore can
+check the cycle it re-lays.  Networks are not serialized: a restore is
+always given the network the artifact was built over.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.broadcast.cycle import BroadcastCycle
-from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 from repro.partitioning.grid import GridPartitioner
 from repro.partitioning.kdtree import KDTreePartitioner
-from repro.serialize.codec import CodecError, decode_value, encode_value
+from repro.serialize.codec import CodecError
 
 __all__ = [
-    "network_state",
-    "restore_network",
-    "encode_network",
-    "decode_network",
-    "csr_state",
-    "restore_csr",
     "partitioning_state",
     "restore_partitioning",
     "cycle_layout",
 ]
-
-
-# ----------------------------------------------------------------------
-# RoadNetwork
-# ----------------------------------------------------------------------
-def network_state(network: RoadNetwork) -> Dict[str, Any]:
-    """Plain-value snapshot of a network, orders preserved.
-
-    Nodes are listed in insertion order and edges in adjacency-list order
-    (grouped per source node), which is exactly what :func:`restore_network`
-    replays -- the restored network has the same ``node_ids()`` sequence,
-    the same per-node edge order, and therefore the same fingerprint and
-    the same Dijkstra tie-breaking as the original.
-    """
-    node_ids: List[int] = []
-    xs: List[float] = []
-    ys: List[float] = []
-    for node in network.nodes():
-        node_ids.append(node.node_id)
-        xs.append(node.x)
-        ys.append(node.y)
-    sources: List[int] = []
-    targets: List[int] = []
-    weights: List[float] = []
-    for edge in network.edges():
-        sources.append(edge.source)
-        targets.append(edge.target)
-        weights.append(edge.weight)
-    return {
-        "name": network.name,
-        "node_ids": node_ids,
-        "xs": xs,
-        "ys": ys,
-        "edge_sources": sources,
-        "edge_targets": targets,
-        "edge_weights": weights,
-    }
-
-
-def restore_network(state: Dict[str, Any]) -> RoadNetwork:
-    """Rebuild a :class:`RoadNetwork` from :func:`network_state` output."""
-    network = RoadNetwork(name=state["name"])
-    for node_id, x, y in zip(state["node_ids"], state["xs"], state["ys"]):
-        network.add_node(node_id, x, y)
-    for source, target, weight in zip(
-        state["edge_sources"], state["edge_targets"], state["edge_weights"]
-    ):
-        network.add_edge(source, target, weight)
-    network.clear_delta()  # a finished artifact, not a pile of pending updates
-    return network
-
-
-def encode_network(network: RoadNetwork) -> bytes:
-    """Standalone byte form of a network (codec-encoded state)."""
-    return encode_value(network_state(network))
-
-
-def decode_network(data: bytes) -> RoadNetwork:
-    """Inverse of :func:`encode_network`."""
-    return restore_network(decode_value(data))
-
-
-# ----------------------------------------------------------------------
-# CSRGraph
-# ----------------------------------------------------------------------
-def csr_state(csr: CSRGraph) -> Dict[str, Any]:
-    """Plain-value snapshot of a compiled CSR graph (flat arrays + ids)."""
-    return {
-        "name": csr.name,
-        "ids": list(csr.ids),
-        "fwd_offsets": csr.fwd_offsets.tolist(),
-        "fwd_targets": csr.fwd_targets.tolist(),
-        "fwd_weights": csr.fwd_weights.tolist(),
-        "rev_offsets": csr.rev_offsets.tolist(),
-        "rev_targets": csr.rev_targets.tolist(),
-        "rev_weights": csr.rev_weights.tolist(),
-    }
-
-
-def restore_csr(state: Dict[str, Any]) -> CSRGraph:
-    """Rebuild a :class:`CSRGraph` from :func:`csr_state` output.
-
-    The arrays use the kernel's native typecodes (``'l'`` offsets/targets,
-    ``'d'`` weights), so the restored snapshot is indistinguishable from a
-    freshly compiled one.
-    """
-    return CSRGraph(
-        list(state["ids"]),
-        array("l", state["fwd_offsets"]),
-        array("l", state["fwd_targets"]),
-        array("d", state["fwd_weights"]),
-        array("l", state["rev_offsets"]),
-        array("l", state["rev_targets"]),
-        array("d", state["rev_weights"]),
-        name=state["name"],
-    )
 
 
 # ----------------------------------------------------------------------

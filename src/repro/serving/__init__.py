@@ -6,7 +6,7 @@ it.  An asyncio front end (:class:`~repro.serving.server.AirServer`)
 accepts query / batch / fleet / refresh requests over a local socket
 protocol (:mod:`repro.serving.protocol`) and dispatches them to a pool of
 worker processes.  Workers warm-start in milliseconds: the published index
--- frozen CSR arrays, packed border-path blobs, full build artifacts --
+-- frozen CSR arrays, coordinates and each scheme's serving artifact --
 lives in one :class:`~repro.serving.shm.SharedArtifactSegment` that every
 worker maps zero-copy, so N workers hold one physical copy of the index.
 

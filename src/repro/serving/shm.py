@@ -6,8 +6,9 @@ is not ascending, the node insertion order) and each scheme's *serving
 form* (:meth:`~repro.air.base.AirIndexScheme.serving_artifact`) -- into a
 single :class:`multiprocessing.shared_memory.SharedMemory` block.  Workers
 attach the block and wire a read-only
-:meth:`~repro.network.graph.RoadNetwork.from_arrays` network plus
-``zero_copy`` artifact restores straight over the mapping.
+:meth:`~repro.network.graph.RoadNetwork.from_arrays` network over the
+mapping, then restore each scheme from its serving form (which holds no
+byte blob, so a restore references nothing in the mapping).
 
 A serving form is the store's :class:`~repro.serialize.artifacts.BuildArtifact`
 (same scheme, parameters and fingerprint) without the state only a refresh
@@ -264,12 +265,14 @@ class SharedArtifactSegment:
         otherwise.  Workers call this between :meth:`attach` and serving, so
         a segment corrupted in flight (or tampered via the
         ``shm.segment.tamper`` fault point) is rejected before a single
-        query reads through it.  Segments published by older layouts carry
-        no checksum and pass vacuously.
+        query reads through it.  Every :meth:`publish` records a checksum,
+        so a directory without one is damaged and fails too.
         """
         expected = self._directory.get("payload_sha256")
         if not expected:
-            return True
+            raise SegmentIntegrityError(
+                f"segment {self.name!r} directory carries no payload checksum"
+            )
         if self._buf is None:
             raise ValueError("segment is closed")
         base = self._directory["_base"]
@@ -333,8 +336,8 @@ class SharedArtifactSegment:
     def close(self) -> bool:
         """Drop this process's mapping; ``True`` when fully released.
 
-        Closing can fail benignly: scheme objects restored zero-copy hold
-        memoryview exports into the mapping, and CPython refuses to unmap
+        Closing can fail benignly: a network wired over the mapped arrays
+        holds memoryview exports into it, and CPython refuses to unmap
         while they live.  Callers drop their references first; if something
         still holds one, the mapping stays (the OS reclaims it with the
         process) and ``False`` is returned rather than raising mid-swap.

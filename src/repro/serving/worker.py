@@ -88,7 +88,7 @@ class WorkerRuntime:
             system = AirSystem(network, config=self.config)
             for name in segment.scheme_names:
                 artifact = segment.artifact(name)
-                scheme = AirIndexScheme.from_artifact(network, artifact, zero_copy=True)
+                scheme = AirIndexScheme.from_artifact(network, artifact)
                 resolved = system._resolve_params(name, dict(artifact.params))
                 system._schemes[system._cache_key(name, resolved)] = scheme
         except Exception:

@@ -7,12 +7,9 @@
 * :func:`aggregates_from_records` is the row-by-row fold of those records
   into the published aggregates that the block's grouped reductions
   replace.
-* :func:`sources_columnar` lays the records :func:`records` folds from the
-  production labels out as flat list columns.  The production writer builds
-  typed-array columns straight from its derived block; here every derived
-  column comes from :func:`record_from_labels` and every column is a Python
-  list, so the encoded blob it yields is what the production blob must
-  reproduce byte for byte.
+* :func:`block_records` reads the production block's rows back as
+  records, so a test compares every derived column ``_fold`` wrote with
+  the :func:`records` this module folds from the same labels.
 * :func:`affected_sources` is the per-source scan that
   ``affected_sources`` runs vectorized over the block's label matrix.
 * :func:`aggregates` derives the published aggregates straight from one
@@ -29,7 +26,6 @@ from oracles.dijkstra import dijkstra_distances
 from repro.air.border_paths import BorderPathPrecomputation
 from repro.network.algorithms.paths import INFINITY
 from repro.network.delta import WeightChange
-from repro.serialize.codec import encode_value
 
 
 @dataclass
@@ -184,54 +180,33 @@ def aggregates_from_records(
     }
 
 
-def sources_columnar(precomputation: BorderPathPrecomputation) -> Dict[str, Any]:
-    """The per-source records as flat list columns (orders preserved)."""
-    folded = records(precomputation)
-    columns: Dict[str, Any] = {
-        "num_nodes": len(folded[0].dist) if folded else 0,
-        "node": [],
-        "region": [],
-        "finite_pairs": [],
-        "dist_values": [],
-        "pred_values": [],
-        "cross_offsets": [0],
-        "cross_items": [],
-        "min_offsets": [0],
-        "min_keys": [],
-        "min_values": [],
-        "max_offsets": [0],
-        "max_keys": [],
-        "max_values": [],
-        "trav_offsets": [0],
-        "trav_keys": [],
-        "trav_set_offsets": [0],
-        "trav_set_items": [],
-    }
-    for record in folded:
-        columns["node"].append(record.node)
-        columns["region"].append(record.region)
-        columns["finite_pairs"].append(record.finite_pairs)
-        columns["dist_values"].extend(record.dist)
-        columns["pred_values"].extend(record.pred)
-        columns["cross_items"].extend(sorted(record.cross_nodes))
-        columns["cross_offsets"].append(len(columns["cross_items"]))
-        columns["min_keys"].extend(record.min_to.keys())
-        columns["min_values"].extend(record.min_to.values())
-        columns["min_offsets"].append(len(columns["min_keys"]))
-        columns["max_keys"].extend(record.max_to.keys())
-        columns["max_values"].extend(record.max_to.values())
-        columns["max_offsets"].append(len(columns["max_keys"]))
-        for region, regions in record.traversed.items():
-            columns["trav_keys"].append(region)
-            columns["trav_set_items"].extend(sorted(regions))
-            columns["trav_set_offsets"].append(len(columns["trav_set_items"]))
-        columns["trav_offsets"].append(len(columns["trav_keys"]))
-    return columns
-
-
-def sources_blob(precomputation: BorderPathPrecomputation) -> bytes:
-    """The ``sources_blob`` the list columns encode to."""
-    return encode_value(sources_columnar(precomputation))
+def block_records(precomputation: BorderPathPrecomputation) -> List[BorderRecord]:
+    """The production block's rows as records: what :func:`records` must
+    equal.  Only ``reach`` entries carry a min/max and a traversed set."""
+    block = precomputation.block
+    ids = precomputation.network.ensure_csr().ids
+    folded: List[BorderRecord] = []
+    for row, (node, region) in enumerate(precomputation._all_border):
+        reached = [int(j) for j in block.reach[row].nonzero()[0]]
+        folded.append(
+            BorderRecord(
+                node=node,
+                region=region,
+                dist=block.dist[row].tolist(),
+                pred=block.pred[row].tolist(),
+                cross_nodes={ids[i] for i in block.cross[row].nonzero()[0]},
+                finite_pairs=int(block.finite_pairs[row]),
+                min_to={j: float(block.min_to[row, j]) for j in reached},
+                max_to={j: float(block.max_to[row, j]) for j in reached},
+                traversed={
+                    j: regions_from_mask(
+                        sum(int(word) << (64 * k) for k, word in enumerate(block.traversed[row, j]))
+                    )
+                    for j in reached
+                },
+            )
+        )
+    return folded
 
 
 def affected_sources(

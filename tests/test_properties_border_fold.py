@@ -8,6 +8,10 @@ source region.  Here both are checked against
 labels one source and one predecessor chain at a time, over hypothesis-drawn
 integer-weight networks with exact ties, zero-weight edges, unreachable
 nodes and region counts on both sides of the 64-bit mask word boundary.
+
+The serialized state keeps only the labels, so a restore derives every
+other column through ``_fold`` too; that block must equal the built one,
+column for column, before and after refreshes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.air.border_paths import BorderPathPrecomputation
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
-from repro.serialize.codec import decode_value
+from repro.serialize.codec import decode_value, encode_value
 
 #: Every per-source column of the block.
 BLOCK_COLUMNS = (
@@ -88,10 +92,8 @@ def tie_partitioning(network: RoadNetwork, num_regions: int, seed: int) -> Parti
 
 
 def assert_matches_oracle(precomputation: BorderPathPrecomputation) -> None:
-    """Blob columns and aggregates equal the record-at-a-time fold's."""
-    assert decode_value(precomputation.state()["sources_blob"]) == (
-        oracle.sources_columnar(precomputation)
-    )
+    """Derived block columns and aggregates equal the record-at-a-time fold's."""
+    assert oracle.block_records(precomputation) == oracle.records(precomputation)
     want = oracle.aggregates_from_records(
         oracle.records(precomputation), precomputation.num_regions
     )
@@ -179,9 +181,43 @@ def test_zero_weight_refresh_equals_scratch_build(seed):
             assert np.array_equal(
                 getattr(precomputation.block, column), getattr(scratch.block, column)
             ), column
-        assert precomputation.state()["sources_blob"] == scratch.state()["sources_blob"]
+        assert precomputation.state()["labels"] == scratch.state()["labels"]
         assert precomputation.traversed_regions == scratch.traversed_regions
         assert precomputation.min_distance == scratch.min_distance
         assert precomputation.max_distance == scratch.max_distance
         assert precomputation.cross_border_nodes == scratch.cross_border_nodes
     assert touched, "no batch reached a border source"
+
+
+def assert_same_block(got: BorderPathPrecomputation, want: BorderPathPrecomputation) -> None:
+    for column in BLOCK_COLUMNS:
+        assert np.array_equal(getattr(got.block, column), getattr(want.block, column)), column
+
+
+@pytest.mark.parametrize("num_regions", [1, 6, 65])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_restore_derives_the_built_block(seed, num_regions):
+    """A restore from the serialized labels folds a block equal to the
+    built one in all eight columns, and stays equal through refreshes.
+    One region means a roster without border nodes: empty label bytes."""
+    network = tie_network(seed, 48, zero_share=0.0)
+    partitioning = tie_partitioning(network, num_regions, seed)
+    built = BorderPathPrecomputation(network, partitioning)
+    assert bool(built._all_border) == (num_regions > 1)
+    state = decode_value(encode_value(built.state()))
+    restored = BorderPathPrecomputation.from_state(network, partitioning, state)
+    # Undecoded labels re-publish as they came.
+    assert restored.state()["labels"] == built.state()["labels"]
+    assert_same_block(restored, built)
+    assert_matches_oracle(restored)
+    rng = random.Random(seed)
+    edges = sorted((e.source, e.target) for e in network.edges())
+    for _ in range(4):
+        changes = network.apply_updates(
+            [(u, v, float(rng.randint(1, 6))) for u, v in rng.sample(edges, 4)]
+        )
+        assert built.refresh(changes) == restored.refresh(changes)
+        network.clear_delta()
+        assert_same_block(restored, built)
+        assert restored.state() == built.state()
+    assert_matches_oracle(restored)

@@ -1,28 +1,31 @@
-"""Typed-array columns encode byte-identically to the lists they hold.
+"""The border-path labels persist as raw bytes; the codec takes no arrays.
 
-The codec writes an ``array("q")`` / ``array("d")`` straight from its
-buffer, and the NR/EB border-path records build their label columns as
-such arrays.  Both must leave the wire bytes exactly as the list path
-wrote them, so artifacts stay valid across the change and ``FORMAT_VERSION``
-does not move:
+NR and EB keep only the two label matrices of their border-path block in
+an artifact, ``dist`` as little-endian float64 bytes and ``pred`` as
+little-endian int64 bytes, and every other block column is derived again
+by ``_fold`` on restore:
 
-* a hypothesis property compares ``encode_value(array(tc, xs))`` with
-  ``encode_value(list(xs))`` over empty columns, int64 extremes, signed
-  zeros, infinities and arbitrary NaN bit patterns;
-* the NR and EB ``sources_blob`` equals the list-column oracle's
-  (``tests/oracles/border_paths.py``) after a build, after a refresh batch
-  and after restore-then-refresh;
-* artifacts written by the record-at-a-time writer that the columnar
-  border-path block replaced still restore and refresh bit-identically.
+* hypothesis properties round-trip label bytes through the codec over
+  int64 extremes, signed zeros, infinities and arbitrary NaN bit patterns,
+  and check that the codec refuses ``array.array`` values of any typecode;
+* the NR and EB block's derived columns equal the record-at-a-time oracle's
+  (``tests/oracles/border_paths.py``) after a build, after each refresh
+  batch and after restore-then-refresh, and the restored block equals the
+  built one in all eight columns;
+* artifacts written by the record-at-a-time writer, under an older
+  ``FORMAT_VERSION``, are refused as stale, and a store holding one
+  rebuilds instead.
 """
 
 from __future__ import annotations
 
+import io
 import random
 import struct
 from array import array
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +33,9 @@ from hypothesis import strategies as st
 from repro import air
 from repro.air.base import AirIndexScheme
 from repro.network.generators import GeneratorConfig, generate_road_network
-from repro.serialize import BuildArtifact, decode_network, encode_network
+from repro.serialize import FORMAT_VERSION, ArtifactVersionError, BuildArtifact
 from repro.serialize.codec import CodecError, decode_value, encode_value
+from repro.store import ArtifactStore
 
 from oracles import border_paths as oracle
 
@@ -67,42 +71,51 @@ def _bits(values) -> list:
     return [struct.pack("<d", value) for value in values]
 
 
+def _through_codec(raw: bytes) -> bytes:
+    """``raw`` as a state entry after an encode/decode round."""
+    decoded = decode_value(encode_value({"labels": {"dist": raw}}))
+    return decoded["labels"]["dist"]
+
+
 @given(st.lists(int64s, max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_int64_array_encodes_as_its_list(values):
-    encoded = encode_value(array("q", values))
-    assert encoded == encode_value(list(values))
-    assert decode_value(encoded) == list(values)
+def test_int64_label_bytes_round_trip(values):
+    raw = np.asarray(values, dtype="<i8").tobytes()
+    assert _through_codec(raw) == raw
+    assert np.frombuffer(_through_codec(raw), dtype="<i8").tolist() == values
 
 
 @given(st.lists(doubles, max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_float64_array_encodes_as_its_list(values):
-    encoded = encode_value(array("d", values))
-    assert encoded == encode_value(list(values))
-    decoded = decode_value(encoded)
-    assert type(decoded) is list
-    assert _bits(decoded) == _bits(values)
+def test_float64_label_bytes_round_trip(values):
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    assert _through_codec(raw) == raw
+    assert _bits(np.frombuffer(_through_codec(raw), dtype="<f8").tolist()) == _bits(values)
 
 
 @given(st.lists(int64s, max_size=8), st.lists(doubles, max_size=8))
 @settings(max_examples=50, deadline=None)
-def test_nested_arrays_encode_as_lists(ints, floats):
-    typed = {"q": array("q", ints), "d": [array("d", floats), array("q")]}
-    plain = {"q": list(ints), "d": [list(floats), []]}
-    assert encode_value(typed) == encode_value(plain)
+def test_typed_arrays_are_refused(ints, floats):
+    for value in (array("q", ints), array("d", floats), {"d": [array("d", floats)]}):
+        with pytest.raises(CodecError, match="array"):
+            encode_value(value)
 
 
 @pytest.mark.parametrize("typecode", ["b", "B", "h", "H", "i", "I", "l", "L", "Q", "f"])
 @pytest.mark.parametrize("values", [[], [1, 2, 3]])
 def test_other_typecodes_are_refused(typecode, values):
-    with pytest.raises(CodecError, match=repr(typecode)):
+    with pytest.raises(CodecError, match="array"):
         encode_value(array(typecode, values))
 
 
 # ----------------------------------------------------------------------
-# Border-path sources blobs vs the list-column oracle
+# Border-path blocks vs the record oracle
 # ----------------------------------------------------------------------
+BLOCK_COLUMNS = (
+    "dist", "pred", "cross", "finite_pairs", "min_to", "max_to", "reach", "traversed"
+)
+
+
 def _network(seed: int):
     network = generate_road_network(
         GeneratorConfig(num_nodes=110, num_edges=260, seed=seed),
@@ -112,8 +125,21 @@ def _network(seed: int):
     return network
 
 
-def _blob(scheme) -> bytes:
-    return scheme.precomputation.state()["sources_blob"]
+def _labels(scheme) -> dict:
+    return scheme.precomputation.state()["labels"]
+
+
+def _assert_block_matches_oracle(scheme) -> None:
+    precomputation = scheme.precomputation
+    assert oracle.block_records(precomputation) == oracle.records(precomputation)
+
+
+def _assert_same_block(got, want) -> None:
+    for column in BLOCK_COLUMNS:
+        assert np.array_equal(
+            getattr(got.precomputation.block, column),
+            getattr(want.precomputation.block, column),
+        ), column
 
 
 def _refresh(scheme, network, rng: random.Random):
@@ -133,50 +159,72 @@ def _refresh(scheme, network, rng: random.Random):
 @pytest.mark.parametrize("name", ["NR", "EB"])
 def test_sources_blob_matches_the_list_oracle(name, seed):
     build_network = _network(seed)
-    serving_network = decode_network(encode_network(build_network))
+    serving_network = build_network.copy()
+    assert serving_network.fingerprint() == build_network.fingerprint()
+    assert serving_network.node_ids() == build_network.node_ids()
     scheme = air.create(name, build_network, num_regions=8)
 
-    columns = scheme.precomputation._sources_columnar()
-    assert columns["dist_values"].typecode == "d"
-    assert columns["pred_values"].typecode == "q"
-    assert columns["cross_items"].typecode == "q"
-
-    built = _blob(scheme)
-    assert built == oracle.sources_blob(scheme.precomputation)
+    block = scheme.precomputation.block
+    built = _labels(scheme)
+    assert built == {
+        "dist": block.dist.astype("<f8").tobytes(),
+        "pred": block.pred.astype("<i8").tobytes(),
+    }
+    _assert_block_matches_oracle(scheme)
 
     artifact = BuildArtifact.from_bytes(scheme.artifact().to_bytes())
     restored = AirIndexScheme.from_artifact(serving_network, artifact)
-    # Restored and never refreshed: the blob is re-published as it came.
-    assert bytes(_blob(restored)) == built
+    # Restored and never refreshed: the labels are re-published as they came.
+    assert _labels(restored) == built
+    _assert_same_block(restored, scheme)
 
     for step in range(3):
         scheme = _refresh(scheme, build_network, random.Random(seed * 10 + step))
         restored = _refresh(restored, serving_network, random.Random(seed * 10 + step))
-        refreshed = _blob(scheme)
-        assert refreshed == oracle.sources_blob(scheme.precomputation)
-        assert _blob(restored) == refreshed
-        assert oracle.sources_blob(restored.precomputation) == refreshed
+        _assert_block_matches_oracle(scheme)
+        _assert_block_matches_oracle(restored)
+        _assert_same_block(restored, scheme)
+        assert _labels(restored) == _labels(scheme)
 
 
 #: NR/EB artifacts (48-node generated network, 4 regions) encoded by the
-#: record-at-a-time border-path writer, before the columnar block.
+#: record-at-a-time border-path writer, under format version 2.
 RECORD_WRITER_ARTIFACTS = Path(__file__).parent / "fixtures" / "record_writer_artifacts"
 
 
 @pytest.mark.parametrize("name", ["NR", "EB"])
-def test_record_writer_artifacts_restore_and_refresh(name):
+def test_record_writer_artifacts_restore_and_refresh(name, tmp_path):
+    """An old-format artifact is refused as stale; a store holding one
+    discards it and misses, and what the rebuild stores restores and
+    refreshes like a scratch build."""
     network = generate_road_network(
         GeneratorConfig(num_nodes=48, num_edges=110, seed=21), name="record-writer"
     )
     network.clear_delta()
     data = (RECORD_WRITER_ARTIFACTS / f"{name.lower()}.artifact").read_bytes()
-    restored = AirIndexScheme.from_artifact(network, BuildArtifact.from_bytes(data))
+    for read in (BuildArtifact.from_bytes, lambda raw: BuildArtifact.read_from(io.BytesIO(raw))):
+        with pytest.raises(ArtifactVersionError) as caught:
+            read(data)
+        assert (caught.value.found, caught.value.expected) == (2, FORMAT_VERSION)
+
     scratch = air.create(name, network, num_regions=4)
-    assert bytes(_blob(restored)) == _blob(scratch)
+    params = scratch.artifact().params
+    store = ArtifactStore(tmp_path)
+    path = store.object_path(name, params, network.fingerprint())
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    assert store.get(name, params, network.fingerprint()) is None
+    assert store.stale_versions == 1 and not path.exists()
+
+    store.put(scratch.artifact())
+    restored = AirIndexScheme.from_artifact(
+        network, store.get(name, params, network.fingerprint())
+    )
     for step in range(3):
         restored = _refresh(restored, network, random.Random(step))
         scratch = air.create(name, network, num_regions=4)
-        assert _blob(restored) == _blob(scratch)
+        _assert_same_block(restored, scratch)
+        assert _labels(restored) == _labels(scratch)
         assert restored.cycle.signature() == scratch.cycle.signature()
         assert restored.precomputation.traversed_regions == (
             scratch.precomputation.traversed_regions

@@ -64,8 +64,8 @@ def _assert_segment_serves_store_artifact(server: AirServer) -> None:
             stored.network_fingerprint,
         )
         full = decode_value(stored.payload)
-        assert full["state"]["border_paths"]["sources_blob"]
-        full["state"]["border_paths"]["sources_blob"] = None
+        assert full["state"]["border_paths"]["labels"]
+        full["state"]["border_paths"]["labels"] = None
         assert decode_value(served.payload) == full
         del served
 

@@ -48,6 +48,8 @@ from repro.serving import (
     ServingClient,
     SharedArtifactSegment,
 )
+from repro.serialize.codec import decode_value, encode_value
+from repro.serving import shm as shm_module
 from repro.serving.protocol import encode_frame, read_frame
 from repro.serving.worker import WorkerRuntime
 
@@ -536,6 +538,69 @@ class TestSegmentIntegrity:
             for segment in (good, bad):
                 segment.unlink()
                 segment.close()
+
+    def test_segment_without_checksum_fails_verification(
+        self, direct_system, query_pairs
+    ):
+        """A directory whose checksum is blank is damaged: ``verify()``
+        raises, and a worker swapping to it keeps its previous segment."""
+        scheme = direct_system.scheme("NR")
+        good = SharedArtifactSegment.publish(
+            direct_system.network, {"NR": scheme.artifact()}
+        )
+        blank = SharedArtifactSegment.publish(
+            direct_system.network, {"NR": scheme.artifact()}
+        )
+        _blank_checksum(blank)
+        runtime = WorkerRuntime(0, config=BASE_CONFIG.experiment_config())
+        try:
+            attached = SharedArtifactSegment.attach(blank.name)
+            try:
+                assert attached._directory["payload_sha256"] == ""
+                with pytest.raises(SegmentIntegrityError, match="no payload checksum"):
+                    attached.verify()
+            finally:
+                attached.close()
+
+            runtime.load_segment(good.name)
+            with pytest.raises(SegmentIntegrityError):
+                runtime.load_segment(blank.name)
+            assert runtime.segment.name == good.name
+            assert runtime.swaps == 0
+            source, target = query_pairs[0]
+            served = runtime.handle(
+                {
+                    "op": "query",
+                    "method": "NR",
+                    "source": source,
+                    "target": target,
+                    "tune_in_offset": 0,
+                }
+            )
+            assert served["status"] == "ok"
+            assert served["distance"] == _direct_distance(direct_system, source, target)
+        finally:
+            runtime.shutdown()
+            for segment in (good, blank):
+                segment.unlink()
+                segment.close()
+
+
+def _blank_checksum(segment: SharedArtifactSegment) -> None:
+    """Rewrite ``segment``'s directory in place with an empty checksum,
+    padded by a filler entry to its encoded length so every section stays
+    where it was."""
+    buf = segment._shm.buf
+    header = len(shm_module._MAGIC) + shm_module._DIR_LEN.size
+    (length,) = shm_module._DIR_LEN.unpack_from(buf, len(shm_module._MAGIC))
+    directory = decode_value(bytes(buf[header : header + length]))
+    directory["payload_sha256"] = ""
+    for filler in range(length):
+        raw = encode_value({**directory, "filler": "x" * filler})
+        if len(raw) == length:
+            break
+    assert len(raw) == length
+    buf[header : header + length] = raw
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the binary serialization layer (codec, artifacts, graph codecs)."""
+"""Tests for the binary serialization layer (codec, artifacts, substrate states)."""
 
 from __future__ import annotations
 
@@ -15,20 +15,12 @@ from repro.serialize import (
     ArtifactVersionError,
     BuildArtifact,
     FORMAT_VERSION,
-    decode_network,
     decode_value,
-    encode_network,
     encode_value,
     params_fingerprint,
 )
 from repro.serialize.codec import CodecError
-from repro.serialize.graphs import (
-    csr_state,
-    cycle_layout,
-    partitioning_state,
-    restore_csr,
-    restore_partitioning,
-)
+from repro.serialize.graphs import cycle_layout, partitioning_state, restore_partitioning
 
 
 @pytest.fixture(scope="module")
@@ -243,37 +235,6 @@ class TestBuildArtifactFraming:
         )
         assert params_fingerprint({"a": 1}) != params_fingerprint({"a": True})
         assert params_fingerprint({"a": 1}) != params_fingerprint({"a": 1.0})
-
-
-class TestNetworkCodec:
-    def test_round_trip_is_bit_identical(self, network):
-        restored = decode_network(encode_network(network))
-        assert restored.fingerprint() == network.fingerprint()
-        assert restored.node_ids() == network.node_ids()
-        assert [
-            (e.source, e.target, e.weight) for e in restored.edges()
-        ] == [(e.source, e.target, e.weight) for e in network.edges()]
-        assert not restored.has_pending_delta
-
-    def test_restored_network_preserves_coordinates(self, network):
-        restored = decode_network(encode_network(network))
-        for node_id in network.node_ids():
-            assert restored.coordinates(node_id) == network.coordinates(node_id)
-
-
-class TestCSRCodec:
-    def test_round_trip_preserves_arrays_and_ids(self, network):
-        csr = network.ensure_csr()
-        restored = restore_csr(decode_value(encode_value(csr_state(csr))))
-        assert restored.ids == csr.ids
-        assert restored.fwd_offsets == csr.fwd_offsets
-        assert restored.fwd_targets == csr.fwd_targets
-        assert restored.fwd_weights == csr.fwd_weights
-        assert restored.rev_offsets == csr.rev_offsets
-        assert restored.rev_targets == csr.rev_targets
-        assert restored.rev_weights == csr.rev_weights
-        assert restored.fwd_adj == csr.fwd_adj
-        assert restored.has_nonpositive_weight == csr.has_nonpositive_weight
 
 
 class TestPartitioningCodec:

@@ -69,7 +69,7 @@ def _state_without_timing(scheme):
 def test_segment_artifact_holds_no_block(system, name):
     artifact = system.scheme(name).artifact()
     full = decode_value(artifact.payload)
-    assert full["state"]["border_paths"]["sources_blob"]
+    assert full["state"]["border_paths"]["labels"]
     segment = SharedArtifactSegment.publish(system.network, {name: artifact})
     try:
         served = segment.artifact(name)
@@ -79,8 +79,8 @@ def test_segment_artifact_holds_no_block(system, name):
             artifact.network_fingerprint,
         )
         payload = decode_value(served.payload)
-        assert payload["state"]["border_paths"]["sources_blob"] is None
-        full["state"]["border_paths"]["sources_blob"] = None
+        assert payload["state"]["border_paths"]["labels"] is None
+        full["state"]["border_paths"]["labels"] = None
         assert payload == full
         assert len(served.payload) < len(artifact.payload)
         del served

@@ -19,7 +19,12 @@ guesses.  For any registered scheme it profiles:
 * **swap** -- what a serving worker does per publication: one segment is
   published (not profiled), then ``WorkerRuntime.load_segment`` attaches,
   verifies and restores it ``SWAPS`` times (network over the mapped
-  arrays, fingerprint re-hash, zero-copy scheme restores).
+  arrays, fingerprint re-hash, scheme restores from the serving forms);
+* **restore** -- a warm start that then refreshes: after one unprofiled
+  build, ``from_artifact`` over the framed store artifact
+  (``BuildArtifact.from_bytes(artifact().to_bytes())``) and the first
+  ``shadow_rebuild`` batch -- for NR and EB the label decode, the fold of
+  every row and the repair.
 
 Run from the repository root::
 
@@ -30,7 +35,7 @@ Run from the repository root::
 Pass ``--phases build,query`` to skip phases (``--phases publish`` profiles
 the publication path alone, after an unprofiled build; ``--phases fleet``
 likewise profiles the fleet simulator alone, ``--phases swap`` the worker
-swap alone).
+swap alone, ``--phases restore`` the restore-then-refresh path alone).
 """
 
 from __future__ import annotations
@@ -66,8 +71,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     )
     parser.add_argument(
         "--phases",
-        default="build,query,refresh,publish,fleet,swap",
-        help="comma-separated subset of build,query,refresh,publish,fleet,swap",
+        default="build,query,refresh,publish,fleet,swap,restore",
+        help="comma-separated subset of build,query,refresh,publish,fleet,swap,restore",
     )
     return parser.parse_args(argv)
 
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
     from repro.network import datasets
 
     phases = {phase.strip() for phase in args.phases.split(",") if phase.strip()}
-    unknown = phases - {"build", "query", "refresh", "publish", "fleet", "swap"}
+    unknown = phases - {"build", "query", "refresh", "publish", "fleet", "swap", "restore"}
     if unknown:
         raise SystemExit(f"unknown phases: {', '.join(sorted(unknown))}")
 
@@ -122,23 +127,23 @@ def main(argv=None) -> int:
             args.top,
         )
 
+    rng = random.Random(args.seed)
+    edges = list(network.edges())
+
+    def update_batch():
+        batch = []
+        for _ in range(args.edges_per_batch):
+            edge = rng.choice(edges)
+            batch.append(
+                (edge.source, edge.target, max(1e-3, edge.weight * rng.uniform(0.5, 2.0)))
+            )
+        return batch
+
     if "refresh" in phases:
-        rng = random.Random(args.seed)
-        edges = list(network.edges())
 
         def run_refreshes() -> None:
             for _ in range(args.update_batches):
-                batch = []
-                for _ in range(args.edges_per_batch):
-                    edge = rng.choice(edges)
-                    batch.append(
-                        (
-                            edge.source,
-                            edge.target,
-                            max(1e-3, edge.weight * rng.uniform(0.5, 2.0)),
-                        )
-                    )
-                system.apply_updates(batch)
+                system.apply_updates(update_batch())
 
         profile_phase(
             f"refresh: {args.update_batches} weight-update batches "
@@ -205,6 +210,29 @@ def main(argv=None) -> int:
             runtime.shutdown()
             segment.unlink()
             segment.close()
+
+    if "restore" in phases:
+        from repro.air.base import AirIndexScheme
+        from repro.serialize import BuildArtifact
+
+        data = system.scheme(scheme_name).artifact().to_bytes()
+        # Restore onto a copy, which the batch then mutates: the system
+        # keeps its own network.
+        target = network.copy()
+        batch = update_batch()
+
+        def run_restore() -> None:
+            restored = AirIndexScheme.from_artifact(target, BuildArtifact.from_bytes(data))
+            target.apply_updates(batch)
+            restored.shadow_rebuild(target, target.pending_delta())
+
+        profile_phase(
+            f"restore: from_artifact of the framed store artifact + the first "
+            f"shadow_rebuild batch x {args.edges_per_batch} edges",
+            run_restore,
+            args.sort,
+            args.top,
+        )
     return 0
 
 
