@@ -38,25 +38,24 @@ change batch:
 * :meth:`~BorderPathPrecomputation.affected_sources` decides -- exactly,
   from the cached labels and the old/new weights -- which rows a batch can
   touch, vectorized over the block's distance matrix;
-* each affected row's labels are repaired by a batch Ramalingam-Reps-style
-  repair that seeds a priority queue from the endpoints of the changed
-  edges and settles only the nodes whose distance (or tie-broken
-  predecessor) actually moves; and
+* the affected rows' labels are repaired together by a batch
+  Ramalingam-Reps-style repair (:meth:`~BorderPathPrecomputation._repair_rows`)
+  that walks, in array passes over every affected row at once, only the
+  cells whose distance (or tie-broken predecessor) actually moves; and
 * only the rows whose repaired tree moved a border target re-fold, after
   which the aggregates re-reduce.
 
 Unaffected rows provably have bit-identical labels, and the repair
 reconverges to the same unique float fixed point with the same canonical
 tie-breaks as the kernel, so the refreshed state equals a from-scratch
-rebuild bit for bit.
+rebuild bit for bit.  The per-row, queue-based repair is the test oracle
+(``tests/oracles/border_paths.py``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import time
-from array import array
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -98,6 +97,71 @@ class _Roster(NamedTuple):
     words: np.ndarray
     #: CSR node ids in index order (ascending).
     ids: np.ndarray
+
+
+def _distinct(cells: np.ndarray) -> np.ndarray:
+    """``cells`` sorted, each once.  On the small frontiers a repair walks,
+    a sort is several times faster than numpy 2's hashed ``np.unique``."""
+    cells = np.sort(cells)
+    keep = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    return cells[keep]
+
+
+class _Edges(NamedTuple):
+    """One direction of a CSR snapshot as numpy views, read per *cell*:
+    ``row * nodes + node``, a position of a flattened label block."""
+
+    offsets: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, offsets, targets, weights) -> "_Edges":
+        return cls(
+            np.frombuffer(offsets, dtype=np.int64),
+            np.frombuffer(targets, dtype=np.int64),
+            np.frombuffer(weights, dtype=np.float64),
+        )
+
+    def edges(self, cells: np.ndarray, nodes: int):
+        """The edges of ``cells``' nodes: ``(owner, heads, weights)``, where
+        ``owner`` indexes ``cells`` and ``heads`` are cells of the same
+        rows."""
+        starts = self.offsets[cells % nodes]
+        counts = self.offsets[cells % nodes + 1] - starts
+        owner = np.repeat(np.arange(len(cells)), counts)
+        positions = np.arange(len(owner)) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        heads = cells[owner] - cells[owner] % nodes + self.targets[positions]
+        return owner, heads, self.weights[positions]
+
+    def least(self, cells: np.ndarray, dist: np.ndarray, nodes: int) -> np.ndarray:
+        """Per cell, the least ``dist[neighbor] + w`` over its edges
+        (``inf`` when it has none)."""
+        owner, heads, weights = self.edges(cells, nodes)
+        least = np.full(len(cells), INFINITY)
+        np.minimum.at(least, owner, dist[heads] + weights)
+        return least
+
+    def canonical(self, cells: np.ndarray, dist: np.ndarray, nodes: int) -> np.ndarray:
+        """Per cell, the neighbor (node index) of least ``(dist[u], u)``
+        among its achieving edges (``dist[u] + w == dist[cell]``), ``-1``
+        when the cell is unreached -- read over in-edges, the canonical
+        predecessor."""
+        owner, heads, weights = self.edges(cells, nodes)
+        target = dist[cells][owner]
+        tail = dist[heads]
+        achieving = np.isfinite(target) & (tail + weights == target)
+        owner, tail, heads = owner[achieving], tail[achieving], heads[achieving]
+        least = np.full(len(cells), INFINITY)
+        np.minimum.at(least, owner, tail)
+        first = tail == least[owner]
+        best = np.full(len(cells), nodes, dtype=np.int64)
+        np.minimum.at(best, owner[first], heads[first] % nodes)
+        best[best == nodes] = -1
+        return best
 
 
 @dataclasses.dataclass
@@ -565,181 +629,147 @@ class BorderPathPrecomputation:
                 for change in relevant
                 if change.source in index_of and change.target in index_of
             ]
-            border_indexes = set(self._roster().index.tolist())
-            refold = [
-                row
-                for row in affected
-                if self._repair_row(row, repair_changes, csr, border_indexes)
-            ]
-        if refold:
+            refold = self._repair_rows(
+                np.array(affected, dtype=np.int64), repair_changes, csr
+            )
+        if len(refold):
             # Rows whose repair moved no border target keep their derived
             # columns: the fold inputs are unchanged, and so are the
             # published aggregates.
-            self._fold(np.array(refold, dtype=np.int64))
+            self._fold(np.asarray(refold, dtype=np.int64))
             self._aggregate()
         return len(affected)
 
-    def _repair_row(
+    def _repair_rows(
         self,
-        row: int,
+        rows: np.ndarray,
         changes: List[Tuple[int, int, float, float]],
         csr,
-        border_indexes: Set[int],
-    ) -> bool:
-        """Batch dynamic SSSP repair of one row's labels (Ramalingam-Reps).
+    ) -> np.ndarray:
+        """Batch dynamic SSSP repair of ``rows``' labels (Ramalingam-Reps),
+        every row at once, in place in the block; returns the rows whose
+        derived columns must re-fold.
 
-        Phase A invalidates the subtree hanging off every *tree* edge whose
-        weight increased (its nodes are the only ones whose distance can
-        grow) and re-seeds each invalidated node from its best intact
-        in-neighbor.  Phase B seeds the queue from the tails of every
-        changed edge and runs a bounded Dijkstra that settles only nodes
-        whose label actually moves.  Finally, canonical predecessors --
-        ``argmin`` over achieving in-edges of ``(dist[u], u)``, exactly the
-        kernel reconstruction's "first achieving relaxation in settle order"
-        -- are recomputed for every node whose tree attachment could have
-        changed.
+        Work is over *cells* -- ``row * nodes + node`` positions of the
+        flattened block -- and each phase runs in waves, one array pass
+        per wave over the current frontier's edges:
+
+        * **Phase A** invalidates the subtree hanging off every *tree*
+          edge whose weight increased (its nodes are the only ones whose
+          distance can grow) and re-seeds each invalidated node from its
+          best in-neighbor.
+        * **Phase B** relaxes the out-edges of the re-seeded nodes and of
+          every changed edge's tail, then of every cell whose label
+          dropped, until none drops: a label-correcting search over the
+          moving frontier only.
+        * Canonical predecessors -- the least ``(dist[u], u)`` over
+          achieving in-edges, exactly the kernel's "first achieving
+          relaxation in settle order" -- are recomputed for every cell whose
+          tree attachment could have changed: invalidated cells, changed
+          edges' heads, moved cells and their out-neighbors.
 
         Bit-identity: every label is produced by the same ``dist[u] + w``
         float expression a scratch Dijkstra evaluates, and under strictly
         positive weights the converged labels are the unique fixed point of
-        those expressions, so the repaired labels (and the tie-broken tree)
-        equal a scratch sweep's exactly.  Writes moved labels back into the
-        block and returns whether the row's derived columns must re-fold.
-        """
-        fwd_adj = csr.fwd_adj
-        rev_adj = csr.rev_adj
-        block = self.block
-        source_index = csr.index_of[self._all_border[row][0]]
-        dist = array("d", block.dist[row].tobytes())
-        pred = array("q", block.pred[row].tobytes())
+        those expressions, whatever order the relaxations ran in -- so the
+        repaired labels (and the tie-broken tree) equal a scratch sweep's
+        exactly.
 
-        # Phase A: collect the subtrees hanging off broken tree edges.  The
+        Derive-skip: a border target's distance can only move if the border
+        is itself a moved cell, and its predecessor chain can only change if
+        the chain passes a flipped attachment -- which makes the border a
+        new-tree descendant of a changed cell.  So a row re-folds only when
+        the closure of its changed cells under new-tree children reaches a
+        border node; otherwise every derived column of the row is
+        bit-identical.
+        """
+        block = self.block
+        n = block.dist.shape[1]
+        dist = block.dist.view()
+        pred = block.pred.view()
+        dist.shape = pred.shape = (-1,)  # flat views; raises rather than copy
+        fwd = _Edges.of(csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights)
+        rev = _Edges.of(csr.rev_offsets, csr.rev_targets, csr.rev_weights)
+        base = rows * n
+        tails = _distinct(np.array([u for u, _, _, _ in changes], dtype=np.int64))
+        heads = _distinct(np.array([v for _, v, _, _ in changes], dtype=np.int64))
+        #: ``(cells, labels before the write)`` of every label write.
+        written: List[Tuple[np.ndarray, np.ndarray]] = []
+
+        def children(cells: np.ndarray) -> np.ndarray:
+            """Cells whose predecessor is one of ``cells``' nodes."""
+            owner, out, _ = fwd.edges(cells, n)
+            return out[pred[out] == cells[owner] % n]
+
+        # Phase A: the subtrees hanging off broken tree edges.  The
         # supporting-weight test uses the *pre-batch* weight (the delta's
         # coalesced first-old), because the cached labels were computed over
         # exactly that weight.
-        invalid: List[int] = []
-        invalid_flag = bytearray(len(dist))
-        for u, v, old_weight, new_weight in changes:
-            if (
-                new_weight > old_weight
-                and not invalid_flag[v]
-                and pred[v] == u
-                and dist[u] + old_weight == dist[v]
-            ):
-                invalid_flag[v] = 1
-                stack = [v]
-                while stack:
-                    x = stack.pop()
-                    invalid.append(x)
-                    for child, _w in fwd_adj[x]:
-                        if pred[child] == x and not invalid_flag[child]:
-                            invalid_flag[child] = 1
-                            stack.append(child)
+        frontier = _distinct(
+            np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [
+                    base[(pred[base + v] == u) & (dist[base + u] + old == dist[base + v])]
+                    + v
+                    for u, v, old, new in changes
+                    if new > old
+                ]
+            )
+        )
+        waves = [frontier]
+        while len(frontier):
+            frontier = _distinct(children(frontier))
+            waves.append(frontier)
+        invalid = _distinct(np.concatenate(waves))
+        written.append((invalid, dist[invalid]))
+        dist[invalid] = INFINITY
+        # Re-seed every invalidated node from its best in-neighbor (an
+        # over-estimate is fine: phase B only ever lowers labels).
+        dist[invalid] = rev.least(invalid, dist, n)
 
-        old_dist: Dict[int, float] = {}
-        for x in invalid:
-            old_dist[x] = dist[x]
-            dist[x] = INFINITY
+        # Phase B: relax out of the re-seeded nodes and every changed
+        # edge's tail, then out of every cell whose label dropped.
+        frontier = np.concatenate([invalid, (base[:, None] + tails).ravel()])
+        while len(frontier):
+            frontier = frontier[np.isfinite(dist[frontier])]
+            owner, out, weights = fwd.edges(frontier, n)
+            labels = dist[frontier[owner]] + weights
+            lower = labels < dist[out]
+            out, labels = out[lower], labels[lower]
+            written.append((out, dist[out]))
+            np.minimum.at(dist, out, labels)
+            frontier = _distinct(out)
 
-        heap: List[Tuple[float, int]] = []
-        push = heapq.heappush
-        pop = heapq.heappop
-        # Re-seed every invalidated node from its best currently-intact
-        # in-neighbor (an over-estimate is fine: phase B settles downward).
-        for x in invalid:
-            best = INFINITY
-            for u, w in rev_adj[x]:
-                candidate = dist[u] + w
-                if candidate < best:
-                    best = candidate
-            if best < INFINITY:
-                dist[x] = best
-                push(heap, (best, x))
+        cells, first = np.unique(
+            np.concatenate([cells for cells, _ in written]), return_index=True
+        )
+        before = np.concatenate([labels for _, labels in written])[first]
+        moved = cells[dist[cells] != before]
 
-        # Seed from the tails of every changed edge: a decreased edge can
-        # only open a shorter path through a relaxation out of its tail.
-        for u in {change[0] for change in changes}:
-            du = dist[u]
-            if du == INFINITY:
-                continue
-            for v, w in fwd_adj[u]:
-                candidate = du + w
-                if candidate < dist[v]:
-                    if v not in old_dist:
-                        old_dist[v] = dist[v]
-                    dist[v] = candidate
-                    push(heap, (candidate, v))
+        # Canonical predecessors of every cell whose attachment could move.
+        dirty = _distinct(
+            np.concatenate(
+                [invalid, (base[:, None] + heads).ravel(), moved, fwd.edges(moved, n)[1]]
+            )
+        )
+        dirty = dirty[~np.isin(dirty, base + self._roster().index[rows])]
+        canonical = rev.canonical(dirty, dist, n)
+        flipped = dirty[canonical != pred[dirty]]
+        pred[dirty] = canonical
 
-        # Phase B: bounded Dijkstra over the moving frontier only.
-        while heap:
-            d, x = pop(heap)
-            if d > dist[x]:
-                continue
-            for v, w in fwd_adj[x]:
-                candidate = d + w
-                if candidate < dist[v]:
-                    if v not in old_dist:
-                        old_dist[v] = dist[v]
-                    dist[v] = candidate
-                    push(heap, (candidate, v))
-
-        moved = [x for x, previous in old_dist.items() if dist[x] != previous]
-
-        # Canonical predecessor recompute: every invalidated node, every
-        # changed-edge head, every moved node and its out-neighbors -- the
-        # complete set of nodes whose achieving-in-edge minimum could differ.
-        dirty: Set[int] = set(invalid)
-        for _u, v, _old, _new in changes:
-            dirty.add(v)
-        for x in moved:
-            dirty.add(x)
-            for v, _w in fwd_adj[x]:
-                dirty.add(v)
-        dirty.discard(source_index)
-
-        pred_flipped: List[int] = []
-        for x in dirty:
-            dx = dist[x]
-            if dx == INFINITY:
-                best = -1
-            else:
-                best = -1
-                best_key = None
-                for u, w in rev_adj[x]:
-                    if dist[u] + w == dx:
-                        key = (dist[u], u)
-                        if best_key is None or key < best_key:
-                            best_key = key
-                            best = u
-            if best != pred[x]:
-                pred[x] = best
-                pred_flipped.append(x)
-
-        if not moved and not pred_flipped:
-            # Neither a label nor the tie-broken tree moved.
-            return False
-        block.dist[row] = np.frombuffer(dist)
-        block.pred[row] = np.frombuffer(pred, dtype=np.int64)
-
-        # Derive-skip: a border target's distance can only move if the
-        # border is itself in ``moved``, and its predecessor chain can only
-        # change if the chain passes a flipped attachment -- which makes the
-        # border a new-tree descendant of a changed node.  So when the
-        # closure of changed nodes under new-tree children reaches no border
-        # target, every derived column of this row (cross-border nodes,
-        # traversed masks, min/max, finite-pair count) is bit-identical.
-        closure: Set[int] = set(moved)
-        closure.update(pred_flipped)
-        stack = list(closure)
-        while stack:
-            x = stack.pop()
-            if x in border_indexes:
-                return True
-            for child, _w in fwd_adj[x]:
-                if pred[child] == x and child not in closure:
-                    closure.add(child)
-                    stack.append(child)
-        return False
+        # Derive-skip: the rows whose changed cells reach a border node
+        # under new-tree children.  Each node has one parent, so each cell
+        # joins the closure once.
+        border = np.zeros(n, dtype=bool)
+        border[self._roster().index] = True
+        changed = _distinct(np.concatenate([moved, flipped]))
+        refold = np.zeros(len(block.dist), dtype=bool)
+        frontier = changed
+        while len(frontier):
+            refold[frontier[border[frontier % n]] // n] = True
+            frontier = children(frontier[~refold[frontier // n]])
+            frontier = frontier[~np.isin(frontier, changed)]
+        return np.flatnonzero(refold)
 
     # ------------------------------------------------------------------
     # Derived views

@@ -128,9 +128,8 @@ class ArcFlagIndex:
     def flags(self) -> Dict[Tuple[int, int], int]:
         """``(source, target) -> bitmask``, keyed in ``network.edges()`` order.
 
-        Parallel edges share one entry.  This is the form :meth:`state`
-        emits (and artifacts carry); the index itself keeps
-        :attr:`edge_flags`.
+        Parallel edges share one entry.  A read view for inspection and
+        tests: the index (and its :meth:`state`) keeps :attr:`edge_flags`.
         """
         ids = self._csr.ids
         tails, heads = self._edge_endpoints()
@@ -146,8 +145,10 @@ class ArcFlagIndex:
         }
 
     def state(self) -> Dict[str, Any]:
-        """The flag table as plain values (edge order preserved)."""
-        return {"flags": self.flags, "seconds": self.precomputation_seconds}
+        """The flags as plain values: one bitmask per snapshot edge, in the
+        snapshot's edge order (the restore's network has the same
+        snapshot, as artifacts are keyed by its fingerprint)."""
+        return {"edge_flags": self.edge_flags, "seconds": self.precomputation_seconds}
 
     @classmethod
     def from_state(
@@ -159,13 +160,12 @@ class ArcFlagIndex:
         self.partitioning = partitioning
         self.num_regions = partitioning.num_regions
         self._bind()
-        flags = {tuple(key): value for key, value in state["flags"].items()}
-        ids = self._csr.ids
-        tails, heads = self._edge_endpoints()
-        self.edge_flags = [
-            flags[(ids[tail], ids[head])]
-            for tail, head in zip(tails.tolist(), heads.tolist())
-        ]
+        self.edge_flags = list(state["edge_flags"])
+        if len(self.edge_flags) != len(self._csr.fwd_targets):
+            raise ValueError(
+                f"{len(self.edge_flags)} edge flags for a snapshot of "
+                f"{len(self._csr.fwd_targets)} edges"
+            )
         self.precomputation_seconds = state["seconds"]
         return self
 

@@ -227,9 +227,11 @@ class HiTiIndex:
     def state(self) -> Dict[str, Any]:
         """The hierarchy as plain values (see :mod:`repro.serialize`).
 
-        Super-edge dicts keep their insertion order -- the query overlay is
-        assembled by iterating them, so order is part of the bit-identity
-        contract.
+        Each sub-graph's super-edges are three parallel lists -- sources,
+        targets, distances -- in the dict's insertion order: the query
+        overlay is assembled by iterating them, so order is part of the
+        bit-identity contract, and flat int and float lists take the
+        codec's bulk paths.
         """
         return {
             "levels": [
@@ -238,7 +240,9 @@ class HiTiIndex:
                         "level": subgraph.level,
                         "regions": list(subgraph.regions),
                         "border_nodes": list(subgraph.border_nodes),
-                        "super_edges": subgraph.super_edges,
+                        "sources": [u for u, _ in subgraph.super_edges],
+                        "targets": [v for _, v in subgraph.super_edges],
+                        "distances": list(subgraph.super_edges.values()),
                     }
                     for first, subgraph in level.items()
                 }
@@ -262,10 +266,9 @@ class HiTiIndex:
                     level=entry["level"],
                     regions=tuple(entry["regions"]),
                     border_nodes=list(entry["border_nodes"]),
-                    super_edges={
-                        tuple(key): value
-                        for key, value in entry["super_edges"].items()
-                    },
+                    super_edges=dict(
+                        zip(zip(entry["sources"], entry["targets"]), entry["distances"])
+                    ),
                 )
                 for first, entry in level.items()
             }

@@ -17,12 +17,17 @@ Two mechanisms deliver this:
   and point-to-point searches over the snapshot's own rows -- plain or
   masked to an ``allowed`` node set (the EB/NR clients' search) -- take the
   distance labels from scipy (relaxation order cannot change the converged
-  float values) and then derive the tree with one replay,
-  :meth:`KernelArena._replay`: under strictly positive weights the settle
-  order provably equals sorting reachable nodes by ``(distance, node id)``,
-  so a full sweep is the replay with no stop and an early-terminating
-  search the replay stopped at its target's settle rank, *tentative*
-  frontier labels included.  A mask weights every edge whose head lies
+  float values) and then derive the tree from them: under strictly
+  positive weights the settle order provably equals sorting reachable
+  nodes by ``(distance, node id)``.  A single search replays it,
+  :meth:`KernelArena._replay`: a full sweep is the replay with no stop and
+  an early-terminating search the replay stopped at its target's settle
+  rank, *tentative* frontier labels included.  A batch of full sweeps --
+  the border-path pre-computation's hundreds of rows -- needs neither the
+  ranks nor the discovery order, so :meth:`KernelArena._tree_rows` reads
+  every row's predecessors off the labels in one array pass per few rows:
+  each node's achieving in-edge, and on a tie the tail that settled first.
+  A mask weights every edge whose head lies
   outside the set ``inf`` in the sweep and drops it from the replay.  The
   replay is deferred until the tree is read, and a path to a settled node
   does not need it: :meth:`KernelResult.path_to` walks back over in-edges
@@ -78,6 +83,13 @@ _INF = float("inf")
 #: Batched scipy sweeps are chunked so the dense ``sources x nodes``
 #: distance matrix stays bounded (~8 MB of float64 per chunk at 1M nodes).
 _BATCH_CHUNK = 64
+
+#: Rows per predecessor pass (:meth:`KernelArena._tree_rows`).  Its
+#: temporaries are a few ``rows x edges`` arrays (3.7 MB of float64 each at
+#: full Germany's 58k edges); on a 2-vCPU VM, passes of 8 rows ran faster
+#: than 16 or more from 1,402 to 7,217 nodes, as the arrays stay
+#: cache-sized.
+_TREE_CHUNK = 8
 
 
 class KernelResult:
@@ -646,8 +658,9 @@ class KernelArena:
         the same shape) receives its predecessors, ``-1`` at the source and
         unreached nodes, or is ``None`` for distance-only callers.  The
         labels of up to ``_BATCH_CHUNK`` sources come from one scipy call,
-        and each predecessor row from :meth:`_replay` (from the faithful
-        loop on a snapshot with a non-positive weight).
+        and their predecessor rows from one array pass over the chunk
+        (:meth:`_tree_rows`; the faithful loop on a snapshot with a
+        non-positive weight).
         """
         indexes = [self._source_index(source) for source in sources]
         if pred is not None and self.csr.has_nonpositive_weight:
@@ -658,10 +671,63 @@ class KernelArena:
             return
         for start in range(0, len(indexes), _BATCH_CHUNK):
             chunk = indexes[start : start + _BATCH_CHUNK]
-            dist[start : start + len(chunk)] = self._sweep(chunk, reverse)
+            rows = slice(start, start + len(chunk))
+            dist[rows] = self._sweep(chunk, reverse)
             if pred is not None:
-                for row, index in enumerate(chunk, start):
-                    pred[row] = self._replay(dist[row], index, reverse)[1]
+                self._tree_rows(dist[rows], chunk, pred[rows], reverse)
+
+    def _tree_rows(self, dist, source_indexes, pred, reverse: bool) -> None:
+        """Full sweeps' predecessor rows from their converged labels, in
+        one array pass per ``_TREE_CHUNK`` rows.
+
+        A full sweep relaxes every edge, so a node's predecessor is the
+        tail of its first *achieving* in-edge (``dist[tail] + w ==
+        dist[head]``, head reached) in settle order, which under strictly
+        positive weights is ``(dist[tail], tail)`` order (see
+        :meth:`_replay`).  Every achieving edge scatters its tail onto its
+        head; where one head's edges wrote different tails -- an
+        equal-distance tie -- the head takes the least ``(dist[tail],
+        tail)`` among them.  Labels are compared with ``inf`` turned into
+        ``nan``, which equals nothing, so unreached heads and tails never
+        achieve.  ``pred`` (rows aligned with ``dist``) is overwritten:
+        ``-1`` at each source and at unreached nodes.  Bit-identical to the
+        replay's (and so the faithful loop's) predecessors.
+        """
+        n = self.num_nodes
+        e_src, e_dst, e_w, _ = self._accel().edges(self.csr, reverse)
+        # Flat (row, edge) position -> its head's flat (row, node) cell and
+        # its tail, for a full-height pass; shorter passes use a prefix.
+        cells = (_np.arange(_TREE_CHUNK, dtype=_np.int64)[:, None] * n + e_dst).ravel()
+        tails = _np.tile(e_src, _TREE_CHUNK)
+        for start in range(0, len(dist), _TREE_CHUNK):
+            rows = slice(start, start + _TREE_CHUNK)
+            labels = _np.where(_np.isfinite(dist[rows]), dist[rows], _np.nan)
+            height = len(labels)
+            relax = labels.take(e_src, axis=1)
+            relax += e_w
+            achieving = _np.flatnonzero(relax == labels.take(e_dst, axis=1))
+            del relax
+            cell = cells[achieving]
+            tail = tails[achieving]
+            block = _np.full(height * n, -1, dtype=_np.int64)
+            block[cell] = tail
+            overwritten = block[cell] != tail
+            if overwritten.any():
+                tied = _np.zeros(height * n, dtype=bool)
+                tied[cell[overwritten]] = True
+                tied = tied[cell]
+                cell, tail = cell[tied], tail[tied]
+                tail_dist = labels.reshape(-1)[cell - cell % n + tail]
+                heads, group = _np.unique(cell, return_inverse=True)
+                least = _np.full(len(heads), _INF)
+                _np.minimum.at(least, group, tail_dist)
+                first = tail_dist == least[group]
+                best = _np.full(len(heads), n, dtype=_np.int64)
+                _np.minimum.at(best, group[first], tail[first])
+                block[heads] = best
+            sources = _np.asarray(source_indexes[rows], dtype=_np.int64)
+            block[_np.arange(height, dtype=_np.int64) * n + sources] = -1
+            pred[rows] = block.reshape(height, n)
 
     # ------------------------------------------------------------------
     # Compiled sweeps: distances from scipy, the tree from one replay
@@ -714,6 +780,11 @@ class KernelArena:
         ``discover()`` the discovery order as an index list, source first,
         derived only when called.  Bit-identical to :meth:`_faithful`,
         tentative frontier labels included.
+
+        One search's tree is replayed here -- a deferred :meth:`sssp` or
+        point-to-point result, read on demand.  :meth:`many_to_many`'s rows
+        need only the full sweep's predecessors, which :meth:`_tree_rows`
+        derives for a whole chunk without ranking any node.
         """
         n = self.num_nodes
         accel = self._accel()

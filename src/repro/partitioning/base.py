@@ -12,7 +12,7 @@ HiTi description, reused by EB/NR in Section 4.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Set
+from typing import Dict, List, Protocol, Sequence, Set
 
 import numpy as np
 
@@ -33,6 +33,11 @@ class RegionLocator(Protocol):
         """Return the region containing point ``(x, y)``."""
         ...
 
+    def locate_many(self, xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+        """Regions of the points ``(xs[i], ys[i])`` as an int array, each
+        equal to :meth:`locate`'s."""
+        ...
+
 
 class Partitioning:
     """A concrete assignment of network nodes to regions.
@@ -51,17 +56,37 @@ class Partitioning:
         self.network = network
         self.locator = locator
         self.num_regions = locator.num_regions
-        self._region_of: Dict[int, int] = {}
-        self._regions: List[List[int]] = [[] for _ in range(self.num_regions)]
-        for node_id in network.node_ids():
-            region = locator.locate(*network.coordinates(node_id))
-            if not 0 <= region < self.num_regions:
-                raise ValueError(
-                    f"locator produced region {region} outside [0, {self.num_regions})"
-                )
-            self._region_of[node_id] = region
-            self._regions[region].append(node_id)
-        self._border_nodes: List[List[int]] = self._compute_border_nodes()
+        # One bulk locate over the snapshot's coordinate arrays; regions,
+        # members and border lists then follow node insertion order.
+        csr = network.ensure_csr()
+        xs, ys, order = network.node_arrays()
+        region = np.asarray(
+            locator.locate_many(
+                np.frombuffer(xs, dtype=np.float64), np.frombuffer(ys, dtype=np.float64)
+            ),
+            dtype=np.int64,
+        )
+        outside = (region < 0) | (region >= self.num_regions)
+        if outside.any():
+            raise ValueError(
+                f"locator produced region {int(region[outside][0])} "
+                f"outside [0, {self.num_regions})"
+            )
+        ids = np.asarray(csr.ids, dtype=np.int64)
+        rows = (
+            np.arange(len(ids))
+            if order is None
+            else np.searchsorted(ids, np.asarray(order, dtype=np.int64))
+        )
+        node_ids, node_regions = ids[rows], region[rows]
+        self._region_of: Dict[int, int] = dict(
+            zip(node_ids.tolist(), node_regions.tolist())
+        )
+        self._regions: List[List[int]] = self._group(node_ids, node_regions)
+        crosses = self._crossing_nodes(csr, region)[rows]
+        self._border_nodes: List[List[int]] = self._group(
+            node_ids[crosses], node_regions[crosses]
+        )
 
     # ------------------------------------------------------------------
     # Region membership
@@ -119,11 +144,17 @@ class Partitioning:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _compute_border_nodes(self) -> List[List[int]]:
-        # One pass over each direction's edge arrays marks every node with
-        # an edge (either way) into another region.
-        csr = self.network.ensure_csr()
-        region = np.array([self._region_of[node_id] for node_id in csr.ids], dtype=np.int64)
+    def _group(self, ids: np.ndarray, region: np.ndarray) -> List[List[int]]:
+        """``ids`` split into one list per region, each in ``ids`` order."""
+        order = np.argsort(region, kind="stable")
+        bounds = np.searchsorted(region[order], np.arange(self.num_regions + 1))
+        grouped = ids[order].tolist()
+        return [grouped[bounds[r] : bounds[r + 1]] for r in range(self.num_regions)]
+
+    @staticmethod
+    def _crossing_nodes(csr, region: np.ndarray) -> np.ndarray:
+        """Per snapshot index, whether the node has an edge (either way)
+        into another region: one pass over each direction's edge arrays."""
         crosses = np.zeros(csr.num_nodes, dtype=bool)
         for offsets, targets in (
             (csr.fwd_offsets, csr.fwd_targets),
@@ -133,11 +164,7 @@ class Partitioning:
             owner = np.repeat(np.arange(csr.num_nodes), degree)
             other = region[np.frombuffer(targets, dtype=np.int64)]
             crosses[owner[region[owner] != other]] = True
-        border: List[List[int]] = [[] for _ in range(self.num_regions)]
-        for node_id, node_region in self._region_of.items():
-            if crosses[csr.index_of[node_id]]:
-                border[node_region].append(node_id)
-        return border
+        return crosses
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

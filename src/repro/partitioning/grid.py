@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+import numpy as np
+
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
@@ -50,6 +52,16 @@ class GridPartitioner:
         row = int((y - min_y) / self._cell_height)
         col = min(max(col, 0), self.cols - 1)
         row = min(max(row, 0), self.rows - 1)
+        return row * self.cols + col
+
+    def locate_many(self, xs, ys) -> np.ndarray:
+        """Cells of the points ``(xs[i], ys[i])``, as :meth:`locate` finds
+        them: truncate toward zero, then clamp into the grid."""
+        min_x, min_y, _, _ = self.bounds
+        col = np.trunc((np.asarray(xs, dtype=np.float64) - min_x) / self._cell_width)
+        row = np.trunc((np.asarray(ys, dtype=np.float64) - min_y) / self._cell_height)
+        col = np.clip(col, 0, self.cols - 1).astype(np.int64)
+        row = np.clip(row, 0, self.rows - 1).astype(np.int64)
         return row * self.cols + col
 
     def cell_bounds(self, region: int) -> Tuple[float, float, float, float]:

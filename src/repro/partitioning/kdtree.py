@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
@@ -130,6 +132,26 @@ class KDTreePartitioner:
             coordinate = x if node.axis == "x" else y
             node = node.left if coordinate <= node.value else node.right
         return node.region
+
+    def locate_many(self, xs, ys) -> np.ndarray:
+        """Regions of the points ``(xs[i], ys[i])``, as :meth:`locate` finds
+        them, in one array pass per tree level.
+
+        The tree is complete, so each point walks the breadth-first
+        splitting values by heap index (children ``2i + 1`` and ``2i +
+        2``; ``<=`` goes left), and a leaf's region is its heap index less
+        the ``num_regions - 1`` internal nodes before it.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        splits = np.asarray(self.splitting_values(), dtype=np.float64)
+        heap = np.zeros(len(xs), dtype=np.int64)
+        axis = ROOT_AXIS
+        for _ in range(self._num_regions.bit_length() - 1):
+            coordinate = xs if axis == "x" else ys
+            heap = 2 * heap + np.where(coordinate <= splits[heap], 1, 2)
+            axis = "x" if axis == "y" else "y"
+        return heap - (self._num_regions - 1)
 
     # ------------------------------------------------------------------
     # Air-index serialization (first index component)

@@ -12,6 +12,8 @@
   the :func:`records` this module folds from the same labels.
 * :func:`affected_sources` is the per-source scan that
   ``affected_sources`` runs vectorized over the block's label matrix.
+* :func:`repair_row` is the per-row, queue-based label repair that
+  ``_repair_rows`` runs over every affected row at once.
 * :func:`aggregates` derives the published aggregates straight from one
   oracle Dijkstra per border source and its predecessor paths, without the
   block, masks or kernel.
@@ -19,8 +21,12 @@
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from oracles.dijkstra import dijkstra_distances
 from repro.air.border_paths import BorderPathPrecomputation
@@ -230,6 +236,171 @@ def affected_sources(
                 affected.append(row)
                 break
     return affected
+
+
+def repair_row(
+    precomputation: BorderPathPrecomputation,
+    row: int,
+    changes: List[Tuple[int, int, float, float]],
+    csr,
+    border_indexes: Set[int],
+) -> bool:
+    """Batch dynamic SSSP repair of one row's labels (Ramalingam-Reps), one
+    row at a time -- the queue-based loop the block's batched
+    ``_repair_rows`` replaces.
+
+    Phase A invalidates the subtree hanging off every *tree* edge whose
+    weight increased (its nodes are the only ones whose distance can
+    grow) and re-seeds each invalidated node from its best intact
+    in-neighbor.  Phase B seeds the queue from the tails of every
+    changed edge and runs a bounded Dijkstra that settles only nodes
+    whose label actually moves.  Finally, canonical predecessors --
+    ``argmin`` over achieving in-edges of ``(dist[u], u)``, exactly the
+    kernel reconstruction's "first achieving relaxation in settle order"
+    -- are recomputed for every node whose tree attachment could have
+    changed.
+
+    Bit-identity: every label is produced by the same ``dist[u] + w``
+    float expression a scratch Dijkstra evaluates, and under strictly
+    positive weights the converged labels are the unique fixed point of
+    those expressions, so the repaired labels (and the tie-broken tree)
+    equal a scratch sweep's exactly.  Writes moved labels back into the
+    block and returns whether the row's derived columns must re-fold.
+    """
+    fwd_adj = csr.fwd_adj
+    rev_adj = csr.rev_adj
+    block = precomputation.block
+    source_index = csr.index_of[precomputation._all_border[row][0]]
+    dist = array("d", block.dist[row].tobytes())
+    pred = array("q", block.pred[row].tobytes())
+
+    # Phase A: collect the subtrees hanging off broken tree edges.  The
+    # supporting-weight test uses the *pre-batch* weight (the delta's
+    # coalesced first-old), because the cached labels were computed over
+    # exactly that weight.
+    invalid: List[int] = []
+    invalid_flag = bytearray(len(dist))
+    for u, v, old_weight, new_weight in changes:
+        if (
+            new_weight > old_weight
+            and not invalid_flag[v]
+            and pred[v] == u
+            and dist[u] + old_weight == dist[v]
+        ):
+            invalid_flag[v] = 1
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                invalid.append(x)
+                for child, _w in fwd_adj[x]:
+                    if pred[child] == x and not invalid_flag[child]:
+                        invalid_flag[child] = 1
+                        stack.append(child)
+
+    old_dist: Dict[int, float] = {}
+    for x in invalid:
+        old_dist[x] = dist[x]
+        dist[x] = INFINITY
+
+    heap: List[Tuple[float, int]] = []
+    push = heapq.heappush
+    pop = heapq.heappop
+    # Re-seed every invalidated node from its best currently-intact
+    # in-neighbor (an over-estimate is fine: phase B settles downward).
+    for x in invalid:
+        best = INFINITY
+        for u, w in rev_adj[x]:
+            candidate = dist[u] + w
+            if candidate < best:
+                best = candidate
+        if best < INFINITY:
+            dist[x] = best
+            push(heap, (best, x))
+
+    # Seed from the tails of every changed edge: a decreased edge can
+    # only open a shorter path through a relaxation out of its tail.
+    for u in {change[0] for change in changes}:
+        du = dist[u]
+        if du == INFINITY:
+            continue
+        for v, w in fwd_adj[u]:
+            candidate = du + w
+            if candidate < dist[v]:
+                if v not in old_dist:
+                    old_dist[v] = dist[v]
+                dist[v] = candidate
+                push(heap, (candidate, v))
+
+    # Phase B: bounded Dijkstra over the moving frontier only.
+    while heap:
+        d, x = pop(heap)
+        if d > dist[x]:
+            continue
+        for v, w in fwd_adj[x]:
+            candidate = d + w
+            if candidate < dist[v]:
+                if v not in old_dist:
+                    old_dist[v] = dist[v]
+                dist[v] = candidate
+                push(heap, (candidate, v))
+
+    moved = [x for x, previous in old_dist.items() if dist[x] != previous]
+
+    # Canonical predecessor recompute: every invalidated node, every
+    # changed-edge head, every moved node and its out-neighbors -- the
+    # complete set of nodes whose achieving-in-edge minimum could differ.
+    dirty: Set[int] = set(invalid)
+    for _u, v, _old, _new in changes:
+        dirty.add(v)
+    for x in moved:
+        dirty.add(x)
+        for v, _w in fwd_adj[x]:
+            dirty.add(v)
+    dirty.discard(source_index)
+
+    pred_flipped: List[int] = []
+    for x in dirty:
+        dx = dist[x]
+        if dx == INFINITY:
+            best = -1
+        else:
+            best = -1
+            best_key = None
+            for u, w in rev_adj[x]:
+                if dist[u] + w == dx:
+                    key = (dist[u], u)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = u
+        if best != pred[x]:
+            pred[x] = best
+            pred_flipped.append(x)
+
+    if not moved and not pred_flipped:
+        # Neither a label nor the tie-broken tree moved.
+        return False
+    block.dist[row] = np.frombuffer(dist)
+    block.pred[row] = np.frombuffer(pred, dtype=np.int64)
+
+    # Derive-skip: a border target's distance can only move if the
+    # border is itself in ``moved``, and its predecessor chain can only
+    # change if the chain passes a flipped attachment -- which makes the
+    # border a new-tree descendant of a changed node.  So when the
+    # closure of changed nodes under new-tree children reaches no border
+    # target, every derived column of this row (cross-border nodes,
+    # traversed masks, min/max, finite-pair count) is bit-identical.
+    closure: Set[int] = set(moved)
+    closure.update(pred_flipped)
+    stack = list(closure)
+    while stack:
+        x = stack.pop()
+        if x in border_indexes:
+            return True
+        for child, _w in fwd_adj[x]:
+            if pred[child] == x and child not in closure:
+                closure.add(child)
+                stack.append(child)
+    return False
 
 
 def aggregates(network, partitioning) -> Dict[str, Any]:

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import border_paths as oracle
@@ -124,11 +125,14 @@ def integer_weight_network(seed: int, num_nodes: int = 36) -> RoadNetwork:
     return network
 
 
-def random_change_batch(precomputation, rng: random.Random, size: int = 4):
-    """Increases, decreases, exact decrease-ties, no-ops and unreached tails."""
+def random_change_batch(precomputation, rng: random.Random, size: int = 4, lonely=None):
+    """Increases, decreases, exact decrease-ties, no-ops and unreached tails
+    (the edges out of ``lonely``, by default the network's second-highest
+    id as :func:`integer_weight_network` places it)."""
     network = precomputation.network
     index_of = network.ensure_csr().index_of
-    lonely = max(network.node_ids()) - 1
+    if lonely is None:
+        lonely = max(network.node_ids()) - 1
     pairs = sorted({(edge.source, edge.target) for edge in network.edges()})
     inner = [pair for pair in pairs if pair[0] != lonely]
     tails = [pair for pair in pairs if pair[0] == lonely]
@@ -200,3 +204,60 @@ def test_build_peaks_within_twice_the_block():
             tracemalloc.stop()
     nbytes = sum(getattr(block, f.name).nbytes for f in dataclasses.fields(block))
     assert peak <= 2 * nbytes, f"peak {peak} B for a {nbytes} B block"
+
+
+@pytest.mark.parametrize("num_regions", [4, 8])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_batched_repair_equals_the_row_by_row_oracle(seed, num_regions):
+    """``_repair_rows`` repairs every affected row at once; the queue-based
+    per-row repair it replaced (``oracle.repair_row``) must land on the
+    same labels, the same tie-broken predecessors and the same re-fold
+    decision for every row, batch after batch.  A dead-end spur of three
+    nodes, drawn on top of node 5 (so inside its region, with no border
+    among them), changes weight in every batch: rows whose repair moves
+    labels but no border target's path must skip the re-fold."""
+    num_nodes = 80
+    network = integer_weight_network(seed, num_nodes=num_nodes)
+    spur = [5, num_nodes + 1, num_nodes + 2, num_nodes + 3]
+    for node in spur[1:]:
+        network.add_node(node, *network.coordinates(5))
+    for u, v in zip(spur, spur[1:]):
+        network.add_edge(u, v, 2.0)
+    network.clear_delta()
+    partitioning = build_kdtree_partitioning(network, num_regions)
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    rng = random.Random(seed + 70)
+    border_indexes = set(precomputation._roster().index.tolist())
+    skipped = refolded = 0
+    for step in range(12):
+        batch = random_change_batch(precomputation, rng, lonely=num_nodes - 1)
+        weight = network.edge_weight(5, spur[1])
+        batch.append(WeightChange(5, spur[1], weight, 1.0 + step % 3))
+        changes = network.apply_updates(
+            [(c.source, c.target, c.new_weight) for c in batch if not c.is_noop]
+        )
+        csr = network.ensure_csr()
+        rows = precomputation.affected_sources(changes)
+        repair = [
+            (csr.index_of[c.source], csr.index_of[c.target], c.old_weight, c.new_weight)
+            for c in changes
+            if not c.is_noop
+        ]
+        batched, by_row = precomputation.shadow(), precomputation.shadow()
+        refold = batched._repair_rows(np.array(rows, dtype=np.int64), repair, csr)
+        want = [
+            row for row in rows if oracle.repair_row(by_row, row, repair, csr, border_indexes)
+        ]
+        assert refold.tolist() == want
+        assert batched.block.dist.tobytes() == by_row.block.dist.tobytes()
+        assert batched.block.pred.tobytes() == by_row.block.pred.tobytes()
+        before = precomputation.block
+        changed = np.flatnonzero(
+            (batched.block.dist != before.dist).any(axis=1)
+            | (batched.block.pred != before.pred).any(axis=1)
+        )
+        skipped += len(set(changed.tolist()) - set(want))
+        refolded += len(want)
+        precomputation.refresh(changes)
+        network.clear_delta()
+    assert skipped and refolded, "repaired rows must both skip and trigger re-folds"

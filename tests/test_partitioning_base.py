@@ -1,5 +1,6 @@
 """Unit tests for the Partitioning abstraction (regions and border nodes)."""
 
+import numpy as np
 import pytest
 
 from repro.network.generators import generate_grid_network
@@ -32,6 +33,9 @@ class TestRegionMembership:
 
             def locate(self, x, y):
                 return 7
+
+            def locate_many(self, xs, ys):
+                return np.full(len(xs), 7)
 
         with pytest.raises(ValueError):
             Partitioning(small_network, BrokenLocator())

@@ -51,6 +51,9 @@ class _Assigned:
     def locate(self, x: float, y: float) -> int:
         return self._regions[int(x)]
 
+    def locate_many(self, xs, ys) -> np.ndarray:
+        return np.asarray(self._regions, dtype=np.int64)[np.asarray(xs, dtype=np.int64)]
+
 
 def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
     """Random directed network with integer weights in ``[0, 4]`` -- exact

@@ -15,6 +15,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import arcflag as arcflag_oracle
 from oracles import border_paths as border_oracle
@@ -577,6 +579,80 @@ def test_many_to_many_rows_equal_the_oracle_source_by_source(seed, kernel_path):
         ]
         ties += len(achieving) - len(set(achieving))
     assert ties, "integer weights must make equal-distance ties"
+
+
+def tie_gadget_network(seed: int, num_nodes: int) -> RoadNetwork:
+    """Random directed network with integer weights in ``[1, 4]`` and
+    parallel edges, plus two tie gadgets and an isolated node.
+
+    Nodes ``0..3`` form a diamond (``0 -> 1 -> 3``, ``0 -> 2 -> 3``, unit
+    weights): node 3 forward from 0, and node 0 backward from 3, has two
+    achieving in-edges from equally distant tails.  Nodes ``0, 4, 5, 6``
+    tie at unequal tail distances: ``0 -> 5 -> 6`` costs ``1 + 3``, ``0 ->
+    4 -> 6`` costs ``3 + 1``, so node 6's predecessor is the nearer tail
+    5, not the lower index 4.  The last node has no edge at all.
+    """
+    rng = random.Random(seed)
+    network = RoadNetwork(name=f"ties-{seed}")
+    total = num_nodes + 8
+    for node in range(total):
+        network.add_node(node, float(node), 0.0)
+    gadget = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 5, 1), (5, 6, 3), (0, 4, 3), (4, 6, 1)]
+    for u, v, w in gadget:
+        network.add_edge(u, v, float(w))
+    for _ in range(3 * num_nodes):
+        u, v = rng.randrange(total - 1), rng.randrange(total - 1)
+        if u != v:
+            network.add_edge(u, v, float(rng.randint(1, 4)))
+    network.clear_delta()
+    return network
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10**6),
+    num_nodes=st.integers(0, 40),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=90),
+    reverse=st.booleans(),
+)
+def test_many_to_many_predecessor_pass_equals_the_faithful_loop(
+    seed, num_nodes, picks, reverse
+):
+    """``many_to_many``'s distance and predecessor rows equal the faithful
+    loop's, source by source, forward and reverse, on integer weights.
+
+    The sources repeat (duplicates, including the tie gadgets' apexes),
+    and the first full predecessor pass holds only the isolated node, so
+    a whole pass reaches nothing; batches beyond ``_TREE_CHUNK`` and
+    ``_BATCH_CHUNK`` rows cross pass and sweep boundaries.  Every example
+    holds a head whose achieving in-edges come from distinct tails, so the
+    tie branch runs each time.
+    """
+    network = tie_gadget_network(seed, num_nodes)
+    csr = network.ensure_csr()
+    ids = network.node_ids()
+    apex = 3 if reverse else 0
+    sources = [ids[-1]] * kernel._TREE_CHUNK + [apex, apex] + [
+        ids[pick % len(ids)] for pick in picks
+    ]
+    shape = (len(sources), csr.num_nodes)
+    dist = np.empty(shape)
+    pred = np.full(shape, 7, dtype=np.int64)
+    arena(network).many_to_many(sources, dist, pred, reverse=reverse)
+
+    e_src, e_dst, e_w, _ = arena(network)._accel().edges(csr, reverse)
+    tied_heads = 0
+    for row, source in enumerate(sources):
+        want = arena(network)._faithful(csr.index_of[source], source, reverse=reverse)
+        assert dist[row].tobytes() == np.array(want.dist).tobytes()
+        assert pred[row].tolist() == want.pred
+        labels = dist[row]
+        achieving = np.isfinite(labels[e_dst]) & (labels[e_src] + e_w == labels[e_dst])
+        pairs = set(zip(e_dst[achieving].tolist(), e_src[achieving].tolist()))
+        heads = [head for head, _ in pairs]
+        tied_heads += len(heads) - len(set(heads))
+    assert all(row == -1 for row in pred[: kernel._TREE_CHUNK].ravel().tolist())
+    assert tied_heads, "the tie gadgets must give some head two achieving tails"
 
 
 def test_kernel_handles_edgeless_network(kernel_path):

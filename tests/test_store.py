@@ -11,6 +11,7 @@ from __future__ import annotations
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,13 @@ from repro.engine import AirSystem
 from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.faults import runtime as fault_runtime
 from repro.network.generators import GeneratorConfig, generate_road_network
-from repro.serialize import BuildArtifact, FORMAT_VERSION, encode_value
+from repro.serialize import ArtifactVersionError, BuildArtifact, FORMAT_VERSION, encode_value
 from repro.store import ArtifactStore
+
+#: AF and HiTi artifacts (48-node generated network, 4 regions) written
+#: under format version 3, whose states keyed flags and super-edges by
+#: ``(source, target)`` tuples.
+TUPLE_KEYED_ARTIFACTS = Path(__file__).parent / "fixtures" / "tuple_keyed_artifacts"
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +175,45 @@ class TestVersionMismatch:
         assert info.disk_hits == 0
         # Rebuilt and re-published under the current version.
         assert store.verify() == {"checked": 1, "ok": 1, "stale": 0, "quarantined": 0}
+
+    @pytest.mark.parametrize("name", ["AF", "HiTi"])
+    def test_tuple_keyed_state_artifact_is_stale_and_rebuilt(self, tmp_path, name):
+        """An AF or HiTi artifact of format version 3 -- tuple-keyed flag
+        and super-edge dicts, before the per-edge flag list and the
+        parallel super-edge lists -- reads as a stale miss; the system
+        rebuilds, re-publishes under the current version, and a restore
+        from what it stored equals the scratch build."""
+        network = generate_road_network(
+            GeneratorConfig(num_nodes=48, num_edges=110, seed=21), name="record-writer"
+        )
+        network.clear_delta()
+        data = (TUPLE_KEYED_ARTIFACTS / f"{name.lower()}.artifact").read_bytes()
+        with pytest.raises(ArtifactVersionError) as caught:
+            BuildArtifact.from_bytes(data)
+        assert (caught.value.found, caught.value.expected) == (3, FORMAT_VERSION)
+
+        store = ArtifactStore(tmp_path)
+        params = {"num_regions": 4}
+        path = store.object_path(name, params, network.fingerprint())
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        system = AirSystem(network.copy(), store=store)
+        built = system.scheme(name, **params)
+        info = system.cache_info()
+        assert (info.disk_hits, info.disk_misses) == (0, 1)
+        assert store.stats()["stale_versions"] == 1
+        assert store.verify() == {"checked": 1, "ok": 1, "stale": 0, "quarantined": 0}
+
+        fresh = AirSystem(network.copy(), store=store)
+        restored = fresh.scheme(name, **params)
+        assert fresh.cache_info().disk_hits == 1
+        assert restored.index.state() == built.index.state()
+        assert restored.cycle.signature() == built.cycle.signature()
+        nodes = network.node_ids()
+        for source, target in zip(nodes[::5], nodes[3::7]):
+            want = built.client().query(source, target, tune_in_offset=11)
+            got = restored.client().query(source, target, tune_in_offset=11)
+            assert (got.distance, got.path) == (want.distance, want.path)
 
 
 class TestConcurrentWriters:

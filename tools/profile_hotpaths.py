@@ -24,7 +24,8 @@ guesses.  For any registered scheme it profiles:
   build, ``from_artifact`` over the framed store artifact
   (``BuildArtifact.from_bytes(artifact().to_bytes())``) and the first
   ``shadow_rebuild`` batch -- for NR and EB the label decode, the fold of
-  every row and the repair.
+  every row and the repair; for AF and HiTi the bulk region location and
+  the per-edge flag list or the super-edge lists.
 
 Run from the repository root::
 
