@@ -72,12 +72,16 @@ class Partitioning:
                 f"locator produced region {int(region[outside][0])} "
                 f"outside [0, {self.num_regions})"
             )
-        ids = np.asarray(csr.ids, dtype=np.int64)
         rows = (
-            np.arange(len(ids))
+            np.arange(csr.num_nodes)
             if order is None
-            else np.searchsorted(ids, np.asarray(order, dtype=np.int64))
+            else np.searchsorted(
+                np.asarray(csr.ids, dtype=np.int64), np.asarray(order, dtype=np.int64)
+            )
         )
+        # An object array over the snapshot's own id ints: every list below
+        # references them rather than holding fresh copies.
+        ids = np.array(csr.ids, dtype=object)
         node_ids, node_regions = ids[rows], region[rows]
         self._region_of: Dict[int, int] = dict(
             zip(node_ids.tolist(), node_regions.tolist())
