@@ -24,8 +24,9 @@ bit-identical against the dict reference: the CSR arrays must equal the
 dict oracle's compile (``tests/oracles/dict_network.py``) of the table's
 rows element-for-element, and
 sampled point-to-point queries through the kernel arena must reproduce
-the dict Dijkstra's (``tests/oracles/dijkstra.py``) distances,
-predecessors, and settled counts exactly.
+the dict Dijkstra's (``tests/oracles/dijkstra.py``) answers -- distance,
+path, settled count -- and every settled node's label and predecessor
+exactly.
 The env-gated 1M tier skips the dict reference (building it would defeat
 the memory story being measured) and sanity-checks query results instead.
 
@@ -54,7 +55,7 @@ from repro.network.algorithms import kernel
 from repro.network.graph import RoadNetwork
 from repro.network.ingest import open_table
 
-from conftest import write_json_report, write_report
+from conftest import check_point_to_point, write_json_report, write_report
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -251,17 +252,9 @@ def _verify_against_dict(table, num_pairs: int) -> int:
     rng = random.Random(97)
     ids = reference.node_ids()
     pairs = [(rng.choice(ids), rng.choice(ids)) for _ in range(num_pairs)]
-    for index, (source, target) in enumerate(pairs):
+    for source, target in pairs:
         want = dijkstra_search(reference, source, target=target)
-        got = arena.point_to_point(source, target)
-        assert got.distance_to(target) == want.distance_to(target), (source, target)
-        if index < 2:
-            # Reading the dicts forces the deferred reconstruction: this
-            # checks tentative frontier labels, tie-broken predecessors,
-            # and discovery order, not just the settled-probe fast path.
-            assert got.distances_dict() == want.distances
-            assert got.predecessors_dict() == want.predecessors
-            assert got.settled == want.settled
+        check_point_to_point(arena.point_to_point(source, target), want, target)
     return len(pairs)
 
 

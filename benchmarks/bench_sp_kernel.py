@@ -16,8 +16,8 @@ query throughput alike.  Measured on the 1k-node network:
   floor for noisy CI runners);
 * **point-to-point** -- distance queries in the workload generator's shape
   (``point_to_point(s, t).distance_to(t)``): one compiled sweep plus an
-  O(n) rank count answers the query, with tree reconstruction deferred
-  until a consumer reads it (asserted >= 2x by default via
+  O(n) rank count answers the query, and no tree is derived unless a
+  consumer reads ``pred`` (asserted >= 2x by default via
   ``REPRO_KERNEL_MIN_P2P_SPEEDUP``);
 * **masked point-to-point** -- the NR client's search
   (``point_to_point(s, t, allowed=...).path_result(t)``) over NR-shaped
@@ -31,7 +31,9 @@ query throughput alike.  Measured on the 1k-node network:
   scipy calls; asserted >= 1.5x by default via
   ``REPRO_KERNEL_MIN_M2M_SPEEDUP``).
 
-Answers are verified bit-identical in-bench before any timing is trusted,
+Answers are verified against the oracle in-bench before any timing is
+trusted -- full sweeps bit-identical, point-to-point searches on their
+answer and every settled node's label and predecessor --
 and the numbers land in ``BENCH_sp_kernel.json`` at the repository root.
 
 Run standalone like the other benchmarks::
@@ -56,7 +58,7 @@ from repro.network.algorithms import kernel
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
 
-from conftest import write_json_report, write_report
+from conftest import check_point_to_point, write_json_report, write_report
 
 #: The 1k-node benchmark network (kept in line with bench_dynamic_updates).
 NETWORK_CONFIG = GeneratorConfig(num_nodes=1000, num_edges=2600, seed=31)
@@ -98,16 +100,11 @@ def _verify_bit_identity(network, reference, sources, pairs) -> None:
         assert got.distances_dict() == want.distances
         assert got.predecessors_dict() == want.predecessors
         assert got.settled == want.settled
-    # Point-to-point: reading the dicts forces the deferred reconstruction,
-    # so this checks the full truncated replay -- tentative frontier labels,
-    # tie-broken predecessors, discovery order -- not just the fast probe.
-    for source, target in pairs[:5]:
+    # Point-to-point: every timed pair's answer, and on every node the
+    # stopped loop settled, its label and tie-broken predecessor.
+    for source, target in pairs:
         want = dijkstra_search(reference, source, target=target)
-        got = arena.point_to_point(source, target)
-        assert got.distance_to(target) == want.distance_to(target)
-        assert got.distances_dict() == want.distances
-        assert got.predecessors_dict() == want.predecessors
-        assert got.settled == want.settled
+        check_point_to_point(arena.point_to_point(source, target), want, target)
 
 
 def _nr_shaped_queries(network, partitioning, pairs):
@@ -128,19 +125,13 @@ def _nr_shaped_queries(network, partitioning, pairs):
 
 
 def _verify_masked(network, reference, queries) -> None:
-    """Every masked answer (distance, path, settled) equals the oracle's;
-    the first five also in full labels, key order and predecessors."""
+    """Every masked answer (distance, path, settled) equals the oracle's,
+    and so does every settled node's label and predecessor."""
     arena = kernel.arena_for(network.ensure_csr())
-    for count, (source, target, allowed) in enumerate(queries):
+    for source, target, allowed in queries:
         want = dijkstra_search(reference, source, target=target, allowed=allowed)
         got = arena.point_to_point(source, target, allowed=allowed)
-        answer = got.path_result(target)
-        assert answer.distance == want.distance_to(target)
-        assert answer.path == want.path_to(target)
-        assert answer.settled == want.settled
-        if count < 5:
-            assert list(got.distances_dict().items()) == list(want.distances.items())
-            assert got.predecessors_dict() == want.predecessors
+        check_point_to_point(got, want, target)
 
 
 def test_kernel_vs_dict_dijkstra(network):
@@ -185,10 +176,12 @@ def test_kernel_vs_dict_dijkstra(network):
         arena.sssp(source, need_predecessors=False)
     kernel_sssp = time.perf_counter() - started
 
-    # -- SSSP with predecessors (the precomputation shape) -------------
+    # -- SSSP with predecessors (the precomputation shape: SPQ reads the
+    #    tree and the discovery order of every sweep) ------------------
     started = time.perf_counter()
     for source in sources:
-        arena.sssp(source, need_predecessors=True)
+        sweep = arena.sssp(source, need_predecessors=True)
+        sweep.pred, sweep.order
     kernel_sssp_pred = time.perf_counter() - started
 
     # -- point-to-point (distance queries, the workload generator's

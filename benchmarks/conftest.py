@@ -112,3 +112,21 @@ def small_bench_config(bench_config) -> ExperimentConfig:
         hiti_regions=16,
         num_landmarks=4,
     )
+
+
+def check_point_to_point(got, want, target: int) -> None:
+    """A kernel point-to-point result against the stopped oracle loop
+    ``want`` (``tests/oracles/dijkstra.py``): the answer -- distance, path,
+    settled count -- and every settled node's label and predecessor."""
+    answer = got.path_result(target)
+    assert answer.distance == want.distance_to(target), (got.source, target)
+    assert answer.path == want.path_to(target), (got.source, target)
+    assert answer.settled == want.settled, (got.source, target)
+    index_of = got.csr.index_of
+    pred = got.pred
+    for node in want.settled_nodes:
+        assert got.distance_to(node) == want.distances[node], (got.source, node)
+        parent = want.predecessors[node]
+        assert pred[index_of[node]] == (
+            -1 if parent is None else index_of[parent]
+        ), (got.source, node)

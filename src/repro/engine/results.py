@@ -25,7 +25,9 @@ class RefreshReport:
     ``fingerprint``), what the network delta looked like, and which cached
     entries took the incremental path versus a full rebuild.  ``dropped``
     lists entries that were already superseded by a fresh build at the new
-    fingerprint and were simply evicted.
+    fingerprint and were simply evicted.  ``shadow_errors`` records each
+    ``shadow_rebuild`` that raised, as ``(scheme name, "Type: message")``;
+    those schemes were rebuilt from scratch and appear in ``rebuilt``.
     """
 
     parent_fingerprint: str
@@ -43,6 +45,7 @@ class RefreshReport:
     #: refreshed state is stored under the new fingerprint and the stale
     #: entries await :meth:`~repro.engine.system.AirSystem.prune_cache`.
     artifacts_stored: int = 0
+    shadow_errors: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def refreshed(self) -> int:

@@ -664,7 +664,8 @@ class AirSystem:
         ``engine.refresh.fail`` fault point, a failed scratch build) leaves
         the cache, the pending delta and the lineage exactly as they were,
         and the next refresh rebuilds from the *cumulative* updates.  A
-        scheme whose ``shadow_rebuild`` raises is rebuilt from scratch.
+        scheme whose ``shadow_rebuild`` raises is rebuilt from scratch, and
+        the error is named in ``RefreshReport.shadow_errors``.
 
         In-place mutations *without* a refresh stay safe -- the fingerprint
         miss forces a full rebuild on the next ``scheme()`` call -- but pay
@@ -753,6 +754,7 @@ class AirSystem:
             incremental: List[str] = []
             rebuilt: List[str] = []
             dropped: List[str] = []
+            shadow_errors: List[Tuple[str, str]] = []
             # The incremental path is only sound when the delta fully
             # explains the fingerprint transition.  A moved fingerprint with
             # *no* recorded changes means the tracking was cleared
@@ -772,9 +774,11 @@ class AirSystem:
                 if trust_delta:
                     try:
                         replacement = scheme.shadow_rebuild(self.network, delta)
-                    except Exception:
+                    except Exception as error:
                         # A failed shadow refresh must not take serving down:
-                        # fall back to the from-scratch build below.
+                        # fall back to the from-scratch build below, and say
+                        # why in the report.
+                        shadow_errors.append((name, f"{type(error).__name__}: {error}"))
                         replacement = None
                 was_incremental = replacement is not None
                 if replacement is None:
@@ -833,6 +837,7 @@ class AirSystem:
                 dropped=tuple(dropped),
                 seconds=time.perf_counter() - started,
                 artifacts_stored=artifacts_stored,
+                shadow_errors=tuple(shadow_errors),
             )
         finally:
             self._refresh_alias.pop(current, None)

@@ -11,15 +11,16 @@ kernel.KernelArena` directly.
 Every search runs on the network's CSR snapshot
 (:meth:`~repro.network.graph.RoadNetwork.ensure_csr`, the network's one
 stored form) through the array kernel
-(:mod:`repro.network.algorithms.kernel`), whose results are bit-identical to
-the textbook dict Dijkstra -- distances, predecessors and settled counts.
-That dict loop is the test oracle (``tests/oracles/dijkstra.py``).  On a
+(:mod:`repro.network.algorithms.kernel`), whose answers -- distance, path,
+settled count -- are bit-identical to the textbook dict Dijkstra's.  That
+dict loop is the test oracle (``tests/oracles/dijkstra.py``).  On a
 positive-weight snapshot, masked or not, the search is one compiled scipy
-sweep (edges into nodes outside ``allowed`` weighted ``inf``), and the path
-walks back over in-edges on the converged labels, reading the snapshot's
-flat array buffers (shared by serving workers through the mapped segment)
-rather than its tuple rows (built per process on first read); the full
-tree replay runs only if a caller reads the tree.
+sweep (edges into nodes outside ``allowed`` weighted ``inf``): the distance
+is the target's converged label, the settled count the target's rank in
+``(distance, id)`` order plus one, and the path walks back over in-edges on
+the converged labels, reading the snapshot's flat array buffers (shared by
+serving workers through the mapped segment) rather than its tuple rows
+(built per process on first read).  No predecessor tree is derived.
 """
 
 from __future__ import annotations

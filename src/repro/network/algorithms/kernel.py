@@ -6,38 +6,39 @@ routed through ``scipy.sparse.csgraph.dijkstra`` (a compiled CSR Dijkstra)
 and an exact numpy reconstruction of everything the textbook dict Dijkstra
 reports.
 
-**Bit-identity contract.**  Every search result is bit-identical to the
-dict implementation's (kept as the test oracle ``tests/oracles/dijkstra.py``):
+**Bit-identity contract.**  Every full sweep is bit-identical to the dict
+implementation's (kept as the test oracle ``tests/oracles/dijkstra.py``):
 identical IEEE-754 distance values, identical predecessor choices on
 equal-distance ties, identical settled counts, and an identical node
 discovery order (the dict implementation's ``distances`` insertion order).
-Two mechanisms deliver this:
+A point-to-point search reports what its callers read -- the distance,
+the path and the settled count -- and, on every node the dict loop settled
+before stopping, the same label and predecessor; the loop's tentative
+frontier labels are not reproduced.  Two mechanisms deliver this:
 
 * Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
   and point-to-point searches over the snapshot's own rows -- plain or
   masked to an ``allowed`` node set (the EB/NR clients' search) -- take the
   distance labels from scipy (relaxation order cannot change the converged
-  float values) and then derive the tree from them: under strictly
+  float values) and derive everything else from them: under strictly
   positive weights the settle order provably equals sorting reachable
-  nodes by ``(distance, node id)``.  A single search replays it,
-  :meth:`KernelArena._replay`: a full sweep is the replay with no stop and
-  an early-terminating search the replay stopped at its target's settle
-  rank, *tentative* frontier labels included.  A batch of full sweeps --
-  the border-path pre-computation's hundreds of rows -- needs neither the
-  ranks nor the discovery order, so :meth:`KernelArena._tree_rows` reads
-  every row's predecessors off the labels in one array pass per few rows:
-  each node's achieving in-edge, and on a tie the tail that settled first.
-  A mask weights every edge whose head lies
-  outside the set ``inf`` in the sweep and drops it from the replay.  The
-  replay is deferred until the tree is read, and a path to a settled node
-  does not need it: :meth:`KernelResult.path_to` walks back over in-edges
-  on the converged labels, reading the snapshot's flat array buffers
-  rather than its tuple rows: in a serving worker the arrays are one copy
-  in the segment every worker maps, while the tuple rows are built per
-  process on first use (2.6 MiB both ways at 4,907 nodes) and a worker
-  that never reads them never builds them.  Snapshots with a non-positive
-  edge weight keep the faithful loop for every search that reports a tree
-  (see :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
+  nodes by ``(distance, node id)``.  A point-to-point search's settled
+  count is its target's rank in that order plus one.  Every predecessor
+  comes from :meth:`KernelArena._tree_rows`, one array pass over a few
+  rows' labels: each node's achieving in-edge, and on a tie the tail that
+  settled first.  A single full sweep's discovery order -- which SPQ's
+  majority votes read -- comes from :meth:`KernelArena._discovery`.  A
+  mask weights every edge whose head lies outside the set ``inf`` in the
+  sweep, so those heads stay unreached and the edges never achieve.  A
+  result derives ``pred`` only when it is read, and a path does not need
+  it: :meth:`KernelResult.path_to` walks back over in-edges on the
+  converged labels, reading the snapshot's flat array buffers rather than
+  its tuple rows: in a serving worker the arrays are one copy in the
+  segment every worker maps, while the tuple rows are built per process on
+  first use (2.6 MiB both ways at 4,907 nodes) and a worker that never
+  reads them never builds them.  Snapshots with a non-positive edge weight
+  keep the faithful loop for every search that reports a tree (see
+  :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
 * Multi-target searches (:meth:`KernelArena.multi_target`), and every
   search on such a snapshot, run a **faithful simulation** of the dict
   loop, :func:`row_search`, over the snapshot's ``(index, weight)`` rows --
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from functools import partial
 import weakref
 from array import array
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -97,34 +97,33 @@ class KernelResult:
 
     ``dist``/``pred`` cover every node (unreached entries are ``inf`` /
     ``-1``); ``order`` lists the discovered indexes in the dict
-    implementation's ``distances`` insertion order and is ``None`` for
-    distance-only sweeps (where no consumer observes ordering).  The
-    buffers are owned by the result -- arenas never reclaim them.
+    implementation's ``distances`` insertion order, and is ``None`` for
+    distance-only sweeps and compiled point-to-point searches (no consumer
+    observes their ordering).  The buffers are owned by the result --
+    arenas never reclaim them.
 
-    Compiled results that report a tree are *deferred*: the compiled sweep
-    answers the query (distance, settled count) immediately, and the
-    replay (:meth:`KernelArena._replay`) deriving labels and predecessors
-    runs once, on the first read of ``pred`` -- or of ``dist``/``order``
-    when the replay owns them -- and the discovery order only on the first
-    read of ``order``.  Callers that never read the tree -- distance
-    probes, existence checks, paths to settled nodes (:meth:`path_to`
-    walks back instead) -- skip the replay entirely; callers that do
-    observe byte-for-byte the same buffers as the dict loop.
+    A compiled result carries scipy's converged labels (``dist_np``).  One
+    that reports a tree -- a full sweep with predecessors or a
+    point-to-point search -- also carries ``tree``, the ``(arena,
+    reverse)`` that derives ``pred`` on its first read
+    (:meth:`KernelArena._tree_rows`); :meth:`path_to` walks back over
+    in-edges instead and never derives it.  A point-to-point result's
+    labels are the converged ones everywhere: on the nodes the dict loop
+    settled (the target and every node ahead of it in settle order) they
+    and the predecessors equal the loop's; the loop's tentative frontier
+    labels are not kept, as nothing reads them.
     """
 
     __slots__ = (
         "csr",
         "source",
         "source_index",
+        "dist_np",
         "_dist",
-        "_dist_np",
         "_pred",
-        "_order",
+        "order",
         "settled",
-        "_reached",
-        "_finish",
-        "_discover",
-        "_probe",
+        "_tree",
     )
 
     def __init__(
@@ -136,64 +135,22 @@ class KernelResult:
         order: Optional[List[int]],
         settled: int,
         dist_np=None,
-        finish=None,
-        probe=None,
+        tree=None,
     ) -> None:
         self.csr = csr
         self.source = source
         self.source_index = csr.index_of[source]
+        #: The labels as a float64 vector when the sweep came off scipy
+        #: (``None`` on the faithful loop) -- vectorized consumers index it
+        #: without re-boxing the list.
+        self.dist_np = dist_np
         self._dist = dist
-        self._dist_np = dist_np
         self._pred = pred
-        self._order = order
+        self.order = order
         self.settled = settled
-        self._reached: Optional[List[int]] = None
-        #: Deferred replay: a zero-argument callable returning
-        #: ``(labels, pred, discover)`` (see :meth:`KernelArena._replay`),
-        #: run at most once.
-        self._finish = finish
-        #: The replay's discovery-order callable, until ``order`` is read.
-        self._discover = None
-        #: Fast reads for deferred point-to-point results:
-        #: ``(dist_full, target_dist, target_index, reverse)`` from the
-        #: converged sweep -- distances and paths of settled nodes (those
-        #: the early-terminating loop locked in) are answered without
-        #: running the replay.
-        self._probe = probe
-
-    def _materialize(self) -> None:
-        finish = self._finish
-        self._finish = None
-        self._probe = None
-        self._dist_np, pred, self._discover = finish()
-        self._pred = pred.tolist()
+        self._tree = tree
 
     # -- reads ---------------------------------------------------------
-    @property
-    def dist_np(self):
-        """The labels as a float64 vector when the sweep came off scipy
-        (``None`` on the faithful loop) -- vectorized consumers index it
-        without re-boxing the list."""
-        if self._dist_np is None and self._finish is not None:
-            self._materialize()
-        return self._dist_np
-
-    @property
-    def pred(self) -> Optional[List[int]]:
-        if self._pred is None and self._finish is not None:
-            self._materialize()
-        return self._pred
-
-    @property
-    def order(self) -> Optional[List[int]]:
-        if self._order is None:
-            if self._finish is not None:
-                self._materialize()
-            if self._discover is not None:
-                self._order = self._discover()
-                self._discover = None
-        return self._order
-
     @property
     def dist(self) -> List[float]:
         """The labels as a plain list, boxed lazily from ``dist_np``.
@@ -206,33 +163,25 @@ class KernelResult:
             self._dist = self.dist_np.tolist()
         return self._dist
 
-    def _settled_probe(self, index: int):
-        """The pending probe when node ``index`` settled, else ``None``.
-
-        Settled exactly when ``(d, index) <= (target_dist, target_index)``
-        in the heap's (distance, index) settle order; those labels are
-        converged, so the sweep's value is the faithful loop's value.
-        Frontier and unreached nodes carry *tentative* labels, which only
-        the replay knows.
-        """
-        probe = self._probe
-        if self._finish is None or probe is None:
-            return None
-        dist_full, target_dist, target_index, _ = probe
-        d = dist_full[index]
-        if d < target_dist or (d == target_dist and index <= target_index):
-            return probe
-        return None
+    @property
+    def pred(self) -> Optional[List[int]]:
+        """Predecessor per index (``-1`` at the source and unreached
+        nodes), or ``None`` when the search reports no tree."""
+        if self._pred is None and self._tree is not None:
+            arena, reverse = self._tree
+            row = _np.empty((1, len(self.dist_np)), dtype=_np.int64)
+            arena._tree_rows(self.dist_np[None, :], [self.source_index], row, reverse)
+            self._pred = row[0].tolist()
+        return self._pred
 
     def distance_to(self, node_id: int) -> float:
         """Distance label of ``node_id`` (``inf`` when unreached/unknown)."""
         index = self.csr.index_of.get(node_id)
         if index is None:
             return _INF
-        probe = self._settled_probe(index)
-        if probe is not None:
-            return float(probe[0][index])
-        return self.dist[index]
+        if self.dist_np is not None:
+            return float(self.dist_np[index])
+        return self._dist[index]
 
     def path_result(self, target: int) -> PathResult:
         """The point-to-point answer for ``target`` read off these labels:
@@ -247,55 +196,53 @@ class KernelResult:
         )
 
     def reached_indexes(self) -> List[int]:
-        """Discovered node indexes (discovery order when tracked)."""
+        """Reached node indexes: discovery order when tracked (every
+        faithful result), else index order off the compiled labels."""
         if self.order is not None:
             return self.order
-        if self._reached is None:
-            if self.dist_np is not None:
-                self._reached = _np.flatnonzero(_np.isfinite(self.dist_np)).tolist()
-            else:
-                dist = self.dist
-                self._reached = [i for i in range(len(dist)) if dist[i] != _INF]
-        return self._reached
+        return _np.flatnonzero(_np.isfinite(self.dist_np)).tolist()
 
     def distances_dict(self) -> Dict[int, float]:
-        """``{node_id: distance}`` over discovered nodes.
+        """``{node_id: distance}`` over reached nodes.
 
         With ``order`` tracked the key order is the dict implementation's
-        insertion order; distance-only results use index (= id) order --
-        equal as a mapping, only iteration order differs.
+        insertion order; other results use index (= id) order -- equal as
+        a mapping, only iteration order differs.
         """
         ids = self.csr.ids
         dist = self.dist
         return {ids[i]: dist[i] for i in self.reached_indexes()}
 
     def predecessors_dict(self) -> Dict[int, Optional[int]]:
-        """``{node_id: predecessor_id}`` (source maps to ``None``)."""
-        if self.pred is None or self.order is None:
+        """``{node_id: predecessor_id}`` over reached nodes (source maps
+        to ``None``), in :meth:`distances_dict`'s key order."""
+        pred = self.pred
+        if pred is None:
             raise ValueError("predecessors were not requested for this search")
         ids = self.csr.ids
-        pred = self.pred
         source_index = self.source_index
         return {
-            ids[i]: None if i == source_index else ids[pred[i]] for i in self.order
+            ids[i]: None if i == source_index else ids[pred[i]]
+            for i in self.reached_indexes()
         }
 
     def path_to(self, node_id: int) -> List[int]:
         """Node-id path from the source (empty when unreached).
 
-        A settled node of a deferred point-to-point result walks back over
-        its in-edges (:meth:`_walk_back`) instead of running the replay.
+        A compiled result walks back over in-edges (:meth:`_walk_back`);
+        a faithful one follows ``pred``.
         """
         index = self.csr.index_of.get(node_id)
-        probe = None if index is None else self._settled_probe(index)
-        if probe is not None:
-            path = self._walk_back(index, probe[0], probe[3])
-        else:
-            if self.pred is None:
-                raise ValueError("predecessors were not requested for this search")
-            if index is None or self.dist[index] == _INF:
+        if self._tree is not None:
+            if index is None or self.dist_np[index] == _INF:
                 return []
-            pred = self.pred
+            path = self._walk_back(index, self._tree[1])
+        else:
+            pred = self._pred
+            if pred is None:
+                raise ValueError("predecessors were not requested for this search")
+            if index is None or self._dist[index] == _INF:
+                return []
             path = [index]
             current = index
             source_index = self.source_index
@@ -307,26 +254,27 @@ class KernelResult:
         ids = self.csr.ids
         return [ids[i] for i in reversed(path)]
 
-    def _walk_back(self, index: int, dist, reverse: bool) -> List[int]:
-        """The replay's tree path to settled node ``index``, target first,
-        read off the converged labels ``dist``.
+    def _walk_back(self, index: int, reverse: bool) -> List[int]:
+        """The tree path to reached node ``index``, target first, read off
+        the converged labels.
 
-        A settled node's replay predecessor is its first-achieving
-        relaxation: among in-edges ``(u, w)`` with ``dist[u] + w ==
-        dist[v]`` (every such ``u`` settled earlier, weights being
-        positive), the one whose tail settled first -- the least
-        ``(dist[u], u)``.  Edges a mask dropped never achieve, as their
-        tails' labels are ``inf``.  The in-edges come from the snapshot's
-        flat array buffers, which serving workers share through the mapped
-        segment, not from :attr:`~repro.network.csr.CSRGraph.rev_adj`,
-        whose tuples each process would build for itself on first read.
+        A node's predecessor is its first-achieving relaxation: among
+        in-edges ``(u, w)`` with ``dist[u] + w == dist[v]`` (every such
+        ``u`` settled earlier, weights being positive), the one whose tail
+        settled first -- the least ``(dist[u], u)``, as
+        :meth:`KernelArena._tree_rows` picks it.  Edges a mask dropped
+        never achieve, as their tails' labels are ``inf``.  The in-edges
+        come from the snapshot's flat array buffers, which serving workers
+        share through the mapped segment, not from
+        :attr:`~repro.network.csr.CSRGraph.rev_adj`, whose tuples each
+        process would build for itself on first read.
         """
         csr = self.csr
         if reverse:
             offsets, tails, weights = csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
         else:
             offsets, tails, weights = csr.rev_offsets, csr.rev_targets, csr.rev_weights
-        labels = memoryview(dist)
+        labels = memoryview(self.dist_np)
         source_index = self.source_index
         path = [index]
         v = index
@@ -421,9 +369,8 @@ class _Accel:
         ``(perm, starts, counts)``: ``perm`` stably permutes the edge
         arrays so entries sharing a head node ``e_dst`` are contiguous,
         ``starts``/``counts`` delimit each head's run.  Per-head minima
-        (discovery keys, predecessor keys, tentative labels) then reduce
-        with one ``np.minimum.reduceat`` pass instead of the unbuffered
-        ``np.minimum.at`` scatter, which dominated reconstruction time.
+        (the discovery keys) then reduce with one ``np.minimum.reduceat``
+        pass instead of the unbuffered ``np.minimum.at`` scatter.
         """
         cached = self.rev_transpose if reverse else self.fwd_transpose
         if cached is not None:
@@ -508,18 +455,19 @@ class KernelArena:
 
         ``need_predecessors=False`` leaves out the tree -- the fastest path
         for the many consumers that only read distance labels.  With it, the
-        labels are ready at once and the tree replays on first read.
+        result carries the discovery order (:meth:`_discovery`) and derives
+        ``pred`` on first read.
         """
         source_index = self._source_index(source)
         if need_predecessors and self.csr.has_nonpositive_weight:
             return self._faithful(source_index, source, reverse=reverse)
         dist = self._sweep(source_index, reverse)
         settled = int(_np.count_nonzero(_np.isfinite(dist)))
-        finish = None
-        if need_predecessors:
-            finish = partial(self._replay, dist, source_index, reverse)
+        if not need_predecessors:
+            return KernelResult(self.csr, source, None, None, None, settled, dist_np=dist)
+        order = self._discovery(dist, source_index, reverse)
         return KernelResult(
-            self.csr, source, None, None, None, settled, dist_np=dist, finish=finish
+            self.csr, source, None, None, order, settled, dist_np=dist, tree=(self, reverse)
         )
 
     def point_to_point(
@@ -546,9 +494,9 @@ class KernelArena:
         i.e. A*.  A potential cannot be combined with ``allowed``.
 
         Searches over the snapshot's own rows (masked or not) on
-        positive-weight snapshots run the compiled truncated-replay path
-        (:meth:`_p2p_accel`); ``adjacency``/``potential`` searches and
-        snapshots with a non-positive weight keep the faithful loop.
+        positive-weight snapshots run one compiled sweep (:meth:`_p2p`);
+        ``adjacency``/``potential`` searches and snapshots with a
+        non-positive weight keep the faithful loop.
         """
         source_index = self._source_index(source)
         target_index = self.csr.index_of.get(target)
@@ -570,7 +518,7 @@ class KernelArena:
                 accel = self._accel()
                 matrix = accel.rev_matrix if reverse else accel.fwd_matrix
                 keep = mask.view(_np.bool_).take(matrix.indices)
-            return self._p2p_accel(source, source_index, target_index, reverse, keep)
+            return self._p2p(source, source_index, target_index, reverse, keep)
         return self._faithful(
             source_index,
             source,
@@ -635,7 +583,7 @@ class KernelArena:
             and target_index is not None
             and not self.csr.has_nonpositive_weight
         ):
-            return self._p2p_accel(source, source_index, target_index, reverse)
+            return self._p2p(source, source_index, target_index, reverse)
         return self._faithful(
             source_index,
             source,
@@ -677,28 +625,34 @@ class KernelArena:
                 self._tree_rows(dist[rows], chunk, pred[rows], reverse)
 
     def _tree_rows(self, dist, source_indexes, pred, reverse: bool) -> None:
-        """Full sweeps' predecessor rows from their converged labels, in
-        one array pass per ``_TREE_CHUNK`` rows.
+        """Predecessor rows from converged labels, in one array pass per
+        ``_TREE_CHUNK`` rows: the one tree derivation of every compiled
+        search (a batch's rows, a single sweep's or point-to-point
+        search's ``pred``).
 
-        A full sweep relaxes every edge, so a node's predecessor is the
-        tail of its first *achieving* in-edge (``dist[tail] + w ==
-        dist[head]``, head reached) in settle order, which under strictly
-        positive weights is ``(dist[tail], tail)`` order (see
-        :meth:`_replay`).  Every achieving edge scatters its tail onto its
-        head; where one head's edges wrote different tails -- an
-        equal-distance tie -- the head takes the least ``(dist[tail],
-        tail)`` among them.  Labels are compared with ``inf`` turned into
-        ``nan``, which equals nothing, so unreached heads and tails never
-        achieve.  ``pred`` (rows aligned with ``dist``) is overwritten:
-        ``-1`` at each source and at unreached nodes.  Bit-identical to the
-        replay's (and so the faithful loop's) predecessors.
+        Under strictly positive weights the dict heap settles reachable
+        nodes in ``(distance, index)`` order, and a node's predecessor is
+        the tail of its first *achieving* in-edge (``dist[tail] + w ==
+        dist[head]``, head reached) in that order.  Every achieving edge
+        scatters its tail onto its head; where one head's edges wrote
+        different tails -- an equal-distance tie -- the head takes the
+        least ``(dist[tail], tail)`` among them.  Labels are compared with
+        ``inf`` turned into ``nan``, which equals nothing, so unreached
+        heads and tails never achieve; so do the edges a masked sweep
+        weighted ``inf``, whose heads it left unreached.  A point-to-point
+        search settles every achieving tail of a settled node before it,
+        so its settled nodes' rows equal the stopped loop's.  ``pred``
+        (rows aligned with ``dist``) is overwritten: ``-1`` at each source
+        and at unreached nodes.  Bit-identical to the faithful loop's
+        predecessors.
         """
         n = self.num_nodes
         e_src, e_dst, e_w, _ = self._accel().edges(self.csr, reverse)
         # Flat (row, edge) position -> its head's flat (row, node) cell and
-        # its tail, for a full-height pass; shorter passes use a prefix.
-        cells = (_np.arange(_TREE_CHUNK, dtype=_np.int64)[:, None] * n + e_dst).ravel()
-        tails = _np.tile(e_src, _TREE_CHUNK)
+        # its tail, for a full-height pass; a shorter last pass uses a prefix.
+        height = min(_TREE_CHUNK, len(dist))
+        cells = (_np.arange(height, dtype=_np.int64)[:, None] * n + e_dst).ravel()
+        tails = _np.tile(e_src, height)
         for start in range(0, len(dist), _TREE_CHUNK):
             rows = slice(start, start + _TREE_CHUNK)
             labels = _np.where(_np.isfinite(dist[rows]), dist[rows], _np.nan)
@@ -730,7 +684,7 @@ class KernelArena:
             pred[rows] = block.reshape(height, n)
 
     # ------------------------------------------------------------------
-    # Compiled sweeps: distances from scipy, the tree from one replay
+    # Compiled sweeps: distances from scipy, the tree derived from them
     # ------------------------------------------------------------------
     def _sweep(self, indices, reverse: bool, keep=None):
         """scipy's converged labels from one source index (a vector) or a
@@ -756,119 +710,59 @@ class KernelArena:
             matrix = masked
         return _scipy_dijkstra(matrix, directed=True, indices=indices)
 
-    def _replay(self, dist, source_index: int, reverse: bool, stop_rank=None, keep=None):
-        """The dict loop's tree, replayed from scipy's converged labels.
+    def _discovery(self, dist, source_index: int, reverse: bool) -> List[int]:
+        """A full sweep's discovery order -- the dict loop's ``distances``
+        insertion order -- as an index list, source first.
 
         Under strictly positive weights the dict heap settles reachable
-        nodes exactly in ``(distance, index)`` order, and a search stopped
-        at the node of settle rank ``stop_rank`` breaks *after popping it,
-        before relaxing its edges* -- so exactly the nodes ranked before it
-        act as relaxation tails (with no stop, every reachable node does).
-        Replaying those relaxations in (tail rank, adjacency position) order
-        gives, per node, as per-head minima over the edge list -- one
-        ``reduceat`` pass each:
-
-        * the label -- the minimum ``d(tail) + w``, the tentative value a
-          stopped search leaves behind; a full sweep's labels are ``dist``
-          itself;
-        * the predecessor -- the first relaxation achieving the label;
-        * the discovery -- the first relaxation of any kind.
-
-        ``keep`` drops the edges a masked search never relaxes (see
-        :meth:`_sweep`).  Returns ``(labels, pred, discover)``: ``pred`` is
-        an int64 vector (``-1`` at the source and undiscovered nodes) and
-        ``discover()`` the discovery order as an index list, source first,
-        derived only when called.  Bit-identical to :meth:`_faithful`,
-        tentative frontier labels included.
-
-        One search's tree is replayed here -- a deferred :meth:`sssp` or
-        point-to-point result, read on demand.  :meth:`many_to_many`'s rows
-        need only the full sweep's predecessors, which :meth:`_tree_rows`
-        derives for a whole chunk without ranking any node.
+        nodes in ``(distance, index)`` order and relaxes each settled
+        node's edges in adjacency order, so a node is discovered by its
+        least ``(tail rank, adjacency position)`` in-edge: one ``reduceat``
+        pass over the edge list gives every node's key (SPQ's majority
+        votes read this order).
         """
         n = self.num_nodes
         accel = self._accel()
-        e_src, e_dst, e_w, e_adjpos = accel.edges(self.csr, reverse)
+        e_src, _, _, e_adjpos = accel.edges(self.csr, reverse)
         perm, starts, counts = accel.transpose(self.csr, reverse)
         reachable = _np.flatnonzero(_np.isfinite(dist))
         settle = reachable[_np.lexsort((reachable, dist[reachable]))]
-        rank = _np.full(n, n, dtype=_np.int64)
+        # Unreached tails rank past every settled one, so their edges' keys
+        # reach the sentinel and never discover anything.
+        rank = _np.full(n, n + 1, dtype=_np.int64)
         rank[settle] = _np.arange(len(settle), dtype=_np.int64)
-        tail_rank = rank[e_src]
-        valid = tail_rank < (len(settle) if stop_rank is None else stop_rank)
-        if keep is not None:
-            valid &= keep
-        relax = dist[e_src] + e_w
-        if stop_rank is None:
-            labels = dist
-        else:
-            labels = _segment_min(
-                _np.where(valid, relax, _INF)[perm], starts, counts, _INF
-            )
-            labels[source_index] = 0.0
-
         stride = len(e_src) + 1
         sentinel = (n + 1) * stride
-        ekey = tail_rank * stride + e_adjpos
-        achieves = valid & (relax == labels[e_dst])
-        best_key = _segment_min(
-            _np.where(achieves, ekey, sentinel)[perm], starts, counts, sentinel
-        )
-        chosen = achieves & (ekey == best_key[e_dst])
-        pred = _np.full(n, -1, dtype=_np.int64)
-        pred[e_dst[chosen]] = e_src[chosen]
-        pred[source_index] = -1
+        ekey = rank[e_src] * stride + e_adjpos
+        key = _segment_min(ekey[perm], starts, counts, sentinel)
+        key[source_index] = sentinel
+        found = _np.flatnonzero(key < sentinel)
+        return [source_index] + found[_np.argsort(key[found])].tolist()
 
-        def discover() -> List[int]:
-            key = _segment_min(
-                _np.where(valid, ekey, sentinel)[perm], starts, counts, sentinel
-            )
-            key[source_index] = sentinel
-            found = _np.flatnonzero(key < sentinel)
-            return [source_index] + found[_np.argsort(key[found])].tolist()
-
-        return labels, pred, discover
-
-    def _p2p_accel(
+    def _p2p(
         self, source: int, source_index: int, target_index: int, reverse: bool, keep=None
     ) -> KernelResult:
-        """Accelerated exact point-to-point: full sweep + truncated replay.
+        """Compiled point-to-point search: one scipy sweep, ``keep``
+        masking edges (see :meth:`_sweep`).
 
-        One compiled scipy sweep yields the converged labels and the
-        target's settle rank; the replay stopped at that rank
-        (:meth:`_replay`) is *deferred* (see :class:`KernelResult`), so
-        distance probes and paths to settled nodes -- what the clients
-        read -- pay only the sweep and an O(n) rank count, never the tree
-        reconstruction.  ``keep`` masks edges in both (see :meth:`_sweep`).
+        The converged labels answer the query; the settled count is the
+        target's settle rank plus one, counted without sorting: the heap
+        settles reachable nodes in ``(distance, index)`` order, so the rank
+        is the count of nodes strictly ahead in that order (unreached
+        entries are ``inf`` and never compare ahead of a finite label).
+        An unreachable target exhausts the reachable set.
         """
         dist = self._sweep(source_index, reverse, keep)
         target_dist = dist[target_index]
-        if not _np.isfinite(target_dist):
-            # The loop would exhaust the reachable set: a full sweep.
-            settled = int(_np.count_nonzero(_np.isfinite(dist)))
-            stop_rank = None
-            probe = None
-        else:
-            # The target's settle rank, without sorting: the heap settles
-            # reachable nodes in (distance, index) order, so the rank is the
-            # count of nodes strictly ahead in that order (unreached entries
-            # are ``inf`` and never compare ahead of a finite label).
-            stop_rank = int(
+        if _np.isfinite(target_dist):
+            settled = 1 + int(
                 _np.count_nonzero(dist < target_dist)
                 + _np.count_nonzero(dist[:target_index] == target_dist)
             )
-            settled = stop_rank + 1
-            probe = (dist, target_dist, target_index, reverse)
+        else:
+            settled = int(_np.count_nonzero(_np.isfinite(dist)))
         return KernelResult(
-            self.csr,
-            source,
-            None,
-            None,
-            None,
-            settled,
-            dist_np=dist if stop_rank is None else None,
-            finish=partial(self._replay, dist, source_index, reverse, stop_rank, keep),
-            probe=probe,
+            self.csr, source, None, None, None, settled, dist_np=dist, tree=(self, reverse)
         )
 
     # ------------------------------------------------------------------

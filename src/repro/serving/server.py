@@ -144,9 +144,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     #: Optional artifact-store directory (warm starts + refresh publication).
     store_dir: Optional[str] = None
-    #: Worker start method; ``fork`` warm-starts in milliseconds, ``spawn``
-    #: is the portable fallback.
-    start_method: str = "fork"
     #: Oldest-pending age (seconds) past which a live-but-silent worker is
     #: SIGKILLed and respawned (hang eviction).
     hang_timeout_s: float = 30.0
@@ -217,7 +214,9 @@ class AirServer:
         #: with loop-time stamps; bounded to the last 64 entries.
         self.respawn_log: List[Dict[str, Any]] = []
         self._partitioning: Optional[Partitioning] = None
-        self._mp = multiprocessing.get_context(config.start_method)
+        # Workers fork: they warm-start in milliseconds off the server's
+        # state, and ``_trim_heap`` shapes what that fork inherits.
+        self._mp = multiprocessing.get_context("fork")
         self._server: Optional[asyncio.base_events.Server] = None
         self._request_ids = itertools.count(1)
         self._round_robin = itertools.count()

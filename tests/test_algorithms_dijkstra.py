@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from oracles.dijkstra import dijkstra_search
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.kernel import arena_for
 from repro.network.algorithms.paths import (
@@ -64,6 +65,33 @@ class TestPointToPoint:
         probe = arena_for(network.ensure_csr()).point_to_point(1, 4)
         assert probe.distance_to(4) == shortest_path(network, 1, 4).distance
         assert probe.path_result(4) == shortest_path(network, 1, 4)
+
+    def test_tied_early_stop_answers_like_the_dict_loop(self):
+        """Integer ties, forward and reverse: the answer and every node the
+        stopped loop settled -- label, predecessor, path -- are the dict
+        loop's.  Node 4 ties between tails 2 and 3 (the lower id wins), and
+        reverse from 4, node 1 ties between the same two."""
+        network = RoadNetwork()
+        for node_id in range(1, 7):
+            network.add_node(node_id, float(node_id), 0.0)
+        for u, v in [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (3, 6)]:
+            network.add_edge(u, v, 1.0)
+        csr = network.ensure_csr()
+        arena = arena_for(csr)
+        for source, target, reverse in [(1, 4, False), (1, 5, False), (4, 1, True), (6, 2, True)]:
+            want = dijkstra_search(network, source, target=target, reverse=reverse)
+            got = arena.point_to_point(source, target, reverse=reverse)
+            assert got.path_result(target).path == want.path_to(target)
+            assert got.settled == want.settled
+            for node in want.settled_nodes:
+                assert got.distance_to(node) == want.distance_to(node)
+                assert got.path_to(node) == want.path_to(node)
+                parent = want.predecessors[node]
+                assert got.pred[csr.index_of[node]] == (
+                    -1 if parent is None else csr.index_of[parent]
+                )
+        assert arena.point_to_point(1, 4).path_to(4) == [1, 2, 4]
+        assert arena.point_to_point(4, 1, reverse=True).path_to(1) == [4, 2, 1]
 
     def test_path_is_valid_edge_sequence(self):
         network = diamond_network()

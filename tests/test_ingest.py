@@ -32,6 +32,7 @@ from repro.network.ingest import (
     open_table,
     parquet_available,
 )
+from test_properties_kernel import assert_settled_scope
 
 TINY_GR = """\
 c tiny five-node network
@@ -476,9 +477,11 @@ class TestColumnarNetworkFacade:
         arena = kernel.arena_for(facade.ensure_csr())
         for _ in range(8):
             source, target = rng.choice(ids), rng.choice(ids)
-            want = dijkstra_search(network, source, target=target)
-            got = arena.point_to_point(source, target)
-            assert got.distance_to(target) == want.distance_to(target)
+            for reverse in (False, True):
+                want = dijkstra_search(network, source, target=target, reverse=reverse)
+                got = arena.point_to_point(source, target, reverse=reverse)
+                assert got.distance_to(target) == want.distance_to(target)
+                assert_settled_scope(got, want)
         for source in rng.sample(ids, 3):
             want = dijkstra_distances(network, source)
             got = arena.sssp(source)

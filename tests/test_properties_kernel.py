@@ -1,14 +1,17 @@
 """Property suite for the CSR snapshot layer and the array SP kernel.
 
-The contract under test (see ``docs/api.md``): every kernel search -- and
-therefore every ``shortest_path`` call -- is **bit-identical** to the dict
-Dijkstra oracle (``tests/oracles/dijkstra.py``): same IEEE-754 distance
-values, same predecessor choices on equal-distance ties, same settled
-counts, and the same ``distances``/``predecessors`` dict insertion order.
-That must hold on static networks, after random weight-update streams
-(in-place snapshot patching), on both kernel paths -- the scipy sweep with
-its exact reconstruction and the faithful loop -- and for the masked search
-that replaced the EB/NR clients' per-query subgraphs.
+The contract under test (see ``docs/api.md``): every full sweep is
+**bit-identical** to the dict Dijkstra oracle (``tests/oracles/dijkstra.py``):
+same IEEE-754 distance values, same predecessor choices on equal-distance
+ties, same settled counts, and the same ``distances``/``predecessors`` dict
+insertion order.  A point-to-point search -- and therefore every
+``shortest_path`` call -- equals the stopped oracle loop on its answer
+(distance, path, settled count) and on every node the loop settled (label
+and predecessor); on the faithful loop, tentative frontier labels and key
+order match too.  That must hold on static networks, after random
+weight-update streams (in-place snapshot patching), on both kernel paths --
+the scipy sweep with its exact reconstruction and the faithful loop -- and
+for the masked search that replaced the EB/NR clients' per-query subgraphs.
 """
 
 import random
@@ -94,6 +97,30 @@ def assert_same_result(kernel_result, reference_result):
     assert kernel_result.settled == reference_result.settled
 
 
+def assert_settled_scope(got, want):
+    """A point-to-point result against the stopped oracle loop ``want``.
+
+    The settled count, and on every node the loop settled the label, the
+    predecessor and the path, are the loop's; a node the loop only
+    discovered (the frontier) carries a converged label no greater than the
+    loop's tentative one.  A result off the faithful loop (no ``dist_np``)
+    must match in full, tentative labels and key order included.
+    """
+    if got.dist_np is None:
+        assert_same_result(got, want)
+        return
+    assert got.settled == want.settled
+    index_of = got.csr.index_of
+    pred = got.pred
+    for node in want.settled_nodes:
+        assert got.distance_to(node) == want.distances[node]
+        parent = want.predecessors[node]
+        assert pred[index_of[node]] == (-1 if parent is None else index_of[parent])
+        assert got.path_to(node) == want.path_to(node)
+    for node, label in want.distances.items():
+        assert got.distance_to(node) <= label
+
+
 # ----------------------------------------------------------------------
 # Dispatch bit-identity on static networks
 # ----------------------------------------------------------------------
@@ -112,16 +139,20 @@ def test_sssp_bit_identical_forward_and_reverse(seed, kernel_path):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_point_to_point_bit_identical_including_frontier(seed, kernel_path):
-    """Early termination leaves tentative frontier labels; they must match too."""
+    """Early termination leaves tentative frontier labels behind: the
+    faithful loop matches them, a compiled search keeps converged labels no
+    greater than them; settled nodes match on both paths, forward and
+    reverse (see ``assert_settled_scope``)."""
     network = kernel_path(make_network(seed))
     network.ensure_csr()
     rng = random.Random(seed + 1)
     ids = network.node_ids()
-    for _ in range(15):
+    for step in range(15):
         source, target = rng.choice(ids), rng.choice(ids)
-        assert_same_result(
-            arena(network).search(source, target=target),
-            oracle.dijkstra_search(network, source, target=target),
+        reverse = bool(step % 2)
+        assert_settled_scope(
+            arena(network).search(source, target=target, reverse=reverse),
+            oracle.dijkstra_search(network, source, target=target, reverse=reverse),
         )
         got = shortest_path(network, source, target)
         want = oracle.shortest_path(network, source, target)
@@ -271,13 +302,12 @@ def tight_in_edges(network, distances, node, reverse, allowed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("reverse", [False, True])
 def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
-    """Masked point-to-point equals the dict loop restricted to ``allowed``.
+    """Masked point-to-point equals the dict loop restricted to ``allowed``
+    on every settled node (see ``assert_settled_scope``).
 
-    Labels (key order and tentative frontier values included),
-    predecessors and the settled count equal the oracle's.  ``path_to``
-    on every settled node equals the oracle's path twice: read first off
-    the converged labels (a settled node's walk-back, no replay) and then
-    again after the dict reads have run the replay.  Integer weights make
+    ``path_to`` on every settled node equals the oracle's path twice: read
+    first off the converged labels alone (the walk-back derives no tree)
+    and then again after ``pred`` has been read.  Integer weights make
     equal-distance ties, and the test asserts one was decided.
     """
     network = kernel_path(integer_weight_network(seed, num_nodes=60))
@@ -301,10 +331,9 @@ def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
                 tight_in_edges(network, want.distances, node, reverse, allowed)
             ) > 1:
                 ties += 1
-        if compiled and target in want.settled_nodes:
-            assert got._finish is not None, "a settled node's path must not replay"
-        assert list(got.distances_dict().items()) == list(want.distances.items())
-        assert list(got.predecessors_dict().items()) == list(want.predecessors.items())
+        if compiled:
+            assert got._pred is None, "a path must not derive the tree"
+        assert_settled_scope(got, want)
         for node in settled:
             assert got.path_to(node) == want.path_to(node)
     assert ties > 0
@@ -448,13 +477,13 @@ def test_kernel_result_api_edges():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_p2p_reconstruction_is_deferred_and_probe_is_exact(seed):
-    """The compiled p2p result is lazy, and its settled-probe is exact.
+    """The compiled p2p result derives its tree only when ``pred`` is read,
+    and its distance probes are exact.
 
-    ``point_to_point`` answers ``distance_to(target)`` straight off the
-    sweep's label array (the target is always settled at termination);
-    the O(settled log settled) tree replay must not run until a consumer
-    reads the dicts -- and once it does, every label must equal the
-    oracle's, tentative frontier values included.
+    ``point_to_point`` answers ``distance_to``, ``path_to`` and the settled
+    count straight off the sweep's labels; ``pred`` (one
+    ``KernelArena._tree_rows`` pass) must not run until a consumer reads
+    it, and then equal the oracle's on every settled node.
     """
     network = make_network(seed)
     arena = kernel.arena_for(network.ensure_csr())
@@ -464,26 +493,23 @@ def test_p2p_reconstruction_is_deferred_and_probe_is_exact(seed):
         source, target = rng.choice(ids), rng.choice(ids)
         want = oracle.dijkstra_search(network, source, target=target)
         got = arena.point_to_point(source, target)
-        if got._finish is None:
-            continue  # tiny searches may construct eagerly; nothing to defer
-        # The query answer and the settled count come from the probe alone.
         assert got.distance_to(target) == want.distance_to(target)
+        assert got.path_to(target) == want.path_to(target)
         assert got.settled == want.settled
-        assert got._finish is not None, "distance_to(target) must not materialize"
-        # Reading a dict pays for the replay exactly once...
-        assert got.distances_dict() == want.distances
-        assert got._finish is None
-        # ...and after it, every label (frontier included) is bit-identical.
-        assert got.predecessors_dict() == want.predecessors
-        for probe_node in rng.sample(ids, 6):
+        assert got._pred is None, "answering the query must not derive the tree"
+        assert_settled_scope(got, want)
+        assert got._pred is not None
+        for probe_node in want.settled_nodes:
             assert got.distance_to(probe_node) == want.distance_to(probe_node)
 
 
 def test_p2p_probe_matches_reference_labels_without_materialization(kernel_path):
-    """Fresh (unmaterialized) results answer probes with faithful labels.
+    """Fresh results answer probes without deriving a tree.
 
-    On the ``pure`` input the faithful loop answers directly (there is no
-    probe); its labels must land on the oracle's all the same.
+    A settled node's label is the oracle's; any other node's is the
+    converged one, no greater than the oracle's tentative label (or its
+    ``inf``).  On the ``pure`` input the faithful loop answers directly, so
+    every label lands on the oracle's.
     """
     network = kernel_path(make_network(17, num_nodes=70, num_edges=180))
     arena = kernel.arena_for(network.ensure_csr())
@@ -493,11 +519,13 @@ def test_p2p_probe_matches_reference_labels_without_materialization(kernel_path)
         source, target = rng.choice(ids), rng.choice(ids)
         want = oracle.dijkstra_search(network, source, target=target)
         for probe_node in rng.sample(ids, 4) + [target]:
-            # A fresh result per probe: settled nodes answer off the probe
-            # tuple, frontier/unreached nodes fall back to the replay --
-            # both must land on the faithful label.
             fresh = arena.point_to_point(source, target)
-            assert fresh.distance_to(probe_node) == want.distance_to(probe_node)
+            label = fresh.distance_to(probe_node)
+            if fresh.dist_np is None or probe_node in want.settled_nodes:
+                assert label == want.distance_to(probe_node)
+            else:
+                assert label <= want.distance_to(probe_node)
+                assert fresh._pred is None
 
 
 def test_arena_is_cached_per_thread_and_snapshot():

@@ -152,6 +152,7 @@ def test_failed_refresh_leaves_everything_as_it_was():
     # The next refresh consumes the same, still pending delta.
     report = system.refresh()
     assert sorted(report.incremental) == ["DJ", "HiTi", "NR"]
+    assert report.shadow_errors == ()
 
 
 def test_scratch_build_failing_midway_applies_nothing(monkeypatch):
@@ -187,6 +188,7 @@ def test_raising_shadow_rebuild_falls_back_to_a_scratch_build(monkeypatch):
     report = system.refresh()
     assert report.rebuilt == ("NR",)
     assert sorted(report.incremental) == ["DJ", "HiTi"]
+    assert report.shadow_errors == (("NR", "RuntimeError: repair failed"),)
     info = system.cache_info()
     assert info.full_rebuilds == 1 and info.incremental_rebuilds == 2
     params = SMALL_PARAMS["NR"]
