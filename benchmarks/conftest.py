@@ -3,7 +3,10 @@
 Every benchmark module reproduces one table or figure of the paper: it builds
 the (scaled) evaluation network, runs the competing methods, prints the rows
 or series the paper reports, and stores the same text under
-``benchmarks/reports/`` so the output survives pytest's capture.
+``benchmarks/reports/`` so the output survives pytest's capture.  Those
+text reports are generated and untracked (every run rewrites them with its
+host's timings); CI uploads them as an artifact, and a recorded run meant
+to be kept goes in a subdirectory, such as ``benchmarks/reports/paper_scale/``.
 
 The network scale defaults to ``REPRO_SCALE`` (see
 :mod:`repro.experiments.config`); absolute numbers therefore differ from the

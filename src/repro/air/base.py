@@ -326,7 +326,13 @@ class AirIndexScheme(abc.ABC):
                 f"artifact was built over network {artifact.network_fingerprint}, "
                 f"but the given network fingerprints as {fingerprint}"
             )
-        payload = decode_value(artifact.payload)
+        if type(artifact.payload) is bytes:
+            # An owned payload hands its byte blobs (NR's and EB's labels)
+            # over as zero-copy views into it; a mapped one (a shared
+            # segment) is never referenced past the restore, so it copies.
+            payload = decode_value(memoryview(artifact.payload), bytes_views=True)
+        else:
+            payload = decode_value(artifact.payload)
         if layout is None:
             layout = RecordLayout(**payload["layout"])
         scheme = object.__new__(target)

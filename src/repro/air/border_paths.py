@@ -25,8 +25,10 @@ the CSR snapshot, and the columns derived from each source's shortest path
 tree -- the cross-border nodes, the finite border-pair count, the min/max
 distance to every target region and the regions its paths there traverse.
 One function, :meth:`BorderPathPrecomputation._fold`, derives those columns
-for any set of rows, blocks of sources at a time, by pointer doubling over
-the predecessor arrays -- on a build, a repair, and a restore alike: the
+for any set of rows, blocks of sources at a time: an upward walk from each
+row's border targets marks their ancestors (the cross-border nodes), and
+pointer doubling over those cells alone gives each target's traversed
+regions -- on a build, a repair, and a restore alike: the
 serialized state keeps only the two label matrices, and the first
 :attr:`~BorderPathPrecomputation.block` access of a restored instance folds
 every row again.  The published aggregates are grouped reductions over the
@@ -69,7 +71,9 @@ from repro.partitioning.base import Partitioning
 __all__ = ["BorderPathPrecomputation", "ServingRestoreError"]
 
 #: Sources :meth:`BorderPathPrecomputation._fold` derives per pass; its
-#: pointer-doubling arrays hold this many rows of every node at once.
+#: walk marks hold this many rows of every node at once.  Measured flat
+#: between 16 and 48 rows on 1k-5k-node workload networks and on full
+#: Germany; more rows cost cache misses, fewer cost walk waves.
 _FOLD_BLOCK = 32
 
 
@@ -302,18 +306,28 @@ class BorderPathPrecomputation:
     def _fold(self, rows: np.ndarray) -> None:
         """Derive every column of ``rows`` from their ``dist``/``pred`` labels.
 
-        Per block of :data:`_FOLD_BLOCK` sources, pointer doubling over the
-        flattened predecessor arrays (``up = pred + row * nodes``, roots
-        pointing at themselves) gives, in ``ceil(log2 depth)`` passes, every
-        node's source-path region mask (``mask |= mask[up]``) and the
-        ancestor union of the finite border targets (``on_path[up[on_path]]
-        = True``) -- the row's cross-border nodes.  ``reduceat`` over the
-        region-ordered roster then yields ``min_to``, ``max_to``, ``reach``
-        and ``traversed`` per target region.  Scratch builds (whose labels
-        the batched kernel sweep wrote straight into the block), repairs,
-        the zero-weight fallback and restores (whose labels come from the
-        serialized bytes, see :attr:`block`) all derive through here: it is
-        the one producer of every derived column.
+        Per block of :data:`_FOLD_BLOCK` sources, over *cells* ``row * nodes
+        + node`` of the block's rows (``up`` maps a cell to its predecessor's
+        cell):
+
+        1. An upward walk from every finite border target marks the
+           target's ancestors -- the row's cross-border nodes.  Each wave
+           steps the frontier to its parents, drops cells already marked and
+           keeps one copy of each cell, so every cell is visited once and
+           the work grows with the cross cells, not with the block.
+        2. The marked cells, renumbered into a compact range, take their
+           region masks by pointer doubling (``mask |= mask[up]``, roots
+           pointing at themselves) in ``ceil(log2 depth)`` passes.  Every
+           ancestor of a marked cell is marked, so the compact parent array
+           is closed.  A target's mask is then the set of regions its path
+           traverses.
+        3. ``reduceat`` over the region-ordered roster yields ``min_to``,
+           ``max_to``, ``reach`` and ``traversed`` per target region.
+
+        Scratch builds (whose labels the batched kernel sweep wrote straight
+        into the block), repairs, the zero-weight fallback and restores
+        (whose labels come from the serialized bytes, see :attr:`block`) all
+        derive through here: it is the one producer of every derived column.
         """
         block = self._block
         index, regions, starts, words, _ids = self._roster()
@@ -324,27 +338,46 @@ class BorderPathPrecomputation:
         for first in range(0, len(rows), _FOLD_BLOCK):
             chunk = np.asarray(rows[first : first + _FOLD_BLOCK])
             size = len(chunk)
-            flat = np.arange(size * nodes).reshape(size, nodes)
-            pred = block.pred[chunk]
-            up = np.where(pred >= 0, pred + flat[:, :1], flat).ravel()
             # Border targets with a finite label, the source's own entry
             # (roster position == row) excluded.
-            target_dist = block.dist[chunk][:, index]
+            target_dist = block.dist[chunk[:, None], index]
             valid = np.isfinite(target_dist)
             valid[np.arange(size), chunk] = False
-            mask = np.tile(words, (size, 1))
-            on_path = np.zeros(size * nodes, dtype=bool)
-            on_path[flat[:, index][valid]] = True
+            base = np.arange(0, size * nodes, nodes)
+            up = (block.pred[chunk] + base[:, None]).ravel()
+            targets = (base[:, None] + index)[valid]
+            # A source is marked up front (when it reaches a target), so
+            # the walk never steps past a root.
+            rooted = valid.any(axis=1)
+            sources = base[rooted] + index[chunk[rooted]]
+            # ``slot``: -1 off the paths; on them, a wave's claim ticket,
+            # then the cell's compact position.
+            slot = np.full(size * nodes, -1, dtype=np.int64)
+            slot[targets] = 0
+            slot[sources] = 0
+            frontier = targets
+            while len(frontier):
+                cells = up[frontier]
+                cells = cells[slot[cells] < 0]
+                ticket = np.arange(len(cells))
+                slot[cells] = ticket
+                frontier = cells[slot[cells] == ticket]
+            on_path = (slot >= 0).reshape(size, nodes)
+            cells = np.flatnonzero(on_path)
+            slot[cells] = np.arange(len(cells))
+            roots = slot[sources]
+            up = slot[up[cells]]
+            up[roots] = roots
+            cell_nodes = cells - np.repeat(base, on_path.sum(axis=1))
+            mask = np.take(words, cell_nodes, axis=0)
             while True:
-                mask |= mask[up]
-                on_path[up[on_path]] = True
-                jumped = up[up]
+                mask |= np.take(mask, up, axis=0)
+                jumped = np.take(up, up)
                 if np.array_equal(jumped, up):
                     break
                 up = jumped
-            cross = on_path.reshape(size, nodes)
-            cross[np.arange(size), index[chunk]] = True
-            block.cross[chunk] = cross
+            on_path[np.arange(size), index[chunk]] = True
+            block.cross[chunk] = on_path
             block.finite_pairs[chunk] = valid.sum(axis=1)
             at = (chunk[:, None], regions)
             block.min_to[at] = np.minimum.reduceat(
@@ -354,8 +387,8 @@ class BorderPathPrecomputation:
                 np.where(valid, target_dist, -INFINITY), starts, axis=1
             )
             block.reach[at] = np.logical_or.reduceat(valid, starts, axis=1)
-            path_masks = mask.reshape(size, nodes, width)[:, index]
-            path_masks[~valid] = 0
+            path_masks = np.zeros((size, len(index), width), dtype=np.uint64)
+            path_masks[valid] = np.take(mask, slot[targets], axis=0)
             block.traversed[at] = np.bitwise_or.reduceat(path_masks, starts, axis=1)
 
     def _aggregate(self) -> None:

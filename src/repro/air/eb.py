@@ -104,7 +104,7 @@ class EllipticBoundaryScheme(RegionScheme):
     # Cycle construction
     # ------------------------------------------------------------------
     def build_cycle(self) -> BroadcastCycle:
-        region_groups = [self._region_segments(region) for region in range(self.num_regions)]
+        region_groups = self._region_segments()
         data_packets = sum(
             segment.num_packets for group in region_groups for segment in group
         )

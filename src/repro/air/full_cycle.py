@@ -41,18 +41,20 @@ class FullCycleScheme(AirIndexScheme):
         """Split the adjacency data into :data:`DATA_SEGMENTS` segments."""
         node_ids = self.network.node_ids()
         per_segment = max(1, -(-len(node_ids) // DATA_SEGMENTS))
-        segments: List[Segment] = []
-        for index in range(0, len(node_ids), per_segment):
-            chunk = node_ids[index : index + per_segment]
-            segments.append(
-                Segment(
-                    name=f"network-data-{index // per_segment}",
-                    kind=SegmentKind.NETWORK_DATA,
-                    size_bytes=self.layout.adjacency_bytes(self.network, chunk),
-                    payload={"nodes": chunk},
-                )
+        chunks = [
+            node_ids[index : index + per_segment]
+            for index in range(0, len(node_ids), per_segment)
+        ]
+        sizes = self.layout.grouped_adjacency_bytes(self.network, chunks)
+        return [
+            Segment(
+                name=f"network-data-{number}",
+                kind=SegmentKind.NETWORK_DATA,
+                size_bytes=size,
+                payload={"nodes": chunk},
             )
-        return segments
+            for number, (chunk, size) in enumerate(zip(chunks, sizes))
+        ]
 
     def _precomputed_segments(self) -> List[Segment]:
         """Extra pre-computed information; none by default (Dijkstra)."""

@@ -95,14 +95,17 @@ class HiTiBroadcastScheme(AirIndexScheme):
         )
 
     def build_cycle(self) -> BroadcastCycle:
+        regions = [
+            self.partitioning.nodes_in_region(region) for region in range(self.num_regions)
+        ]
+        sizes = self.layout.grouped_adjacency_bytes(self.network, regions)
         segments: List[Segment] = [self._index_segment()]
-        for region in range(self.num_regions):
-            nodes = self.partitioning.nodes_in_region(region)
+        for region, (nodes, size) in enumerate(zip(regions, sizes)):
             segments.append(
                 Segment(
                     name=f"region-{region}",
                     kind=SegmentKind.REGION_CROSS_BORDER,
-                    size_bytes=self.layout.adjacency_bytes(self.network, nodes),
+                    size_bytes=size,
                     region=region,
                     payload={"nodes": nodes},
                 )

@@ -118,7 +118,7 @@ class NextRegionScheme(RegionScheme):
     # ------------------------------------------------------------------
     def build_cycle(self) -> BroadcastCycle:
         segments: List[Segment] = []
-        for region in range(self.num_regions):
+        for region, data in enumerate(self._region_segments()):
             segments.append(
                 Segment(
                     name=f"nr-index-{region}",
@@ -128,7 +128,7 @@ class NextRegionScheme(RegionScheme):
                     payload={"index_region": region},
                 )
             )
-            segments.extend(self._region_segments(region))
+            segments.extend(data)
         return BroadcastCycle(segments, name="NR-cycle")
 
     # ------------------------------------------------------------------

@@ -15,8 +15,11 @@ identifier in a single byte (the paper never uses more than 128 regions).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.network.graph import RoadNetwork
 
@@ -56,7 +59,30 @@ class RecordLayout:
     def adjacency_bytes(self, network: RoadNetwork, node_ids: Optional[Iterable[int]] = None) -> int:
         """Total bytes of the adjacency records of ``node_ids`` (default: all)."""
         ids = network.node_ids() if node_ids is None else list(node_ids)
-        return sum(self.node_record_bytes(network.out_degree(node_id)) for node_id in ids)
+        return self.grouped_adjacency_bytes(network, [ids])[0]
+
+    def grouped_adjacency_bytes(
+        self, network: RoadNetwork, groups: Sequence[Sequence[int]]
+    ) -> List[int]:
+        """:meth:`adjacency_bytes` of every group of node ids, in one array
+        pass over the snapshot's CSR offsets for all groups at once."""
+        csr = network.ensure_csr()
+        sizes = np.array([len(group) for group in groups], dtype=np.int64)
+        nodes = np.fromiter(
+            itertools.chain.from_iterable(groups), dtype=np.int64, count=int(sizes.sum())
+        )
+        ids = np.asarray(csr.ids, dtype=np.int64)
+        index = np.minimum(np.searchsorted(ids, nodes), len(ids) - 1)
+        unknown = ids[index] != nodes
+        if unknown.any():
+            raise KeyError(int(nodes[unknown][0]))
+        offsets = np.frombuffer(csr.fwd_offsets, dtype=np.int64)
+        edges = np.concatenate([[0], np.cumsum(offsets[index + 1] - offsets[index])])
+        ends = np.cumsum(sizes)
+        degrees = edges[ends] - edges[ends - sizes]
+        return (
+            sizes * self.node_record_bytes(0) + degrees * self.adjacency_entry_bytes()
+        ).tolist()
 
     # ------------------------------------------------------------------
     # Pre-computed information of the competitor methods

@@ -103,31 +103,44 @@ class RegionScheme(AirIndexScheme):
     # ------------------------------------------------------------------
     # Cycle construction
     # ------------------------------------------------------------------
-    def _region_segments(self, region: int) -> List[Segment]:
-        """The region's cross-border and local data segments, in that order.
+    def _region_segments(self) -> List[List[Segment]]:
+        """Per region, its cross-border and local data segments, in that
+        order; every segment's bytes come from one array pass.
 
         Record sizes are purely structural (degree-based), so on a refresh a
         segment of the current cycle whose node list is unchanged is already
         correct and is reused as it is.
         """
-        cross_nodes = self.precomputation.cross_border_in_region(region)
-        local_nodes = self.precomputation.local_in_region(region)
-        segments = []
-        for suffix, kind, nodes in (
-            ("cross", SegmentKind.REGION_CROSS_BORDER, cross_nodes),
-            ("local", SegmentKind.REGION_LOCAL, local_nodes),
-        ):
+        slots = [
+            (region, suffix, kind)
+            for region in range(self.num_regions)
+            for suffix, kind in (
+                ("cross", SegmentKind.REGION_CROSS_BORDER),
+                ("local", SegmentKind.REGION_LOCAL),
+            )
+        ]
+        groups = [
+            nodes
+            for region in range(self.num_regions)
+            for nodes in (
+                self.precomputation.cross_border_in_region(region),
+                self.precomputation.local_in_region(region),
+            )
+        ]
+        sizes = self.layout.grouped_adjacency_bytes(self.network, groups)
+        segments: List[List[Segment]] = [[] for _ in range(self.num_regions)]
+        for (region, suffix, kind), nodes, size in zip(slots, groups, sizes):
             name = f"region-{region}-{suffix}"
             if self._cycle is not None:
                 previous = self._cycle.segment(name)
                 if previous.payload["nodes"] == nodes:
-                    segments.append(previous)
+                    segments[region].append(previous)
                     continue
-            segments.append(
+            segments[region].append(
                 Segment(
                     name=name,
                     kind=kind,
-                    size_bytes=self.layout.adjacency_bytes(self.network, nodes),
+                    size_bytes=size,
                     region=region,
                     payload={"nodes": nodes},
                 )

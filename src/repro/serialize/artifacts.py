@@ -165,11 +165,12 @@ class BuildArtifact:
     def read_from(cls, handle, chunk_bytes: int = STREAM_CHUNK_BYTES) -> "BuildArtifact":
         """Parse and fully validate an artifact from a binary file object.
 
-        The streaming dual of :meth:`from_bytes`: the payload is read into
-        a single buffer in ``chunk_bytes`` slices with the checksum
-        accumulating alongside, so the framed whole (prefix + header +
+        The streaming dual of :meth:`from_bytes`: the payload is read once
+        into the ``bytes`` the artifact keeps and checksummed in
+        ``chunk_bytes`` slices, so the framed whole (prefix + header +
         payload + digest) is never materialized as one contiguous copy the
-        way ``read_bytes()`` + :meth:`from_bytes` does.
+        way ``read_bytes()`` + :meth:`from_bytes` does, nor is the payload
+        copied again.
         Raises the same exceptions for the same failure modes -- truncation,
         bad magic, digest mismatch, or trailing garbage are
         :class:`ArtifactChecksumError`; a foreign format version is
@@ -198,16 +199,12 @@ class BuildArtifact:
         cls._check_header_fields(header)
 
         payload_bytes = header["payload_bytes"]
-        payload = bytearray(payload_bytes)
+        payload = handle.read(payload_bytes)
+        if len(payload) < payload_bytes:
+            raise ArtifactChecksumError("artifact truncated")
         view = memoryview(payload)
-        filled = 0
-        while filled < payload_bytes:
-            want = min(chunk_bytes, payload_bytes - filled)
-            got = handle.readinto(view[filled : filled + want])
-            if not got:
-                raise ArtifactChecksumError("artifact truncated")
-            digest.update(view[filled : filled + got])
-            filled += got
+        for start in range(0, payload_bytes, chunk_bytes):
+            digest.update(view[start : start + chunk_bytes])
         trailer = handle.read(_CHECKSUM_BYTES)
         if len(trailer) < _CHECKSUM_BYTES:
             raise ArtifactChecksumError("artifact truncated")
@@ -219,7 +216,7 @@ class BuildArtifact:
             scheme=header["scheme"],
             params=header["params"],
             network_fingerprint=header["network_fingerprint"],
-            payload=bytes(payload),
+            payload=payload,
             format_version=version,
         )
 

@@ -23,14 +23,19 @@ What is shared and what each process holds:
   flat CSR arrays, the coordinates, the insertion order and the scheme
   artifacts' serving forms.
 * **Per process**: the id list and the id -> index map (arithmetic for
-  contiguous ids), the network's fingerprint, re-hashed from the mapped
-  content, and the
+  contiguous ids), and the
   ``(neighbor_index, weight)`` tuple adjacency
   :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj` builds on a worker's
   first search -- the same lazy adjacency every snapshot uses, 1.24 MiB
   forward and 1.35 MiB more reverse at 4,907 nodes against 0.38 MiB of
   flat arrays.  The tuples hold plain values, not views into the mapping,
   so they never keep a swapped-off segment mapped.
+
+The network's fingerprint travels in the directory, and the payload
+checksum is seeded with it: a worker whose :meth:`~SharedArtifactSegment.verify`
+passed takes the fingerprint as published instead of re-hashing every node
+and edge of the mapped arrays (the larger part of a swap), and a directory
+whose fingerprint was rewritten fails verification like a corrupted payload.
 
 Segment layout (all offsets 8-byte aligned)::
 
@@ -91,6 +96,11 @@ _CSR_SECTIONS: Tuple[Tuple[str, str], ...] = (
 
 def _align(offset: int) -> int:
     return (offset + 7) & ~7
+
+
+def _checksum(fingerprint: str):
+    """The payload digest, seeded with the network's fingerprint."""
+    return hashlib.sha256(fingerprint.encode("utf-8"))
 
 
 class SharedArtifactSegment:
@@ -176,10 +186,11 @@ class SharedArtifactSegment:
         payload_bytes = offset
         for (table, key), start, length in slots:
             table[key] = [start, length]
-        # Checksum the payload area exactly as it will land in the segment
-        # (sections in order, alignment gaps zero -- fresh shared memory is
-        # zero-filled), so workers can verify integrity before serving.
-        digest = hashlib.sha256()
+        # Checksum the fingerprint, then the payload area exactly as it will
+        # land in the segment (sections in order, alignment gaps zero --
+        # fresh shared memory is zero-filled), so workers can verify
+        # integrity before serving and trust the fingerprint afterwards.
+        digest = _checksum(fingerprint)
         position = 0
         for (raw, _slot), (_s, start, length) in zip(sections, slots):
             if start > position:
@@ -259,14 +270,16 @@ class SharedArtifactSegment:
         return self._buf[base + start : base + start + length]
 
     def verify(self) -> bool:
-        """Re-hash the payload area against the published checksum.
+        """Re-hash the directory's fingerprint and the payload area against
+        the published checksum.
 
         Raises :class:`SegmentIntegrityError` on mismatch; returns ``True``
         otherwise.  Workers call this between :meth:`attach` and serving, so
         a segment corrupted in flight (or tampered via the
         ``shm.segment.tamper`` fault point) is rejected before a single
-        query reads through it.  Every :meth:`publish` records a checksum,
-        so a directory without one is damaged and fails too.
+        query reads through it, and a verified segment's fingerprint is the
+        one its network was published with.  Every :meth:`publish` records
+        a checksum, so a directory without one is damaged and fails too.
         """
         expected = self._directory.get("payload_sha256")
         if not expected:
@@ -279,7 +292,11 @@ class SharedArtifactSegment:
         payload_bytes = int(self._directory.get("payload_bytes", 0))
         view = self._buf[base : base + payload_bytes]
         try:
-            actual = hashlib.sha256(view).hexdigest()
+            # A damaged directory may lack the fingerprint or hold another
+            # type; either way the digest mismatches.
+            digest = _checksum(str(self._directory.get("fingerprint")))
+            digest.update(view)
+            actual = digest.hexdigest()
         finally:
             view.release()
         if actual != expected:
@@ -308,8 +325,9 @@ class SharedArtifactSegment:
 
         Nothing is decoded or copied: ids, spans, weights, coordinates and
         insertion order are all views into the segment.  The fingerprint is
-        re-hashed from that content on first use, so an artifact restored
-        against this network is checked against what the segment holds.
+        the directory's, which the payload checksum covers: call
+        :meth:`verify` first, and an artifact restored against this network
+        is checked against what the segment holds without a re-hash.
         """
         order = self._section("order", "q") if "order" in self._directory else None
         return RoadNetwork.from_arrays(
@@ -318,6 +336,7 @@ class SharedArtifactSegment:
             self._section("y", "d"),
             name=self._directory["network_name"],
             order=order,
+            fingerprint=self._directory["fingerprint"],
         )
 
     def artifact(self, scheme_name: str) -> BuildArtifact:

@@ -77,9 +77,10 @@ class WorkerRuntime:
         mappings coexist only for the microseconds the exchange takes.
 
         The attached segment is integrity-checked *before* anything is
-        restored from it: a corrupted publication raises
-        :class:`~repro.serving.shm.SegmentIntegrityError` and leaves the
-        worker serving its previous segment untouched.
+        restored from it: a corrupted publication -- payload or directory
+        fingerprint -- raises :class:`~repro.serving.shm.SegmentIntegrityError`
+        and leaves the worker serving its previous segment untouched.  The
+        restored network then takes the verified fingerprint as published.
         """
         segment = SharedArtifactSegment.attach(segment_name)
         try:

@@ -1,13 +1,18 @@
 """The border-path block's batched fold against the record-at-a-time oracle.
 
 ``BorderPathPrecomputation._fold`` derives every row's cross-border nodes,
-finite-pair count, per-region min/max and traversed-region masks by pointer
-doubling over whole blocks of sources; ``_aggregate`` reduces the rows by
-source region.  Here both are checked against
+finite-pair count, per-region min/max and traversed-region masks for whole
+blocks of sources: an upward walk from the border targets marks the cross
+cells, and pointer doubling over those cells alone gives the masks;
+``_aggregate`` reduces the rows by source region.  Here both are checked
+against
 ``tests/oracles/border_paths.py``, which folds the same ``dist``/``pred``
 labels one source and one predecessor chain at a time, over hypothesis-drawn
 integer-weight networks with exact ties, zero-weight edges, unreachable
-nodes and region counts on both sides of the 64-bit mask word boundary.
+nodes and region counts on both sides of the 64-bit mask word boundary,
+and on hand-drawn networks for the walk's edge cases: chains deeper than
+2**8 hops, targets on other targets' paths, rows without a finite target
+and rows sharing no cross-border node.
 
 The serialized state keeps only the labels, so a restore derives every
 other column through ``_fold`` too; that block must equal the built one,
@@ -110,6 +115,25 @@ def assert_matches_oracle(precomputation: BorderPathPrecomputation) -> None:
     )
 
 
+def assert_refold_restores(precomputation: BorderPathPrecomputation, rows) -> None:
+    """Re-folding ``rows`` from scrambled derived columns restores the
+    block.  Target regions without border nodes are never reached, so only
+    the others fold."""
+    block = precomputation.block
+    rows = np.asarray(rows, dtype=np.int64)
+    expected = {column: getattr(block, column).copy() for column in BLOCK_COLUMNS}
+    at = (rows[:, None], precomputation._roster().regions)
+    block.cross[rows] = True
+    block.finite_pairs[rows] = -1
+    block.min_to[at] = 0.0
+    block.max_to[at] = 0.0
+    block.reach[at] = True
+    block.traversed[at] = np.uint64(0xFFFF)
+    precomputation._fold(rows)
+    for column in BLOCK_COLUMNS:
+        assert np.array_equal(getattr(block, column), expected[column]), column
+
+
 @settings(
     max_examples=40,
     deadline=None,
@@ -128,21 +152,11 @@ def test_fold_equals_the_record_oracle(seed, num_regions, num_nodes, zero_share)
     assert_matches_oracle(precomputation)
 
     # Re-folding any subset of rows (across fold-block boundaries) from
-    # scrambled derived columns lands on the same block.  Target regions
-    # without border nodes are never reached, so only the others fold.
-    block = precomputation.block
-    expected = {column: getattr(block, column).copy() for column in BLOCK_COLUMNS}
-    rows = np.flatnonzero(np.random.default_rng(seed).random(len(block.dist)) < 0.6)
-    at = (rows[:, None], precomputation._roster().regions)
-    block.cross[rows] = True
-    block.finite_pairs[rows] = -1
-    block.min_to[at] = 0.0
-    block.max_to[at] = 0.0
-    block.reach[at] = True
-    block.traversed[at] = np.uint64(0xFFFF)
-    precomputation._fold(rows)
-    for column in BLOCK_COLUMNS:
-        assert np.array_equal(getattr(block, column), expected[column]), column
+    # scrambled derived columns lands on the same block.
+    rows = np.flatnonzero(
+        np.random.default_rng(seed).random(len(precomputation.block.dist)) < 0.6
+    )
+    assert_refold_restores(precomputation, rows)
 
 
 def test_nr_build_at_128_regions_matches_oracle_aggregates():
@@ -224,3 +238,88 @@ def test_restore_derives_the_built_block(seed, num_regions):
         assert_same_block(restored, built)
         assert restored.state() == built.state()
     assert_matches_oracle(restored)
+
+
+def precomputation_over(edges, regions) -> BorderPathPrecomputation:
+    """Border paths over nodes ``0..len(regions)-1`` (node ``i`` in
+    ``regions[i]``) joined by the directed ``(a, b, weight)`` edges."""
+    network = RoadNetwork(name="hand-drawn")
+    for node in range(len(regions)):
+        network.add_node(node, float(node), 0.0)
+    for a, b, weight in edges:
+        network.add_edge(a, b, weight)
+    network.clear_delta()
+    partitioning = Partitioning(network, _Assigned(max(regions) + 1, regions))
+    return BorderPathPrecomputation(network, partitioning)
+
+
+def two_way(pairs):
+    return [(a, b, 1.0) for a, b in pairs] + [(b, a, 1.0) for a, b in pairs]
+
+
+def record_of(precomputation: BorderPathPrecomputation, node: int):
+    records = oracle.block_records(precomputation)
+    return next(record for record in records if record.node == node)
+
+
+def test_fold_follows_chains_deeper_than_256_hops():
+    """A 600-node two-way chain in six 100-node regions: the border node 99
+    reaches the border node 500 over 401 hops, past the 2**8 that eight
+    doubling passes cover."""
+    precomputation = precomputation_over(
+        two_way((node, node + 1) for node in range(599)), [node // 100 for node in range(600)]
+    )
+    pred = precomputation.block.pred[0]
+    assert precomputation._all_border[0] == (99, 0)
+    hops, node = 0, 500
+    while pred[node] >= 0:
+        hops, node = hops + 1, pred[node]
+    assert hops == 401 > 2**8
+    assert_matches_oracle(precomputation)
+    record = record_of(precomputation, 99)
+    assert record.cross_nodes == set(range(99, 501))
+    assert record.traversed[5] == {0, 1, 2, 3, 4, 5}
+    assert_refold_restores(precomputation, np.arange(len(precomputation.block.dist)))
+
+
+def test_fold_marks_a_target_on_another_targets_path_once():
+    """From border node 1, targets 2 and 3 lie on the path to target 4, and
+    target 5 branches off at 2: each path's regions are its own."""
+    precomputation = precomputation_over(
+        two_way([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]), [0, 0, 1, 1, 2, 3]
+    )
+    assert_matches_oracle(precomputation)
+    record = record_of(precomputation, 1)
+    assert record.cross_nodes == {1, 2, 3, 4, 5}
+    assert record.finite_pairs == 4
+    assert record.traversed == {1: {0, 1}, 2: {0, 1, 2}, 3: {0, 1, 3}}
+    assert record.min_to[1] == 1.0 and record.max_to[1] == 2.0
+
+
+def test_fold_of_rows_without_a_finite_target():
+    """Border node 1 only has in-edges, so its row reaches no border target;
+    folded alone or beside a row that does, it keeps only its own node."""
+    precomputation = precomputation_over([(0, 1, 1.0), (2, 1, 2.0)], [0, 1, 2])
+    assert_matches_oracle(precomputation)
+    block = precomputation.block
+    row = precomputation._all_border.index((1, 1))
+    assert np.flatnonzero(block.cross[row]).tolist() == [1]
+    assert block.finite_pairs[row] == 0
+    assert not block.reach[row].any()
+    assert np.isinf(block.min_to[row]).all() and (block.max_to[row] == -np.inf).all()
+    assert not block.traversed[row].any()
+    assert_refold_restores(precomputation, [row])
+    assert_refold_restores(precomputation, [0, row])
+
+
+def test_fold_of_rows_sharing_no_cross_node():
+    """Three two-node components across regions 0 and 1: the rows of the
+    region-0 border nodes have disjoint cross-border sets and fold as one
+    block."""
+    precomputation = precomputation_over(two_way([(0, 1), (2, 3), (4, 5)]), [0, 1] * 3)
+    assert_matches_oracle(precomputation)
+    rows = [precomputation._all_border.index((node, 0)) for node in (0, 2, 4)]
+    cross = precomputation.block.cross[rows]
+    assert cross.sum(axis=0).max() == 1
+    assert [np.flatnonzero(row).tolist() for row in cross] == [[0, 1], [2, 3], [4, 5]]
+    assert_refold_restores(precomputation, rows)

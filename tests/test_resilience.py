@@ -539,6 +539,34 @@ class TestSegmentIntegrity:
                 segment.unlink()
                 segment.close()
 
+    def test_rewritten_fingerprint_fails_verification(self, direct_system, query_pairs):
+        """The checksum covers the directory's fingerprint, which workers
+        take without re-hashing: a segment whose fingerprint was rewritten
+        fails ``verify()``, and a worker swapping to it keeps its previous
+        segment."""
+        scheme = direct_system.scheme("NR")
+        good = SharedArtifactSegment.publish(
+            direct_system.network, {"NR": scheme.artifact()}
+        )
+        forged = SharedArtifactSegment.publish(
+            direct_system.network, {"NR": scheme.artifact()}
+        )
+        fingerprint = forged.fingerprint
+        _rewrite_directory(forged, fingerprint=fingerprint[::-1])
+        try:
+            attached = SharedArtifactSegment.attach(forged.name)
+            try:
+                assert attached.fingerprint == fingerprint[::-1] != fingerprint
+                with pytest.raises(SegmentIntegrityError):
+                    attached.verify()
+            finally:
+                attached.close()
+            _assert_swap_refused(direct_system, query_pairs, good, forged)
+        finally:
+            for segment in (good, forged):
+                segment.unlink()
+                segment.close()
+
     def test_segment_without_checksum_fails_verification(
         self, direct_system, query_pairs
     ):
@@ -551,8 +579,7 @@ class TestSegmentIntegrity:
         blank = SharedArtifactSegment.publish(
             direct_system.network, {"NR": scheme.artifact()}
         )
-        _blank_checksum(blank)
-        runtime = WorkerRuntime(0, config=BASE_CONFIG.experiment_config())
+        _rewrite_directory(blank, payload_sha256="")
         try:
             attached = SharedArtifactSegment.attach(blank.name)
             try:
@@ -561,45 +588,50 @@ class TestSegmentIntegrity:
                     attached.verify()
             finally:
                 attached.close()
-
-            runtime.load_segment(good.name)
-            with pytest.raises(SegmentIntegrityError):
-                runtime.load_segment(blank.name)
-            assert runtime.segment.name == good.name
-            assert runtime.swaps == 0
-            source, target = query_pairs[0]
-            served = runtime.handle(
-                {
-                    "op": "query",
-                    "method": "NR",
-                    "source": source,
-                    "target": target,
-                    "tune_in_offset": 0,
-                }
-            )
-            assert served["status"] == "ok"
-            assert served["distance"] == _direct_distance(direct_system, source, target)
+            _assert_swap_refused(direct_system, query_pairs, good, blank)
         finally:
-            runtime.shutdown()
             for segment in (good, blank):
                 segment.unlink()
                 segment.close()
 
 
-def _blank_checksum(segment: SharedArtifactSegment) -> None:
-    """Rewrite ``segment``'s directory in place with an empty checksum,
-    padded by a filler entry to its encoded length so every section stays
-    where it was."""
+def _assert_swap_refused(system, query_pairs, good, damaged) -> None:
+    """A worker serving ``good`` refuses to swap to ``damaged`` and keeps
+    answering from ``good``."""
+    runtime = WorkerRuntime(0, config=BASE_CONFIG.experiment_config())
+    try:
+        runtime.load_segment(good.name)
+        with pytest.raises(SegmentIntegrityError):
+            runtime.load_segment(damaged.name)
+        assert runtime.segment.name == good.name
+        assert runtime.swaps == 0
+        source, target = query_pairs[0]
+        served = runtime.handle(
+            {
+                "op": "query",
+                "method": "NR",
+                "source": source,
+                "target": target,
+                "tune_in_offset": 0,
+            }
+        )
+        assert served["status"] == "ok"
+        assert served["fingerprint"] == good.fingerprint
+        assert served["distance"] == _direct_distance(system, source, target)
+    finally:
+        runtime.shutdown()
+
+
+def _rewrite_directory(segment: SharedArtifactSegment, **entries) -> None:
+    """Rewrite ``segment``'s directory in place with ``entries`` replaced,
+    padded (when it encodes shorter) by a filler entry to its encoded length
+    so every section stays where it was."""
     buf = segment._shm.buf
     header = len(shm_module._MAGIC) + shm_module._DIR_LEN.size
     (length,) = shm_module._DIR_LEN.unpack_from(buf, len(shm_module._MAGIC))
-    directory = decode_value(bytes(buf[header : header + length]))
-    directory["payload_sha256"] = ""
-    for filler in range(length):
-        raw = encode_value({**directory, "filler": "x" * filler})
-        if len(raw) == length:
-            break
-    assert len(raw) == length
+    directory = {**decode_value(bytes(buf[header : header + length])), **entries}
+    padded = [directory] + [{**directory, "filler": "x" * n} for n in range(length)]
+    raw = next(raw for raw in map(encode_value, padded) if len(raw) == length)
     buf[header : header + length] = raw
 
 

@@ -237,6 +237,25 @@ class TestSharedArtifactSegment:
             published.unlink()
             published.close()
 
+    def test_carried_fingerprint_equals_a_fresh_rehash(self, segment, direct_system):
+        """The restored network takes the directory's fingerprint without
+        hashing; a network over the same mapped arrays that hashes them
+        lands on the same value."""
+        from repro.network.graph import RoadNetwork
+
+        attached = SharedArtifactSegment.attach(segment.name)
+        network = attached.restore_network()
+        assert network._fingerprint_cache == attached.fingerprint
+        x, y, order = network.node_arrays()
+        rehashed = RoadNetwork.from_arrays(
+            attached.csr_graph(), x, y, name=network.name, order=order
+        )
+        assert rehashed._fingerprint_cache is None
+        assert rehashed.fingerprint() == network.fingerprint()
+        assert network.fingerprint() == direct_system.network.fingerprint()
+        del network, rehashed, x, y, order
+        assert attached.close() is True
+
     def test_artifact_lookup_and_miss(self, segment):
         attached = SharedArtifactSegment.attach(segment.name)
         artifact = attached.artifact("NR")

@@ -18,8 +18,10 @@ guesses.  For any registered scheme it profiles:
   partition, the probe sessions and the bulk trace replay;
 * **swap** -- what a serving worker does per publication: one segment is
   published (not profiled), then ``WorkerRuntime.load_segment`` attaches,
-  verifies and restores it ``SWAPS`` times (network over the mapped
-  arrays, fingerprint re-hash, scheme restores from the serving forms);
+  verifies and restores it ``SWAPS`` times (the checksum over the
+  directory's fingerprint and the payload, the network over the mapped
+  arrays with that fingerprint carried rather than re-hashed, scheme
+  restores from the serving forms and their cycle re-lay);
 * **restore** -- a warm start that then refreshes: after one unprofiled
   build, ``from_artifact`` over the framed store artifact
   (``BuildArtifact.from_bytes(artifact().to_bytes())``) and the first
