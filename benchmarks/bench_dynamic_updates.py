@@ -16,7 +16,9 @@ scheme, the cycle-refresh throughput of
 Each path first absorbs one untimed warm-up batch; every later refresh
 and rebuild is timed on its own, and the speedup is the median rebuild
 over the median refresh, so one cold or descheduled batch cannot decide
-the verdict.  Asserted invariants: the incrementally refreshed cycle is
+the verdict.  The two paths take turns batch by batch (a refresh, then
+the rebuild of the same batch), so a slow stretch of the host hits both
+sides alike.  Asserted invariants: the incrementally refreshed cycle is
 **bit-identical** to a from-scratch build after every stream (compared via
 ``BroadcastCycle.signature()``), and the speedup meets a per-scheme floor.
 DJ's cycle reuse and HiTi's dirty-block super-edge recompute are strictly
@@ -119,12 +121,18 @@ def test_dynamic_updates_incremental_vs_full(network, update_batches):
         # The first batch warms each path up untimed.
         batches = update_batches[: 1 + num_batches]
 
-        # Incremental path: one warm AirSystem, refresh() per batch.
+        # Incremental path: one warm AirSystem, refresh() per batch.  Full
+        # path: rebuild the scheme from scratch after every batch.  The two
+        # take turns batch by batch.
         inc_network = network.copy()
         inc_network.clear_delta()
         system = AirSystem(inc_network)
         system.scheme(name, **params)
         inc_seconds: List[float] = []
+        full_network = network.copy()
+        full_network.clear_delta()
+        full_seconds: List[float] = []
+        scratch = None
         for batch in batches:
             inc_network.apply_updates(batch)
             started = time.perf_counter()
@@ -132,12 +140,6 @@ def test_dynamic_updates_incremental_vs_full(network, update_batches):
             inc_seconds.append(time.perf_counter() - started)
             assert refresh.incremental == (air.canonical_name(name),)
 
-        # Full path: rebuild the scheme from scratch after every batch.
-        full_network = network.copy()
-        full_network.clear_delta()
-        full_seconds: List[float] = []
-        scratch = None
-        for batch in batches:
             full_network.apply_updates(batch)
             full_network.clear_delta()
             started = time.perf_counter()

@@ -28,11 +28,22 @@ One function, :meth:`BorderPathPrecomputation._fold`, derives those columns
 for any set of rows, blocks of sources at a time: an upward walk from each
 row's border targets marks their ancestors (the cross-border nodes), and
 pointer doubling over those cells alone gives each target's traversed
-regions -- on a build, a repair, and a restore alike: the
-serialized state keeps only the two label matrices, and the first
-:attr:`~BorderPathPrecomputation.block` access of a restored instance folds
-every row again.  The published aggregates are grouped reductions over the
-block (:meth:`~BorderPathPrecomputation._aggregate`).
+regions -- on a build, a repair, and a restore alike.  The published
+aggregates are grouped reductions over the block
+(:meth:`~BorderPathPrecomputation._aggregate`).
+
+The serialized state keeps only the ``dist`` labels of the block: on a
+positive-weight snapshot the kernel's predecessors are a function of the
+distances (:meth:`KernelArena._tree_rows`), and every repair keeps them so.
+The first block use of a restored instance derives ``pred`` again, over the
+weights the labels were computed on, and folds every row.  That use is
+usually a refresh, which comes after the network's weights were patched in
+place, so it derives over the current weights with the batch's changed
+edges set back to their old weights; a block read naming no batch, or a
+batch that does not undo the network's moves, raises
+:class:`StaleLabelsError` instead of deriving a wrong tree.  A snapshot
+with a non-positive weight has no predecessors that follow from the
+distances, so its state keeps ``pred`` too and a restore reads it back.
 
 :meth:`BorderPathPrecomputation.refresh` keeps this exact after a weight
 change batch:
@@ -68,7 +79,7 @@ from repro.network.delta import WeightChange
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
-__all__ = ["BorderPathPrecomputation", "ServingRestoreError"]
+__all__ = ["BorderPathPrecomputation", "ServingRestoreError", "StaleLabelsError"]
 
 #: Sources :meth:`BorderPathPrecomputation._fold` derives per pass; its
 #: walk marks hold this many rows of every node at once.  Measured flat
@@ -211,6 +222,19 @@ class _Block:
         return _Block(
             **{f.name: getattr(self, f.name).copy() for f in dataclasses.fields(self)}
         )
+
+
+class StaleLabelsError(RuntimeError):
+    """Restored border-path labels were read over weights they were not
+    computed on.
+
+    A restore keeps only the ``dist`` labels of a positive-weight snapshot
+    and derives the predecessors from them on first use, which needs the
+    weights the labels were computed on.  The first use after an in-place
+    weight batch must therefore name the batch
+    (:meth:`~BorderPathPrecomputation.refresh` and
+    :meth:`~BorderPathPrecomputation.affected_sources` do).
+    """
 
 
 class ServingRestoreError(RuntimeError):
@@ -370,12 +394,17 @@ class BorderPathPrecomputation:
             up[roots] = roots
             cell_nodes = cells - np.repeat(base, on_path.sum(axis=1))
             mask = np.take(words, cell_nodes, axis=0)
-            while True:
+            # A chain is at most ``len(cells)`` deep, so the jumps reach
+            # every root within ``bit_length`` passes; labels whose
+            # predecessors hold a cycle never would.
+            for _ in range(len(cells).bit_length() + 1):
                 mask |= np.take(mask, up, axis=0)
                 jumped = np.take(up, up)
                 if np.array_equal(jumped, up):
                     break
                 up = jumped
+            else:
+                raise RuntimeError("border-path predecessor labels hold a cycle")
             on_path[np.arange(size), index[chunk]] = True
             block.cross[chunk] = on_path
             block.finite_pairs[chunk] = valid.sum(axis=1)
@@ -435,12 +464,13 @@ class BorderPathPrecomputation:
 
         Two parts with different service lives: the published *aggregates*
         (what query processing reads) are stored eagerly, while of the
-        per-source block (only :meth:`refresh` needs it) just the two label
-        matrices are written, ``labels["dist"]`` as little-endian float64
-        bytes and ``labels["pred"]`` as little-endian int64 bytes, one row
-        per roster entry of ``all_border`` and one column per snapshot node.
-        Every other block column is derived from them by :meth:`_fold`,
-        which a restore runs on the first :attr:`block` access; until then
+        per-source block (only :meth:`refresh` needs it) just the labels are
+        written: ``labels["dist"]`` as little-endian float64 bytes, one row
+        per roster entry of ``all_border`` and one column per snapshot node,
+        and -- only when the snapshot has a non-positive weight, where the
+        predecessors do not follow from the distances -- ``labels["pred"]``
+        as little-endian int64 bytes of the same shape.  A restore derives
+        the rest on its first block use (:meth:`_materialize`); until then
         a warm start costs nothing per source.  A serving restore
         (:meth:`serving_state`) has no labels and writes ``labels`` as
         ``None``: its state is a serving form again.
@@ -450,10 +480,9 @@ class BorderPathPrecomputation:
             # for a serving restore, absent); re-publish them as-is.
             labels = self._labels
         else:
-            labels = {
-                "dist": np.ascontiguousarray(self._block.dist, dtype="<f8").tobytes(),
-                "pred": np.ascontiguousarray(self._block.pred, dtype="<i8").tobytes(),
-            }
+            labels = {"dist": np.ascontiguousarray(self._block.dist, dtype="<f8").tobytes()}
+            if self.network.ensure_csr().has_nonpositive_weight:
+                labels["pred"] = np.ascontiguousarray(self._block.pred, dtype="<i8").tobytes()
         flat_min = [value for row in self.min_distance for value in row]
         flat_max = [value for row in self.max_distance for value in row]
         trav_items: List[int] = []
@@ -492,7 +521,9 @@ class BorderPathPrecomputation:
 
         The published aggregates install directly; the label bytes stay
         undecoded until the first :meth:`refresh`/:meth:`affected_sources`
-        call touches :attr:`block` (serving queries never does).  ``state``
+        call touches the block (serving queries never does).  The network's
+        fingerprint is recorded as the labels': the first block use checks
+        that the weights it derives over fingerprint as it.  ``state``
         may also be a :meth:`serving_state`: the restore then answers
         queries exactly alike, and :attr:`block`, :meth:`affected_sources`
         and :meth:`refresh` raise :class:`ServingRestoreError`.
@@ -522,6 +553,7 @@ class BorderPathPrecomputation:
         self.num_border_pairs = aggregates["num_border_pairs"]
         self._block = None
         self._labels = state["labels"]
+        self._labels_fingerprint = None if self._labels is None else network.fingerprint()
         self._roster_arrays = None
         self.precomputation_seconds = state["seconds"]
         return self
@@ -560,15 +592,43 @@ class BorderPathPrecomputation:
 
     @property
     def block(self) -> _Block:
-        """The per-source block; a restore decodes its label bytes on first
-        use and derives every other column with one :meth:`_fold` of every
-        row."""
+        """The per-source block.  A restore decodes its label bytes on first
+        use, over a network its labels were computed on (:meth:`_materialize`
+        with no batch), and derives every other column with one :meth:`_fold`
+        of every row."""
+        return self._materialize(())
+
+    def _materialize(self, changes: Sequence[WeightChange]) -> _Block:
+        """The block, decoded first if this is a restore, when the network
+        now carries the weight ``changes`` on top of the labels' snapshot.
+
+        ``pred`` is stored only for a snapshot with a non-positive weight;
+        otherwise :meth:`KernelArena._tree_rows` derives it from ``dist``
+        over the labels' own weights: the current ones with every changed
+        edge set back to its old weight.  If the network with the batch
+        undone does not fingerprint as the one the labels were restored
+        over, the tree would be derived over other weights, and the read
+        raises :class:`StaleLabelsError` instead.
+        """
         self._require_block()
         if self._block is None:
-            shape = (len(self._all_border), self.network.ensure_csr().num_nodes)
-            dist = np.frombuffer(self._labels["dist"], dtype="<f8").reshape(shape)
-            pred = np.frombuffer(self._labels["pred"], dtype="<i8").reshape(shape)
-            self._block = _Block.over(dist.copy(), pred.copy(), self.num_regions)
+            network = self.network
+            if network.fingerprint_before(changes) != self._labels_fingerprint:
+                raise StaleLabelsError(
+                    "the network's weights moved since the border-path labels "
+                    "were restored, and the batch given does not undo them"
+                )
+            csr = network.ensure_csr()
+            shape = (len(self._all_border), csr.num_nodes)
+            dist = np.frombuffer(self._labels["dist"], dtype="<f8").reshape(shape).copy()
+            if "pred" in self._labels:
+                pred = np.frombuffer(self._labels["pred"], dtype="<i8").reshape(shape).copy()
+            else:
+                pred = np.empty(shape, dtype=np.int64)
+                kernel.arena_for(csr)._tree_rows(
+                    dist, self._roster().index, pred, False, csr.weights_before(changes)
+                )
+            self._block = _Block.over(dist, pred, self.num_regions)
             self._labels = None
             self._fold(np.arange(shape[0]))
         return self._block
@@ -604,7 +664,7 @@ class BorderPathPrecomputation:
         relevant = [change for change in changes if not change.is_noop]
         if not relevant:
             return []
-        matrix = self.block.dist
+        matrix = self._materialize(relevant).dist
         if not len(matrix):
             return []
         index_of = self.network.ensure_csr().index_of
@@ -726,8 +786,6 @@ class BorderPathPrecomputation:
         base = rows * n
         tails = _distinct(np.array([u for u, _, _, _ in changes], dtype=np.int64))
         heads = _distinct(np.array([v for _, v, _, _ in changes], dtype=np.int64))
-        #: ``(cells, labels before the write)`` of every label write.
-        written: List[Tuple[np.ndarray, np.ndarray]] = []
 
         def children(cells: np.ndarray) -> np.ndarray:
             """Cells whose predecessor is one of ``cells``' nodes."""
@@ -754,7 +812,7 @@ class BorderPathPrecomputation:
             frontier = _distinct(children(frontier))
             waves.append(frontier)
         invalid = _distinct(np.concatenate(waves))
-        written.append((invalid, dist[invalid]))
+        before = dist[invalid]
         dist[invalid] = INFINITY
         # Re-seed every invalidated node from its best in-neighbor (an
         # over-estimate is fine: phase B only ever lowers labels).
@@ -763,21 +821,26 @@ class BorderPathPrecomputation:
         # Phase B: relax out of the re-seeded nodes and every changed
         # edge's tail, then out of every cell whose label dropped.
         frontier = np.concatenate([invalid, (base[:, None] + tails).ravel()])
+        lowered = [np.empty(0, dtype=np.int64)]
         while len(frontier):
             frontier = frontier[np.isfinite(dist[frontier])]
             owner, out, weights = fwd.edges(frontier, n)
             labels = dist[frontier[owner]] + weights
             lower = labels < dist[out]
             out, labels = out[lower], labels[lower]
-            written.append((out, dist[out]))
             np.minimum.at(dist, out, labels)
             frontier = _distinct(out)
+            lowered.append(frontier)
 
-        cells, first = np.unique(
-            np.concatenate([cells for cells, _ in written]), return_index=True
+        # The moved cells: invalidated cells whose re-derived label differs,
+        # and every other cell phase B wrote -- each write strictly lowers
+        # a label, so such a cell ends below its pre-batch label.
+        is_invalid = np.zeros(len(dist), dtype=bool)
+        is_invalid[invalid] = True
+        lowered = np.concatenate(lowered)
+        moved = _distinct(
+            np.concatenate([invalid[dist[invalid] != before], lowered[~is_invalid[lowered]]])
         )
-        before = np.concatenate([labels for _, labels in written])[first]
-        moved = cells[dist[cells] != before]
 
         # Canonical predecessors of every cell whose attachment could move.
         dirty = _distinct(
@@ -785,7 +848,9 @@ class BorderPathPrecomputation:
                 [invalid, (base[:, None] + heads).ravel(), moved, fwd.edges(moved, n)[1]]
             )
         )
-        dirty = dirty[~np.isin(dirty, base + self._roster().index[rows])]
+        # Every dirty cell lies in an affected row; a row's source keeps -1.
+        index = self._roster().index
+        dirty = dirty[dirty % n != index[dirty // n]]
         canonical = rev.canonical(dirty, dist, n)
         flipped = dirty[canonical != pred[dirty]]
         pred[dirty] = canonical
@@ -794,14 +859,16 @@ class BorderPathPrecomputation:
         # under new-tree children.  Each node has one parent, so each cell
         # joins the closure once.
         border = np.zeros(n, dtype=bool)
-        border[self._roster().index] = True
+        border[index] = True
         changed = _distinct(np.concatenate([moved, flipped]))
+        is_changed = np.zeros(len(dist), dtype=bool)
+        is_changed[changed] = True
         refold = np.zeros(len(block.dist), dtype=bool)
         frontier = changed
         while len(frontier):
             refold[frontier[border[frontier % n]] // n] = True
             frontier = children(frontier[~refold[frontier // n]])
-            frontier = frontier[~np.isin(frontier, changed)]
+            frontier = frontier[~is_changed[frontier]]
         return np.flatnonzero(refold)
 
     # ------------------------------------------------------------------

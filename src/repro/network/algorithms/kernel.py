@@ -624,7 +624,7 @@ class KernelArena:
             if pred is not None:
                 self._tree_rows(dist[rows], chunk, pred[rows], reverse)
 
-    def _tree_rows(self, dist, source_indexes, pred, reverse: bool) -> None:
+    def _tree_rows(self, dist, source_indexes, pred, reverse: bool, weights=None) -> None:
         """Predecessor rows from converged labels, in one array pass per
         ``_TREE_CHUNK`` rows: the one tree derivation of every compiled
         search (a batch's rows, a single sweep's or point-to-point
@@ -645,9 +645,15 @@ class KernelArena:
         (rows aligned with ``dist``) is overwritten: ``-1`` at each source
         and at unreached nodes.  Bit-identical to the faithful loop's
         predecessors.
+
+        ``weights`` (float64, one per edge of the direction in CSR order)
+        replaces the snapshot's current weights, for labels computed before
+        an in-place weight patch.
         """
         n = self.num_nodes
         e_src, e_dst, e_w, _ = self._accel().edges(self.csr, reverse)
+        if weights is not None:
+            e_w = weights
         # Flat (row, edge) position -> its head's flat (row, node) cell and
         # its tail, for a full-height pass; a shorter last pass uses a prefix.
         height = min(_TREE_CHUNK, len(dist))

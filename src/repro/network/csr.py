@@ -436,6 +436,25 @@ class CSRGraph:
         # The kernel's numpy views share the arrays' buffers, so the
         # weight change is already visible there; nothing to rebuild.
 
+    def weights_before(self, changes) -> np.ndarray:
+        """The forward edge weights as a float64 copy, with each weight
+        change (coalesced per edge, as a network's pending delta holds
+        them) undone: the weights before :meth:`patch_weight` applied the
+        changes."""
+        weights = np.frombuffer(self.fwd_weights, dtype=np.float64).copy()
+        for change in changes:
+            if change.old_weight != change.new_weight:
+                self._patch_span(
+                    self.fwd_offsets,
+                    self.fwd_targets,
+                    weights,
+                    self.index_of[change.source],
+                    self.index_of[change.target],
+                    change.new_weight,
+                    change.old_weight,
+                )
+        return weights
+
     @staticmethod
     def _patch_span(
         offsets: array,

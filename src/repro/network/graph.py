@@ -778,6 +778,19 @@ class RoadNetwork:
         self._fingerprint_cache = f"{self._fingerprint_sum:032x}"
         return self._fingerprint_cache
 
+    def fingerprint_before(self, changes: Iterable[WeightChange]) -> str:
+        """The fingerprint this network had before the weight ``changes``
+        (coalesced per edge, as :meth:`pending_delta` holds them): each
+        edge's new-weight element taken out of the multiset sum and its
+        old-weight element put back, with no re-hash of the rest."""
+        total = int(self.fingerprint(), 16)
+        for change in changes:
+            if not change.is_noop:
+                edge = (change.source, change.target)
+                total += _element_hash(self._edge_element(*edge, change.old_weight))
+                total -= _element_hash(self._edge_element(*edge, change.new_weight))
+        return f"{total % _FINGERPRINT_MOD:032x}"
+
     def csr_stats(self) -> Dict[str, int]:
         """Snapshot compiles and in-place patches (see ``AirSystem.cache_info``)."""
         return {"builds": self._builds, "patches": self._patches}

@@ -14,9 +14,12 @@ and on hand-drawn networks for the walk's edge cases: chains deeper than
 2**8 hops, targets on other targets' paths, rows without a finite target
 and rows sharing no cross-border node.
 
-The serialized state keeps only the labels, so a restore derives every
-other column through ``_fold`` too; that block must equal the built one,
-column for column, before and after refreshes.
+The serialized state keeps only the labels -- ``dist``, and ``pred`` only
+where a non-positive weight keeps it from following -- so a restore derives
+every other column through ``_fold`` too, and the predecessors through the
+kernel's tree derivation; that block must equal the built one, column for
+column, before and after refreshes, also when the first block use comes
+after the network took a weight batch.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 from oracles import border_paths as oracle
 from repro import air
-from repro.air.border_paths import BorderPathPrecomputation
+from repro.air.border_paths import BorderPathPrecomputation, StaleLabelsError
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
@@ -238,6 +241,54 @@ def test_restore_derives_the_built_block(seed, num_regions):
         assert_same_block(restored, built)
         assert restored.state() == built.state()
     assert_matches_oracle(restored)
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.15])
+@pytest.mark.parametrize("seed", [4, 11, 23])
+def test_restore_updated_before_first_use_equals_scratch(seed, zero_share):
+    """Restore, patch the network's weights, then refresh: the refresh's
+    first block use derives the predecessors over the labels' own
+    (pre-batch) weights.  Exact integer ties make a derivation over the
+    patched weights pick other predecessors.  With zero weights ``pred`` is
+    stored and read back instead."""
+    network = tie_network(seed, 48, zero_share=zero_share)
+    partitioning = tie_partitioning(network, 6, seed)
+    rng = random.Random(seed)
+    edges = sorted((e.source, e.target) for e in network.edges() if e.weight > 0)
+    state = decode_value(encode_value(BorderPathPrecomputation(network, partitioning).state()))
+    assert set(state["labels"]) == ({"dist", "pred"} if zero_share else {"dist"})
+    for _ in range(3):
+        restored = BorderPathPrecomputation.from_state(network, partitioning, state)
+        changes = network.apply_updates(
+            [(u, v, float(rng.randint(1, 6))) for u, v in rng.sample(edges, 5)]
+        )
+        restored.refresh(changes)
+        network.clear_delta()
+        scratch = BorderPathPrecomputation(network, partitioning)
+        assert_same_block(restored, scratch)
+        assert {**restored.state(), "seconds": 0} == {**scratch.state(), "seconds": 0}
+        state = decode_value(encode_value(restored.state()))
+
+
+def test_stale_restore_raises_instead_of_deriving():
+    """A block read after a batch it is not told of raises, and so does an
+    ``affected_sources`` naming a batch that does not undo the network's
+    moves; the read naming the whole batch derives."""
+    network = tie_network(5, 48, zero_share=0.0)
+    partitioning = tie_partitioning(network, 6, 5)
+    built = BorderPathPrecomputation(network, partitioning)
+    state = decode_value(encode_value(built.state()))
+    restored = BorderPathPrecomputation.from_state(network, partitioning, state)
+    edges = sorted((e.source, e.target) for e in network.edges())
+    changes = network.apply_updates(
+        [(u, v, network.edge_weight(u, v) + 1.0) for u, v in edges[:3]]
+    )
+    with pytest.raises(StaleLabelsError):
+        restored.block
+    with pytest.raises(StaleLabelsError):
+        restored.affected_sources(changes[:2])
+    assert restored.affected_sources(changes) == built.affected_sources(changes)
+    assert_same_block(restored, built)
 
 
 def precomputation_over(edges, regions) -> BorderPathPrecomputation:

@@ -1,9 +1,11 @@
 """The border-path labels persist as raw bytes; the codec takes no arrays.
 
-NR and EB keep only the two label matrices of their border-path block in
-an artifact, ``dist`` as little-endian float64 bytes and ``pred`` as
-little-endian int64 bytes, and every other block column is derived again
-by ``_fold`` on restore:
+NR and EB keep only the labels of their border-path block in an artifact:
+``dist`` as little-endian float64 bytes, plus ``pred`` as little-endian
+int64 bytes only on a snapshot with a non-positive weight.  Elsewhere the
+predecessors are derived from ``dist`` on the first block use, over the
+weights the labels were computed on, and every other block column is
+derived again by ``_fold``:
 
 * hypothesis properties round-trip label bytes through the codec over
   int64 extremes, signed zeros, infinities and arbitrary NaN bit patterns,
@@ -12,6 +14,10 @@ by ``_fold`` on restore:
   (``tests/oracles/border_paths.py``) after a build, after each refresh
   batch and after restore-then-refresh, and the restored block equals the
   built one in all eight columns;
+* a restore whose network took a weight batch before its first block use
+  (the engine's order: ``apply_updates``, then ``shadow_rebuild``) derives
+  its predecessors over the pre-batch weights and refreshes into a scratch
+  build's block and state, on positive- and zero-weight snapshots alike;
 * artifacts written by the record-at-a-time writer, under an older
   ``FORMAT_VERSION``, are refused as stale, and a store holding one
   rebuilds instead.
@@ -33,6 +39,7 @@ from hypothesis import strategies as st
 from repro import air
 from repro.air.base import AirIndexScheme
 from repro.network.generators import GeneratorConfig, generate_road_network
+from repro.network.graph import RoadNetwork
 from repro.serialize import FORMAT_VERSION, ArtifactVersionError, BuildArtifact
 from repro.serialize.codec import CodecError, decode_value, encode_value
 from repro.store import ArtifactStore
@@ -142,13 +149,18 @@ def _assert_same_block(got, want) -> None:
         ), column
 
 
+def _updates(network, rng: random.Random, count: int = 5):
+    """A random batch of ``count`` updates to positive-weight edges."""
+    edges = [(e.source, e.target) for e in network.edges() if e.weight > 0]
+    return [
+        (s, t, round(rng.uniform(0.5, 3.0) * network.edge_weight(s, t), 6))
+        for s, t in rng.sample(edges, count)
+    ]
+
+
 def _refresh(scheme, network, rng: random.Random):
     """Apply a random batch; returns ``scheme``'s refreshed replacement."""
-    edges = [(e.source, e.target) for e in network.edges()]
-    network.apply_updates(
-        (s, t, round(rng.uniform(0.5, 3.0) * network.edge_weight(s, t), 6))
-        for s, t in rng.sample(edges, 5)
-    )
+    network.apply_updates(_updates(network, rng))
     replacement = scheme.shadow_rebuild(network, network.pending_delta())
     assert replacement is not None
     network.clear_delta()
@@ -166,16 +178,18 @@ def test_sources_blob_matches_the_list_oracle(name, seed):
 
     block = scheme.precomputation.block
     built = _labels(scheme)
-    assert built == {
-        "dist": block.dist.astype("<f8").tobytes(),
-        "pred": block.pred.astype("<i8").tobytes(),
-    }
+    # A positive-weight snapshot stores ``dist`` alone; ``pred`` follows.
+    assert built == {"dist": block.dist.astype("<f8").tobytes()}
     _assert_block_matches_oracle(scheme)
 
     artifact = BuildArtifact.from_bytes(scheme.artifact().to_bytes())
     restored = AirIndexScheme.from_artifact(serving_network, artifact)
-    # Restored and never refreshed: the labels are re-published as they came.
+    # Restored and never refreshed: the labels are re-published as they
+    # came, byte for byte.
     assert _labels(restored) == built
+    assert encode_value(restored.precomputation.state()) == encode_value(
+        scheme.precomputation.state()
+    )
     _assert_same_block(restored, scheme)
 
     for step in range(3):
@@ -229,3 +243,51 @@ def test_record_writer_artifacts_restore_and_refresh(name, tmp_path):
         assert restored.precomputation.traversed_regions == (
             scratch.precomputation.traversed_regions
         )
+
+
+def _zero_weight_network(seed: int) -> RoadNetwork:
+    """``_network(seed)`` with every seventh edge weighing zero."""
+    generated = _network(seed)
+    network = RoadNetwork(name=f"zero-weights-{seed}")
+    for node in generated.nodes():
+        network.add_node(node.node_id, node.x, node.y)
+    for position, (s, t, weight) in enumerate(generated.edge_tuples()):
+        network.add_edge(s, t, 0.0 if position % 7 == 3 else weight)
+    network.clear_delta()
+    assert network.ensure_csr().has_nonpositive_weight
+    return network
+
+
+def _comparable_state(scheme) -> dict:
+    """The border-path state with its build time left out."""
+    return {**scheme.precomputation.state(), "seconds": None}
+
+
+@pytest.mark.parametrize("zero_weights", [False, True])
+@pytest.mark.parametrize("seed", [97, 12])
+@pytest.mark.parametrize("name", ["NR", "EB"])
+def test_restore_then_update_refreshes_like_scratch(name, seed, zero_weights):
+    """The engine's order: restore, ``apply_updates`` (the CSR weights are
+    patched in place), and only then the first block use, through
+    ``shadow_rebuild``.  The predecessors must be derived over the weights
+    the labels were computed on, not the patched ones; a derivation over
+    the current weights leaves a different tree behind."""
+    network = (_zero_weight_network if zero_weights else _network)(seed)
+    scheme = air.create(name, network, num_regions=8)
+    # ``pred`` is stored exactly where it does not follow from ``dist``.
+    assert set(_labels(scheme)) == ({"dist", "pred"} if zero_weights else {"dist"})
+    data = scheme.artifact().to_bytes()
+    rng = random.Random(seed)
+    for batches in (1, 2, 1):
+        restored = AirIndexScheme.from_artifact(network, BuildArtifact.from_bytes(data))
+        for _ in range(batches):
+            network.apply_updates(_updates(network, rng, count=6))
+        refreshed = restored.shadow_rebuild(network, network.pending_delta())
+        network.clear_delta()
+        scratch = air.create(name, network, num_regions=8)
+        _assert_same_block(refreshed, scratch)
+        assert _comparable_state(refreshed) == _comparable_state(scratch)
+        assert refreshed.cycle.signature() == scratch.cycle.signature()
+        # The next round restores what this refresh would publish.
+        data = refreshed.artifact().to_bytes()
+

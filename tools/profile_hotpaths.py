@@ -24,10 +24,13 @@ guesses.  For any registered scheme it profiles:
   restores from the serving forms and their cycle re-lay);
 * **restore** -- a warm start that then refreshes: after one unprofiled
   build, ``from_artifact`` over the framed store artifact
-  (``BuildArtifact.from_bytes(artifact().to_bytes())``) and the first
-  ``shadow_rebuild`` batch -- for NR and EB the label decode, the fold of
-  every row and the repair; for AF and HiTi the bulk region location and
-  the per-edge flag list or the super-edge lists.
+  (``BuildArtifact.from_bytes(artifact().to_bytes())``), ``apply_updates``
+  and the first ``shadow_rebuild`` batch -- for NR and EB the label decode,
+  the predecessor derivation over the pre-batch weights, the fold of every
+  row and the repair; for AF and HiTi the bulk region location and the
+  per-edge flag list or the super-edge lists.  After profiling, the
+  refreshed scheme's state (build times left out) and cycle are compared
+  with a scratch build over the updated network, and a mismatch exits 1.
 
 Run from the repository root::
 
@@ -218,25 +221,44 @@ def main(argv=None) -> int:
         from repro.air.base import AirIndexScheme
         from repro.serialize import BuildArtifact
 
-        data = system.scheme(scheme_name).artifact().to_bytes()
+        built = system.scheme(scheme_name).artifact()
+        data = built.to_bytes()
         # Restore onto a copy, which the batch then mutates: the system
         # keeps its own network.
         target = network.copy()
         batch = update_batch()
+        refreshed = []
 
         def run_restore() -> None:
             restored = AirIndexScheme.from_artifact(target, BuildArtifact.from_bytes(data))
             target.apply_updates(batch)
-            restored.shadow_rebuild(target, target.pending_delta())
+            refreshed.append(restored.shadow_rebuild(target, target.pending_delta()))
 
         profile_phase(
-            f"restore: from_artifact of the framed store artifact + the first "
-            f"shadow_rebuild batch x {args.edges_per_batch} edges",
+            f"restore: from_artifact of the framed store artifact + apply_updates "
+            f"+ the first shadow_rebuild batch x {args.edges_per_batch} edges",
             run_restore,
             args.sort,
             args.top,
         )
+        if refreshed[0] is None:
+            print(f"restore: {scheme_name} has no incremental refresh; nothing to compare")
+        else:
+            scratch = air.create(scheme_name, target, **built.params)
+            if without_seconds(refreshed[0]._artifact_state()) != without_seconds(
+                scratch._artifact_state()
+            ) or refreshed[0].cycle.signature() != scratch.cycle.signature():
+                print(f"restore: the refreshed {scheme_name} differs from a scratch build")
+                return 1
+            print(f"restore: the refreshed {scheme_name} equals a scratch build")
     return 0
+
+
+def without_seconds(state):
+    """``state`` with every ``seconds`` entry (a build time) left out."""
+    if isinstance(state, dict):
+        return {key: without_seconds(value) for key, value in state.items() if key != "seconds"}
+    return state
 
 
 if __name__ == "__main__":
