@@ -32,18 +32,17 @@ regions -- on a build, a repair, and a restore alike.  The published
 aggregates are grouped reductions over the block
 (:meth:`~BorderPathPrecomputation._aggregate`).
 
-The serialized state keeps only the ``dist`` labels of the block: on a
-positive-weight snapshot the kernel's predecessors are a function of the
-distances (:meth:`KernelArena._tree_rows`), and every repair keeps them so.
-The first block use of a restored instance derives ``pred`` again, over the
+The serialized state keeps only the ``dist`` labels of the block: every
+weight being strictly positive (the network's one weight rule), the
+kernel's predecessors are a function of the distances
+(:meth:`KernelArena._tree_rows`), and every repair keeps them so.  The
+first block use of a restored instance derives ``pred`` again, over the
 weights the labels were computed on, and folds every row.  That use is
 usually a refresh, which comes after the network's weights were patched in
 place, so it derives over the current weights with the batch's changed
 edges set back to their old weights; a block read naming no batch, or a
 batch that does not undo the network's moves, raises
-:class:`StaleLabelsError` instead of deriving a wrong tree.  A snapshot
-with a non-positive weight has no predecessors that follow from the
-distances, so its state keeps ``pred`` too and a restore reads it back.
+:class:`StaleLabelsError` instead of deriving a wrong tree.
 
 :meth:`BorderPathPrecomputation.refresh` keeps this exact after a weight
 change batch:
@@ -349,9 +348,9 @@ class BorderPathPrecomputation:
            ``max_to``, ``reach`` and ``traversed`` per target region.
 
         Scratch builds (whose labels the batched kernel sweep wrote straight
-        into the block), repairs, the zero-weight fallback and restores
-        (whose labels come from the serialized bytes, see :attr:`block`) all
-        derive through here: it is the one producer of every derived column.
+        into the block), repairs and restores (whose labels come from the
+        serialized bytes, see :attr:`block`) all derive through here: it is
+        the one producer of every derived column.
         """
         block = self._block
         index, regions, starts, words, _ids = self._roster()
@@ -464,16 +463,13 @@ class BorderPathPrecomputation:
 
         Two parts with different service lives: the published *aggregates*
         (what query processing reads) are stored eagerly, while of the
-        per-source block (only :meth:`refresh` needs it) just the labels are
-        written: ``labels["dist"]`` as little-endian float64 bytes, one row
-        per roster entry of ``all_border`` and one column per snapshot node,
-        and -- only when the snapshot has a non-positive weight, where the
-        predecessors do not follow from the distances -- ``labels["pred"]``
-        as little-endian int64 bytes of the same shape.  A restore derives
-        the rest on its first block use (:meth:`_materialize`); until then
-        a warm start costs nothing per source.  A serving restore
-        (:meth:`serving_state`) has no labels and writes ``labels`` as
-        ``None``: its state is a serving form again.
+        per-source block (only :meth:`refresh` needs it) just the distance
+        labels are written: ``labels["dist"]`` as little-endian float64
+        bytes, one row per roster entry of ``all_border`` and one column per
+        snapshot node.  A restore derives the rest on its first block use
+        (:meth:`_materialize`); until then a warm start costs nothing per
+        source.  A serving restore (:meth:`serving_state`) has no labels and
+        writes ``labels`` as ``None``: its state is a serving form again.
         """
         if self._block is None:
             # Restored and never refreshed: the labels are still bytes (or,
@@ -481,8 +477,6 @@ class BorderPathPrecomputation:
             labels = self._labels
         else:
             labels = {"dist": np.ascontiguousarray(self._block.dist, dtype="<f8").tobytes()}
-            if self.network.ensure_csr().has_nonpositive_weight:
-                labels["pred"] = np.ascontiguousarray(self._block.pred, dtype="<i8").tobytes()
         flat_min = [value for row in self.min_distance for value in row]
         flat_max = [value for row in self.max_distance for value in row]
         trav_items: List[int] = []
@@ -602,13 +596,12 @@ class BorderPathPrecomputation:
         """The block, decoded first if this is a restore, when the network
         now carries the weight ``changes`` on top of the labels' snapshot.
 
-        ``pred`` is stored only for a snapshot with a non-positive weight;
-        otherwise :meth:`KernelArena._tree_rows` derives it from ``dist``
-        over the labels' own weights: the current ones with every changed
-        edge set back to its old weight.  If the network with the batch
-        undone does not fingerprint as the one the labels were restored
-        over, the tree would be derived over other weights, and the read
-        raises :class:`StaleLabelsError` instead.
+        :meth:`KernelArena._tree_rows` derives ``pred`` from ``dist`` over
+        the labels' own weights: the current ones with every changed edge set
+        back to its old weight.  If the network with the batch undone does
+        not fingerprint as the one the labels were restored over, the tree
+        would be derived over other weights, and the read raises
+        :class:`StaleLabelsError` instead.
         """
         self._require_block()
         if self._block is None:
@@ -621,13 +614,10 @@ class BorderPathPrecomputation:
             csr = network.ensure_csr()
             shape = (len(self._all_border), csr.num_nodes)
             dist = np.frombuffer(self._labels["dist"], dtype="<f8").reshape(shape).copy()
-            if "pred" in self._labels:
-                pred = np.frombuffer(self._labels["pred"], dtype="<i8").reshape(shape).copy()
-            else:
-                pred = np.empty(shape, dtype=np.int64)
-                kernel.arena_for(csr)._tree_rows(
-                    dist, self._roster().index, pred, False, csr.weights_before(changes)
-                )
+            pred = np.empty(shape, dtype=np.int64)
+            kernel.arena_for(csr)._tree_rows(
+                dist, self._roster().index, pred, False, csr.weights_before(changes)
+            )
             self._block = _Block.over(dist, pred, self.num_regions)
             self._labels = None
             self._fold(np.arange(shape[0]))
@@ -685,46 +675,31 @@ class BorderPathPrecomputation:
         """Repair the affected border sources after a weight-change batch.
 
         Only valid for weight changes (the caller handles structural changes
-        with a full rebuild: they can move borders).  Each affected row's
-        labels are repaired in place -- never from scratch -- unless the
-        snapshot carries non-positive weights, where the settle-order
-        arguments behind the repair's tie-breaking do not hold and the
-        affected rows are swept again in one batched kernel call instead.
-        Either way the rows whose border targets moved re-fold together.
-        Returns the number of affected sources; the published aggregates
-        afterwards equal a from-scratch :class:`BorderPathPrecomputation`
-        over the mutated network, bit for bit.
+        with a full rebuild: they can move borders).  The affected rows'
+        labels are repaired in place, never from scratch
+        (:meth:`_repair_rows`), and the rows whose border targets moved
+        re-fold together.  Returns the number of affected sources; the
+        published aggregates afterwards equal a from-scratch
+        :class:`BorderPathPrecomputation` over the mutated network, bit for
+        bit.
         """
         relevant = [change for change in changes if not change.is_noop]
         affected = self.affected_sources(relevant)
         if not affected:
             return 0
-        block = self.block
         csr = self.network.ensure_csr()
-        if csr.has_nonpositive_weight:
-            dist = np.empty((len(affected), csr.num_nodes))
-            pred = np.empty(dist.shape, dtype=np.int64)
-            kernel.arena_for(csr).many_to_many(
-                [self._all_border[row][0] for row in affected], dist, pred
+        index_of = csr.index_of
+        repair_changes = [
+            (
+                index_of[change.source],
+                index_of[change.target],
+                change.old_weight,
+                change.new_weight,
             )
-            block.dist[affected] = dist
-            block.pred[affected] = pred
-            refold = affected
-        else:
-            index_of = csr.index_of
-            repair_changes = [
-                (
-                    index_of[change.source],
-                    index_of[change.target],
-                    change.old_weight,
-                    change.new_weight,
-                )
-                for change in relevant
-                if change.source in index_of and change.target in index_of
-            ]
-            refold = self._repair_rows(
-                np.array(affected, dtype=np.int64), repair_changes, csr
-            )
+            for change in relevant
+            if change.source in index_of and change.target in index_of
+        ]
+        refold = self._repair_rows(np.array(affected, dtype=np.int64), repair_changes, csr)
         if len(refold):
             # Rows whose repair moved no border target keep their derived
             # columns: the fold inputs are unchanged, and so are the

@@ -76,11 +76,6 @@ class SegmentReception:
         """``True`` when no requested packet was lost."""
         return not self.lost_offsets
 
-    @property
-    def packets_received(self) -> int:
-        """Number of packets the radio listened to for this reception."""
-        return len(self.requested_offsets)
-
 
 class ClientSession:
     """One client's interaction with the broadcast channel for one query."""

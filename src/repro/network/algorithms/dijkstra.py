@@ -13,9 +13,10 @@ Every search runs on the network's CSR snapshot
 stored form) through the array kernel
 (:mod:`repro.network.algorithms.kernel`), whose answers -- distance, path,
 settled count -- are bit-identical to the textbook dict Dijkstra's.  That
-dict loop is the test oracle (``tests/oracles/dijkstra.py``).  On a
-positive-weight snapshot, masked or not, the search is one compiled scipy
-sweep (edges into nodes outside ``allowed`` weighted ``inf``): the distance
+dict loop is the test oracle (``tests/oracles/dijkstra.py``).  Every weight
+being strictly positive (the network's one weight rule), the search,
+masked or not, is one compiled scipy sweep (edges into nodes outside
+``allowed`` weighted ``inf``): the distance
 is the target's converged label, the settled count the target's rank in
 ``(distance, id)`` order plus one, and the path walks back over in-edges on
 the converged labels, reading the snapshot's flat array buffers (shared by

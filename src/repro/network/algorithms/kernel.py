@@ -20,8 +20,9 @@ frontier labels are not reproduced.  Two mechanisms deliver this:
   and point-to-point searches over the snapshot's own rows -- plain or
   masked to an ``allowed`` node set (the EB/NR clients' search) -- take the
   distance labels from scipy (relaxation order cannot change the converged
-  float values) and derive everything else from them: under strictly
-  positive weights the settle order provably equals sorting reachable
+  float values) and derive everything else from them: every weight being
+  strictly positive (the network's one weight rule, which the snapshot's
+  constructor checks), the settle order provably equals sorting reachable
   nodes by ``(distance, node id)``.  A point-to-point search's settled
   count is its target's rank in that order plus one.  Every predecessor
   comes from :meth:`KernelArena._tree_rows`, one array pass over a few
@@ -36,18 +37,17 @@ frontier labels are not reproduced.  Two mechanisms deliver this:
   its tuple rows: in a serving worker the arrays are one copy in the
   segment every worker maps, while the tuple rows are built per process on
   first use (2.6 MiB both ways at 4,907 nodes) and a worker that never
-  reads them never builds them.  Snapshots with a non-positive edge weight
-  keep the faithful loop for every search that reports a tree (see
-  :attr:`~repro.network.csr.CSRGraph.has_nonpositive_weight`).
-* Multi-target searches (:meth:`KernelArena.multi_target`), and every
-  search on such a snapshot, run a **faithful simulation** of the dict
-  loop, :func:`row_search`, over the snapshot's ``(index, weight)`` rows --
-  same heap entries (index order is id order), same relaxation order, same
-  termination tests -- so even the tentative labels left behind by an
-  early stop match.  The client searches with replaced rows run the same
-  loop: ``adjacency=`` swaps in per-node rows (HiTi's overlay, ArcFlag's
-  flagged rows) and ``potential=`` turns it into A* (Landmark's lower
-  bounds), each bit-identical to its dict reference in ``tests/oracles/``.
+  reads them never builds them.
+* Multi-target searches (:meth:`KernelArena.multi_target`, or
+  :meth:`KernelArena.search` given ``targets``) run a **faithful
+  simulation** of the dict loop, :func:`row_search`, over the snapshot's
+  ``(index, weight)`` rows -- same heap entries (index order is id order),
+  same relaxation order, same termination tests -- so even the tentative
+  labels left behind by an early stop match.  The client searches with
+  replaced rows run the same loop: ``adjacency=`` swaps in per-node rows
+  (HiTi's overlay, ArcFlag's flagged rows) and ``potential=`` turns it
+  into A* (Landmark's lower bounds), each bit-identical to its dict
+  reference in ``tests/oracles/``.
   Searches over a small graph that is not a snapshot -- a memory-bound
   client's received region and its super-edge overlay, a HiTi sub-graph --
   call :func:`row_search` directly on local rows whose positions follow
@@ -459,8 +459,6 @@ class KernelArena:
         ``pred`` on first read.
         """
         source_index = self._source_index(source)
-        if need_predecessors and self.csr.has_nonpositive_weight:
-            return self._faithful(source_index, source, reverse=reverse)
         dist = self._sweep(source_index, reverse)
         settled = int(_np.count_nonzero(_np.isfinite(dist)))
         if not need_predecessors:
@@ -493,10 +491,9 @@ class KernelArena:
         heap key becomes ``distance + potential`` with ties broken by index,
         i.e. A*.  A potential cannot be combined with ``allowed``.
 
-        Searches over the snapshot's own rows (masked or not) on
-        positive-weight snapshots run one compiled sweep (:meth:`_p2p`);
-        ``adjacency``/``potential`` searches and snapshots with a
-        non-positive weight keep the faithful loop.
+        Searches over the snapshot's own rows (masked or not) run one
+        compiled sweep (:meth:`_p2p`); ``adjacency``/``potential`` searches
+        keep the faithful loop.
         """
         source_index = self._source_index(source)
         target_index = self.csr.index_of.get(target)
@@ -511,7 +508,7 @@ class KernelArena:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
-        if adjacency is None and potential is None and not self.csr.has_nonpositive_weight:
+        if adjacency is None and potential is None:
             keep = None
             if mask is not None:
                 # An edge stays in the search when its head is allowed.
@@ -578,11 +575,7 @@ class KernelArena:
         if target_index is None and remaining is None:
             # No live termination condition: a full sweep.
             return self.sssp(source, reverse=reverse)
-        if (
-            remaining is None
-            and target_index is not None
-            and not self.csr.has_nonpositive_weight
-        ):
+        if remaining is None:
             return self._p2p(source, source_index, target_index, reverse)
         return self._faithful(
             source_index,
@@ -607,16 +600,9 @@ class KernelArena:
         unreached nodes, or is ``None`` for distance-only callers.  The
         labels of up to ``_BATCH_CHUNK`` sources come from one scipy call,
         and their predecessor rows from one array pass over the chunk
-        (:meth:`_tree_rows`; the faithful loop on a snapshot with a
-        non-positive weight).
+        (:meth:`_tree_rows`).
         """
         indexes = [self._source_index(source) for source in sources]
-        if pred is not None and self.csr.has_nonpositive_weight:
-            for row, (source, index) in enumerate(zip(sources, indexes)):
-                tree = self._faithful(index, source, reverse=reverse)
-                dist[row] = tree.dist
-                pred[row] = tree.pred
-            return
         for start in range(0, len(indexes), _BATCH_CHUNK):
             chunk = indexes[start : start + _BATCH_CHUNK]
             rows = slice(start, start + len(chunk))

@@ -23,6 +23,11 @@ A serving worker maps the flat arrays from a shared segment
 owned or mapped, derives the same lazy per-process tuple adjacency
 (:attr:`CSRGraph.fwd_adj`) for the kernel's faithful loop.
 
+Every edge weight obeys the network's one weight rule, ``0 < w < inf``
+(:mod:`repro.network.weights`): the constructor checks it, whichever way
+the arrays came -- compiled, mapped or read from a columnar table -- and
+raises ``ValueError`` otherwise, so the kernel has one regime.
+
 Snapshots have a frozen topology: the owning network **patches weights in
 place** on dynamic weight updates (:meth:`patch_weight`) and compiles a new
 snapshot after structural edits (adding nodes or adding/removing edges
@@ -37,6 +42,8 @@ from collections.abc import Mapping as _MappingABC
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.network.weights import check_weights
 
 __all__ = ["CSRGraph", "ImmutableSnapshotError"]
 
@@ -104,21 +111,15 @@ def _index_map(ids: Sequence[int]):
     return {nid: i for i, nid in enumerate(ids)}
 
 
-def _has_nonpositive(weights) -> bool:
-    """Whether any edge weight is ``<= 0``."""
-    if not len(weights):
-        return False
-    return bool(np.frombuffer(weights, dtype=np.float64).min() <= 0.0)
-
-
 class CSRGraph:
     """An immutable-topology CSR view of a directed weighted graph.
 
     A :class:`~repro.network.graph.RoadNetwork` compiles its own
     (:meth:`~repro.network.graph.RoadNetwork.ensure_csr`); a serving worker
     maps one (:meth:`from_buffers`) and an ingest compiles one from a table
-    (:meth:`from_columnar`).  The constructor itself only wires
-    pre-compiled arrays together.
+    (:meth:`from_columnar`).  The constructor wires pre-compiled arrays
+    together and raises ``ValueError`` when an edge weight breaks the
+    weight rule.
     """
 
     def __init__(
@@ -151,13 +152,8 @@ class CSRGraph:
         self.buffer_backed = False
         self._fwd_adj: Optional[List[Tuple[Tuple[int, float], ...]]] = None
         self._rev_adj: Optional[List[Tuple[Tuple[int, float], ...]]] = None
-        #: ``True`` when some edge weight is ``<= 0``.  The kernel's
-        #: accelerated SSSP path reconstructs predecessors from the settle
-        #: order, which is only provably identical to a heap Dijkstra's under
-        #: strictly positive weights; this flag routes such graphs onto the
-        #: faithful simulation loop.  Weight patches are validated positive,
-        #: so the flag can only stay or clear at the next full build.
-        self.has_nonpositive_weight = _has_nonpositive(fwd_weights)
+        # The reverse weights are the same multiset, so one scan covers both.
+        check_weights(fwd_weights)
         #: Kernel cache slot (numpy/scipy views built lazily by the
         #: kernel; ``None`` until first use, shared by reference so in-place
         #: weight patches propagate without rebuilding).
@@ -431,16 +427,15 @@ class CSRGraph:
             self.rev_offsets, self.rev_targets, self.rev_weights, v, u, old_weight, new_weight
         )
         self.rev_adj[v] = self._rezip(self.rev_offsets, self.rev_targets, self.rev_weights, v)
-        if new_weight <= 0.0:  # update_edge_weight validates > 0; stay safe
-            self.has_nonpositive_weight = True
         # The kernel's numpy views share the arrays' buffers, so the
         # weight change is already visible there; nothing to rebuild.
 
     def weights_before(self, changes) -> np.ndarray:
         """The forward edge weights as a float64 copy, with each weight
-        change (coalesced per edge, as a network's pending delta holds
+        change (one per physical edge, as a network's pending delta holds
         them) undone: the weights before :meth:`patch_weight` applied the
-        changes."""
+        changes.  Parallel edges may come back in another order within
+        their span; each ``(source, target)`` pair gets its weights back."""
         weights = np.frombuffer(self.fwd_weights, dtype=np.float64).copy()
         for change in changes:
             if change.old_weight != change.new_weight:

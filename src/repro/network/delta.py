@@ -9,10 +9,11 @@ have affected); :class:`NetworkDelta` is the coalesced set of pending
 changes a :class:`~repro.network.graph.RoadNetwork` accumulates between two
 :meth:`~repro.engine.system.AirSystem.refresh` calls.
 
-Changes are coalesced per directed edge: applying ``w0 -> w1 -> w2`` leaves
+Changes are coalesced per physical edge: applying ``w0 -> w1 -> w2`` leaves
 one record ``w0 -> w2``, and applying ``w0 -> w1 -> w0`` leaves none (the
-edge is back where the last refresh saw it).  This bounds the delta by the
-number of *distinct* touched edges, not by the stream length.
+edge is back where the last refresh saw it).  Parallel edges of one pair
+each keep their own record.  This bounds the delta by the number of
+*distinct* touched edges, not by the stream length.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class NetworkDelta:
     Attributes
     ----------
     changes:
-        Applied weight changes, coalesced per directed edge (first old
-        weight, last new weight), in first-touch order.
+        Applied weight changes, coalesced per physical edge (first old
+        weight, last new weight), grouped by ``(source, target)`` pair in
+        first-touch order.
     structural:
         ``True`` when a node or edge was added or removed.  Structural
         changes can move partition boundaries and change segment layouts,

@@ -14,13 +14,13 @@ small builder that holds the touched nodes' spans as lists, and the next
 edge read folds them in with one compile; reads that only need nodes
 (``has_node``, ``coordinates``, ``node_ids``, ...) never compile, so
 builders that interleave them with ``add_edge`` stay linear.  Weight
-updates patch the arrays in place.
+updates patch the arrays in place.  Every weight, added or updated, obeys
+the one weight rule ``0 < w < inf`` (:mod:`repro.network.weights`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import operator
 from array import array
 from collections.abc import Mapping
@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.delta import InvalidUpdateError, NetworkDelta, WeightChange
+from repro.network.weights import RULE, check_weights, is_valid_weight
 
 __all__ = ["Node", "Edge", "RoadNetwork"]
 
@@ -153,9 +154,10 @@ class RoadNetwork:
         #: first full computation, then maintained in O(1) per mutation.
         self._fingerprint_sum: Optional[int] = None
         # Pending-change tracking (see pending_delta()): weight changes are
-        # coalesced per directed edge; structural mutations set a flag that
-        # forces consumers onto the full-rebuild path.
-        self._pending_changes: Dict[Tuple[int, int], WeightChange] = {}
+        # coalesced per physical edge, listed under their (source, target)
+        # pair; structural mutations set a flag that forces consumers onto
+        # the full-rebuild path.
+        self._pending_changes: Dict[Tuple[int, int], List[WeightChange]] = {}
         self._dirty_nodes: set = set()
         self._structurally_dirty = False
         self._builds = 0
@@ -310,15 +312,18 @@ class RoadNetwork:
         return self._csr.ids[-1]
 
     def add_edge(self, source: int, target: int, weight: float) -> Edge:
-        """Add a directed edge; both endpoints must already exist."""
+        """Add a directed edge; both endpoints must already exist.
+
+        Raises ``ValueError`` for a weight that is not positive and finite.
+        """
         self._check_mutable()
         if not self.has_node(source):
             raise KeyError(f"unknown source node {source}")
         if not self.has_node(target):
             raise KeyError(f"unknown target node {target}")
-        if weight < 0:
-            raise ValueError(f"edge weight must be non-negative, got {weight}")
         weight = float(weight)
+        if not is_valid_weight(weight):
+            raise ValueError(f"edge weight {RULE}, got {weight!r}")
         self._staged_span(source, False).append((target, weight))
         self._staged_span(target, True).append((source, weight))
         self._num_edges += 1
@@ -361,22 +366,20 @@ class RoadNetwork:
 
         With parallel edges, the minimum-weight one (the one shortest paths
         use) is updated -- consistent with :meth:`edge_weight` and
-        :meth:`remove_edge`.  Unlike :meth:`add_edge`, the new weight must be
-        strictly positive: dynamic updates model travel costs (congestion,
-        closures), and a non-positive cost would let a "closure" act as a
-        free teleport.  Raises ``KeyError`` if the edge does not exist and
-        ``ValueError`` for a weight that is not positive and finite.
+        :meth:`remove_edge`.  Raises ``KeyError`` if the edge does not exist
+        and ``ValueError`` for a weight that is not positive and finite.
 
         The CSR entry is patched in place (no recompile), and the change is
         recorded in the network's pending delta (see :meth:`pending_delta`),
-        coalesced per edge, so the engine's incremental refresh knows exactly
-        which edges moved and by how much.
+        coalesced per physical edge, so the engine's incremental refresh
+        knows exactly which edges moved and by how much.  A patch folds into
+        the pending change of its ``(source, target)`` pair whose new weight
+        it overwrites -- with parallel edges a later update may patch another
+        edge of the pair -- and otherwise opens a change of its own.
         """
         new_weight = float(weight)
-        if not 0.0 < new_weight < math.inf:
-            raise ValueError(
-                f"updated edge weight must be positive and finite, got {weight}"
-            )
+        if not is_valid_weight(new_weight):
+            raise ValueError(f"updated edge weight {RULE}, got {weight!r}")
         self._check_mutable()
         old_weight = self.edge_weight(source, target)
         change = WeightChange(source, target, old_weight, new_weight)
@@ -387,17 +390,21 @@ class RoadNetwork:
         self._fingerprint_shift(self._edge_element(source, target, old_weight), -1)
         self._fingerprint_shift(self._edge_element(source, target, new_weight))
         self._dirty_nodes.update((source, target))
-        key = (source, target)
-        pending = self._pending_changes.get(key)
-        if pending is None:
-            self._pending_changes[key] = change
-        elif pending.old_weight == new_weight:
-            # The edge is back where the last refresh saw it: net no-op.
-            del self._pending_changes[key]
+        pending = self._pending_changes.setdefault((source, target), [])
+        for position, earlier in enumerate(pending):
+            if earlier.new_weight == old_weight:
+                if earlier.old_weight == new_weight:
+                    # The edge is back where the last refresh saw it.
+                    del pending[position]
+                else:
+                    pending[position] = WeightChange(
+                        source, target, earlier.old_weight, new_weight
+                    )
+                break
         else:
-            self._pending_changes[key] = WeightChange(
-                source, target, pending.old_weight, new_weight
-            )
+            pending.append(change)
+        if not pending:
+            del self._pending_changes[(source, target)]
         return change
 
     def apply_updates(self, updates: Iterable) -> List[WeightChange]:
@@ -435,10 +442,8 @@ class RoadNetwork:
             ) from None
         if not self.has_edge(source, target):
             raise InvalidUpdateError(index, f"no edge {source} -> {target}")
-        if not 0.0 < weight < math.inf:
-            raise InvalidUpdateError(
-                index, f"edge weight must be positive and finite, got {weight!r}"
-            )
+        if not is_valid_weight(weight):
+            raise InvalidUpdateError(index, f"edge weight {RULE}, got {weight!r}")
         return source, target, weight
 
     def pending_delta(self) -> NetworkDelta:
@@ -449,7 +454,9 @@ class RoadNetwork:
         (weight-only deltas) or a full rebuild (structural deltas).
         """
         return NetworkDelta(
-            changes=tuple(self._pending_changes.values()),
+            changes=tuple(
+                change for pair in self._pending_changes.values() for change in pair
+            ),
             structural=self._structurally_dirty,
             dirty_nodes=frozenset(self._dirty_nodes),
         )
@@ -780,7 +787,7 @@ class RoadNetwork:
 
     def fingerprint_before(self, changes: Iterable[WeightChange]) -> str:
         """The fingerprint this network had before the weight ``changes``
-        (coalesced per edge, as :meth:`pending_delta` holds them): each
+        (one per physical edge, as :meth:`pending_delta` holds them): each
         edge's new-weight element taken out of the multiset sum and its
         old-weight element put back, with no re-hash of the rest."""
         total = int(self.fingerprint(), 16)
@@ -809,7 +816,7 @@ class RoadNetwork:
 
         Checked invariants: both directions hold the network's edge count
         in spans that cover their arrays, targets are valid node indexes,
-        and weights are non-negative.
+        and every weight is positive and finite.
         """
         csr = self.ensure_csr()
         for offsets, targets, weights in (
@@ -823,8 +830,7 @@ class RoadNetwork:
                 )
             if any(not 0 <= t < csr.num_nodes for t in targets):
                 raise ValueError("an edge targets an unknown node")
-            if any(w < 0 for w in weights):
-                raise ValueError("an edge has negative weight")
+            check_weights(weights)
 
 
 def build_network(

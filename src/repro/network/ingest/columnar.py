@@ -36,6 +36,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.network.graph import _FINGERPRINT_MOD, RoadNetwork, _element_hash
+from repro.network.weights import check_weights
 
 __all__ = [
     "ColumnarEdgeTable",
@@ -160,7 +161,11 @@ class ColumnarWriter:
             self._flush_nodes()
 
     def append_edges(self, src, dst, weights) -> None:
-        """Append one batch of edge rows (arrival order is adjacency order)."""
+        """Append one batch of edge rows (arrival order is adjacency order).
+
+        Raises ``ValueError``, naming the edge row, for a weight that is not
+        positive and finite; nothing of the batch is appended then.
+        """
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -168,6 +173,7 @@ class ColumnarWriter:
             raise ValueError("edge column lengths disagree")
         if not len(src):
             return
+        check_weights(weights, "edge row", self.num_edges)
         self._fold_edges(src, dst, weights)
         self.num_edges += len(src)
         self._edge_buffer.append((src, dst, weights))

@@ -12,8 +12,8 @@ download is directly addressable.  Checked per row:
 
 * duplicate node ids (coordinate files and node CSVs),
 * dangling endpoints (edges naming nodes outside the declared node set),
-* non-positive, NaN or infinite weights (the broadcast schemes and the
-  accelerated kernel both assume strictly positive travel costs),
+* weights breaking the weight rule ``0 < w < inf``
+  (:mod:`repro.network.weights`): zero, negative, NaN or infinite,
 * NaN or infinite coordinates.
 
 DIMACS follows the 9th DIMACS Implementation Challenge conventions:
@@ -38,6 +38,7 @@ from repro.network.ingest.columnar import (
     ColumnarEdgeTable,
     ColumnarWriter,
 )
+from repro.network.weights import RULE, is_valid_weight
 
 __all__ = ["IngestError", "import_dimacs", "import_csv"]
 
@@ -55,12 +56,8 @@ class IngestError(ValueError):
 
 
 def _check_weight(path: PathLike, line: int, weight: float) -> float:
-    if not math.isfinite(weight):
-        raise IngestError(path, line, f"weight {weight!r} is not finite")
-    if weight <= 0.0:
-        raise IngestError(
-            path, line, f"weight {weight!r} is not positive (travel costs must be > 0)"
-        )
+    if not is_valid_weight(weight):
+        raise IngestError(path, line, f"weight {weight!r} {RULE}")
     return weight
 
 

@@ -20,6 +20,7 @@ import os
 from typing import Union
 
 from repro.network.graph import RoadNetwork
+from repro.network.weights import RULE, is_valid_weight
 
 __all__ = ["save_network", "load_network"]
 
@@ -42,8 +43,8 @@ def load_network(path: Union[str, os.PathLike], name: str = "") -> RoadNetwork:
     with ``{path}:{line}``: unrecognized lines, duplicate node ids (which
     ``RoadNetwork.add_node`` would otherwise silently overwrite), edges
     referencing undeclared nodes (otherwise a bare ``KeyError`` from deep
-    inside the graph), NaN or infinite coordinates or weights, and negative
-    weights.
+    inside the graph), NaN or infinite coordinates, and weights that break
+    the weight rule (zero, negative, NaN or infinite).
     """
     network = RoadNetwork(name=name or os.path.basename(str(path)))
     with open(path, "r", encoding="utf-8") as handle:
@@ -80,15 +81,10 @@ def load_network(path: Union[str, os.PathLike], name: str = "") -> RoadNetwork:
                     raise ValueError(
                         f"{path}:{line_number}: malformed edge line {line!r}"
                     ) from None
-                if not math.isfinite(weight):
+                if not is_valid_weight(weight):
                     raise ValueError(
-                        f"{path}:{line_number}: non-finite weight {fields[3]} "
-                        f"on edge {source} -> {target}"
-                    )
-                if weight < 0:
-                    raise ValueError(
-                        f"{path}:{line_number}: negative weight {fields[3]} "
-                        f"on edge {source} -> {target}"
+                        f"{path}:{line_number}: weight {fields[3]} on edge "
+                        f"{source} -> {target} {RULE}"
                     )
                 for endpoint in (source, target):
                     if not network.has_node(endpoint):

@@ -122,10 +122,6 @@ class Partitioning:
         """Border nodes of ``region`` (adjacent to some other region)."""
         return list(self._border_nodes[region])
 
-    def all_border_nodes(self) -> List[int]:
-        """All border nodes of the network, grouped by region order."""
-        return [node for nodes in self._border_nodes for node in nodes]
-
     def is_border_node(self, node_id: int) -> bool:
         """``True`` when ``node_id`` has a neighbor in another region."""
         region = self._region_of[node_id]

@@ -113,8 +113,9 @@ class BuildArtifact:
     # ------------------------------------------------------------------
     # Framing
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Serialize with magic, version, header, payload and checksum."""
+    def _prefix(self) -> bytes:
+        """Magic, format version, header length and header: the framing
+        ahead of the payload."""
         header = encode_value(
             {
                 "scheme": self.scheme,
@@ -123,12 +124,11 @@ class BuildArtifact:
                 "payload_bytes": len(self.payload),
             }
         )
-        body = (
-            ARTIFACT_MAGIC
-            + _PREFIX.pack(self.format_version, len(header))
-            + header
-            + self.payload
-        )
+        return ARTIFACT_MAGIC + _PREFIX.pack(self.format_version, len(header)) + header
+
+    def to_bytes(self) -> bytes:
+        """Serialize with magic, version, header, payload and checksum."""
+        body = self._prefix() + self.payload
         return body + hashlib.sha256(body).digest()
 
     def write_to(self, handle, chunk_bytes: int = STREAM_CHUNK_BYTES) -> int:
@@ -142,15 +142,7 @@ class BuildArtifact:
         the number of bytes written.
         """
         digest = hashlib.sha256()
-        header = encode_value(
-            {
-                "scheme": self.scheme,
-                "params": dict(self.params),
-                "network_fingerprint": self.network_fingerprint,
-                "payload_bytes": len(self.payload),
-            }
-        )
-        prefix = ARTIFACT_MAGIC + _PREFIX.pack(self.format_version, len(header)) + header
+        prefix = self._prefix()
         handle.write(prefix)
         digest.update(prefix)
         payload = memoryview(self.payload)

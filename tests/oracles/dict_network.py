@@ -43,7 +43,9 @@ class DictNetwork:
         self._adjacency: Dict[int, List[Tuple[int, float]]] = {}
         self._reverse_adjacency: Dict[int, List[Tuple[int, float]]] = {}
         self._num_edges = 0
-        self._pending_changes: Dict[Tuple[int, int], WeightChange] = {}
+        #: Pending changes per ``(source, target)`` pair, one per physical
+        #: edge the batch moved.
+        self._pending_changes: Dict[Tuple[int, int], List[WeightChange]] = {}
         self._dirty_nodes: set = set()
         self._structurally_dirty = False
 
@@ -65,8 +67,10 @@ class DictNetwork:
             raise KeyError(f"unknown source node {source}")
         if target not in self._nodes:
             raise KeyError(f"unknown target node {target}")
-        if weight < 0:
-            raise ValueError(f"edge weight must be non-negative, got {weight}")
+        if not 0.0 < float(weight) < math.inf:
+            raise ValueError(
+                f"edge weight must be positive and finite, got {float(weight)!r}"
+            )
         self._adjacency[source].append((target, float(weight)))
         self._reverse_adjacency[target].append((source, float(weight)))
         self._num_edges += 1
@@ -90,7 +94,7 @@ class DictNetwork:
         new_weight = float(weight)
         if not 0.0 < new_weight < math.inf:
             raise ValueError(
-                f"updated edge weight must be positive and finite, got {weight}"
+                f"updated edge weight must be positive and finite, got {weight!r}"
             )
         neighbors = self._adjacency.get(source)
         if neighbors is None:
@@ -106,21 +110,26 @@ class DictNetwork:
         reverse = self._reverse_adjacency[target]
         reverse[reverse.index((source, old_weight))] = (source, new_weight)
         self._dirty_nodes.update((source, target))
+        # The patched edge is the one a pending change last set to
+        # ``old_weight``, if any: that change now ends at ``new_weight``.
         key = (source, target)
-        pending = self._pending_changes.get(key)
-        if pending is None:
-            self._pending_changes[key] = change
-        elif pending.old_weight == new_weight:
-            del self._pending_changes[key]
+        pending = self._pending_changes.get(key, [])
+        earlier = [c for c in pending if c.new_weight == old_weight]
+        if not earlier:
+            pending = pending + [change]
         else:
-            self._pending_changes[key] = WeightChange(
-                source, target, pending.old_weight, new_weight
-            )
+            first = pending.index(earlier[0])
+            merged = WeightChange(source, target, earlier[0].old_weight, new_weight)
+            pending = pending[:first] + ([] if merged.is_noop else [merged]) + pending[first + 1 :]
+        if pending:
+            self._pending_changes[key] = pending
+        else:
+            del self._pending_changes[key]
         return change
 
     def pending_delta(self) -> NetworkDelta:
         return NetworkDelta(
-            changes=tuple(self._pending_changes.values()),
+            changes=tuple(c for pair in self._pending_changes.values() for c in pair),
             structural=self._structurally_dirty,
             dirty_nodes=frozenset(self._dirty_nodes),
         )

@@ -95,7 +95,7 @@ class TestValidation:
             tmp_path,
             "n 1 0.0 0.0\nn 2 1.0 0.0\ne 1 2 nan\n",
             3,
-            "non-finite weight",
+            "weight nan on edge 1 -> 2 must be positive and finite",
         )
 
     def test_negative_weight(self, tmp_path):
@@ -103,7 +103,7 @@ class TestValidation:
             tmp_path,
             "n 1 0.0 0.0\nn 2 1.0 0.0\ne 1 2 -3\n",
             3,
-            "negative weight -3 on edge 1 -> 2",
+            "weight -3 on edge 1 -> 2 must be positive and finite",
         )
 
     def test_malformed_node_and_edge_lines(self, tmp_path):

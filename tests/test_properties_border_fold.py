@@ -8,14 +8,12 @@ cells, and pointer doubling over those cells alone gives the masks;
 against
 ``tests/oracles/border_paths.py``, which folds the same ``dist``/``pred``
 labels one source and one predecessor chain at a time, over hypothesis-drawn
-integer-weight networks with exact ties, zero-weight edges, unreachable
-nodes and region counts on both sides of the 64-bit mask word boundary,
+integer-weight networks with exact ties, unreachable nodes and region counts on both sides of the 64-bit mask word boundary,
 and on hand-drawn networks for the walk's edge cases: chains deeper than
 2**8 hops, targets on other targets' paths, rows without a finite target
 and rows sharing no cross-border node.
 
-The serialized state keeps only the labels -- ``dist``, and ``pred`` only
-where a non-positive weight keeps it from following -- so a restore derives
+The serialized state keeps only the ``dist`` labels, so a restore derives
 every other column through ``_fold`` too, and the predecessors through the
 kernel's tree derivation; that block must equal the built one, column for
 column, before and after refreshes, also when the first block use comes
@@ -63,14 +61,14 @@ class _Assigned:
         return np.asarray(self._regions, dtype=np.int64)[np.asarray(xs, dtype=np.int64)]
 
 
-def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
-    """Random directed network with integer weights in ``[0, 4]`` -- exact
-    ties everywhere, zero-weight edges at ``zero_share`` -- plus a node with
-    out-edges only and an isolated node, neither reached by anyone."""
+def tie_network(seed: int, num_nodes: int) -> RoadNetwork:
+    """Random directed network with integer weights in ``[1, 4]`` -- exact
+    ties everywhere -- plus a node with out-edges only and an isolated node,
+    neither reached by anyone."""
     rng = random.Random(seed)
 
     def weight() -> float:
-        return 0.0 if rng.random() < zero_share else float(rng.randint(1, 4))
+        return float(rng.randint(1, 4))
 
     network = RoadNetwork(name=f"ties-{seed}")
     for node in range(num_nodes):
@@ -146,10 +144,9 @@ def assert_refold_restores(precomputation: BorderPathPrecomputation, rows) -> No
     seed=st.integers(0, 10_000),
     num_regions=st.sampled_from([4, 64, 65, 128]),
     num_nodes=st.integers(8, 72),
-    zero_share=st.sampled_from([0.0, 0.15, 0.5]),
 )
-def test_fold_equals_the_record_oracle(seed, num_regions, num_nodes, zero_share):
-    network = tie_network(seed, num_nodes, zero_share)
+def test_fold_equals_the_record_oracle(seed, num_regions, num_nodes):
+    network = tie_network(seed, num_nodes)
     partitioning = tie_partitioning(network, num_regions, seed)
     precomputation = BorderPathPrecomputation(network, partitioning)
     assert_matches_oracle(precomputation)
@@ -178,37 +175,6 @@ def test_nr_build_at_128_regions_matches_oracle_aggregates():
     assert any(max(regions) >= 64 for regions in want["traversed_regions"].values())
 
 
-@pytest.mark.parametrize("seed", [2, 9])
-def test_zero_weight_refresh_equals_scratch_build(seed):
-    """A snapshot with a zero-weight edge refreshes by re-sweeping the
-    affected rows in one batched kernel call; the result equals a scratch
-    build column for column."""
-    network = tie_network(seed, 40, zero_share=0.15)
-    assert network.ensure_csr().has_nonpositive_weight
-    partitioning = tie_partitioning(network, 8, seed)
-    precomputation = BorderPathPrecomputation(network, partitioning)
-    rng = random.Random(seed)
-    edges = sorted((e.source, e.target) for e in network.edges() if e.weight > 0)
-    touched = 0
-    for _ in range(4):
-        changes = network.apply_updates(
-            [(u, v, float(rng.randint(1, 6))) for u, v in rng.sample(edges, 3)]
-        )
-        touched += precomputation.refresh(changes)
-        network.clear_delta()
-        scratch = BorderPathPrecomputation(network, partitioning)
-        for column in BLOCK_COLUMNS:
-            assert np.array_equal(
-                getattr(precomputation.block, column), getattr(scratch.block, column)
-            ), column
-        assert precomputation.state()["labels"] == scratch.state()["labels"]
-        assert precomputation.traversed_regions == scratch.traversed_regions
-        assert precomputation.min_distance == scratch.min_distance
-        assert precomputation.max_distance == scratch.max_distance
-        assert precomputation.cross_border_nodes == scratch.cross_border_nodes
-    assert touched, "no batch reached a border source"
-
-
 def assert_same_block(got: BorderPathPrecomputation, want: BorderPathPrecomputation) -> None:
     for column in BLOCK_COLUMNS:
         assert np.array_equal(getattr(got.block, column), getattr(want.block, column)), column
@@ -220,7 +186,7 @@ def test_restore_derives_the_built_block(seed, num_regions):
     """A restore from the serialized labels folds a block equal to the
     built one in all eight columns, and stays equal through refreshes.
     One region means a roster without border nodes: empty label bytes."""
-    network = tie_network(seed, 48, zero_share=0.0)
+    network = tie_network(seed, 48)
     partitioning = tie_partitioning(network, num_regions, seed)
     built = BorderPathPrecomputation(network, partitioning)
     assert bool(built._all_border) == (num_regions > 1)
@@ -243,20 +209,19 @@ def test_restore_derives_the_built_block(seed, num_regions):
     assert_matches_oracle(restored)
 
 
-@pytest.mark.parametrize("zero_share", [0.0, 0.15])
 @pytest.mark.parametrize("seed", [4, 11, 23])
-def test_restore_updated_before_first_use_equals_scratch(seed, zero_share):
+def test_restore_updated_before_first_use_equals_scratch(seed):
     """Restore, patch the network's weights, then refresh: the refresh's
     first block use derives the predecessors over the labels' own
     (pre-batch) weights.  Exact integer ties make a derivation over the
-    patched weights pick other predecessors.  With zero weights ``pred`` is
-    stored and read back instead."""
-    network = tie_network(seed, 48, zero_share=zero_share)
+    patched weights pick other predecessors.  The state keeps ``dist``
+    labels only."""
+    network = tie_network(seed, 48)
     partitioning = tie_partitioning(network, 6, seed)
     rng = random.Random(seed)
-    edges = sorted((e.source, e.target) for e in network.edges() if e.weight > 0)
+    edges = sorted((e.source, e.target) for e in network.edges())
     state = decode_value(encode_value(BorderPathPrecomputation(network, partitioning).state()))
-    assert set(state["labels"]) == ({"dist", "pred"} if zero_share else {"dist"})
+    assert set(state["labels"]) == {"dist"}
     for _ in range(3):
         restored = BorderPathPrecomputation.from_state(network, partitioning, state)
         changes = network.apply_updates(
@@ -274,7 +239,7 @@ def test_stale_restore_raises_instead_of_deriving():
     """A block read after a batch it is not told of raises, and so does an
     ``affected_sources`` naming a batch that does not undo the network's
     moves; the read naming the whole batch derives."""
-    network = tie_network(5, 48, zero_share=0.0)
+    network = tie_network(5, 48)
     partitioning = tie_partitioning(network, 6, 5)
     built = BorderPathPrecomputation(network, partitioning)
     state = decode_value(encode_value(built.state()))

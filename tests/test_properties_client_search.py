@@ -6,8 +6,8 @@ through ``KernelArena.point_to_point`` (``adjacency=``/``potential=``).
 Each answer -- distance, path and settled count -- must equal the dict loop
 it replaced: ``tests/oracles/astar.py`` with an edge filter or a scalar
 lower bound, and the per-query dict overlay of ``tests/oracles/hiti.py``.
-Networks are hypothesis-drawn with integer weights (exact ties), zero-weight
-and parallel edges, a node with out-edges only and an isolated node;
+Networks are hypothesis-drawn with integer weights (exact ties), parallel
+edges, a node with out-edges only and an isolated node;
 ArcFlag runs at region counts on both sides of the 64-bit word boundary.
 """
 
@@ -54,8 +54,8 @@ class _Assigned:
         return np.asarray(self._regions, dtype=np.int64)[np.asarray(xs, dtype=np.int64)]
 
 
-def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
-    """Random directed network with integer weights in ``[0, 4]`` and some
+def tie_network(seed: int, num_nodes: int) -> RoadNetwork:
+    """Random directed network with integer weights in ``[1, 4]`` and some
     parallel edges, plus a node with out-edges only and an isolated node
     (the last two ids).
     Nodes are added in shuffled order, so ``edges()`` order is not the
@@ -63,7 +63,7 @@ def tie_network(seed: int, num_nodes: int, zero_share: float) -> RoadNetwork:
     rng = random.Random(seed)
 
     def weight() -> float:
-        return 0.0 if rng.random() < zero_share else float(rng.randint(1, 4))
+        return float(rng.randint(1, 4))
 
     network = RoadNetwork(name=f"client-ties-{seed}")
     for node in rng.sample(range(num_nodes), num_nodes):
@@ -129,13 +129,12 @@ def reweight(network: RoadNetwork, seed: int, count: int = 4):
 @given(
     seed=st.integers(0, 10_000),
     num_nodes=st.integers(6, 30),
-    zero_share=st.sampled_from([0.0, 0.2]),
 )
-def test_potential_search_equals_astar_for_any_bound(seed, num_nodes, zero_share):
+def test_potential_search_equals_astar_for_any_bound(seed, num_nodes):
     """Arbitrary non-negative potentials -- inconsistent ones too, which
     can lower a settled node's label -- settle exactly like the settled-set
     A* they replace."""
-    network = tie_network(seed, num_nodes, zero_share)
+    network = tie_network(seed, num_nodes)
     rng = random.Random(seed)
     potential = [float(rng.randint(0, 6)) for _ in range(num_nodes)]
     arena = arena_for(network.ensure_csr())
@@ -155,10 +154,9 @@ def test_potential_search_equals_astar_for_any_bound(seed, num_nodes, zero_share
     seed=st.integers(0, 10_000),
     num_regions=st.sampled_from([4, 64, 65, 128]),
     num_nodes=st.integers(6, 30),
-    zero_share=st.sampled_from([0.0, 0.2]),
 )
-def test_arcflag_query_equals_filtered_astar(seed, num_regions, num_nodes, zero_share):
-    network = tie_network(seed, num_nodes, zero_share)
+def test_arcflag_query_equals_filtered_astar(seed, num_regions, num_nodes):
+    network = tie_network(seed, num_nodes)
     partitioning = tie_partitioning(network, num_regions, seed)
     index = ArcFlagIndex(network, partitioning)
     flags = arcflag_oracle.build_flags(network, partitioning)
@@ -184,10 +182,9 @@ def test_arcflag_query_equals_filtered_astar(seed, num_regions, num_nodes, zero_
     seed=st.integers(0, 10_000),
     num_nodes=st.integers(6, 30),
     num_landmarks=st.integers(1, 4),
-    zero_share=st.sampled_from([0.0, 0.2]),
 )
-def test_landmark_query_equals_scalar_astar(seed, num_nodes, num_landmarks, zero_share):
-    network = tie_network(seed, num_nodes, zero_share)
+def test_landmark_query_equals_scalar_astar(seed, num_nodes, num_landmarks):
+    network = tie_network(seed, num_nodes)
     ids = sorted(network.node_ids())  # snapshot index order
     rng = random.Random(seed)
     # The isolated node and the out-edges-only node leave ``inf`` entries
@@ -226,10 +223,9 @@ def assert_hiti_matches(index: HiTiIndex, pairs) -> None:
     seed=st.integers(0, 10_000),
     num_regions=st.sampled_from([2, 4, 8]),
     num_nodes=st.integers(6, 30),
-    zero_share=st.sampled_from([0.0, 0.2]),
 )
-def test_hiti_query_equals_dict_overlay(seed, num_regions, num_nodes, zero_share):
-    network = tie_network(seed, num_nodes, zero_share)
+def test_hiti_query_equals_dict_overlay(seed, num_regions, num_nodes):
+    network = tie_network(seed, num_nodes)
     partitioning = tie_partitioning(network, num_regions, seed)
     pairs = query_pairs(network, seed)
     index = HiTiIndex(network, partitioning)
@@ -260,7 +256,7 @@ def test_hiti_query_equals_dict_overlay(seed, num_regions, num_nodes, zero_share
 def test_hiti_shadow_refresh_leaves_the_serving_overlay(seed, num_nodes):
     """``shadow_rebuild`` refreshes a replacement; the serving instance keeps
     its rows and answers, and the replacement equals a scratch build."""
-    network = tie_network(seed, num_nodes, 0.0)
+    network = tie_network(seed, num_nodes)
     scheme = air.create("HiTi", network, num_regions=4)
     pairs = query_pairs(network, seed)
     serving = scheme.index
@@ -296,7 +292,7 @@ def test_hiti_single_region_refreshes_equal_scratch_builds():
     """Ten one-region shadow refreshes in a row: each replacement equals a
     scratch build (levels, rows, artifact payload), and the instance it
     replaced keeps its rows."""
-    network = tie_network(7, 120, 0.0)
+    network = tie_network(7, 120)
     scheme = air.create("HiTi", network, num_regions=8)
     region_of = scheme.partitioning.region_of
     internal = sorted(

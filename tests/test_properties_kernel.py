@@ -10,8 +10,10 @@ insertion order.  A point-to-point search -- and therefore every
 and predecessor); on the faithful loop, tentative frontier labels and key
 order match too.  That must hold on static networks, after random
 weight-update streams (in-place snapshot patching), on both kernel paths --
-the scipy sweep with its exact reconstruction and the faithful loop -- and
-for the masked search that replaced the EB/NR clients' per-query subgraphs.
+the scipy sweep with its exact reconstruction, which every search over a
+snapshot's own rows takes, and the faithful loop of multi-target searches --
+and for the masked search that replaced the EB/NR clients' per-query
+subgraphs.
 """
 
 import random
@@ -37,27 +39,14 @@ from test_air_border_paths import integer_weight_network
 SEEDS = [3, 11, 29]
 
 
-@pytest.fixture(params=["accel", "pure"])
+@pytest.fixture(params=["accel"])
 def kernel_path(request):
-    """Which kernel path a property drives, chosen through its input.
-
-    ``accel`` leaves the network as built: with strictly positive weights,
-    full sweeps and point-to-point searches take the scipy sweep and its
-    reconstruction.  ``pure`` adds one zero-weight edge (last node to first
-    node), so ``has_nonpositive_weight`` sends every search that reports a
-    tree -- predecessor sweeps and point-to-point searches -- through the
-    faithful loop.  The fixture returns the function that prepares a
-    network accordingly.
-    """
-
-    def prepare(network: RoadNetwork) -> RoadNetwork:
-        if request.param == "pure":
-            ids = network.node_ids()
-            network.add_edge(ids[-1], ids[0], 0.0)
-            network.clear_delta()
-        return network
-
-    return prepare
+    """The kernel path a property drives: ``accel``, the scipy sweep and its
+    reconstruction, which full sweeps and point-to-point searches over a
+    snapshot's own rows always take (every weight is strictly positive).
+    The network is used as built; the fixture returns the function that
+    prepares it, and its parameter keeps the properties' test ids."""
+    return lambda network: network
 
 
 def make_network(seed: int, num_nodes: int = 90, num_edges: int = 230) -> RoadNetwork:
@@ -210,28 +199,31 @@ def test_unknown_target_degenerates_to_full_sweep(kernel_path):
     )
 
 
-def test_zero_weight_edges_stay_exact(kernel_path):
-    """A zero-weight edge routes predecessor sweeps onto the faithful loop."""
-    network = build_network(
-        nodes=[(i, float(i), 0.0) for i in range(6)],
-        edges=[
-            (0, 1, 2.0),
-            (1, 2, 0.0),
-            (0, 2, 2.0),
-            (2, 3, 1.0),
-            (3, 4, 0.0),
-            (1, 4, 3.0),
-            (4, 5, 1.0),
-        ],
-    )
-    kernel_path(network)
-    snapshot = network.ensure_csr()
-    assert snapshot.has_nonpositive_weight
-    for source in network.node_ids():
-        assert_same_result(
-            arena(network).sssp(source),
-            oracle.dijkstra_distances(network, source),
-        )
+def test_snapshot_searches_never_enter_the_faithful_loop(monkeypatch):
+    """Full sweeps, point-to-point searches (plain, masked and through
+    ``search``) and batched sweeps over a snapshot's own rows take the
+    compiled sweep alone, and NR/EB publish ``dist`` labels only."""
+    from repro import air
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a snapshot search entered the faithful loop")
+
+    network = integer_weight_network(5, num_nodes=60)
+    monkeypatch.setattr(kernel.KernelArena, "_faithful", refuse)
+    ids = network.node_ids()
+    for reverse in (False, True):
+        arena(network).sssp(ids[0], reverse=reverse).pred
+        arena(network).point_to_point(ids[0], ids[-2], reverse=reverse).pred
+        arena(network).point_to_point(
+            ids[0], ids[-2], allowed=ids[::2] + [ids[-2]], reverse=reverse
+        ).pred
+        arena(network).search(ids[0], target=ids[-2], reverse=reverse).pred
+        dist = np.empty((len(ids), len(ids)))
+        pred = np.empty(dist.shape, dtype=np.int64)
+        arena(network).many_to_many(ids, dist, pred, reverse=reverse)
+    for name in ("NR", "EB"):
+        scheme = air.create(name, network, num_regions=4)
+        assert set(scheme.precomputation.state()["labels"]) == {"dist"}
 
 
 def test_parallel_edges_stay_exact(kernel_path):
@@ -312,7 +304,6 @@ def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
     """
     network = kernel_path(integer_weight_network(seed, num_nodes=60))
     arena = kernel.arena_for(network.ensure_csr())
-    compiled = not network.ensure_csr().has_nonpositive_weight
     rng = random.Random(seed * 7 + reverse)
     ids = network.node_ids()
     ties = 0
@@ -331,8 +322,7 @@ def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
                 tight_in_edges(network, want.distances, node, reverse, allowed)
             ) > 1:
                 ties += 1
-        if compiled:
-            assert got._pred is None, "a path must not derive the tree"
+        assert got._pred is None, "a path must not derive the tree"
         assert_settled_scope(got, want)
         for node in settled:
             assert got.path_to(node) == want.path_to(node)
@@ -508,8 +498,7 @@ def test_p2p_probe_matches_reference_labels_without_materialization(kernel_path)
 
     A settled node's label is the oracle's; any other node's is the
     converged one, no greater than the oracle's tentative label (or its
-    ``inf``).  On the ``pure`` input the faithful loop answers directly, so
-    every label lands on the oracle's.
+    ``inf``).
     """
     network = kernel_path(make_network(17, num_nodes=70, num_edges=180))
     arena = kernel.arena_for(network.ensure_csr())
@@ -521,7 +510,7 @@ def test_p2p_probe_matches_reference_labels_without_materialization(kernel_path)
         for probe_node in rng.sample(ids, 4) + [target]:
             fresh = arena.point_to_point(source, target)
             label = fresh.distance_to(probe_node)
-            if fresh.dist_np is None or probe_node in want.settled_nodes:
+            if probe_node in want.settled_nodes:
                 assert label == want.distance_to(probe_node)
             else:
                 assert label <= want.distance_to(probe_node)
@@ -535,8 +524,8 @@ def test_arena_is_cached_per_thread_and_snapshot():
 
 
 def test_distance_only_sweep_matches_reference(kernel_path):
-    """Distance-only sweeps take scipy on both inputs (a zero-weight edge
-    included): same labels and settled count, no tree."""
+    """Distance-only sweeps take scipy: same labels and settled count, no
+    tree."""
     network = kernel_path(make_network(15, num_nodes=50, num_edges=130))
     arena = kernel.arena_for(network.ensure_csr())
     for source in network.node_ids()[:6]:
@@ -684,8 +673,7 @@ def test_many_to_many_predecessor_pass_equals_the_faithful_loop(
 
 
 def test_kernel_handles_edgeless_network(kernel_path):
-    """No edges out of the source: on ``pure`` the only edge is the
-    zero-weight one into it, which no search from node 0 can use."""
+    """No edges at all: a sweep settles the source alone."""
     network = RoadNetwork()
     for node_id in range(3):
         network.add_node(node_id, float(node_id), 0.0)
@@ -715,15 +703,12 @@ def test_path_to_guards_against_broken_chains():
 # Precomputations built on the kernel equal their oracles
 # ----------------------------------------------------------------------
 def precomputation_inputs(seed):
-    """One positive-weight network and the same network plus a zero-weight
-    edge (which sends tree-reporting sweeps through the faithful loop),
-    each with its partitioning."""
-    for zero_edge in (False, True):
-        network = make_network(seed, num_nodes=60, num_edges=150)
-        if zero_edge:
-            ids = network.node_ids()
-            network.add_edge(ids[-1], ids[0], 0.0)
-            network.clear_delta()
+    """A generated network and an integer-weight one (exact ties), each
+    with its partitioning."""
+    for network in (
+        make_network(seed, num_nodes=60, num_edges=150),
+        integer_weight_network(seed, num_nodes=60),
+    ):
         yield network, build_kdtree_partitioning(network, 4)
 
 
@@ -739,8 +724,8 @@ def test_arcflag_vectorized_equals_reference_flags(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
 def test_border_precomputation_identical_across_kernel_modes(seed):
-    """On both kernel paths the published aggregates equal the ones derived
-    from one oracle Dijkstra per border source."""
+    """The published aggregates equal the ones derived from one oracle
+    Dijkstra per border source."""
     from repro.air.border_paths import BorderPathPrecomputation
 
     for network, partitioning in precomputation_inputs(seed):

@@ -6,8 +6,7 @@ The memory-bound client's region compression and overlay search
 :func:`repro.network.algorithms.kernel.row_search` over local rows.  Each
 output must equal the dict Dijkstra it replaced (``tests/oracles/
 memory_bound.py``), insertion order included.  Networks are
-hypothesis-drawn with integer weights, parallel edges, one zero-weight
-edge, a diamond that forces an equal-distance tie and a terminal nothing
+hypothesis-drawn with integer weights, parallel edges, a diamond that forces an equal-distance tie and a terminal nothing
 reaches; node ids are inserted and handed over in shuffled order, so only
 the id order of the local positions makes heap ties break as the dict
 loop's do.
@@ -35,8 +34,8 @@ SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
-#: The tie diamond ``0 -> {1, 2} -> 3`` (weight 1 each), the zero-weight
-#: edge ``4 -> 5`` and the out-edges-only node ``LONELY(n) = n - 1``.
+#: The tie diamond ``0 -> {1, 2} -> 3`` (weight 1 each) and the
+#: out-edges-only node ``LONELY(n) = n - 1``.
 TOP, LEFT, RIGHT, BOTTOM = 0, 1, 2, 3
 
 
@@ -45,7 +44,7 @@ def tie_network(seed: int, num_nodes: int) -> RoadNetwork:
     lonely = num_nodes - 1
     edges = [(TOP, LEFT, 1.0), (TOP, RIGHT, 1.0), (LEFT, BOTTOM, 1.0), (RIGHT, BOTTOM, 1.0)]
     edges.append((LEFT, BOTTOM, 2.0))  # a parallel edge on the diamond
-    edges.append((4, 5, 0.0))
+    edges.append((4, 5, 1.0))
     inner = list(range(4, lonely))
     for a, b in zip(inner, inner[1:]):
         edges += [(a, b, float(rng.randint(1, 3))), (b, a, float(rng.randint(1, 3)))]

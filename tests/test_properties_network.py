@@ -1,7 +1,8 @@
 """Property tests: ``RoadNetwork`` against the dict-of-lists oracle.
 
 Random edit sequences -- node ids added out of order and replaced, parallel
-edges, removals that must pick among parallel edges, weight updates -- run
+edges, zero-weight edges both must refuse, removals that must pick among
+parallel edges, weight updates that may move another parallel edge -- run
 against both the production network (CSR arrays plus a staged builder) and
 :class:`oracles.dict_network.DictNetwork`.  Every edit must return or raise
 the same thing on both, and at every read step every observable must match:
