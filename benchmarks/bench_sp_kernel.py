@@ -26,6 +26,14 @@ query throughput alike.  Measured on the 1k-node network:
   sweep with the outside edges weighted ``inf``, then a walk back over
   in-edges for the path; timed against the oracle's masked dict loop and
   asserted >= ``MIN_MASKED_P2P_SPEEDUP``;
+* **ArcFlag client** and **HiTi client** -- ``ArcFlagIndex.query`` and
+  ``HiTiIndex.query`` over 16 kd regions: one compiled sweep each, over
+  ArcFlag's pinned weights with the edges unflagged for the target's
+  region weighed ``inf``, or HiTi's flat overlay with the edges the query
+  leaves out weighed ``inf``, then a walk back for the path; timed against
+  their references in ``tests/oracles/`` -- the edge-filtered A* over the
+  dict network and the per-query dict overlay -- and asserted >=
+  ``MIN_ARCFLAG_CLIENT_SPEEDUP`` and ``MIN_HITI_CLIENT_SPEEDUP``;
 * **border many-to-many** -- the batched sweep pattern of
   ``BorderPathPrecomputation`` (distance and predecessor rows, chunked
   scipy calls; asserted >= 1.5x by default via
@@ -56,10 +64,14 @@ import time
 import numpy as np
 import pytest
 
+from oracles import hiti as hiti_oracle
+from oracles.astar import astar_search
 from oracles.dict_network import build_dict_network
 from oracles.dijkstra import dijkstra_distances, dijkstra_search, shortest_path
 from repro.air.border_paths import BorderPathPrecomputation
 from repro.experiments import report
+from repro.index.arcflag import ArcFlagIndex
+from repro.index.hiti import HiTiIndex
 from repro.network.algorithms import kernel
 from repro.network.generators import GeneratorConfig, generate_road_network
 from repro.partitioning.kdtree import build_kdtree_partitioning
@@ -81,6 +93,12 @@ MIN_M2M_SPEEDUP = float(os.environ.get("REPRO_KERNEL_MIN_M2M_SPEEDUP", "1.5"))
 #: over repeated runs on a 2-vCPU VM, where scipy's fixed per-call cost
 #: (~40 us) weighs on sets of a few hundred nodes.
 MIN_MASKED_P2P_SPEEDUP = 1.2
+#: Floors on the client speedups, below the medians of 1.6-1.7x (ArcFlag)
+#: and 11-14x (HiTi) over repeated runs on a 2-vCPU VM: ArcFlag's reference
+#: settles only the flagged edges' few nodes, where scipy's fixed per-call
+#: cost (~30 us) weighs; HiTi's rebuilds its dict overlay per query.
+MIN_ARCFLAG_CLIENT_SPEEDUP = 1.1
+MIN_HITI_CLIENT_SPEEDUP = 5.0
 #: Alternating dict/kernel rounds; every floor applies to the median of a
 #: ratio's per-round values.
 ROUNDS = 5
@@ -90,6 +108,8 @@ RATIOS = {
     "sssp_with_predecessors": ("dict_sssp", "kernel_sssp_pred"),
     "point_to_point": ("dict_p2p", "kernel_p2p"),
     "masked_point_to_point": ("dict_masked", "kernel_masked"),
+    "arcflag_client": ("dict_arcflag", "kernel_arcflag"),
+    "hiti_client": ("dict_hiti", "kernel_hiti"),
     "border_many_to_many": ("dict_many", "kernel_many"),
 }
 
@@ -161,6 +181,32 @@ def _verify_masked(network, reference, queries) -> None:
         check_point_to_point(got, want, target)
 
 
+def _arcflag_reference(reference, index, partitioning):
+    """ArcFlag's reference search: A* with no bound over the dict network,
+    keeping the edges flagged for the target's region."""
+    flags = index.flags
+
+    def search(source, target):
+        bit = 1 << partitioning.region_of(target)
+        return astar_search(
+            reference, source, target, edge_filter=lambda u, v: bool(flags[(u, v)] & bit)
+        )
+
+    return search
+
+
+def _verify_clients(pairs, arcflag, arcflag_reference, hiti) -> None:
+    """Every client answer (distance, path, settled) equals its reference's."""
+    for source, target in pairs:
+        for got, want in (
+            (arcflag.query(source, target), arcflag_reference(source, target)),
+            (hiti.query(source, target), hiti_oracle.query(hiti, source, target)),
+        ):
+            assert (got.distance, got.path, got.settled) == (
+                want.distance, want.path, want.settled
+            ), (source, target)
+
+
 def test_kernel_vs_dict_dijkstra(network):
     rng = random.Random(7)
     ids = network.node_ids()
@@ -179,6 +225,10 @@ def test_kernel_vs_dict_dijkstra(network):
     reference = _dict_copy(network)
     _verify_bit_identity(network, reference, sources, pairs)
     _verify_masked(network, reference, masked_queries)
+    arcflag = ArcFlagIndex(network, partitioning)
+    arcflag_reference = _arcflag_reference(reference, arcflag, partitioning)
+    hiti = HiTiIndex(network, partitioning)
+    _verify_clients(pairs, arcflag, arcflag_reference, hiti)
 
     # Warm-up: build the kernel's lazy numpy/scipy views (matrices, edge arrays)
     # and touch every code path once so the timings below compare steady
@@ -228,6 +278,10 @@ def test_kernel_vs_dict_dijkstra(network):
         ),
         "dict_masked": dict_masked,
         "kernel_masked": kernel_masked,
+        "dict_arcflag": lambda: _each(pairs, lambda p: arcflag_reference(*p)),
+        "kernel_arcflag": lambda: _each(pairs, lambda p: arcflag.query(*p)),
+        "dict_hiti": lambda: _each(pairs, lambda p: hiti_oracle.query(hiti, *p)),
+        "kernel_hiti": lambda: _each(pairs, lambda p: hiti.query(*p)),
         "dict_many": lambda: _each(borders, lambda s: dijkstra_distances(reference, s)),
         "kernel_many": lambda: arena.many_to_many(
             borders, np.empty(shape), np.empty(shape, dtype=np.int64)
@@ -254,6 +308,8 @@ def test_kernel_vs_dict_dijkstra(network):
             f"masked point-to-point (median {median_masked_nodes} nodes)",
             NUM_QUERIES,
         ),
+        "arcflag_client": ("ArcFlag client", NUM_QUERIES),
+        "hiti_client": ("HiTi client", NUM_QUERIES),
         "border_many_to_many": (
             f"border many-to-many ({len(borders)} sources)",
             len(borders),
@@ -316,6 +372,24 @@ def test_kernel_vs_dict_dijkstra(network):
                 "speedup_rounds": _rounded(rounds["masked_point_to_point"]),
                 "min_speedup_floor": MIN_MASKED_P2P_SPEEDUP,
             },
+            "arcflag_client": {
+                "runs": NUM_QUERIES,
+                "regions": NUM_BORDER_REGIONS,
+                "dict_seconds": seconds["dict_arcflag"],
+                "kernel_seconds": seconds["kernel_arcflag"],
+                "speedup": speedup["arcflag_client"],
+                "speedup_rounds": _rounded(rounds["arcflag_client"]),
+                "min_speedup_floor": MIN_ARCFLAG_CLIENT_SPEEDUP,
+            },
+            "hiti_client": {
+                "runs": NUM_QUERIES,
+                "regions": NUM_BORDER_REGIONS,
+                "dict_seconds": seconds["dict_hiti"],
+                "kernel_seconds": seconds["kernel_hiti"],
+                "speedup": speedup["hiti_client"],
+                "speedup_rounds": _rounded(rounds["hiti_client"]),
+                "min_speedup_floor": MIN_HITI_CLIENT_SPEEDUP,
+            },
             "border_many_to_many": {
                 "sources": len(borders),
                 "dict_seconds": seconds["dict_many"],
@@ -331,6 +405,8 @@ def test_kernel_vs_dict_dijkstra(network):
         ("sssp", "SSSP", MIN_SSSP_SPEEDUP),
         ("point_to_point", "point-to-point", MIN_P2P_SPEEDUP),
         ("masked_point_to_point", "masked point-to-point", MIN_MASKED_P2P_SPEEDUP),
+        ("arcflag_client", "ArcFlag client", MIN_ARCFLAG_CLIENT_SPEEDUP),
+        ("hiti_client", "HiTi client", MIN_HITI_CLIENT_SPEEDUP),
         ("border_many_to_many", "many-to-many", MIN_M2M_SPEEDUP),
     ]
     for ratio, name, floor in floors:

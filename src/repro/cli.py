@@ -1022,7 +1022,7 @@ def _command_ingest(args: argparse.Namespace, out) -> int:
                 use_parquet=args.parquet,
             )
     except IngestError as exc:
-        print(f"ingest error: {exc}", file=out)
+        print(f"ingest error: {exc}", file=sys.stderr)
         return 1
     import_seconds = time.perf_counter() - started
     stats = table.stats()
@@ -1072,7 +1072,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     A ``ValueError`` from a command (an invalid configuration value, say)
     ends in a one-line ``repro: error: ...`` on stderr and exit code 2, as
     argparse reports its own errors; ``ingest`` reports its located
-    diagnostics itself, with exit code 1.
+    diagnostics itself, also on stderr, with exit code 1.
     """
     out = out if out is not None else sys.stdout
     parser = build_parser()

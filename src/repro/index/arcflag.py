@@ -17,15 +17,16 @@ over all edges; the per-border dict form is the test oracle
 (``tests/oracles/arcflag.py``).
 
 The flags are stored per edge of the network's CSR snapshot, in its edge
-order.  A query for a target in region ``r`` searches the snapshot rows
-whose edges carry bit ``r`` (one ``flag & bit`` pass, compiled once per
-region) through the kernel's ``adjacency=`` rows.
+order, and decoded once into a flag-byte matrix, so any region count
+works.  A query for a target in region ``r`` weighs every edge without bit
+``r`` ``inf`` in a copy of the weights the index was built over -- one
+vectorized pass -- and searches them in one compiled sweep
+(``KernelArena.point_to_point(weights=...)``).
 """
 
 from __future__ import annotations
 
 import time
-from itertools import compress
 from typing import Any, Dict, List, Tuple
 
 import numpy as np
@@ -51,23 +52,19 @@ class ArcFlagIndex:
         self.precomputation_seconds = time.perf_counter() - started
 
     def _bind(self) -> None:
-        """Pin the snapshot the flags are aligned with.
-
-        The rows are copied so that region rows compiled later read the
-        weights this index was built (or restored) over, even if the
-        network's snapshot is patched in place meanwhile.
-        """
+        """Pin the snapshot the flags are aligned with and a float64 copy of
+        its weights, which queries search even after an in-place patch."""
         self._csr = self.network.ensure_csr()
-        self._rows = list(self._csr.fwd_adj)
-        self._region_rows: Dict[int, List[Tuple[Tuple[int, float], ...]]] = {}
+        self._weights = np.frombuffer(self._csr.fwd_weights, dtype=np.float64).copy()
 
-    def _edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Tail and head index of every snapshot edge, in edge order."""
-        csr = self._csr
-        degree = np.diff(np.frombuffer(csr.fwd_offsets, dtype=np.int64))
-        tails = np.repeat(np.arange(csr.num_nodes, dtype=np.int64), degree)
-        heads = np.frombuffer(csr.fwd_targets, dtype=np.int64)
-        return tails, heads
+    def _decode_flags(self) -> None:
+        """The flag-byte matrix: bit ``r`` of an edge's bitmask is bit
+        ``r % 8`` of row ``r // 8``."""
+        width = self.flag_bytes_per_edge()
+        packed = b"".join(flag.to_bytes(width, "little") for flag in self.edge_flags)
+        self._flag_bytes = (
+            np.frombuffer(packed, dtype=np.uint8).reshape(len(self.edge_flags), width).T.copy()
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -87,7 +84,7 @@ class ArcFlagIndex:
         csr = self._csr
         region_of = self.partitioning.region_of
         region = [region_of(node_id) for node_id in csr.ids]
-        tails, heads = self._edge_endpoints()
+        tails, heads = self._csr.edge_endpoints()
         masks = [1 << region[head] for head in heads.tolist()]
         if masks:
             arena = kernel.arena_for(csr)
@@ -120,6 +117,7 @@ class ArcFlagIndex:
                     masks[position] |= bit
         #: Region bitmask of every snapshot edge, in the snapshot's edge order.
         self.edge_flags: List[int] = masks
+        self._decode_flags()
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state
@@ -132,7 +130,7 @@ class ArcFlagIndex:
         tests: the index (and its :meth:`state`) keeps :attr:`edge_flags`.
         """
         ids = self._csr.ids
-        tails, heads = self._edge_endpoints()
+        tails, heads = self._csr.edge_endpoints()
         by_pair = dict(
             zip(
                 zip([ids[i] for i in tails.tolist()], [ids[i] for i in heads.tolist()]),
@@ -166,37 +164,19 @@ class ArcFlagIndex:
                 f"{len(self.edge_flags)} edge flags for a snapshot of "
                 f"{len(self._csr.fwd_targets)} edges"
             )
+        self._decode_flags()
         self.precomputation_seconds = state["seconds"]
         return self
 
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
-    def region_rows(self, region: int) -> List[Tuple[Tuple[int, float], ...]]:
-        """Snapshot rows keeping only the edges flagged for ``region``.
-
-        Compiled on first use and kept: a row whose edges are all flagged
-        is the snapshot's own row object.  Threads racing on a first use
-        may both compile; their lists are equal, so either may be kept.
-        """
-        rows = self._region_rows.get(region)
-        if rows is None:
-            bit = 1 << region
-            keep = [flag & bit for flag in self.edge_flags]
-            offsets = self._csr.fwd_offsets
-            rows = []
-            for node, row in enumerate(self._rows):
-                kept = tuple(compress(row, keep[offsets[node] : offsets[node + 1]]))
-                rows.append(row if len(kept) == len(row) else kept)
-            self._region_rows[region] = rows
-        return rows
-
     def query(self, source: int, target: int) -> PathResult:
         """Shortest path using only edges flagged for the target's region."""
-        rows = self.region_rows(self.partitioning.region_of(target))
-        result = kernel.arena_for(self._csr).point_to_point(
-            source, target, adjacency=rows
-        )
+        region = self.partitioning.region_of(target)
+        flagged = self._flag_bytes[region >> 3] & (1 << (region & 7))
+        weights = np.where(flagged, self._weights, np.inf)
+        result = kernel.arena_for(self._csr).point_to_point(source, target, weights=weights)
         return result.path_result(target)
 
     # ------------------------------------------------------------------

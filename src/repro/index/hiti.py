@@ -20,14 +20,15 @@ documented simplification of HiTi's hierarchical search-graph selection: it
 returns the same distances and keeps the index contents (and hence its
 broadcast size, the quantity the paper evaluates) identical.
 
-The overlay is query-independent except for which two regions are detailed,
-so it is compiled once per build, refresh and restore as two row lists in
-snapshot index order: *detail* rows (a node's interior edges, then its
-crossing edges) and *coarse* rows (the super-edges leaving a node of its
-region, then its crossing edges).  A query copies the coarse list, swaps in
-the detail rows of the source and target regions, and searches it through
-the kernel's ``adjacency=`` rows.  The same interior and crossing rows feed
-the leaf and block super-edge builds.
+The overlay is compiled once per build, refresh and restore as one graph
+derived from the snapshot (:meth:`~repro.network.csr.CSRGraph.derived`):
+every snapshot edge, with the weights the index was built over, and every
+level-0 super-edge, each tagged with its kind and its tail's region.  A
+query keeps the crossing edges, the interior edges of the source and target
+regions and the super-edges of every other region -- one vectorized pass
+weighs the rest ``inf`` -- and searches it in one compiled sweep
+(``KernelArena.point_to_point(weights=...)``).  The super-edge builds run
+batched compiled sweeps over derived graphs too.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.network.algorithms.kernel import adjacency_rows, arena_for, row_search
+import numpy as np
+
+from repro.network.algorithms.kernel import KernelArena, arena_for
 from repro.network.algorithms.paths import INFINITY, PathResult
+from repro.network.csr import CSRGraph
 from repro.network.graph import RoadNetwork
 from repro.partitioning.base import Partitioning
 
@@ -45,6 +49,10 @@ __all__ = ["HiTiIndex", "HiTiSubgraph"]
 
 #: Bytes per stored super-edge: two 4-byte node ids plus a 4-byte distance.
 BYTES_PER_SUPER_EDGE = 12
+
+#: Border sources per batched sweep of a super-edge build: a ``sources x
+#: nodes`` float64 block, 14 MB at full Germany.
+_BATCH = 64
 
 
 @dataclass
@@ -61,12 +69,16 @@ class HiTiSubgraph:
         Nodes of the sub-graph with at least one neighbor outside it.
     super_edges:
         ``(from_border, to_border) -> shortest distance within the sub-graph``.
+    arrays:
+        The super-edges as snapshot-index ``(tails, heads, weights)``
+        arrays, filled on first use.
     """
 
     level: int
     regions: Tuple[int, ...]
     border_nodes: List[int] = field(default_factory=list)
     super_edges: Dict[Tuple[int, int], float] = field(default_factory=dict)
+    arrays: Any = field(default=None, repr=False, compare=False)
 
 
 class HiTiIndex:
@@ -76,150 +88,146 @@ class HiTiIndex:
         self.network = network
         self.partitioning = partitioning
         self.num_regions = partitioning.num_regions
+        # Every sub-graph, as a refresh with every leaf region dirty: one
+        # level per doubling of the block, up to one block covering all.
+        started = time.perf_counter()
+        self._bind()
         #: ``levels[k]`` maps the first leaf region of a block to its sub-graph.
-        self.levels: List[Dict[int, HiTiSubgraph]] = []
-        self.precomputation_seconds = 0.0
-        self._build()
+        self.levels: List[Dict[int, HiTiSubgraph]] = [
+            {} for _ in range((self.num_regions - 1).bit_length() + 1)
+        ]
+        self.refresh(set(range(self.num_regions)))
+        self.precomputation_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        started = time.perf_counter()
-        self._compile_rows()
-
-        # Level 0: one sub-graph per leaf region, super-edges computed on the
-        # induced sub-network of the region.
-        self.levels.append(
-            {region: self._build_leaf(region) for region in range(self.num_regions)}
-        )
-
-        # Higher levels: merge contiguous pairs of blocks.
-        block = 1
-        while block < self.num_regions:
-            block *= 2
-            level_index = len(self.levels)
-            self.levels.append(
-                {
-                    first: self._build_block(level_index, first, block)
-                    for first in range(0, self.num_regions, block)
-                }
-            )
-        self._compose_overlay()
-        self.precomputation_seconds = time.perf_counter() - started
-
-    def _compile_rows(self) -> None:
-        """Split every snapshot row into its interior and crossing edges.
-
-        Rows hold ``(neighbor_index, weight)`` pairs in the snapshot's edge
-        order.  ``_foreign[v]`` is the bitmask of the other regions ``v``
-        has an edge to or from.
-        """
+    def _bind(self) -> None:
+        """Bind the snapshot and every node index's region."""
         csr = self.network.ensure_csr()
         region_of = self.partitioning.region_of
         self._csr = csr
-        self._region = region = [region_of(node_id) for node_id in csr.ids]
-        self._interior = [()] * csr.num_nodes
-        self._crossing = [()] * csr.num_nodes
-        self._split_rows(range(csr.num_nodes))
-        foreign = [0] * csr.num_nodes
-        for node, outside in enumerate(self._crossing):
-            own = region[node]
-            for neighbor, _ in outside:
-                foreign[node] |= 1 << region[neighbor]
-                foreign[neighbor] |= 1 << own
-        self._foreign = foreign
-        index_of = csr.index_of
-        self._region_nodes = [
-            [index_of[node] for node in self.partitioning.nodes_in_region(region)]
-            for region in range(self.num_regions)
-        ]
+        self._region = region = np.array([region_of(node) for node in csr.ids], dtype=np.int64)
+        tails, heads = csr.edge_endpoints()
+        self._num_crossing = int(np.count_nonzero(region[tails] != region[heads]))
 
-    def _split_rows(self, nodes) -> None:
-        """Recompile the interior and crossing rows of ``nodes`` (indexes)
-        from the snapshot's current rows."""
-        fwd_adj = self._csr.fwd_adj
+    def _compile_overlay(self) -> None:
+        """Compile the flat level-0 overlay, new on every call (a refreshed
+        replacement never touches the one its predecessor serves): each
+        node's snapshot edges at their current weights, then its
+        super-edges.  ``_code`` tags an interior edge with its region ``r``,
+        a super-edge with ``R + r`` and a crossing edge with ``2 R``."""
+        csr = self._csr
+        count = self.num_regions
         region = self._region
-        interior = self._interior
-        crossing = self._crossing
-        for node in nodes:
-            row = fwd_adj[node]
-            own = region[node]
-            inside = tuple(pair for pair in row if region[pair[0]] == own)
-            interior[node] = inside
-            if len(inside) != len(row):
-                crossing[node] = tuple(pair for pair in row if region[pair[0]] != own)
-            else:
-                crossing[node] = ()
-
-    def _compose_overlay(self, regions=None) -> None:
-        """Assemble the detail and coarse rows from the current levels.
-
-        A node's rows depend only on its own region's level-0 super-edges
-        and its own interior and crossing rows, so ``regions`` limits the
-        work to the nodes of those regions (default: every region).
-        """
-        if regions is None:
-            regions = range(self.num_regions)
-            self._detail = [()] * self._csr.num_nodes
-            self._coarse = [()] * self._csr.num_nodes
-        index_of = self._csr.index_of
-        detail = self._detail
-        coarse = self._coarse
-        for region in regions:
-            supers: Dict[int, List[Tuple[int, float]]] = {}
-            for (u, v), w in self.levels[0][region].super_edges.items():
-                supers.setdefault(index_of[u], []).append((index_of[v], w))
-            for node in self._region_nodes[region]:
-                inside = self._interior[node]
-                outside = self._crossing[node]
-                detail[node] = inside + outside if outside else inside
-                out = supers.get(node)
-                coarse[node] = tuple(out) + outside if out else outside
+        tails, heads = self._csr.edge_endpoints()
+        weights = np.frombuffer(csr.fwd_weights, dtype=np.float64)
+        codes = np.where(region[tails] == region[heads], region[tails], 2 * count)
+        super_tails, super_heads, super_weights = self._super_edge_arrays(
+            *(self.levels[0][leaf] for leaf in range(count))
+        )
+        order = np.argsort(np.concatenate((tails, super_tails)), kind="stable")
+        self._code = np.concatenate((codes, count + region[super_tails]))[order]
+        self.overlay = CSRGraph.derived(
+            csr,
+            np.concatenate((tails, super_tails))[order],
+            np.concatenate((heads, super_heads))[order],
+            np.concatenate((weights, super_weights))[order],
+            name=f"{csr.name}-hiti-overlay",
+        )
+        self._overlay_weights = np.frombuffer(self.overlay.fwd_weights, dtype=np.float64)
 
     def num_crossing_edges(self) -> int:
         """Edges whose endpoints lie in different regions."""
-        return sum(len(outside) for outside in self._crossing)
+        return self._num_crossing
 
     def _build_leaf(self, region: int) -> HiTiSubgraph:
-        """(Re)compute the level-0 sub-graph of one leaf region."""
+        """(Re)compute the level-0 sub-graph of one leaf region: border
+        distances over the snapshot's edges inside it."""
         subgraph = HiTiSubgraph(level=0, regions=(region,))
         subgraph.border_nodes = self.partitioning.border_nodes(region)
-        # The induced adjacency is the region's interior rows (same per-node
-        # edge order as materializing a subgraph, without building one).
-        ids = self._csr.ids
-        index_of = self._csr.index_of
-        adjacency = {
-            node: [(ids[v], w) for v, w in self._interior[index_of[node]]]
-            for node in self.partitioning.nodes_in_region(region)
-        }
-        subgraph.super_edges = self._all_pairs_border_distances(
-            adjacency=adjacency,
-            border_nodes=subgraph.border_nodes,
+        tails, heads = self._csr.edge_endpoints()
+        inside = (self._region[tails] == region) & (self._region[heads] == region)
+        weights = np.frombuffer(self._csr.fwd_weights, dtype=np.float64)
+        subgraph.super_edges = self._border_distances(
+            self._csr, tails[inside], heads[inside], weights[inside], subgraph.border_nodes
         )
         return subgraph
 
     def _build_block(self, level_index: int, first: int, block: int) -> HiTiSubgraph:
-        """(Re)compute the level-``level_index`` block starting at leaf ``first``."""
+        """(Re)compute the level-``level_index`` block starting at leaf
+        ``first``: border distances over the two children's super-edges and
+        the snapshot's edges crossing between them."""
         previous = self.levels[level_index - 1]
         left = previous[first]
         right = previous[first + block // 2]
-        covered = set(left.regions) | set(right.regions)
-        merged = HiTiSubgraph(level=level_index, regions=tuple(sorted(covered)))
-        # A border of the block has an edge to or from a region it does not
-        # cover (a node's own region is always covered).
-        outside = ~sum(1 << region for region in covered)
+        merged = HiTiSubgraph(
+            level=level_index, regions=tuple(sorted(left.regions + right.regions))
+        )
+        side = np.zeros(self.num_regions, dtype=np.int64)
+        side[list(left.regions)] = 1
+        side[list(right.regions)] = 2
+        tails, heads = self._csr.edge_endpoints()
+        tail_side, head_side = side[self._region[tails]], side[self._region[heads]]
+        # A border of the block has an edge to or from a region it does not cover.
+        touching = np.zeros(self._csr.num_nodes, dtype=bool)
+        touching[tails[(head_side == 0) & (tail_side > 0)]] = True
+        touching[heads[(tail_side == 0) & (head_side > 0)]] = True
         index_of = self._csr.index_of
         merged.border_nodes = [
             node
             for node in left.border_nodes + right.border_nodes
-            if self._foreign[index_of[node]] & outside
+            if touching[index_of[node]]
         ]
-        overlay = self._overlay_adjacency(left, right)
-        merged.super_edges = self._all_pairs_border_distances(
-            adjacency=overlay, border_nodes=merged.border_nodes
+        between = tail_side * head_side == 2
+        weights = np.frombuffer(self._csr.fwd_weights, dtype=np.float64)
+        supers = self._super_edge_arrays(left, right)
+        merged.super_edges = self._border_distances(
+            self._csr,
+            np.concatenate((supers[0], tails[between])),
+            np.concatenate((supers[1], heads[between])),
+            np.concatenate((supers[2], weights[between])),
+            merged.border_nodes,
         )
         return merged
+
+    def _super_edge_arrays(self, *subgraphs: HiTiSubgraph):
+        """Tail and head index and weight of the super-edges of
+        ``subgraphs``, in their dicts' order."""
+        for subgraph in subgraphs:
+            if subgraph.arrays is None:
+                ids = np.asarray(self._csr.ids, dtype=np.int64)
+                edges = subgraph.super_edges
+                subgraph.arrays = (
+                    ids.searchsorted(np.array([u for u, _ in edges], dtype=np.int64)),
+                    ids.searchsorted(np.array([v for _, v in edges], dtype=np.int64)),
+                    np.array(list(edges.values()), dtype=np.float64),
+                )
+        return [np.concatenate(part) for part in zip(*(sub.arrays for sub in subgraphs))]
+
+    @staticmethod
+    def _border_distances(
+        csr: CSRGraph, tails, heads, weights, border_nodes: List[int]
+    ) -> Dict[Tuple[int, int], float]:
+        """Shortest distances between all ordered border pairs over the
+        edges ``tails -> heads`` among ``csr``'s nodes: batched compiled
+        sweeps over a graph derived from ``csr``, whose converged labels
+        equal a dict Dijkstra's, keyed in border order."""
+        super_edges: Dict[Tuple[int, int], float] = {}
+        if not border_nodes:
+            return super_edges
+        graph = CSRGraph.derived(csr, tails, heads, weights, name="hiti-subgraph")
+        arena = KernelArena(graph)
+        positions = [csr.index_of[node] for node in border_nodes]
+        for start in range(0, len(border_nodes), _BATCH):
+            sources = border_nodes[start : start + _BATCH]
+            dist = np.empty((len(sources), graph.num_nodes))
+            arena.many_to_many(sources, dist, None)
+            for source, row in zip(sources, dist[:, positions].tolist()):
+                for target, distance in zip(border_nodes, row):
+                    if target != source and distance != INFINITY:
+                        super_edges[(source, target)] = distance
+        return super_edges
 
     # ------------------------------------------------------------------
     # Build/serve split: separable state
@@ -275,8 +283,8 @@ class HiTiIndex:
             for level in state["levels"]
         ]
         self.precomputation_seconds = state["seconds"]
-        self._compile_rows()
-        self._compose_overlay()
+        self._bind()
+        self._compile_overlay()
         return self
 
     def refresh(self, dirty_regions: Set[int]) -> int:
@@ -290,19 +298,12 @@ class HiTiIndex:
         refreshed hierarchy equals a from-scratch build.  Returns the number
         of sub-graphs recomputed.
 
-        Every changed edge leaves a node of a dirty region, so only those
-        nodes' rows are recompiled and recomposed (the region and foreign
-        maps depend on structure alone).  The row lists are copied first: a
-        shadow (:meth:`~repro.air.hiti_air.HiTiBroadcastScheme.shadow_rebuild`)
-        shares them with the instance still serving.
+        The builds read the snapshot's current edges, and the overlay is
+        compiled afresh, so a shadow (:meth:`~repro.air.hiti_air.
+        HiTiBroadcastScheme.shadow_rebuild`) leaves the serving one alone.
         """
         recomputed = 0
         dirty = sorted(dirty_regions)
-        self._interior = list(self._interior)
-        self._crossing = list(self._crossing)
-        self._detail = list(self._detail)
-        self._coarse = list(self._coarse)
-        self._split_rows(node for region in dirty for node in self._region_nodes[region])
         for region in dirty:
             self.levels[0][region] = self._build_leaf(region)
             recomputed += 1
@@ -318,58 +319,8 @@ class HiTiIndex:
                     level_index, first, block
                 )
                 recomputed += 1
-        self._compose_overlay(dirty)
+        self._compile_overlay()
         return recomputed
-
-    def _overlay_adjacency(
-        self, left: HiTiSubgraph, right: HiTiSubgraph
-    ) -> Dict[int, List[Tuple[int, float]]]:
-        """Overlay graph of the two children: super-edges + crossing edges."""
-        adjacency: Dict[int, List[Tuple[int, float]]] = {}
-
-        def add(u: int, v: int, w: float) -> None:
-            adjacency.setdefault(u, []).append((v, w))
-            adjacency.setdefault(v, [])
-
-        for child in (left, right):
-            for (u, v), w in child.super_edges.items():
-                add(u, v, w)
-        # Original edges between the two children's nodes (crossing edges).
-        ids = self._csr.ids
-        index_of = self._csr.index_of
-        region = self._region
-        for child, other in ((left, set(right.regions)), (right, set(left.regions))):
-            for border in child.border_nodes:
-                for neighbor, weight in self._crossing[index_of[border]]:
-                    if region[neighbor] in other:
-                        add(border, ids[neighbor], weight)
-        return adjacency
-
-    @staticmethod
-    def _all_pairs_border_distances(
-        adjacency: Dict[int, List[Tuple[int, float]]], border_nodes: List[int]
-    ) -> Dict[Tuple[int, int], float]:
-        """Shortest distances between all ordered border pairs on ``adjacency``.
-
-        The sub-graph becomes local rows once (:func:`adjacency_rows`, border
-        nodes included), then one kernel row search per border source runs
-        until every border node has settled.  Settled labels do not depend
-        on tie-breaking, so the super-edges equal a dict Dijkstra's.
-        """
-        if not border_nodes:
-            return {}
-        ids, index_of, rows = adjacency_rows(adjacency, border_nodes)
-        positions = [index_of[node] for node in border_nodes]
-        super_edges: Dict[Tuple[int, int], float] = {}
-        for source, source_index in zip(border_nodes, positions):
-            dist = row_search(rows, ids, source_index, remaining=set(border_nodes))[0]
-            for target, target_index in zip(border_nodes, positions):
-                if target == source:
-                    continue
-                distance = dist[target_index]
-                if distance != INFINITY:
-                    super_edges[(source, target)] = distance
-        return super_edges
 
     # ------------------------------------------------------------------
     # Query (flat overlay; see module docstring)
@@ -383,12 +334,11 @@ class HiTiIndex:
         HiTi client materializes before expanding super-edges.
         """
         region_of = self.partitioning.region_of
-        rows = list(self._coarse)
-        detail = self._detail
-        for region in {region_of(source), region_of(target)}:
-            for node in self._region_nodes[region]:
-                rows[node] = detail[node]
-        result = arena_for(self._csr).point_to_point(source, target, adjacency=rows)
+        detailed = np.zeros(self.num_regions, dtype=bool)
+        detailed[[region_of(source), region_of(target)]] = True
+        keep = np.concatenate((detailed, ~detailed, [True])).take(self._code)
+        weights = np.where(keep, self._overlay_weights, np.inf)
+        result = arena_for(self.overlay).point_to_point(source, target, weights=weights)
         return result.path_result(target)
 
     # ------------------------------------------------------------------

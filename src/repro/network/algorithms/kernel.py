@@ -17,40 +17,42 @@ before stopping, the same label and predecessor; the loop's tentative
 frontier labels are not reproduced.  Two mechanisms deliver this:
 
 * Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
-  and point-to-point searches over the snapshot's own rows -- plain or
-  masked to an ``allowed`` node set (the EB/NR clients' search) -- take the
-  distance labels from scipy (relaxation order cannot change the converged
-  float values) and derive everything else from them: every weight being
-  strictly positive (the network's one weight rule, which the snapshot's
-  constructor checks), the settle order provably equals sorting reachable
-  nodes by ``(distance, node id)``.  A point-to-point search's settled
-  count is its target's rank in that order plus one.  Every predecessor
-  comes from :meth:`KernelArena._tree_rows`, one array pass over a few
-  rows' labels: each node's achieving in-edge, and on a tie the tail that
-  settled first.  A single full sweep's discovery order -- which SPQ's
-  majority votes read -- comes from :meth:`KernelArena._discovery`.  A
-  mask weights every edge whose head lies outside the set ``inf`` in the
-  sweep, so those heads stay unreached and the edges never achieve.  A
-  result derives ``pred`` only when it is read, and a path does not need
-  it: :meth:`KernelResult.path_to` walks back over in-edges on the
-  converged labels, reading the snapshot's flat array buffers rather than
-  its tuple rows: in a serving worker the arrays are one copy in the
-  segment every worker maps, while the tuple rows are built per process on
-  first use (2.6 MiB both ways at 4,907 nodes) and a worker that never
-  reads them never builds them.
+  and point-to-point searches -- over the snapshot's own edges, masked to
+  an ``allowed`` node set (the EB/NR clients' search) or over a search's
+  own ``weights`` with ``inf`` on the edges it drops (ArcFlag's flagged
+  edges, HiTi's query overlay) -- take the distance labels from scipy
+  (relaxation order cannot change the converged float values) and derive
+  everything else from them: every weight being strictly positive and
+  above its label's precision (the network's one weight rule, which the
+  snapshot's constructor checks), the settle order provably equals
+  sorting reachable nodes by ``(distance, node id)``.  A point-to-point
+  search's settled count is its target's rank in that order plus one.
+  Every predecessor comes from :meth:`KernelArena._tree_rows`, one array
+  pass over a few rows' labels: each node's achieving in-edge, and on a
+  tie the tail that settled first.  A single full sweep's discovery order
+  -- which SPQ's majority votes read -- comes from
+  :meth:`KernelArena._discovery`.  A node mask weights every edge whose
+  head lies outside the set ``inf`` in the sweep, so those heads stay
+  unreached and the edges never achieve; a search's own weights reach the
+  tree as they are, so an edge it dropped never achieves either, on a tie
+  neither.  A result derives ``pred`` only when it is read, and a path
+  does not need it: :meth:`KernelResult.path_to` walks back over in-edges
+  on the converged labels, reading the snapshot's flat array buffers
+  rather than its tuple rows: in a serving worker the arrays are one copy
+  in the segment every worker maps, while the tuple rows are built per
+  process on first use (2.6 MiB both ways at 4,907 nodes) and a worker
+  that never reads them never builds them.
 * Multi-target searches (:meth:`KernelArena.multi_target`, or
   :meth:`KernelArena.search` given ``targets``) run a **faithful
   simulation** of the dict loop, :func:`row_search`, over the snapshot's
   ``(index, weight)`` rows -- same heap entries (index order is id order),
   same relaxation order, same termination tests -- so even the tentative
-  labels left behind by an early stop match.  The client searches with
-  replaced rows run the same loop: ``adjacency=`` swaps in per-node rows
-  (HiTi's overlay, ArcFlag's flagged rows) and ``potential=`` turns it
-  into A* (Landmark's lower bounds), each bit-identical to its dict
-  reference in ``tests/oracles/``.
+  labels left behind by an early stop match.  Landmark's A* runs the same
+  loop: ``potential=`` turns it into A*, bit-identical to its dict
+  reference in ``tests/oracles/astar.py``.
   Searches over a small graph that is not a snapshot -- a memory-bound
-  client's received region and its super-edge overlay, a HiTi sub-graph --
-  call :func:`row_search` directly on local rows whose positions follow
+  client's received region and its super-edge overlay -- call
+  :func:`row_search` directly on local rows whose positions follow
   ascending id (:func:`adjacency_rows` builds them from a dict), so they
   too break ties as the dict loop does (``tests/oracles/memory_bound.py``).
 
@@ -104,10 +106,11 @@ class KernelResult:
 
     A compiled result carries scipy's converged labels (``dist_np``).  One
     that reports a tree -- a full sweep with predecessors or a
-    point-to-point search -- also carries ``tree``, the ``(arena,
-    reverse)`` that derives ``pred`` on its first read
+    point-to-point search -- also carries ``tree``, the ``(arena, reverse,
+    weights)`` that derives ``pred`` on its first read
     (:meth:`KernelArena._tree_rows`); :meth:`path_to` walks back over
-    in-edges instead and never derives it.  A point-to-point result's
+    in-edges instead and never derives it (``weights``: the search's own,
+    or ``None``).  A point-to-point result's
     labels are the converged ones everywhere: on the nodes the dict loop
     settled (the target and every node ahead of it in settle order) they
     and the predecessors equal the loop's; the loop's tentative frontier
@@ -168,9 +171,11 @@ class KernelResult:
         """Predecessor per index (``-1`` at the source and unreached
         nodes), or ``None`` when the search reports no tree."""
         if self._pred is None and self._tree is not None:
-            arena, reverse = self._tree
+            arena, reverse, weights = self._tree
             row = _np.empty((1, len(self.dist_np)), dtype=_np.int64)
-            arena._tree_rows(self.dist_np[None, :], [self.source_index], row, reverse)
+            arena._tree_rows(
+                self.dist_np[None, :], [self.source_index], row, reverse, weights
+            )
             self._pred = row[0].tolist()
         return self._pred
 
@@ -236,7 +241,7 @@ class KernelResult:
         if self._tree is not None:
             if index is None or self.dist_np[index] == _INF:
                 return []
-            path = self._walk_back(index, self._tree[1])
+            path = self._walk_back(index, *self._tree)
         else:
             pred = self._pred
             if pred is None:
@@ -254,7 +259,7 @@ class KernelResult:
         ids = self.csr.ids
         return [ids[i] for i in reversed(path)]
 
-    def _walk_back(self, index: int, reverse: bool) -> List[int]:
+    def _walk_back(self, index: int, arena, reverse: bool, weights) -> List[int]:
         """The tree path to reached node ``index``, target first, read off
         the converged labels.
 
@@ -262,18 +267,21 @@ class KernelResult:
         in-edges ``(u, w)`` with ``dist[u] + w == dist[v]`` (every such
         ``u`` settled earlier, weights being positive), the one whose tail
         settled first -- the least ``(dist[u], u)``, as
-        :meth:`KernelArena._tree_rows` picks it.  Edges a mask dropped
-        never achieve, as their tails' labels are ``inf``.  The in-edges
-        come from the snapshot's flat array buffers, which serving workers
-        share through the mapped segment, not from
+        :meth:`KernelArena._tree_rows` picks it.  The in-edges come from the
+        snapshot's flat array buffers, which serving workers share through
+        the mapped segment, not from
         :attr:`~repro.network.csr.CSRGraph.rev_adj`, whose tuples each
-        process would build for itself on first read.
+        process would build for itself on first read.  A search's own
+        ``weights`` are gathered in in-edge order (:meth:`_Accel.twin`), so
+        an edge it dropped never achieves, on a tie neither.
         """
         csr = self.csr
         if reverse:
-            offsets, tails, weights = csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
+            offsets, tails, in_weights = csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
         else:
-            offsets, tails, weights = csr.rev_offsets, csr.rev_targets, csr.rev_weights
+            offsets, tails, in_weights = csr.rev_offsets, csr.rev_targets, csr.rev_weights
+        if weights is not None:
+            in_weights = memoryview(weights.take(arena._accel().twin(csr, reverse)))
         labels = memoryview(self.dist_np)
         source_index = self.source_index
         path = [index]
@@ -285,7 +293,7 @@ class KernelResult:
             for j in range(offsets[v], offsets[v + 1]):
                 u = tails[j]
                 du = labels[u]
-                if du + weights[j] == dv and (du < best_d or (du == best_d and u < best)):
+                if du + in_weights[j] == dv and (du < best_d or (du == best_d and u < best)):
                     best = u
                     best_d = du
             if best < 0:  # pragma: no cover - converged labels always chain
@@ -305,63 +313,60 @@ class _Accel:
     a frozen snapshot.
     """
 
-    __slots__ = (
-        "fwd_matrix",
-        "rev_matrix",
-        "fwd_edges",
-        "rev_edges",
-        "fwd_transpose",
-        "rev_transpose",
-    )
+    __slots__ = ("matrices", "edge_arrays", "transposes", "twins")
 
     def __init__(self, csr: CSRGraph) -> None:
-        n = csr.num_nodes
-        self.fwd_matrix = self._matrix(csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights, n)
-        self.rev_matrix = self._matrix(csr.rev_offsets, csr.rev_targets, csr.rev_weights, n)
-        self.fwd_edges = None  # built lazily: only predecessor sweeps need them
-        self.rev_edges = None
-        self.fwd_transpose = None  # lazily: head-grouped permutation of fwd_edges
-        self.rev_transpose = None
+        # Each built lazily, per direction (indexed by ``reverse``): the
+        # matrix on its first sweep, the others for trees and walks.
+        self.matrices = [None, None]
+        self.edge_arrays = [None, None]
+        self.transposes = [None, None]
+        self.twins = [None, None]
 
-    @staticmethod
-    def _matrix(offsets: array, targets: array, weights: array, n):  # type: ignore[name-defined]
-        indptr = _np.frombuffer(offsets, dtype=_np.int64).astype(_np.int32)
-        if len(targets):
+    def matrix(self, csr: CSRGraph, reverse: bool):
+        """One direction's scipy matrix over the snapshot's buffers."""
+        matrix = self.matrices[reverse]
+        if matrix is None:
+            offsets, targets, weights = (
+                (csr.rev_offsets, csr.rev_targets, csr.rev_weights)
+                if reverse
+                else (csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights)
+            )
+            indptr = _np.frombuffer(offsets, dtype=_np.int64).astype(_np.int32)
             indices = _np.frombuffer(targets, dtype=_np.int64).astype(_np.int32)
             data = _np.frombuffer(weights, dtype=_np.float64)
-        else:
-            indices = _np.empty(0, dtype=_np.int32)
-            data = _np.empty(0, dtype=_np.float64)
-        # scipy treats duplicate (row, col) entries as parallel edges, which
-        # matches RoadNetwork's min-parallel-edge shortest path semantics.
-        return _csr_matrix((data, indices, indptr), shape=(n, n))
-
-    @staticmethod
-    def _edge_arrays(offsets: array, targets: array, weights: array):  # type: ignore[name-defined]
-        indptr = _np.frombuffer(offsets, dtype=_np.int64)
-        degrees = _np.diff(indptr)
-        e_src = _np.repeat(_np.arange(len(degrees), dtype=_np.int64), degrees)
-        if len(targets):
-            e_dst = _np.frombuffer(targets, dtype=_np.int64)
-            e_w = _np.frombuffer(weights, dtype=_np.float64)
-        else:
-            e_dst = _np.empty(0, dtype=_np.int64)
-            e_w = _np.empty(0, dtype=_np.float64)
-        e_adjpos = _np.arange(len(e_src), dtype=_np.int64) - indptr[e_src]
-        return e_src, e_dst, e_w, e_adjpos
+            # scipy treats duplicate (row, col) entries as parallel edges, which
+            # matches RoadNetwork's min-parallel-edge shortest path semantics.
+            n = csr.num_nodes
+            matrix = self.matrices[reverse] = _csr_matrix((data, indices, indptr), shape=(n, n))
+        return matrix
 
     def edges(self, csr: CSRGraph, reverse: bool):
-        if reverse:
-            if self.rev_edges is None:
-                self.rev_edges = self._edge_arrays(
-                    csr.rev_offsets, csr.rev_targets, csr.rev_weights
-                )
-            return self.rev_edges
-        if self.fwd_edges is None:
-            self.fwd_edges = self._edge_arrays(
-                csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights
-            )
-        return self.fwd_edges
+        """``(tails, heads, weights, adjacency positions)`` of one
+        direction's edges, in its edge order."""
+        cached = self.edge_arrays[reverse]
+        if cached is None:
+            e_src, e_dst = csr.edge_endpoints(reverse)
+            offsets = csr.rev_offsets if reverse else csr.fwd_offsets
+            weights = csr.rev_weights if reverse else csr.fwd_weights
+            e_w = _np.frombuffer(weights, dtype=_np.float64)
+            e_adjpos = _np.arange(len(e_src)) - _np.frombuffer(offsets, dtype=_np.int64)[e_src]
+            cached = self.edge_arrays[reverse] = (e_src, e_dst, e_w, e_adjpos)
+        return cached
+
+    def twin(self, csr: CSRGraph, reverse: bool) -> _np.ndarray:
+        """For each entry of the opposite direction's arrays (the in-edges
+        a walk back reads), the position of the same edge in this
+        direction's.  Parallel edges pair up in position order; any pairing
+        among them offers a walk the same ``(tail, weight)`` candidates."""
+        cached = self.twins[reverse]
+        if cached is None:
+            # Mine run tail -> head; theirs list each edge from its head.
+            tails, heads = csr.edge_endpoints(reverse)
+            their_heads, their_tails = csr.edge_endpoints(not reverse)
+            cached = self.twins[reverse] = _np.empty(len(tails), dtype=_np.int64)
+            cached[_np.lexsort((their_tails, their_heads))] = _np.lexsort((tails, heads))
+        return cached
 
     def transpose(self, csr: CSRGraph, reverse: bool):
         """Head-grouped view of one direction's edge list.
@@ -372,21 +377,16 @@ class _Accel:
         (the discovery keys) then reduce with one ``np.minimum.reduceat``
         pass instead of the unbuffered ``np.minimum.at`` scatter.
         """
-        cached = self.rev_transpose if reverse else self.fwd_transpose
-        if cached is not None:
-            return cached
-        _, e_dst, _, _ = self.edges(csr, reverse)
-        n = csr.num_nodes
-        perm = _np.argsort(e_dst, kind="stable")
-        counts = _np.bincount(e_dst, minlength=n)
-        starts = _np.zeros(n, dtype=_np.int64)
-        _np.cumsum(counts[:-1], out=starts[1:])
-        built = (perm, starts, counts)
-        if reverse:
-            self.rev_transpose = built
-        else:
-            self.fwd_transpose = built
-        return built
+        cached = self.transposes[reverse]
+        if cached is None:
+            _, e_dst, _, _ = self.edges(csr, reverse)
+            n = csr.num_nodes
+            counts = _np.bincount(e_dst, minlength=n)
+            starts = _np.zeros(n, dtype=_np.int64)
+            _np.cumsum(counts[:-1], out=starts[1:])
+            perm = _np.argsort(e_dst, kind="stable")
+            cached = self.transposes[reverse] = (perm, starts, counts)
+        return cached
 
 
 def _segment_min(values, starts, counts, sentinel):
@@ -465,7 +465,8 @@ class KernelArena:
             return KernelResult(self.csr, source, None, None, None, settled, dist_np=dist)
         order = self._discovery(dist, source_index, reverse)
         return KernelResult(
-            self.csr, source, None, None, order, settled, dist_np=dist, tree=(self, reverse)
+            self.csr, source, None, None, order, settled, dist_np=dist,
+            tree=(self, reverse, None),
         )
 
     def point_to_point(
@@ -474,7 +475,7 @@ class KernelArena:
         target: int,
         allowed: Optional[Iterable[int]] = None,
         reverse: bool = False,
-        adjacency: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
+        weights: Optional[_np.ndarray] = None,
         potential: Optional[Sequence[float]] = None,
     ) -> KernelResult:
         """Early-terminating point-to-point search.
@@ -484,47 +485,39 @@ class KernelArena:
         replaces) materializing the induced subgraph first, as the EB/NR
         clients used to.  Both endpoints must belong to the subset.
 
-        ``adjacency`` replaces the snapshot's forward rows for this search:
-        one ``(neighbor_index, weight)`` row per node index (HiTi's overlay,
-        ArcFlag's flagged rows).  ``potential`` is a per-index lower bound
-        on the remaining distance to ``target`` (Landmark's ALT bound): the
-        heap key becomes ``distance + potential`` with ties broken by index,
-        i.e. A*.  A potential cannot be combined with ``allowed``.
+        ``weights`` (float64, one per edge of the direction, in CSR order)
+        replace the snapshot's for this search; an edge weighing ``inf`` is
+        dropped (ArcFlag's unflagged edges, HiTi's left-out overlay edges).
+        Either restriction runs one compiled sweep (:meth:`_p2p`).
 
-        Searches over the snapshot's own rows (masked or not) run one
-        compiled sweep (:meth:`_p2p`); ``adjacency``/``potential`` searches
-        keep the faithful loop.
+        ``potential`` is a per-index lower bound on the remaining distance
+        to ``target`` (Landmark's ALT bound): A* on the faithful loop, over
+        the snapshot's own edges only.
         """
         source_index = self._source_index(source)
         target_index = self.csr.index_of.get(target)
         if target_index is None:
             raise KeyError(f"unknown target node {target}")
-        mask = None
+        if potential is not None:
+            if allowed is not None or weights is not None:
+                raise ValueError("a potential searches the snapshot's own edges only")
+            return self._faithful(
+                source_index, source, target_index=target_index, reverse=reverse,
+                potential=potential,
+            )
+        sweep = weights
         if allowed is not None:
-            if potential is not None:
-                raise ValueError("a potential cannot be combined with an allowed set")
             mask = self._allowed_mask(allowed)
             if not mask[source_index]:
                 raise KeyError(f"source node {source} is outside the allowed set")
             if not mask[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
-        if adjacency is None and potential is None:
-            keep = None
-            if mask is not None:
-                # An edge stays in the search when its head is allowed.
-                accel = self._accel()
-                matrix = accel.rev_matrix if reverse else accel.fwd_matrix
-                keep = mask.view(_np.bool_).take(matrix.indices)
-            return self._p2p(source, source_index, target_index, reverse, keep)
-        return self._faithful(
-            source_index,
-            source,
-            target_index=target_index,
-            mask=None if mask is None else bytearray(mask),
-            reverse=reverse,
-            adjacency=adjacency,
-            potential=potential,
-        )
+            # An edge stays in the search when its head is allowed.
+            accel = self._accel()
+            matrix = accel.matrix(self.csr, reverse)
+            keep = mask.view(_np.bool_).take(matrix.indices)
+            sweep = _np.where(keep, matrix.data if weights is None else weights, _INF)
+        return self._p2p(source, source_index, target_index, reverse, sweep, weights)
 
     def _allowed_mask(self, allowed: Iterable[int]):
         """A 0/1 byte per node index (a uint8 vector), set for the
@@ -633,8 +626,8 @@ class KernelArena:
         predecessors.
 
         ``weights`` (float64, one per edge of the direction in CSR order)
-        replaces the snapshot's current weights, for labels computed before
-        an in-place weight patch.
+        replace the snapshot's: a search's own (``inf`` edges never
+        achieve), or those before an in-place patch.
         """
         n = self.num_nodes
         e_src, e_dst, e_w, _ = self._accel().edges(self.csr, reverse)
@@ -678,27 +671,22 @@ class KernelArena:
     # ------------------------------------------------------------------
     # Compiled sweeps: distances from scipy, the tree derived from them
     # ------------------------------------------------------------------
-    def _sweep(self, indices, reverse: bool, keep=None):
+    def _sweep(self, indices, reverse: bool, weights=None):
         """scipy's converged labels from one source index (a vector) or a
         list of them (one row each).
 
-        ``keep`` (a bool per edge of the direction's matrix) restricts the
-        sweep to the kept edges: the others weigh ``inf`` in the arena's own
-        copy of the matrix, whose ``data`` is rewritten in place per call,
-        so no relaxation over them ever lowers a label.
+        ``weights`` (one per edge of the direction's matrix) become the
+        ``data`` of the arena's own copy of the matrix for this sweep.
         """
         accel = self._accel()
-        matrix = accel.rev_matrix if reverse else accel.fwd_matrix
-        if keep is not None:
+        matrix = accel.matrix(self.csr, reverse)
+        if weights is not None:
             masked = self._masked[reverse]
             if masked is None:
                 masked = self._masked[reverse] = _csr_matrix(
-                    (_np.empty_like(matrix.data), matrix.indices, matrix.indptr),
-                    shape=matrix.shape,
+                    (matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape
                 )
-            data = masked.data
-            data.fill(_INF)
-            _np.copyto(data, matrix.data, where=keep)
+            masked.data = weights
             matrix = masked
         return _scipy_dijkstra(matrix, directed=True, indices=indices)
 
@@ -732,19 +720,21 @@ class KernelArena:
         return [source_index] + found[_np.argsort(key[found])].tolist()
 
     def _p2p(
-        self, source: int, source_index: int, target_index: int, reverse: bool, keep=None
+        self, source: int, source_index: int, target_index: int, reverse: bool,
+        sweep=None, weights=None,
     ) -> KernelResult:
-        """Compiled point-to-point search: one scipy sweep, ``keep``
-        masking edges (see :meth:`_sweep`).
-
-        The converged labels answer the query; the settled count is the
-        target's settle rank plus one, counted without sorting: the heap
-        settles reachable nodes in ``(distance, index)`` order, so the rank
-        is the count of nodes strictly ahead in that order (unreached
-        entries are ``inf`` and never compare ahead of a finite label).
-        An unreachable target exhausts the reachable set.
+        """Compiled point-to-point search: one scipy sweep over ``sweep``
+        weights (see :meth:`_sweep`), its tree over ``weights`` -- unmasked,
+        as a node mask drops only edges into nodes left unreached, which
+        never achieve.  The converged labels answer the query;
+        the settled count is the target's settle rank plus one, counted
+        without sorting: the heap settles reachable nodes in ``(distance,
+        index)`` order, so the rank is the count of nodes strictly ahead in
+        that order (unreached entries are ``inf`` and never compare ahead
+        of a finite label).  An unreachable target exhausts the reachable
+        set.
         """
-        dist = self._sweep(source_index, reverse, keep)
+        dist = self._sweep(source_index, reverse, sweep)
         target_dist = dist[target_index]
         if _np.isfinite(target_dist):
             settled = 1 + int(
@@ -754,7 +744,8 @@ class KernelArena:
         else:
             settled = int(_np.count_nonzero(_np.isfinite(dist)))
         return KernelResult(
-            self.csr, source, None, None, None, settled, dist_np=dist, tree=(self, reverse)
+            self.csr, source, None, None, None, settled, dist_np=dist,
+            tree=(self, reverse, weights),
         )
 
     # ------------------------------------------------------------------
@@ -772,20 +763,15 @@ class KernelArena:
         source: int,
         target_index: Optional[int] = None,
         remaining: Optional[set] = None,
-        mask: Optional[bytearray] = None,
         reverse: bool = False,
-        adjacency: Optional[Sequence[Sequence[Tuple[int, float]]]] = None,
         potential: Optional[Sequence[float]] = None,
     ) -> KernelResult:
         csr = self.csr
-        if adjacency is None:
-            adjacency = csr.rev_adj if reverse else csr.fwd_adj
+        rows = csr.rev_adj if reverse else csr.fwd_adj
         return KernelResult(
             csr,
             source,
-            *row_search(
-                adjacency, csr.ids, source_index, target_index, remaining, mask, potential
-            ),
+            *row_search(rows, csr.ids, source_index, target_index, remaining, potential),
         )
 
 
@@ -798,7 +784,6 @@ def row_search(
     source_index: int,
     target_index: Optional[int] = None,
     remaining: Optional[set] = None,
-    mask: Optional[bytearray] = None,
     potential: Optional[Sequence[float]] = None,
 ) -> Tuple[List[float], List[int], List[int], int]:
     """The textbook dict Dijkstra, simulated over ``(index, weight)`` rows.
@@ -808,14 +793,12 @@ def row_search(
     heap breaks ties exactly as the dict loop's ``(distance, id)`` heap:
     same heap entries, same relaxation order, same termination tests.  The
     search stops after settling ``target_index``, or once every id in
-    ``remaining`` (a set the search consumes) has settled; ``mask`` (a 0/1
-    byte per index) skips neighbors outside it, and ``potential`` (a
-    per-index lower bound on the remaining distance) turns it into A*.
+    ``remaining`` (a set the search consumes) has settled; ``potential``
+    (a per-index lower bound on the remaining distance) turns it into A*.
 
-    The rows may be a snapshot's own (:class:`KernelArena`'s faithful
-    searches), a replacement set (HiTi's query overlay, ArcFlag's flagged
-    rows) or a small graph's local rows (a memory-bound region, a client's
-    super-edge overlay, a HiTi sub-graph).  Returns ``(dist, pred, order,
+    The rows may be a snapshot's own (:class:`KernelArena`'s multi-target
+    and A* searches) or a small graph's local rows (a memory-bound region,
+    a client's super-edge overlay).  Returns ``(dist, pred, order,
     settled)``: labels and predecessors per index (``inf``/``-1`` where
     unreached), discovery order and the settled count.
     """
@@ -868,26 +851,14 @@ def row_search(
             remaining.discard(ids[u])
             if not remaining:
                 break
-        if mask is None:
-            for v, w in rows[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    if dist[v] == _INF:
-                        append(v)
-                    dist[v] = nd
-                    pred[v] = u
-                    push(heap, (nd, v))
-        else:
-            for v, w in rows[u]:
-                if not mask[v]:
-                    continue
-                nd = d + w
-                if nd < dist[v]:
-                    if dist[v] == _INF:
-                        append(v)
-                    dist[v] = nd
-                    pred[v] = u
-                    push(heap, (nd, v))
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < dist[v]:
+                if dist[v] == _INF:
+                    append(v)
+                dist[v] = nd
+                pred[v] = u
+                push(heap, (nd, v))
     return dist, pred, order, settled
 
 

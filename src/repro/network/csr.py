@@ -24,9 +24,10 @@ owned or mapped, derives the same lazy per-process tuple adjacency
 (:attr:`CSRGraph.fwd_adj`) for the kernel's faithful loop.
 
 Every edge weight obeys the network's one weight rule, ``0 < w < inf``
-(:mod:`repro.network.weights`): the constructor checks it, whichever way
-the arrays came -- compiled, mapped or read from a columnar table -- and
-raises ``ValueError`` otherwise, so the kernel has one regime.
+and the label bound (:mod:`repro.network.weights`): the constructor
+checks it, whichever way the arrays came -- compiled, mapped or read from
+a columnar table -- and so does every in-place weight patch, raising
+``ValueError`` otherwise, so the kernel has one regime.
 
 Snapshots have a frozen topology: the owning network **patches weights in
 place** on dynamic weight updates (:meth:`patch_weight`) and compiles a new
@@ -43,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.weights import check_weights
+from repro.network.weights import check_weights, update_error
 
 __all__ = ["CSRGraph", "ImmutableSnapshotError"]
 
@@ -119,7 +120,7 @@ class CSRGraph:
     maps one (:meth:`from_buffers`) and an ingest compiles one from a table
     (:meth:`from_columnar`).  The constructor wires pre-compiled arrays
     together and raises ``ValueError`` when an edge weight breaks the
-    weight rule.
+    weight rule, unless :meth:`derived` from a ``base`` snapshot.
     """
 
     def __init__(
@@ -132,13 +133,14 @@ class CSRGraph:
         rev_targets: array,
         rev_weights: array,
         name: str = "csr",
+        base: Optional["CSRGraph"] = None,
     ) -> None:
         self.name = name
         #: Node ids in index order (ascending -- see module docstring).
         self.ids = ids
         #: node id -> node index (a dict, or an arithmetic
         #: :class:`_RangeIndex` when the ids are a contiguous range).
-        self.index_of = _index_map(ids)
+        self.index_of = _index_map(ids) if base is None else base.index_of
         self.fwd_offsets = fwd_offsets
         self.fwd_targets = fwd_targets
         self.fwd_weights = fwd_weights
@@ -152,12 +154,29 @@ class CSRGraph:
         self.buffer_backed = False
         self._fwd_adj: Optional[List[Tuple[Tuple[int, float], ...]]] = None
         self._rev_adj: Optional[List[Tuple[Tuple[int, float], ...]]] = None
-        # The reverse weights are the same multiset, so one scan covers both.
-        check_weights(fwd_weights)
+        if base is None:
+            # The reverse weights are the same multiset, so one scan covers both.
+            check_weights(fwd_weights, num_nodes=len(ids))
         #: Kernel cache slot (numpy/scipy views built lazily by the
         #: kernel; ``None`` until first use, shared by reference so in-place
         #: weight patches propagate without rebuilding).
         self._accel = None
+
+    @classmethod
+    def derived(cls, base: "CSRGraph", tails, heads, weights, name: str) -> "CSRGraph":
+        """A graph over ``base``'s nodes and index map with the edges
+        ``tails[i] -> heads[i]`` weighing ``weights[i]`` (numpy arrays), in
+        the order given; unchecked, as ``base``'s check covers the graphs
+        HiTi derives (:mod:`repro.network.weights`)."""
+        n = base.num_nodes
+
+        def spans(group, other):
+            order = np.argsort(group, kind="stable")
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(group, minlength=n), out=offsets[1:])
+            return [memoryview(values) for values in (offsets, other[order], weights[order])]
+
+        return cls(base.ids, *spans(tails, heads), *spans(heads, tails), name=name, base=base)
 
     # ------------------------------------------------------------------
     # Adjacency views
@@ -377,6 +396,16 @@ class CSRGraph:
     def num_edges(self) -> int:
         return len(self.fwd_targets)
 
+    def edge_endpoints(self, reverse: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+        """Each edge's span node and the node it names, as int64 index
+        arrays in one direction's edge order: tails and heads forward,
+        heads and tails reverse."""
+        offsets = self.rev_offsets if reverse else self.fwd_offsets
+        targets = self.rev_targets if reverse else self.fwd_targets
+        degree = np.diff(np.frombuffer(offsets, dtype=np.int64))
+        owners = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degree)
+        return owners, np.frombuffer(targets, dtype=np.int64)
+
     def size_bytes(self) -> int:
         """Approximate memory of the flat arrays (not the derived views)."""
         return sum(
@@ -406,6 +435,8 @@ class CSRGraph:
         network updated).  Raises ``KeyError`` when no such entry exists --
         the snapshot would be silently stale otherwise.
 
+        A new weight that would break the label bound raises
+        ``ValueError`` (:func:`~repro.network.weights.update_error`).
         Buffer-backed snapshots (:meth:`from_buffers`) raise
         :class:`ImmutableSnapshotError` (a ``TypeError``): their arrays live
         in a shared segment mapped by other processes, so an in-place patch
@@ -417,6 +448,10 @@ class CSRGraph:
                 "(the snapshot's arrays live in a shared read-only segment "
                 "mapped by other workers)"
             )
+        weights = np.frombuffer(self.fwd_weights, dtype=np.float64)
+        error = update_error(new_weight, self.num_nodes, weights.min(), weights.max())
+        if error is not None:
+            raise ValueError(f"edge {source} -> {target}: {error}")
         u = self.index_of[source]
         v = self.index_of[target]
         self._patch_span(

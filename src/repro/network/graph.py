@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.network.csr import CSRGraph, ImmutableSnapshotError
 from repro.network.delta import InvalidUpdateError, NetworkDelta, WeightChange
-from repro.network.weights import RULE, check_weights, is_valid_weight
+from repro.network.weights import RULE, check_weights, is_valid_weight, update_error
 
 __all__ = ["Node", "Edge", "RoadNetwork"]
 
@@ -367,7 +367,8 @@ class RoadNetwork:
         With parallel edges, the minimum-weight one (the one shortest paths
         use) is updated -- consistent with :meth:`edge_weight` and
         :meth:`remove_edge`.  Raises ``KeyError`` if the edge does not exist
-        and ``ValueError`` for a weight that is not positive and finite.
+        and ``ValueError`` for a weight that is not positive and finite or
+        breaks the label bound.
 
         The CSR entry is patched in place (no recompile), and the change is
         recorded in the network's pending delta (see :meth:`pending_delta`),
@@ -416,8 +417,11 @@ class RoadNetwork:
 
         The batch is all or nothing: every update is checked first -- three
         fields, integer node ids, an existing edge, a positive finite weight
-        -- and the first that fails raises :class:`InvalidUpdateError` with
-        its index before anything is mutated.  The checked updates are then
+        -- then the label bound over the whole batch, each weight folded
+        into the extremes before the next
+        (:func:`~repro.network.weights.update_error`); the first that fails
+        raises :class:`InvalidUpdateError` with its index before anything
+        is mutated.  The checked updates are then
         applied in order through :meth:`update_edge_weight` (with its
         pending-delta coalescing).
         """
@@ -425,6 +429,14 @@ class RoadNetwork:
             self._checked_update(index, update)
             for index, update in enumerate(updates)
         ]
+        if batch:
+            weights = np.frombuffer(self.ensure_csr().fwd_weights, dtype=np.float64)
+            low, high = weights.min(), weights.max()
+            for index, (_, _, weight) in enumerate(batch):
+                error = update_error(weight, self.num_nodes, low, high)
+                if error is not None:
+                    raise InvalidUpdateError(index, error)
+                low, high = min(low, weight), max(high, weight)
         return [self.update_edge_weight(*update) for update in batch]
 
     def _checked_update(self, index: int, update) -> Tuple[int, int, float]:
@@ -816,7 +828,7 @@ class RoadNetwork:
 
         Checked invariants: both directions hold the network's edge count
         in spans that cover their arrays, targets are valid node indexes,
-        and every weight is positive and finite.
+        and every weight is positive and finite and keeps the label bound.
         """
         csr = self.ensure_csr()
         for offsets, targets, weights in (
@@ -830,7 +842,7 @@ class RoadNetwork:
                 )
             if any(not 0 <= t < csr.num_nodes for t in targets):
                 raise ValueError("an edge targets an unknown node")
-            check_weights(weights)
+            check_weights(weights, num_nodes=csr.num_nodes)
 
 
 def build_network(

@@ -156,14 +156,9 @@ class Partitioning:
         """Per snapshot index, whether the node has an edge (either way)
         into another region: one pass over each direction's edge arrays."""
         crosses = np.zeros(csr.num_nodes, dtype=bool)
-        for offsets, targets in (
-            (csr.fwd_offsets, csr.fwd_targets),
-            (csr.rev_offsets, csr.rev_targets),
-        ):
-            degree = np.diff(np.frombuffer(offsets, dtype=np.int64))
-            owner = np.repeat(np.arange(csr.num_nodes), degree)
-            other = region[np.frombuffer(targets, dtype=np.int64)]
-            crosses[owner[region[owner] != other]] = True
+        for reverse in (False, True):
+            owner, targets = csr.edge_endpoints(reverse)
+            crosses[owner[region[owner] != region[targets]]] = True
         return crosses
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -1,11 +1,13 @@
 """Reference A* (paper Section 2.1) for the kernel's client searches.
 
-The Landmark client runs A* and the ArcFlag client a pruned Dijkstra, both
-through :meth:`~repro.network.algorithms.kernel.KernelArena.point_to_point`
-(``potential=`` and ``adjacency=``).  This is the textbook loop they must
-reproduce bit for bit: a binary heap over ``(distance + lower bound, node
-id)``, a settled set, and relaxation over the network's own adjacency
-lists filtered by an optional edge predicate.  It reads only
+The Landmark client runs A* (the kernel's faithful loop, ``potential=``)
+and the ArcFlag client a pruned Dijkstra (one compiled sweep over its
+pinned weights with the unflagged edges at ``inf``, ``weights=``), both
+through :meth:`~repro.network.algorithms.kernel.KernelArena.point_to_point`.
+This is the textbook loop they must reproduce bit for bit: a binary heap
+over ``(distance + lower bound, node id)``, a settled set, and relaxation
+over the network's own adjacency lists filtered by an optional edge
+predicate.  It reads only
 ``network.adjacency()`` and calls ``lower_bound`` per push, so it stays
 independent of the snapshot rows and the vectorized bounds under test.
 """

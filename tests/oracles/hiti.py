@@ -1,12 +1,13 @@
 """Dict-overlay reference for :meth:`repro.index.hiti.HiTiIndex.query`.
 
-The production query copies a compiled row list and searches it through
-the kernel.  This is the form it replaced: per query, a dict overlay is
+The production query weighs the edges it leaves out of a compiled overlay
+graph ``inf`` and searches it in one compiled kernel sweep.  This is the
+form it replaced: per query, a dict overlay is
 assembled from the network's current edges -- the source and target regions
 in full detail, every other region's level-0 super-edges, and every edge
 crossing between regions -- and searched by a dict Dijkstra over ``(distance,
 node id)``.  It reads ``network.neighbors()``, ``network.edge_tuples()`` and
-the index's ``levels`` only, never the compiled rows under test.
+the index's ``levels`` only, never the compiled overlay under test.
 """
 
 from __future__ import annotations

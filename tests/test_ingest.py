@@ -556,7 +556,7 @@ class TestEngineAndCli:
         assert code == 0
         assert open_table(tmp_path / "table").stats()["num_edges"] == 2
 
-    def test_cli_ingest_reports_malformed_input(self, tmp_path):
+    def test_cli_ingest_reports_malformed_input(self, tmp_path, capsys):
         gr = tmp_path / "bad.gr"
         gr.write_text("p sp 2 1\na 1 9 3\n")
         buffer = io.StringIO()
@@ -565,8 +565,11 @@ class TestEngineAndCli:
             out=buffer,
         )
         assert code == 1
-        assert "ingest error" in buffer.getvalue()
-        assert "bad.gr:2" in buffer.getvalue()
+        assert buffer.getvalue() == ""
+        err = capsys.readouterr().err
+        assert err.startswith("ingest error: ")
+        assert "bad.gr:2" in err
+        assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The client searches on the kernel against their dict references.
 
-ArcFlag searches its target region's flagged rows, Landmark runs A* with a
-vectorized potential, and HiTi searches a compiled flat overlay -- all
-through ``KernelArena.point_to_point`` (``adjacency=``/``potential=``).
-Each answer -- distance, path and settled count -- must equal the dict loop
-it replaced: ``tests/oracles/astar.py`` with an edge filter or a scalar
-lower bound, and the per-query dict overlay of ``tests/oracles/hiti.py``.
+ArcFlag searches its pinned weights with the edges unflagged for the
+target's region weighed ``inf``, HiTi its compiled flat overlay with the
+edges the query leaves out weighed ``inf`` -- both one compiled sweep
+through ``KernelArena.point_to_point(weights=...)`` -- and Landmark runs A*
+with a vectorized potential (``potential=``).  Each answer -- distance,
+path and settled count -- must equal the dict loop it replaced:
+``tests/oracles/astar.py`` with an edge filter or a scalar lower bound, and
+the per-query dict overlay of ``tests/oracles/hiti.py``; a masked search's
+``pred`` must follow the same path.
 Networks are hypothesis-drawn with integer weights (exact ties), parallel
 edges, a node with out-edges only and an isolated node;
 ArcFlag runs at region counts on both sides of the 64-bit word boundary.
@@ -146,8 +149,52 @@ def test_potential_search_equals_astar_for_any_bound(seed, num_nodes):
         assert answer(got.path_result(target)) == answer(want)
 
 
+@SETTINGS
+@given(seed=st.integers(0, 10_000), num_nodes=st.integers(6, 30))
+def test_weights_search_equals_filtered_astar(seed, num_nodes):
+    """A search over its own weights, ``inf`` on the dropped edges, settles
+    like the edge-filtered reference, and its ``pred`` -- derived over the
+    same weights -- never picks a dropped edge on a tie."""
+    network = tie_network(seed, num_nodes)
+    csr = network.ensure_csr()
+    rng = random.Random(seed)
+    dropped = {
+        pair
+        for pair in sorted({(u, v) for u, v, _ in network.edge_tuples()})
+        if rng.random() < 0.3
+    }
+    ids = csr.ids
+    weights = np.array(
+        [
+            np.inf if (ids[tail], ids[csr.fwd_targets[position]]) in dropped
+            else csr.fwd_weights[position]
+            for tail in range(csr.num_nodes)
+            for position in range(csr.fwd_offsets[tail], csr.fwd_offsets[tail + 1])
+        ]
+    )
+    arena = arena_for(csr)
+    for source, target in query_pairs(network, seed):
+        want = astar_search(
+            network, source, target, edge_filter=lambda u, v: (u, v) not in dropped
+        )
+        got = arena.point_to_point(source, target, weights=weights)
+        assert answer(got.path_result(target)) == answer(want)
+        assert pred_path(got, target) == want.path
+
+
+def pred_path(result, target):
+    """The node-id path read off ``result.pred`` (empty when unreached)."""
+    index = result.csr.index_of[target]
+    if not np.isfinite(result.dist_np[index]):
+        return []
+    path = [index]
+    while path[-1] != result.source_index:
+        path.append(result.pred[path[-1]])
+    return [result.csr.ids[i] for i in reversed(path)]
+
+
 # ----------------------------------------------------------------------
-# ArcFlag: flagged rows against the edge-filtered reference
+# ArcFlag: flagged edges against the edge-filtered reference
 # ----------------------------------------------------------------------
 @SETTINGS
 @given(
@@ -261,14 +308,14 @@ def test_hiti_shadow_refresh_leaves_the_serving_overlay(seed, num_nodes):
     pairs = query_pairs(network, seed)
     serving = scheme.index
     assert_hiti_matches(serving, pairs)
-    rows = (list(serving._detail), list(serving._coarse))
+    overlay = hiti_overlay(serving)
     before = [answer(serving.query(source, target)) for source, target in pairs]
 
     reweight(network, seed)
     delta = network.pending_delta()
     shadow = scheme.shadow_rebuild(network, delta)
     assert shadow is not None and shadow.index is not serving
-    assert (serving._detail, serving._coarse) == rows
+    assert hiti_overlay(serving) == overlay
     assert [answer(serving.query(source, target)) for source, target in pairs] == before
     assert_hiti_matches(shadow.index, pairs)
 
@@ -277,21 +324,36 @@ def test_hiti_shadow_refresh_leaves_the_serving_overlay(seed, num_nodes):
     assert scratch.index.state()["levels"] == shadow.index.state()["levels"]
 
 
+def hiti_overlay(index):
+    """A HiTi index's compiled overlay as plain lists: both directions'
+    offsets, heads and weights, and every edge's query code."""
+    overlay = index.overlay
+    arrays = (
+        overlay.fwd_offsets,
+        overlay.fwd_targets,
+        overlay.fwd_weights,
+        overlay.rev_offsets,
+        overlay.rev_targets,
+        overlay.rev_weights,
+    )
+    return [list(values) for values in arrays] + [index._code.tolist()]
+
+
 def hiti_build_view(scheme):
-    """A HiTi scheme's levels, compiled rows and artifact payload, with the
-    build timings zeroed (a refresh and a scratch build differ only there)."""
+    """A HiTi scheme's levels, compiled overlay and artifact payload, with
+    the build timings zeroed (a refresh and a scratch build differ only
+    there)."""
     index = scheme.index
     payload = decode_value(scheme.artifact().payload)
     payload["precomputation_seconds"] = 0.0
     payload["state"]["index"]["seconds"] = 0.0
-    rows = (index._interior, index._crossing, index._detail, index._coarse)
-    return index.state()["levels"], rows, payload
+    return index.state()["levels"], hiti_overlay(index), payload
 
 
 def test_hiti_single_region_refreshes_equal_scratch_builds():
     """Ten one-region shadow refreshes in a row: each replacement equals a
-    scratch build (levels, rows, artifact payload), and the instance it
-    replaced keeps its rows."""
+    scratch build (levels, overlay, artifact payload), and the instance it
+    replaced keeps its overlay."""
     network = tie_network(7, 120)
     scheme = air.create("HiTi", network, num_regions=8)
     region_of = scheme.partitioning.region_of
@@ -310,14 +372,43 @@ def test_hiti_single_region_refreshes_equal_scratch_builds():
         network.apply_updates([(source, target, weight)])
         delta = network.pending_delta()
         assert len(delta.dirty_regions(scheme.partitioning)) == 1
-        serving = scheme.index
-        before = hiti_build_view(scheme)[1]
-        rows = [list(row) for row in before]
+        overlay = hiti_build_view(scheme)[1]
         shadow = scheme.shadow_rebuild(network, delta)
         assert shadow is not None
-        assert list(hiti_build_view(scheme)[1]) == rows
+        assert hiti_build_view(scheme)[1] == overlay
         network.clear_delta()
         assert hiti_build_view(shadow) == hiti_build_view(
             air.create("HiTi", network, num_regions=8)
         )
         scheme = shadow
+
+
+def test_in_place_patches_leave_serving_answers_until_a_replacement():
+    """``apply_updates`` patches the shared snapshot in place: an ArcFlag
+    index and a serving HiTi index keep answering over the weights they
+    were built over, and only their replacements answer over the new."""
+    network = tie_network(11, 60)
+    partitioning = tie_partitioning(network, 4, 11)
+    arcflag = ArcFlagIndex(network, partitioning)
+    hiti = air.create("HiTi", network, num_regions=4)
+    pairs = query_pairs(network, 11, count=60)
+    before_af = [answer(arcflag.query(source, target)) for source, target in pairs]
+    before_hiti = [answer(hiti.index.query(source, target)) for source, target in pairs]
+
+    # Every edge ten times heavier: each reached distance moves.
+    network.apply_updates([(u, v, 10.0 * w) for u, v, w in network.edge_tuples()])
+    assert [answer(arcflag.query(source, target)) for source, target in pairs] == before_af
+    assert [answer(hiti.index.query(source, target)) for source, target in pairs] == before_hiti
+
+    replacement_af = ArcFlagIndex(network, partitioning)
+    replacement_hiti = hiti.shadow_rebuild(network, network.pending_delta())
+    assert [answer(replacement_af.query(s, t)) for s, t in pairs] != before_af
+    assert [answer(replacement_hiti.index.query(s, t)) for s, t in pairs] != before_hiti
+    flags = arcflag_oracle.build_flags(network, partitioning)
+    for source, target in pairs:
+        bit = 1 << partitioning.region_of(target)
+        want = astar_search(
+            network, source, target, edge_filter=lambda u, v: bool(flags[(u, v)] & bit)
+        )
+        assert answer(replacement_af.query(source, target)) == answer(want)
+    assert_hiti_matches(replacement_hiti.index, pairs)

@@ -607,7 +607,8 @@ def tie_gadget_network(seed: int, num_nodes: int) -> RoadNetwork:
     achieving in-edges from equally distant tails.  Nodes ``0, 4, 5, 6``
     tie at unequal tail distances: ``0 -> 5 -> 6`` costs ``1 + 3``, ``0 ->
     4 -> 6`` costs ``3 + 1``, so node 6's predecessor is the nearer tail
-    5, not the lower index 4.  The last node has no edge at all.
+    5, not the lower index 4.  The last node has no edge at all.  Random
+    edges never end at gadget nodes 1-6, so no shortcut breaks a tie.
     """
     rng = random.Random(seed)
     network = RoadNetwork(name=f"ties-{seed}")
@@ -617,8 +618,9 @@ def tie_gadget_network(seed: int, num_nodes: int) -> RoadNetwork:
     gadget = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (0, 5, 1), (5, 6, 3), (0, 4, 3), (4, 6, 1)]
     for u, v, w in gadget:
         network.add_edge(u, v, float(w))
+    heads = [0] + list(range(7, total - 1))
     for _ in range(3 * num_nodes):
-        u, v = rng.randrange(total - 1), rng.randrange(total - 1)
+        u, v = rng.randrange(total - 1), rng.choice(heads)
         if u != v:
             network.add_edge(u, v, float(rng.randint(1, 4)))
     network.clear_delta()

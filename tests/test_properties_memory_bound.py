@@ -1,9 +1,10 @@
 """The small-graph searches on the kernel's rows against their dict loops.
 
 The memory-bound client's region compression and overlay search
-(:mod:`repro.air.memory_bound`) and HiTi's super-edge computation
-(:meth:`HiTiIndex._all_pairs_border_distances`) run
-:func:`repro.network.algorithms.kernel.row_search` over local rows.  Each
+(:mod:`repro.air.memory_bound`) run
+:func:`repro.network.algorithms.kernel.row_search` over local rows, and
+HiTi's super-edge computation (:meth:`HiTiIndex._border_distances`) runs
+batched compiled sweeps over a graph derived from the snapshot.  Each
 output must equal the dict Dijkstra it replaced (``tests/oracles/
 memory_bound.py``), insertion order included.  Networks are
 hypothesis-drawn with integer weights, parallel edges, a diamond that forces an equal-distance tie and a terminal nothing
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -179,7 +181,8 @@ def test_overlay_search_equals_the_dict_loop(seed, num_nodes, num_regions):
 def test_border_distances_equal_the_dict_loop(seed, num_nodes, num_regions):
     """HiTi's super-edges, as a dict in key order, on a region's induced
     adjacency and on a super-edge overlay whose border list names a node
-    the overlay does not hold."""
+    the overlay does not hold, each passed as edge arrays over the
+    network's snapshot."""
     network = tie_network(seed, num_nodes)
     rng = random.Random(seed)
     regions = draw_regions(network, rng, num_regions)
@@ -192,10 +195,19 @@ def test_border_distances_equal_the_dict_loop(seed, num_nodes, num_regions):
     inside = [node for node in borders if node in received]
     overlay, _ = compress_both(network, regions, rng)
     terminals = rng.sample(list(overlay.adjacency), min(6, len(overlay.adjacency)))
+    absent = [node for node in sorted(network.node_ids()) if node not in overlay.adjacency]
+    csr = network.ensure_csr()
     for adjacency, border_nodes in (
         (induced, inside),
-        (overlay.adjacency, terminals + [num_nodes + 5]),
+        (overlay.adjacency, terminals + absent[:1]),
     ):
-        got = HiTiIndex._all_pairs_border_distances(adjacency, border_nodes)
+        edges = [(u, v, w) for u, row in adjacency.items() for v, w in row]
+        got = HiTiIndex._border_distances(
+            csr,
+            np.array([csr.index_of[u] for u, _, _ in edges], dtype=np.int64),
+            np.array([csr.index_of[v] for _, v, _ in edges], dtype=np.int64),
+            np.array([w for _, _, w in edges], dtype=np.float64),
+            border_nodes,
+        )
         want = oracle.all_pairs_border_distances(adjacency, border_nodes)
         assert list(got.items()) == list(want.items())

@@ -2,7 +2,8 @@
 
 Each entry point refuses a zero, negative, NaN or infinite weight with its
 own typed error -- located where the input has a location -- in a message
-of one line.
+of one line.  A snapshot and every update to it also keep the label bound:
+no weight below ``(n - 1) * max_weight * 2**-51``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from repro.network.csr import CSRGraph
 from repro.network.delta import InvalidUpdateError
 from repro.network.graph import RoadNetwork, build_network
 from repro.network.ingest import ColumnarWriter, IngestError, import_csv, import_dimacs
+from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.io import load_network
-from repro.network.weights import first_invalid_weight, is_valid_weight
+from repro.network.weights import first_invalid_weight, is_valid_weight, label_floor
 
 BAD_WEIGHTS = [0.0, -1.5, math.nan, math.inf, -math.inf]
 
@@ -142,3 +144,69 @@ def test_the_predicate_and_its_vectorized_twin_agree():
     assert first_invalid_weight(array("d")) is None
     for position, bad in enumerate(BAD_WEIGHTS):
         assert first_invalid_weight([1.0] * position + [bad, 0.0]) == position
+
+
+# ----------------------------------------------------------------------
+# The label bound: no weight below a label's precision
+# ----------------------------------------------------------------------
+def _subnormal_repro() -> RoadNetwork:
+    """Edges 0 -> 2 at 1.0 and 2 -> 1 at the smallest subnormal: ``1.0 +
+    5e-324 == 1.0``, so node 1 would tie node 2 and settle out of order."""
+    network = RoadNetwork(name="subnormal")
+    for node in range(3):
+        network.add_node(node, float(node), 0.0)
+    network.add_edge(0, 2, 1.0)
+    network.add_edge(2, 1, 5e-324)
+    return network
+
+
+def test_a_weight_below_the_label_floor_is_refused_where_the_snapshot_compiles():
+    network = _subnormal_repro()
+    with pytest.raises(ValueError) as caught:
+        shortest_path(network, 0, 1)
+    message = str(caught.value)
+    assert message.startswith("edge weight 5e-324 at CSR position 1 is below ")
+    assert "label-precision floor of 3 nodes" in message
+    assert "\n" not in message
+
+
+def test_a_mapped_snapshot_below_the_label_floor_is_refused():
+    offsets = array("l", [0, 1, 2, 2])
+    with pytest.raises(ValueError, match="at CSR position 1 is below"):
+        CSRGraph(
+            [0, 1, 2], offsets, array("l", [2, 1]), array("d", [1.0, 5e-324]),
+            array("l", [0, 0, 1, 2]), array("l", [2, 0]), array("d", [5e-324, 1.0]),
+        )
+
+
+@pytest.mark.parametrize("weight", [5e-324, 1e-300])
+def test_updates_below_the_label_floor_are_refused_before_any_patch(weight):
+    network = _pair()
+    network.ensure_csr()
+    with pytest.raises(InvalidUpdateError) as caught:
+        network.apply_updates([(2, 1, 3.0), (1, 2, weight)])
+    assert caught.value.index == 1
+    assert "label-precision floor of 2 nodes" in str(caught.value)
+    assert not network.has_pending_delta
+    assert network.edge_weight(2, 1) == 2.0
+    with pytest.raises(ValueError, match="label-precision floor"):
+        network.update_edge_weight(1, 2, weight)
+    assert network.edge_weight(1, 2) == 2.0
+
+
+def test_an_update_raising_the_largest_weight_is_checked_against_the_smallest():
+    """``1e-6`` alone keeps the bound of the pair (floor ``2 * 2**-51``);
+    after ``1e10`` in the same batch it does not (floor ``1e10 * 2**-51``)."""
+    network = _pair()
+    with pytest.raises(InvalidUpdateError) as caught:
+        network.apply_updates([(2, 1, 1e10), (1, 2, 1e-6)])
+    assert caught.value.index == 1
+    assert not network.has_pending_delta
+    network.apply_updates([(1, 2, 1e-6)])
+    assert network.edge_weight(1, 2) == 1e-6
+
+
+def test_the_floor_scales_with_nodes_and_largest_weight():
+    assert label_floor(1, 1e300) == 0.0
+    assert label_floor(3, 1.0) == 2.0 * 2.0**-51
+    assert label_floor(28_868, 2.0) == 28_867 * 2.0 * 2.0**-51
