@@ -141,8 +141,8 @@ def test_serving_scales_with_workers_and_stays_bit_identical(tmp_path):
                     concurrency=CLIENT_CONNECTIONS,
                     tune_in_offset=TUNE_IN_OFFSET,
                 )
-                assert load.errors == 0
-                assert load.requests == NUM_REQUESTS
+                assert load.ok == load.requests == NUM_REQUESTS
+                assert load.identity_violations == 0
                 runs[workers]["loads"].append(load)
 
         for workers in POOLS:

@@ -306,12 +306,11 @@ class BorderPathPrecomputation:
         """The roster's arrays over the current snapshot, built once."""
         if self._roster_arrays is None:
             csr = self.network.ensure_csr()
-            region_of = self.partitioning.region_of
             roster_regions = np.array(
                 [region for _, region in self._all_border], dtype=np.int64
             )
             regions, starts = np.unique(roster_regions, return_index=True)
-            node_region = np.array([region_of(node) for node in csr.ids], dtype=np.int64)
+            node_region = self.partitioning.node_region
             width = _region_words(self.num_regions)
             words = np.zeros((len(node_region), width), dtype=np.uint64)
             words[np.arange(len(node_region)), node_region // 64] = np.left_shift(

@@ -295,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="emulated on-air microseconds per broadcast packet",
     )
-    serve.add_argument(
-        "--routing",
-        default="round_robin",
-        choices=["round_robin", "region"],
-        help="request routing policy",
-    )
     serve.add_argument("--socket", default=None, help="unix socket path to listen on")
     serve.add_argument(
         "--port", type=int, default=None, help="TCP port instead of a unix socket (0=ephemeral)"
@@ -808,7 +802,6 @@ def _serve_config(args: argparse.Namespace):
         workers=args.workers,
         max_pending=args.max_pending,
         pace_packet_us=args.pace_packet_us,
-        routing=args.routing,
         socket_path=args.socket,
         port=args.port,
         host=args.host,
@@ -869,23 +862,10 @@ def _command_bench_client(args: argparse.Namespace, out) -> int:
     load = run_load(
         address, pairs, method=args.method, concurrency=args.concurrency
     )
-    latency = load.latency_ms
-    rows = [
-        ["requests ok / errors", f"{load.requests} / {load.errors}"],
-        ["busy retries", load.busy_retries],
-        ["duration (s)", round(load.duration_s, 3)],
-        ["throughput (qps)", round(load.qps, 1)],
-        ["latency p50/p90/p99 (ms)", "/".join(
-            f"{latency.get(key, 0.0):.2f}" for key in ("p50", "p90", "p99")
-        )],
-        ["workers hit", ", ".join(
-            f"{worker}:{count}" for worker, count in sorted(load.workers.items())
-        ) or "-"],
-    ]
     print(
         report.format_table(
             ["Quantity", "Value"],
-            rows,
+            _load_rows(load),
             title=(
                 f"Serving burst: {args.requests} x {args.method} via "
                 f"{args.concurrency} connections"
@@ -896,7 +876,33 @@ def _command_bench_client(args: argparse.Namespace, out) -> int:
     if args.shutdown:
         with ServingClient(address) as client:
             client.shutdown()
-    return 0 if load.errors == 0 else 1
+    return 0 if load.ok == load.requests and not load.identity_violations else 1
+
+
+def _load_rows(load) -> list:
+    """The rows every load table prints from a
+    :class:`~repro.serving.client.LoadReport`."""
+    latency = load.latency_ms
+    return [
+        ["requests ok / total", f"{load.ok} / {load.requests}"],
+        ["availability (in-deadline)", f"{load.availability:.4f}"],
+        ["busy retries", load.busy_retries],
+        ["deadline misses", load.deadline_misses],
+        ["reconnects", load.reconnects],
+        ["stale responses", load.stale_responses],
+        ["identity violations", load.identity_violations],
+        ["errors", ", ".join(
+            f"{kind}:{count}" for kind, count in sorted(load.errors.items())
+        ) or "-"],
+        ["throughput (qps)", round(load.qps, 1)],
+        ["latency p50/p90/p99 (ms)", "/".join(
+            f"{latency.get(key, 0.0):.2f}" for key in ("p50", "p90", "p99")
+        )],
+        ["workers hit", ", ".join(
+            f"{worker}:{count}" for worker, count in sorted(load.workers.items())
+        ) or "-"],
+        ["duration (s)", round(load.duration_s, 3)],
+    ]
 
 
 def _command_chaos(args: argparse.Namespace, out) -> int:
@@ -935,17 +941,9 @@ def _command_chaos(args: argparse.Namespace, out) -> int:
     )
     mttr = chaos_report.mttr_s
     fired = chaos_report.fault_stats.get("fired") or {}
-    rows = [
-        ["scenario / seed", f"{args.scenario} / {args.seed}"],
-        ["requests ok / total", f"{chaos_report.ok} / {chaos_report.requests}"],
-        ["availability (in-deadline)", f"{chaos_report.availability:.4f}"],
-        ["deadline misses", chaos_report.deadline_misses],
-        ["reconnects", chaos_report.reconnects],
-        ["stale responses", chaos_report.stale_responses],
-        ["identity violations", chaos_report.identity_violations],
-        ["errors", ", ".join(
-            f"{kind}:{count}" for kind, count in sorted(chaos_report.errors.items())
-        ) or "-"],
+    rows = [["scenario / seed", f"{args.scenario} / {args.seed}"]] + _load_rows(
+        chaos_report
+    ) + [
         ["faults fired", ", ".join(
             f"{point}:{count}" for point, count in sorted(fired.items())
         ) or "-"],
@@ -953,7 +951,6 @@ def _command_chaos(args: argparse.Namespace, out) -> int:
          + (f"{mttr:.3f}" if mttr is not None else "-")],
         ["refreshes (degraded)", f"{len(chaos_report.refreshes)} "
          f"({sum(1 for r in chaos_report.refreshes if r.get('degraded'))})"],
-        ["duration (s)", round(chaos_report.duration_s, 3)],
     ]
     print(
         report.format_table(

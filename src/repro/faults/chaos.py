@@ -3,216 +3,24 @@
 :func:`run_chaos` is the shared engine behind the ``repro chaos`` CLI
 sub-command, the CI chaos smoke step and ``benchmarks/bench_resilience.py``:
 it installs a :class:`~repro.faults.plan.FaultPlan` on the daemon (server
-*and* workers, over the ``chaos`` admin op), drives a query workload through
-reconnecting clients with per-request deadlines, optionally fires refresh
-batches mid-run, and measures what a client actually experiences --
-availability of in-deadline requests, error taxonomy, staleness exposure,
-bit-identity of answered requests and worker MTTR.
-
-Identity checking is two-layered: every answered distance is recorded under
-``(fingerprint, source, target)`` and any disagreement between two answers
-for the same key is a violation (self-consistency -- catches torn reads and
-half-applied swaps); when a ``reference`` callable is supplied, each answer
-is additionally compared against the ground truth for its fingerprint
-(catches a consistently-wrong replica).
+*and* workers, over the ``chaos`` admin op), drives the query workload
+through :func:`~repro.serving.client.run_load` -- reconnecting clients,
+per-request deadlines, optional mid-run refresh batches, the bit-identity
+check -- and adds what only the daemon knows to the report: the plan's
+fault counts and its ``info`` (worker respawns and MTTR).
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.serving import protocol
-from repro.serving.client import Address, ServingClient
+from repro.serving.client import Address, LoadReport, Reference, ServingClient, run_load
 
-__all__ = ["ChaosReport", "run_chaos"]
+__all__ = ["run_chaos"]
 
-#: ``reference(fingerprint, source, target)`` returns the expected distance
-#: for that cycle generation, or ``None`` when it has no opinion.
-Reference = Callable[[str, int, int], Optional[float]]
-
-
-@dataclass
-class ChaosReport:
-    """What one chaos run measured, from the client's side of the socket."""
-
-    requests: int = 0
-    ok: int = 0
-    deadline_misses: int = 0
-    reconnects: int = 0
-    stale_responses: int = 0
-    identity_violations: int = 0
-    errors: Dict[str, int] = field(default_factory=dict)
-    duration_s: float = 0.0
-    refreshes: List[Dict[str, Any]] = field(default_factory=list)
-    fault_stats: Dict[str, Any] = field(default_factory=dict)
-    server: Dict[str, Any] = field(default_factory=dict)
-    workers: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def availability(self) -> float:
-        """Fraction of requests answered ``ok`` within their deadline."""
-        return (self.ok / self.requests) if self.requests else 1.0
-
-    @property
-    def respawns(self) -> int:
-        return int(self.server.get("respawns", 0))
-
-    @property
-    def mttr_s(self) -> Optional[float]:
-        """Worst worker detection-to-restored time observed, seconds."""
-        log = self.server.get("respawn_log") or []
-        times = [entry["mttr_s"] for entry in log if "mttr_s" in entry]
-        return max(times) if times else None
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "availability": self.availability,
-            "deadline_misses": self.deadline_misses,
-            "reconnects": self.reconnects,
-            "stale_responses": self.stale_responses,
-            "identity_violations": self.identity_violations,
-            "errors": dict(self.errors),
-            "duration_s": self.duration_s,
-            "qps": (self.ok / self.duration_s) if self.duration_s > 0 else 0.0,
-            "refreshes": list(self.refreshes),
-            "respawns": self.respawns,
-            "mttr_s": self.mttr_s,
-            "fault_stats": dict(self.fault_stats),
-            "workers": dict(self.workers),
-        }
-
-
-class _Recorder:
-    """Thread-safe accumulation of per-request outcomes."""
-
-    def __init__(self, reference: Optional[Reference]) -> None:
-        self.lock = threading.Lock()
-        self.report = ChaosReport()
-        self.reference = reference
-        self._answers: Dict[Tuple[str, int, int], float] = {}
-
-    def record_ok(self, response: Dict[str, Any], source: int, target: int) -> None:
-        fingerprint = str(response.get("fingerprint"))
-        distance = response.get("distance")
-        with self.lock:
-            self.report.requests += 1
-            self.report.ok += 1
-            if response.get("stale"):
-                self.report.stale_responses += 1
-            worker = str(response.get("worker"))
-            self.report.workers[worker] = self.report.workers.get(worker, 0) + 1
-            if distance is not None:
-                key = (fingerprint, source, target)
-                seen = self._answers.get(key)
-                if seen is None:
-                    self._answers[key] = float(distance)
-                elif seen != float(distance):
-                    self.report.identity_violations += 1
-                if self.reference is not None:
-                    expected = self.reference(fingerprint, source, target)
-                    if expected is not None and float(distance) != float(expected):
-                        self.report.identity_violations += 1
-
-    def record_error(self, kind: str, deadline_missed: bool = False) -> None:
-        with self.lock:
-            self.report.requests += 1
-            if deadline_missed:
-                self.report.deadline_misses += 1
-            self.report.errors[kind] = self.report.errors.get(kind, 0) + 1
-
-    def record_reconnect(self) -> None:
-        with self.lock:
-            self.report.reconnects += 1
-
-    def completed(self) -> int:
-        with self.lock:
-            return self.report.requests
-
-
-def _drive(
-    address: Address,
-    batch: Sequence[Tuple[int, int]],
-    method: str,
-    deadline_ms: float,
-    recorder: _Recorder,
-) -> None:
-    """One connection's worth of chaos load, reconnecting as needed."""
-    client: Optional[ServingClient] = None
-
-    def reconnect(deadline_at: float) -> Optional[ServingClient]:
-        nonlocal client
-        if client is not None:
-            client.close()
-            client = None
-            recorder.record_reconnect()
-        while time.perf_counter() < deadline_at:
-            try:
-                client = ServingClient(address, timeout=deadline_ms / 1000.0)
-                return client
-            except OSError:
-                time.sleep(0.02)
-        return None
-
-    try:
-        for source, target in batch:
-            request = {
-                "op": "query",
-                "method": method,
-                "source": int(source),
-                "target": int(target),
-                "tune_in_offset": 0,
-            }
-            deadline_at = time.perf_counter() + deadline_ms / 1000.0
-            outcome: Optional[str] = None
-            while True:
-                remaining_ms = (deadline_at - time.perf_counter()) * 1000.0
-                if remaining_ms <= 0:
-                    outcome = outcome or "deadline"
-                    break
-                if client is None and reconnect(deadline_at) is None:
-                    outcome = "connect"
-                    break
-                try:
-                    response = client.call(request, deadline_ms=remaining_ms)
-                except protocol.ServerBusy as busy:
-                    time.sleep(
-                        min(busy.retry_after_ms / 1000.0, max(remaining_ms / 1000.0, 0.0))
-                    )
-                    continue
-                except protocol.DeadlineExceeded:
-                    # The connection may hold a late answer to *this* request;
-                    # never reuse it for the next one.
-                    client.close()
-                    client = None
-                    outcome = "deadline"
-                    break
-                except protocol.ServerError:
-                    outcome = "server_error"
-                    break
-                except (protocol.ProtocolError, OSError):
-                    # Torn/corrupt frame or dead server: reconnect and retry
-                    # within the remaining deadline budget.
-                    outcome = "protocol"
-                    if reconnect(deadline_at) is None:
-                        outcome = "connect"
-                        break
-                    continue
-                recorder.record_ok(response, int(source), int(target))
-                outcome = None
-                break
-            if outcome == "deadline":
-                recorder.record_error("deadline", deadline_missed=True)
-            elif outcome is not None:
-                recorder.record_error(outcome)
-    finally:
-        if client is not None:
-            client.close()
+_ADMIN_ERRORS = (protocol.ServerError, protocol.ProtocolError, OSError)
 
 
 def run_chaos(
@@ -224,98 +32,42 @@ def run_chaos(
     deadline_ms: float = 2000.0,
     refreshes: Sequence[Sequence[Tuple[int, int, float]]] = (),
     reference: Optional[Reference] = None,
-) -> ChaosReport:
+) -> LoadReport:
     """Install ``plan`` on the daemon at ``address`` and measure the damage.
 
-    ``pairs`` are driven through ``concurrency`` reconnecting connections,
-    each request under an end-to-end ``deadline_ms`` budget (busy retries,
-    reconnects and protocol-error retries all spend the same budget).
-    ``refreshes`` is a sequence of update batches fired from a dedicated
-    admin connection at evenly spaced points of the run.  The plan is
-    cleared from server and workers before returning, win or lose; pass
-    ``plan=None`` to measure a fault-free baseline with the same driver.
+    The load is :func:`~repro.serving.client.run_load`'s, with a
+    ``deadline_ms`` budget per request.  The plan is cleared from server
+    and workers before returning, win or lose; pass ``plan=None`` to
+    measure a fault-free baseline with the same driver.
     """
-    recorder = _Recorder(reference)
     admin = ServingClient(address, timeout=60.0)
     try:
         if plan is not None:
             admin.call({"op": "chaos", "action": "install", "plan": plan.to_dict()})
-
-        concurrency = max(1, min(concurrency, len(pairs) or 1))
-        slices: List[List[Tuple[int, int]]] = [[] for _ in range(concurrency)]
-        for index, pair in enumerate(pairs):
-            slices[index % concurrency].append(pair)
-        threads = [
-            threading.Thread(
-                target=_drive,
-                args=(address, batch, method, deadline_ms, recorder),
-                daemon=True,
-            )
-            for batch in slices
-            if batch
-        ]
-
-        refresher: Optional[threading.Thread] = None
-        if refreshes:
-            marks = [
-                int(len(pairs) * (index + 1) / (len(refreshes) + 1))
-                for index in range(len(refreshes))
-            ]
-
-            def fire_refreshes() -> None:
-                with ServingClient(address, timeout=600.0) as refresh_client:
-                    for mark, updates in zip(marks, refreshes):
-                        while recorder.completed() < mark:
-                            time.sleep(0.01)
-                        try:
-                            result = refresh_client.call(
-                                {
-                                    "op": "refresh",
-                                    "updates": [
-                                        [int(s), int(t), float(w)] for s, t, w in updates
-                                    ],
-                                }
-                            )
-                        except (protocol.ServerError, protocol.ProtocolError, OSError) as exc:
-                            result = {"status": "error", "error": str(exc)}
-                        with recorder.lock:
-                            recorder.report.refreshes.append(
-                                {
-                                    "degraded": bool(result.get("degraded")),
-                                    "fingerprint": result.get("fingerprint"),
-                                    "workers_swapped": result.get("workers_swapped"),
-                                    "error": result.get("error"),
-                                }
-                            )
-
-            refresher = threading.Thread(target=fire_refreshes, daemon=True)
-
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        if refresher is not None:
-            refresher.start()
-        for thread in threads:
-            thread.join()
-        if refresher is not None:
-            refresher.join(timeout=600.0)
-        recorder.report.duration_s = time.perf_counter() - started
-
+        report = run_load(
+            address,
+            pairs,
+            method=method,
+            concurrency=concurrency,
+            deadline_ms=deadline_ms,
+            refreshes=refreshes,
+            reference=reference,
+        )
         if plan is not None:
             try:
                 stats = admin.call({"op": "chaos", "action": "stats"})
-                recorder.report.fault_stats = stats.get("faults") or {}
-            except (protocol.ServerError, protocol.ProtocolError, OSError):
+                report.fault_stats = stats.get("faults") or {}
+            except _ADMIN_ERRORS:
                 pass
         try:
-            recorder.report.server = admin.call({"op": "info"})
-        except (protocol.ServerError, protocol.ProtocolError, OSError):
+            report.server = admin.call({"op": "info"})
+        except _ADMIN_ERRORS:
             pass
     finally:
         try:
             if plan is not None:
                 admin.call({"op": "chaos", "action": "clear"})
-        except (protocol.ServerError, protocol.ProtocolError, OSError):
+        except _ADMIN_ERRORS:
             pass
         admin.close()
-    return recorder.report
+    return report

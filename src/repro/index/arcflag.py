@@ -82,10 +82,8 @@ class ArcFlagIndex:
         exact.
         """
         csr = self._csr
-        region_of = self.partitioning.region_of
-        region = [region_of(node_id) for node_id in csr.ids]
         tails, heads = self._csr.edge_endpoints()
-        masks = [1 << region[head] for head in heads.tolist()]
+        masks = [1 << region for region in self.partitioning.node_region[heads].tolist()]
         if masks:
             arena = kernel.arena_for(csr)
             weights = np.frombuffer(csr.fwd_weights, dtype=np.float64)

@@ -105,9 +105,8 @@ class HiTiIndex:
     def _bind(self) -> None:
         """Bind the snapshot and every node index's region."""
         csr = self.network.ensure_csr()
-        region_of = self.partitioning.region_of
         self._csr = csr
-        self._region = region = np.array([region_of(node) for node in csr.ids], dtype=np.int64)
+        self._region = region = self.partitioning.node_region
         tails, heads = csr.edge_endpoints()
         self._num_crossing = int(np.count_nonzero(region[tails] != region[heads]))
 

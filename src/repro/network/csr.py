@@ -457,13 +457,13 @@ class CSRGraph:
         self._patch_span(
             self.fwd_offsets, self.fwd_targets, self.fwd_weights, u, v, old_weight, new_weight
         )
-        self.fwd_adj[u] = self._rezip(self.fwd_offsets, self.fwd_targets, self.fwd_weights, u)
         self._patch_span(
             self.rev_offsets, self.rev_targets, self.rev_weights, v, u, old_weight, new_weight
         )
-        self.rev_adj[v] = self._rezip(self.rev_offsets, self.rev_targets, self.rev_weights, v)
         # The kernel's numpy views share the arrays' buffers, so the
-        # weight change is already visible there; nothing to rebuild.
+        # weight change is already visible there; the tuple rows, if the
+        # faithful loop built them, rebuild on its next use.
+        self._fwd_adj = self._rev_adj = None
 
     def weights_before(self, changes) -> np.ndarray:
         """The forward edge weights as a float64 copy, with each weight
@@ -502,13 +502,6 @@ class CSRGraph:
         raise KeyError(
             f"no CSR entry for edge {node} -> {other} with weight {old_weight!r}"
         )
-
-    @staticmethod
-    def _rezip(
-        offsets: array, targets: array, weights: array, node: int
-    ) -> Tuple[Tuple[int, float], ...]:
-        start, end = offsets[node], offsets[node + 1]
-        return tuple(zip(targets[start:end], weights[start:end]))
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -83,6 +83,11 @@ class Partitioning:
         # references them rather than holding fresh copies.
         ids = np.array(csr.ids, dtype=object)
         node_ids, node_regions = ids[rows], region[rows]
+        region.setflags(write=False)
+        #: Every node's region in snapshot index order (read-only int64):
+        #: what index builds vectorize over instead of calling
+        #: :meth:`region_of` per node.
+        self.node_region: np.ndarray = region
         self._region_of: Dict[int, int] = dict(
             zip(node_ids.tolist(), node_regions.tolist())
         )

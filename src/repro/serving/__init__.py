@@ -1,4 +1,4 @@
-"""Broadcast serving daemon: a sharded, multi-process :class:`AirSystem`.
+"""Broadcast serving daemon: a multi-process :class:`AirSystem`.
 
 The paper's serving model is one broadcast server feeding an unbounded
 client population; this package is the repo's process-level realization of

@@ -5,11 +5,14 @@ server: one socket, framed JSON requests, errors surfaced as exceptions
 (:func:`~repro.serving.protocol.raise_for_status`).  It is what the tests,
 the CLI ``bench-client`` entry point and the benchmark drive.
 
-:func:`run_load` is a multi-connection load generator: it spreads a fixed
-list of source/target pairs over ``concurrency`` client connections,
-honours ``busy`` backpressure with the server's own retry advice, and
-reports wall-clock throughput plus client-side latency percentiles as a
-:class:`LoadReport`.
+:func:`run_load` is the one load driver: it spreads a fixed list of
+source/target pairs over ``concurrency`` reconnecting client connections,
+gives every request one end-to-end deadline budget, honours ``busy``
+backpressure with the server's own retry advice, optionally fires refresh
+batches mid-run, checks every answer's bit identity and reports typed
+outcomes, throughput and latency percentiles as a :class:`LoadReport`.
+``repro bench-client``, the serving benchmark and the chaos driver
+(:func:`~repro.faults.chaos.run_chaos`) all go through it.
 
 Failure semantics (the client side of the resilience contract):
 
@@ -29,18 +32,17 @@ Failure semantics (the client side of the resilience contract):
 
 from __future__ import annotations
 
-import random
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.serving import protocol
 from repro.serving.breaker import CircuitBreaker
 from repro.stats import percentile
 
-__all__ = ["LoadReport", "ServingClient", "run_load"]
+__all__ = ["LoadReport", "Reference", "ServingClient", "run_load"]
 
 #: Accepted address shapes: a Unix socket path, ``("unix", path)`` or
 #: ``("tcp", host, port)`` -- the latter two being exactly what
@@ -152,38 +154,6 @@ class ServingClient:
             self._breaker.record_success()
         return protocol.raise_for_status(response)
 
-    def call_with_retry(
-        self,
-        request: Dict[str, Any],
-        max_retries: int = 100,
-        backoff_base: float = 1.5,
-        max_sleep_s: float = 0.25,
-        jitter: float = 0.5,
-    ) -> Tuple[Dict[str, Any], int]:
-        """Like :meth:`call`, but honour ``busy`` backpressure.
-
-        Starts from the server's advised interval and backs off
-        exponentially (factor ``backoff_base`` per consecutive rejection,
-        capped at ``max_sleep_s``), with each sleep jittered uniformly in
-        ``[1 - jitter, 1 + jitter]`` so a herd of clients rejected together
-        does not retry together.  After ``max_retries`` rejections the
-        :class:`~repro.serving.protocol.ServerBusy` is re-raised -- a
-        persistently saturated server surfaces as an error instead of an
-        unbounded retry spin.  Returns ``(response, busy_retries)`` so load
-        generators can account rejections.
-        """
-        retries = 0
-        while True:
-            try:
-                return self.call(request), retries
-            except protocol.ServerBusy as busy:
-                retries += 1
-                if retries > max_retries:
-                    raise
-                advised = busy.retry_after_ms / 1000.0
-                delay = min(advised * backoff_base ** (retries - 1), max_sleep_s)
-                time.sleep(delay * random.uniform(1.0 - jitter, 1.0 + jitter))
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -263,35 +233,231 @@ class ServingClient:
         return self.call({"op": "shutdown"})
 
 
+#: ``reference(fingerprint, source, target)`` returns the expected distance
+#: for that cycle generation, or ``None`` when it has no opinion.
+Reference = Callable[[str, int, int], Optional[float]]
+
+#: A request's budget when the caller gives none: the bound a blocking
+#: :class:`ServingClient` call has under its default ``timeout``.
+DEFAULT_DEADLINE_MS = 120_000.0
+
+
 @dataclass
 class LoadReport:
-    """What one :func:`run_load` burst measured, client-side."""
+    """What one :func:`run_load` burst measured, from the client's side of
+    the socket; :func:`~repro.faults.chaos.run_chaos` adds the fault counts
+    and the server's ``info``."""
 
     requests: int = 0
-    errors: int = 0
+    ok: int = 0
     busy_retries: int = 0
     deadline_misses: int = 0
     reconnects: int = 0
     stale_responses: int = 0
+    identity_violations: int = 0
+    #: failed requests per outcome: ``deadline``, ``connect``,
+    #: ``server_error`` or ``protocol``.
+    errors: Dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
-    qps: float = 0.0
+    #: percentiles of the answered requests' wall time, retries included.
     latency_ms: Dict[str, float] = field(default_factory=dict)
-    #: responses per worker id -- shows how routing spread the load.
+    #: responses per worker id -- shows how the server spread the load.
     workers: Dict[str, int] = field(default_factory=dict)
+    refreshes: List[Dict[str, Any]] = field(default_factory=list)
+    fault_stats: Dict[str, Any] = field(default_factory=dict)
+    server: Dict[str, Any] = field(default_factory=dict)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "requests": self.requests,
-            "errors": self.errors,
-            "busy_retries": self.busy_retries,
-            "deadline_misses": self.deadline_misses,
-            "reconnects": self.reconnects,
-            "stale_responses": self.stale_responses,
-            "duration_s": self.duration_s,
-            "qps": self.qps,
-            "latency_ms": dict(self.latency_ms),
-            "workers": dict(self.workers),
-        }
+    @property
+    def availability(self) -> float:
+        """Fraction of requests answered ``ok`` within their deadline."""
+        return (self.ok / self.requests) if self.requests else 1.0
+
+    @property
+    def qps(self) -> float:
+        return (self.ok / self.duration_s) if self.duration_s > 0 else 0.0
+
+    @property
+    def respawns(self) -> int:
+        return int(self.server.get("respawns", 0))
+
+    @property
+    def mttr_s(self) -> Optional[float]:
+        """Worst worker detection-to-restored time observed, seconds."""
+        log = self.server.get("respawn_log") or []
+        times = [entry["mttr_s"] for entry in log if "mttr_s" in entry]
+        return max(times) if times else None
+
+
+class _Recorder:
+    """Thread-safe accumulation of per-request outcomes.
+
+    Identity checking is two-layered: every answered distance is recorded
+    under ``(fingerprint, source, target)`` and any disagreement between two
+    answers for the same key is a violation (self-consistency -- catches
+    torn reads and half-applied swaps); with a ``reference``, each answer is
+    also compared against the ground truth for its fingerprint (catches a
+    consistently wrong replica).
+    """
+
+    def __init__(self, reference: Optional[Reference]) -> None:
+        self.lock = threading.Lock()
+        self.report = LoadReport()
+        self.reference = reference
+        self.latencies: List[float] = []
+        self._answers: Dict[Tuple[str, int, int], float] = {}
+
+    def record_ok(
+        self, response: Dict[str, Any], source: int, target: int, elapsed_ms: float
+    ) -> None:
+        fingerprint = str(response.get("fingerprint"))
+        distance = response.get("distance")
+        report = self.report
+        with self.lock:
+            report.requests += 1
+            report.ok += 1
+            self.latencies.append(elapsed_ms)
+            if response.get("stale"):
+                report.stale_responses += 1
+            worker = str(response.get("worker"))
+            report.workers[worker] = report.workers.get(worker, 0) + 1
+            if distance is not None:
+                key = (fingerprint, source, target)
+                seen = self._answers.get(key)
+                if seen is None:
+                    self._answers[key] = float(distance)
+                elif seen != float(distance):
+                    report.identity_violations += 1
+                if self.reference is not None:
+                    expected = self.reference(fingerprint, source, target)
+                    if expected is not None and float(distance) != float(expected):
+                        report.identity_violations += 1
+
+    def record_error(self, kind: str) -> None:
+        with self.lock:
+            self.report.requests += 1
+            if kind == "deadline":
+                self.report.deadline_misses += 1
+            self.report.errors[kind] = self.report.errors.get(kind, 0) + 1
+
+    def count(self, counter: str) -> None:
+        with self.lock:
+            setattr(self.report, counter, getattr(self.report, counter) + 1)
+
+    def completed(self) -> int:
+        with self.lock:
+            return self.report.requests
+
+
+def _drive(
+    address: Address,
+    batch: Sequence[Tuple[int, int]],
+    method: str,
+    tune_in_offset: Optional[int],
+    deadline_ms: float,
+    recorder: _Recorder,
+) -> None:
+    """One connection's share of the load, reconnecting as needed.
+
+    Each request gets one ``deadline_ms`` budget, which busy waits (the
+    server's ``retry_after_ms``), reconnects and protocol-error retries all
+    spend.
+    """
+    client: Optional[ServingClient] = None
+
+    def reconnect(deadline_at: float) -> Optional[ServingClient]:
+        nonlocal client
+        if client is not None:
+            client.close()
+            client = None
+            recorder.count("reconnects")
+        while time.perf_counter() < deadline_at:
+            try:
+                client = ServingClient(address, timeout=deadline_ms / 1000.0)
+                return client
+            except OSError:
+                time.sleep(0.02)
+        return None
+
+    try:
+        for source, target in batch:
+            request: Dict[str, Any] = {
+                "op": "query",
+                "method": method,
+                "source": int(source),
+                "target": int(target),
+            }
+            if tune_in_offset is not None:
+                request["tune_in_offset"] = int(tune_in_offset)
+            started = time.perf_counter()
+            deadline_at = started + deadline_ms / 1000.0
+            outcome: Optional[str] = None
+            while True:
+                remaining_ms = (deadline_at - time.perf_counter()) * 1000.0
+                if remaining_ms <= 0:
+                    outcome = outcome or "deadline"
+                    break
+                if client is None and reconnect(deadline_at) is None:
+                    outcome = "connect"
+                    break
+                try:
+                    response = client.call(request, deadline_ms=remaining_ms)
+                except protocol.ServerBusy as busy:
+                    recorder.count("busy_retries")
+                    time.sleep(min(busy.retry_after_ms, remaining_ms) / 1000.0)
+                    continue
+                except protocol.DeadlineExceeded:
+                    # The connection may hold a late answer to *this* request;
+                    # never reuse it for the next one.
+                    client.close()
+                    client = None
+                    outcome = "deadline"
+                    break
+                except protocol.ServerError:
+                    outcome = "server_error"
+                    break
+                except (protocol.ProtocolError, OSError):
+                    # Torn/corrupt frame or dead server: reconnect and retry
+                    # within the remaining deadline budget.
+                    outcome = "protocol"
+                    if reconnect(deadline_at) is None:
+                        outcome = "connect"
+                        break
+                    continue
+                elapsed_ms = (time.perf_counter() - started) * 1000.0
+                recorder.record_ok(response, int(source), int(target), elapsed_ms)
+                outcome = None
+                break
+            if outcome is not None:
+                recorder.record_error(outcome)
+    finally:
+        if client is not None:
+            client.close()
+
+
+def _fire_refreshes(
+    address: Address,
+    marks: Sequence[int],
+    refreshes: Sequence[Sequence[Tuple[int, int, float]]],
+    recorder: _Recorder,
+) -> None:
+    """Send each refresh batch once ``marks[i]`` requests have completed."""
+    with ServingClient(address, timeout=600.0) as client:
+        for mark, updates in zip(marks, refreshes):
+            while recorder.completed() < mark:
+                time.sleep(0.01)
+            try:
+                result = client.refresh(updates)
+            except (protocol.ServerError, protocol.ProtocolError, OSError) as exc:
+                result = {"status": "error", "error": str(exc)}
+            with recorder.lock:
+                recorder.report.refreshes.append(
+                    {
+                        "degraded": bool(result.get("degraded")),
+                        "fingerprint": result.get("fingerprint"),
+                        "workers_swapped": result.get("workers_swapped"),
+                        "error": result.get("error"),
+                    }
+                )
 
 
 def run_load(
@@ -300,127 +466,57 @@ def run_load(
     method: str = "NR",
     concurrency: int = 4,
     tune_in_offset: Optional[int] = 0,
-    max_retries: int = 200,
-    deadline_ms: Optional[float] = None,
-    timeout: Optional[float] = 120.0,
+    deadline_ms: float = DEFAULT_DEADLINE_MS,
+    refreshes: Sequence[Sequence[Tuple[int, int, float]]] = (),
+    reference: Optional[Reference] = None,
 ) -> LoadReport:
     """Drive ``pairs`` through the daemon from ``concurrency`` connections.
 
-    Each connection works through its own slice of the pair list, retrying
-    on ``busy`` with the server's advice.  Latencies are wall-clock per
-    request (including retries), so the percentiles reflect what a real
-    client experiences under the configured pressure.
+    Each connection works through its own slice of the pair list.  Every
+    request carries one end-to-end ``deadline_ms`` budget: a ``busy``
+    answer waits the server's advised interval, and a torn frame or a dead
+    server reconnects and retries, both within that budget; when it runs
+    out the request counts as a deadline miss.  A flaky daemon therefore
+    costs typed errors in the report, never a hang or a silently truncated
+    run.  Latencies are wall-clock per answered request, retries included.
 
-    A connection that fails at the transport layer (server restart, torn
-    frame) is re-established and the driver moves on to its next pair, so a
-    flaky daemon costs errors in the report, never a silently-truncated
-    run.  With ``deadline_ms`` every request carries that end-to-end
-    budget; expiries count as ``deadline_misses``.
+    ``refreshes`` is a sequence of update batches fired from a dedicated
+    admin connection at evenly spaced completion marks of the run.  Every
+    answer goes through the identity check (see :class:`_Recorder`),
+    against ``reference`` too when one is given.
     """
+    recorder = _Recorder(reference)
     concurrency = max(1, min(concurrency, len(pairs) or 1))
-    slices: List[List[Tuple[int, int]]] = [[] for _ in range(concurrency)]
-    for index, pair in enumerate(pairs):
-        slices[index % concurrency].append(pair)
-
-    lock = threading.Lock()
-    latencies: List[float] = []
-    workers: Dict[str, int] = {}
-    counters = {
-        "requests": 0,
-        "errors": 0,
-        "busy_retries": 0,
-        "deadline_misses": 0,
-        "reconnects": 0,
-        "stale_responses": 0,
-    }
-
-    def drive(batch: List[Tuple[int, int]]) -> None:
-        client: Optional[ServingClient] = ServingClient(address, timeout=timeout)
-        try:
-            for source, target in batch:
-                if client is None:
-                    try:
-                        client = ServingClient(address, timeout=timeout)
-                        with lock:
-                            counters["reconnects"] += 1
-                    except OSError:
-                        with lock:
-                            counters["errors"] += 1
-                        continue
-                request = {
-                    "op": "query",
-                    "method": method,
-                    "source": int(source),
-                    "target": int(target),
-                    **(
-                        {"tune_in_offset": int(tune_in_offset)}
-                        if tune_in_offset is not None
-                        else {}
-                    ),
-                }
-                started = time.perf_counter()
-                try:
-                    if deadline_ms is None:
-                        response, retries = client.call_with_retry(
-                            request, max_retries=max_retries
-                        )
-                    else:
-                        response, retries = client.call(request, deadline_ms=deadline_ms), 0
-                except protocol.DeadlineExceeded:
-                    with lock:
-                        counters["errors"] += 1
-                        counters["deadline_misses"] += 1
-                    # A late answer to this request may still arrive on the
-                    # connection; drop it rather than desync request/response.
-                    client.close()
-                    client = None
-                    continue
-                except (protocol.ServerBusy, protocol.ServerError):
-                    with lock:
-                        counters["errors"] += 1
-                    continue
-                except (protocol.ProtocolError, OSError):
-                    with lock:
-                        counters["errors"] += 1
-                    client.close()
-                    client = None
-                    continue
-                elapsed_ms = (time.perf_counter() - started) * 1000.0
-                with lock:
-                    counters["requests"] += 1
-                    counters["busy_retries"] += retries
-                    if response.get("stale"):
-                        counters["stale_responses"] += 1
-                    latencies.append(elapsed_ms)
-                    worker = str(response.get("worker"))
-                    workers[worker] = workers.get(worker, 0) + 1
-        finally:
-            if client is not None:
-                client.close()
-
-    threads = [
-        threading.Thread(target=drive, args=(batch,), daemon=True)
-        for batch in slices
+    drivers = [
+        threading.Thread(
+            target=_drive,
+            args=(address, batch, method, tune_in_offset, deadline_ms, recorder),
+            daemon=True,
+        )
+        for batch in (pairs[index::concurrency] for index in range(concurrency))
         if batch
     ]
+    refresher: Optional[threading.Thread] = None
+    if refreshes:
+        marks = [
+            int(len(pairs) * (index + 1) / (len(refreshes) + 1))
+            for index in range(len(refreshes))
+        ]
+        refresher = threading.Thread(
+            target=_fire_refreshes,
+            args=(address, marks, refreshes, recorder),
+            daemon=True,
+        )
     started = time.perf_counter()
-    for thread in threads:
+    for thread in drivers + ([refresher] if refresher is not None else []):
         thread.start()
-    for thread in threads:
+    for thread in drivers:
         thread.join()
-    duration = time.perf_counter() - started
-
-    report = LoadReport(
-        requests=counters["requests"],
-        errors=counters["errors"],
-        busy_retries=counters["busy_retries"],
-        deadline_misses=counters["deadline_misses"],
-        reconnects=counters["reconnects"],
-        stale_responses=counters["stale_responses"],
-        duration_s=duration,
-        qps=(counters["requests"] / duration) if duration > 0 else 0.0,
-        workers=workers,
-    )
+    if refresher is not None:
+        refresher.join(timeout=600.0)
+    report = recorder.report
+    report.duration_s = time.perf_counter() - started
+    latencies = recorder.latencies
     if latencies:
         report.latency_ms = {
             "p50": percentile(latencies, 50),

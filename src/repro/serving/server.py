@@ -14,10 +14,9 @@ Operational contract:
 * **Backpressure.**  Each worker has a bounded in-flight window
   (``max_pending``); when every worker is full, a request is answered
   ``busy`` with retry advice instead of queuing unboundedly.
-* **Routing.**  ``round_robin`` spreads load evenly; ``region`` routes a
-  query by its source node's kd-tree region (the partitioning layer),
-  sharding the network across workers, and spills to the least-loaded
-  worker when the home shard is saturated.
+* **Routing.**  Requests go round-robin over the pool and spill to the
+  least-loaded worker when the next one is saturated; every worker maps
+  the whole segment, so any worker answers any query.
 * **Refresh.**  ``refresh`` applies an edge-weight batch to the network,
   refreshes it through :meth:`AirSystem.refresh` (incremental rebuilds +
   store re-publication), publishes a *new* segment, and sends each worker a
@@ -73,8 +72,6 @@ from repro.experiments import ExperimentConfig
 from repro.faults import runtime as faults
 from repro.faults.plan import FaultPlan
 from repro.network.delta import InvalidUpdateError
-from repro.partitioning.base import Partitioning
-from repro.partitioning.kdtree import KDTreePartitioner
 from repro.serving import protocol
 from repro.serving.shm import (
     SegmentIntegrityError,
@@ -134,8 +131,6 @@ class ServeConfig:
     retry_after_ms: float = 25.0
     #: Emulated on-air microseconds per packet (see ``WorkerRuntime``).
     pace_packet_us: float = 0.0
-    #: ``round_robin`` or ``region`` (kd-tree sharding by source node).
-    routing: str = "round_robin"
     #: Unix socket path; auto-generated in the temp dir when ``None`` and
     #: no TCP port is given.
     socket_path: Optional[str] = None
@@ -190,7 +185,7 @@ class _Worker:
 
 
 class AirServer:
-    """Sharded multi-process serving daemon (see module docstring)."""
+    """Multi-process serving daemon (see module docstring)."""
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
@@ -213,7 +208,6 @@ class AirServer:
         #: Recent worker recoveries: ``{worker, detected, restored, mttr_s}``
         #: with loop-time stamps; bounded to the last 64 entries.
         self.respawn_log: List[Dict[str, Any]] = []
-        self._partitioning: Optional[Partitioning] = None
         # Workers fork: they warm-start in milliseconds off the server's
         # state, and ``_trim_heap`` shapes what that fork inherits.
         self._mp = multiprocessing.get_context("fork")
@@ -244,10 +238,6 @@ class AirServer:
         store = ArtifactStore(self.config.store_dir) if self.config.store_dir else None
         self.system = AirSystem.from_config(self.config.experiment_config(), store=store)
         self.segment = self._publish_segment()
-        if self.config.routing == "region":
-            self._partitioning = self._build_partitioning()
-        elif self.config.routing != "round_robin":
-            raise ValueError(f"unknown routing policy {self.config.routing!r}")
 
         loop = asyncio.get_running_loop()
         for worker_id in range(self.config.workers):
@@ -283,20 +273,6 @@ class AirServer:
             artifacts = {name: self.system.artifact(name) for name in self.config.methods}
         self.generation += 1
         return SharedArtifactSegment.publish(self.system.network, artifacts)
-
-    def _build_partitioning(self) -> Partitioning:
-        """A kd-tree sharding of the network onto the worker pool.
-
-        The region count is the smallest power of two covering the pool
-        (kd-trees split in halves); region ``r`` is served by worker
-        ``r % workers``.
-        """
-        assert self.system is not None
-        network = self.system.network
-        num_regions = 1 << max(0, self.config.workers - 1).bit_length()
-        points = [(node.x, node.y) for node in network.nodes()]
-        locator = KDTreePartitioner.build(points, num_regions)
-        return Partitioning(network, locator)
 
     async def _spawn(self, worker_id: int) -> _Worker:
         """Start one worker process and wait for its warm-start handshake."""
@@ -360,33 +336,21 @@ class AirServer:
             pass  # dead worker: the monitor re-dispatches the pending entry
         return future
 
-    def _pick_worker(self, request: Dict[str, Any]) -> Optional[_Worker]:
-        """Route a request to a worker with queue capacity; ``None`` = busy."""
+    def _pick_worker(self) -> Optional[_Worker]:
+        """The next worker with queue capacity; ``None`` = busy."""
         if not self.workers:
             return None
-        preferred: Optional[_Worker] = None
-        if (
-            self.config.routing == "region"
-            and self._partitioning is not None
-            and request.get("op") == "query"
-        ):
-            try:
-                region = self._partitioning.region_of(int(request["source"]))
-                preferred = self.workers[region % len(self.workers)]
-            except (KeyError, ValueError, TypeError):
-                preferred = None
-        if preferred is None:
-            preferred = self.workers[next(self._round_robin) % len(self.workers)]
+        preferred = self.workers[next(self._round_robin) % len(self.workers)]
         if preferred.depth < self.config.max_pending:
             return preferred
-        # Home shard saturated: spill to the least-loaded worker with room.
+        # Saturated: spill to the least-loaded worker with room.
         fallback = min(self.workers, key=lambda worker: worker.depth)
         if fallback.depth < self.config.max_pending:
             return fallback
         return None
 
     async def _dispatch(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker = self._pick_worker(request)
+        worker = self._pick_worker()
         if worker is None:
             self.busy_rejections += 1
             return {
@@ -785,7 +749,6 @@ class AirServer:
             "segment": self.segment.name,
             "segment_bytes": self.segment.size_bytes,
             "methods": list(self.config.methods),
-            "routing": self.config.routing,
             "max_pending": self.config.max_pending,
             "requests_dispatched": self.requests_dispatched,
             "busy_rejections": self.busy_rejections,

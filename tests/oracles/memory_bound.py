@@ -8,7 +8,7 @@
   searches with :func:`repro.network.algorithms.kernel.row_search` over
   region-local rows.
 * :func:`all_pairs_border_distances` is HiTi's super-edge computation
-  (:meth:`repro.index.hiti.HiTiIndex._all_pairs_border_distances`) as one
+  (:meth:`repro.index.hiti.HiTiIndex._border_distances`) as one
   dict Dijkstra per border source.
 """
 

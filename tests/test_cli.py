@@ -279,7 +279,7 @@ class TestServeAndBenchClient:
         )
         assert code == 0
         assert "throughput (qps)" in output
-        assert "12 / 0" in output  # every request answered, none errored
+        assert "12 / 12" in output  # every request answered, none errored
         daemon.join(timeout=60.0)
         assert not daemon.is_alive(), "daemon did not stop after the shutdown request"
         assert outcome["code"] == 0
@@ -396,7 +396,7 @@ class TestChaosCommand:
             + COMMON
         )
         assert code == 0
-        assert "8 / 0" in output
+        assert "8 / 8" in output
         daemon.join(timeout=60.0)
         assert not daemon.is_alive()
         assert outcome["code"] == 0

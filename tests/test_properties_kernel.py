@@ -420,6 +420,32 @@ def test_patch_weight_rejects_unknown_entries():
         snapshot.patch_weight(snapshot.ids[0], snapshot.ids[1], -123.0, 1.0)
 
 
+def test_patch_leaves_rows_unbuilt_and_landmark_queries_exact():
+    from repro.index.landmark import LandmarkIndex
+
+    network = make_network(12, num_nodes=60, num_edges=160)
+    snapshot = network.ensure_csr()
+    ids = snapshot.ids
+    # A* runs the faithful loop, which builds the forward rows.
+    LandmarkIndex(network, num_landmarks=3).query(ids[0], ids[-1])
+    assert snapshot._fwd_adj is not None and snapshot.rev_adj is not None
+    for edge in list(network.edges())[:4]:
+        network.update_edge_weight(edge.source, edge.target, edge.weight * 3.0)
+    assert network.ensure_csr() is snapshot
+    assert snapshot._fwd_adj is None and snapshot._rev_adj is None
+
+    fresh = network.copy()
+    assert fresh.ensure_csr() is not snapshot
+    patched_index = LandmarkIndex(network, num_landmarks=3)
+    fresh_index = LandmarkIndex(fresh, num_landmarks=3)
+    rng = random.Random(12)
+    for _ in range(20):
+        source, target = rng.choice(ids), rng.choice(ids)
+        patched = patched_index.query(source, target)
+        compiled = fresh_index.query(source, target)
+        assert (patched.distance, patched.path) == (compiled.distance, compiled.path)
+
+
 # ----------------------------------------------------------------------
 # CSR compilation details
 # ----------------------------------------------------------------------

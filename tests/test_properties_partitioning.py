@@ -135,6 +135,9 @@ def test_partitioning_equals_a_per_node_scalar_rebuild(seed, num_nodes, num_regi
             border[region].append(node)
     for node, region in region_of.items():
         assert partitioning.region_of(node) == region
+    node_region = partitioning.node_region
+    assert node_region.dtype == np.int64 and not node_region.flags.writeable
+    assert node_region.tolist() == [region_of[node] for node in network.ensure_csr().ids]
     for region in range(locator.num_regions):
         assert partitioning.nodes_in_region(region) == members[region]
         assert partitioning.border_nodes(region) == border[region]

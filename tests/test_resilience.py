@@ -63,7 +63,6 @@ BASE_CONFIG = ServeConfig(
     methods=("NR",),
     workers=2,
     max_pending=8,
-    routing="region",
 )
 
 

@@ -46,7 +46,6 @@ BASE_CONFIG = ServeConfig(
     methods=("NR",),
     workers=2,
     max_pending=8,
-    routing="region",
 )
 
 
@@ -500,7 +499,6 @@ class TestServingEndToEnd:
         with ServingClient(server.address) as client:
             assert client.ping()["status"] == "ok"
             info = client.info()
-        assert info["routing"] == "region"
         assert len(info["workers"]) == 2
         assert all(row["alive"] for row in info["workers"])
         assert info["segment_bytes"] > 0
@@ -567,10 +565,13 @@ class TestServingEndToEnd:
     def test_load_generator_spreads_work(self, server, query_pairs):
         report = run_load(server.address, query_pairs * 4, concurrency=3)
         assert report.requests == len(query_pairs) * 4
-        assert report.errors == 0
+        assert report.ok == report.requests
+        assert report.errors == {}
+        assert report.identity_violations == 0
         assert report.qps > 0
         assert report.latency_ms["p50"] > 0
         assert sum(report.workers.values()) == report.requests
+        assert len(report.workers) == BASE_CONFIG.workers
 
     def test_crash_is_detected_and_respawned_without_wrong_answers(
         self, server, direct_system, query_pairs
@@ -601,7 +602,7 @@ class TestServingEndToEnd:
 class TestTcpTransport:
     def test_serves_over_an_ephemeral_tcp_port(self, direct_system, query_pairs):
         config = dataclasses.replace(
-            BASE_CONFIG, workers=1, port=0, routing="round_robin"
+            BASE_CONFIG, workers=1, port=0
         )
         handle = ServerHandle.launch(config)
         try:
@@ -636,7 +637,6 @@ class TestBackpressure:
             max_pending=1,
             retry_after_ms=7.0,
             pace_packet_us=200.0,  # make each query take visible wall time
-            routing="round_robin",
         )
         handle = ServerHandle.launch(config)
         try:
@@ -667,44 +667,56 @@ class TestBackpressure:
             assert all(advice == 7.0 for advice in busy_seen)
             # Polite clients that honour the advice eventually get through.
             report = run_load(handle.address, query_pairs, concurrency=2)
-            assert report.errors == 0
-            assert report.requests == len(query_pairs)
+            assert report.errors == {}
+            assert report.ok == report.requests == len(query_pairs)
         finally:
             handle.stop()
 
-    def test_retry_loop_bounded_under_sustained_backpressure(self, monkeypatch):
-        """A persistently saturated server must surface ``ServerBusy``.
+    def test_busy_waits_end_at_the_request_budget(self, tmp_path):
+        """A server that stays busy costs a request its budget, not a hang.
 
-        The retry loop backs off exponentially (with jitter) from the
-        server's advice and re-raises after ``max_retries`` rejections --
-        it must never spin forever on a server that stays busy.
+        Every busy answer waits the advised interval (never more than the
+        budget left), and when the budget runs out the request ends as a
+        deadline miss.  The stub stamps each attempt's arrival, so the gaps
+        between attempts are the driver's waits.
         """
+        path = str(tmp_path / "busy.sock")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener.bind(path)
+        listener.listen(1)
+        advised_ms, budget_ms = 20.0, 150.0
+        arrivals = []
 
-        class AlwaysBusyClient(ServingClient):
-            def __init__(self):  # no socket: every call is a rejection
-                self.calls = 0
+        def always_busy():
+            connection, _ = listener.accept()
+            with connection:
+                while read_frame(connection) is not None:
+                    arrivals.append(time.perf_counter())
+                    write_frame(
+                        connection, {"status": "busy", "retry_after_ms": advised_ms}
+                    )
 
-            def call(self, request):
-                self.calls += 1
-                raise ServerBusy(retry_after_ms=10.0)
+        server = threading.Thread(target=always_busy, daemon=True)
+        server.start()
+        try:
+            started = time.perf_counter()
+            report = run_load(("unix", path), [(0, 1)], concurrency=1, deadline_ms=budget_ms)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+        finally:
+            listener.close()
+        server.join(timeout=5.0)
+        assert not server.is_alive()
 
-        sleeps = []
-        monkeypatch.setattr("repro.serving.client.time.sleep", sleeps.append)
-        client = AlwaysBusyClient()
-        with pytest.raises(ServerBusy):
-            client.call_with_retry({"op": "ping"}, max_retries=12)
-
-        # One initial attempt plus max_retries retries, then the re-raise.
-        assert client.calls == 13
-        assert len(sleeps) == 12
-        advised, cap, jitter = 0.010, 0.25, 0.5
-        for attempt, delay in enumerate(sleeps):
-            base = min(advised * 1.5**attempt, cap)
-            assert base * (1.0 - jitter) <= delay <= base * (1.0 + jitter)
-        # The backoff actually grows to the cap region, and the jitter
-        # actually randomizes (a busy herd must not retry in lockstep).
-        assert sleeps[-1] > advised
-        assert len(set(sleeps)) > 1
+        assert report.requests == 1 and report.ok == 0
+        assert report.deadline_misses == 1
+        assert report.errors == {"deadline": 1}
+        # Every attempt was answered busy and retried after the advice.
+        assert report.busy_retries == len(arrivals) >= 2
+        gaps_ms = [(b - a) * 1000.0 for a, b in zip(arrivals, arrivals[1:])]
+        assert all(gap >= advised_ms for gap in gaps_ms)
+        # The waits stay within the budget: about budget / advice attempts.
+        assert len(arrivals) <= budget_ms / advised_ms + 1
+        assert budget_ms <= elapsed_ms < budget_ms + 1000.0
 
 
 # ----------------------------------------------------------------------
