@@ -21,7 +21,8 @@ query burst under end-to-end deadlines.  Three floors are asserted:
 The benchmark also measures what resilience costs when *disabled*: the
 per-call overhead of a dormant injection point (no plan installed) and of
 an installed plan probing a non-matching point -- the "faults off by
-default, zero overhead" claim, in nanoseconds.
+default, zero overhead" claim, in nanoseconds, each the median of
+alternating rounds.
 
 Run standalone like the other benchmarks::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import os
 import random
+import statistics
 import time
 from typing import List, Tuple
 
@@ -66,6 +68,8 @@ MAX_MTTR_S = float(os.environ.get("REPRO_RESILIENCE_MAX_MTTR_S", "5.0"))
 #: dict-free attribute load, not a lock or an allocation.
 MAX_INJECT_NS = 2000.0
 OVERHEAD_CALLS = 200_000
+#: Alternating rounds per side of the dormant-path timing (median taken).
+INJECT_ROUNDS = 5
 
 
 def _serve_config() -> ServeConfig:
@@ -90,24 +94,28 @@ def _pairs(system: AirSystem) -> List[Tuple[int, int]]:
 
 
 def _inject_overhead_ns(calls: int) -> Tuple[float, float]:
-    """Per-call cost of a dormant point: (no plan, non-matching plan)."""
-    fault_runtime.clear()
-    started = time.perf_counter()
-    for _ in range(calls):
-        fault_runtime.inject("bench.dormant")
-    no_plan = (time.perf_counter() - started) / calls * 1e9
+    """Per-call cost of a dormant point: (no plan, non-matching plan).
 
-    fault_runtime.install(
-        FaultPlan([FaultSpec("bench.other.point", times=1)], seed=0)
-    )
+    Each is the median of :data:`INJECT_ROUNDS` rounds of ``calls`` calls,
+    the two sides alternating round by round, so one descheduled round
+    cannot decide the bound.
+    """
+    plan = FaultPlan([FaultSpec("bench.other.point", times=1)], seed=0)
+    samples: Tuple[List[float], List[float]] = ([], [])
     try:
-        started = time.perf_counter()
-        for _ in range(calls):
-            fault_runtime.inject("bench.dormant")
-        non_matching = (time.perf_counter() - started) / calls * 1e9
+        for _ in range(INJECT_ROUNDS):
+            for installed, side in ((None, samples[0]), (plan, samples[1])):
+                if installed is None:
+                    fault_runtime.clear()
+                else:
+                    fault_runtime.install(installed)
+                started = time.perf_counter()
+                for _ in range(calls):
+                    fault_runtime.inject("bench.dormant")
+                side.append((time.perf_counter() - started) / calls * 1e9)
     finally:
         fault_runtime.clear()
-    return no_plan, non_matching
+    return statistics.median(samples[0]), statistics.median(samples[1])
 
 
 def test_availability_identity_and_mttr_under_smoke_chaos():
@@ -225,6 +233,7 @@ def test_availability_identity_and_mttr_under_smoke_chaos():
             "inject_ns_no_plan": no_plan_ns,
             "inject_ns_non_matching_plan": non_matching_ns,
             "max_inject_ns": MAX_INJECT_NS,
+            "inject_rounds": INJECT_ROUNDS,
             "baseline": {
                 "availability": baseline.availability,
                 "duration_s": baseline.duration_s,

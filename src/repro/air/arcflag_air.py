@@ -18,10 +18,7 @@ from repro.broadcast.packet import Segment, SegmentKind
 from repro.index.arcflag import ArcFlagIndex
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import PathResult
-from repro.network.graph import RoadNetwork
-from repro.partitioning.kdtree import build_kdtree_partitioning
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
-from repro.serialize.graphs import partitioning_state, restore_partitioning
+from repro.air.substrate import PartitionedScheme
 
 __all__ = ["ArcFlagBroadcastScheme", "AFParams"]
 
@@ -39,37 +36,10 @@ class AFParams:
     description="Full-cycle ArcFlag adaptation: adjacency + edge flags (Section 3.2)",
     config_map={"num_regions": "arcflag_regions"},
 )
-class ArcFlagBroadcastScheme(FullCycleScheme):
+class ArcFlagBroadcastScheme(PartitionedScheme, FullCycleScheme):
     """Adjacency plus per-edge region flags, received in full by the client."""
 
-    short_name = "AF"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        num_regions: int = 16,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(num_regions=num_regions)
-        self._build_state()
-
-    def _build_state(self) -> None:
-        self.partitioning = build_kdtree_partitioning(self.network, self.num_regions)
-        self.index = ArcFlagIndex(self.network, self.partitioning)
-        self.precomputation_seconds = self.index.precomputation_seconds
-
-    def _artifact_state(self) -> dict:
-        return {
-            "partitioning": partitioning_state(self.partitioning),
-            "index": self.index.state(),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        self.partitioning = restore_partitioning(self.network, state["partitioning"])
-        self.index = ArcFlagIndex.from_state(
-            self.network, self.partitioning, state["index"]
-        )
+    index_class = ArcFlagIndex
 
     def _precomputed_segments(self) -> List[Segment]:
         flag_bytes = self.network.num_edges * self.layout.arcflag_bytes_per_edge(

@@ -121,13 +121,31 @@ class CpuTimer:
 class AirIndexScheme(abc.ABC):
     """Server side of a broadcast scheme."""
 
-    #: Short name used in tables (the paper's abbreviations: DJ, EB, NR, ...).
+    #: Short name used in tables (the paper's abbreviations: DJ, EB, NR, ...),
+    #: the name the scheme registers under.
     short_name: str = "?"
     #: Whether the scheme's client implements the Section 6.1 memory-bound
     #: (super-edge compression) mode; only EB and NR do.
     supports_memory_bound: bool = False
+    #: The pre-computed index the default state hooks keep as ``self.index``
+    #: under ``"index"``: ``index_class(network, **params)``, restored by
+    #: ``index_class.from_state(network, state)``; ``None``: no state (DJ).
+    index_class: Optional[type] = None
 
-    def __init__(self, network: RoadNetwork, layout: RecordLayout = DEFAULT_LAYOUT) -> None:
+    def __init__(
+        self, network: RoadNetwork, *, layout: RecordLayout = DEFAULT_LAYOUT, **params: Any
+    ) -> None:
+        """Build over ``network``; ``params`` override the registered
+        parameter dataclass's defaults (an unknown name raises ValueError)."""
+        from repro.air import registry
+
+        self._attach(network, layout)
+        info = registry.get_scheme(self.short_name)
+        self._configure(**dataclasses.asdict(info.make_params(**params)))
+        self._build_state()
+
+    def _attach(self, network: RoadNetwork, layout: RecordLayout) -> None:
+        """Everything but the parameters: what a build and a restore share."""
         self.network = network
         # Compile the network's CSR snapshot up front: every shortest path
         # the scheme runs -- pre-computation sweeps and per-query client
@@ -192,7 +210,7 @@ class AirIndexScheme(abc.ABC):
     def _configure(self, **params: Any) -> None:
         """Apply the scheme's parameter-derived configuration (cheap).
 
-        Every scheme's ``__init__`` is split into *configure* (parameters
+        Every scheme's construction is split into *configure* (parameters
         and everything derivable from them in O(1)) and *build*
         (:meth:`_build_state`, the expensive pre-computation), so that
         :meth:`from_artifact` can run configure and then *restore* instead
@@ -204,13 +222,18 @@ class AirIndexScheme(abc.ABC):
 
     def _build_state(self) -> None:
         """Run the scheme's pre-computation from scratch (may be expensive)."""
+        if self.index_class is not None:
+            self.index = self.index_class(self.network, **self._artifact_params())
+            self.precomputation_seconds = self.index.precomputation_seconds
 
     def _artifact_state(self) -> Dict[str, Any]:
         """The scheme's built state as plain values; ``{}`` when stateless."""
-        return {}
+        return {} if self.index_class is None else {"index": self.index.state()}
 
     def _restore_state(self, state: Dict[str, Any]) -> None:
         """Install previously built state (inverse of :meth:`_artifact_state`)."""
+        if self.index_class is not None:
+            self.index = self.index_class.from_state(self.network, state["index"])
 
     @classmethod
     def _serving_state(cls, state: Dict[str, Any]) -> Dict[str, Any]:
@@ -336,7 +359,7 @@ class AirIndexScheme(abc.ABC):
         if layout is None:
             layout = RecordLayout(**payload["layout"])
         scheme = object.__new__(target)
-        AirIndexScheme.__init__(scheme, network, layout)
+        scheme._attach(network, layout)
         scheme._configure(**dict(artifact.params))
         scheme._restore_state(payload["state"])
         scheme.precomputation_seconds = payload["precomputation_seconds"]

@@ -239,10 +239,10 @@ class StaleLabelsError(RuntimeError):
 class ServingRestoreError(RuntimeError):
     """The pre-computation was restored for serving: it has no border-path block.
 
-    A serving form (:meth:`BorderPathPrecomputation.serving_state`) carries
-    only the aggregates queries read; the per-source block that
-    :meth:`~BorderPathPrecomputation.refresh` repairs stays in the full
-    state, which the artifact store keeps.
+    A serving form (a :meth:`~BorderPathPrecomputation.state` with
+    ``labels`` ``None``) carries only the aggregates queries read; the
+    block that :meth:`~BorderPathPrecomputation.refresh` repairs stays in
+    the full state, which the artifact store keeps.
     """
 
 
@@ -250,11 +250,7 @@ class BorderPathPrecomputation:
     """All border-to-border shortest path information EB and NR need."""
 
     def __init__(self, network: RoadNetwork, partitioning: Partitioning) -> None:
-        self.network = network
-        self.partitioning = partitioning
-        num_regions = partitioning.num_regions
-        self.num_regions = num_regions
-
+        self._bind(network, partitioning)
         #: ``min_distance[i][j]`` / ``max_distance[i][j]``: extreme shortest
         #: path distances from a border node of region i to one of region j.
         self.min_distance: List[List[float]] = []
@@ -271,21 +267,23 @@ class BorderPathPrecomputation:
         #: refresh needs the block, and a serving restore has neither.
         self._block: Optional[_Block] = None
         self._labels: Optional[Dict[str, bytes]] = None
-        self._roster_arrays: Optional[_Roster] = None
-
         self._compute()
 
-    def _compute(self) -> None:
-        started = time.perf_counter()
-        partitioning = self.partitioning
-        #: ``(node, region)`` for every border node, in region-then-list order;
-        #: border source ``s`` is row ``s`` of the block.
+    def _bind(self, network: RoadNetwork, partitioning: Partitioning) -> None:
+        self.network = network
+        self.partitioning = partitioning
+        self.num_regions = partitioning.num_regions
+        #: ``(node, region)`` for every border node, in region-then-list order
+        #: (the partitioning's); border source ``s`` is row ``s`` of the block.
         self._all_border: List[Tuple[int, int]] = [
             (node, region)
             for region in range(self.num_regions)
             for node in partitioning.border_nodes(region)
         ]
+        self._roster_arrays: Optional[_Roster] = None
 
+    def _compute(self) -> None:
+        started = time.perf_counter()
         # One batched kernel sweep writes every border source's labels
         # straight into the block, then one fold derives every row's columns.
         csr = self.network.ensure_csr()
@@ -464,11 +462,12 @@ class BorderPathPrecomputation:
         (what query processing reads) are stored eagerly, while of the
         per-source block (only :meth:`refresh` needs it) just the distance
         labels are written: ``labels["dist"]`` as little-endian float64
-        bytes, one row per roster entry of ``all_border`` and one column per
-        snapshot node.  A restore derives the rest on its first block use
-        (:meth:`_materialize`); until then a warm start costs nothing per
-        source.  A serving restore (:meth:`serving_state`) has no labels and
-        writes ``labels`` as ``None``: its state is a serving form again.
+        bytes, one row per border node of the partitioning (region by region)
+        and one column per snapshot node.  A restore derives the rest on its
+        first block use (:meth:`_materialize`); until then a warm start costs
+        nothing per source.  A serving form writes ``labels`` as ``None``:
+        queries read only the aggregates, so a process that serves and never
+        refreshes restores from it too, and its state is a serving form.
         """
         if self._block is None:
             # Restored and never refreshed: the labels are still bytes (or,
@@ -488,10 +487,6 @@ class BorderPathPrecomputation:
             trav_items.extend(sorted(regions))
             trav_offsets.append(len(trav_items))
         return {
-            "all_border": {
-                "nodes": [node for node, _ in self._all_border],
-                "regions": [region for _, region in self._all_border],
-            },
             "aggregates": {
                 "min_distance": flat_min,
                 "max_distance": flat_max,
@@ -517,17 +512,13 @@ class BorderPathPrecomputation:
         call touches the block (serving queries never does).  The network's
         fingerprint is recorded as the labels': the first block use checks
         that the weights it derives over fingerprint as it.  ``state``
-        may also be a :meth:`serving_state`: the restore then answers
+        may also be a serving form: the restore then answers
         queries exactly alike, and :attr:`block`, :meth:`affected_sources`
         and :meth:`refresh` raise :class:`ServingRestoreError`.
         """
         self = object.__new__(cls)
-        self.network = network
-        self.partitioning = partitioning
-        n = partitioning.num_regions
-        self.num_regions = n
-        roster = state["all_border"]
-        self._all_border = list(zip(roster["nodes"], roster["regions"]))
+        self._bind(network, partitioning)
+        n = self.num_regions
         aggregates = state["aggregates"]
         flat_min = aggregates["min_distance"]
         flat_max = aggregates["max_distance"]
@@ -547,18 +538,8 @@ class BorderPathPrecomputation:
         self._block = None
         self._labels = state["labels"]
         self._labels_fingerprint = None if self._labels is None else network.fingerprint()
-        self._roster_arrays = None
         self.precomputation_seconds = state["seconds"]
         return self
-
-    @staticmethod
-    def serving_state(state: Dict[str, Any]) -> Dict[str, Any]:
-        """:meth:`state` output without the refresh-only border-path block.
-
-        Queries read only the aggregates, so a process that serves and never
-        refreshes restores from this as well as from the full state.
-        """
-        return {**state, "labels": None}
 
     def _require_block(self) -> None:
         if self._block is None and self._labels is None:
@@ -582,6 +563,13 @@ class BorderPathPrecomputation:
         if self._block is not None:
             clone._block = self._block.copy()
         return clone
+
+    def repaired(self, changes: Sequence[WeightChange]) -> "BorderPathPrecomputation":
+        """A :meth:`shadow` refreshed for the weight ``changes``; this
+        instance keeps serving."""
+        shadow = self.shadow()
+        shadow.refresh(changes)
+        return shadow
 
     @property
     def block(self) -> _Block:

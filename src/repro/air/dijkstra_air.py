@@ -34,8 +34,6 @@ class DJParams:
 class DijkstraBroadcastScheme(FullCycleScheme):
     """Adjacency-only broadcast cycle with local Dijkstra processing."""
 
-    short_name = "DJ"
-
     def shadow_rebuild(self, network, delta) -> Optional["DijkstraBroadcastScheme"]:
         """A replacement sharing this instance's cycle as it is.
 

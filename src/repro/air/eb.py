@@ -32,15 +32,12 @@ from typing import List, Set
 from repro.air.base import AirClient, ClientOptions, QueryResult
 from repro.air.registry import register_scheme
 from repro.air.packing import CellPacking, RowMajorCellPacking, SquareCellPacking
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
 from repro.air.region_scheme import RegionQuery, RegionScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.interleave import optimal_m
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import PACKET_PAYLOAD_BYTES, Segment, SegmentKind, packets_for_bytes
-from repro.network.graph import RoadNetwork
-from repro.partitioning.kdtree import KDTreePartitioner
 
 __all__ = ["EllipticBoundaryScheme", "EllipticBoundaryClient", "EBParams"]
 
@@ -64,20 +61,7 @@ class EBParams:
 class EllipticBoundaryScheme(RegionScheme):
     """Server side of EB: pre-computation and broadcast cycle layout."""
 
-    short_name = "EB"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        num_regions: int = 32,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-        square_packing: bool = True,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(num_regions=num_regions, square_packing=square_packing)
-        self._build_state()
-
-    def _configure(self, num_regions: int = 32, square_packing: bool = True) -> None:
+    def _configure(self, num_regions: int, square_packing: bool) -> None:
         self.num_regions = num_regions
         self.square_packing = square_packing
         # Packet layout of the index segment: kd splits and the offset column
@@ -163,10 +147,7 @@ class EllipticBoundaryScheme(RegionScheme):
 
     def splitting_values(self) -> List[float]:
         """The kd splitting values (first index component)."""
-        locator = self.partitioning.locator
-        if isinstance(locator, KDTreePartitioner):
-            return locator.splitting_values()
-        return []
+        return self.partitioning.locator.splitting_values()
 
     # ------------------------------------------------------------------
     # Client

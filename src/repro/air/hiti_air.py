@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.air.base import AirClient, AirIndexScheme, ClientOptions, CpuTimer, QueryResult
+from repro.air.base import AirClient, ClientOptions, CpuTimer, QueryResult
 from repro.air.registry import register_scheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.cycle import BroadcastCycle
@@ -27,9 +27,7 @@ from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind
 from repro.index.hiti import HiTiIndex
 from repro.network.graph import RoadNetwork
-from repro.partitioning.kdtree import build_kdtree_partitioning
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
-from repro.serialize.graphs import partitioning_state, restore_partitioning
+from repro.air.substrate import PartitionedScheme
 
 __all__ = ["HiTiBroadcastScheme", "HiTiParams"]
 
@@ -48,35 +46,10 @@ class HiTiParams:
     comparison=False,
     config_map={"num_regions": "hiti_regions"},
 )
-class HiTiBroadcastScheme(AirIndexScheme):
+class HiTiBroadcastScheme(PartitionedScheme):
     """Hierarchical super-edge index broadcast ahead of per-region data."""
 
-    short_name = "HiTi"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        num_regions: int = 16,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(num_regions=num_regions)
-        self._build_state()
-
-    def _build_state(self) -> None:
-        self.partitioning = build_kdtree_partitioning(self.network, self.num_regions)
-        self.index = HiTiIndex(self.network, self.partitioning)
-        self.precomputation_seconds = self.index.precomputation_seconds
-
-    def _artifact_state(self) -> dict:
-        return {
-            "partitioning": partitioning_state(self.partitioning),
-            "index": self.index.state(),
-        }
-
-    def _restore_state(self, state: dict) -> None:
-        self.partitioning = restore_partitioning(self.network, state["partitioning"])
-        self.index = HiTiIndex.from_state(self.network, self.partitioning, state["index"])
+    index_class = HiTiIndex
 
     def _index_segment(self) -> Segment:
         # Crossing (inter-region) edges are part of the index: the client

@@ -18,8 +18,6 @@ from repro.broadcast.packet import Segment, SegmentKind
 from repro.index.landmark import LandmarkIndex
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import PathResult
-from repro.network.graph import RoadNetwork
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
 
 __all__ = ["LandmarkBroadcastScheme", "LDParams"]
 
@@ -40,27 +38,7 @@ class LDParams:
 class LandmarkBroadcastScheme(FullCycleScheme):
     """Adjacency plus per-node landmark vectors, received in full."""
 
-    short_name = "LD"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        num_landmarks: int = 4,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(num_landmarks=num_landmarks)
-        self._build_state()
-
-    def _build_state(self) -> None:
-        self.index = LandmarkIndex(self.network, num_landmarks=self.num_landmarks)
-        self.precomputation_seconds = self.index.precomputation_seconds
-
-    def _artifact_state(self) -> dict:
-        return {"index": self.index.state()}
-
-    def _restore_state(self, state: dict) -> None:
-        self.index = LandmarkIndex.from_state(self.network, state["index"])
+    index_class = LandmarkIndex
 
     def _precomputed_segments(self) -> List[Segment]:
         vector_bytes = self.network.num_nodes * self.layout.landmark_vector_bytes(

@@ -28,13 +28,11 @@ from typing import List
 
 from repro.air.base import AirClient, ClientOptions, QueryResult
 from repro.air.registry import register_scheme
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
 from repro.air.region_scheme import RegionQuery, RegionScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.cycle import BroadcastCycle
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import PACKET_PAYLOAD_BYTES, Segment, SegmentKind, packets_for_bytes
-from repro.network.graph import RoadNetwork
 
 __all__ = ["NextRegionScheme", "NextRegionClient", "NRParams"]
 
@@ -55,19 +53,7 @@ class NRParams:
 class NextRegionScheme(RegionScheme):
     """Server side of NR: shared pre-computation plus per-region local indexes."""
 
-    short_name = "NR"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        num_regions: int = 32,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(num_regions=num_regions)
-        self._build_state()
-
-    def _configure(self, num_regions: int = 32) -> None:
+    def _configure(self, num_regions: int) -> None:
         self.num_regions = num_regions
         #: Informational content of one local index (what the client stores).
         self.local_index_bytes = self.layout.nr_local_index_bytes(num_regions)

@@ -8,8 +8,8 @@ in their index protocol -- EB's global ``A`` index with (1, m) copies and
 ellipse pruning, NR's chain of local indexes -- which stays in ``eb.py`` and
 ``nr.py``.  This module holds the rest:
 
-* server side, :class:`RegionScheme`: the kd partitioning and the
-  border-path pre-computation (build, artifact state, restore), the
+* server side, :class:`RegionScheme`: the border-path pre-computation
+  (build, artifact state, restore; see :mod:`repro.air.substrate`), the
   per-region cross-border/local data segments, the incremental refresh and
   the structurally shared shadow rebuild;
 * client side, :class:`RegionQuery`: one query's received regions --
@@ -26,25 +26,24 @@ import copy
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.air.base import AirClient, AirIndexScheme, CpuTimer, QueryResult
-from repro.air.border_paths import BorderPathPrecomputation
+from repro.air.base import AirClient, CpuTimer, QueryResult
 from repro.air.memory_bound import (
     SuperEdgeGraph,
     compress_region,
     shortest_path_on_overlay,
 )
+from repro.air.border_paths import BorderPathPrecomputation
+from repro.air.substrate import PartitionedScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.graph import RoadNetwork
-from repro.partitioning.kdtree import build_kdtree_partitioning
-from repro.serialize.graphs import partitioning_state, restore_partitioning
 
 __all__ = ["RegionScheme", "RegionQuery"]
 
 
-class RegionScheme(AirIndexScheme):
+class RegionScheme(PartitionedScheme):
     """Server side shared by EB and NR: regions, border paths, data segments.
 
     Subclasses set ``num_regions`` in ``_configure``, lay out their cycle
@@ -53,33 +52,32 @@ class RegionScheme(AirIndexScheme):
     """
 
     supports_memory_bound = True
-    num_regions: int
 
-    def _build_state(self) -> None:
-        self.partitioning = build_kdtree_partitioning(self.network, self.num_regions)
-        self.precomputation = BorderPathPrecomputation(self.network, self.partitioning)
+    def _build_index(self) -> None:
+        self.precomputation = self._shared(
+            "border_paths",
+            self.partitioning,
+            lambda: BorderPathPrecomputation(self.network, self.partitioning),
+        )
         self.precomputation_seconds = self.precomputation.precomputation_seconds
         self._needed_cache: Dict[Tuple[int, int], List[int]] = {}
 
-    def _artifact_state(self) -> dict:
-        return {
-            "partitioning": partitioning_state(self.partitioning),
-            "border_paths": self.precomputation.state(),
-        }
+    def _index_state(self) -> dict:
+        return {"border_paths": self.precomputation.state()}
 
     @classmethod
     def _serving_state(cls, state: dict) -> dict:
         # The border-path block is what a refresh repairs; queries read the
         # aggregates alone (Sections 4-5: the clients see only those).
-        return {
-            **state,
-            "border_paths": BorderPathPrecomputation.serving_state(state["border_paths"]),
-        }
+        return {**state, "border_paths": {**state["border_paths"], "labels": None}}
 
-    def _restore_state(self, state: dict) -> None:
-        self.partitioning = restore_partitioning(self.network, state["partitioning"])
-        self.precomputation = BorderPathPrecomputation.from_state(
-            self.network, self.partitioning, state["border_paths"]
+    def _restore_index(self, state: dict) -> None:
+        self.precomputation = self._shared(
+            "border_paths",
+            self.partitioning,
+            lambda: BorderPathPrecomputation.from_state(
+                self.network, self.partitioning, state["border_paths"]
+            ),
         )
         self._needed_cache = {}
 
@@ -155,8 +153,9 @@ class RegionScheme(AirIndexScheme):
 
         A weight-only delta cannot move the kd partitioning (it depends on
         coordinates alone), so the replacement shares the partitioning with
-        this instance and repairs its own copy of the border-path block
-        (:meth:`BorderPathPrecomputation.shadow`): the shared pre-computation
+        this instance and repairs a shadow copy of the border-path block
+        (:meth:`BorderPathPrecomputation.repaired`), once per batch for one
+        system's NR and EB: the repair
         re-runs only the border sources whose shortest path trees a change
         could touch.  The cycle is re-laid from the repaired state; a
         region's data segments are re-packed only when its cross-border
@@ -169,8 +168,11 @@ class RegionScheme(AirIndexScheme):
         clone = copy.copy(self)
         clone._needed_cache = {}
         if delta.changes:
-            clone.precomputation = self.precomputation.shadow()
-            clone.precomputation.refresh(delta.changes)
+            clone.precomputation = clone._shared(
+                "border_paths",
+                self.partitioning,
+                lambda: self.precomputation.repaired(delta.changes),
+            )
         if self._cycle is not None:
             clone._cycle = clone.build_cycle()
         return clone._track_refresh(started)

@@ -91,7 +91,8 @@ def register_scheme(
 
     ``params`` must be a (preferably frozen) dataclass whose fields all have
     defaults and match keyword arguments of the scheme's constructor.  When
-    omitted, the scheme is registered as parameterless.
+    omitted, the scheme is registered as parameterless.  The class's
+    ``short_name`` becomes ``name``.
     """
 
     if params is None:
@@ -131,6 +132,7 @@ def register_scheme(
         )
         _REGISTRY[name] = info
         _ALIASES[name.lower()] = name
+        cls.short_name = name
         return cls
 
     return decorate
@@ -185,9 +187,6 @@ def create(name: str, network: Any, *, layout: Any = None, **params: Any):
         air.create("NR", network, num_regions=16)
         air.create("LD", network, num_landmarks=4)
     """
-    info = get_scheme(name)
-    resolved = info.make_params(**params)
-    kwargs = dataclasses.asdict(resolved)
     if layout is not None:
-        kwargs["layout"] = layout
-    return info.cls(network, **kwargs)
+        params["layout"] = layout
+    return get_scheme(name).cls(network, **params)

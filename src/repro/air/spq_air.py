@@ -19,8 +19,6 @@ from repro.broadcast.packet import Segment, SegmentKind
 from repro.index.spq import ShortestPathQuadTreeIndex
 from repro.network.algorithms.paths import PathResult
 from repro.network.algorithms.dijkstra import shortest_path
-from repro.network.graph import RoadNetwork
-from repro.air.records import DEFAULT_LAYOUT, RecordLayout
 
 __all__ = ["SPQBroadcastScheme", "SPQParams"]
 
@@ -41,27 +39,7 @@ class SPQParams:
 class SPQBroadcastScheme(FullCycleScheme):
     """Adjacency plus one colored quad-tree per node, received in full."""
 
-    short_name = "SPQ"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        max_depth: int = 16,
-        layout: RecordLayout = DEFAULT_LAYOUT,
-    ) -> None:
-        super().__init__(network, layout)
-        self._configure(max_depth=max_depth)
-        self._build_state()
-
-    def _build_state(self) -> None:
-        self.index = ShortestPathQuadTreeIndex(self.network, max_depth=self.max_depth)
-        self.precomputation_seconds = self.index.precomputation_seconds
-
-    def _artifact_state(self) -> dict:
-        return {"index": self.index.state()}
-
-    def _restore_state(self, state: dict) -> None:
-        self.index = ShortestPathQuadTreeIndex.from_state(self.network, state["index"])
+    index_class = ShortestPathQuadTreeIndex
 
     def _precomputed_segments(self) -> List[Segment]:
         return [

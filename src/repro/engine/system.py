@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro.air import registry
 from repro.air.base import AirIndexScheme, ClientOptions, QueryResult, is_mismatch
+from repro.air.substrate import Substrate
 from repro.broadcast.channel import BroadcastChannel
 from repro.concurrency import run_indexed
 from repro.engine.results import MethodRun, RefreshReport, WarmStartReport
@@ -40,7 +41,7 @@ from repro.fleet.devices import DeviceSpec
 from repro.fleet.results import FleetRun
 from repro.fleet.simulator import simulate_fleet as _simulate_fleet
 from repro.network.graph import RoadNetwork
-from repro.serialize.artifacts import ArtifactError, BuildArtifact
+from repro.serialize.artifacts import BuildArtifact
 from repro.store import ArtifactStore
 
 __all__ = [
@@ -243,6 +244,9 @@ class AirSystem:
         a scratch build, orders of magnitude cheaper), and every scratch
         build publishes its artifact so the next process (or the next
         restart) warm-starts instead of re-running Table 3.
+
+    The schemes share one region substrate (:mod:`repro.air.substrate`),
+    however each was built, restored or refreshed.
     """
 
     def __init__(
@@ -262,6 +266,7 @@ class AirSystem:
             default_options = ClientOptions(device=device) if device else ClientOptions()
         self.default_options = default_options
         self._schemes: Dict[Tuple, AirIndexScheme] = {}
+        self._substrate = Substrate()
         self._channels: Dict[Tuple, BroadcastChannel] = {}
         self._hits = 0
         self._misses = 0
@@ -395,12 +400,13 @@ class AirSystem:
             return scheme, key
         self._misses += 1
         scheme = self._restore_from_store(name, resolved)
-        if scheme is None:
+        if scheme is not None:
+            self._disk_restores += 1
+            return scheme, key
+        with self._substrate:
             scheme = registry.create(name, self.network, **resolved)
             scheme.cycle  # build (and thereby cache) the broadcast cycle now
-            self._publish_to_store(scheme, key)
-        else:
-            self._disk_restores += 1
+        self._publish_to_store(scheme, key)
         with self._swap_lock:
             self._schemes[key] = scheme
         return scheme, key
@@ -409,6 +415,17 @@ class AirSystem:
         """The memory-cache key shared by every lookup and warm-start path."""
         return (name, tuple(sorted(resolved.items())), self._fingerprint)
 
+    def restore(self, artifact: BuildArtifact) -> AirIndexScheme:
+        """Restore ``artifact``'s scheme into the cache, sharing the system's
+        substrate; returns the cached scheme.  The one restore path: store
+        misses, :meth:`warm_start` and a serving worker's segment load."""
+        with self._substrate:
+            scheme = AirIndexScheme.from_artifact(self.network, artifact)
+        name = artifact.scheme
+        key = self._cache_key(name, self._resolve_params(name, dict(artifact.params)))
+        with self._swap_lock:
+            return self._schemes.setdefault(key, scheme)
+
     def _restore_from_store(
         self, name: str, resolved: Mapping[str, Any]
     ) -> Optional[AirIndexScheme]:
@@ -416,22 +433,17 @@ class AirSystem:
 
         The disk tier is a cache: *anything* going wrong here -- a stored
         artifact whose payload schema drifted without a version bump (shows
-        up as codec/shape errors out of ``_restore_state``), a mismatch
-        slipping past the store's own validation, or plain I/O trouble --
-        degrades to a miss, and the caller rebuilds from scratch (which
-        also re-publishes a good artifact).
+        up as codec/shape errors out of ``_restore_state``), an artifact
+        error (a ``ValueError``) slipping past the store's own validation,
+        or plain I/O trouble -- degrades to a miss, and the caller rebuilds
+        from scratch (which also re-publishes a good artifact).
         """
         if self.store is None:
             return None
         try:
             artifact = self.store.get(name, resolved, self._fingerprint)
-        except OSError:
-            return None
-        if artifact is None:
-            return None
-        try:
-            return AirIndexScheme.from_artifact(self.network, artifact)
-        except (ArtifactError, KeyError, IndexError, TypeError, ValueError, AttributeError):
+            return None if artifact is None else self.restore(artifact)
+        except (OSError, KeyError, IndexError, TypeError, ValueError, AttributeError):
             return None
 
     def _publish_to_store(self, scheme: AirIndexScheme, key: Tuple) -> bool:
@@ -524,13 +536,9 @@ class AirSystem:
             key = self._cache_key(name, resolved)
             with self._swap_lock:
                 cached = key in self._schemes
-            if not cached:
-                scheme = self._restore_from_store(name, resolved)
-                if scheme is None:
-                    missing.append(name)
-                    continue
-                with self._swap_lock:
-                    self._schemes.setdefault(key, scheme)
+            if not cached and self._restore_from_store(name, resolved) is None:
+                missing.append(name)
+                continue
             loaded.append(name)
         return WarmStartReport(
             loaded=tuple(loaded),
@@ -570,6 +578,7 @@ class AirSystem:
             self._schemes.clear()
             self._channels.clear()
             self._artifacts.clear()
+        self._substrate = Substrate()
         self._hits = 0
         self._misses = 0
         self._disk_restores = 0
@@ -767,6 +776,12 @@ class AirSystem:
                     if key[2] == parent and parent != current
                 ]
 
+            # Replacements share the new version's substrate: region schemes
+            # repair their block once through the substrate they were made
+            # in, and scratch builds (AF) find the partitioning the shadows
+            # keep.
+            if trust_delta:
+                self._substrate.carry(parent, current)
             replacements: List[Tuple[Tuple, Tuple, AirIndexScheme, bool]] = []
             for key, scheme in entries:
                 name, params_items, _ = key
@@ -779,13 +794,11 @@ class AirSystem:
                         # fall back to the from-scratch build below, and say
                         # why in the report.
                         shadow_errors.append((name, f"{type(error).__name__}: {error}"))
-                        replacement = None
                 was_incremental = replacement is not None
                 if replacement is None:
-                    replacement = registry.create(
-                        name, self.network, **dict(params_items)
-                    )
-                    replacement.cycle  # build the refreshed cycle off-line
+                    with self._substrate:
+                        replacement = registry.create(name, self.network, **dict(params_items))
+                        replacement.cycle  # build the refreshed cycle off-line
                 replacements.append(
                     (key, (name, params_items, current), replacement, was_incremental)
                 )

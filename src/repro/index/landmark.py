@@ -116,45 +116,28 @@ class LandmarkIndex:
     # ------------------------------------------------------------------
     # Build/serve split: separable state
     # ------------------------------------------------------------------
-    def _vectors(self, matrix: np.ndarray) -> Dict[int, Dict[int, float]]:
-        """``{landmark: {node: distance}}`` over reached nodes, in id order."""
-        ids = np.asarray(self._csr.ids, dtype=np.int64)
-        vectors: Dict[int, Dict[int, float]] = {}
-        for landmark, row in zip(self.landmarks, matrix):
-            reached = np.isfinite(row)
-            vectors[landmark] = dict(zip(ids[reached].tolist(), row[reached].tolist()))
-        return vectors
-
-    def _matrix(self, vectors: Dict[int, Dict[int, float]]) -> np.ndarray:
-        """The inverse of :meth:`_vectors`: unreached nodes read ``inf``."""
-        ids = np.asarray(self._csr.ids, dtype=np.int64)
-        matrix = np.full((len(self.landmarks), len(ids)), np.inf)
-        for row, landmark in zip(matrix, self.landmarks):
-            vector = vectors[landmark]
-            nodes = np.fromiter(vector, dtype=np.int64, count=len(vector))
-            row[ids.searchsorted(nodes)] = np.fromiter(
-                vector.values(), dtype=np.float64, count=len(vector)
-            )
-        return matrix
-
     def state(self) -> Dict[str, Any]:
-        """Landmarks and distance vectors as plain values."""
+        """Landmarks and distance matrices as plain values: ``forward`` and
+        ``backward`` as little-endian float64 bytes, one row per landmark and
+        one column per snapshot node (``inf`` where unreached)."""
         return {
             "landmarks": list(self.landmarks),
-            "forward": self._vectors(self.forward),
-            "backward": self._vectors(self.backward),
+            "forward": np.ascontiguousarray(self.forward, dtype="<f8").tobytes(),
+            "backward": np.ascontiguousarray(self.backward, dtype="<f8").tobytes(),
             "seconds": self.precomputation_seconds,
         }
 
     @classmethod
     def from_state(cls, network: RoadNetwork, state: Dict[str, Any]) -> "LandmarkIndex":
-        """Reconstruct from :meth:`state` output without re-running selection."""
+        """Reconstruct from :meth:`state` output without re-running selection
+        (the matrices are read-only views of the state's bytes)."""
         self = object.__new__(cls)
         self.network = network
         self.landmarks = list(state["landmarks"])
         self._csr = network.ensure_csr()
-        self.forward = self._matrix(state["forward"])
-        self.backward = self._matrix(state["backward"])
+        shape = (len(self.landmarks), self._csr.num_nodes)
+        self.forward = np.frombuffer(state["forward"], dtype="<f8").reshape(shape)
+        self.backward = np.frombuffer(state["backward"], dtype="<f8").reshape(shape)
         self.precomputation_seconds = state["seconds"]
         return self
 

@@ -247,9 +247,11 @@ class CSRGraph:
         the kernel's results and A* map every reached index back to its id,
         and indexing a list costs half what indexing a mapped int64 view
         does.  The id -> index map is the arithmetic :class:`_RangeIndex`
-        whenever the ids are contiguous, and the tuple adjacencies
+        whenever the ids are contiguous.  The tuple adjacencies
         :attr:`fwd_adj`/:attr:`rev_adj` build on first use, exactly as for
-        an owned snapshot.  The resulting snapshot is
+        an owned snapshot, and only Landmark's A* and the memory-bound
+        client use them; every other search reads the shared flat arrays.
+        The resulting snapshot is
         read-only (:attr:`buffer_backed`); :meth:`patch_weight` refuses to
         touch it because a write would leak into every mapping process.
 

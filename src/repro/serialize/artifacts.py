@@ -46,7 +46,7 @@ ARTIFACT_MAGIC = b"AIRX"
 #: Version of the serialized artifact layout *and* of every scheme's payload
 #: schema.  Bump whenever either moves: readers reject other versions with
 #: :class:`ArtifactVersionError`, which the store turns into a clean rebuild.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _CHECKSUM_BYTES = 32  # sha256 digest size
 _PREFIX = struct.Struct("<HI")  # format version, header length

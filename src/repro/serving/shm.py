@@ -23,11 +23,13 @@ What is shared and what each process holds:
   flat CSR arrays, the coordinates, the insertion order and the scheme
   artifacts' serving forms.
 * **Per process**: the id list and the id -> index map (arithmetic for
-  contiguous ids), and the
-  ``(neighbor_index, weight)`` tuple adjacency
-  :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj` builds on a worker's
-  first search -- the same lazy adjacency every snapshot uses, 1.24 MiB
-  forward and 1.35 MiB more reverse at 4,907 nodes against 0.38 MiB of
+  contiguous ids).  Every compiled search and path walk reads the mapped
+  flat arrays.  Only two readers build the ``(neighbor_index, weight)``
+  tuple adjacency :attr:`CSRGraph.fwd_adj`/:attr:`~CSRGraph.rev_adj`, on
+  their first use in a worker: Landmark's A* (the kernel's potential
+  loop) and the Section 6.1 memory-bound client's region compression.  A
+  worker serving neither never builds it; one that does holds 1.24 MiB
+  forward and 1.35 MiB more reverse at 4,907 nodes, against 0.38 MiB of
   flat arrays.  The tuples hold plain values, not views into the mapping,
   so they never keep a swapped-off segment mapped.
 

@@ -11,9 +11,9 @@ the old cycle, everything after on the new one -- never a mixture.
 A runtime answers with the same objects a direct
 :class:`~repro.engine.system.AirSystem` call would produce: it *is* an
 ``AirSystem`` over the restored network, with the restored schemes
-pre-seeded into its cycle cache under exactly the keys the system's own
-lookups compute.  Bit-identity with the build process is therefore by
-construction, not by parallel implementation.
+pre-seeded into its cycle cache through :meth:`AirSystem.restore`, under
+exactly the keys the system's own lookups compute.  Bit-identity with the
+build process is therefore by construction, not by parallel implementation.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.air.base import AirIndexScheme, ClientOptions
+from repro.air.base import ClientOptions
 from repro.engine.system import AirSystem
 from repro.faults import runtime as faults
 from repro.faults.plan import FaultPlan
@@ -88,10 +88,7 @@ class WorkerRuntime:
             network = segment.restore_network()
             system = AirSystem(network, config=self.config)
             for name in segment.scheme_names:
-                artifact = segment.artifact(name)
-                scheme = AirIndexScheme.from_artifact(network, artifact)
-                resolved = system._resolve_params(name, dict(artifact.params))
-                system._schemes[system._cache_key(name, resolved)] = scheme
+                system.restore(segment.artifact(name))
         except Exception:
             segment.close()
             raise

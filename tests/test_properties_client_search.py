@@ -240,7 +240,11 @@ def test_landmark_query_equals_scalar_astar(seed, num_nodes, num_landmarks):
     index = LandmarkIndex(network, landmarks=landmarks)
     forward, backward = landmark_vectors(network, landmarks)
     state = index.state()
-    assert state["forward"] == forward and state["backward"] == backward
+    for key, vectors in (("forward", forward), ("backward", backward)):
+        # The state's float64 block: landmark rows, snapshot-index columns.
+        decoded = np.frombuffer(state[key], dtype="<f8").reshape(len(landmarks), len(ids))
+        want = [[vectors[landmark].get(node, np.inf) for node in ids] for landmark in landmarks]
+        assert np.array_equal(decoded, np.array(want))
     assert np.isinf(index.forward).any() and np.isinf(index.backward).any()
     lower_bound = landmark_lower_bound(landmarks, forward, backward)
     for target in ids:
