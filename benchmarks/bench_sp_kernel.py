@@ -20,12 +20,14 @@ query throughput alike.  Measured on the 1k-node network:
   consumer reads ``pred`` (asserted >= 2x by default via
   ``REPRO_KERNEL_MIN_P2P_SPEEDUP``);
 * **masked point-to-point** -- the NR client's search
-  (``point_to_point(s, t, allowed=...).path_result(t)``) over NR-shaped
+  (``point_to_point(s, t, allowed=mask).path_result(t)``) over NR-shaped
   node sets: the source and target regions whole plus the cross-border
-  nodes of the regions NR marks as needed between them.  One compiled
+  nodes of the regions NR marks as needed between them.  The mask is the
+  one the client builds: one ``uint8`` byte per node index, with the
+  ``indexes`` of every region segment it receives set.  One compiled
   sweep with the outside edges weighted ``inf``, then a walk back over
-  in-edges for the path; timed against the oracle's masked dict loop and
-  asserted >= ``MIN_MASKED_P2P_SPEEDUP``;
+  in-edges for the path; timed against the oracle's masked dict loop over
+  the same nodes' ids and asserted >= ``MIN_MASKED_P2P_SPEEDUP``;
 * **ArcFlag client** and **HiTi client** -- ``ArcFlagIndex.query`` and
   ``HiTiIndex.query`` over 16 kd regions: one compiled sweep each, over
   ArcFlag's pinned weights with the edges unflagged for the target's
@@ -68,7 +70,7 @@ from oracles import hiti as hiti_oracle
 from oracles.astar import astar_search
 from oracles.dict_network import build_dict_network
 from oracles.dijkstra import dijkstra_distances, dijkstra_search, shortest_path
-from repro.air.border_paths import BorderPathPrecomputation
+from repro.air.nr import NextRegionScheme
 from repro.experiments import report
 from repro.index.arcflag import ArcFlagIndex
 from repro.index.hiti import HiTiIndex
@@ -154,20 +156,28 @@ def _verify_bit_identity(network, reference, sources, pairs) -> None:
         check_point_to_point(arena.point_to_point(source, target), want, target)
 
 
-def _nr_shaped_queries(network, partitioning, pairs):
-    """``(source, target, allowed)`` per pair, ``allowed`` being the nodes an
-    NR client receives: the source and target regions whole plus the
-    cross-border nodes of every region NR marks as needed."""
-    precomputation = BorderPathPrecomputation(network, partitioning)
+def _nr_shaped_queries(network, pairs):
+    """``(source, target, allowed, mask)`` per pair: ``allowed`` the ids of
+    the nodes an NR client receives -- the source and target regions whole
+    plus the cross-border nodes of every region NR marks as needed -- and
+    ``mask`` the kernel's form of them, built as the client builds it: each
+    received region segment's ``indexes`` set in a zeroed ``uint8`` vector."""
+    scheme = NextRegionScheme(network, num_regions=NUM_BORDER_REGIONS)
+    partitioning, cycle = scheme.partitioning, scheme.cycle
     queries = []
     for source, target in pairs:
-        source_region = partitioning.region_of(source)
-        target_region = partitioning.region_of(target)
-        allowed = set(partitioning.nodes_in_region(source_region))
-        allowed.update(partitioning.nodes_in_region(target_region))
-        for region in precomputation.needed_regions_nr(source_region, target_region):
-            allowed.update(precomputation.cross_border_in_region(region))
-        queries.append((source, target, allowed))
+        ends = (partitioning.region_of(source), partitioning.region_of(target))
+        names = [f"region-{region}-local" for region in set(ends)] + [
+            f"region-{region}-cross"
+            for region in set(ends).union(scheme.needed_regions(*ends))
+        ]
+        allowed = set()
+        mask = np.zeros(network.num_nodes, dtype=np.uint8)
+        for name in names:
+            payload = cycle.segment(name).payload
+            allowed.update(payload["nodes"])
+            mask[payload["indexes"]] = 1
+        queries.append((source, target, allowed, mask))
     return queries
 
 
@@ -175,9 +185,9 @@ def _verify_masked(network, reference, queries) -> None:
     """Every masked answer (distance, path, settled) equals the oracle's,
     and so does every settled node's label and predecessor."""
     arena = kernel.arena_for(network.ensure_csr())
-    for source, target, allowed in queries:
+    for source, target, allowed, mask in queries:
         want = dijkstra_search(reference, source, target=target, allowed=allowed)
-        got = arena.point_to_point(source, target, allowed=allowed)
+        got = arena.point_to_point(source, target, allowed=mask)
         check_point_to_point(got, want, target)
 
 
@@ -219,7 +229,7 @@ def test_kernel_vs_dict_dijkstra(network):
         for node in partitioning.border_nodes(region)
     ]
 
-    masked_queries = _nr_shaped_queries(network, partitioning, pairs)
+    masked_queries = _nr_shaped_queries(network, pairs)
 
     arena = kernel.arena_for(network.ensure_csr())
     reference = _dict_copy(network)
@@ -243,7 +253,7 @@ def test_kernel_vs_dict_dijkstra(network):
     )
     dijkstra_distances(reference, sources[0])
 
-    masked_nodes = sorted(len(allowed) for _, _, allowed in masked_queries)
+    masked_nodes = sorted(len(allowed) for _, _, allowed, _ in masked_queries)
     median_masked_nodes = masked_nodes[len(masked_nodes) // 2]
     shape = (len(borders), network.num_nodes)
 
@@ -255,12 +265,12 @@ def test_kernel_vs_dict_dijkstra(network):
             sweep.pred, sweep.order
 
     def dict_masked():
-        for source, target, allowed in masked_queries:
+        for source, target, allowed, _ in masked_queries:
             dijkstra_search(reference, source, target=target, allowed=allowed).path_to(target)
 
     def kernel_masked():
-        for source, target, allowed in masked_queries:
-            arena.point_to_point(source, target, allowed=allowed).path_result(target)
+        for source, target, _, mask in masked_queries:
+            arena.point_to_point(source, target, allowed=mask).path_result(target)
 
     # Point-to-point runs in the workload generator's shape (the dict side
     # stops early, the kernel side sweeps compiled and answers off the

@@ -58,8 +58,8 @@ class NextRegionScheme(RegionScheme):
         #: Informational content of one local index (what the client stores).
         self.local_index_bytes = self.layout.nr_local_index_bytes(num_regions)
         self._header_packets = packets_for_bytes(self.layout.kd_split_bytes(num_regions))
-        cells_per_packet = self.layout.nr_cells_per_packet()
-        cell_packets = -(-(num_regions * num_regions) // cells_per_packet)
+        self._cells_per_packet = self.layout.nr_cells_per_packet()
+        cell_packets = -(-(num_regions * num_regions) // self._cells_per_packet)
         self.local_index_packets = self._header_packets + cell_packets
         #: On-air size of one local index (header and cell packets are not
         #: shared, so the client can address the cell it needs directly).
@@ -91,9 +91,8 @@ class NextRegionScheme(RegionScheme):
 
     def cell_packet_offset(self, source_region: int, target_region: int) -> int:
         """Packet offset, within a local index segment, of cell (Rs, Rt)."""
-        cells_per_packet = self.layout.nr_cells_per_packet()
         flat = source_region * self.num_regions + target_region
-        return self._header_packets + flat // cells_per_packet
+        return self._header_packets + flat // self._cells_per_packet
 
     def header_packet_offsets(self) -> List[int]:
         """Packet offsets carrying the kd splitting values."""

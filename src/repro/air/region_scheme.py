@@ -13,18 +13,22 @@ ellipse pruning, NR's chain of local indexes -- which stays in ``eb.py`` and
   per-region cross-border/local data segments, the incremental refresh and
   the structurally shared shadow rebuild;
 * client side, :class:`RegionQuery`: one query's received regions --
-  receiving a region's segments, the Section 6.1 compression of an
-  intermediate region as soon as it is received, deferred recovery of lost
-  region packets (Section 6.2), and the final search over either the
-  super-edge overlay or the received nodes.
+  receiving a region's segments into a mask over the network's CSR
+  snapshot, the Section 6.1 compression of an intermediate region as soon
+  as it is received, deferred recovery of lost region packets (Section
+  6.2), and the final search over either the super-edge overlay or the
+  received nodes.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
+import itertools
 import time
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.air.base import AirClient, CpuTimer, QueryResult
 from repro.air.memory_bound import (
@@ -37,7 +41,7 @@ from repro.air.substrate import PartitionedScheme
 from repro.broadcast.channel import ClientSession
 from repro.broadcast.metrics import MemoryTracker
 from repro.broadcast.packet import Segment, SegmentKind
-from repro.network.algorithms.dijkstra import shortest_path
+from repro.network.algorithms import kernel
 from repro.network.graph import RoadNetwork
 
 __all__ = ["RegionScheme", "RegionQuery"]
@@ -105,9 +109,13 @@ class RegionScheme(PartitionedScheme):
         """Per region, its cross-border and local data segments, in that
         order; every segment's bytes come from one array pass.
 
+        A segment's payload holds its node ids (``nodes``) and their
+        indexes in the network's CSR snapshot as an ``int64`` array
+        (``indexes``), which a client sets in its received-node mask
+        (:class:`RegionQuery`); one vectorized pass maps every group's ids.
         Record sizes are purely structural (degree-based), so on a refresh a
         segment of the current cycle whose node list is unchanged is already
-        correct and is reused as it is.
+        correct and is reused as it is, index array included.
         """
         slots = [
             (region, suffix, kind)
@@ -126,8 +134,13 @@ class RegionScheme(PartitionedScheme):
             )
         ]
         sizes = self.layout.grouped_adjacency_bytes(self.network, groups)
+        arena = kernel.arena_for(self.network.ensure_csr())
+        indexes = np.split(
+            arena.indexes_of(itertools.chain.from_iterable(groups)),
+            np.cumsum([len(nodes) for nodes in groups[:-1]], dtype=np.int64),
+        )
         segments: List[List[Segment]] = [[] for _ in range(self.num_regions)]
-        for (region, suffix, kind), nodes, size in zip(slots, groups, sizes):
+        for (region, suffix, kind), nodes, size, positions in zip(slots, groups, sizes, indexes):
             name = f"region-{region}-{suffix}"
             if self._cycle is not None:
                 previous = self._cycle.segment(name)
@@ -140,7 +153,7 @@ class RegionScheme(PartitionedScheme):
                     kind=kind,
                     size_bytes=size,
                     region=region,
-                    payload={"nodes": nodes},
+                    payload={"nodes": nodes, "indexes": positions},
                 )
             )
         return segments
@@ -184,9 +197,16 @@ class RegionQuery:
     The scheme's index protocol decides which regions to receive and calls
     :meth:`receive_region` for each, in the order they are received;
     :meth:`finish` then recovers lost packets, searches, and builds the
-    :class:`QueryResult`.  In the Section 6.1 memory-bound mode an
-    intermediate region is compressed into super-edges the moment it is
-    received, and its raw data are released.
+    :class:`QueryResult`.
+
+    What was received is one ``uint8`` byte per node index of the
+    network's CSR snapshot, :attr:`received`: each received segment sets its
+    payload's ``indexes`` in it, and the final search hands it to the
+    kernel as its ``allowed`` mask.  In the Section 6.1 memory-bound mode
+    an intermediate region is compressed into super-edges the moment it is
+    received, and its raw data are released; only that mode keeps each
+    region's received ids as a set (:attr:`region_nodes`), which the
+    compression reads.
     """
 
     def __init__(
@@ -207,9 +227,12 @@ class RegionQuery:
         self.target_region = scheme.partitioning.region_of(target)
         self.memory_bound = client.options.memory_bound
         self.cpu = CpuTimer(client.device)
+        self.csr = scheme.network.ensure_csr()
         #: Regions received so far, in reception order.
         self.regions: List[int] = []
-        self.nodes: Set[int] = set()
+        #: One byte per node index, set for every node received so far.
+        self.received = np.zeros(self.csr.num_nodes, dtype=np.uint8)
+        #: Memory-bound mode only: each received region's node ids.
         self.region_nodes: Dict[int, Set[int]] = {}
         #: Region packets lost on the air, recovered in :meth:`finish`.
         self.pending: List[Tuple[str, List[int]]] = []
@@ -232,9 +255,9 @@ class RegionQuery:
             self.pending.append((name, reception.lost_offsets))
             segment = cycle.segment(name)
             self.memory.allocate(segment.size_bytes)
-            nodes = segment.payload["nodes"]
-            self.nodes.update(nodes)
-            self.region_nodes.setdefault(region, set()).update(nodes)
+            self.received[segment.payload["indexes"]] = 1
+            if self.memory_bound:
+                self.region_nodes.setdefault(region, set()).update(segment.payload["nodes"])
         self.regions.append(region)
         if self.memory_bound and region not in (self.source_region, self.target_region):
             # Compress the intermediate region right away and release it.
@@ -296,9 +319,15 @@ class RegionQuery:
                 # sweep with the outside edges weighted inf; the path walks
                 # back over in-edges read from the snapshot's array buffers,
                 # so a worker never builds its own tuple rows.
-                local = shortest_path(self.scheme.network, source, target, allowed=self.nodes)
+                local = kernel.arena_for(self.csr).point_to_point(
+                    source, target, allowed=self.received
+                ).path_result(target)
                 distance, path, settled = local.distance, local.path, local.settled
-            self.memory.allocate(self.scheme.layout.search_working_set_bytes(len(self.nodes)))
+            self.memory.allocate(
+                self.scheme.layout.search_working_set_bytes(
+                    int(np.count_nonzero(self.received))
+                )
+            )
         regions = self.regions if reported_regions is None else reported_regions
         result = QueryResult(
             source=source,

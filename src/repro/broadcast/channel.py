@@ -58,6 +58,11 @@ class PacketLossModel:
         return [packet for packet in packets if draw() < rate]
 
 
+#: The loss model of every lossless session: it never draws, so one
+#: instance serves them all.
+_LOSSLESS = PacketLossModel(0.0)
+
+
 @dataclass
 class SegmentReception:
     """Outcome of receiving (part of) a segment."""
@@ -89,7 +94,7 @@ class ClientSession:
         self.cycle = cycle
         self.start_position = start_position
         self.position = start_position
-        self.loss_model = loss_model or PacketLossModel(0.0)
+        self.loss_model = loss_model or _LOSSLESS
         self.tuning_packets = 0
         self.lost_packets = 0
 
@@ -211,10 +216,19 @@ class BroadcastChannel:
         in; when omitted, a deterministic pseudo-random offset is drawn (so
         repeated experiment runs are reproducible but different queries see
         different phases of the cycle, as in the paper's evaluation).
+
+        Session ``k`` draws from a generator seeded by the channel seed and
+        ``k``: the offset first (when not given), then a lossy session's
+        loss seed.  A session that needs neither draw -- lossless, at a
+        given offset -- builds no generator, but still counts.
         """
         self._session_count += 1
+        if tune_in_offset is not None and self.loss_rate == 0.0:
+            return ClientSession(self.cycle, tune_in_offset)
         rng = random.Random(self._seed * 1_000_003 + self._session_count)
         if tune_in_offset is None:
             tune_in_offset = rng.randrange(self.cycle.total_packets)
+        if self.loss_rate == 0.0:
+            return ClientSession(self.cycle, tune_in_offset)
         loss = PacketLossModel(self.loss_rate, seed=rng.randrange(2**31))
         return ClientSession(self.cycle, tune_in_offset, loss)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -85,9 +86,10 @@ class Segment:
     payload: Any = None
     metadata: Dict[str, Any] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def num_packets(self) -> int:
-        """Number of packets the segment occupies on the air."""
+        """Number of packets the segment occupies on the air (computed on
+        first read; a segment's size never changes)."""
         return packets_for_bytes(self.size_bytes)
 
 

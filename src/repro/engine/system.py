@@ -901,20 +901,28 @@ class AirSystem:
         a session sequence: each option set sees the same deterministic
         sequence it would see alone.
         """
-        name = registry.canonical_name(name)
-        resolved = self._resolve_params(name, params)
-        scheme, cache_key = self._scheme_entry(name, resolved)
         if options is None:
             options = self.default_options.replace(loss_rate=loss_rate, loss_seed=seed)
+        return self._channel_entry(name, options, params)[1]
+
+    def _channel_entry(
+        self, name: str, options: ClientOptions, params: Mapping[str, Any]
+    ) -> Tuple[AirIndexScheme, BroadcastChannel]:
+        """The cached scheme and its memoized channel, from one cache
+        lookup: a swap landing after it cannot pair one cycle's channel
+        with another cycle's scheme."""
+        name = registry.canonical_name(name)
+        scheme, cache_key = self._scheme_entry(name, self._resolve_params(name, params))
         # Keyed by the *effective* cache key: during an async refresh a
         # stale-while-refreshing hit keys the channel under the superseded
         # fingerprint, so the swap drops it together with the stale scheme.
         key = (*cache_key, options)
-        if key not in self._channels:
-            self._channels[key] = scheme.channel(
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = scheme.channel(
                 loss_rate=options.loss_rate, seed=options.loss_seed
             )
-        return self._channels[key]
+        return scheme, channel
 
     def client(self, name: str, options: Optional[ClientOptions] = None, **params: Any):
         """A client for the named scheme under the system's default options."""
@@ -933,9 +941,8 @@ class AirSystem:
     ) -> QueryResult:
         """Process one on-air query through the named scheme."""
         options = self._options(options)
-        channel = self.channel(name, options=options, **params)
-        client = self.scheme(name, **params).client(options=options)
-        return client.query(
+        scheme, channel = self._channel_entry(name, options, params)
+        return scheme.client(options=options).query(
             source, target, channel=channel, tune_in_offset=options.tune_in_offset
         )
 

@@ -1,9 +1,11 @@
 """Dijkstra's algorithm (paper Section 2.1, "without pre-computation").
 
 :func:`shortest_path` is the point-to-point query with early termination
-that the DJ client runs on the received network, that the EB/NR clients run
-restricted to the nodes they received (``allowed``), and that the Landmark,
-ArcFlag and SPQ clients fall back to when pre-computed packets are lost.
+that the DJ client runs on the received network, that the Landmark, ArcFlag
+and SPQ clients fall back to when pre-computed packets are lost, and that
+tests and oracles run restricted to a node subset (``allowed`` ids).  The
+EB/NR clients search the nodes they received through the kernel's
+per-index mask directly (:class:`~repro.air.region_scheme.RegionQuery`).
 Single-source, multi-target and batched sweeps -- Landmark, ArcFlag, HiTi
 and border-path pre-computation -- call :class:`~repro.network.algorithms.
 kernel.KernelArena` directly.
@@ -43,9 +45,12 @@ def shortest_path(
 ) -> PathResult:
     """Point-to-point shortest path with early termination.
 
-    ``allowed`` restricts the search to a node subset containing both
+    ``allowed`` restricts the search to a node subset (ids) containing both
     endpoints; the answer -- distance, path, settled count -- is
-    bit-identical to searching ``network.subgraph(allowed)``.
+    bit-identical to searching ``network.subgraph(allowed)``.  The ids
+    become the kernel's per-index mask (:meth:`~repro.network.algorithms.
+    kernel.KernelArena.node_mask`) once, here.
     """
     arena = kernel.arena_for(network.ensure_csr())
-    return arena.point_to_point(source, target, allowed=allowed).path_result(target)
+    mask = None if allowed is None else arena.node_mask(allowed)
+    return arena.point_to_point(source, target, allowed=mask).path_result(target)

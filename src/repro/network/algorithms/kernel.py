@@ -18,7 +18,8 @@ frontier labels are not reproduced.  Two mechanisms deliver this:
 
 * Full sweeps (:meth:`KernelArena.sssp`, :meth:`KernelArena.many_to_many`)
   and point-to-point searches -- over the snapshot's own edges, masked to
-  an ``allowed`` node set (the EB/NR clients' search) or over a search's
+  an ``allowed`` node mask (one byte per node index: the EB/NR clients'
+  search over the nodes they received) or over a search's
   own ``weights`` with ``inf`` on the edges it drops (ArcFlag's flagged
   edges, HiTi's query overlay) -- take the distance labels from scipy
   (relaxation order cannot change the converged float values) and derive
@@ -424,7 +425,7 @@ class KernelArena:
         # dereference never dangles mid-use.
         self._csr_ref = weakref.ref(csr)
         self.num_nodes = csr.num_nodes
-        self._ids = None  # the snapshot's sorted ids as int64, on first mask
+        self._ids = None  # the snapshot's sorted ids as int64, on first ``indexes_of``
         # Per direction (indexed by ``reverse``): the matrix masked sweeps
         # rewrite, built on first use (see ``_sweep``).
         self._masked = [None, None]
@@ -473,17 +474,19 @@ class KernelArena:
         self,
         source: int,
         target: int,
-        allowed: Optional[Iterable[int]] = None,
+        allowed: Optional[_np.ndarray] = None,
         reverse: bool = False,
         weights: Optional[_np.ndarray] = None,
         potential: Optional[Sequence[float]] = None,
     ) -> KernelResult:
         """Early-terminating point-to-point search.
 
-        ``allowed`` restricts the search to a node subset -- the relaxation
-        skips any neighbor outside it, which is exactly equivalent to (and
-        replaces) materializing the induced subgraph first, as the EB/NR
-        clients used to.  Both endpoints must belong to the subset.
+        ``allowed`` restricts the search to a node subset: a ``uint8``
+        vector with one 0/1 byte per node index (:meth:`node_mask` builds
+        one from ids; the EB/NR clients set their received segments' index
+        arrays in one).  The relaxation skips any neighbor outside it, which
+        is exactly equivalent to materializing the induced subgraph first.
+        Both endpoints must belong to the subset.
 
         ``weights`` (float64, one per edge of the direction, in CSR order)
         replace the snapshot's for this search; an edge weighing ``inf`` is
@@ -507,36 +510,46 @@ class KernelArena:
             )
         sweep = weights
         if allowed is not None:
-            mask = self._allowed_mask(allowed)
-            if not mask[source_index]:
+            if (
+                not isinstance(allowed, _np.ndarray)
+                or allowed.dtype != _np.uint8
+                or allowed.shape != (self.num_nodes,)
+            ):
+                raise ValueError("allowed must be a uint8 vector with one byte per node")
+            if not allowed[source_index]:
                 raise KeyError(f"source node {source} is outside the allowed set")
-            if not mask[target_index]:
+            if not allowed[target_index]:
                 raise KeyError(f"target node {target} is outside the allowed set")
             # An edge stays in the search when its head is allowed.
             accel = self._accel()
             matrix = accel.matrix(self.csr, reverse)
-            keep = mask.view(_np.bool_).take(matrix.indices)
+            keep = allowed.view(_np.bool_).take(matrix.indices)
             sweep = _np.where(keep, matrix.data if weights is None else weights, _INF)
         return self._p2p(source, source_index, target_index, reverse, sweep, weights)
 
-    def _allowed_mask(self, allowed: Iterable[int]):
-        """A 0/1 byte per node index (a uint8 vector), set for the
-        ``allowed`` ids.
+    def indexes_of(self, ids: Iterable[int]) -> _np.ndarray:
+        """The node indexes of ``ids`` as an ``int64`` vector, in order.
 
-        Ids are sorted in index order, so one ``searchsorted`` maps the
-        whole set -- a per-id ``index_of`` lookup costs a Python call each
-        when ``index_of`` is the arithmetic range map.
+        Ids are sorted in index order, so one ``searchsorted`` maps them
+        all -- a per-id ``index_of`` lookup costs a Python call each when
+        ``index_of`` is the arithmetic range map.  An unknown id raises
+        ``KeyError``.
         """
-        ids = self._ids
-        if ids is None:
-            ids = self._ids = _np.asarray(self.csr.ids, dtype=_np.int64)
-        wanted = _np.fromiter(allowed, dtype=_np.int64)
-        positions = ids.searchsorted(wanted)
-        found = ids.take(positions, mode="clip")
+        known = self._ids
+        if known is None:
+            known = self._ids = _np.asarray(self.csr.ids, dtype=_np.int64)
+        wanted = _np.fromiter(ids, dtype=_np.int64)
+        positions = known.searchsorted(wanted)
+        found = known.take(positions, mode="clip")
         if not _np.array_equal(found, wanted):
             raise KeyError(int(wanted[found != wanted][0]))
+        return positions
+
+    def node_mask(self, ids: Iterable[int]) -> _np.ndarray:
+        """The ``allowed`` mask of :meth:`point_to_point` for ``ids``: a
+        0/1 byte per node index (a ``uint8`` vector)."""
         mask = _np.zeros(self.num_nodes, dtype=_np.uint8)
-        mask[positions] = 1
+        mask[self.indexes_of(ids)] = 1
         return mask
 
     def multi_target(

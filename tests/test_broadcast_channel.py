@@ -1,5 +1,7 @@
 """Unit tests for the broadcast channel simulator and client sessions."""
 
+import random
+
 import pytest
 
 from repro.broadcast.channel import BroadcastChannel, ClientSession, PacketLossModel
@@ -110,3 +112,23 @@ class TestBroadcastChannel:
     def test_explicit_tune_in_offset(self):
         channel = BroadcastChannel(make_cycle(), seed=0)
         assert channel.session(tune_in_offset=5).start_position == 5
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.3])
+    def test_interleaved_sessions_keep_their_draws(self, loss_rate):
+        """Given-offset, drawn-offset and lossy sessions, interleaved, tune
+        in and lose packets exactly as the per-session generator dictates:
+        session ``k`` seeds ``Random(seed * 1_000_003 + k)``, draws the
+        offset when none is given, then the loss seed.  A session that skips
+        the generator still counts."""
+        cycle = make_cycle()
+        channel = BroadcastChannel(cycle, loss_rate=loss_rate, seed=7)
+        packets = range(40)
+        for count, offset in enumerate([None, 4, 4, None, 0, None, None, 6, None], start=1):
+            rng = random.Random(7 * 1_000_003 + count)
+            start = rng.randrange(cycle.total_packets) if offset is None else offset
+            draws = random.Random(rng.randrange(2**31)).random
+            lost = [p for p in packets if draws() < loss_rate] if loss_rate else []
+            session = channel.session(offset)
+            assert session.start_position == start
+            assert session.loss_model.loss_rate == loss_rate
+            assert session.loss_model.lost(packets) == lost

@@ -449,6 +449,46 @@ class TestVersionedRefresh:
         assert fresh_channel is not stale_channel
         assert fresh_channel.cycle is system.scheme("NR").cycle
 
+    def test_query_takes_client_and_channel_from_one_lookup(self, fresh_system, monkeypatch):
+        """A replacement installed between two cache lookups cannot pair one
+        cycle's channel with another cycle's scheme: ``query`` takes the
+        client's scheme from the entry its channel came from."""
+        from repro import air
+        from repro.air.base import AirClient
+        from repro.broadcast.channel import BroadcastChannel
+
+        system = fresh_system
+        system.scheme("NR")
+        lookup = AirSystem._scheme_entry
+        installed, sessions, clients = [], [], []
+
+        def swap_after_first_lookup(self, name, resolved):
+            entry = lookup(self, name, resolved)
+            if not installed:
+                installed.append(air.create(name, self.network, **resolved))
+                with self._swap_lock:
+                    self._schemes[entry[1]] = installed[0]
+            return entry
+
+        open_session = BroadcastChannel.session
+        client_query = AirClient.query
+
+        def record_session(channel, *args, **kwargs):
+            sessions.append(open_session(channel, *args, **kwargs))
+            return sessions[-1]
+
+        def record_client(client, *args, **kwargs):
+            clients.append(client)
+            return client_query(client, *args, **kwargs)
+
+        monkeypatch.setattr(AirSystem, "_scheme_entry", swap_after_first_lookup)
+        monkeypatch.setattr(BroadcastChannel, "session", record_session)
+        monkeypatch.setattr(AirClient, "query", record_client)
+        nodes = system.network.node_ids()
+        assert system.query("NR", nodes[0], nodes[-1]).found
+        assert installed and len(clients) == len(sessions) == 1
+        assert clients[0].scheme.cycle is sessions[0].cycle
+
 
 class TestChannelOptionsKeying:
     """Regression: the channel cache must key on the full client options."""

@@ -214,9 +214,8 @@ def test_snapshot_searches_never_enter_the_faithful_loop(monkeypatch):
     for reverse in (False, True):
         arena(network).sssp(ids[0], reverse=reverse).pred
         arena(network).point_to_point(ids[0], ids[-2], reverse=reverse).pred
-        arena(network).point_to_point(
-            ids[0], ids[-2], allowed=ids[::2] + [ids[-2]], reverse=reverse
-        ).pred
+        mask = arena(network).node_mask(ids[::2] + [ids[-2]])
+        arena(network).point_to_point(ids[0], ids[-2], allowed=mask, reverse=reverse).pred
         arena(network).search(ids[0], target=ids[-2], reverse=reverse).pred
         dist = np.empty((len(ids), len(ids)))
         pred = np.empty(dist.shape, dtype=np.int64)
@@ -275,10 +274,26 @@ def test_masked_search_requires_endpoints_inside_the_mask():
     ids = network.node_ids()
     allowed = set(ids[:10])
     outside = next(node for node in ids if node not in allowed)
+    mask = arena.node_mask(allowed)
     with pytest.raises(KeyError):
-        arena.point_to_point(outside, ids[0], allowed=allowed)
+        arena.point_to_point(outside, ids[0], allowed=mask)
     with pytest.raises(KeyError):
-        arena.point_to_point(ids[0], outside, allowed=allowed)
+        arena.point_to_point(ids[0], outside, allowed=mask)
+    with pytest.raises(KeyError):
+        arena.node_mask([ids[0], max(ids) + 1])
+
+
+def test_masked_search_takes_only_a_node_mask():
+    """``allowed`` is one uint8 byte per node index; ids, a bool vector or
+    a mask of the wrong length are refused rather than misread."""
+    network = make_network(5, num_nodes=30, num_edges=70)
+    arena = kernel.arena_for(network.ensure_csr())
+    ids = network.node_ids()
+    mask = arena.node_mask(ids)
+    assert mask.dtype == np.uint8 and mask.tolist() == [1] * len(ids)
+    for wrong in (set(ids), mask.astype(bool), mask[:-1], np.asarray(ids)):
+        with pytest.raises(ValueError):
+            arena.point_to_point(ids[0], ids[1], allowed=wrong)
 
 
 def tight_in_edges(network, distances, node, reverse, allowed):
@@ -294,8 +309,11 @@ def tight_in_edges(network, distances, node, reverse, allowed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("reverse", [False, True])
 def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
-    """Masked point-to-point equals the dict loop restricted to ``allowed``
-    on every settled node (see ``assert_settled_scope``).
+    """Masked point-to-point over a node mask equals the dict loop
+    restricted to ``allowed`` on every settled node (see
+    ``assert_settled_scope``).  The mask is built the way an EB/NR client
+    builds it: received segments' index arrays set in a zeroed uint8
+    vector.
 
     ``path_to`` on every settled node equals the oracle's path twice: read
     first off the converged labels alone (the walk-back derives no tree)
@@ -313,7 +331,10 @@ def test_masked_search_bit_identical_to_oracle(seed, reverse, kernel_path):
         want = oracle.dijkstra_search(
             network, source, target=target, reverse=reverse, allowed=allowed
         )
-        got = arena.point_to_point(source, target, allowed=allowed, reverse=reverse)
+        mask = np.zeros(network.num_nodes, dtype=np.uint8)
+        mask[arena.indexes_of(sorted(allowed))] = 1
+        got = arena.point_to_point(source, target, allowed=mask, reverse=reverse)
+        assert got.distance_to(target) == want.distances.get(target, INFINITY)
         assert got.settled == want.settled
         settled = sorted(want.settled_nodes)
         for node in settled:

@@ -8,6 +8,9 @@ guesses.  For any registered scheme it profiles:
 * **build** -- scheme construction through the registry (pre-computation
   plus cycle layout),
 * **query** -- a deterministic on-air workload through the scheme's client,
+  twice: as one ``query_batch``, then as the served path -- one
+  ``AirSystem.query`` per request at a fixed tune-in offset, with the
+  options a serving worker's ``WorkerRuntime._query`` passes,
 * **refresh** -- weight-update batches routed through the engine's
   incremental rebuild path,
 * **publish** -- what the serving daemon does per publication: the
@@ -129,6 +132,25 @@ def main(argv=None) -> int:
         profile_phase(
             f"query: {len(workload)} on-air queries",
             lambda: system.query_batch(scheme_name, workload),
+            args.sort,
+            args.top,
+        )
+        total_packets = system.scheme(scheme_name).cycle.total_packets
+        offset_rng = random.Random(args.seed)
+        requests = [
+            (query.source, query.target, offset_rng.randrange(total_packets))
+            for query in workload
+        ]
+
+        def serve_requests() -> None:
+            for source, target, offset in requests:
+                options = system.default_options.replace(tune_in_offset=offset)
+                system.query(scheme_name, source, target, options=options)
+
+        profile_phase(
+            f"query: {len(requests)} served requests "
+            "(AirSystem.query per request at a fixed tune-in offset)",
+            serve_requests,
             args.sort,
             args.top,
         )
