@@ -32,36 +32,30 @@ regions -- on a build, a repair, and a restore alike.  The published
 aggregates are grouped reductions over the block
 (:meth:`~BorderPathPrecomputation._aggregate`).
 
+The labels themselves are the kernel's: it derives their predecessors
+(:meth:`KernelArena.tree_rows`), tests which rows a weight batch can touch
+(:func:`kernel.affected_rows`) and repairs those rows in place
+(:meth:`KernelArena.repair_rows`, batch Ramalingam-Reps), all under its one
+predecessor tie rule, so repaired rows equal a scratch sweep's bit for bit.
+This module keeps what is about borders: the roster, the fold, the
+aggregates and the serialized state.
+
 The serialized state keeps only the ``dist`` labels of the block: every
 weight being strictly positive (the network's one weight rule), the
-kernel's predecessors are a function of the distances
-(:meth:`KernelArena._tree_rows`), and every repair keeps them so.  The
-first block use of a restored instance derives ``pred`` again, over the
-weights the labels were computed on, and folds every row.  That use is
-usually a refresh, which comes after the network's weights were patched in
-place, so it derives over the current weights with the batch's changed
-edges set back to their old weights; a block read naming no batch, or a
-batch that does not undo the network's moves, raises
-:class:`StaleLabelsError` instead of deriving a wrong tree.
+kernel's predecessors are a function of the distances.  The first block
+use of a restored instance derives ``pred`` again, over the weights the
+labels were computed on, and folds every row.  That use is usually a
+refresh, which comes after the network's weights were patched in place, so
+it derives over the current weights with the batch's changed edges set back
+to their old weights; a block read naming no batch, or a batch that does
+not undo the network's moves, raises :class:`StaleLabelsError` instead of
+deriving a wrong tree.
 
-:meth:`BorderPathPrecomputation.refresh` keeps this exact after a weight
-change batch:
-
-* :meth:`~BorderPathPrecomputation.affected_sources` decides -- exactly,
-  from the cached labels and the old/new weights -- which rows a batch can
-  touch, vectorized over the block's distance matrix;
-* the affected rows' labels are repaired together by a batch
-  Ramalingam-Reps-style repair (:meth:`~BorderPathPrecomputation._repair_rows`)
-  that walks, in array passes over every affected row at once, only the
-  cells whose distance (or tie-broken predecessor) actually moves; and
-* only the rows whose repaired tree moved a border target re-fold, after
-  which the aggregates re-reduce.
-
-Unaffected rows provably have bit-identical labels, and the repair
-reconverges to the same unique float fixed point with the same canonical
-tie-breaks as the kernel, so the refreshed state equals a from-scratch
-rebuild bit for bit.  The per-row, queue-based repair is the test oracle
-(``tests/oracles/border_paths.py``).
+:meth:`BorderPathPrecomputation.refresh` keeps the block exact after a
+weight change batch: the kernel repairs the affected rows, and only the
+rows whose repair reached a border target re-fold, after which the
+aggregates re-reduce.  Unaffected rows provably keep bit-identical labels,
+so the refreshed state equals a from-scratch rebuild bit for bit.
 """
 
 from __future__ import annotations
@@ -111,71 +105,6 @@ class _Roster(NamedTuple):
     words: np.ndarray
     #: CSR node ids in index order (ascending).
     ids: np.ndarray
-
-
-def _distinct(cells: np.ndarray) -> np.ndarray:
-    """``cells`` sorted, each once.  On the small frontiers a repair walks,
-    a sort is several times faster than numpy 2's hashed ``np.unique``."""
-    cells = np.sort(cells)
-    keep = np.ones(len(cells), dtype=bool)
-    np.not_equal(cells[1:], cells[:-1], out=keep[1:])
-    return cells[keep]
-
-
-class _Edges(NamedTuple):
-    """One direction of a CSR snapshot as numpy views, read per *cell*:
-    ``row * nodes + node``, a position of a flattened label block."""
-
-    offsets: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def of(cls, offsets, targets, weights) -> "_Edges":
-        return cls(
-            np.frombuffer(offsets, dtype=np.int64),
-            np.frombuffer(targets, dtype=np.int64),
-            np.frombuffer(weights, dtype=np.float64),
-        )
-
-    def edges(self, cells: np.ndarray, nodes: int):
-        """The edges of ``cells``' nodes: ``(owner, heads, weights)``, where
-        ``owner`` indexes ``cells`` and ``heads`` are cells of the same
-        rows."""
-        starts = self.offsets[cells % nodes]
-        counts = self.offsets[cells % nodes + 1] - starts
-        owner = np.repeat(np.arange(len(cells)), counts)
-        positions = np.arange(len(owner)) + np.repeat(
-            starts - (np.cumsum(counts) - counts), counts
-        )
-        heads = cells[owner] - cells[owner] % nodes + self.targets[positions]
-        return owner, heads, self.weights[positions]
-
-    def least(self, cells: np.ndarray, dist: np.ndarray, nodes: int) -> np.ndarray:
-        """Per cell, the least ``dist[neighbor] + w`` over its edges
-        (``inf`` when it has none)."""
-        owner, heads, weights = self.edges(cells, nodes)
-        least = np.full(len(cells), INFINITY)
-        np.minimum.at(least, owner, dist[heads] + weights)
-        return least
-
-    def canonical(self, cells: np.ndarray, dist: np.ndarray, nodes: int) -> np.ndarray:
-        """Per cell, the neighbor (node index) of least ``(dist[u], u)``
-        among its achieving edges (``dist[u] + w == dist[cell]``), ``-1``
-        when the cell is unreached -- read over in-edges, the canonical
-        predecessor."""
-        owner, heads, weights = self.edges(cells, nodes)
-        target = dist[cells][owner]
-        tail = dist[heads]
-        achieving = np.isfinite(target) & (tail + weights == target)
-        owner, tail, heads = owner[achieving], tail[achieving], heads[achieving]
-        least = np.full(len(cells), INFINITY)
-        np.minimum.at(least, owner, tail)
-        first = tail == least[owner]
-        best = np.full(len(cells), nodes, dtype=np.int64)
-        np.minimum.at(best, owner[first], heads[first] % nodes)
-        best[best == nodes] = -1
-        return best
 
 
 @dataclasses.dataclass
@@ -583,7 +512,7 @@ class BorderPathPrecomputation:
         """The block, decoded first if this is a restore, when the network
         now carries the weight ``changes`` on top of the labels' snapshot.
 
-        :meth:`KernelArena._tree_rows` derives ``pred`` from ``dist`` over
+        :meth:`KernelArena.tree_rows` derives ``pred`` from ``dist`` over
         the labels' own weights: the current ones with every changed edge set
         back to its old weight.  If the network with the batch undone does
         not fingerprint as the one the labels were restored over, the tree
@@ -602,8 +531,8 @@ class BorderPathPrecomputation:
             shape = (len(self._all_border), csr.num_nodes)
             dist = np.frombuffer(self._labels["dist"], dtype="<f8").reshape(shape).copy()
             pred = np.empty(shape, dtype=np.int64)
-            kernel.arena_for(csr)._tree_rows(
-                dist, self._roster().index, pred, False, csr.weights_before(changes)
+            kernel.arena_for(csr).tree_rows(
+                dist, self._roster().index, pred, weights=csr.weights_before(changes)
             )
             self._block = _Block.over(dist, pred, self.num_regions)
             self._labels = None
@@ -613,50 +542,29 @@ class BorderPathPrecomputation:
     # ------------------------------------------------------------------
     # Incremental refresh
     # ------------------------------------------------------------------
-    def affected_sources(self, changes: Sequence[WeightChange]) -> List[int]:
-        """Rows of the border sources whose results a change batch can touch.
-
-        For a source with cached distances ``d``, a weight change on edge
-        ``(u, v)`` is relevant iff ``d(u) + min(old, new) <= d(v)`` (with
-        ``u`` reached), which unfolds to
-
-        * **decrease** (``new < old``): ``d(u) + new <= d(v)`` -- the cheaper
-          edge creates (or ties) a shorter path through ``(u, v)``; or
-        * **increase** (``new > old``): ``d(u) + old <= d(v)`` -- by the
-          triangle inequality ``d(v) <= d(u) + old`` always holds, so this is
-          the tightness test ``d(u) + old == d(v)``, i.e. "some shortest path
-          uses ``(u, v)`` as its final hop into ``v``" (and any shortest path
-          through the edge has such a prefix).
-
-        Both tests include ties, which makes the unaffected set *provably*
-        bit-identical under a re-run: the old distance labels remain a
-        feasible potential and the old shortest path tree contains no changed
-        edge, so Dijkstra's relaxations (and tie-breaks) replay unchanged.
-
-        The test runs vectorized over the block's label matrix, one
-        ``sources``-length column test per change (the per-source Python
-        scan it replaces is the test oracle ``tests/oracles/border_paths.py``).
-        """
-        self._require_block()
-        relevant = [change for change in changes if not change.is_noop]
-        if not relevant:
-            return []
-        matrix = self._materialize(relevant).dist
-        if not len(matrix):
-            return []
+    def _indexed(
+        self, changes: Sequence[WeightChange]
+    ) -> List[Tuple[int, int, float, float]]:
+        """The batch's changes as the kernel takes them: ``(u, v, old,
+        new)`` snapshot index tuples, no-ops and edges off the snapshot
+        left out."""
         index_of = self.network.ensure_csr().index_of
-        hit = np.zeros(len(matrix), dtype=bool)
-        for change in relevant:
-            u = index_of.get(change.source)
-            v = index_of.get(change.target)
-            if u is None or v is None:
-                continue
-            du = matrix[:, u]
-            weight = min(change.old_weight, change.new_weight)
-            # ``inf + w <= inf`` is true in IEEE arithmetic, but an
-            # unreached tail can never carry a path -- mask it out.
-            hit |= np.isfinite(du) & (du + weight <= matrix[:, v])
-        return np.flatnonzero(hit).tolist()
+        return [
+            (index_of[change.source], index_of[change.target], change.old_weight, change.new_weight)
+            for change in changes
+            if not change.is_noop and change.source in index_of and change.target in index_of
+        ]
+
+    def affected_sources(self, changes: Sequence[WeightChange]) -> List[int]:
+        """Rows of the border sources whose results a change batch can
+        touch: :func:`kernel.affected_rows` over the block's labels, a
+        vectorized, tie-inclusive test (the per-source Python scan it
+        replaces is the test oracle ``tests/oracles/border_paths.py``)."""
+        self._require_block()
+        indexed = self._indexed(changes)
+        if not indexed:
+            return []
+        return kernel.affected_rows(self._materialize(changes).dist, indexed).tolist()
 
     def refresh(self, changes: Sequence[WeightChange]) -> int:
         """Repair the affected border sources after a weight-change batch.
@@ -664,174 +572,31 @@ class BorderPathPrecomputation:
         Only valid for weight changes (the caller handles structural changes
         with a full rebuild: they can move borders).  The affected rows'
         labels are repaired in place, never from scratch
-        (:meth:`_repair_rows`), and the rows whose border targets moved
-        re-fold together.  Returns the number of affected sources; the
-        published aggregates afterwards equal a from-scratch
+        (:meth:`KernelArena.repair_rows`), and the rows whose repair reached
+        a border target re-fold together.  Returns the number of affected
+        sources; the published aggregates afterwards equal a from-scratch
         :class:`BorderPathPrecomputation` over the mutated network, bit for
         bit.
         """
-        relevant = [change for change in changes if not change.is_noop]
-        affected = self.affected_sources(relevant)
-        if not affected:
+        self._require_block()
+        indexed = self._indexed(changes)
+        if not indexed:
             return 0
-        csr = self.network.ensure_csr()
-        index_of = csr.index_of
-        repair_changes = [
-            (
-                index_of[change.source],
-                index_of[change.target],
-                change.old_weight,
-                change.new_weight,
-            )
-            for change in relevant
-            if change.source in index_of and change.target in index_of
-        ]
-        refold = self._repair_rows(np.array(affected, dtype=np.int64), repair_changes, csr)
+        block = self._materialize(changes)
+        affected = kernel.affected_rows(block.dist, indexed)
+        if not len(affected):
+            return 0
+        index = self._roster().index
+        refold = kernel.arena_for(self.network.ensure_csr()).repair_rows(
+            block.dist, block.pred, affected, index, indexed, index
+        )
         if len(refold):
             # Rows whose repair moved no border target keep their derived
             # columns: the fold inputs are unchanged, and so are the
             # published aggregates.
-            self._fold(np.asarray(refold, dtype=np.int64))
+            self._fold(refold)
             self._aggregate()
         return len(affected)
-
-    def _repair_rows(
-        self,
-        rows: np.ndarray,
-        changes: List[Tuple[int, int, float, float]],
-        csr,
-    ) -> np.ndarray:
-        """Batch dynamic SSSP repair of ``rows``' labels (Ramalingam-Reps),
-        every row at once, in place in the block; returns the rows whose
-        derived columns must re-fold.
-
-        Work is over *cells* -- ``row * nodes + node`` positions of the
-        flattened block -- and each phase runs in waves, one array pass
-        per wave over the current frontier's edges:
-
-        * **Phase A** invalidates the subtree hanging off every *tree*
-          edge whose weight increased (its nodes are the only ones whose
-          distance can grow) and re-seeds each invalidated node from its
-          best in-neighbor.
-        * **Phase B** relaxes the out-edges of the re-seeded nodes and of
-          every changed edge's tail, then of every cell whose label
-          dropped, until none drops: a label-correcting search over the
-          moving frontier only.
-        * Canonical predecessors -- the least ``(dist[u], u)`` over
-          achieving in-edges, exactly the kernel's "first achieving
-          relaxation in settle order" -- are recomputed for every cell whose
-          tree attachment could have changed: invalidated cells, changed
-          edges' heads, moved cells and their out-neighbors.
-
-        Bit-identity: every label is produced by the same ``dist[u] + w``
-        float expression a scratch Dijkstra evaluates, and under strictly
-        positive weights the converged labels are the unique fixed point of
-        those expressions, whatever order the relaxations ran in -- so the
-        repaired labels (and the tie-broken tree) equal a scratch sweep's
-        exactly.
-
-        Derive-skip: a border target's distance can only move if the border
-        is itself a moved cell, and its predecessor chain can only change if
-        the chain passes a flipped attachment -- which makes the border a
-        new-tree descendant of a changed cell.  So a row re-folds only when
-        the closure of its changed cells under new-tree children reaches a
-        border node; otherwise every derived column of the row is
-        bit-identical.
-        """
-        block = self.block
-        n = block.dist.shape[1]
-        dist = block.dist.view()
-        pred = block.pred.view()
-        dist.shape = pred.shape = (-1,)  # flat views; raises rather than copy
-        fwd = _Edges.of(csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights)
-        rev = _Edges.of(csr.rev_offsets, csr.rev_targets, csr.rev_weights)
-        base = rows * n
-        tails = _distinct(np.array([u for u, _, _, _ in changes], dtype=np.int64))
-        heads = _distinct(np.array([v for _, v, _, _ in changes], dtype=np.int64))
-
-        def children(cells: np.ndarray) -> np.ndarray:
-            """Cells whose predecessor is one of ``cells``' nodes."""
-            owner, out, _ = fwd.edges(cells, n)
-            return out[pred[out] == cells[owner] % n]
-
-        # Phase A: the subtrees hanging off broken tree edges.  The
-        # supporting-weight test uses the *pre-batch* weight (the delta's
-        # coalesced first-old), because the cached labels were computed over
-        # exactly that weight.
-        frontier = _distinct(
-            np.concatenate(
-                [np.empty(0, dtype=np.int64)]
-                + [
-                    base[(pred[base + v] == u) & (dist[base + u] + old == dist[base + v])]
-                    + v
-                    for u, v, old, new in changes
-                    if new > old
-                ]
-            )
-        )
-        waves = [frontier]
-        while len(frontier):
-            frontier = _distinct(children(frontier))
-            waves.append(frontier)
-        invalid = _distinct(np.concatenate(waves))
-        before = dist[invalid]
-        dist[invalid] = INFINITY
-        # Re-seed every invalidated node from its best in-neighbor (an
-        # over-estimate is fine: phase B only ever lowers labels).
-        dist[invalid] = rev.least(invalid, dist, n)
-
-        # Phase B: relax out of the re-seeded nodes and every changed
-        # edge's tail, then out of every cell whose label dropped.
-        frontier = np.concatenate([invalid, (base[:, None] + tails).ravel()])
-        lowered = [np.empty(0, dtype=np.int64)]
-        while len(frontier):
-            frontier = frontier[np.isfinite(dist[frontier])]
-            owner, out, weights = fwd.edges(frontier, n)
-            labels = dist[frontier[owner]] + weights
-            lower = labels < dist[out]
-            out, labels = out[lower], labels[lower]
-            np.minimum.at(dist, out, labels)
-            frontier = _distinct(out)
-            lowered.append(frontier)
-
-        # The moved cells: invalidated cells whose re-derived label differs,
-        # and every other cell phase B wrote -- each write strictly lowers
-        # a label, so such a cell ends below its pre-batch label.
-        is_invalid = np.zeros(len(dist), dtype=bool)
-        is_invalid[invalid] = True
-        lowered = np.concatenate(lowered)
-        moved = _distinct(
-            np.concatenate([invalid[dist[invalid] != before], lowered[~is_invalid[lowered]]])
-        )
-
-        # Canonical predecessors of every cell whose attachment could move.
-        dirty = _distinct(
-            np.concatenate(
-                [invalid, (base[:, None] + heads).ravel(), moved, fwd.edges(moved, n)[1]]
-            )
-        )
-        # Every dirty cell lies in an affected row; a row's source keeps -1.
-        index = self._roster().index
-        dirty = dirty[dirty % n != index[dirty // n]]
-        canonical = rev.canonical(dirty, dist, n)
-        flipped = dirty[canonical != pred[dirty]]
-        pred[dirty] = canonical
-
-        # Derive-skip: the rows whose changed cells reach a border node
-        # under new-tree children.  Each node has one parent, so each cell
-        # joins the closure once.
-        border = np.zeros(n, dtype=bool)
-        border[index] = True
-        changed = _distinct(np.concatenate([moved, flipped]))
-        is_changed = np.zeros(len(dist), dtype=bool)
-        is_changed[changed] = True
-        refold = np.zeros(len(block.dist), dtype=bool)
-        frontier = changed
-        while len(frontier):
-            refold[frontier[border[frontier % n]] // n] = True
-            frontier = children(frontier[~refold[frontier // n]])
-            frontier = frontier[~is_changed[frontier]]
-        return np.flatnonzero(refold)
 
     # ------------------------------------------------------------------
     # Derived views

@@ -28,9 +28,10 @@ frontier labels are not reproduced.  Two mechanisms deliver this:
   snapshot's constructor checks), the settle order provably equals
   sorting reachable nodes by ``(distance, node id)``.  A point-to-point
   search's settled count is its target's rank in that order plus one.
-  Every predecessor comes from :meth:`KernelArena._tree_rows`, one array
+  Every predecessor comes from :meth:`KernelArena.tree_rows`, one array
   pass over a few rows' labels: each node's achieving in-edge, and on a
-  tie the tail that settled first.  A single full sweep's discovery order
+  tie the tail that settled first (:func:`_least_tails`, the one array
+  form of that rule).  A single full sweep's discovery order
   -- which SPQ's majority votes read -- comes from
   :meth:`KernelArena._discovery`.  A node mask weights every edge whose
   head lies outside the set ``inf`` in the sweep, so those heads stay
@@ -57,6 +58,13 @@ frontier labels are not reproduced.  Two mechanisms deliver this:
   ascending id (:func:`adjacency_rows` builds them from a dict), so they
   too break ties as the dict loop does (``tests/oracles/memory_bound.py``).
 
+**Label rows.**  The kernel owns every operation on stored label rows
+(the NR/EB border-path block): :meth:`KernelArena.tree_rows` derives
+their predecessors, :func:`affected_rows` picks the rows a weight batch
+can touch and :meth:`KernelArena.repair_rows` repairs them in place, with
+the same :func:`_least_tails` as a scratch sweep -- so repaired rows equal
+a fresh :meth:`KernelArena.many_to_many` bit for bit.
+
 A :class:`KernelArena` binds the reusable parts -- the numpy/scipy views of
 the CSR arrays, scratch key buffers -- to one snapshot; arenas are cached
 per thread (:func:`arena_for`) so the hundreds of border-source sweeps of a
@@ -79,7 +87,9 @@ from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 from repro.network.algorithms.paths import PathResult
 from repro.network.csr import CSRGraph
 
-__all__ = ["KernelArena", "KernelResult", "adjacency_rows", "arena_for", "row_search"]
+__all__ = [
+    "KernelArena", "KernelResult", "adjacency_rows", "affected_rows", "arena_for", "row_search"
+]
 
 _INF = float("inf")
 
@@ -87,7 +97,7 @@ _INF = float("inf")
 #: distance matrix stays bounded (~8 MB of float64 per chunk at 1M nodes).
 _BATCH_CHUNK = 64
 
-#: Rows per predecessor pass (:meth:`KernelArena._tree_rows`).  Its
+#: Rows per predecessor pass (:meth:`KernelArena.tree_rows`).  Its
 #: temporaries are a few ``rows x edges`` arrays (3.7 MB of float64 each at
 #: full Germany's 58k edges); on a 2-vCPU VM, passes of 8 rows ran faster
 #: than 16 or more from 1,402 to 7,217 nodes, as the arrays stay
@@ -109,7 +119,7 @@ class KernelResult:
     that reports a tree -- a full sweep with predecessors or a
     point-to-point search -- also carries ``tree``, the ``(arena, reverse,
     weights)`` that derives ``pred`` on its first read
-    (:meth:`KernelArena._tree_rows`); :meth:`path_to` walks back over
+    (:meth:`KernelArena.tree_rows`); :meth:`path_to` walks back over
     in-edges instead and never derives it (``weights``: the search's own,
     or ``None``).  A point-to-point result's
     labels are the converged ones everywhere: on the nodes the dict loop
@@ -174,7 +184,7 @@ class KernelResult:
         if self._pred is None and self._tree is not None:
             arena, reverse, weights = self._tree
             row = _np.empty((1, len(self.dist_np)), dtype=_np.int64)
-            arena._tree_rows(
+            arena.tree_rows(
                 self.dist_np[None, :], [self.source_index], row, reverse, weights
             )
             self._pred = row[0].tolist()
@@ -267,8 +277,10 @@ class KernelResult:
         A node's predecessor is its first-achieving relaxation: among
         in-edges ``(u, w)`` with ``dist[u] + w == dist[v]`` (every such
         ``u`` settled earlier, weights being positive), the one whose tail
-        settled first -- the least ``(dist[u], u)``, as
-        :meth:`KernelArena._tree_rows` picks it.  The in-edges come from the
+        settled first -- the least ``(dist[u], u)``, the rule
+        :func:`_least_tails` applies to whole arrays.  This scalar loop
+        steps one node at a time on the query path, where a numpy call per
+        step would cost more than it saves.  The in-edges come from the
         snapshot's flat array buffers, which serving workers share through
         the mapped segment, not from
         :attr:`~repro.network.csr.CSRGraph.rev_adj`, whose tuples each
@@ -328,14 +340,8 @@ class _Accel:
         """One direction's scipy matrix over the snapshot's buffers."""
         matrix = self.matrices[reverse]
         if matrix is None:
-            offsets, targets, weights = (
-                (csr.rev_offsets, csr.rev_targets, csr.rev_weights)
-                if reverse
-                else (csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights)
-            )
-            indptr = _np.frombuffer(offsets, dtype=_np.int64).astype(_np.int32)
-            indices = _np.frombuffer(targets, dtype=_np.int64).astype(_np.int32)
-            data = _np.frombuffer(weights, dtype=_np.float64)
+            offsets, targets, data = _flat_edges(csr, reverse)
+            indptr, indices = offsets.astype(_np.int32), targets.astype(_np.int32)
             # scipy treats duplicate (row, col) entries as parallel edges, which
             # matches RoadNetwork's min-parallel-edge shortest path semantics.
             n = csr.num_nodes
@@ -365,8 +371,10 @@ class _Accel:
             # Mine run tail -> head; theirs list each edge from its head.
             tails, heads = csr.edge_endpoints(reverse)
             their_heads, their_tails = csr.edge_endpoints(not reverse)
-            cached = self.twins[reverse] = _np.empty(len(tails), dtype=_np.int64)
+            cached = _np.empty(len(tails), dtype=_np.int64)
             cached[_np.lexsort((their_tails, their_heads))] = _np.lexsort((tails, heads))
+            # Published only once filled: every thread's arena shares it.
+            self.twins[reverse] = cached
         return cached
 
     def transpose(self, csr: CSRGraph, reverse: bool):
@@ -408,6 +416,115 @@ def _segment_min(values, starts, counts, sentinel):
     if len(nonempty):
         out[nonempty] = _np.minimum.reduceat(values, starts[nonempty])
     return out
+
+
+def _least_tails(out, cell, tail, labels, base) -> None:
+    """The predecessor tie rule, over arrays: each ``out`` slot named in
+    ``cell`` takes the least ``(labels[base[slot] + tail], tail)`` among its
+    achieving edges ``(cell[k], tail[k])`` -- the tail that settled first.
+
+    ``tail`` holds node indexes, ``base[slot]`` the flat position of the
+    slot's row in ``labels``.  Every edge scatters its tail first; only the
+    slots whose edges wrote different tails (an equal-distance tie) are
+    resolved by distance.  Slots no edge names keep their value.
+    """
+    out[cell] = tail
+    tied = out[cell] != tail
+    if not tied.any():
+        return
+    marked = _np.zeros(len(out), dtype=bool)
+    marked[cell[tied]] = True
+    tied = marked[cell]
+    cell, tail = cell[tied], tail[tied]
+    tail_dist = labels[base[cell] + tail]
+    slots, group = _np.unique(cell, return_inverse=True)
+    least = _np.full(len(slots), _INF)
+    _np.minimum.at(least, group, tail_dist)
+    first = tail_dist == least[group]
+    best = _np.full(len(slots), _np.iinfo(_np.int64).max, dtype=_np.int64)
+    _np.minimum.at(best, group[first], tail[first])
+    out[slots] = best
+
+
+def _distinct(cells: _np.ndarray) -> _np.ndarray:
+    """``cells`` sorted, each once.  On the small frontiers a repair walks,
+    a sort is several times faster than numpy 2's hashed ``np.unique``."""
+    cells = _np.sort(cells)
+    keep = _np.ones(len(cells), dtype=bool)
+    _np.not_equal(cells[1:], cells[:-1], out=keep[1:])
+    return cells[keep]
+
+
+def _member(cells: _np.ndarray, members: _np.ndarray) -> _np.ndarray:
+    """Per entry of ``cells``, whether it is in the sorted array ``members``."""
+    if not len(members):
+        return _np.zeros(len(cells), dtype=bool)
+    return members.take(members.searchsorted(cells), mode="clip") == cells
+
+
+def _flat_edges(csr: CSRGraph, reverse: bool):
+    """One direction's ``(offsets, targets, weights)`` as numpy views."""
+    if reverse:
+        arrays = (csr.rev_offsets, csr.rev_targets, csr.rev_weights)
+    else:
+        arrays = (csr.fwd_offsets, csr.fwd_targets, csr.fwd_weights)
+    return tuple(
+        _np.frombuffer(buffer, dtype=dtype)
+        for buffer, dtype in zip(arrays, (_np.int64, _np.int64, _np.float64))
+    )
+
+
+def _cell_edges(edges, cells: _np.ndarray, n: int):
+    """The edges (``edges`` from :func:`_flat_edges`) of a cell set's nodes,
+    where a cell is ``row * n + node``: ``(owner, heads, weights)``, with
+    ``owner`` indexing ``cells`` and ``heads`` cells of the same rows.
+
+    One offsets gather per call, so it costs by the cells given; whole
+    rows read the cached edge list instead (:meth:`KernelArena.tree_rows`).
+    """
+    offsets, targets, weights = edges
+    nodes = cells % n
+    starts = offsets[nodes]
+    counts = offsets[nodes + 1] - starts
+    owner = _np.repeat(_np.arange(len(cells)), counts)
+    positions = _np.arange(len(owner)) + _np.repeat(starts - (_np.cumsum(counts) - counts), counts)
+    heads = (cells - nodes)[owner] + targets[positions]
+    return owner, heads, weights[positions]
+
+
+def _cell_tree(in_edges, dist: _np.ndarray, cells: _np.ndarray, n: int) -> _np.ndarray:
+    """Per cell of the flat label rows ``dist``, its predecessor node under
+    the tie rule over the in-edges ``in_edges`` (:func:`_flat_edges` in
+    reverse, or another weighting of them), ``-1`` where none achieves:
+    :meth:`KernelArena.tree_rows` for a cell set rather than whole rows."""
+    owner, ins, weights = _cell_edges(in_edges, cells, n)
+    target = dist[cells][owner]
+    achieving = _np.isfinite(target) & (dist[ins] + weights == target)
+    tree = _np.full(len(cells), -1, dtype=_np.int64)
+    _least_tails(tree, owner[achieving], ins[achieving] % n, dist, cells - cells % n)
+    return tree
+
+
+def affected_rows(dist: _np.ndarray, changes) -> _np.ndarray:
+    """The rows of ``dist`` (label rows, one per source) that a weight batch
+    of ``(u, v, old, new)`` index tuples can touch: those with ``d(u) +
+    min(old, new) <= d(v)`` and ``u`` reached, one column test per change.
+
+    For a decrease, the cheaper edge creates (or ties) a shorter path
+    through ``(u, v)``; for an increase, ``d(v) <= d(u) + old`` always
+    holds, so this is the tightness test: some shortest path ends with
+    ``(u, v)``.  Both include ties, which makes every other row *provably*
+    bit-identical under a re-run: its labels remain a feasible potential
+    and its tree holds no changed edge, so relaxations and tie-breaks
+    replay unchanged.
+    """
+    hit = _np.zeros(len(dist), dtype=bool)
+    for u, v, old, new in changes:
+        du = dist[:, u]
+        # ``inf + w <= inf`` is true in IEEE arithmetic, but an unreached
+        # tail can never carry a path -- mask it out.
+        hit |= _np.isfinite(du) & (du + min(old, new) <= dist[:, v])
+    return _np.flatnonzero(hit)
 
 
 class KernelArena:
@@ -606,7 +723,7 @@ class KernelArena:
         unreached nodes, or is ``None`` for distance-only callers.  The
         labels of up to ``_BATCH_CHUNK`` sources come from one scipy call,
         and their predecessor rows from one array pass over the chunk
-        (:meth:`_tree_rows`).
+        (:meth:`tree_rows`).
         """
         indexes = [self._source_index(source) for source in sources]
         for start in range(0, len(indexes), _BATCH_CHUNK):
@@ -614,29 +731,28 @@ class KernelArena:
             rows = slice(start, start + len(chunk))
             dist[rows] = self._sweep(chunk, reverse)
             if pred is not None:
-                self._tree_rows(dist[rows], chunk, pred[rows], reverse)
+                self.tree_rows(dist[rows], chunk, pred[rows], reverse)
 
-    def _tree_rows(self, dist, source_indexes, pred, reverse: bool, weights=None) -> None:
+    def tree_rows(self, dist, sources, pred, reverse: bool = False, weights=None) -> None:
         """Predecessor rows from converged labels, in one array pass per
         ``_TREE_CHUNK`` rows: the one tree derivation of every compiled
         search (a batch's rows, a single sweep's or point-to-point
-        search's ``pred``).
+        search's ``pred``) and of stored label rows (a restored
+        border-path block's).
 
         Under strictly positive weights the dict heap settles reachable
         nodes in ``(distance, index)`` order, and a node's predecessor is
         the tail of its first *achieving* in-edge (``dist[tail] + w ==
-        dist[head]``, head reached) in that order.  Every achieving edge
-        scatters its tail onto its head; where one head's edges wrote
-        different tails -- an equal-distance tie -- the head takes the
-        least ``(dist[tail], tail)`` among them.  Labels are compared with
+        dist[head]``, head reached) in that order: the least ``(dist[tail],
+        tail)`` among them (:func:`_least_tails`).  Labels are compared with
         ``inf`` turned into ``nan``, which equals nothing, so unreached
         heads and tails never achieve; so do the edges a masked sweep
         weighted ``inf``, whose heads it left unreached.  A point-to-point
         search settles every achieving tail of a settled node before it,
         so its settled nodes' rows equal the stopped loop's.  ``pred``
-        (rows aligned with ``dist``) is overwritten: ``-1`` at each source
-        and at unreached nodes.  Bit-identical to the faithful loop's
-        predecessors.
+        (rows aligned with ``dist``) is overwritten: ``-1`` at each row's
+        source index (``sources``) and at unreached nodes.  Bit-identical
+        to the faithful loop's predecessors.
 
         ``weights`` (float64, one per edge of the direction in CSR order)
         replace the snapshot's: a search's own (``inf`` edges never
@@ -647,10 +763,12 @@ class KernelArena:
         if weights is not None:
             e_w = weights
         # Flat (row, edge) position -> its head's flat (row, node) cell and
-        # its tail, for a full-height pass; a shorter last pass uses a prefix.
+        # its tail, and each cell's row start, for a full-height pass; a
+        # shorter last pass uses a prefix.
         height = min(_TREE_CHUNK, len(dist))
         cells = (_np.arange(height, dtype=_np.int64)[:, None] * n + e_dst).ravel()
         tails = _np.tile(e_src, height)
+        bases = _np.repeat(_np.arange(height, dtype=_np.int64) * n, n)
         for start in range(0, len(dist), _TREE_CHUNK):
             rows = slice(start, start + _TREE_CHUNK)
             labels = _np.where(_np.isfinite(dist[rows]), dist[rows], _np.nan)
@@ -659,27 +777,135 @@ class KernelArena:
             relax += e_w
             achieving = _np.flatnonzero(relax == labels.take(e_dst, axis=1))
             del relax
-            cell = cells[achieving]
-            tail = tails[achieving]
             block = _np.full(height * n, -1, dtype=_np.int64)
-            block[cell] = tail
-            overwritten = block[cell] != tail
-            if overwritten.any():
-                tied = _np.zeros(height * n, dtype=bool)
-                tied[cell[overwritten]] = True
-                tied = tied[cell]
-                cell, tail = cell[tied], tail[tied]
-                tail_dist = labels.reshape(-1)[cell - cell % n + tail]
-                heads, group = _np.unique(cell, return_inverse=True)
-                least = _np.full(len(heads), _INF)
-                _np.minimum.at(least, group, tail_dist)
-                first = tail_dist == least[group]
-                best = _np.full(len(heads), n, dtype=_np.int64)
-                _np.minimum.at(best, group[first], tail[first])
-                block[heads] = best
-            sources = _np.asarray(source_indexes[rows], dtype=_np.int64)
-            block[_np.arange(height, dtype=_np.int64) * n + sources] = -1
+            _least_tails(block, cells[achieving], tails[achieving], labels.reshape(-1), bases)
+            row_sources = _np.asarray(sources[rows], dtype=_np.int64)
+            block[_np.arange(height, dtype=_np.int64) * n + row_sources] = -1
             pred[rows] = block.reshape(height, n)
+
+    def repair_rows(self, dist, pred, rows, sources, changes, watch) -> _np.ndarray:
+        """Repair label ``rows`` in place after a weight batch (batch
+        Ramalingam-Reps), every row at once; returns the rows whose changed
+        cells reach a ``watch`` node (index array) under new-tree children
+        -- any other row keeps every watched label and predecessor chain.
+
+        ``dist``/``pred`` are C-contiguous rows over this snapshot, one per
+        source index in ``sources``, computed over the weights before
+        ``changes``: ``(u, v, old, new)`` index tuples, one per changed
+        edge, whose new weights the snapshot holds.  ``rows`` must hold
+        every row the batch can touch (:func:`affected_rows`).  Work is over
+        *cells* (``row * nodes + node``) in waves, one array pass per wave:
+
+        * **Phase A** invalidates the subtree hanging off every *tree*
+          edge whose weight increased (the only nodes whose distance can
+          grow) and re-seeds each invalidated cell from its best in-edge.
+        * **Phase B** relaxes out of the re-seeded cells and every changed
+          edge's tail, then out of every cell whose label dropped, until
+          none drops.
+        * Canonical predecessors (:func:`_cell_tree`) are re-derived for
+          every cell whose attachment could have moved: invalidated cells,
+          changed edges' heads, moved cells and their out-neighbors.
+
+        Every label is the ``dist[u] + w`` a scratch sweep evaluates, and
+        under strictly positive weights the labels converge to the unique
+        fixed point of those expressions in any relaxation order -- so the
+        rows, tie-broken tree included, equal a scratch sweep's bit for
+        bit.  Set operations run on sorted cell arrays: the repair
+        allocates by the cells it touches, never by the rows' size.
+        """
+        n = self.num_nodes
+        count = len(dist)
+        fwd, rev = _flat_edges(self.csr, False), _flat_edges(self.csr, True)
+        dist = dist.view()
+        pred = pred.view()
+        dist.shape = pred.shape = (-1,)  # flat views; raises rather than copy
+        sources = _np.asarray(sources, dtype=_np.int64)
+        base = _np.asarray(rows, dtype=_np.int64) * n
+        tails = _distinct(_np.array([u for u, _, _, _ in changes], dtype=_np.int64))
+        heads = _distinct(_np.array([v for _, v, _, _ in changes], dtype=_np.int64))
+
+        def children(cells: _np.ndarray) -> _np.ndarray:
+            """Cells whose predecessor is one of ``cells``' nodes."""
+            owner, out, _ = _cell_edges(fwd, cells, n)
+            return out[pred[out] == cells[owner] % n]
+
+        # Phase A: the subtrees hanging off broken tree edges.  The
+        # supporting-weight test uses the *pre-batch* weight, because the
+        # labels were computed over exactly that weight.
+        frontier = _distinct(
+            _np.concatenate(
+                [_np.empty(0, dtype=_np.int64)]
+                + [
+                    base[(pred[base + v] == u) & (dist[base + u] + old == dist[base + v])]
+                    + v
+                    for u, v, old, new in changes
+                    if new > old
+                ]
+            )
+        )
+        waves = [frontier]
+        while len(frontier):
+            frontier = _distinct(children(frontier))
+            waves.append(frontier)
+        invalid = _distinct(_np.concatenate(waves))
+        before = dist[invalid]
+        dist[invalid] = _INF
+        # Re-seed every invalidated cell from its best in-edge (an
+        # over-estimate is fine: phase B only ever lowers labels).
+        owner, ins, weights = _cell_edges(rev, invalid, n)
+        least = _np.full(len(invalid), _INF)
+        _np.minimum.at(least, owner, dist[ins] + weights)
+        dist[invalid] = least
+
+        # Phase B: relax out of the re-seeded cells and every changed
+        # edge's tail, then out of every cell whose label dropped.
+        frontier = _np.concatenate([invalid, (base[:, None] + tails).ravel()])
+        lowered = [_np.empty(0, dtype=_np.int64)]
+        while len(frontier):
+            frontier = frontier[_np.isfinite(dist[frontier])]
+            owner, out, weights = _cell_edges(fwd, frontier, n)
+            labels = dist[frontier[owner]] + weights
+            lower = labels < dist[out]
+            out, labels = out[lower], labels[lower]
+            _np.minimum.at(dist, out, labels)
+            frontier = _distinct(out)
+            lowered.append(frontier)
+
+        # The moved cells: invalidated cells whose re-derived label differs,
+        # and every other cell phase B wrote -- each write strictly lowers
+        # a label, so such a cell ends below its pre-batch label.
+        lowered = _np.concatenate(lowered)
+        moved = _distinct(
+            _np.concatenate(
+                [invalid[dist[invalid] != before], lowered[~_member(lowered, invalid)]]
+            )
+        )
+
+        # Canonical predecessors of every cell whose attachment could move;
+        # a row's source keeps -1.
+        dirty = _distinct(
+            _np.concatenate(
+                [invalid, (base[:, None] + heads).ravel(), moved, _cell_edges(fwd, moved, n)[1]]
+            )
+        )
+        dirty = dirty[dirty % n != sources[dirty // n]]
+        canonical = _cell_tree(rev, dist, dirty, n)
+        flipped = dirty[canonical != pred[dirty]]
+        pred[dirty] = canonical
+
+        # The rows whose changed cells reach a watched node under new-tree
+        # children.  Each node has one parent, so each cell joins the
+        # closure once.
+        watched = _np.zeros(n, dtype=bool)
+        watched[watch] = True
+        changed = _distinct(_np.concatenate([moved, flipped]))
+        hit = _np.zeros(count, dtype=bool)
+        frontier = changed
+        while len(frontier):
+            hit[frontier[watched[frontier % n]] // n] = True
+            frontier = children(frontier[~hit[frontier // n]])
+            frontier = frontier[~_member(frontier, changed)]
+        return _np.flatnonzero(hit)
 
     # ------------------------------------------------------------------
     # Compiled sweeps: distances from scipy, the tree derived from them

@@ -50,8 +50,9 @@ class WeightChange:
 
     The old weight is what makes incremental rebuilds sound: whether a
     shortest-path tree rooted at some node can be affected by the change is
-    decided by comparing cached distances against *both* weights (see
-    :meth:`repro.air.border_paths.BorderPathPrecomputation.affected_sources`).
+    decided by comparing cached distances against *both* weights: the
+    kernel owns that test (:func:`repro.network.algorithms.kernel.affected_rows`)
+    and the repair of the rows it picks (``KernelArena.repair_rows``).
     """
 
     source: int

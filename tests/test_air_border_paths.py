@@ -10,6 +10,7 @@ import pytest
 from oracles import border_paths as oracle
 from repro.air.border_paths import BorderPathPrecomputation
 from repro.network import datasets
+from repro.network.algorithms import kernel
 from repro.network.algorithms.dijkstra import shortest_path
 from repro.network.algorithms.paths import INFINITY
 from repro.network.delta import WeightChange
@@ -206,11 +207,56 @@ def test_build_peaks_within_twice_the_block():
     assert peak <= 2 * nbytes, f"peak {peak} B for a {nbytes} B block"
 
 
+def test_repair_allocates_by_the_cells_it_touches():
+    """A batch that touches few rows of the block is repaired without
+    allocating anything the block's size.  On the mixed-1k network (germany
+    0.035, seed 31) at 128 regions (697 rows), an increase and a decrease
+    that each affect one row are repaired with a peak below an eighth of
+    the block's ``dist`` bytes; a pair of bool masks over the block would
+    be a quarter.  Each such row moves almost whole, so the repair's own
+    work is about 170 bytes per moved cell: the margin needs the rows."""
+    network = datasets.load("germany", scale=0.035, seed=31)
+    partitioning = build_kdtree_partitioning(network, 128)
+    precomputation = BorderPathPrecomputation(network, partitioning)
+    block, index = precomputation.block, precomputation._roster().index
+    assert len(block.dist) >= 200
+    csr = network.ensure_csr()
+    edges = list(network.edge_tuples())
+    random.Random(4).shuffle(edges)
+    updates = []
+    for factor in (2.0, 0.5):
+        for u, v, weight in edges:
+            change = (csr.index_of[u], csr.index_of[v], weight, weight * factor)
+            if (u, v) not in [update[:2] for update in updates] and (
+                len(kernel.affected_rows(block.dist, [change])) == 1
+            ):
+                updates.append((u, v, weight * factor))
+                break
+    changes = precomputation._indexed(network.apply_updates(updates))
+    affected = kernel.affected_rows(block.dist, changes)
+    assert len(changes) == 2 and 0 < len(affected) <= len(block.dist) // 16
+    before = block.dist.copy()
+    search = kernel.arena_for(csr)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        search.repair_rows(block.dist, block.pred, affected, index, changes, index)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert (block.dist != before).any(), "the batch must move some labels"
+    assert peak < block.dist.nbytes / 8, f"peak {peak} B for {block.dist.nbytes} B of labels"
+
+
 @pytest.mark.parametrize("num_regions", [4, 8])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batched_repair_equals_the_row_by_row_oracle(seed, num_regions):
-    """``_repair_rows`` repairs every affected row at once; the queue-based
-    per-row repair it replaced (``oracle.repair_row``) must land on the
+    """``KernelArena.repair_rows`` repairs every affected row at once; the
+    queue-based per-row repair it replaced (``oracle.repair_row``) must land on the
     same labels, the same tie-broken predecessors and the same re-fold
     decision for every row, batch after batch.  A dead-end spur of three
     nodes, drawn on top of node 5 (so inside its region, with no border
@@ -244,7 +290,10 @@ def test_batched_repair_equals_the_row_by_row_oracle(seed, num_regions):
             if not c.is_noop
         ]
         batched, by_row = precomputation.shadow(), precomputation.shadow()
-        refold = batched._repair_rows(np.array(rows, dtype=np.int64), repair, csr)
+        block, index = batched.block, batched._roster().index
+        refold = kernel.arena_for(csr).repair_rows(
+            block.dist, block.pred, np.array(rows, dtype=np.int64), index, repair, index
+        )
         want = [
             row for row in rows if oracle.repair_row(by_row, row, repair, csr, border_indexes)
         ]

@@ -17,6 +17,7 @@ subgraphs.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -570,6 +571,28 @@ def test_arena_is_cached_per_thread_and_snapshot():
     assert kernel.arena_for(snapshot) is kernel.arena_for(snapshot)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_edge_pairing_is_complete_when_published(reverse):
+    """Arenas are per thread, but a snapshot's cached views are shared by
+    all of them: the edge pairing a walk back reads must be complete when
+    it becomes visible, or another thread's query reads garbage positions.
+    Every value stored into the cache must already equal the pairing."""
+    network = tie_gadget_network(5, 30)
+    snapshot = network.ensure_csr()
+    accel = kernel.arena_for(snapshot)._accel()
+    want = accel.twin(snapshot, reverse).copy()
+    stored = []
+
+    class Recording(list):
+        def __setitem__(self, key, value):
+            stored.append(np.array(value, copy=True))
+            super().__setitem__(key, value)
+
+    accel.twins = Recording([None, None])
+    assert np.array_equal(accel.twin(snapshot, reverse), want)
+    assert len(stored) == 1 and np.array_equal(stored[0], want)
+
+
 def test_distance_only_sweep_matches_reference(kernel_path):
     """Distance-only sweeps take scipy: same labels and settled count, no
     tree."""
@@ -719,6 +742,141 @@ def test_many_to_many_predecessor_pass_equals_the_faithful_loop(
         tied_heads += len(heads) - len(set(heads))
     assert all(row == -1 for row in pred[: kernel._TREE_CHUNK].ravel().tolist())
     assert tied_heads, "the tie gadgets must give some head two achieving tails"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cell_path_tie_rule_equals_tree_rows(seed):
+    """The repair's per-cell predecessor derivation applies the same tie
+    rule as ``tree_rows``: on a tie-heavy integer network, a random cell
+    subset of random rows gets exactly ``tree_rows``' predecessors, source
+    cells and unreached cells included.  A second pass runs both over a
+    search's own ``weights=`` with a fifth of the edges at ``inf``."""
+    network = tie_gadget_network(seed, 40)
+    csr = network.ensure_csr()
+    search = arena(network)
+    n = csr.num_nodes
+    rng = random.Random(seed + 9)
+    sources = [0] + rng.sample(network.node_ids(), 11)
+    index = search.indexes_of(sources)
+    dist = np.empty((len(sources), n))
+    search.many_to_many(sources, dist, None)
+    dropped = np.frombuffer(csr.fwd_weights, dtype=np.float64).copy()
+    dropped[rng.sample(range(len(dropped)), len(dropped) // 5)] = INFINITY
+    dropped_dist = np.array(
+        [search.point_to_point(source, source, weights=dropped).dist_np for source in sources]
+    )
+    in_edges = kernel._flat_edges(csr, True)
+    for labels, weights in ((dist, None), (dropped_dist, dropped)):
+        pred = np.empty(labels.shape, dtype=np.int64)
+        search.tree_rows(labels, index, pred, weights=weights)
+        edges = in_edges
+        if weights is not None:
+            edges = in_edges[:2] + (weights.take(search._accel().twin(csr, False)),)
+        # Row 0 is the gadget apex: nodes 3 and 6 tie between two tails.
+        cells = np.array(sorted(set(rng.sample(range(labels.size), labels.size // 3)) | {3, 6}))
+        got = kernel._cell_tree(edges, labels.ravel(), cells, n)
+        assert got.tolist() == pred.ravel()[cells].tolist()
+        assert (got == -1).any() and (got >= 0).any()
+        if weights is None:
+            # Equal tails resolve to the lower index, unequal to the nearer.
+            assert (pred[0, 3], pred[0, 6]) == (1, 5)
+
+
+def repair_network(seed: int) -> RoadNetwork:
+    """:func:`integer_weight_network` (exact ties, a node no other reaches)
+    with a parallel edge on eight of its pairs."""
+    network = integer_weight_network(seed, num_nodes=60)
+    rng = random.Random(seed + 1)
+    pairs = sorted({(u, v) for u, v, _ in network.edge_tuples()})
+    for u, v in rng.sample(pairs, 8):
+        network.add_edge(u, v, float(rng.randint(1, 9)))
+    network.clear_delta()
+    return network
+
+
+def repair_batch(network, dist, rng: random.Random):
+    """``(source, target, weight)`` updates on five distinct pairs, one of
+    them parallel: increases, decreases, decreases onto an exact tie of
+    some row's labels, and no-ops."""
+    index_of = network.ensure_csr().index_of
+    edges = Counter((u, v) for u, v, _ in network.edge_tuples())
+    pairs = sorted(edges)
+    parallel = [pair for pair in pairs if edges[pair] > 1]
+    chosen = rng.sample([pair for pair in pairs if pair not in parallel], 4)
+    updates = []
+    for u, v in chosen + [rng.choice(parallel)]:
+        old = network.edge_weight(u, v)
+        kind = rng.choice(["up", "down", "tie", "noop"])
+        new = old
+        if kind == "up":
+            new = old + rng.randint(1, 5)
+        elif kind == "down":
+            new = max(1.0, old - rng.randint(1, 5))
+        elif kind == "tie":
+            row = dist[rng.randrange(len(dist))]
+            gap = row[index_of[v]] - row[index_of[u]]
+            if 0 < gap < old:
+                new = gap
+        updates.append((u, v, float(new)))
+    return updates
+
+
+def watch_closure(old_dist, old_pred, dist, pred, watch):
+    """Rows where some watched node's new-tree chain (the node itself
+    included) holds a cell whose label or predecessor moved."""
+    rows = []
+    for row in range(len(dist)):
+        changed = (old_dist[row] != dist[row]) | (old_pred[row] != pred[row])
+        for node in watch:
+            while node >= 0 and not changed[node]:
+                node = pred[row, node]
+            if node >= 0:
+                rows.append(row)
+                break
+    return rows
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_repair_rows_equal_a_fresh_many_to_many(seed):
+    """``repair_rows`` over arbitrary source rows -- on integer weights with
+    parallel edges and unreached nodes, after batches mixing increases,
+    decreases, exact ties and no-ops -- leaves ``dist`` and ``pred`` equal
+    to a fresh ``many_to_many`` bit for bit, and returns exactly the rows
+    whose moved cells reach a watched node under new-tree children."""
+    network = repair_network(seed)
+    csr = network.ensure_csr()
+    search = arena(network)
+    rng = random.Random(seed + 17)
+    ids = network.node_ids()
+    # The last two ids: a node no other reaches, and one only it reaches.
+    sources = rng.sample(ids[:-2], 24) + ids[-2:]
+    index = search.indexes_of(sources)
+    watch = rng.sample(range(csr.num_nodes), 6)
+    shape = (len(sources), csr.num_nodes)
+    dist, pred = np.empty(shape), np.empty(shape, dtype=np.int64)
+    search.many_to_many(sources, dist, pred)
+    fresh_dist, fresh_pred = np.empty(shape), np.empty(shape, dtype=np.int64)
+    moved_unwatched = watched = 0
+    for _ in range(10):
+        network.apply_updates(repair_batch(network, dist, rng))
+        changes = [
+            (csr.index_of[c.source], csr.index_of[c.target], c.old_weight, c.new_weight)
+            for c in network.pending_delta().changes
+        ]
+        network.clear_delta()
+        u, v, weight = rng.choice(list(network.edge_tuples()))
+        changes.append((csr.index_of[u], csr.index_of[v], weight, weight))
+        rows = kernel.affected_rows(dist, changes)
+        old_dist, old_pred = dist.copy(), pred.copy()
+        hit = search.repair_rows(dist, pred, rows, index, changes, watch)
+        search.many_to_many(sources, fresh_dist, fresh_pred)
+        assert dist.tobytes() == fresh_dist.tobytes()
+        assert pred.tobytes() == fresh_pred.tobytes()
+        assert hit.tolist() == watch_closure(old_dist, old_pred, dist, pred, watch)
+        moved = (old_dist != dist).any(axis=1) | (old_pred != pred).any(axis=1)
+        moved_unwatched += len(set(np.flatnonzero(moved).tolist()) - set(hit.tolist()))
+        watched += len(hit)
+    assert moved_unwatched and watched, "repairs must both reach and miss the watched nodes"
 
 
 def test_kernel_handles_edgeless_network(kernel_path):

@@ -12,7 +12,9 @@ guesses.  For any registered scheme it profiles:
   ``AirSystem.query`` per request at a fixed tune-in offset, with the
   options a serving worker's ``WorkerRuntime._query`` passes,
 * **refresh** -- weight-update batches routed through the engine's
-  incremental rebuild path,
+  incremental rebuild path; after profiling, the refreshed scheme's state
+  (build times left out) and cycle are compared with a scratch build over
+  the updated network, and a mismatch exits 1,
 * **publish** -- what the serving daemon does per publication: the
   scheme's ``artifact()`` encoding, the artifact's ``to_bytes()`` framing,
   and a shared-memory ``SharedArtifactSegment.publish`` plus its unlink;
@@ -180,6 +182,12 @@ def main(argv=None) -> int:
             args.sort,
             args.top,
         )
+        refreshed = system.scheme(scheme_name)
+        scratch = air.create(scheme_name, network, **refreshed._artifact_params())
+        if not same_build(refreshed, scratch):
+            print(f"refresh: the refreshed {scheme_name} differs from a scratch build")
+            return 1
+        print(f"refresh: the refreshed {scheme_name} equals a scratch build")
 
     if "publish" in phases:
         from repro.serving.shm import SharedArtifactSegment
@@ -267,13 +275,20 @@ def main(argv=None) -> int:
             print(f"restore: {scheme_name} has no incremental refresh; nothing to compare")
         else:
             scratch = air.create(scheme_name, target, **built.params)
-            if without_seconds(refreshed[0]._artifact_state()) != without_seconds(
-                scratch._artifact_state()
-            ) or refreshed[0].cycle.signature() != scratch.cycle.signature():
+            if not same_build(refreshed[0], scratch):
                 print(f"restore: the refreshed {scheme_name} differs from a scratch build")
                 return 1
             print(f"restore: the refreshed {scheme_name} equals a scratch build")
     return 0
+
+
+def same_build(refreshed, scratch) -> bool:
+    """Whether a refreshed scheme equals a scratch build: state with build
+    times left out, and cycle."""
+    return (
+        without_seconds(refreshed._artifact_state()) == without_seconds(scratch._artifact_state())
+        and refreshed.cycle.signature() == scratch.cycle.signature()
+    )
 
 
 def without_seconds(state):
